@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import ratlinalg
 from .ratlinalg import (
     F0,
@@ -38,7 +36,6 @@ from .ratlinalg import (
     SparseEchelon,
     frac_mod_p,
     mat_vec,
-    modp_echelon,
     nullspace,
     rref,
 )
@@ -704,64 +701,69 @@ class CommutantReport:
     method: str
 
 
+def _constraint_rows(ad: Sequence[Sequence], d: int):
+    """Sparse rows of X -> X·ad - ad·X on row-major flattened d x d matrices X,
+    one per entry (i, j); entries may be Fractions or integers mod p."""
+    by_col = [[] for _ in range(d)]  # by_col[j]: (k, ad[k][j]) nonzero
+    by_row = [[] for _ in range(d)]  # by_row[i]: (l, ad[i][l]) nonzero
+    for k, r in enumerate(ad):
+        for l, v in enumerate(r):
+            if v:
+                by_col[l].append((k, v))
+                by_row[k].append((l, v))
+    for i in range(d):
+        base = i * d
+        for j in range(d):
+            row = {base + k: a for k, a in by_col[j]}
+            for l, b in by_row[i]:
+                col = l * d + j
+                row[col] = row.get(col, 0) - b
+            yield row
+
+
+def _ads_mod_p(ads: Sequence[Sequence[Sequence[Fraction]]], p: int) -> Optional[list]:
+    """Images of the adjoint maps in GF(p), or None when a denominator vanishes."""
+    out = []
+    for ad in ads:
+        mod = []
+        for r in ad:
+            row = [frac_mod_p(v, p) if v else 0 for v in r]
+            if None in row:
+                return None
+            mod.append(row)
+        out.append(mod)
+    return out
+
+
 def _commutant_exact(ads: Sequence[Sequence[Sequence[Fraction]]], d: int) -> List[RationalMatrix]:
     ech = SparseEchelon(d * d)
     for ad in ads:
-        for i in range(d):
-            for j in range(d):
-                row: dict = {}
-                for l in range(d):
-                    a = ad[l][j]
-                    if a:
-                        col = i * d + l
-                        row[col] = row.get(col, F0) + a
-                    b = ad[i][l]
-                    if b:
-                        col = l * d + j
-                        row[col] = row.get(col, F0) - b
-                ech.insert(row)
+        for row in _constraint_rows(ad, d):
+            ech.insert(row)
     return [_from_flat(vec, d, d) for vec in ech.kernel()]
 
 
 def adjoint_commutant(L: LieAlgebraPresentation) -> CommutantReport:
     """Dimension and basis of the linear maps commuting with every adjoint map.
 
-    Tries a modular full-rank certificate first (proving dimension exactly
-    one, since the identity always commutes); otherwise falls back to exact
-    elimination on the stacked constraint system.
+    First a modular full-rank certificate (proving dimension exactly one,
+    since the identity always commutes): the constraint rows of one ``ad``
+    at a time go into a GF(p) echelon, stopping as soon as the rank reaches
+    d²-1.  Only a denominator that vanishes mod p moves on to the next
+    prime; a rank shortfall goes straight to exact elimination.
     """
     st = _structure(L)
     d = L.dim
     target = d * d - 1
-    eye = np.eye(d, dtype=np.int64)
     for p in MODP_PRIMES:
-        mods = []
-        ok = True
-        for ad in st.ads:
-            m = np.zeros((d, d), dtype=np.int64)
-            for i in range(d):
-                for j in range(d):
-                    v = frac_mod_p(ad[i][j], p)
-                    if v is None:
-                        ok = False
-                        break
-                    m[i, j] = v
-                if not ok:
-                    break
-            if not ok:
-                break
-            mods.append(m)
-        if not ok:
+        mods = _ads_mod_p(st.ads, p)
+        if mods is None:
             continue
-        echelon = None
-        for m in mods:
-            block = (np.kron(eye, m.T) - np.kron(m, eye)) % p
-            stacked = block if echelon is None else np.vstack([echelon, block])
-            r, echelon = modp_echelon(stacked, p)
-            if r == target:
-                return CommutantReport(
-                    1, (RationalMatrix.identity(d),), "modular-rank-certificate"
-                )
+        ech = SparseEchelon(d * d, p)
+        rows = (row for ad in mods for row in _constraint_rows(ad, d))
+        if ech.rank == target or any(ech.insert(row) and ech.rank == target for row in rows):
+            return CommutantReport(1, (RationalMatrix.identity(d),), "modular-rank-certificate")
+        break  # rank shortfall: decide exactly rather than try more primes
     basis = _commutant_exact(st.ads, d)
     return CommutantReport(len(basis), tuple(basis), "exact-elimination")
 

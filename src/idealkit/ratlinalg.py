@@ -1,18 +1,23 @@
 """Exact linear algebra over the rationals, plus a modular rank certificate.
 
 Dense routines work on lists of Fraction rows and are fully deterministic
-(leftmost pivot, rows in input order).  The sparse online echelon handles
-the larger stacked systems that arise from commutant computations.  The
-modular path certifies a rank lower bound: a nonzero r x r minor modulo p
-is nonzero over the rationals, so rank_p <= rank_Q always holds.
+(leftmost pivot, rows in input order).  ``SparseEchelon`` is one sparse
+online echelon for the larger stacked systems of commutant computations;
+its caller picks the field, Fraction or GF(p) integers.  Its kernel is
+found by back-substitution on the sparse pivot rows and equals the
+canonical ``nullspace`` basis, which depends only on the row space.
+
+Over GF(p) it certifies a rank lower bound: a nonzero r x r minor modulo p
+is nonzero over the rationals, so rank_p <= rank_Q always holds.  The
+commutant certificate makes one sparse pass over the adjoint maps and stops
+as soon as the rank reaches its target; it moves to the next prime only
+when a denominator of the input vanishes modulo the current one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -23,14 +28,15 @@ __all__ = [
     "SparseEchelon",
     "frac_mod_p",
     "mat_vec",
-    "modp_echelon",
     "nullspace",
     "rank",
     "rref",
     "MODP_PRIMES",
 ]
 
-# Fixed large primes below 2**31 so that int64 products stay below 2**62.
+# Fixed large primes for the modular certificate.  The first one that leaves
+# every denominator of the input invertible is used; a later one only when a
+# denominator is divisible by an earlier one.
 MODP_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
@@ -177,10 +183,16 @@ class AugmentedSpan:
 
 
 class SparseEchelon:
-    """Online echelon over sparse rational rows (dict column -> value)."""
+    """Online echelon over sparse rows (dict column -> value).
 
-    def __init__(self, ncols: int):
+    The caller picks the field: Fraction coefficients when ``p`` is None,
+    otherwise integers in GF(p).  Each stored row has pivot value one at its
+    leftmost column and no entries left of it.
+    """
+
+    def __init__(self, ncols: int, p: Optional[int] = None):
         self.ncols = ncols
+        self.p = p
         self._rows: dict = {}  # pivot column -> sparse row with pivot value 1
 
     @property
@@ -188,34 +200,58 @@ class SparseEchelon:
         return len(self._rows)
 
     def insert(self, row: dict) -> bool:
-        work = {c: v for c, v in row.items() if v != 0}
+        """Add a row; returns False when it depends on the rows already held."""
+        p = self.p
+        rows = self._rows
+        if p is None:
+            work = {c: v for c, v in row.items() if v}
+        else:
+            work = {c: v % p for c, v in row.items() if v % p}
         while work:
-            p = min(work)
-            existing = self._rows.get(p)
+            piv = min(work)
+            existing = rows.get(piv)
+            f = work[piv]
             if existing is None:
-                pv = work[p]
-                self._rows[p] = {c: v / pv for c, v in work.items()}
+                if p is None:
+                    rows[piv] = {c: v / f for c, v in work.items()}
+                else:
+                    inv = pow(f, -1, p)
+                    rows[piv] = {c: v * inv % p for c, v in work.items()}
                 return True
-            f = work[p]
             for c, v in existing.items():
-                nv = work.get(c, F0) - f * v
+                nv = work.get(c, 0) - f * v
+                if p is not None:
+                    nv %= p
                 if nv:
                     work[c] = nv
                 else:
-                    work.pop(c, None)
+                    del work[c]
         return False
 
-    def dense_rows(self) -> List[List[Fraction]]:
-        out = []
-        for p in sorted(self._rows):
-            row = [F0] * self.ncols
-            for c, v in self._rows[p].items():
-                row[c] = v
-            out.append(row)
-        return out
-
-    def kernel(self) -> List[List[Fraction]]:
-        return nullspace(self.dense_rows(), self.ncols)
+    def kernel(self) -> list:
+        """Canonical kernel basis, one vector per free column with a unit there;
+        equal to ``nullspace`` of the inserted rows, by back-substitution."""
+        p = self.p
+        zero, one = (F0, F1) if p is None else (0, 1)
+        rows = self._rows
+        free = [c for c in range(self.ncols) if c not in rows]
+        # value of each column as a sparse combination of the free columns
+        expr = {f: {f: one} for f in free}
+        for piv in sorted(rows, reverse=True):
+            acc: dict = {}
+            for c, v in rows[piv].items():
+                if c == piv:
+                    continue
+                for f, w in expr[c].items():
+                    acc[f] = acc.get(f, zero) - v * w
+            if p is not None:
+                acc = {f: w % p for f, w in acc.items()}
+            expr[piv] = {f: w for f, w in acc.items() if w}
+        basis = {f: [zero] * self.ncols for f in free}
+        for c, e in expr.items():
+            for f, w in e.items():
+                basis[f][c] = w
+        return [basis[f] for f in free]
 
 
 def frac_mod_p(f: Fraction, p: int) -> Optional[int]:
@@ -223,30 +259,4 @@ def frac_mod_p(f: Fraction, p: int) -> Optional[int]:
     den = f.denominator % p
     if den == 0:
         return None
-    return (f.numerator % p) * pow(den, p - 2, p) % p
-
-
-def modp_echelon(mat: np.ndarray, p: int) -> Tuple[int, np.ndarray]:
-    """Row echelon of an int64 matrix over GF(p); returns (rank, nonzero rows)."""
-    m = np.mod(mat, p).astype(np.int64)
-    nrows, ncols = m.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            factors = below[mask].reshape(-1, 1)
-            m[r + 1 :][mask] = (m[r + 1 :][mask] - factors * m[r]) % p
-        r += 1
-    return r, m[:r]
+    return f.numerator * pow(den, -1, p) % p

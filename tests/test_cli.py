@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import idealkit
 from idealkit.cli import main
 
 
@@ -241,3 +245,13 @@ class TestTopLevel:
         assert code == 0
         with open(out_file, "r", encoding="utf-8") as fh:
             assert json.load(fh)["verdict"]["status"] == "Fails"
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, idealkit.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -39,6 +39,7 @@ from idealkit.matlie import (
     upper_triangular_sl,
 )
 from idealkit.matlie import _commutant_exact, _min_poly, _rational_roots, _structure
+from idealkit.ratlinalg import MODP_PRIMES
 from idealkit.seqspace import Pow, PowLog
 
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
@@ -296,25 +297,49 @@ class TestCommutant:
     def test_simple_algebra_scalars_only(self):
         assert adjoint_commutant_dim(sl(2)) == 1
 
-    def test_two_summands(self):
-        rep = adjoint_commutant(direct_sum(sl(2), sl(2)))
+    @pytest.mark.parametrize(
+        "left,right",
+        [(sl(2), sl(2)), (sp_standard(3), sp_standard(2))],
+        ids=["sl2+sl2", "sp3+sp2"],
+    )
+    def test_two_summands(self, left, right):
+        algebra = direct_sum(left, right)
+        rep = adjoint_commutant(algebra)
         assert rep.dim == 2
+        assert rep.method == "exact-elimination"
         # each basis element genuinely commutes with every adjoint map
-        st_ = _structure(direct_sum(sl(2), sl(2)))
-        d = 6
+        st_ = _structure(algebra)
         for C in rep.basis:
             for ad in st_.ads:
                 adm = RationalMatrix(ad)
                 assert ((C @ adm) - (adm @ C)).is_zero()
 
     def test_one_dimensional_abelian(self):
-        assert adjoint_commutant_dim(diagonal_algebra(1)) == 1
+        # target rank d*d - 1 = 0 holds before any constraint row
+        rep = adjoint_commutant(diagonal_algebra(1))
+        assert rep.dim == 1
+        assert rep.method == "modular-rank-certificate"
 
     def test_modular_and_exact_paths_agree(self):
         for algebra in (sl(2), sp_standard(1), sp_standard(2)):
             rep = adjoint_commutant(algebra)
             exact = _commutant_exact(_structure(algebra).ads, algebra.dim)
             assert rep.dim == len(exact) == 1
+
+    def test_modular_certificate_for_sp4(self):
+        rep = adjoint_commutant(sp_standard(4))
+        assert rep.method == "modular-rank-certificate"
+        assert rep.dim == 1 and rep.basis == (RationalMatrix.identity(36),)
+
+    def test_vanishing_denominator_moves_to_next_prime(self):
+        # basis (p*h, e, f): [e, f] = h = (1/p) * (p*h), a denominator p
+        p = MODP_PRIMES[0]
+        h = E(2, 0, 0) - E(2, 1, 1)
+        algebra = LieAlgebraPresentation(2, (h.scaled(p), E(2, 0, 1), E(2, 1, 0)), "sl_2_scaled")
+        assert any(v.denominator == p for ad in _structure(algebra).ads for r in ad for v in r)
+        rep = is_simple(algebra)
+        assert rep.verdict == "Simple" and rep.commutant_dim == 1
+        assert adjoint_commutant(algebra).method == "modular-rank-certificate"
 
     def test_abelian_commutant_is_full_endomorphism_space(self):
         assert adjoint_commutant_dim(diagonal_algebra(2)) == 4

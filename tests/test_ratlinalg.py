@@ -1,10 +1,10 @@
-"""Exact linear algebra kernel: echelon forms, spans, modular certificate."""
+"""Exact linear algebra kernel: echelon forms, spans, the sparse echelon
+over the rationals and over GF(p)."""
 
 from __future__ import annotations
 
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +15,6 @@ from idealkit.ratlinalg import (
     SparseEchelon,
     frac_mod_p,
     mat_vec,
-    modp_echelon,
     nullspace,
     rank,
     rref,
@@ -27,6 +26,13 @@ matrices = st.integers(1, 5).flatmap(
         st.lists(fractions, min_size=c, max_size=c), min_size=1, max_size=6
     )
 )
+
+
+def _echelon(m, p=None):
+    ech = SparseEchelon(len(m[0]), p)
+    for row in m:
+        ech.insert({i: v for i, v in enumerate(row) if v})
+    return ech
 
 
 class TestRref:
@@ -94,20 +100,34 @@ class TestAugmentedSpan:
 class TestSparseEchelon:
     @given(m=matrices)
     def test_rank_agrees_with_dense(self, m):
-        ech = SparseEchelon(len(m[0]))
-        for row in m:
-            ech.insert({i: v for i, v in enumerate(row) if v})
-        assert ech.rank == rank(m)
+        assert _echelon(m).rank == rank(m)
 
     @given(m=matrices)
     @settings(max_examples=100)
     def test_kernel_annihilates(self, m):
-        ech = SparseEchelon(len(m[0]))
-        for row in m:
-            ech.insert({i: v for i, v in enumerate(row) if v})
-        for v in ech.kernel():
+        ech = _echelon(m)
+        kern = ech.kernel()
+        for v in kern:
             assert all(x == 0 for x in mat_vec(m, v))
-        assert ech.rank + len(ech.kernel()) == len(m[0])
+        assert ech.rank + len(kern) == len(m[0])
+
+    @given(m=matrices)
+    @settings(max_examples=100)
+    def test_kernel_matches_nullspace(self, m):
+        # the pivot set and the canonical basis depend only on the row space
+        assert _echelon(m).kernel() == nullspace(m, len(m[0]))
+
+    def test_dependent_row_rejected(self):
+        ech = SparseEchelon(3)
+        assert ech.insert({0: F(1), 2: F(1)})
+        assert not ech.insert({0: F(-3), 2: F(-3)})
+        assert not ech.insert({})
+        assert ech.rank == 1
+
+
+int_matrices = st.lists(
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=2, max_size=6
+)
 
 
 class TestModular:
@@ -115,24 +135,36 @@ class TestModular:
         p = MODP_PRIMES[0]
         v = frac_mod_p(F(3, 4), p)
         assert v * 4 % p == 3
+        assert frac_mod_p(F(-3, 4), p) == p - v
         assert frac_mod_p(F(1, p), p) is None
 
     def test_identity_full_rank(self):
         p = MODP_PRIMES[0]
-        eye = np.eye(7, dtype=np.int64)
-        r, _ = modp_echelon(eye, p)
-        assert r == 7
+        eye = [[int(i == j) for j in range(7)] for i in range(7)]
+        assert _echelon(eye, p).rank == 7
 
-    @given(
-        m=st.lists(
-            st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=2, max_size=6
-        )
-    )
+    @given(m=int_matrices)
     @settings(max_examples=100)
     def test_modular_rank_lower_bounds_exact(self, m):
         exact = rank([[F(v) for v in row] for row in m])
-        p = MODP_PRIMES[0]
-        r, _ = modp_echelon(np.array(m, dtype=np.int64), p)
+        r = _echelon(m, MODP_PRIMES[0]).rank
         assert r <= exact
         # entries this small cannot hit a 2**31-sized prime
         assert r == exact
+
+    def test_rank_drops_only_mod_p(self):
+        p = 5
+        m = [[1, 2], [3, 1]]  # determinant -5: full rank over Q, not mod 5
+        assert rank([[F(v) for v in row] for row in m]) == 2
+        assert _echelon(m, p).rank == 1
+
+    @given(m=int_matrices)
+    @settings(max_examples=100)
+    def test_modular_kernel_annihilates(self, m):
+        p = MODP_PRIMES[0]
+        ech = _echelon(m, p)
+        kern = ech.kernel()
+        for v in kern:
+            assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m)
+            assert all(0 <= x < p for x in v)
+        assert ech.rank + len(kern) == len(m[0])
