@@ -88,11 +88,9 @@ def _parser() -> argparse.ArgumentParser:
     p = ideal.add_parser("member", help="does the sequence belong to the ideal")
     p.add_argument("sequence")
     p.add_argument("ideal")
-    _add_numeric(p)
     _add_common(p)
     p = ideal.add_parser("idempotent", help="does the ideal equal its square")
     p.add_argument("ideal")
-    _add_numeric(p)
     _add_common(p)
     p = ideal.add_parser("report", help="joint softness diagnostics for a generator")
     p.add_argument("sequence")

@@ -21,6 +21,7 @@ from .seqspace import (
     Status,
     Verdict,
     ZERO_TAIL,
+    _log_fraction,
     ampliate,
     compare,
     delta2_check,
@@ -173,11 +174,10 @@ def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr, mode: 
     else:
         bh, ih = xi_sig.rate.base, xi_sig.rate.index
         # rate(gen)^(1/m) >= rate(xi)  <=>  m >= ih*ln(bx) / (ix*ln(bh))
+        # logs of numerator and denominator: a base such as 1/10^340 underflows a float
         estimate = max(
             1,
-            math.ceil(
-                (ih * math.log(float(bx))) / (ix * math.log(float(bh)))
-            ),
+            math.ceil((ih * _log_fraction(bx)) / (ix * _log_fraction(bh))),
         )
     # The certifying set is an upward-closed range starting at the analytic
     # bound (give or take the signature-equality boundary), so probing a

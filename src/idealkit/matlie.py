@@ -30,9 +30,7 @@ from . import ratlinalg
 from .ratlinalg import (
     F0,
     F1,
-    AugmentedSpan,
     MODP_PRIMES,
-    SpanBasis,
     SparseEchelon,
     frac_mod_p,
     mat_vec,
@@ -242,10 +240,10 @@ class Subspace:
         return out
 
     def contains_coords(self, vec: Sequence[Fraction]) -> bool:
-        span = SpanBasis(len(vec))
+        span = SparseEchelon(len(vec))
         for row in self.vectors:
             span.insert(row)
-        return span.contains(vec)
+        return not span.reduce(vec)
 
     def ambient_rref(self) -> tuple:
         """Canonical form in the ambient matrix space; comparable across parents."""
@@ -262,7 +260,7 @@ def subspace_from_matrices(parent: LieAlgebraPresentation, mats: Sequence[Ration
     st = _structure(parent)
     coords = []
     for m in mats:
-        _, c = st.span.reduce(list(m.flat()))
+        c = _coords(st.span, m.flat(), parent.dim)
         if c is None:
             raise ValueError("matrix outside the span of the presentation basis")
         coords.append(c)
@@ -291,7 +289,7 @@ class _Structure:
     __slots__ = ("span", "constants", "ads")
 
     def __init__(self, span, constants, ads):
-        self.span = span
+        self.span = span  # basis matrix k flattened, tagged at column ambient² + k
         self.constants = constants  # constants[i][j] = coords of [b_i, b_j]
         self.ads = ads  # ads[i][k][j] = constants[i][j][k], dense Fraction rows
 
@@ -303,12 +301,25 @@ class ClosureReport:
     residual: Optional[RationalMatrix]  # remainder after eliminating span components
 
 
+def _coords(span: SparseEchelon, vec, count: int) -> Optional[List[Fraction]]:
+    """Coordinates of vec in the first count generators of span, generator k
+    tagged at column span.ncols + k; None when vec lies outside their span."""
+    rem = span.reduce(vec)
+    n = span.ncols
+    if any(c < n for c in rem):
+        return None
+    return [-rem.get(n + k, F0) for k in range(count)]
+
+
 @lru_cache(maxsize=128)
 def _closure_scan(L: LieAlgebraPresentation):
-    span = AugmentedSpan(L.ambient * L.ambient)
+    n = L.ambient * L.ambient
+    span = SparseEchelon(n)
     for idx, b in enumerate(L.basis):
-        if not span.insert(list(b.flat())):
+        flat = b.flat()
+        if _coords(span, flat, idx) is not None:
             raise ValueError(f"{L.name}: basis matrix {idx} depends on earlier ones")
+        span.insert({**dict(enumerate(flat)), n + idx: F1})
     d = L.dim
     constants = [[None] * d for _ in range(d)]
     zero = [F0] * d
@@ -316,9 +327,11 @@ def _closure_scan(L: LieAlgebraPresentation):
         constants[i][i] = zero
     for i in range(d):
         for j in range(i + 1, d):
-            br = bracket(L.basis[i], L.basis[j])
-            residual, coeffs = span.reduce(list(br.flat()))
+            flat = bracket(L.basis[i], L.basis[j]).flat()
+            coeffs = _coords(span, flat, d)
             if coeffs is None:
+                rem = span.reduce(flat)
+                residual = [rem.get(c, F0) for c in range(n)]
                 return None, (i, j, _from_flat(residual, L.ambient, L.ambient))
             constants[i][j] = coeffs
             constants[j][i] = [-c for c in coeffs]
@@ -358,12 +371,10 @@ def _require_positive(n: int) -> None:
         raise ValueError(f"size must be an integer >= 1, got {n}")
 
 
-def sp_standard(n: int) -> LieAlgebraPresentation:
-    """Symplectic algebra in 2n x 2n block form: top-right and bottom-left
-    blocks symmetric, bottom-right the negative transpose of the top-left.
-    Basis order: top-left block entries row-major, then the symmetric
-    generators of the top-right block (i <= j row-major), then bottom-left.
-    """
+def _sp_top_blocks(n: int) -> List[RationalMatrix]:
+    """Generators shared by both 2n x 2n block forms: the top-left block
+    entries row-major (bottom-right the negative transpose), then the
+    symmetric top-right generators, i <= j row-major."""
     _require_positive(n)
     a = 2 * n
     basis = []
@@ -376,6 +387,17 @@ def sp_standard(n: int) -> LieAlgebraPresentation:
             if i != j:
                 m = m + RationalMatrix.unit(a, j, n + i)
             basis.append(m)
+    return basis
+
+
+def sp_standard(n: int) -> LieAlgebraPresentation:
+    """Symplectic algebra in 2n x 2n block form: top-right and bottom-left
+    blocks symmetric, bottom-right the negative transpose of the top-left.
+    Basis order: top-left block entries row-major, then the symmetric
+    generators of the top-right block (i <= j row-major), then bottom-left.
+    """
+    basis = _sp_top_blocks(n)
+    a = 2 * n
     for i in range(n):
         for j in range(i, n):
             m = RationalMatrix.unit(a, n + i, j)
@@ -389,18 +411,8 @@ def sp_skew_variant(n: int) -> LieAlgebraPresentation:
     """Block form with a symmetric top-right and an antisymmetric bottom-left
     block.  Retained for auditing: for n >= 2 this constraint set is not
     closed under the bracket (closure_check exhibits the failing pair)."""
-    _require_positive(n)
+    basis = _sp_top_blocks(n)
     a = 2 * n
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            basis.append(RationalMatrix.unit(a, i, j) - RationalMatrix.unit(a, n + j, n + i))
-    for i in range(n):
-        for j in range(i, n):
-            m = RationalMatrix.unit(a, i, n + j)
-            if i != j:
-                m = m + RationalMatrix.unit(a, j, n + i)
-            basis.append(m)
     for i in range(n):
         for j in range(i + 1, n):
             basis.append(RationalMatrix.unit(a, n + i, j) - RationalMatrix.unit(a, n + j, i))
@@ -534,12 +546,12 @@ def is_lie_ideal(L: LieAlgebraPresentation, J: Subspace) -> IdealCheck:
     if J.parent != L:
         raise ValueError("subspace does not live in the given presentation")
     st = _structure(L)
-    span = SpanBasis(L.dim)
+    span = SparseEchelon(L.dim)
     for row in J.vectors:
         span.insert(row)
     for i, ad in enumerate(st.ads):
         for j, vec in enumerate(J.vectors):
-            if not span.contains(mat_vec(ad, vec)):
+            if span.reduce(mat_vec(ad, vec)):
                 return IdealCheck(False, (i, j))
     return IdealCheck(True, None)
 
@@ -575,85 +587,26 @@ def killing_form(L: LieAlgebraPresentation) -> KillingReport:
     return KillingReport(mat, ratlinalg.rank([list(row) for row in k]))
 
 
-# ---------------------------------------------------------------------------
-# Integer fast path for ideal generation
-# ---------------------------------------------------------------------------
-
-
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    scale = 1
-    for row in rows:
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return [[int(v * scale) for v in row] for row in rows]
-
-
-def _int_vector(vec: Sequence[Fraction]) -> List[int]:
-    scale = 1
-    for v in vec:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    out = [int(v * scale) for v in vec]
-    g = 0
-    for v in out:
-        g = math.gcd(g, v)
-    return [v // g for v in out] if g > 1 else out
-
-
-class _IntSpan:
-    """Echelon of primitive integer rows; division-free insertions."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec: List[int]) -> Optional[List[int]]:
-        v = list(vec)
-        for p in sorted(self.rows):
-            if v[p]:
-                r = self.rows[p]
-                a, b = r[p], v[p]
-                v = [a * x - b * y for x, y in zip(v, r)]
-        for p, val in enumerate(v):
-            if val:
-                g = 0
-                for x in v:
-                    g = math.gcd(g, x)
-                if g > 1:
-                    v = [x // g for x in v]
-                if v[p] < 0:
-                    v = [-x for x in v]
-                self.rows[p] = v
-                return v
-        return None
-
-
-def _ideal_fixpoint(L: LieAlgebraPresentation, seed_coords: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+def _ideal_fixpoint(L: LieAlgebraPresentation, seed_coords: Sequence[Sequence[Fraction]]) -> Subspace:
     st = _structure(L)
     d = L.dim
-    int_ads = [_int_rows(ad) for ad in st.ads]
-    span = _IntSpan(d)
-    queue: deque = deque()
-    for coords in seed_coords:
-        if all(v == 0 for v in coords):
-            continue
-        row = span.insert(_int_vector(coords))
-        if row is not None:
-            queue.append(row)
-    while queue and span.dim < d:
+    # ad_i applied to basis vector j is the coordinate vector of [b_i, b_j]
+    ad_cols = [[{k: c for k, c in enumerate(col) if c} for col in row] for row in st.constants]
+    span = SparseEchelon(d)
+    seeds = ({j: x for j, x in enumerate(c) if x} for c in seed_coords)
+    queue = deque(v for v in seeds if span.insert(v))
+    while queue and span.rank < d:
         v = queue.popleft()
-        for ad in int_ads:
-            w = [sum(a * x for a, x in zip(row, v) if a) for row in ad]
-            if any(w):
-                row = span.insert(w)
-                if row is not None:
-                    queue.append(row)
-                    if span.dim == d:
-                        break
-    return [[Fraction(x) for x in row] for row in span.rows.values()]
+        for cols in ad_cols:
+            w: dict = {}
+            for j, x in v.items():
+                for k, c in cols[j].items():
+                    w[k] = w.get(k, F0) + x * c
+            if span.insert(w):
+                queue.append(w)
+                if span.rank == d:
+                    break
+    return Subspace(L, tuple(tuple(r) for r in span.reduced()))
 
 
 def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatrix]) -> Subspace:
@@ -661,11 +614,11 @@ def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatri
     st = _structure(L)
     seed_coords = []
     for s in seeds:
-        _, coords = st.span.reduce(list(s.flat()))
+        coords = _coords(st.span, s.flat(), L.dim)
         if coords is None:
             raise ValueError("seed lies outside the span of the presentation")
         seed_coords.append(coords)
-    return subspace_from_coords(L, _ideal_fixpoint(L, seed_coords))
+    return _ideal_fixpoint(L, seed_coords)
 
 
 def random_ideal_search(
@@ -683,9 +636,9 @@ def random_ideal_search(
         coords = [Fraction(rng.randint(-coord_bound, coord_bound)) for _ in range(d)]
         if all(v == 0 for v in coords):
             coords[rng.randrange(d)] = F1
-        rows = _ideal_fixpoint(L, [coords])
-        if 0 < len(rows) < d:
-            return subspace_from_coords(L, rows)
+        J = _ideal_fixpoint(L, [coords])
+        if 0 < J.dim < d:
+            return J
     return None
 
 
@@ -824,15 +777,15 @@ def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
 
 def _min_poly(C: RationalMatrix) -> List[Fraction]:
     """Monic minimal polynomial via dependence of the Krylov matrix powers."""
-    d = C.rows
-    span = AugmentedSpan(d * d)
-    power = RationalMatrix.identity(d)
+    n = C.rows * C.rows
+    span = SparseEchelon(n)
+    power = RationalMatrix.identity(C.rows)
     while True:
-        vec = list(power.flat())
-        _, coeffs = span.reduce(vec)
+        vec = power.flat()
+        coeffs = _coords(span, vec, span.rank)
         if coeffs is not None:
             return _poly_trim([-c for c in coeffs] + [F1])
-        span.insert(vec)
+        span.insert({**dict(enumerate(vec)), n + span.rank: F1})
         power = power @ C
 
 

@@ -1,11 +1,20 @@
 """Exact linear algebra over the rationals, plus a modular rank certificate.
 
-Dense routines work on lists of Fraction rows and are fully deterministic
-(leftmost pivot, rows in input order).  ``SparseEchelon`` is one sparse
-online echelon for the larger stacked systems of commutant computations;
-its caller picks the field, Fraction or GF(p) integers.  Its kernel is
-found by back-substitution on the sparse pivot rows and equals the
-canonical ``nullspace`` basis, which depends only on the row space.
+``SparseEchelon`` is the one elimination core: an online echelon over sparse
+rows (dict column -> value, or dense sequences), over Fraction or GF(p)
+integers as its caller picks.  ``insert`` adds a row, ``reduce`` returns the
+remainder after eliminating every held pivot (empty exactly when the row
+lies in the span), ``reduced`` gives the dense RREF and ``kernel`` the
+canonical kernel basis by back-substitution.  The remainder, the RREF and
+the kernel depend only on the span, never on the insertion order.
+``rref``, ``rank`` and ``nullspace`` are adapters from dense rows to the
+core.
+
+Coordinates need no extra bookkeeping: a caller that wants a vector's
+coordinates in its generators appends a tag column ``ncols + k`` with value
+one to generator ``k``.  A remainder with no column below ``ncols`` means the
+vector lies in the span, and its coordinates are minus the remainder's tag
+entries.
 
 Over GF(p) it certifies a rank lower bound: a nonzero r x r minor modulo p
 is nonzero over the rationals, so rank_p <= rank_Q always holds.  The
@@ -23,8 +32,6 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 __all__ = [
-    "AugmentedSpan",
-    "SpanBasis",
     "SparseEchelon",
     "frac_mod_p",
     "mat_vec",
@@ -40,154 +47,42 @@ __all__ = [
 MODP_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
+def _span(rows: Iterable[Sequence[Fraction]], ncols: int = 0) -> "SparseEchelon":
+    """Echelon of dense rows; ncols is the width ``reduced`` and ``kernel`` see."""
+    ech = SparseEchelon(ncols)
+    for row in rows:
+        ech.insert(row)
+    return ech
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form; returns nonzero rows and their pivot columns."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        if inv != 1:
-            m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                row_r = m[r]
-                m[i] = [a - f * b for a, b in zip(m[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    rows = list(rows)
+    ech = _span(rows, len(rows[0]) if rows else 0)
+    return ech.reduced(), sorted(ech._rows)
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+    return _span(rows).rank
 
 
 def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Canonical kernel basis: one vector per free column, unit at that column."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [F0] * ncols
-        v[f] = F1
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
+    return _span(rows, ncols).kernel()
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> List[Fraction]:
     return [sum((a * b for a, b in zip(row, v) if a and b), F0) for row in rows]
 
 
-class SpanBasis:
-    """Incremental echelon basis of a growing span (not reduced upward)."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._rows: dict = {}  # pivot column -> normalized row
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec: Sequence[Fraction]) -> List[Fraction]:
-        v = list(vec)
-        for p in sorted(self._rows):
-            if v[p] != 0:
-                f = v[p]
-                row = self._rows[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def insert(self, vec: Sequence[Fraction]) -> Optional[List[Fraction]]:
-        """Add a vector; returns the reduced new row, or None if dependent."""
-        v = self._reduce(vec)
-        for p, val in enumerate(v):
-            if val != 0:
-                row = [x / val for x in v]
-                self._rows[p] = row
-                return row
-        return None
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self._reduce(vec))
-
-    def canonical(self) -> List[List[Fraction]]:
-        """Deterministic reduced echelon basis of the current span."""
-        return rref([self._rows[p] for p in sorted(self._rows)])[0]
-
-
-class AugmentedSpan:
-    """Echelon basis that tracks coordinates in the inserted generators.
-
-    reduce(x) returns (residual, coeffs) with x = residual + sum coeffs[i] *
-    generator_i; the residual is the remainder after eliminating the span
-    components, so x lies in the span exactly when it is zero.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.count = 0
-        self._rows: dict = {}  # pivot -> (row, coeffs)
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec, coeffs):
-        v = list(vec)
-        c = list(coeffs)
-        for p in sorted(self._rows):
-            if v[p] != 0:
-                f = v[p]
-                row, rc = self._rows[p]
-                v = [a - f * b for a, b in zip(v, row)]
-                c = [a - f * b for a, b in zip(c, rc)]
-        return v, c
-
-    def insert(self, vec: Sequence[Fraction]) -> bool:
-        """Register a generator; returns False when dependent on earlier ones."""
-        tag = [F0] * self.count + [F1]
-        for _, rc in self._rows.values():
-            rc.append(F0)
-        self.count += 1
-        v, c = self._reduce(vec, tag)
-        for p, val in enumerate(v):
-            if val != 0:
-                self._rows[p] = ([x / val for x in v], [x / val for x in c])
-                return True
-        return False
-
-    def reduce(self, vec: Sequence[Fraction]):
-        """(residual, coeffs): residual zero means vec = sum coeffs * generators."""
-        v, c = self._reduce(vec, [F0] * self.count)
-        if any(x != 0 for x in v):
-            return v, None
-        return v, [-x for x in c]
-
-
 class SparseEchelon:
-    """Online echelon over sparse rows (dict column -> value).
+    """Online echelon over sparse rows (dict column -> value) or dense ones.
 
     The caller picks the field: Fraction coefficients when ``p`` is None,
     otherwise integers in GF(p).  Each stored row has pivot value one at its
-    leftmost column and no entries left of it.
+    leftmost column and no entries left of it.  ``ncols`` is the width seen
+    by ``reduced`` and ``kernel``; tag columns at or beyond it are for
+    ``insert`` and ``reduce`` only.
     """
 
     def __init__(self, ncols: int, p: Optional[int] = None):
@@ -199,14 +94,23 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def insert(self, row: dict) -> bool:
-        """Add a row; returns False when it depends on the rows already held."""
+    def insert(self, row) -> bool:
+        """Add a row; returns False when it depends on the rows already held.
+
+        Only the leftmost entry is eliminated, until it lands on a column
+        without a pivot.  The elimination step is written out here and in
+        ``reduce`` rather than shared: the commutant certificate inserts
+        tens of thousands of rows that are mostly empty, and a loop shared
+        through one more call per row made its echelon for sp(5) about 10%
+        slower.
+        """
         p = self.p
         rows = self._rows
+        items = row.items() if isinstance(row, dict) else enumerate(row)
         if p is None:
-            work = {c: v for c, v in row.items() if v}
+            work = {c: v for c, v in items if v}
         else:
-            work = {c: v % p for c, v in row.items() if v % p}
+            work = {c: v % p for c, v in items if v % p}
         while work:
             piv = min(work)
             existing = rows.get(piv)
@@ -228,9 +132,45 @@ class SparseEchelon:
                     del work[c]
         return False
 
+    def reduce(self, row) -> dict:
+        """Remainder of a row after eliminating every held pivot: zero at each
+        pivot column, empty exactly when the row lies in the span."""
+        p = self.p
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        if p is None:
+            work = {c: v for c, v in items if v}
+        else:
+            work = {c: v % p for c, v in items if v % p}
+        for piv, existing in sorted(self._rows.items()):
+            f = work.get(piv)
+            if not f:
+                continue
+            for c, v in existing.items():
+                nv = work.get(c, 0) - f * v
+                if p is not None:
+                    nv %= p
+                if nv:
+                    work[c] = nv
+                else:
+                    del work[c]
+        return work
+
+    def reduced(self) -> list:
+        """Dense reduced row echelon rows of the span, in pivot order."""
+        zero, one = (F0, F1) if self.p is None else (0, 1)
+        out = []
+        for piv in sorted(self._rows):
+            dense = [zero] * self.ncols
+            dense[piv] = one
+            rest = {c: v for c, v in self._rows[piv].items() if c != piv}
+            for c, v in self.reduce(rest).items():
+                dense[c] = v
+            out.append(dense)
+        return out
+
     def kernel(self) -> list:
-        """Canonical kernel basis, one vector per free column with a unit there;
-        equal to ``nullspace`` of the inserted rows, by back-substitution."""
+        """Canonical kernel basis, one vector per free column with a unit there,
+        by back-substitution on the held rows."""
         p = self.p
         zero, one = (F0, F1) if p is None else (0, 1)
         rows = self._rows

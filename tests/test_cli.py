@@ -78,6 +78,14 @@ class TestIdealCommands:
     def test_report_rejects_finite_support(self):
         assert run_cli(["ideal", "report", "finite:[1]"])[0] == 2
 
+    @pytest.mark.parametrize("cmd", [["member", "pow:2", "pow:1"], ["idempotent", "pow:1"]])
+    def test_numeric_flag_rejected(self, cmd, capsys):
+        # membership and idempotency are decided symbolically; no numeric probe
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ideal", *cmd, "--numeric"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --numeric" in capsys.readouterr().err
+
     def test_json_report_is_valid(self):
         code, out = run_cli(["ideal", "soft", "pow:1", "--json"])
         assert code == 0

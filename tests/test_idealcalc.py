@@ -97,6 +97,11 @@ class TestMember:
         v = member(Exp(F(1, 2)), Principal(Exp(F(1, 4))))
         assert v.holds and v.evidence["m"] == 2
 
+    def test_tiny_rate_below_float_range(self):
+        # 1/10^340 underflows a float; the ampliation estimate must not need it
+        v = member(Exp(F(1, 10 ** 340)), Principal(Exp(F(1, 2))))
+        assert v.holds and v.proven and v.evidence["m"] == 1
+
     def test_power_not_in_exponential_ideal(self):
         v = member(Pow(1), Principal(Exp(F(1, 2))))
         assert v.fails and v.proven

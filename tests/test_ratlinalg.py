@@ -1,5 +1,5 @@
-"""Exact linear algebra kernel: echelon forms, spans, the sparse echelon
-over the rationals and over GF(p)."""
+"""Exact linear algebra kernel: the sparse echelon core over the rationals
+and over GF(p), its span and coordinate queries, and the dense adapters."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealkit.ratlinalg import (
-    AugmentedSpan,
     MODP_PRIMES,
-    SpanBasis,
     SparseEchelon,
     frac_mod_p,
     mat_vec,
@@ -59,44 +57,6 @@ class TestRref:
         assert red == again
 
 
-class TestSpanBasis:
-    def test_insert_and_contains(self):
-        span = SpanBasis(3)
-        assert span.insert([F(1), F(0), F(1)]) is not None
-        assert span.insert([F(2), F(0), F(2)]) is None
-        assert span.contains([F(-3), F(0), F(-3)])
-        assert not span.contains([F(1), F(1), F(0)])
-
-    @given(m=matrices)
-    def test_dim_matches_rank(self, m):
-        span = SpanBasis(len(m[0]))
-        for row in m:
-            span.insert(row)
-        assert span.dim == rank(m)
-
-
-class TestAugmentedSpan:
-    @given(m=matrices)
-    @settings(max_examples=100)
-    def test_reduce_reconstructs(self, m):
-        ncols = len(m[0])
-        span = AugmentedSpan(ncols)
-        inserted = []
-        for row in m:
-            if span.insert(row):
-                pass
-            inserted.append(row)
-        for target in m:
-            residual, coeffs = span.reduce(target)
-            if coeffs is not None:
-                rebuilt = [F(0)] * ncols
-                for c, gen in zip(coeffs, inserted):
-                    rebuilt = [a + c * g for a, g in zip(rebuilt, gen)]
-                assert rebuilt == list(target)
-            else:
-                assert any(x != 0 for x in residual)
-
-
 class TestSparseEchelon:
     @given(m=matrices)
     def test_rank_agrees_with_dense(self, m):
@@ -112,10 +72,50 @@ class TestSparseEchelon:
         assert ech.rank + len(kern) == len(m[0])
 
     @given(m=matrices)
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_kernel_matches_nullspace(self, m):
-        # the pivot set and the canonical basis depend only on the row space
-        assert _echelon(m).kernel() == nullspace(m, len(m[0]))
+        # nullspace is the core's own kernel, so the reference is sympy's
+        sympy = pytest.importorskip("sympy")
+        ref = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m])
+        expected = [[F(int(x.p), int(x.q)) for x in v] for v in ref.nullspace()]
+        assert _echelon(m).kernel() == nullspace(m, len(m[0])) == expected
+
+    def test_insert_and_contains(self):
+        ech = SparseEchelon(3)
+        assert ech.insert([F(1), F(0), F(1)])
+        assert not ech.insert([F(2), F(0), F(2)])
+        assert ech.reduce([F(-3), F(0), F(-3)]) == {}
+        assert ech.reduce([F(1), F(1), F(0)])
+
+    @given(m=matrices)
+    def test_dim_matches_rank(self, m):
+        ech = SparseEchelon(len(m[0]))
+        for row in m:
+            # a row adds to the rank exactly when its remainder is nonzero
+            grows = bool(ech.reduce(row))
+            assert ech.insert(row) == grows
+            assert ech.reduce(row) == {}
+        assert ech.rank == rank(m)
+
+    @given(m=matrices)
+    @settings(max_examples=100)
+    def test_reduce_reconstructs(self, m):
+        # generator k carries tag column ncols + k; coordinates are minus the tags
+        ncols = len(m[0])
+        ech = SparseEchelon(ncols)
+        for k, row in enumerate(m):
+            ech.insert({**dict(enumerate(row)), ncols + k: F(1)})
+        units = [[F(int(i == c)) for i in range(ncols)] for c in range(ncols)]
+        for target in m + units:
+            residual = {c: v for c, v in ech.reduce(target).items() if c < ncols}
+            if residual:
+                assert rank(m + [target]) > rank(m)
+                continue
+            coeffs = [-ech.reduce(target).get(ncols + k, F(0)) for k in range(len(m))]
+            rebuilt = [F(0)] * ncols
+            for c, gen in zip(coeffs, m):
+                rebuilt = [a + c * g for a, g in zip(rebuilt, gen)]
+            assert rebuilt == list(target)
 
     def test_dependent_row_rejected(self):
         ech = SparseEchelon(3)
