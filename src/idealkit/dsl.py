@@ -14,6 +14,7 @@ is accepted so that reports and certificates round-trip.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -37,6 +38,11 @@ __all__ = ["DslError", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
 _NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?(?:/\d+)?")
 _INT = re.compile(r"\d+")
 _HEAD = re.compile(r"[a-z-]+")
+
+# Deepest nesting of amp, sub, prod, explicit tails and idealprod the parser
+# accepts: well below the recursion limit, so that parsing and every recursive
+# walk of the parsed expression stay clear of it.
+MAX_NESTING = 200
 
 
 class DslError(ValueError):
@@ -112,9 +118,34 @@ def _number_list(c: _Cursor) -> list:
         return values
 
 
-def _seq(c: _Cursor) -> SequenceExpr:
+def _nest(c: _Cursor, depth: int) -> int:
+    if depth >= MAX_NESTING:
+        c.fail(f"expression nested deeper than {MAX_NESTING} levels")
+    return depth + 1
+
+
+def _seq(c: _Cursor, depth: int = 0) -> SequenceExpr:
+    """A sequence; a run of directly adjacent positive scale factors is read
+    in a loop and becomes one Scale of their product."""
+    factors = []
     start = c.pos
     head = c.take(_HEAD)
+    while head == "scale":
+        c.expect(":")
+        factor = _number(c)
+        c.expect(";")
+        if factor <= 0:  # left unfused, for ensure_valid to reject as written
+            expr = Scale(factor, _seq(c, _nest(c, depth)))
+            break
+        factors.append(factor)
+        start = c.pos
+        head = c.take(_HEAD)
+    else:
+        expr = _form(c, head, start, depth)
+    return Scale(math.prod(factors), expr) if factors else expr
+
+
+def _form(c: _Cursor, head: str, start: int, depth: int) -> SequenceExpr:
     if head == "pow":
         c.expect(":")
         return Pow(_number(c))
@@ -135,31 +166,27 @@ def _seq(c: _Cursor) -> SequenceExpr:
         c.expect(";")
         c.expect("tail")
         c.expect("=")
-        return seqspace.explicit(prefix, _seq(c))
-    if head == "scale":
-        c.expect(":")
-        factor = _number(c)
-        c.expect(";")
-        return Scale(factor, _seq(c))
+        return seqspace.explicit(prefix, _seq(c, _nest(c, depth)))
     if head == "amp":
         c.expect(":")
         m = _integer(c)
         c.expect(";")
         if m < 1:
             raise DslError(f"ampliation index must be >= 1, got {m}", start)
-        return seqspace.ampliate(m, _seq(c))
+        return seqspace.ampliate(m, _seq(c, _nest(c, depth)))
     if head == "sub":
         c.expect(":")
         k = _integer(c)
         c.expect(";")
         if k < 2:
             raise DslError(f"subsample step must be >= 2, got {k}", start)
-        return seqspace.subsample(k, _seq(c))
+        return seqspace.subsample(k, _seq(c, _nest(c, depth)))
     if head == "prod":
         c.expect("(")
-        left = _seq(c)
+        depth = _nest(c, depth)
+        left = _seq(c, depth)
         c.expect(",")
-        right = _seq(c)
+        right = _seq(c, depth)
         c.expect(")")
         return Product(left, right)
     raise DslError(f"unknown sequence form {head!r}" if head else "expected a sequence", start)
@@ -213,7 +240,7 @@ def parse_ideal(text: str):
     return idealcalc.make_ideal(ideal)
 
 
-def _ideal(c: _Cursor):
+def _ideal(c: _Cursor, depth: int = 0):
     c.skip_ws()
     rest = c.text[c.pos :]
     if rest.startswith("finite-rank"):
@@ -225,12 +252,13 @@ def _ideal(c: _Cursor):
     if rest.startswith("idealprod"):
         c.pos += len("idealprod")
         c.expect("(")
-        left = _ideal(c)
+        depth = _nest(c, depth)
+        left = _ideal(c, depth)
         c.expect(",")
-        right = _ideal(c)
+        right = _ideal(c, depth)
         c.expect(")")
         return idealcalc.ProductIdeal(left, right)
-    return idealcalc.Principal(_seq(c))
+    return idealcalc.Principal(_seq(c, depth))
 
 
 def format_ideal(ideal) -> str:

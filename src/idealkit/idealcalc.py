@@ -308,16 +308,11 @@ def necessary_soft_condition(xi: SequenceExpr) -> Verdict:
     if support(xi) is not None:
         raise ValueError("necessary softness condition needs infinite support")
     sig = signature_of(xi)
-    if sig.rate != RATE_ONE:
-        m = 2
-        v = compare(xi, ampliate(m, xi), Mode.LITTLE_O)
-        ev = dict(v.evidence)
-        ev["m"] = m
-        return Verdict(v.status, v.method, ev)
     v = compare(xi, ampliate(2, xi), Mode.LITTLE_O)
     ev = dict(v.evidence)
     ev["m"] = 2
-    ev["reason"] = "ampliation preserves a rate-one signature; the ratio has a positive limit"
+    if sig.rate == RATE_ONE:
+        ev["reason"] = "ampliation preserves a rate-one signature; the ratio has a positive limit"
     return Verdict(v.status, v.method, ev)
 
 

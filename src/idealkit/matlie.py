@@ -33,7 +33,6 @@ from .ratlinalg import (
     MODP_PRIMES,
     SparseEchelon,
     frac_mod_p,
-    mat_vec,
     nullspace,
     rref,
 )
@@ -151,9 +150,6 @@ class RationalMatrix:
             ]
         )
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.entries)))
-
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
@@ -251,20 +247,27 @@ class Subspace:
         return tuple(tuple(r) for r in red)
 
 
+def _subspace(parent: LieAlgebraPresentation, rows) -> Subspace:
+    """Subspace spanned by coordinate rows, dense or sparse dicts."""
+    span = SparseEchelon(parent.dim)
+    for row in rows:
+        span.insert(row)
+    return Subspace(parent, tuple(tuple(r) for r in span.reduced()))
+
+
 def subspace_from_coords(parent: LieAlgebraPresentation, rows: Sequence[Sequence]) -> Subspace:
-    red, _ = rref([[as_fraction(v) for v in row] for row in rows])
-    return Subspace(parent, tuple(tuple(r) for r in red))
+    return _subspace(parent, ([as_fraction(v) for v in row] for row in rows))
 
 
 def subspace_from_matrices(parent: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) -> Subspace:
     st = _structure(parent)
     coords = []
     for m in mats:
-        c = _coords(st.span, m.flat(), parent.dim)
+        c = _coords(st.span, m.flat())
         if c is None:
             raise ValueError("matrix outside the span of the presentation basis")
         coords.append(c)
-    return subspace_from_coords(parent, coords)
+    return _subspace(parent, coords)
 
 
 def span_reduce(mats: Sequence[RationalMatrix]) -> List[RationalMatrix]:
@@ -286,12 +289,12 @@ def span_reduce(mats: Sequence[RationalMatrix]) -> List[RationalMatrix]:
 
 
 class _Structure:
-    __slots__ = ("span", "constants", "ads")
+    __slots__ = ("span", "ads")
 
-    def __init__(self, span, constants, ads):
+    def __init__(self, span, ads):
         self.span = span  # basis matrix k flattened, tagged at column ambient² + k
-        self.constants = constants  # constants[i][j] = coords of [b_i, b_j]
-        self.ads = ads  # ads[i][k][j] = constants[i][j][k], dense Fraction rows
+        # ads[i][j] = {k: c}, the nonzero coordinates of [b_i, b_j]: column j of ad(b_i)
+        self.ads = ads
 
 
 @dataclass(frozen=True)
@@ -301,14 +304,14 @@ class ClosureReport:
     residual: Optional[RationalMatrix]  # remainder after eliminating span components
 
 
-def _coords(span: SparseEchelon, vec, count: int) -> Optional[List[Fraction]]:
-    """Coordinates of vec in the first count generators of span, generator k
+def _coords(span: SparseEchelon, vec) -> Optional[dict]:
+    """Nonzero coordinates {k: c} of vec in the generators of span, generator k
     tagged at column span.ncols + k; None when vec lies outside their span."""
     rem = span.reduce(vec)
     n = span.ncols
     if any(c < n for c in rem):
         return None
-    return [-rem.get(n + k, F0) for k in range(count)]
+    return {k - n: -c for k, c in rem.items()}
 
 
 @lru_cache(maxsize=128)
@@ -317,29 +320,22 @@ def _closure_scan(L: LieAlgebraPresentation):
     span = SparseEchelon(n)
     for idx, b in enumerate(L.basis):
         flat = b.flat()
-        if _coords(span, flat, idx) is not None:
+        if _coords(span, flat) is not None:
             raise ValueError(f"{L.name}: basis matrix {idx} depends on earlier ones")
         span.insert({**dict(enumerate(flat)), n + idx: F1})
     d = L.dim
-    constants = [[None] * d for _ in range(d)]
-    zero = [F0] * d
-    for i in range(d):
-        constants[i][i] = zero
+    ads = [[{} for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             flat = bracket(L.basis[i], L.basis[j]).flat()
-            coeffs = _coords(span, flat, d)
-            if coeffs is None:
+            col = _coords(span, flat)
+            if col is None:
                 rem = span.reduce(flat)
                 residual = [rem.get(c, F0) for c in range(n)]
                 return None, (i, j, _from_flat(residual, L.ambient, L.ambient))
-            constants[i][j] = coeffs
-            constants[j][i] = [-c for c in coeffs]
-    ads = [
-        [[constants[i][j][k] for j in range(d)] for k in range(d)]
-        for i in range(d)
-    ]
-    return _Structure(span, constants, ads), None
+            ads[i][j] = col
+            ads[j][i] = {k: -c for k, c in col.items()}
+    return _Structure(span, ads), None
 
 
 def closure_check(L: LieAlgebraPresentation) -> ClosureReport:
@@ -529,16 +525,35 @@ def make_algebra(kind: str, n: int, weights: Optional[SequenceExpr] = None) -> L
 
 def derived_algebra(L: LieAlgebraPresentation) -> Subspace:
     """Span of all pairwise basis brackets, as a subspace of L."""
-    st = _structure(L)
+    ads = _structure(L).ads
     d = L.dim
-    rows = [st.constants[i][j] for i in range(d) for j in range(i + 1, d)]
-    return subspace_from_coords(L, rows)
+    return _subspace(L, (ads[i][j] for i in range(d) for j in range(i + 1, d)))
 
 
 @dataclass(frozen=True)
 class IdealCheck:
     is_ideal: bool
     violation: Optional[tuple]  # (basis index of L, row index of J)
+
+
+def _apply(ad: Sequence[dict], items) -> dict:
+    """ad, given by its sparse columns, applied to the vector with the given
+    (index, value) pairs."""
+    w: dict = {}
+    for j, x in items:
+        if x:
+            for k, c in ad[j].items():
+                w[k] = w.get(k, F0) + x * c
+    return w
+
+
+def _rows(cols: Sequence[dict], d: int) -> List[dict]:
+    """Sparse rows of the d x d matrix whose column j is the dict cols[j]."""
+    rows = [{} for _ in range(d)]
+    for j, col in enumerate(cols):
+        for k, c in col.items():
+            rows[k][j] = c
+    return rows
 
 
 def is_lie_ideal(L: LieAlgebraPresentation, J: Subspace) -> IdealCheck:
@@ -551,15 +566,14 @@ def is_lie_ideal(L: LieAlgebraPresentation, J: Subspace) -> IdealCheck:
         span.insert(row)
     for i, ad in enumerate(st.ads):
         for j, vec in enumerate(J.vectors):
-            if span.reduce(mat_vec(ad, vec)):
+            if span.reduce(_apply(ad, enumerate(vec))):
                 return IdealCheck(False, (i, j))
     return IdealCheck(True, None)
 
 
 def _center_coords(L: LieAlgebraPresentation) -> List[List[Fraction]]:
-    st = _structure(L)
-    stacked = [row for ad in st.ads for row in ad]
-    return nullspace(stacked, L.dim)
+    d = L.dim
+    return nullspace((row for ad in _structure(L).ads for row in _rows(ad, d)), d)
 
 
 @dataclass(frozen=True)
@@ -570,43 +584,39 @@ class KillingReport:
 
 def killing_form(L: LieAlgebraPresentation) -> KillingReport:
     """Trace form of the adjoint representation, with its exact rank."""
-    st = _structure(L)
+    ads = _structure(L).ads
     d = L.dim
-    ads = st.ads
     k = [[F0] * d for _ in range(d)]
     for i in range(d):
+        # tr(ad_i ad_j) sums ad_i[l][m] * ad_j[m][l] over the nonzeros of ad_i
+        entries = [(m, l, c) for m, col in enumerate(ads[i]) for l, c in col.items()]
         for j in range(i, d):
+            adj = ads[j]
             acc = F0
-            adi, adj = ads[i], ads[j]
-            for r in range(d):
-                row = adi[r]
-                acc += sum((row[c] * adj[c][r] for c in range(d) if row[c]), F0)
+            for m, l, c in entries:
+                x = adj[l].get(m)
+                if x:
+                    acc += c * x
             k[i][j] = acc
             k[j][i] = acc
-    mat = RationalMatrix(k)
-    return KillingReport(mat, ratlinalg.rank([list(row) for row in k]))
+    return KillingReport(RationalMatrix(k), ratlinalg.rank(k))
 
 
-def _ideal_fixpoint(L: LieAlgebraPresentation, seed_coords: Sequence[Sequence[Fraction]]) -> Subspace:
-    st = _structure(L)
+def _ideal_fixpoint(L: LieAlgebraPresentation, seeds: Sequence[dict]) -> Subspace:
+    """Least Lie ideal containing the sparse coordinate vectors seeds."""
+    ads = _structure(L).ads
     d = L.dim
-    # ad_i applied to basis vector j is the coordinate vector of [b_i, b_j]
-    ad_cols = [[{k: c for k, c in enumerate(col) if c} for col in row] for row in st.constants]
     span = SparseEchelon(d)
-    seeds = ({j: x for j, x in enumerate(c) if x} for c in seed_coords)
     queue = deque(v for v in seeds if span.insert(v))
     while queue and span.rank < d:
         v = queue.popleft()
-        for cols in ad_cols:
-            w: dict = {}
-            for j, x in v.items():
-                for k, c in cols[j].items():
-                    w[k] = w.get(k, F0) + x * c
+        for ad in ads:
+            w = _apply(ad, v.items())
             if span.insert(w):
                 queue.append(w)
                 if span.rank == d:
                     break
-    return Subspace(L, tuple(tuple(r) for r in span.reduced()))
+    return _subspace(L, span.reduced())
 
 
 def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatrix]) -> Subspace:
@@ -614,7 +624,7 @@ def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatri
     st = _structure(L)
     seed_coords = []
     for s in seeds:
-        coords = _coords(st.span, s.flat(), L.dim)
+        coords = _coords(st.span, s.flat())
         if coords is None:
             raise ValueError("seed lies outside the span of the presentation")
         seed_coords.append(coords)
@@ -636,7 +646,7 @@ def random_ideal_search(
         coords = [Fraction(rng.randint(-coord_bound, coord_bound)) for _ in range(d)]
         if all(v == 0 for v in coords):
             coords[rng.randrange(d)] = F1
-        J = _ideal_fixpoint(L, [coords])
+        J = _ideal_fixpoint(L, [dict(enumerate(coords))])
         if 0 < J.dim < d:
             return J
     return None
@@ -654,41 +664,30 @@ class CommutantReport:
     method: str
 
 
-def _constraint_rows(ad: Sequence[Sequence], d: int):
+def _constraint_rows(ad: Sequence[dict], d: int):
     """Sparse rows of X -> X·ad - ad·X on row-major flattened d x d matrices X,
-    one per entry (i, j); entries may be Fractions or integers mod p."""
-    by_col = [[] for _ in range(d)]  # by_col[j]: (k, ad[k][j]) nonzero
-    by_row = [[] for _ in range(d)]  # by_row[i]: (l, ad[i][l]) nonzero
-    for k, r in enumerate(ad):
-        for l, v in enumerate(r):
-            if v:
-                by_col[l].append((k, v))
-                by_row[k].append((l, v))
+    one per entry (i, j); ad is given by its sparse columns, with Fraction
+    values or integers mod p."""
+    by_row = _rows(ad, d)
     for i in range(d):
         base = i * d
         for j in range(d):
-            row = {base + k: a for k, a in by_col[j]}
-            for l, b in by_row[i]:
+            row = {base + k: a for k, a in ad[j].items()}
+            for l, b in by_row[i].items():
                 col = l * d + j
                 row[col] = row.get(col, 0) - b
             yield row
 
 
-def _ads_mod_p(ads: Sequence[Sequence[Sequence[Fraction]]], p: int) -> Optional[list]:
-    """Images of the adjoint maps in GF(p), or None when a denominator vanishes."""
-    out = []
-    for ad in ads:
-        mod = []
-        for r in ad:
-            row = [frac_mod_p(v, p) if v else 0 for v in r]
-            if None in row:
-                return None
-            mod.append(row)
-        out.append(mod)
-    return out
+def _ads_mod_p(ads: Sequence[Sequence[dict]], p: int) -> Optional[list]:
+    """Images of the sparse adjoint maps in GF(p), or None when a denominator vanishes."""
+    mods = [[{k: frac_mod_p(c, p) for k, c in col.items()} for col in ad] for ad in ads]
+    if any(None in col.values() for ad in mods for col in ad):
+        return None
+    return mods
 
 
-def _commutant_exact(ads: Sequence[Sequence[Sequence[Fraction]]], d: int) -> List[RationalMatrix]:
+def _commutant_exact(ads: Sequence[Sequence[dict]], d: int) -> List[RationalMatrix]:
     ech = SparseEchelon(d * d)
     for ad in ads:
         for row in _constraint_rows(ad, d):
@@ -782,9 +781,9 @@ def _min_poly(C: RationalMatrix) -> List[Fraction]:
     power = RationalMatrix.identity(C.rows)
     while True:
         vec = power.flat()
-        coeffs = _coords(span, vec, span.rank)
+        coeffs = _coords(span, vec)
         if coeffs is not None:
-            return _poly_trim([-c for c in coeffs] + [F1])
+            return _poly_trim([-coeffs.get(k, F0) for k in range(span.rank)] + [F1])
         span.insert({**dict(enumerate(vec)), n + span.rank: F1})
         power = power @ C
 

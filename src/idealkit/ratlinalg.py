@@ -34,7 +34,6 @@ F1 = Fraction(1)
 __all__ = [
     "SparseEchelon",
     "frac_mod_p",
-    "mat_vec",
     "nullspace",
     "rank",
     "rref",
@@ -69,10 +68,6 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
 def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Canonical kernel basis: one vector per free column, unit at that column."""
     return _span(rows, ncols).kernel()
-
-
-def mat_vec(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((a * b for a, b in zip(row, v) if a and b), F0) for row in rows]
 
 
 class SparseEchelon:

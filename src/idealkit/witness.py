@@ -350,32 +350,21 @@ def verify_certificate(cert: Certificate) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _rational_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+def _shift_to_json(model: ShiftModel) -> dict:
+    return {"weights": dsl.format_seq(model.weights), "truncation": model.truncation}
 
 
 def certificate_to_json(cert: Certificate) -> dict:
     return {
         "schema_version": cert.schema_version,
-        "generator": {
-            "weights": dsl.format_seq(cert.generator.weights),
-            "truncation": cert.generator.truncation,
-        },
+        "generator": _shift_to_json(cert.generator),
         "softness": cert.softness.to_json(),
         "branch": cert.branch,
-        "partner": None
-        if cert.partner is None
-        else {
-            "weights": dsl.format_seq(cert.partner.weights),
-            "truncation": cert.partner.truncation,
-        },
-        "pool": [
-            {"weights": dsl.format_seq(s.weights), "truncation": s.truncation}
-            for s in cert.pool
-        ],
+        "partner": None if cert.partner is None else _shift_to_json(cert.partner),
+        "pool": [_shift_to_json(s) for s in cert.pool],
         "first_nonzero": None
         if cert.first_index is None
-        else {"index": cert.first_index, "value": _rational_str(cert.first_value)},
+        else {"index": cert.first_index, "value": dsl._format_rational(cert.first_value)},
         "scan_window": cert.scan_window,
         "obligations": [{"name": name, "passed": ok} for name, ok in cert.obligations],
         "conclusion": cert.conclusion,

@@ -13,6 +13,7 @@ import pytest
 
 import idealkit
 from idealkit.cli import main
+from idealkit.dsl import MAX_NESTING
 
 
 def run_cli(argv):
@@ -52,6 +53,29 @@ class TestSeqCommands:
 
     def test_constraint_error_exit_two(self):
         assert run_cli(["seq", "signature", "exp:2"])[0] == 2
+
+    def test_deep_scale_run_answers(self):
+        code, out = run_cli(["seq", "signature", "scale:2;" * 3000 + "pow:1"])
+        assert code == 0
+        assert out.strip() == "signature: rate=1, pow=1, logpow=0"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sub:2;" * (MAX_NESTING + 1) + "pow:1",
+            "prod(pow:1," * (MAX_NESTING + 1) + "pow:1" + ")" * (MAX_NESTING + 1),
+        ],
+        ids=["sub", "prod"],
+    )
+    def test_nesting_past_limit_exit_two(self, text, capsys):
+        code, _ = run_cli(["seq", "signature", text])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: offset ") and "Traceback" not in err
+
+    def test_negative_scale_pair_exit_two(self, capsys):
+        assert run_cli(["seq", "signature", "scale:-1;scale:-1;pow:1"])[0] == 2
+        assert "scale factor must be positive" in capsys.readouterr().err
 
 
 class TestIdealCommands:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealkit import idealcalc
-from idealkit.dsl import DslError, format_ideal, format_seq, parse_ideal, parse_seq
+from idealkit.dsl import MAX_NESTING, DslError, format_ideal, format_seq, parse_ideal, parse_seq
 from idealkit.seqspace import (
     Ampliation,
     Exp,
@@ -49,6 +49,24 @@ class TestParse:
 
     def test_amp_fuses(self):
         assert parse_seq("amp:2;amp:3;pow:1") == Ampliation(6, Pow(1))
+
+    def test_scale_run_fuses(self):
+        assert parse_seq("scale:2;scale:3/2; scale:5;pow:1") == Scale(15, Pow(1))
+        assert parse_seq("scale:2;amp:2;scale:3;pow:1") == Scale(2, Ampliation(2, Scale(3, Pow(1))))
+
+    def test_non_positive_scale_stays_rejected(self):
+        for text in ["scale:-1;pow:1", "scale:-1;scale:-1;pow:1", "scale:2;scale:0;pow:1"]:
+            with pytest.raises(InvalidSequenceError):
+                parse_seq(text)
+
+    def test_nesting_limit(self):
+        at_limit = "prod(pow:1," * MAX_NESTING + "pow:1" + ")" * MAX_NESTING
+        assert format_seq(parse_seq(at_limit)) == at_limit
+        with pytest.raises(DslError) as err:
+            parse_seq("sub:2;" * (MAX_NESTING + 1) + "pow:1")
+        assert err.value.offset == 6 * (MAX_NESTING + 1)
+        with pytest.raises(DslError):
+            parse_ideal("idealprod(pow:1," * (MAX_NESTING + 1) + "compact" + ")" * (MAX_NESTING + 1))
 
     def test_unknown_head_offset(self):
         with pytest.raises(DslError) as err:

@@ -220,6 +220,25 @@ class TestNecessaryCondition:
         with pytest.raises(ValueError):
             necessary_soft_condition(FiniteSupport([1]))
 
+    def test_evidence_pinned(self):
+        v = necessary_soft_condition(Pow(1))
+        assert list(v.evidence.items()) == [
+            ("xi_signature", "rate=1, pow=1, logpow=0"),
+            ("eta_signature", "rate=1, pow=1, logpow=0"),
+            ("mode", Mode.LITTLE_O),
+            ("reason", "ampliation preserves a rate-one signature; the ratio has a positive limit"),
+            ("limiting_ratio", F(1, 2)),
+            ("m", 2),
+        ]
+        v = necessary_soft_condition(Exp(F(1, 2)))
+        assert list(v.evidence.items()) == [
+            ("rule", "strict signature dominance"),
+            ("xi_signature", "rate=1/2, pow=0, logpow=0"),
+            ("eta_signature", "rate=(1/2)^(1/2), pow=0, logpow=0"),
+            ("mode", Mode.LITTLE_O),
+            ("m", 2),
+        ]
+
 
 class TestImplicationReport:
     def test_power_two(self):

@@ -55,6 +55,17 @@ def E(n, i, j):
     return RationalMatrix.unit(n, i, j)
 
 
+def dense_constants(algebra):
+    """Dense view of the sparse table: [i][j][k] is coordinate k of [b_i, b_j]."""
+    d = algebra.dim
+    return [[[col.get(k, F(0)) for k in range(d)] for col in ad] for ad in _structure(algebra).ads]
+
+
+def dense_ads(algebra):
+    """ad(b_i) as dense rows: row k, column j holds coordinate k of [b_i, b_j]."""
+    return [[list(row) for row in zip(*cols)] for cols in dense_constants(algebra)]
+
+
 class TestConstructors:
     @pytest.mark.parametrize("n,dim", [(1, 3), (2, 10), (3, 21)])
     def test_sp_standard_dims(self, n, dim):
@@ -163,6 +174,23 @@ class TestClosure:
             derived_algebra(sp_skew_variant(2))
 
 
+class TestStructureTable:
+    def test_sparse_table_invariants_sp3(self):
+        algebra = sp_standard(3)
+        ads = _structure(algebra).ads
+        d = algebra.dim
+        assert len(ads) == d and all(len(ad) == d for ad in ads)
+        for i in range(d):
+            assert ads[i][i] == {}
+            for j in range(d):
+                assert ads[j][i] == {k: -c for k, c in ads[i][j].items()}
+                assert all(c != 0 for c in ads[i][j].values())
+                rebuilt = RationalMatrix.zeros(algebra.ambient)
+                for k, c in ads[i][j].items():
+                    rebuilt = rebuilt + algebra.basis[k].scaled(c)
+                assert rebuilt == bracket(algebra.basis[i], algebra.basis[j])
+
+
 class TestDerived:
     def test_triangular_derived_is_strictly_upper(self):
         ut3 = upper_triangular_sl(3)
@@ -235,7 +263,8 @@ class TestIsLieIdeal:
         sub = subspace_from_matrices(algebra, [E(2, 0, 1)])
         chk = is_lie_ideal(algebra, sub)
         assert not chk.is_ideal
-        assert chk.violation is not None
+        # basis (E01, E10, H): ad(E01) kills E01, [E10, E01] = -H is the first miss
+        assert chk.violation == (1, 0)
 
 
 class TestKilling:
@@ -243,7 +272,7 @@ class TestKilling:
         rep = killing_form(sl(2))
         assert rep.rank == 3
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5])
     def test_sl_trace_form_oracle(self, n):
         # classical: the adjoint trace form of sl(n) is 2n times the matrix
         # trace form; recomputed here entirely from structure constants
@@ -253,7 +282,7 @@ class TestKilling:
             for j, y in enumerate(algebra.basis):
                 assert rep.matrix.entries[i][j] == 2 * n * (x @ y).trace()
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sp_trace_form_oracle(self, n):
         algebra = sp_standard(n)
         rep = killing_form(algebra)
@@ -274,7 +303,7 @@ class TestKilling:
     @pytest.mark.parametrize("algebra", [sl(2), sp_standard(2), upper_triangular_sl(3)])
     def test_invariance_on_basis_triples(self, algebra):
         rep = killing_form(algebra)
-        st_ = _structure(algebra)
+        constants = dense_constants(algebra)
         d = algebra.dim
         k = rep.matrix.entries
 
@@ -288,8 +317,8 @@ class TestKilling:
         for x in range(d):
             for y in range(d):
                 for z in range(d):
-                    lhs = K(st_.constants[x][y], basis_coords[z])
-                    rhs = K(basis_coords[y], st_.constants[x][z])
+                    lhs = K(constants[x][y], basis_coords[z])
+                    rhs = K(basis_coords[y], constants[x][z])
                     assert lhs + rhs == 0
 
 
@@ -308,10 +337,9 @@ class TestCommutant:
         assert rep.dim == 2
         assert rep.method == "exact-elimination"
         # each basis element genuinely commutes with every adjoint map
-        st_ = _structure(algebra)
+        ads = [RationalMatrix(ad) for ad in dense_ads(algebra)]
         for C in rep.basis:
-            for ad in st_.ads:
-                adm = RationalMatrix(ad)
+            for adm in ads:
                 assert ((C @ adm) - (adm @ C)).is_zero()
 
     def test_one_dimensional_abelian(self):
@@ -336,7 +364,7 @@ class TestCommutant:
         p = MODP_PRIMES[0]
         h = E(2, 0, 0) - E(2, 1, 1)
         algebra = LieAlgebraPresentation(2, (h.scaled(p), E(2, 0, 1), E(2, 1, 0)), "sl_2_scaled")
-        assert any(v.denominator == p for ad in _structure(algebra).ads for r in ad for v in r)
+        assert any(v.denominator == p for ad in dense_ads(algebra) for r in ad for v in r)
         rep = is_simple(algebra)
         assert rep.verdict == "Simple" and rep.commutant_dim == 1
         assert adjoint_commutant(algebra).method == "modular-rank-certificate"
@@ -438,13 +466,13 @@ class TestJacobi:
     def test_jacobi_sp3_via_adjoint_identity(self):
         # ad[x, y] = ad x ad y - ad y ad x covers every triple at dim 21
         algebra = sp_standard(3)
-        st_ = _structure(algebra)
-        ads = [RationalMatrix(ad) for ad in st_.ads]
+        constants = dense_constants(algebra)
+        ads = [RationalMatrix(ad) for ad in dense_ads(algebra)]
         d = algebra.dim
         for i in range(d):
             for j in range(i + 1, d):
                 lhs = RationalMatrix.zeros(d)
-                for k, c in enumerate(st_.constants[i][j]):
+                for k, c in enumerate(constants[i][j]):
                     if c:
                         lhs = lhs + ads[k].scaled(c)
                 rhs = (ads[i] @ ads[j]) - (ads[j] @ ads[i])

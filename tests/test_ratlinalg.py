@@ -12,7 +12,6 @@ from idealkit.ratlinalg import (
     MODP_PRIMES,
     SparseEchelon,
     frac_mod_p,
-    mat_vec,
     nullspace,
     rank,
     rref,
@@ -24,6 +23,10 @@ matrices = st.integers(1, 5).flatmap(
         st.lists(fractions, min_size=c, max_size=c), min_size=1, max_size=6
     )
 )
+
+
+def mat_vec(rows, v):
+    return [sum((a * b for a, b in zip(row, v)), F(0)) for row in rows]
 
 
 def _echelon(m, p=None):

@@ -57,6 +57,43 @@ def _sparse_mul(a, b):
     return {k: v for k, v in out.items() if v}
 
 
+# build_certificate(ShiftModel(Pow(1), 8), [scale:3;pow:1 at 8, scale:1/2;pow:2 at 16])
+PINNED_CERTIFICATE = {
+    "branch": "commutator",
+    "central_mode": None,
+    "conclusion": "the Lie ideal generated by the commutator A = [T, S] is nonzero and "
+    "does not contain T, so no Lie algebra containing T and S is simple",
+    "first_nonzero": {"index": 1, "value": "1/8"},
+    "generator": {"truncation": 8, "weights": "pow:1"},
+    "obligations": [
+        {"name": "generator_not_finite_rank", "passed": True},
+        {"name": "generator_ideal_not_soft_symbolic", "passed": True},
+        {"name": "commutator_nonzero_at_first_index", "passed": True},
+        {"name": "truncation_bracket_matches_formula_window", "passed": True},
+    ],
+    "partner": {"truncation": 16, "weights": "scale:1/2;pow:2"},
+    "pool": [
+        {"truncation": 8, "weights": "scale:3;pow:1"},
+        {"truncation": 16, "weights": "scale:1/2;pow:2"},
+    ],
+    "scan_window": 1024,
+    "schema_version": "1",
+    "softness": {
+        "evidence": {
+            "criterion": "subsampled generator little-o of generator",
+            "eta_signature": "rate=1, pow=1, logpow=0",
+            "k": 2,
+            "limiting_ratio": "1/2",
+            "mode": "o",
+            "reason": "equal signatures; ratio does not tend to zero",
+            "xi_signature": "rate=1, pow=1, logpow=0",
+        },
+        "method": "SymbolicProven",
+        "status": "Fails",
+    },
+}
+
+
 class TestShiftBracket:
     def test_self_commutator_vanishes(self):
         br = shift_bracket(Pow(1), Pow(1))
@@ -188,6 +225,13 @@ class TestVerify:
         path = tmp_path / "cert.json"
         save_certificate(cert, str(path))
         assert verify_certificate(load_certificate(str(path))).holds
+
+    def test_certificate_file_pinned(self, tmp_path):
+        pool = [ShiftModel(Scale(3, Pow(1)), 8), ShiftModel(Scale(F(1, 2), Pow(2)), 16)]
+        cert = build_certificate(ShiftModel(Pow(1), 8), pool)
+        path = tmp_path / "cert.json"
+        save_certificate(cert, str(path))
+        assert path.read_text() == json.dumps(PINNED_CERTIFICATE, indent=2, sort_keys=True) + "\n"
 
     def test_tampered_commutator_value_detected(self):
         cert = build_certificate(ShiftModel(Pow(1), 64), [ShiftModel(Pow(2), 64)])
