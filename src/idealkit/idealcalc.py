@@ -162,7 +162,9 @@ def make_ideal(ideal: IdealExpr) -> IdealExpr:
 
 
 def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr, mode: Mode):
-    """Smallest m such that xi relates to the m-fold ampliation of gen.
+    """Smallest m such that xi relates to the m-fold ampliation of gen, or
+    None when xi's rate base rounds to one in float, so that no estimate of
+    m exists.
 
     Only called with an exponential-type generator and xi of exponential
     type or finite support, where a certifying m always exists: the
@@ -173,12 +175,12 @@ def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr, mode: 
         estimate = 1
     else:
         bh, ih = xi_sig.rate.base, xi_sig.rate.index
-        # rate(gen)^(1/m) >= rate(xi)  <=>  m >= ih*ln(bx) / (ix*ln(bh))
         # logs of numerator and denominator: a base such as 1/10^340 underflows a float
-        estimate = max(
-            1,
-            math.ceil((ih * _log_fraction(bx)) / (ix * _log_fraction(bh))),
-        )
+        log_bh = _log_fraction(bh)
+        if log_bh == 0.0:
+            return None
+        # rate(gen)^(1/m) >= rate(xi)  <=>  m >= ih*ln(bx) / (ix*ln(bh))
+        estimate = max(1, math.ceil((ih * _log_fraction(bx)) / (ix * log_bh)))
     # The certifying set is an upward-closed range starting at the analytic
     # bound (give or take the signature-equality boundary), so probing a
     # small window around the float estimate plus the small indices finds
@@ -221,6 +223,14 @@ def _member_principal(xi: SequenceExpr, gen: SequenceExpr, mode: Mode) -> Verdic
             **ev,
         )
     m = _min_ampliation(xi_sig, gen_sig, gen, xi, mode)
+    if m is None:
+        # a certifying m exists (see _min_ampliation); only its value is out of reach
+        return proven(
+            Status.HOLDS,
+            least_m="not computed: the rate base of xi rounds to one in float",
+            rule="ampliated-rate dominance",
+            **ev,
+        )
     return proven(Status.HOLDS, m=m, rule="ampliated-rate dominance", **ev)
 
 

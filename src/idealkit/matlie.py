@@ -34,7 +34,6 @@ from .ratlinalg import (
     SparseEchelon,
     frac_mod_p,
     nullspace,
-    rref,
 )
 from .seqspace import SequenceExpr, as_fraction, ensure_valid, eval_at, has_exact_eval
 
@@ -87,79 +86,140 @@ class NotClosedError(ValueError):
 
 
 class RationalMatrix:
-    """Immutable matrix with exact rational entries."""
+    """Immutable matrix with exact rational entries, stored sparsely.
 
-    __slots__ = ("rows", "cols", "entries")
+    It holds its shape and one dict {column: value} per nonzero row, keyed by
+    row index; a zero is never stored.  Every operation therefore costs time
+    proportional to the nonzeros it touches.  ``entries`` and ``flat()`` are
+    dense views.
+    """
+
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in entries)
+        rows = [[as_fraction(v) for v in row] for row in entries]
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
+        data = {}
+        for i, r in enumerate(rows):
+            nonzero = {j: v for j, v in enumerate(r) if v}
+            if nonzero:
+                data[i] = nonzero
+        self._init(len(rows), width, data)
+
+    def _init(self, rows: int, cols: int, data: dict) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, data: dict) -> "RationalMatrix":
+        """Wrap nonzero rows that already hold no zero and no empty row."""
+        m = object.__new__(cls)
+        m._init(rows, cols, data)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
+    def from_nonzeros(cls, rows: int, cols: int, items: dict) -> "RationalMatrix":
+        """Matrix of the given shape with entries {(row, column): value};
+        zero values are dropped."""
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix must have at least one row and column")
+        data: dict = {}
+        for (i, j), v in items.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) outside a {rows} x {cols} matrix")
+            v = as_fraction(v)
+            if v:
+                data.setdefault(i, {})[j] = v
+        return cls._make(rows, cols, data)
+
+    @classmethod
     def zeros(cls, rows: int, cols: Optional[int] = None) -> "RationalMatrix":
-        cols = rows if cols is None else cols
-        return cls([[F0] * cols for _ in range(rows)])
+        return cls.from_nonzeros(rows, rows if cols is None else cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[F1 if i == j else F0 for j in range(n)] for i in range(n)])
+        return cls.from_nonzeros(n, n, {(i, i): F1 for i in range(n)})
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "RationalMatrix":
-        m = [[F0] * n for _ in range(n)]
-        m[i][j] = F1
-        return cls(m)
+        return cls.from_nonzeros(n, n, {(i, j): F1})
+
+    @property
+    def entries(self) -> tuple:
+        """Dense view: one tuple of Fractions per row."""
+        empty: dict = {}
+        return tuple(
+            tuple(row.get(j, F0) for j in range(self.cols))
+            for row in (self._data.get(i, empty) for i in range(self.rows))
+        )
+
+    def flat(self) -> tuple:
+        """Dense row-major view."""
+        return tuple(v for row in self.entries for v in row)
+
+    def nonzeros(self) -> dict:
+        """The nonzero entries as {(row, column): value}."""
+        return {(i, j): v for i, row in self._data.items() for j, v in row.items()}
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._same_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        data = {i: dict(row) for i, row in self._data.items()}
+        for i, row in other._data.items():
+            acc = data.setdefault(i, {})
+            for j, v in row.items():
+                s = acc[j] + v if j in acc else v
+                if s:
+                    acc[j] = s
+                else:
+                    del acc[j]
+            if not acc:
+                del data[i]
+        return RationalMatrix._make(self.rows, self.cols, data)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        return self + -other
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a for a in row] for row in self.entries])
+        data = {i: {j: -v for j, v in row.items()} for i, row in self._data.items()}
+        return RationalMatrix._make(self.rows, self.cols, data)
 
     def scaled(self, c) -> "RationalMatrix":
         c = as_fraction(c)
-        return RationalMatrix([[c * a for a in row] for row in self.entries])
+        data = {i: {j: c * v for j, v in row.items()} for i, row in self._data.items()} if c else {}
+        return RationalMatrix._make(self.rows, self.cols, data)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Row i of the product is the sum of a_ik times row k of other, over
+        the nonzero a_ik."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        cols = list(zip(*other.entries))
-        return RationalMatrix(
-            [
-                [sum((a * b for a, b in zip(row, col) if a and b), F0) for col in cols]
-                for row in self.entries
-            ]
-        )
+        right = other._data
+        data = {}
+        for i, row in self._data.items():
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in right.get(k, {}).items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                data[i] = acc
+        return RationalMatrix._make(self.rows, other.cols, data)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), F0)
+        return sum((row.get(i, F0) for i, row in self._data.items()), F0)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
-
-    def flat(self) -> tuple:
-        return tuple(v for row in self.entries for v in row)
+        return not self._data
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -168,10 +228,11 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        rows = frozenset((i, frozenset(row.items())) for i, row in self._data.items())
+        return hash((self.rows, self.cols, rows))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({[[str(v) for v in row] for row in self.entries]})"
@@ -184,8 +245,17 @@ def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     return (x @ y) - (y @ x)
 
 
-def _from_flat(flat: Sequence[Fraction], rows: int, cols: int) -> RationalMatrix:
-    return RationalMatrix([flat[r * cols : (r + 1) * cols] for r in range(rows)])
+def _flat(m: RationalMatrix) -> dict:
+    """Nonzero entries keyed by the row-major flat index r·cols + c."""
+    cols = m.cols
+    return {r * cols + c: v for r, row in m._data.items() for c, v in row.items()}
+
+
+def _from_flat(flat, rows: int, cols: int) -> RationalMatrix:
+    """Matrix from row-major flat entries: a dense sequence, or a dict
+    {r·cols + c: value} like the one ``_flat`` returns."""
+    items = flat.items() if isinstance(flat, dict) else enumerate(flat)
+    return RationalMatrix.from_nonzeros(rows, cols, {divmod(k, cols): v for k, v in items if v})
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +296,16 @@ class Subspace:
         return len(self.vectors)
 
     def matrices(self) -> List[RationalMatrix]:
+        amb = self.parent.ambient
+        flats = [_flat(b) for b in self.parent.basis]
         out = []
         for vec in self.vectors:
-            acc = RationalMatrix.zeros(self.parent.ambient)
-            for c, b in zip(vec, self.parent.basis):
+            acc: dict = {}
+            for c, flat in zip(vec, flats):
                 if c:
-                    acc = acc + b.scaled(c)
-            out.append(acc)
+                    for k, v in flat.items():
+                        acc[k] = acc.get(k, F0) + c * v
+            out.append(_from_flat(acc, amb, amb))
         return out
 
     def contains_coords(self, vec: Sequence[Fraction]) -> bool:
@@ -243,8 +316,8 @@ class Subspace:
 
     def ambient_rref(self) -> tuple:
         """Canonical form in the ambient matrix space; comparable across parents."""
-        red, _ = rref([m.flat() for m in self.matrices()])
-        return tuple(tuple(r) for r in red)
+        amb = self.parent.ambient
+        return tuple(tuple(r) for r in _flat_rref(self.matrices(), amb * amb))
 
 
 def _subspace(parent: LieAlgebraPresentation, rows) -> Subspace:
@@ -263,7 +336,7 @@ def subspace_from_matrices(parent: LieAlgebraPresentation, mats: Sequence[Ration
     st = _structure(parent)
     coords = []
     for m in mats:
-        c = _coords(st.span, m.flat())
+        c = _coords(st.span, _flat(m))
         if c is None:
             raise ValueError("matrix outside the span of the presentation basis")
         coords.append(c)
@@ -279,8 +352,15 @@ def span_reduce(mats: Sequence[RationalMatrix]) -> List[RationalMatrix]:
     for m in mats:
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("span_reduce needs matrices of equal shape")
-    red, _ = rref([m.flat() for m in mats])
-    return [_from_flat(r, rows, cols) for r in red]
+    return [_from_flat(r, rows, cols) for r in _flat_rref(mats, rows * cols)]
+
+
+def _flat_rref(mats: Sequence[RationalMatrix], n: int) -> list:
+    """Dense reduced row echelon rows of the flattened matrices, n entries each."""
+    span = SparseEchelon(n)
+    for m in mats:
+        span.insert(_flat(m))
+    return span.reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +399,18 @@ def _closure_scan(L: LieAlgebraPresentation):
     n = L.ambient * L.ambient
     span = SparseEchelon(n)
     for idx, b in enumerate(L.basis):
-        flat = b.flat()
+        flat = _flat(b)
         if _coords(span, flat) is not None:
             raise ValueError(f"{L.name}: basis matrix {idx} depends on earlier ones")
-        span.insert({**dict(enumerate(flat)), n + idx: F1})
+        span.insert({**flat, n + idx: F1})
     d = L.dim
     ads = [[{} for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            flat = bracket(L.basis[i], L.basis[j]).flat()
+            flat = _flat(bracket(L.basis[i], L.basis[j]))
             col = _coords(span, flat)
             if col is None:
-                rem = span.reduce(flat)
-                residual = [rem.get(c, F0) for c in range(n)]
+                residual = {c: v for c, v in span.reduce(flat).items() if c < n}
                 return None, (i, j, _from_flat(residual, L.ambient, L.ambient))
             ads[i][j] = col
             ads[j][i] = {k: -c for k, c in col.items()}
@@ -472,28 +551,21 @@ def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
     ensure_valid(weights)
     if not has_exact_eval(weights):
         raise ValueError("shift truncation needs exactly evaluable weights")
-    m = [[F0] * n for _ in range(n)]
-    for i in range(1, n):
-        m[i - 1][i] = eval_at(weights, i)
-    return _presentation(n, [RationalMatrix(m)], f"shift_truncation_{n}")
+    m = RationalMatrix.from_nonzeros(n, n, {(i - 1, i): eval_at(weights, i) for i in range(1, n)})
+    return _presentation(n, [m], f"shift_truncation_{n}")
 
 
 def direct_sum(a: LieAlgebraPresentation, b: LieAlgebraPresentation) -> LieAlgebraPresentation:
     """Block-diagonal direct sum of two presentations."""
     amb = a.ambient + b.ambient
-    basis = []
-    for m in a.basis:
-        big = [[F0] * amb for _ in range(amb)]
-        for i in range(a.ambient):
-            for j in range(a.ambient):
-                big[i][j] = m.entries[i][j]
-        basis.append(RationalMatrix(big))
-    for m in b.basis:
-        big = [[F0] * amb for _ in range(amb)]
-        for i in range(b.ambient):
-            for j in range(b.ambient):
-                big[a.ambient + i][a.ambient + j] = m.entries[i][j]
-        basis.append(RationalMatrix(big))
+    off = a.ambient
+    basis = [RationalMatrix.from_nonzeros(amb, amb, m.nonzeros()) for m in a.basis]
+    basis.extend(
+        RationalMatrix.from_nonzeros(
+            amb, amb, {(i + off, j + off): v for (i, j), v in m.nonzeros().items()}
+        )
+        for m in b.basis
+    )
     return _presentation(amb, basis, f"{a.name}+{b.name}")
 
 
@@ -543,7 +615,7 @@ def _apply(ad: Sequence[dict], items) -> dict:
     for j, x in items:
         if x:
             for k, c in ad[j].items():
-                w[k] = w.get(k, F0) + x * c
+                w[k] = w.get(k, 0) + x * c
     return w
 
 
@@ -602,21 +674,31 @@ def killing_form(L: LieAlgebraPresentation) -> KillingReport:
     return KillingReport(RationalMatrix(k), ratlinalg.rank(k))
 
 
-def _ideal_fixpoint(L: LieAlgebraPresentation, seeds: Sequence[dict]) -> Subspace:
-    """Least Lie ideal containing the sparse coordinate vectors seeds."""
-    ads = _structure(L).ads
-    d = L.dim
-    span = SparseEchelon(d)
+def _ideal_span(
+    ads: Sequence[Sequence[dict]], seeds: Sequence[dict], p: Optional[int] = None
+) -> SparseEchelon:
+    """Echelon of the least subspace that contains the sparse coordinate
+    vectors seeds and is invariant under every ad; over Fraction, or over
+    GF(p) when the ads and seeds are given mod p."""
+    d = len(ads)
+    span = SparseEchelon(d, p)
     queue = deque(v for v in seeds if span.insert(v))
     while queue and span.rank < d:
         v = queue.popleft()
         for ad in ads:
             w = _apply(ad, v.items())
+            if p is not None:
+                w = {k: c % p for k, c in w.items()}
             if span.insert(w):
                 queue.append(w)
                 if span.rank == d:
                     break
-    return _subspace(L, span.reduced())
+    return span
+
+
+def _ideal_fixpoint(L: LieAlgebraPresentation, seeds: Sequence[dict]) -> Subspace:
+    """Least Lie ideal containing the sparse coordinate vectors seeds."""
+    return _subspace(L, _ideal_span(_structure(L).ads, seeds).reduced())
 
 
 def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatrix]) -> Subspace:
@@ -624,7 +706,7 @@ def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatri
     st = _structure(L)
     seed_coords = []
     for s in seeds:
-        coords = _coords(st.span, s.flat())
+        coords = _coords(st.span, _flat(s))
         if coords is None:
             raise ValueError("seed lies outside the span of the presentation")
         seed_coords.append(coords)
@@ -637,16 +719,28 @@ def random_ideal_search(
     seed: int = 0,
     coord_bound: int = 9,
 ) -> Optional[Subspace]:
-    """Generate the ideal of random rational elements; first proper nonzero
-    ideal found, or None.  Used as a soundness cross-check for Simple verdicts."""
-    _structure(L)
+    """Generate the ideal of random integer elements; first proper nonzero
+    ideal found, or None.  Used as a soundness cross-check for Simple verdicts.
+
+    Each sample's fixpoint runs in GF(p) first: rank can only drop mod p, so
+    reaching rank d there proves the sample generates all of L.  Only a
+    shortfall, or a denominator of the ads that vanishes mod every prime,
+    leads to the exact fixpoint, so the result is the exact path's.
+    """
+    ads = _structure(L).ads
+    mods, p = next(
+        ((m, q) for q in MODP_PRIMES if (m := _ads_mod_p(ads, q)) is not None), (None, None)
+    )
     rng = random.Random(seed)
     d = L.dim
     for _ in range(samples):
-        coords = [Fraction(rng.randint(-coord_bound, coord_bound)) for _ in range(d)]
+        coords = [rng.randint(-coord_bound, coord_bound) for _ in range(d)]
         if all(v == 0 for v in coords):
-            coords[rng.randrange(d)] = F1
-        J = _ideal_fixpoint(L, [dict(enumerate(coords))])
+            coords[rng.randrange(d)] = 1
+        seed_vec = {k: c for k, c in enumerate(coords) if c}
+        if mods is not None and _ideal_span(mods, [seed_vec], p).rank == d:
+            continue
+        J = _ideal_fixpoint(L, [{k: Fraction(c) for k, c in seed_vec.items()}])
         if 0 < J.dim < d:
             return J
     return None
@@ -780,11 +874,11 @@ def _min_poly(C: RationalMatrix) -> List[Fraction]:
     span = SparseEchelon(n)
     power = RationalMatrix.identity(C.rows)
     while True:
-        vec = power.flat()
+        vec = _flat(power)
         coeffs = _coords(span, vec)
         if coeffs is not None:
             return _poly_trim([-coeffs.get(k, F0) for k in range(span.rank)] + [F1])
-        span.insert({**dict(enumerate(vec)), n + span.rank: F1})
+        span.insert({**vec, n + span.rank: F1})
         power = power @ C
 
 
@@ -954,7 +1048,8 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
 def _extract_commutant_witness(L: LieAlgebraPresentation, com: CommutantReport) -> Optional[Subspace]:
     d = L.dim
     for C in com.basis:
-        diff = C - RationalMatrix.identity(d).scaled(C.entries[0][0])
+        dense = C.entries
+        diff = C - RationalMatrix.identity(d).scaled(dense[0][0])
         if diff.is_zero():
             continue
         poly = _min_poly(C)
@@ -969,8 +1064,8 @@ def _extract_commutant_witness(L: LieAlgebraPresentation, com: CommutantReport) 
             continue
         for lam in roots:
             shifted = [
-                [C.entries[i][j] - (lam if i == j else F0) for j in range(d)]
-                for i in range(d)
+                [v - lam if i == j else v for j, v in enumerate(row)]
+                for i, row in enumerate(dense)
             ]
             eig = nullspace(shifted, d)
             if not eig:

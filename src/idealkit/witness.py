@@ -41,6 +41,8 @@ from .seqspace import (
 __all__ = [
     "Certificate",
     "CertificateError",
+    "MAX_SCAN_WINDOW",
+    "MAX_TRUNCATION",
     "ShiftBracket",
     "ShiftModel",
     "build_certificate",
@@ -55,6 +57,14 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 DEFAULT_SCAN_WINDOW = 1024
+# Limits on sizes read from the command line or a certificate file.  The
+# truncation check holds N exact weights per matrix: linear in N for power
+# weights (about 1 s at the limit on a 2-core x86_64 VM), but the k-th
+# weight of exp:1/2 has k bits, so there it grows as N^2 (about 3 s and
+# 120 MB at the limit).  The scan evaluates up to scan_window commutator
+# weights and stores none of them.
+MAX_TRUNCATION = 1 << 14
+MAX_SCAN_WINDOW = 1 << 16
 
 OBLIGATION_NOT_FINITE_RANK = "generator_not_finite_rank"
 OBLIGATION_NOT_SOFT = "generator_ideal_not_soft_symbolic"
@@ -84,10 +94,9 @@ def shift_matrix(model: ShiftModel) -> RationalMatrix:
     if not has_exact_eval(model.weights):
         raise CertificateError("shift model needs exactly evaluable weights")
     n = model.truncation
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        m[i][i - 1] = eval_at(model.weights, i)
-    return RationalMatrix(m)
+    return RationalMatrix.from_nonzeros(
+        n, n, {(i, i - 1): eval_at(model.weights, i) for i in range(1, n)}
+    )
 
 
 @dataclass(frozen=True)
@@ -168,19 +177,27 @@ class Certificate:
 
 
 def _truncation_window_agrees(t: ShiftModel, s: ShiftModel, br: ShiftBracket) -> bool:
-    """Dense matrix bracket of the truncations versus the closed formula on
-    the interior window (the last row of a truncation loses its outgoing
-    weight, so indices above N-2 are excluded)."""
+    """Matrix bracket of the truncations versus the closed formula: every
+    stored nonzero must sit at (i+1, i-1), and each interior index
+    i = 1..N-2 must carry the formula's weight there.  Those indices are all
+    the positions (i+1, i-1) of an N x N matrix, so a product that is wrong
+    anywhere fails the check."""
     n = t.truncation
-    a = bracket(shift_matrix(t), shift_matrix(ShiftModel(s.weights, n)))
-    for i in range(1, n - 1):
-        if a.entries[i + 1][i - 1] != br.weight_at(i):
-            return False
-    for r in range(n):
-        for c in range(n):
-            if r != c + 2 and a.entries[r][c] != 0:
-                return False
-    return True
+    a = bracket(shift_matrix(t), shift_matrix(ShiftModel(s.weights, n))).nonzeros()
+    if any(r != c + 2 for r, c in a):
+        return False
+    return all(a.get((i + 1, i - 1), 0) == br.weight_at(i) for i in range(1, n - 1))
+
+
+def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
+    """Refuse a truncation or scan window above its limit before any work."""
+    for model in models:
+        if model.truncation > MAX_TRUNCATION:
+            raise CertificateError(
+                f"truncation {model.truncation} exceeds the limit {MAX_TRUNCATION}"
+            )
+    if scan_window > MAX_SCAN_WINDOW:
+        raise CertificateError(f"scan window {scan_window} exceeds the limit {MAX_SCAN_WINDOW}")
 
 
 def build_certificate(
@@ -188,6 +205,7 @@ def build_certificate(
 ) -> Certificate:
     """Assemble a certificate for the shift model, refusing unless the
     non-softness hypothesis is symbolically proven."""
+    _check_limits([generator, *pool], scan_window)
     # Round-trip all weights through their text form first, so every decision
     # below is made on exactly the structures the certificate will store.
     generator = ShiftModel(
@@ -388,7 +406,7 @@ def certificate_from_json(obj: dict) -> Certificate:
             soft_obj.get("evidence", {}),
         )
         first = obj["first_nonzero"]
-        return Certificate(
+        cert = Certificate(
             schema_version=version,
             generator=_shift_from_json(obj["generator"]),
             softness=softness,
@@ -408,6 +426,9 @@ def certificate_from_json(obj: dict) -> Certificate:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
+    partner = [] if cert.partner is None else [cert.partner]
+    _check_limits([cert.generator, *partner, *cert.pool], cert.scan_window)
+    return cert
 
 
 def save_certificate(cert: Certificate, path: str) -> None:

@@ -14,6 +14,7 @@ import pytest
 import idealkit
 from idealkit.cli import main
 from idealkit.dsl import MAX_NESTING
+from idealkit.witness import MAX_SCAN_WINDOW, MAX_TRUNCATION
 
 
 def run_cli(argv):
@@ -109,6 +110,22 @@ class TestIdealCommands:
             run_cli(["ideal", *cmd, "--numeric"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --numeric" in capsys.readouterr().err
+
+    def test_rate_base_rounding_to_one_answers(self):
+        # ln((10^340 - 1)/10^340) rounds to 0.0, so no float estimate of m
+        # exists; a certifying m still does, and the answer must not crash
+        big = 10 ** 340
+        env = dict(os.environ, PYTHONPATH=_src_dir())
+        out = subprocess.run(
+            [sys.executable, "-m", "idealkit.cli", "ideal", "member",
+             f"exp:{big - 1}/{big}", "exp:1/2", "--json"],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr
+        verdict = json.loads(out.stdout)["verdict"]
+        assert verdict["status"] == "Holds" and verdict["method"] == "SymbolicProven"
+        assert verdict["evidence"]["least_m"].startswith("not computed")
 
     def test_json_report_is_valid(self):
         code, out = run_cli(["ideal", "soft", "pow:1", "--json"])
@@ -207,6 +224,42 @@ class TestWitnessCommands:
         assert code == 0 and "REJECTED" in out
 
 
+    @pytest.mark.parametrize(
+        "flag,value,code",
+        [
+            ("--truncation", MAX_TRUNCATION, 0),
+            ("--truncation", MAX_TRUNCATION + 1, 2),
+            ("--window", MAX_SCAN_WINDOW, 0),
+            ("--window", MAX_SCAN_WINDOW + 1, 2),
+        ],
+    )
+    def test_size_limits(self, flag, value, code, capsys):
+        # a proportional partner gives the central branch: no matrix, no scan
+        got, _ = run_cli(["witness", "build", "--generator", "pow:1",
+                          "--partner", "scale:3;pow:1", flag, str(value)])
+        assert got == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("field", ["truncation", "scan_window"])
+    def test_verify_rejects_file_over_limit(self, field, tmp_path, capsys):
+        cert_file = str(tmp_path / "cert.json")
+        run_cli(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+                 "-o", cert_file])
+        with open(cert_file, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if field == "truncation":
+            payload["generator"]["truncation"] = MAX_TRUNCATION + 1
+        else:
+            payload["scan_window"] = MAX_SCAN_WINDOW + 1
+        with open(cert_file, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code, _ = run_cli(["witness", "verify", "--file", cert_file])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds the limit" in err
+
+
 class TestDeterminism:
     COMMANDS = [
         ["seq", "signature", "prod(exp:1/2,pow:3)", "--json"],
@@ -279,9 +332,12 @@ class TestTopLevel:
             assert json.load(fh)["verdict"]["status"] == "Fails"
 
 
+def _src_dir():
+    return os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
+
+
 def test_cli_import_leaves_numpy_out():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=_src_dir())
     probe = "import sys, idealkit.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -4,6 +4,7 @@ commutant, simplicity ladder."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -434,6 +435,40 @@ class TestSimplicity:
 
     def test_randomized_soundness_sp3(self):
         assert random_ideal_search(sp_standard(3), samples=200, seed=7) is None
+
+    @staticmethod
+    def _exact_search(algebra, samples, seed, coord_bound=9):
+        # the exact Fraction fixpoint for every sample, through the public API
+        rng = random.Random(seed)
+        d = algebra.dim
+        for _ in range(samples):
+            coords = [rng.randint(-coord_bound, coord_bound) for _ in range(d)]
+            if all(v == 0 for v in coords):
+                coords[rng.randrange(d)] = 1
+            element = RationalMatrix.zeros(algebra.ambient)
+            for c, b in zip(coords, algebra.basis):
+                element = element + b.scaled(c)
+            J = lie_ideal_generated(algebra, [element])
+            if 0 < J.dim < d:
+                return J
+        return None
+
+    @pytest.mark.parametrize(
+        "algebra,samples,coord_bound,seed",
+        [
+            (sp_standard(3), 12, 9, 0),
+            (sp_standard(3), 12, 9, 7),
+            (direct_sum(sl(2), sl(2)), 40, 1, 0),
+            (direct_sum(sl(2), sl(2)), 40, 1, 7),
+            (direct_sum(sp_standard(3), sp_standard(2)), 1, 9, 7),
+            # every sample is a basis element, which lies in one summand
+            (direct_sum(sp_standard(3), sp_standard(2)), 3, 0, 7),
+        ],
+        ids=["sp3-0", "sp3-7", "sl2+sl2-0", "sl2+sl2-7", "sp3+sp2", "sp3+sp2-basis"],
+    )
+    def test_random_search_matches_exact_path(self, algebra, samples, coord_bound, seed):
+        expected = self._exact_search(algebra, samples, seed, coord_bound)
+        assert random_ideal_search(algebra, samples, seed, coord_bound) == expected
 
     def test_random_search_finds_ideal_in_reducible_algebra(self):
         found = random_ideal_search(upper_triangular_sl(3), samples=50, seed=3)

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from idealkit.matlie import bracket
 from idealkit.seqspace import (
     Exp,
     FiniteSupport,
@@ -21,6 +22,8 @@ from idealkit.seqspace import (
 from idealkit.witness import (
     Certificate,
     CertificateError,
+    MAX_SCAN_WINDOW,
+    MAX_TRUNCATION,
     OBLIGATION_COMMUTATOR,
     OBLIGATION_NOT_SOFT,
     ShiftModel,
@@ -35,15 +38,6 @@ from idealkit.witness import (
 )
 
 from conftest import EXACT_BATTERY
-
-
-def _sparse_from_matrix(m):
-    return {
-        (i, j): v
-        for i, row in enumerate(m.entries)
-        for j, v in enumerate(row)
-        if v
-    }
 
 
 def _sparse_mul(a, b):
@@ -122,15 +116,17 @@ class TestShiftBracket:
 
 
 class TestBandedExactness:
-    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_truncated_bracket_matches_formula(self, n):
-        # generic sparse matrix arithmetic as the independent route
+        # generic sparse matrix arithmetic as the independent route, checked
+        # against both the closed formula and the library bracket
         weights = [w for w in EXACT_BATTERY if eval_at(w, 1) != 0][:6]
         for w in weights:
             for v in (Pow(2), Exp(F(1, 2))):
                 br = shift_bracket(w, v)
-                t = _sparse_from_matrix(shift_matrix(ShiftModel(w, n)))
-                s = _sparse_from_matrix(shift_matrix(ShiftModel(v, n)))
+                tm, sm = shift_matrix(ShiftModel(w, n)), shift_matrix(ShiftModel(v, n))
+                t, s = tm.nonzeros(), sm.nonzeros()
+                assert sorted(t) == [(i, i - 1) for i in range(1, n)]
                 ts, st_ = _sparse_mul(t, s), _sparse_mul(s, t)
                 entries = dict(ts)
                 for k, val in st_.items():
@@ -141,6 +137,7 @@ class TestBandedExactness:
                     got = entries.get((i + 1, i - 1), F(0))
                     assert got == expected
                 assert all(r == c + 2 for (r, c) in entries)
+                assert bracket(tm, sm).nonzeros() == entries
 
 
 class TestBuildCertificate:
@@ -220,6 +217,13 @@ class TestVerify:
         rebuilt = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
         assert verify_certificate(rebuilt).holds
 
+    def test_round_trip_at_truncation_1024(self):
+        cert = build_certificate(ShiftModel(Pow(1), 1024), [ShiftModel(Exp(F(1, 2)), 1024)])
+        assert cert.obligation("truncation_bracket_matches_formula_window")
+        rebuilt = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+        assert certificate_to_json(rebuilt) == certificate_to_json(cert)
+        assert verify_certificate(rebuilt).holds
+
     def test_file_round_trip(self, tmp_path):
         cert = build_certificate(ShiftModel(Pow(1), 64), [ShiftModel(Pow(2), 64)])
         path = tmp_path / "cert.json"
@@ -289,3 +293,56 @@ class TestHypothesisGateInvariant:
         for w in soft_weights:
             with pytest.raises(CertificateError):
                 build_certificate(ShiftModel(w, 32), [ShiftModel(Pow(2), 32)])
+
+
+class TestLimits:
+    # the central branch with a proportional partner builds no matrix and
+    # scans no weight, so the limits themselves are what is exercised here
+    @staticmethod
+    def _central(truncation, window):
+        return build_certificate(
+            ShiftModel(Pow(1), truncation), [ShiftModel(Scale(3, Pow(1)), truncation)], window
+        )
+
+    def test_build_at_the_limits(self):
+        cert = self._central(MAX_TRUNCATION, MAX_SCAN_WINDOW)
+        assert cert.generator.truncation == MAX_TRUNCATION
+        assert verify_certificate(cert).holds
+
+    @pytest.mark.parametrize(
+        "truncation,window",
+        [(MAX_TRUNCATION + 1, MAX_SCAN_WINDOW), (MAX_TRUNCATION, MAX_SCAN_WINDOW + 1)],
+    )
+    def test_build_over_a_limit_refused(self, truncation, window):
+        with pytest.raises(CertificateError, match="exceeds the limit"):
+            self._central(truncation, window)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("generator", MAX_TRUNCATION + 1),
+            ("partner", MAX_TRUNCATION + 1),
+            ("pool", MAX_TRUNCATION + 1),
+            ("scan_window", MAX_SCAN_WINDOW + 1),
+        ],
+    )
+    def test_file_over_a_limit_refused(self, field, value):
+        payload = certificate_to_json(
+            build_certificate(ShiftModel(Pow(1), 16), [ShiftModel(Pow(2), 16)])
+        )
+        if field == "scan_window":
+            payload["scan_window"] = value
+        elif field == "pool":
+            payload["pool"][0]["truncation"] = value
+        else:
+            payload[field]["truncation"] = value
+        with pytest.raises(CertificateError, match="exceeds the limit"):
+            certificate_from_json(payload)
+
+    def test_file_at_the_limits_accepted(self):
+        payload = certificate_to_json(self._central(64, 64))
+        payload["generator"]["truncation"] = MAX_TRUNCATION
+        payload["scan_window"] = MAX_SCAN_WINDOW
+        cert = certificate_from_json(payload)
+        assert cert.scan_window == MAX_SCAN_WINDOW
+        assert verify_certificate(cert).holds
