@@ -33,11 +33,16 @@ from .seqspace import (
     ensure_valid,
 )
 
-__all__ = ["DslError", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
+__all__ = ["DslError", "parse_rational", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
 
-_NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?(?:/\d+)?")
+_NUMBER = re.compile(r"[+-]?(\d+)(?:\.(\d+)|/(\d+))?")
 _INT = re.compile(r"\d+")
 _HEAD = re.compile(r"[a-z-]+")
+
+# Most digits in the numerator or the denominator of a rational as written
+# (a decimal's digits on both sides of the point form its numerator); the
+# interpreter's default limit on converting a str to an int.
+MAX_RATIONAL_DIGITS = 4300
 
 # Deepest nesting of amp, sub, prod, explicit tails and idealprod the parser
 # accepts: well below the recursion limit, so that parsing and every recursive
@@ -84,14 +89,32 @@ class _Cursor:
         raise DslError(message, self.pos)
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational written p/q or as a decimal, with no exponent, and at most
+    MAX_RATIONAL_DIGITS digits in its numerator and in its denominator.
+    Raises ValueError otherwise."""
+    m = _NUMBER.fullmatch(text)
+    if not m:
+        raise ValueError(f"expected a rational number (p/q or decimal), got {text[:40]!r}")
+    whole, point, den = m.groups()
+    if max(len(whole) + len(point or ""), len(den or "")) > MAX_RATIONAL_DIGITS:
+        raise ValueError(
+            f"rational with more than {MAX_RATIONAL_DIGITS} digits in its numerator or denominator"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad rational {text[:40]!r}: {exc}") from None
+
+
 def _number(c: _Cursor) -> Fraction:
     tok = c.take(_NUMBER)
     if not tok:
         c.fail("expected a rational number (p/q or decimal)")
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DslError(f"bad rational {tok!r}: {exc}", c.pos) from None
+        return parse_rational(tok)
+    except ValueError as exc:
+        raise DslError(str(exc), c.pos) from None
 
 
 def _integer(c: _Cursor) -> int:

@@ -10,7 +10,6 @@ comparisons in :mod:`idealkit.seqspace`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .seqspace import (
@@ -21,11 +20,11 @@ from .seqspace import (
     Status,
     Verdict,
     ZERO_TAIL,
-    _log_fraction,
     ampliate,
     compare,
     delta2_check,
     ensure_valid,
+    log_ratio_ceiling,
     proven,
     signature_of,
     subsample,
@@ -161,39 +160,26 @@ def make_ideal(ideal: IdealExpr) -> IdealExpr:
     raise TypeError(f"not an IdealExpr: {type(ideal).__name__}")
 
 
-def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr, mode: Mode):
-    """Smallest m such that xi relates to the m-fold ampliation of gen, or
-    None when xi's rate base rounds to one in float, so that no estimate of
-    m exists.
+def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr, mode: Mode) -> int:
+    """Smallest m such that xi relates to the m-fold ampliation of gen.
 
-    Only called with an exponential-type generator and xi of exponential
-    type or finite support, where a certifying m always exists: the
-    ampliated rate base**(1/(index*m)) increases toward one with m.
+    Only called with exponential-type signatures on both sides.  Ampliation
+    by m divides ln rate(gen) by m, so the rates meet at
+    t = ln rate(gen) / ln rate(xi): for m > t xi's rate is strictly
+    smaller, for m < t strictly larger, and at an integral t pow and logpow
+    decide.  t comes from certified logs; compare confirms the answer and
+    refutes the index below it.
     """
-    bx, ix = gen_sig.rate.base, gen_sig.rate.index
-    if xi_sig.is_zero_tail:
-        estimate = 1
-    else:
-        bh, ih = xi_sig.rate.base, xi_sig.rate.index
-        # logs of numerator and denominator: a base such as 1/10^340 underflows a float
-        log_bh = _log_fraction(bh)
-        if log_bh == 0.0:
-            return None
-        # rate(gen)^(1/m) >= rate(xi)  <=>  m >= ih*ln(bx) / (ix*ln(bh))
-        estimate = max(1, math.ceil((ih * _log_fraction(bx)) / (ix * log_bh)))
-    # The certifying set is an upward-closed range starting at the analytic
-    # bound (give or take the signature-equality boundary), so probing a
-    # small window around the float estimate plus the small indices finds
-    # the least certifying m; every candidate is verified exactly.
-    candidates = sorted(
-        set(range(1, min(estimate, 8) + 1))
-        | {m for m in range(estimate - 2, estimate + 5) if m >= 1}
-    )
-    for m in candidates:
-        if compare(xi, ampliate(m, gen), mode).holds:
-            return m
+    m, integral = log_ratio_ceiling(gen_sig.rate, xi_sig.rate)
+    if m > 1 and compare(xi, ampliate(m - 1, gen), mode).holds:
+        raise InternalInconsistencyError(
+            f"ampliation index {m - 1} certifies below the certified bound {m}"
+        )
+    for candidate in (m, m + 1) if integral else (m,):
+        if compare(xi, ampliate(candidate, gen), mode).holds:
+            return candidate
     raise InternalInconsistencyError(
-        "no certifying ampliation index found near the analytic bound"
+        f"ampliation index {m} from the certified bound does not certify"
     )
 
 
@@ -223,14 +209,6 @@ def _member_principal(xi: SequenceExpr, gen: SequenceExpr, mode: Mode) -> Verdic
             **ev,
         )
     m = _min_ampliation(xi_sig, gen_sig, gen, xi, mode)
-    if m is None:
-        # a certifying m exists (see _min_ampliation); only its value is out of reach
-        return proven(
-            Status.HOLDS,
-            least_m="not computed: the rate base of xi rounds to one in float",
-            rule="ampliated-rate dominance",
-            **ev,
-        )
     return proven(Status.HOLDS, m=m, rule="ampliated-rate dominance", **ev)
 
 

@@ -27,6 +27,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import ratlinalg
+from .dsl import parse_rational
 from .ratlinalg import (
     F0,
     F1,
@@ -1086,12 +1087,10 @@ def _encode_rational(f: Fraction):
 
 
 def _decode_rational(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise ValueError(f"rationals must be integers or 'p/q' strings, got {v!r}")
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        return parse_rational(v)
     raise ValueError(f"rationals must be integers or 'p/q' strings, got {v!r}")
 
 

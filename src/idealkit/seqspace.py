@@ -16,7 +16,9 @@ labelled as numerically indicated, never as proven.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -49,6 +51,7 @@ __all__ = [
     "eval_log",
     "explicit",
     "has_exact_eval",
+    "log_ratio_ceiling",
     "numeric_probe",
     "root_rational",
     "signature_of",
@@ -500,62 +503,186 @@ def has_exact_eval(expr: SequenceExpr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _int_root(n: int, k: int) -> Optional[int]:
-    """Exact k-th root of n >= 1, or None."""
-    if n == 1:
-        return 1
-    x = 1 << -(-n.bit_length() // k)
+def _coprime_base(numbers) -> list:
+    """Pairwise coprime integers > 1, ascending, of which every given number
+    is a product of powers.
+
+    Factor refinement with gcds alone: a number sharing a factor g with a
+    base element b is replaced, with b, by g, b/g and itself over g.  Each
+    split lowers the sum of the logs by at least ln 2, so it ends.
+    """
+    base: list = []
+    pending = [n for n in numbers if n > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                if x != b:
+                    del base[i]
+                    pending.extend(y for y in (g, b // g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def _over(vector: tuple, base: list) -> dict:
+    """An exponent vector rewritten over a coprime refinement of its base."""
+    out: dict = {}
+    for q, e in vector:
+        for b in base:
+            k = 0
+            while q % b == 0:
+                q //= b
+                k += 1
+            if k:
+                out[b] = e * k
+            if q == 1:
+                break
+    return out
+
+
+def _common(a: tuple, b: tuple) -> tuple:
+    """Two exponent vectors as dicts over one coprime base."""
+    if [q for q, _ in a] == [q for q, _ in b]:
+        return dict(a), dict(b)
+    base = _coprime_base([q for q, _ in a] + [q for q, _ in b])
+    return _over(a, base), _over(b, base)
+
+
+def _as_vector(exponents: dict) -> tuple:
+    return tuple(sorted((q, e) for q, e in exponents.items() if e))
+
+
+# Decimal digits of the first log evaluation; each retry doubles them.
+_LOG_DIGITS = 20
+# Primes whose valuations of a rate make up its hash.
+_HASH_PRIMES = (2, 3, 5, 7)
+
+
+def _log_bounds(vector, digits: int) -> tuple:
+    """sum(e * ln q) as an exact rational, from each ln q correctly rounded
+    to ``digits`` significant digits, and a bound on its error: a rounded
+    ln is off by at most half a unit in its last place, and a whole unit is
+    allowed here."""
+    ctx = decimal.Context(prec=digits)
+    value = error = Fraction(0)
+    for q, e in vector:
+        ln = ctx.ln(q)
+        value += e * Fraction(ln)
+        error += abs(e) * Fraction(10) ** (ln.adjusted() - digits + 1)
+    return value, error
+
+
+def _log_sign(vector) -> int:
+    """Sign of sum(e * ln q), which must not be zero: over a coprime base the
+    ln q are linearly independent over Q, so a nonzero vector qualifies,
+    and rising precision then shrinks the error below the value."""
+    digits = _LOG_DIGITS
     while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x if x ** k == n else None
+        value, error = _log_bounds(vector, digits)
+        if abs(value) > error:
+            return 1 if value > 0 else -1
+        digits *= 2
 
 
 @dataclass(frozen=True, eq=False)
 class RootRational:
-    """base ** (1/index) for a rational base in (0, 1] and integer index >= 1.
+    """A decay rate base ** (1/index), base rational in (0, 1], index >= 1.
 
-    The pair is kept as constructed (ampliation by m multiplies the index by
-    m); equality, ordering and hashing go through cross-powering or a fully
-    root-extracted normal form, so (1/8, 3) and (1/2, 1) denote the same rate.
+    The rate's identity is ``vector``: pairs (q, e) of pairwise coprime
+    integers q > 1, found by gcd factor refinement, and nonzero rational
+    exponents e, the rate being the product of the q ** e.  Pairwise
+    coprime integers above one are multiplicatively independent, so two
+    rates are equal exactly when their vectors agree over a common
+    refinement, and they are ordered by the sign of a sum of logs.
+    ``base`` and ``index`` only present the rate: the index is kept as
+    constructed (ampliation by m multiplies it by m), and base is the
+    product of the q ** (e * index), built when asked for.
     """
 
-    base: Fraction
+    vector: tuple
     index: int
 
-    def _reduced(self) -> tuple:
-        b, k = self.base, self.index
-        if b == 1:
-            return (Fraction(1), 1)
-        j = 2
-        while j <= k:
-            while k % j == 0:
-                rn = _int_root(b.numerator, j)
-                rd = _int_root(b.denominator, j)
-                if rn is None or rd is None:
-                    break
-                b = Fraction(rn, rd)
-                k //= j
-            j += 1
-        return (b, k)
+    @property
+    def base(self) -> Fraction:
+        num = den = 1
+        for q, e in self.vector:
+            k = int(e * self.index)
+            if k > 0:
+                num *= q ** k
+            else:
+                den *= q ** -k
+        return Fraction(num, den)
+
+    def _cmp(self, other: "RootRational") -> int:
+        a, b = _common(self.vector, other.vector)
+        if a == b:
+            return 0
+        return _log_sign(_as_vector({q: a.get(q, 0) - b.get(q, 0) for q in a.keys() | b.keys()}))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootRational):
             return NotImplemented
-        return self.base ** other.index == other.base ** self.index
+        return self._cmp(other) == 0
 
     def __hash__(self) -> int:
-        return hash(self._reduced())
+        # the p-adic valuations of the rate for a few small primes p do not
+        # depend on the base it is written over
+        valuations = []
+        for p in _HASH_PRIMES:
+            v = Fraction(0)
+            for q, e in self.vector:
+                while q % p == 0:
+                    q //= p
+                    v += e
+            valuations.append(v)
+        return hash(tuple(valuations))
 
     def __lt__(self, other: "RootRational") -> bool:
-        return self.base ** other.index < other.base ** self.index
+        return self._cmp(other) < 0
 
     def describe(self) -> str:
+        if not self._fits_decimal():
+            return "*".join(f"{q}^({e})" for q, e in self.vector)
         if self.index == 1:
             return str(self.base)
         return f"({self.base})^(1/{self.index})"
+
+    def _fits_decimal(self) -> bool:
+        """Whether str(base) stays within the interpreter's digit limit,
+        judged from the log10 sizes of its numerator and denominator."""
+        sizes = [0.0, 0.0]
+        for q, e in self.vector:
+            k = e * self.index
+            sizes[k < 0] += _log10_size(abs(k), q)
+
+        def larger_part() -> int:
+            base = self.base
+            return max(base.numerator, base.denominator)
+
+        return _str_fits(max(sizes), larger_part)
+
+
+def _log10_size(k, x: int) -> float:
+    """k * log10(x) for k >= 0, infinite where k exceeds the float range."""
+    try:
+        return float(k) * math.log10(x)
+    except OverflowError:
+        return math.inf
+
+
+def _str_fits(log10_size: float, build) -> bool:
+    """Whether an int of about 10 ** log10_size converts to str within the
+    interpreter's digit limit.  The estimate decides, except within a digit
+    of the limit, where build() makes the int and it is checked exactly."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or log10_size < limit - 1:
+        return True
+    if log10_size > limit + 1:
+        return False
+    return build() < 10 ** limit
 
 
 def root_rational(base, index: int = 1) -> RootRational:
@@ -563,23 +690,57 @@ def root_rational(base, index: int = 1) -> RootRational:
     if base <= 0:
         raise ValueError(f"rate base must be positive, got {base}")
     if base == 1 or index < 1:
-        return RootRational(Fraction(1), 1)
-    return RootRational(base, index)
+        return RATE_ONE
+    # numerator and denominator are coprime, so they are the coprime base
+    vector = {base.numerator: Fraction(1, index), base.denominator: Fraction(-1, index)}
+    return RootRational(_as_vector({q: e for q, e in vector.items() if q > 1}), index)
 
 
-RATE_ONE = root_rational(1)
+RATE_ONE = RootRational((), 1)
+
+
+def _rate(vector: tuple, index: int) -> RootRational:
+    return RootRational(vector, index) if vector else RATE_ONE
 
 
 def _rate_mul(a: RootRational, b: RootRational) -> RootRational:
-    return root_rational(a.base ** b.index * b.base ** a.index, a.index * b.index)
+    x, y = _common(a.vector, b.vector)
+    total = {q: x.get(q, 0) + y.get(q, 0) for q in x.keys() | y.keys()}
+    return _rate(_as_vector(total), a.index * b.index)
 
 
 def _rate_pow(a: RootRational, k: int) -> RootRational:
-    return root_rational(a.base ** k, a.index)
+    return _rate(tuple((q, e * k) for q, e in a.vector), a.index)
 
 
 def _rate_root(a: RootRational, m: int) -> RootRational:
-    return root_rational(a.base, a.index * m)
+    return _rate(tuple((q, e / m) for q, e in a.vector), a.index * m)
+
+
+def log_ratio_ceiling(a: RootRational, b: RootRational) -> tuple:
+    """(ceil(t), whether t is that integer) for t = ln a / ln b, rates a and b
+    below one.
+
+    Proportional vectors give t exactly.  Otherwise t is irrational (a
+    rational t = u/v would make v*ln a - u*ln b a vanishing combination of
+    independent logs), and certified logs at rising precision pin the
+    interval around t between two consecutive integers.
+    """
+    x, y = _common(a.vector, b.vector)
+    q0 = next(iter(y))
+    t = x.get(q0, 0) / y[q0]
+    if x.keys() == y.keys() and all(x[q] == t * y[q] for q in y):
+        return math.ceil(t), t.denominator == 1
+    digits = _LOG_DIGITS
+    while True:
+        va, ea = _log_bounds(a.vector, digits)
+        vb, eb = _log_bounds(b.vector, digits)
+        if abs(vb) > eb:
+            lo = (abs(va) - ea) / (abs(vb) + eb)
+            hi = (abs(va) + ea) / (abs(vb) - eb)
+            if math.floor(lo) == math.floor(hi):
+                return math.floor(lo) + 1, False
+        digits *= 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -725,11 +886,15 @@ def ampliate(m: int, expr: SequenceExpr) -> SequenceExpr:
 
 
 def subsample(k: int, expr: SequenceExpr) -> SequenceExpr:
-    """Take every k-th entry; exponentials and finite supports rewrite in place."""
+    """Take every k-th entry; exponentials whose powered ratio fits the
+    interpreter's int digit limit, and finite supports, rewrite in place."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"subsample step must be an integer >= 2, got {k}")
     if isinstance(expr, Exp):
-        return Exp(expr.r ** k)
+        # the powered ratio is built only when its text form can be printed
+        big = max(expr.r.numerator, expr.r.denominator)
+        if _str_fits(_log10_size(k, big), lambda: big ** k):
+            return Exp(expr.r ** k)
     if isinstance(expr, FiniteSupport):
         return FiniteSupport(expr.values[k - 1 :: k])
     if isinstance(expr, Scale):

@@ -19,6 +19,7 @@ are never claimed to prove the infinite-dimensional statement by themselves.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -27,10 +28,17 @@ from . import dsl
 from .idealcalc import Principal, is_soft
 from .matlie import RationalMatrix, bracket
 from .seqspace import (
+    Ampliation,
+    Exp,
+    Explicit,
+    FiniteSupport,
     Method,
+    Pow,
+    Product,
     Scale,
     SequenceExpr,
     Status,
+    Subsample,
     Verdict,
     ensure_valid,
     eval_at,
@@ -43,6 +51,7 @@ __all__ = [
     "CertificateError",
     "MAX_SCAN_WINDOW",
     "MAX_TRUNCATION",
+    "MAX_WEIGHT_BITS",
     "ShiftBracket",
     "ShiftModel",
     "build_certificate",
@@ -65,6 +74,12 @@ DEFAULT_SCAN_WINDOW = 1024
 # weights and stores none of them.
 MAX_TRUNCATION = 1 << 14
 MAX_SCAN_WINDOW = 1 << 16
+# Limit on N times the bits (numerator plus denominator) of the N-th weight
+# of a model truncated at N, which sizes the exact weights the truncation
+# check multiplies: at the limit a build or verify takes about 0.7 s of CLI
+# wall time on a 2-core x86_64 VM.  The bits are read off the expression, so
+# an oversized weight is refused without being built.
+MAX_WEIGHT_BITS = 1 << 23
 
 OBLIGATION_NOT_FINITE_RANK = "generator_not_finite_rank"
 OBLIGATION_NOT_SOFT = "generator_ideal_not_soft_symbolic"
@@ -190,14 +205,62 @@ def _truncation_window_agrees(t: ShiftModel, s: ShiftModel, br: ShiftBracket) ->
 
 
 def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
-    """Refuse a truncation or scan window above its limit before any work."""
+    """Refuse a truncation, weight size or scan window above its limit
+    before any work."""
     for model in models:
-        if model.truncation > MAX_TRUNCATION:
-            raise CertificateError(
-                f"truncation {model.truncation} exceeds the limit {MAX_TRUNCATION}"
-            )
+        n = model.truncation
+        if n > MAX_TRUNCATION:
+            raise CertificateError(f"truncation {n} exceeds the limit {MAX_TRUNCATION}")
+        if n >= 1 and has_exact_eval(model.weights):
+            bits = _weight_bits(model.weights, n)
+            if n * bits > MAX_WEIGHT_BITS:
+                raise CertificateError(
+                    f"truncation {n} times the {bits} bits of weight {n} exceeds "
+                    f"the limit {MAX_WEIGHT_BITS}"
+                )
     if scan_window > MAX_SCAN_WINDOW:
         raise CertificateError(f"scan window {scan_window} exceeds the limit {MAX_SCAN_WINDOW}")
+
+
+def _power_bits(x: int, k: int) -> int:
+    """Bits of x ** k for an integer x >= 1, read off log2(x): exact when x
+    is a power of two, otherwise at most one too many.  Past the weight
+    limit, k alone bounds them from below, which is all the check needs."""
+    if x == 1:
+        return 1
+    if k > MAX_WEIGHT_BITS:
+        return k
+    return math.floor(k * math.log2(x) * (1 + 2 ** -40)) + 1
+
+
+def _rational_bits(f: Fraction) -> int:
+    return f.numerator.bit_length() + f.denominator.bit_length()
+
+
+def _weight_bits(expr: SequenceExpr, n: int) -> int:
+    """Bits of the numerator plus the denominator of the exactly evaluable
+    weight n, or a little more (a product's factors are counted before they
+    cancel), computed without building the weight."""
+    if isinstance(expr, Pow):
+        return 1 + _power_bits(n, expr.p.numerator)
+    if isinstance(expr, Exp):
+        return _power_bits(expr.r.numerator, n) + _power_bits(expr.r.denominator, n)
+    if isinstance(expr, FiniteSupport):
+        return _rational_bits(eval_at(expr, n))
+    if isinstance(expr, Explicit):
+        k = len(expr.prefix)
+        if n <= k:
+            return _rational_bits(expr.prefix[n - 1])
+        return max(_rational_bits(expr.prefix[-1]), _weight_bits(expr.tail, n - k))
+    if isinstance(expr, Scale):
+        return _rational_bits(expr.c) + _weight_bits(expr.inner, n)
+    if isinstance(expr, Ampliation):
+        return _weight_bits(expr.inner, (n + expr.m - 1) // expr.m)
+    if isinstance(expr, Subsample):
+        return _weight_bits(expr.inner, n * expr.k)
+    if isinstance(expr, Product):
+        return _weight_bits(expr.left, n) + _weight_bits(expr.right, n)
+    raise TypeError(type(expr).__name__)
 
 
 def build_certificate(
@@ -414,7 +477,7 @@ def certificate_from_json(obj: dict) -> Certificate:
             partner=None if obj["partner"] is None else _shift_from_json(obj["partner"]),
             pool=tuple(_shift_from_json(s) for s in obj["pool"]),
             first_index=None if first is None else int(first["index"]),
-            first_value=None if first is None else Fraction(first["value"]),
+            first_value=None if first is None else dsl.parse_rational(str(first["value"])),
             scan_window=int(obj["scan_window"]),
             obligations=tuple(
                 (entry["name"], bool(entry["passed"])) for entry in obj["obligations"]

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import decimal
 import io
 import json
 import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from decimal import Decimal
 
 import pytest
 
 import idealkit
 from idealkit.cli import main
-from idealkit.dsl import MAX_NESTING
+from idealkit.dsl import MAX_NESTING, MAX_RATIONAL_DIGITS
 from idealkit.witness import MAX_SCAN_WINDOW, MAX_TRUNCATION
 
 
@@ -112,20 +114,18 @@ class TestIdealCommands:
         assert "unrecognized arguments: --numeric" in capsys.readouterr().err
 
     def test_rate_base_rounding_to_one_answers(self):
-        # ln((10^340 - 1)/10^340) rounds to 0.0, so no float estimate of m
-        # exists; a certifying m still does, and the answer must not crash
+        # ln((10^340 - 1)/10^340) rounds to 0.0 in float; certified logs
+        # still give the least m = ceil(ln 2 / -ln(1 - 10^-340))
         big = 10 ** 340
-        env = dict(os.environ, PYTHONPATH=_src_dir())
-        out = subprocess.run(
-            [sys.executable, "-m", "idealkit.cli", "ideal", "member",
-             f"exp:{big - 1}/{big}", "exp:1/2", "--json"],
-            env=env, capture_output=True, text=True,
-        )
+        with decimal.localcontext(decimal.Context(prec=1000)):
+            ratio = Decimal(2).ln() / -(1 - Decimal(10) ** -340).ln()
+            least_m = int(ratio.to_integral_value(rounding=decimal.ROUND_CEILING))
+        out = _run_bounded(["ideal", "member", f"exp:{big - 1}/{big}", "exp:1/2", "--json"])
         assert out.returncode == 0, out.stderr
         assert "Traceback" not in out.stderr
         verdict = json.loads(out.stdout)["verdict"]
         assert verdict["status"] == "Holds" and verdict["method"] == "SymbolicProven"
-        assert verdict["evidence"]["least_m"].startswith("not computed")
+        assert verdict["evidence"]["m"] == least_m
 
     def test_json_report_is_valid(self):
         code, out = run_cli(["ideal", "soft", "pow:1", "--json"])
@@ -133,6 +133,121 @@ class TestIdealCommands:
         payload = json.loads(out)
         assert payload["schema_version"] == "1"
         assert payload["verdict"]["status"] == "Fails"
+
+
+def _run_bounded(argv, timeout=10):
+    """The CLI in a fresh interpreter, killed after ``timeout`` seconds."""
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    return subprocess.run(
+        [sys.executable, "-m", "idealkit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+class TestExactRates:
+    # rates whose exact powers run to millions of digits; the timeout
+    # catches a comparison that builds them
+    @pytest.mark.parametrize(
+        "rate,m",
+        [
+            ("999999/1000000", 693147),
+            ("99999999/100000000", 69314718),
+            ("999999999999/1000000000000", 693147180560),
+        ],
+    )
+    def test_near_one_membership_least_m(self, rate, m):
+        # least m = ceil(ln 2 / -ln(rate))
+        out = _run_bounded(["ideal", "member", f"exp:{rate}", "exp:1/2", "--json"])
+        assert out.returncode == 0, out.stderr
+        verdict = json.loads(out.stdout)["verdict"]
+        assert verdict["status"] == "Holds" and verdict["evidence"]["m"] == m
+
+    def test_close_ampliations_compare(self):
+        out = _run_bounded(["seq", "compare", "--mode", "O", "amp:1000000000000;exp:1/2",
+                            "amp:999999999999;exp:1/2", "--json"])
+        assert out.returncode == 0, out.stderr
+        verdict = json.loads(out.stdout)["verdict"]
+        assert verdict["status"] == "Fails"
+        assert verdict["evidence"]["reason"] == "xi decays strictly slower"
+
+    @pytest.mark.parametrize(
+        "sequence,rate",
+        [
+            ("sub:100000000;exp:1/2", "2^(-100000000)"),
+            ("prod(amp:1000003;exp:1/3,amp:1000033;exp:1/5)", "3^(-1/1000003)*5^(-1/1000033)"),
+        ],
+    )
+    def test_signature_past_the_digit_limit(self, sequence, rate):
+        out = _run_bounded(["seq", "signature", sequence, "--json"])
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
+        assert payload["sequence"] == sequence
+        assert payload["signature"] == f"rate={rate}, pow=0, logpow=0"
+
+
+class TestFileRationals:
+    @pytest.fixture
+    def sl2(self, tmp_path):
+        path = str(tmp_path / "sl2.json")
+        run_cli(["lie", "build", "sl", "--n", "2", "-o", path])
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def _one_written_with(digits):
+        # 1 as a decimal whose numerator has 1 + digits digits
+        return "1." + "0" * digits
+
+    @pytest.mark.parametrize(
+        "digits,code", [(MAX_RATIONAL_DIGITS - 1, 0), (MAX_RATIONAL_DIGITS, 2)],
+        ids=["at-cap", "over-cap"],
+    )
+    def test_algebra_rational_digit_cap(self, sl2, tmp_path, digits, code, capsys):
+        entry = sl2["basis"][0].index(1)
+        sl2["basis"][0][entry] = self._one_written_with(digits)
+        path = str(tmp_path / "padded.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(sl2, fh)
+        got, out = run_cli(["lie", "check-closure", "--file", path])
+        assert got == code
+        if code == 0:
+            assert "CLOSED" in out
+        else:
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_algebra_rational_exponent_refused(self, sl2, tmp_path):
+        sl2["basis"][0][0] = "1e50000000"
+        path = str(tmp_path / "exponent.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(sl2, fh)
+        out = _run_bounded(["lie", "check-closure", "--file", path])
+        assert out.returncode == 2 and out.stderr.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "value,code",
+        [
+            ("1e50000000", 2),
+            ("0." + "0" * (MAX_RATIONAL_DIGITS - 1), 0),
+            ("0." + "0" * MAX_RATIONAL_DIGITS, 2),
+        ],
+        ids=["exponent", "at-cap", "over-cap"],
+    )
+    def test_certificate_value(self, tmp_path, value, code):
+        cert_file = str(tmp_path / "cert.json")
+        run_cli(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+                 "-o", cert_file])
+        with open(cert_file, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["first_nonzero"]["value"] = value
+        with open(cert_file, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out = _run_bounded(["witness", "verify", "--file", cert_file])
+        assert out.returncode == code
+        if code == 0:
+            # zero is not the stored commutator weight
+            assert "REJECTED" in out.stdout
+        else:
+            assert out.stderr.splitlines()[-1].startswith("error: ")
 
 
 class TestLieCommands:
@@ -240,6 +355,20 @@ class TestWitnessCommands:
         assert got == code
         if code == 2:
             assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "partner,truncation",
+        [(f"exp:1/{10 ** 340}", 1024), ("sub:1000000;exp:99999999/100000000", 3)],
+        ids=["tiny-base", "near-one-subsampled"],
+    )
+    def test_weight_bits_limit_refuses_quickly(self, partner, truncation):
+        # weight 1024 of the first has about 1.16 million bits, weight 3 of
+        # the second about 160 million: neither is built
+        out = _run_bounded(["witness", "build", "--generator", "pow:1", "--partner",
+                            partner, "--truncation", str(truncation)])
+        assert out.returncode == 2
+        assert out.stderr.splitlines()[-1].startswith("error: ")
+        assert "exceeds the limit" in out.stderr
 
     @pytest.mark.parametrize("field", ["truncation", "scan_window"])
     def test_verify_rejects_file_over_limit(self, field, tmp_path, capsys):

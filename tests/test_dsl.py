@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealkit import idealcalc
-from idealkit.dsl import MAX_NESTING, DslError, format_ideal, format_seq, parse_ideal, parse_seq
+from idealkit.dsl import (
+    MAX_NESTING,
+    MAX_RATIONAL_DIGITS,
+    DslError,
+    format_ideal,
+    format_seq,
+    parse_ideal,
+    parse_rational,
+    parse_seq,
+)
 from idealkit.seqspace import (
     Ampliation,
     Exp,
@@ -90,6 +99,26 @@ class TestParse:
 
     def test_explicit_zero_prefix_normalizes(self):
         assert parse_seq("explicit:[1,0];tail=pow:1") == FiniteSupport([1, 0])
+
+
+class TestRationals:
+    @pytest.mark.parametrize("text", ["1e5", "1.5/3", " 1/2", "0x10", "1/", ""])
+    def test_outside_the_grammar_refused(self, text):
+        with pytest.raises(ValueError, match="expected a rational"):
+            parse_rational(text)
+
+    def test_digit_cap(self):
+        at = "1" + "0" * (MAX_RATIONAL_DIGITS - 1)
+        assert parse_rational(f"-1/{at}") == F(-1, int(at))
+        assert parse_seq(f"exp:1/{at}") == Exp(F(1, int(at)))
+        with pytest.raises(ValueError, match="more than"):
+            parse_rational(f"1/{at}0")
+        with pytest.raises(DslError, match="more than"):
+            parse_seq(f"exp:1/{at}0")
+
+    def test_exponent_is_not_read(self):
+        with pytest.raises(DslError, match="trailing input"):
+            parse_seq("exp:1e-5")
 
 
 class TestRoundTrip:

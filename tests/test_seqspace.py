@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -154,6 +155,91 @@ class TestSignature:
         sa, sb, sp = signature_of(a), signature_of(b), signature_of(Product(a, b))
         assert sp.pow == sa.pow + sb.pow
         assert sp.logpow == sa.logpow + sb.logpow
+
+
+def _rate_exprs():
+    """Exp leaves with numerator and denominator at most 60, composed through
+    amp, sub and prod with indices at most 6."""
+    leaf = st.builds(
+        lambda d, n: Exp(F(n, d)),
+        st.integers(2, 60),
+        st.integers(1, 59),
+    ).filter(lambda e: e.r < 1)
+    small = st.integers(2, 6)
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.builds(ampliate, small, inner),
+            st.builds(subsample, small, inner),
+            st.builds(Product, inner, inner),
+        ),
+        max_leaves=3,
+    )
+
+
+def _cross_power_cmp(a, b) -> int:
+    """Reference order of two rates: base_a ** index_b against base_b ** index_a."""
+    x, y = a.base ** b.index, b.base ** a.index
+    return (x > y) - (x < y)
+
+
+class TestRateOrder:
+    @given(x=_rate_exprs(), y=_rate_exprs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cross_powering(self, x, y):
+        a, b = signature_of(x).rate, signature_of(y).rate
+        expected = _cross_power_cmp(a, b)
+        assert (a == b) == (expected == 0)
+        assert (a < b) == (expected < 0)
+        assert (b < a) == (expected > 0)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(x=_rate_exprs(), k=st.integers(2, 6))
+    @settings(deadline=None)
+    def test_equal_forms_equal_with_equal_hash(self, x, k):
+        a = signature_of(x).rate
+        for y in (ampliate(k, subsample(k, x)), subsample(k, ampliate(k, x))):
+            b = signature_of(y).rate
+            assert _cross_power_cmp(a, b) == 0
+            assert a == b and not a < b and not b < a and hash(a) == hash(b)
+        squared = signature_of(Product(x, x)).rate
+        assert squared == signature_of(subsample(2, x)).rate
+        assert squared < a
+
+    def test_equal_over_different_bases(self):
+        # 1/4 is kept over the base {4}, the square of 1/2 over {2}
+        a = signature_of(Exp(F(1, 4))).rate
+        b = signature_of(Product(Exp(F(1, 2)), Exp(F(1, 2)))).rate
+        assert a.vector != b.vector
+        assert a == b and hash(a) == hash(b)
+
+    def test_close_rates_ordered(self):
+        # cross-powering these takes about 10^12-fold powers of 1/2
+        slow = signature_of(ampliate(10 ** 12, Exp(F(1, 2)))).rate
+        fast = signature_of(ampliate(10 ** 12 - 1, Exp(F(1, 2)))).rate
+        assert fast < slow and not slow < fast and fast != slow
+
+    def test_presentation_kept_as_constructed(self):
+        sig = signature_of(Product(Ampliation(3, Exp(F(1, 2))), Ampliation(5, Exp(F(1, 3)))))
+        assert (sig.rate.base, sig.rate.index) == (F(1, 2 ** 5 * 3 ** 3), 15)
+        assert sig.rate.describe() == "(1/864)^(1/15)"
+
+
+class TestDigitLimit:
+    # 10^k has k + 1 digits; sub:k;exp:1/10 powers in place only while they print
+    def test_subsample_powers_in_place_up_to_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        at = subsample(limit - 1, Exp(F(1, 10)))
+        assert at == Exp(F(1, 10 ** (limit - 1)))
+        assert signature_of(at).describe() == f"rate=1/{10 ** (limit - 1)}, pow=0, logpow=0"
+        over = subsample(limit, Exp(F(1, 10)))
+        assert over == Subsample(limit, Exp(F(1, 10)))
+        assert signature_of(over).describe() == f"rate=10^(-{limit}), pow=0, logpow=0"
+
+    def test_vector_form_past_the_limit(self):
+        expr = Product(ampliate(1000003, Exp(F(1, 3))), ampliate(1000033, Exp(F(1, 5))))
+        assert signature_of(expr).rate.describe() == "3^(-1/1000003)*5^(-1/1000033)"
 
 
 class TestAmpliate:

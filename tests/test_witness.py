@@ -7,6 +7,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from idealkit.matlie import bracket
 from idealkit.seqspace import (
@@ -24,6 +25,7 @@ from idealkit.witness import (
     CertificateError,
     MAX_SCAN_WINDOW,
     MAX_TRUNCATION,
+    MAX_WEIGHT_BITS,
     OBLIGATION_COMMUTATOR,
     OBLIGATION_NOT_SOFT,
     ShiftModel,
@@ -35,6 +37,7 @@ from idealkit.witness import (
     shift_bracket,
     shift_matrix,
     verify_certificate,
+    _weight_bits,
 )
 
 from conftest import EXACT_BATTERY
@@ -338,6 +341,32 @@ class TestLimits:
             payload[field]["truncation"] = value
         with pytest.raises(CertificateError, match="exceeds the limit"):
             certificate_from_json(payload)
+
+    @staticmethod
+    def _weights_of_bits(n, bits):
+        # scale:1/2^j;pow:1 counts j + 2 bits for the scale and 1 + n.bit_length()
+        # for its n-th weight 1/n
+        return Scale(F(1, 2 ** (bits - 3 - n.bit_length())), Pow(1))
+
+    @given(expr=st.sampled_from(EXACT_BATTERY), n=st.integers(1, 512))
+    def test_weight_bits_bound_the_built_weight(self, expr, n):
+        w = eval_at(expr, n)
+        assert _weight_bits(expr, n) >= w.numerator.bit_length() + w.denominator.bit_length()
+
+    def test_weight_bits_at_the_limit(self):
+        n = 1 << 13
+        assert MAX_WEIGHT_BITS % n == 0
+        generator = ShiftModel(self._weights_of_bits(n, MAX_WEIGHT_BITS // n), n)
+        cert = build_certificate(generator, [ShiftModel(Pow(1), n)])
+        assert verify_certificate(cert).holds
+        assert verify_certificate(certificate_from_json(certificate_to_json(cert))).holds
+
+    def test_weight_bits_over_the_limit(self):
+        n = 3
+        assert (MAX_WEIGHT_BITS + 1) % n == 0
+        generator = ShiftModel(self._weights_of_bits(n, (MAX_WEIGHT_BITS + 1) // n), n)
+        with pytest.raises(CertificateError, match="exceeds the limit"):
+            build_certificate(generator, [ShiftModel(Pow(1), n)])
 
     def test_file_at_the_limits_accepted(self):
         payload = certificate_to_json(self._central(64, 64))
