@@ -14,7 +14,7 @@ Submodules:
 - ``dsl`` / ``cli``: text syntax and the command line front end.
 """
 
-from . import cli, dsl, idealcalc, matlie, ratlinalg, seqspace, witness
+from . import dsl, idealcalc, matlie, ratlinalg, seqspace, witness
 
 __all__ = ["cli", "dsl", "idealcalc", "matlie", "ratlinalg", "seqspace", "witness"]
 __version__ = "0.1.0"

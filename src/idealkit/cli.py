@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 
 from . import dsl, idealcalc, matlie, seqspace, witness
 from .dsl import DslError
@@ -35,16 +33,6 @@ _USER_ERRORS = (
 )
 
 
-def _default_nmax() -> int:
-    env = os.environ.get("IDEALKIT_NMAX")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"IDEALKIT_NMAX must be an integer, got {env!r}") from None
-    return DEFAULT_NMAX
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a machine-readable report")
     p.add_argument("--strict", action="store_true",
@@ -54,7 +42,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_numeric(p: argparse.ArgumentParser) -> None:
     p.add_argument("--numeric", action="store_true", help="add numeric corroboration")
-    p.add_argument("--nmax", type=int, default=None, help="numeric probe grid limit")
+    p.add_argument("--nmax", type=int, default=DEFAULT_NMAX, help="numeric probe grid limit")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="numeric probe tolerance")
 
 
@@ -147,16 +135,11 @@ def _verdict_line(label: str, v: seqspace.Verdict) -> str:
 
 
 def _evidence_lines(v: seqspace.Verdict) -> list:
-    out = []
-    for key, value in v.to_json()["evidence"].items():
-        out.append(f"  {key}: {value}")
-    return out
+    return [f"  {key}: {value}" for key, value in v.to_json()["evidence"].items()]
 
 
 def _report(command: str, **fields) -> dict:
-    rpt = {"schema_version": SCHEMA_VERSION, "command": command}
-    rpt.update(fields)
-    return rpt
+    return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
 
 
 def _collect_methods(obj, found: set) -> None:
@@ -173,11 +156,6 @@ def _collect_methods(obj, found: set) -> None:
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
-
-
-def _probe_args(args) -> tuple:
-    nmax = args.nmax if getattr(args, "nmax", None) else _default_nmax()
-    return nmax, args.eps
 
 
 def _handle_seq(args):
@@ -205,8 +183,7 @@ def _handle_seq(args):
         )
         lines = [_verdict_line(f"xi = {args.mode}(eta)", verdict)] + _evidence_lines(verdict)
         if args.numeric:
-            nmax, eps = _probe_args(args)
-            probe = seqspace.numeric_probe(xi, eta, mode, nmax, eps)
+            probe = seqspace.numeric_probe(xi, eta, mode, args.nmax, args.eps)
             rpt["numeric"] = probe.to_json()
             lines.append(_verdict_line("numeric probe", probe))
             lines.extend(_evidence_lines(probe))
@@ -233,10 +210,9 @@ def _handle_ideal(args):
         rpt = _report("ideal soft", ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
         lines = [_soft_text(verdict)] + _evidence_lines(verdict)
         if args.numeric and isinstance(ideal, idealcalc.Principal):
-            nmax, eps = _probe_args(args)
             k = verdict.evidence.get("k", 2)
             probe = seqspace.numeric_probe(
-                seqspace.subsample(k, ideal.gen), ideal.gen, Mode.LITTLE_O, nmax, eps
+                seqspace.subsample(k, ideal.gen), ideal.gen, Mode.LITTLE_O, args.nmax, args.eps
             )
             rpt["numeric"] = probe.to_json()
             lines.append(_verdict_line("numeric corroboration", probe))
@@ -347,17 +323,18 @@ def _handle_lie(args):
         return rpt, [f"generated Lie ideal: dim {sub.dim} of {algebra.dim}"]
     if args.cmd == "killing":
         rep = matlie.killing_form(algebra)
+        nondegenerate = rep.rank == algebra.dim
         rpt = _report(
             "lie killing",
             name=algebra.name,
             rank=rep.rank,
             dim=algebra.dim,
-            nondegenerate=rep.rank == algebra.dim,
+            nondegenerate=nondegenerate,
             matrix=[[matlie._encode_rational(v) for v in row] for row in rep.matrix.entries],
         )
         return rpt, [
             f"Killing form rank {rep.rank} of {algebra.dim} "
-            f"({'nondegenerate' if rep.rank == algebra.dim else 'degenerate'})"
+            f"({'nondegenerate' if nondegenerate else 'degenerate'})"
         ]
     if args.cmd == "simple":
         rep = matlie.is_simple(algebra)
@@ -377,15 +354,15 @@ def _handle_lie(args):
         if rep.witness is not None:
             lines.append(f"  witness ideal dimension: {rep.witness.dim}")
         if args.cross_check:
-            found = matlie.random_ideal_search(algebra, args.cross_check, args.seed)
+            found = matlie.random_ideal_search(algebra, args.cross_check, args.seed) is not None
             rpt["cross_check"] = {
                 "samples": args.cross_check,
                 "seed": args.seed,
-                "proper_ideal_found": found is not None,
+                "proper_ideal_found": found,
             }
             lines.append(
                 f"  cross-check ({args.cross_check} samples): "
-                + ("proper ideal found" if found is not None else "no proper ideal found")
+                + ("proper ideal found" if found else "no proper ideal found")
             )
         return rpt, lines
     raise ValueError(

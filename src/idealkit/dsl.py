@@ -14,7 +14,6 @@ is accepted so that reports and certificates round-trip.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -43,6 +42,7 @@ _HEAD = re.compile(r"[a-z-]+")
 # (a decimal's digits on both sides of the point form its numerator); the
 # interpreter's default limit on converting a str to an int.
 MAX_RATIONAL_DIGITS = 4300
+_DIGITS_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
 # Deepest nesting of amp, sub, prod, explicit tails and idealprod the parser
 # accepts: well below the recursion limit, so that parsing and every recursive
@@ -149,8 +149,9 @@ def _nest(c: _Cursor, depth: int) -> int:
 
 def _seq(c: _Cursor, depth: int = 0) -> SequenceExpr:
     """A sequence; a run of directly adjacent positive scale factors is read
-    in a loop and becomes one Scale of their product."""
-    factors = []
+    in a loop and becomes one Scale of their product, which must keep within
+    MAX_RATIONAL_DIGITS like any written rational."""
+    fused = None
     start = c.pos
     head = c.take(_HEAD)
     while head == "scale":
@@ -160,12 +161,17 @@ def _seq(c: _Cursor, depth: int = 0) -> SequenceExpr:
         if factor <= 0:  # left unfused, for ensure_valid to reject as written
             expr = Scale(factor, _seq(c, _nest(c, depth)))
             break
-        factors.append(factor)
+        fused = factor if fused is None else fused * factor
+        if max(fused.numerator, fused.denominator) >= _DIGITS_BOUND:
+            c.fail(
+                f"fused scale factor with more than {MAX_RATIONAL_DIGITS} digits "
+                "in its numerator or denominator"
+            )
         start = c.pos
         head = c.take(_HEAD)
     else:
         expr = _form(c, head, start, depth)
-    return Scale(math.prod(factors), expr) if factors else expr
+    return expr if fused is None else Scale(fused, expr)
 
 
 def _form(c: _Cursor, head: str, start: int, depth: int) -> SequenceExpr:
@@ -225,26 +231,22 @@ def parse_seq(text: str) -> SequenceExpr:
     return expr
 
 
-def _format_rational(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def format_seq(expr: SequenceExpr) -> str:
     """Inverse of parse_seq (up to whitespace)."""
     if isinstance(expr, Pow):
-        return f"pow:{_format_rational(expr.p)}"
+        return f"pow:{expr.p}"
     if isinstance(expr, Exp):
-        return f"exp:{_format_rational(expr.r)}"
+        return f"exp:{expr.r}"
     if isinstance(expr, PowLog):
-        return f"powlog:{_format_rational(expr.p)},{_format_rational(expr.q)}"
+        return f"powlog:{expr.p},{expr.q}"
     if isinstance(expr, FiniteSupport):
-        inner = ",".join(_format_rational(v) for v in expr.values)
+        inner = ",".join(map(str, expr.values))
         return f"finite:[{inner}]"
     if isinstance(expr, Explicit):
-        inner = ",".join(_format_rational(v) for v in expr.prefix)
+        inner = ",".join(map(str, expr.prefix))
         return f"explicit:[{inner}];tail={format_seq(expr.tail)}"
     if isinstance(expr, Scale):
-        return f"scale:{_format_rational(expr.c)};{format_seq(expr.inner)}"
+        return f"scale:{expr.c};{format_seq(expr.inner)}"
     if isinstance(expr, Ampliation):
         return f"amp:{expr.m};{format_seq(expr.inner)}"
     if isinstance(expr, Subsample):

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import ratlinalg
 from .dsl import parse_rational
@@ -728,10 +728,7 @@ def random_ideal_search(
     shortfall, or a denominator of the ads that vanishes mod every prime,
     leads to the exact fixpoint, so the result is the exact path's.
     """
-    ads = _structure(L).ads
-    mods, p = next(
-        ((m, q) for q in MODP_PRIMES if (m := _ads_mod_p(ads, q)) is not None), (None, None)
-    )
+    p, mods = _ads_mod_p(_structure(L).ads)
     rng = random.Random(seed)
     d = L.dim
     for _ in range(samples):
@@ -774,12 +771,15 @@ def _constraint_rows(ad: Sequence[dict], d: int):
             yield row
 
 
-def _ads_mod_p(ads: Sequence[Sequence[dict]], p: int) -> Optional[list]:
-    """Images of the sparse adjoint maps in GF(p), or None when a denominator vanishes."""
-    mods = [[{k: frac_mod_p(c, p) for k, c in col.items()} for col in ad] for ad in ads]
-    if any(None in col.values() for ad in mods for col in ad):
-        return None
-    return mods
+def _ads_mod_p(ads: Sequence[Sequence[dict]]) -> tuple:
+    """(p, images of the sparse adjoint maps in GF(p)) for the first prime of
+    MODP_PRIMES that leaves every denominator invertible; (None, None) when
+    none does."""
+    for p in MODP_PRIMES:
+        mods = [[{k: frac_mod_p(c, p) for k, c in col.items()} for col in ad] for ad in ads]
+        if all(None not in col.values() for ad in mods for col in ad):
+            return p, mods
+    return None, None
 
 
 def _commutant_exact(ads: Sequence[Sequence[dict]], d: int) -> List[RationalMatrix]:
@@ -802,15 +802,12 @@ def adjoint_commutant(L: LieAlgebraPresentation) -> CommutantReport:
     st = _structure(L)
     d = L.dim
     target = d * d - 1
-    for p in MODP_PRIMES:
-        mods = _ads_mod_p(st.ads, p)
-        if mods is None:
-            continue
+    p, mods = _ads_mod_p(st.ads)
+    if mods is not None:
         ech = SparseEchelon(d * d, p)
         rows = (row for ad in mods for row in _constraint_rows(ad, d))
         if ech.rank == target or any(ech.insert(row) and ech.rank == target for row in rows):
             return CommutantReport(1, (RationalMatrix.identity(d),), "modular-rank-certificate")
-        break  # rank shortfall: decide exactly rather than try more primes
     basis = _commutant_exact(st.ads, d)
     return CommutantReport(len(basis), tuple(basis), "exact-elimination")
 
@@ -822,44 +819,6 @@ def adjoint_commutant_dim(L: LieAlgebraPresentation) -> int:
 # ---------------------------------------------------------------------------
 # Minimal polynomials and witness extraction
 # ---------------------------------------------------------------------------
-
-
-def _poly_trim(p: List[Fraction]) -> List[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_deriv(p: Sequence[Fraction]) -> List[Fraction]:
-    return _poly_trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    q = [F0] * max(0, len(a) - len(b) + 1)
-    inv = b[-1]
-    while len(a) >= len(b) and any(v != 0 for v in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] / inv
-        q[shift] = coef
-        for i, v in enumerate(b):
-            a[shift + i] -= coef * v
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
 
 
 def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -878,16 +837,15 @@ def _min_poly(C: RationalMatrix) -> List[Fraction]:
         vec = _flat(power)
         coeffs = _coords(span, vec)
         if coeffs is not None:
-            return _poly_trim([-coeffs.get(k, F0) for k in range(span.rank)] + [F1])
+            return [-coeffs.get(k, F0) for k in range(span.rank)] + [F1]
         span.insert({**vec, n + span.rank: F1})
         power = power @ C
 
 
 def _divisors(n: int, limit: int = 10 ** 6) -> Optional[List[int]]:
-    """All positive divisors via trial division; None when factoring stalls."""
+    """All positive divisors of a nonzero n via trial division; None when
+    factoring stalls."""
     n = abs(n)
-    if n == 0:
-        return None
     factors = {}
     m = n
     f = 2
@@ -907,23 +865,14 @@ def _divisors(n: int, limit: int = 10 ** 6) -> Optional[List[int]]:
 
 
 def _rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Rational roots of a nonzero polynomial, or None if the coefficient
+    """Rational roots of a monic polynomial, or None if the coefficient
     factorizations are out of reach."""
-    p = _poly_trim(list(poly))
-    roots = []
-    if not p:
-        return None
-    shift = 0
-    while p[0] == 0:
-        shift += 1
-        p = p[1:]
-    if shift:
-        roots.append(F0)
-    if len(p) <= 1:
-        return sorted(set(roots))
-    scale = 1
-    for c in p:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    zeros = next(i for i, c in enumerate(poly) if c)
+    roots = [F0] if zeros else []
+    p = list(poly[zeros:])
+    if len(p) == 1:
+        return roots
+    scale = math.lcm(*(c.denominator for c in p))
     ints = [int(c * scale) for c in p]
     d0 = _divisors(ints[0])
     dl = _divisors(ints[-1])
@@ -947,9 +896,9 @@ class SimplicityReport:
     verdict: str  # "Simple" | "NotSimple" | "Abelian"
     witness: Optional[Subspace]
     detail: str
-    commutant_dim: Optional[int]
-    flags: tuple
-    certificate: Optional[tuple]  # commutant basis when extraction is incomplete
+    commutant_dim: Optional[int] = None
+    flags: tuple = ()
+    certificate: Optional[tuple] = None  # commutant basis when extraction is incomplete
 
     @property
     def simple(self) -> bool:
@@ -985,15 +934,12 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             witness = _checked_witness(
                 L, subspace_from_coords(L, [[F1] + [F0] * (d - 1)])
             )
-        return SimplicityReport("Abelian", witness, "derived algebra is zero", None, (), None)
+        return SimplicityReport("Abelian", witness, "derived algebra is zero")
     if derived.dim < d:
         return SimplicityReport(
             "NotSimple",
             _checked_witness(L, derived),
             "derived algebra is a proper nonzero Lie ideal",
-            None,
-            (),
-            None,
         )
     center = _center_coords(L)
     if center:
@@ -1001,20 +947,14 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             "NotSimple",
             _checked_witness(L, subspace_from_coords(L, center)),
             "center is a proper nonzero Lie ideal",
-            None,
-            (),
-            None,
         )
     killing = killing_form(L)
     if killing.rank < d:
-        rad = nullspace([list(r) for r in killing.matrix.entries], d)
+        rad = nullspace(killing.matrix.entries, d)
         return SimplicityReport(
             "NotSimple",
             _checked_witness(L, subspace_from_coords(L, rad)),
             "Killing radical is a proper nonzero Lie ideal",
-            None,
-            (),
-            None,
         )
     com = adjoint_commutant(L)
     if com.dim == 1:
@@ -1023,8 +963,6 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             None,
             "Killing form nondegenerate and adjoint commutant has dimension 1",
             1,
-            (),
-            None,
         )
     witness = _extract_commutant_witness(L, com)
     if witness is not None:
@@ -1033,8 +971,6 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             witness,
             "eigenspace of a non-scalar commutant element is a proper nonzero Lie ideal",
             com.dim,
-            (),
-            None,
         )
     return SimplicityReport(
         "NotSimple",
@@ -1053,25 +989,14 @@ def _extract_commutant_witness(L: LieAlgebraPresentation, com: CommutantReport) 
         diff = C - RationalMatrix.identity(d).scaled(dense[0][0])
         if diff.is_zero():
             continue
-        poly = _min_poly(C)
-        deriv = _poly_deriv(poly)
-        if deriv:
-            g = _poly_gcd(poly, deriv)
-            sq_free, _ = _poly_divmod(poly, g)
-        else:
-            sq_free = poly
-        roots = _rational_roots(sq_free)
-        if not roots:
-            continue
-        for lam in roots:
+        # C lies in the centroid of a semisimple algebra, a product of number
+        # fields, so its minimal polynomial is already square-free
+        for lam in _rational_roots(_min_poly(C)) or ():
             shifted = [
                 [v - lam if i == j else v for j, v in enumerate(row)]
                 for i, row in enumerate(dense)
             ]
-            eig = nullspace(shifted, d)
-            if not eig:
-                continue
-            J = subspace_from_coords(L, eig)
+            J = subspace_from_coords(L, nullspace(shifted, d))
             if 0 < J.dim < d and is_lie_ideal(L, J).is_ideal:
                 return J
     return None

@@ -16,10 +16,11 @@ labelled as numerically indicated, never as proven.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -337,10 +338,7 @@ def _violation(expr: SequenceExpr, path: str) -> Optional[tuple]:
             return (path, f"subsample step must be an integer >= 1, got {expr.k}")
         return _violation(expr.inner, f"{path}.inner")
     if isinstance(expr, Product):
-        bad = _violation(expr.left, f"{path}.left")
-        if bad is not None:
-            return bad
-        return _violation(expr.right, f"{path}.right")
+        return _violation(expr.left, f"{path}.left") or _violation(expr.right, f"{path}.right")
     return (path, f"not a SequenceExpr: {type(expr).__name__}")
 
 
@@ -384,12 +382,8 @@ def support(expr: SequenceExpr) -> Optional[int]:
         s = support(expr.inner)
         return None if s is None else s // expr.k
     if isinstance(expr, Product):
-        sl, sr = support(expr.left), support(expr.right)
-        if sl is None:
-            return sr
-        if sr is None:
-            return sl
-        return min(sl, sr)
+        finite = [s for s in (support(expr.left), support(expr.right)) if s is not None]
+        return min(finite, default=None)
     raise TypeError(type(expr).__name__)
 
 
@@ -420,18 +414,13 @@ def eval_at(expr: SequenceExpr, n: int):
         last = expr.prefix[-1]
         return v if v <= last else last
     if isinstance(expr, Scale):
-        v = eval_at(expr.inner, n)
-        return expr.c * v if isinstance(v, Fraction) else float(expr.c) * v
+        return expr.c * eval_at(expr.inner, n)
     if isinstance(expr, Ampliation):
         return eval_at(expr.inner, (n + expr.m - 1) // expr.m)
     if isinstance(expr, Subsample):
         return eval_at(expr.inner, n * expr.k)
     if isinstance(expr, Product):
-        a = eval_at(expr.left, n)
-        b = eval_at(expr.right, n)
-        if isinstance(a, Fraction) != isinstance(b, Fraction):
-            return float(a) * float(b)
-        return a * b
+        return eval_at(expr.left, n) * eval_at(expr.right, n)
     raise TypeError(type(expr).__name__)
 
 
@@ -449,7 +438,10 @@ def eval_log(expr: SequenceExpr, n: int) -> float:
     if isinstance(expr, Pow):
         return -float(expr.p) * math.log(n)
     if isinstance(expr, Exp):
-        return n * _log_fraction(expr.r)
+        try:
+            return n * _log_fraction(expr.r)
+        except OverflowError:  # n is past the float range
+            return -math.inf
     if isinstance(expr, PowLog):
         p, q = float(expr.p), float(expr.q)
 
@@ -473,11 +465,8 @@ def eval_log(expr: SequenceExpr, n: int) -> float:
     if isinstance(expr, Subsample):
         return eval_log(expr.inner, n * expr.k)
     if isinstance(expr, Product):
-        a = eval_log(expr.left, n)
-        b = eval_log(expr.right, n)
-        if -math.inf in (a, b):
-            return -math.inf
-        return a + b
+        # never +inf, so a -inf factor gives -inf
+        return eval_log(expr.left, n) + eval_log(expr.right, n)
     raise TypeError(type(expr).__name__)
 
 
@@ -528,7 +517,8 @@ def _coprime_base(numbers) -> list:
 
 
 def _over(vector: tuple, base: list) -> dict:
-    """An exponent vector rewritten over a coprime refinement of its base."""
+    """An exponent vector, whose entries may share a base element, summed
+    over a coprime refinement of its base."""
     out: dict = {}
     for q, e in vector:
         for b in base:
@@ -537,7 +527,7 @@ def _over(vector: tuple, base: list) -> dict:
                 q //= b
                 k += 1
             if k:
-                out[b] = e * k
+                out[b] = out.get(b, 0) + e * k
             if q == 1:
                 break
     return out
@@ -607,14 +597,7 @@ class RootRational:
 
     @property
     def base(self) -> Fraction:
-        num = den = 1
-        for q, e in self.vector:
-            k = int(e * self.index)
-            if k > 0:
-                num *= q ** k
-            else:
-                den *= q ** -k
-        return Fraction(num, den)
+        return _vector_value(self.vector, self.index)
 
     def _cmp(self, other: "RootRational") -> int:
         a, b = _common(self.vector, other.vector)
@@ -644,25 +627,40 @@ class RootRational:
         return self._cmp(other) < 0
 
     def describe(self) -> str:
-        if not self._fits_decimal():
+        if not _vector_prints(self.vector, self.index):
             return "*".join(f"{q}^({e})" for q, e in self.vector)
         if self.index == 1:
             return str(self.base)
         return f"({self.base})^(1/{self.index})"
 
-    def _fits_decimal(self) -> bool:
-        """Whether str(base) stays within the interpreter's digit limit,
-        judged from the log10 sizes of its numerator and denominator."""
-        sizes = [0.0, 0.0]
-        for q, e in self.vector:
-            k = e * self.index
-            sizes[k < 0] += _log10_size(abs(k), q)
 
-        def larger_part() -> int:
-            base = self.base
-            return max(base.numerator, base.denominator)
+def _vector_value(vector, index: int) -> Fraction:
+    """The product of the q ** (e * index) over an exponent vector; each
+    e * index must be an integer."""
+    num = den = 1
+    for q, e in vector:
+        k = int(e * index)
+        if k > 0:
+            num *= q ** k
+        else:
+            den *= q ** -k
+    return Fraction(num, den)
 
-        return _str_fits(max(sizes), larger_part)
+
+def _vector_prints(vector, index: int) -> bool:
+    """Whether _vector_value(vector, index) converts to str within the
+    interpreter's digit limit, judged from the log10 sizes of its numerator
+    and denominator."""
+    sizes = [0.0, 0.0]
+    for q, e in vector:
+        k = e * index
+        sizes[k < 0] += _log10_size(abs(k), q)
+
+    def larger_part() -> int:
+        value = _vector_value(vector, index)
+        return max(value.numerator, value.denominator)
+
+    return _str_fits(max(sizes), larger_part)
 
 
 def _log10_size(k, x: int) -> float:
@@ -743,7 +741,7 @@ def log_ratio_ceiling(a: RootRational, b: RootRational) -> tuple:
         digits *= 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AsymSig:
     """Asymptotic signature: decay rate, power and log power of the tail.
 
@@ -759,22 +757,6 @@ class AsymSig:
     @property
     def is_zero_tail(self) -> bool:
         return self.rate is None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AsymSig):
-            return NotImplemented
-        if self.is_zero_tail or other.is_zero_tail:
-            return self.is_zero_tail and other.is_zero_tail
-        return (
-            self.rate == other.rate
-            and self.pow == other.pow
-            and self.logpow == other.logpow
-        )
-
-    def __hash__(self) -> int:
-        if self.is_zero_tail:
-            return hash("zero-tail")
-        return hash((self.rate, self.pow, self.logpow))
 
     def describe(self) -> str:
         if self.is_zero_tail:
@@ -846,8 +828,7 @@ def _asymptotic_scale(expr: SequenceExpr):
     if isinstance(expr, Explicit):
         return _asymptotic_scale(expr.tail)
     if isinstance(expr, Scale):
-        inner = _asymptotic_scale(expr.inner)
-        return expr.c * inner if isinstance(inner, Fraction) else float(expr.c) * inner
+        return expr.c * _asymptotic_scale(expr.inner)
     if isinstance(expr, Ampliation):
         s = _sig(expr.inner)
         inner = _asymptotic_scale(expr.inner)
@@ -861,12 +842,61 @@ def _asymptotic_scale(expr: SequenceExpr):
             return inner / Fraction(expr.k) ** s.pow.numerator
         return float(inner) * float(expr.k) ** (-float(s.pow))
     if isinstance(expr, Product):
-        a = _asymptotic_scale(expr.left)
-        b = _asymptotic_scale(expr.right)
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        return float(a) * float(b)
+        return _asymptotic_scale(expr.left) * _asymptotic_scale(expr.right)
     raise ValueError("asymptotic scale is defined only for rate-one expressions")
+
+
+def _scale_factors(expr: SequenceExpr) -> list:
+    """The asymptotic scale of a rate-one expression as pairs (q, e) of a
+    positive rational q and a rational exponent e, the scale being the
+    product of the q ** e."""
+    if isinstance(expr, (Pow, PowLog)):
+        return []
+    if isinstance(expr, Explicit):
+        return _scale_factors(expr.tail)
+    if isinstance(expr, Scale):
+        return [(expr.c, Fraction(1))] + _scale_factors(expr.inner)
+    if isinstance(expr, Ampliation):
+        return [(Fraction(expr.m), _sig(expr.inner).pow)] + _scale_factors(expr.inner)
+    if isinstance(expr, Subsample):
+        return [(Fraction(expr.k), -_sig(expr.inner).pow)] + _scale_factors(expr.inner)
+    if isinstance(expr, Product):
+        return _scale_factors(expr.left) + _scale_factors(expr.right)
+    raise ValueError("asymptotic scale is defined only for rate-one expressions")
+
+
+# Decimal digits, summed over all powers, up to which a product with a
+# fractional exponent is left to its float arithmetic, which builds the
+# integral powers exactly; past them it is taken from logs.
+_FLOAT_POWER_DIGITS = 20_000
+
+
+def _power_product(factors: list, approximate) -> Union[Fraction, float]:
+    """The product of the q ** e over pairs (q, e) of a positive rational q
+    and a rational exponent e.
+
+    With integral exponents it is exact, written over a coprime base so that
+    cancelling powers are never built, unless it would not print within the
+    interpreter's digit limit.  Otherwise it is approximate(), the product in
+    float arithmetic, while its powers have at most _FLOAT_POWER_DIGITS
+    digits and it lies inside the float range; else exp of the summed logs,
+    which is inf or 0.0 only where the product leaves the float range.
+    """
+    digits = sum(_log10_size(abs(e), q.numerator * q.denominator) for q, e in factors)
+    if all(e.denominator == 1 for _, e in factors):
+        pairs = [(n, e * s) for q, e in factors for n, s in ((q.numerator, 1), (q.denominator, -1))]
+        vector = _as_vector(_over(pairs, _coprime_base([n for n, _ in pairs])))
+        if _vector_prints(vector, 1):
+            return _vector_value(vector, 1)
+    elif digits <= _FLOAT_POWER_DIGITS:
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
+            if 0 < (x := approximate()) < math.inf:
+                return x
+    log = sum(e * Fraction(_log_fraction(q)) for q, e in factors)
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf if log > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -910,16 +940,15 @@ def subsample(k: int, expr: SequenceExpr) -> SequenceExpr:
 
 
 def _limit_ratio_evidence(xi: SequenceExpr, eta: SequenceExpr, evidence: dict) -> None:
-    """Attach the exact limiting ratio for same-signature rate-one pairs."""
+    """Attach the limiting ratio for same-signature rate-one pairs, the
+    quotient of their asymptotic scales (see _power_product)."""
     try:
-        a = _asymptotic_scale(xi)
-        b = _asymptotic_scale(eta)
+        factors = _scale_factors(xi) + [(q, -e) for q, e in _scale_factors(eta)]
     except ValueError:
         return
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        evidence["limiting_ratio"] = a / b
-    else:
-        evidence["limiting_ratio"] = float(a) / float(b)
+    evidence["limiting_ratio"] = _power_product(
+        factors, lambda: _asymptotic_scale(xi) / _asymptotic_scale(eta)
+    )
 
 
 def compare(xi: SequenceExpr, eta: SequenceExpr, mode: Mode) -> Verdict:
@@ -981,10 +1010,9 @@ def delta2_check(xi: SequenceExpr) -> Verdict:
     s = _sig(xi)
     if s.rate == RATE_ONE:
         p = s.pow
-        ratio = Fraction(2) ** p.numerator if p.denominator == 1 else 2.0 ** float(p)
         return proven(
             Status.HOLDS,
-            limiting_ratio=ratio,
+            limiting_ratio=_power_product([(Fraction(2), p)], lambda: 2.0 ** float(p)),
             rule="power-log class: dyadic ratio converges to 2**pow",
             signature=s.describe(),
         )
@@ -1025,7 +1053,8 @@ def numeric_probe(
     when the running sup stabilizes (relative growth below eps over the last
     half); a tenfold sup increase is reported as failure.  Anything else is
     Unknown.  Ratios are computed in log space; residual overflow shrinks the
-    grid and is noted in the evidence.
+    grid and is noted in the evidence.  An eta of infinite support whose log
+    falls below the float range gives Unknown with a note.
     """
     ensure_valid(xi)
     ensure_valid(eta)
@@ -1034,6 +1063,7 @@ def numeric_probe(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
+    eta_infinite = support(eta) is None
     notes = []
     shrunk = False
     zero_tail_division = False
@@ -1044,6 +1074,9 @@ def numeric_probe(
         for n in ns:
             lx, ly = eval_log(xi, n), eval_log(eta, n)
             if ly == -math.inf:
+                if eta_infinite:
+                    notes.append(f"log of eta underflows the float range at n={n}")
+                    return indicated(Status.UNKNOWN, n_max=n_max, eps=eps, mode=mode, notes=notes)
                 if lx == -math.inf:
                     ratios.append(0.0)
                 else:

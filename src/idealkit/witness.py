@@ -445,7 +445,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "pool": [_shift_to_json(s) for s in cert.pool],
         "first_nonzero": None
         if cert.first_index is None
-        else {"index": cert.first_index, "value": dsl._format_rational(cert.first_value)},
+        else {"index": cert.first_index, "value": str(cert.first_value)},
         "scan_window": cert.scan_window,
         "obligations": [{"name": name, "passed": ok} for name, ok in cert.obligations],
         "conclusion": cert.conclusion,

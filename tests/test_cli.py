@@ -8,7 +8,8 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 
 import pytest
@@ -183,6 +184,99 @@ class TestExactRates:
         payload = json.loads(out.stdout)
         assert payload["sequence"] == sequence
         assert payload["signature"] == f"rate={rate}, pow=0, logpow=0"
+
+
+def _timed_run(argv):
+    """_run_bounded, and the wall time of the same call in this process.
+
+    The subprocess timeout catches a hang; the in-process time leaves out
+    interpreter start-up and imports, which a loaded machine can slow.
+    """
+    out = _run_bounded(argv)
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        main(argv)
+    return out, time.perf_counter() - start
+
+
+BIG = str(10 ** 4299)  # 4300 digits: the most a written rational may have
+
+
+class TestPastTheDigitLimit:
+    # exact evidence whose text form would pass the interpreter's digit
+    # limit falls back to floats; the timeout catches a build of the power
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seq", "delta2", "pow:10000000000"],
+            ["seq", "compare", "--mode", "O", "amp:1000;pow:100000000", "pow:100000000"],
+            ["seq", "compare", "--mode", "O", f"scale:{BIG};pow:1", f"scale:1/{BIG};pow:1"],
+        ],
+        ids=["delta2", "amp", "scale-ratio"],
+    )
+    def test_limiting_ratio_overflows_to_inf(self, argv):
+        out, seconds = _timed_run(argv + ["--json"])
+        assert out.returncode == 0, out.stderr
+        verdict = json.loads(out.stdout)["verdict"]
+        assert verdict["status"] == "Holds" and verdict["method"] == "SymbolicProven"
+        assert verdict["evidence"]["limiting_ratio"] == "inf"
+        assert seconds < 1
+
+    @pytest.mark.parametrize(
+        "xi,eta",
+        [
+            ("amp:10;pow:5000", "amp:10;pow:5000"),
+            ("prod(amp:10;pow:5000,sub:10;pow:5000)", "pow:10000"),
+        ],
+        ids=["equal", "cancelling"],
+    )
+    def test_cancelling_scales_give_an_exact_ratio(self, xi, eta):
+        out, seconds = _timed_run(["seq", "compare", "--mode", "O", xi, eta, "--json"])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["verdict"]["evidence"]["limiting_ratio"] == "1"
+        assert seconds < 1
+
+    def test_report_on_a_huge_power(self):
+        out, seconds = _timed_run(["ideal", "report", "pow:10000000000", "--json"])
+        assert out.returncode == 0, out.stderr
+        def statuses(report):
+            return {k: v["status"] for k, v in report.items() if isinstance(v, dict)}
+
+        small = json.loads(run_cli(["ideal", "report", "pow:10", "--json"])[1])
+        assert statuses(json.loads(out.stdout)) == statuses(small)
+        assert seconds < 1
+
+    def test_scale_run_up_to_the_digit_cap_answers(self):
+        out, seconds = _timed_run(["seq", "signature", "scale:10;" * 4299 + "pow:1"])
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "signature: rate=1, pow=1, logpow=0"
+        assert seconds < 1
+
+    @pytest.mark.parametrize("count", [4300, 5000])
+    def test_scale_run_past_the_digit_cap_is_bad_input(self, count):
+        out, seconds = _timed_run(["seq", "signature", "scale:10;" * count + "pow:1"])
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: offset ") and "Traceback" not in out.stderr
+        assert "fused scale factor" in out.stderr
+        assert seconds < 1
+
+    @pytest.mark.parametrize("order", ["xi", "eta"])
+    def test_subsampled_exponential_log_underflows(self, order):
+        huge = f"sub:1{'0' * 400};exp:1/2"
+        xi, eta = (huge, "exp:1/2") if order == "xi" else ("exp:1/2", huge)
+        out = _run_bounded(["seq", "compare", "--mode", "o", "--numeric", xi, eta, "--json"])
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
+        assert payload["verdict"] == json.loads(
+            _run_bounded(["seq", "compare", "--mode", "o", xi, eta, "--json"]).stdout
+        )["verdict"]
+        assert payload["verdict"]["status"] == ("Holds" if order == "xi" else "Fails")
+        numeric = payload["numeric"]
+        if order == "eta":
+            assert numeric["status"] == "Unknown"
+            assert "underflows" in numeric["evidence"]["notes"][0]
+        assert numeric["evidence"].get("reason") != "division by zero tail"
 
 
 class TestFileRationals:
@@ -429,16 +523,7 @@ class TestTopLevel:
         assert code == 2
         assert "idealkit" in out
 
-    def test_nmax_env_override(self, monkeypatch):
-        monkeypatch.setenv("IDEALKIT_NMAX", "2048")
-        code, out = run_cli(
-            ["seq", "compare", "--mode", "O", "pow:2", "pow:1", "--numeric", "--json"]
-        )
-        assert code == 0
-        assert json.loads(out)["numeric"]["evidence"]["n_max"] == 2048
-
-    def test_explicit_nmax_beats_env(self, monkeypatch):
-        monkeypatch.setenv("IDEALKIT_NMAX", "2048")
+    def test_explicit_nmax_reaches_probe(self):
         code, out = run_cli(
             ["seq", "compare", "--mode", "O", "pow:2", "pow:1", "--numeric",
              "--nmax", "4096", "--json"]
@@ -446,12 +531,12 @@ class TestTopLevel:
         assert code == 0
         assert json.loads(out)["numeric"]["evidence"]["n_max"] == 4096
 
-    def test_bad_nmax_env_is_user_error(self, monkeypatch):
-        monkeypatch.setenv("IDEALKIT_NMAX", "soon")
+    def test_nmax_zero_is_user_error(self, capsys):
         code, _ = run_cli(
-            ["seq", "compare", "--mode", "O", "pow:2", "pow:1", "--numeric"]
+            ["seq", "compare", "--mode", "O", "pow:2", "pow:1", "--numeric", "--nmax", "0"]
         )
         assert code == 2
+        assert "n_max must be at least" in capsys.readouterr().err
 
     def test_output_file_duplicate_report(self, tmp_path):
         out_file = str(tmp_path / "report.json")
@@ -463,6 +548,21 @@ class TestTopLevel:
 
 def _src_dir():
     return os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
+
+
+def test_module_run_has_no_runpy_warning():
+    out = _run_bounded(["seq", "signature", "pow:1"])
+    assert out.returncode == 0
+    assert "RuntimeWarning" not in out.stderr
+
+
+def test_package_import_reaches_submodules():
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    probe = "import idealkit; print(idealkit.matlie.sl(3).dim)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "8"
 
 
 def test_cli_import_leaves_numpy_out():

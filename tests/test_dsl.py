@@ -28,6 +28,10 @@ from idealkit.seqspace import (
     PowLog,
     Product,
     Scale,
+    SequenceExpr,
+    ampliate,
+    explicit,
+    subsample,
 )
 
 from conftest import FULL_BATTERY
@@ -116,15 +120,78 @@ class TestRationals:
         with pytest.raises(DslError, match="more than"):
             parse_seq(f"exp:1/{at}0")
 
+    def test_fused_scale_run_digit_cap(self):
+        at = "scale:10;" * (MAX_RATIONAL_DIGITS - 1)
+        assert parse_seq(at + "pow:1") == Scale(10 ** (MAX_RATIONAL_DIGITS - 1), Pow(1))
+        assert parse_seq(at.replace("10", "1/10") + "pow:1").c.denominator == 10 ** (
+            MAX_RATIONAL_DIGITS - 1
+        )
+        with pytest.raises(DslError, match="fused scale factor"):
+            parse_seq(at + "scale:10;pow:1")
+        with pytest.raises(DslError, match="fused scale factor"):
+            parse_seq(at.replace("10", "1/10") + "scale:1/10;pow:1")
+
     def test_exponent_is_not_read(self):
         with pytest.raises(DslError, match="trailing input"):
             parse_seq("exp:1e-5")
+
+
+def _fractions(low, high):
+    return st.fractions(min_value=low, max_value=high, max_denominator=12)
+
+
+def _nonincreasing(low, min_size):
+    return st.lists(_fractions(low, 5), min_size=min_size, max_size=4).map(
+        lambda values: sorted(values, reverse=True)
+    )
+
+
+def _fused_scale(c: F, expr: SequenceExpr) -> Scale:
+    """Scale in the form the parser gives it: adjacent factors fused."""
+    return Scale(c * expr.c, expr.inner) if isinstance(expr, Scale) else Scale(c, expr)
+
+
+_POSITIVE = _fractions(F(1, 12), 12)
+
+_LEAVES = st.one_of(
+    st.builds(Pow, _POSITIVE),
+    st.builds(Exp, _fractions(F(1, 12), F(11, 12))),
+    st.builds(PowLog, _fractions(0, 3), _fractions(-3, 3)).filter(lambda e: e.p > 0 or e.q > 0),
+    st.builds(FiniteSupport, _nonincreasing(0, 0)),
+)
+
+# Every catalog form, nested, in the normal form the parser builds: scale
+# runs fused, amp and sub through ampliate and subsample, explicit prefixes
+# through explicit.
+CATALOG = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.builds(_fused_scale, _POSITIVE, inner),
+        st.builds(ampliate, st.integers(2, 9), inner),
+        st.builds(subsample, st.integers(2, 9), inner),
+        st.builds(explicit, _nonincreasing(F(1, 12), 1), inner),
+        st.builds(Product, inner, inner),
+    ),
+    max_leaves=8,
+)
 
 
 class TestRoundTrip:
     @given(expr=st.sampled_from(FULL_BATTERY))
     def test_parse_format_identity(self, expr):
         assert parse_seq(format_seq(expr)) == expr
+
+    @given(expr=CATALOG)
+    def test_generated_catalog_round_trips(self, expr):
+        assert parse_seq(format_seq(expr)) == expr
+
+    @given(factors=st.lists(_POSITIVE, min_size=1, max_size=6), expr=CATALOG)
+    def test_scale_run_fuses(self, factors, expr):
+        text = "".join(f"scale:{c};" for c in factors) + format_seq(expr)
+        fused = expr
+        for c in reversed(factors):
+            fused = _fused_scale(c, fused)
+        assert parse_seq(text) == fused
 
 
 class TestIdealSyntax:

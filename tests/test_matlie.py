@@ -373,6 +373,28 @@ class TestCommutant:
     def test_abelian_commutant_is_full_endomorphism_space(self):
         assert adjoint_commutant_dim(diagonal_algebra(2)) == 4
 
+    @pytest.mark.parametrize(
+        "algebra,witness_dim",
+        [
+            (direct_sum(sl(2), sl(2)), 3),
+            (direct_sum(sp_standard(3), sp_standard(2)), 10),
+            (direct_sum(direct_sum(sl(2), sl(2)), sl(2)), 6),
+            (direct_sum(sl(2), sl(3)), 8),
+        ],
+        ids=["sl2+sl2", "sp3+sp2", "sl2+sl2+sl2", "sl2+sl3"],
+    )
+    def test_centroid_minimal_polynomials_square_free(self, algebra, witness_dim):
+        # witness extraction reads eigenvalues off the minimal polynomial
+        # without a square-free pass: the commutant of a semisimple algebra
+        # is its centroid, a product of number fields
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for C in adjoint_commutant(algebra).basis:
+            f = sympy.Poly(list(reversed(_min_poly(C))), x, domain="QQ")
+            assert sympy.gcd(f, f.diff(x)).degree() == 0
+        rep = is_simple(algebra)
+        assert rep.verdict == "NotSimple" and rep.witness.dim == witness_dim
+
 
 class TestMinPoly:
     def test_projection_polynomial(self):

@@ -145,6 +145,11 @@ class TestSignature:
         assert signature_of(FiniteSupport([1])).is_zero_tail
         assert signature_of(Product(Pow(1), FiniteSupport([1]))).is_zero_tail
 
+    def test_zero_tails_equal_each_other_only(self):
+        zero = {signature_of(e) for e in FULL_BATTERY if support(e) is not None}
+        assert len(zero) == 1
+        assert not zero & {signature_of(e) for e in BATTERY}
+
     @given(expr=battery_expr)
     def test_scale_and_prefix_leave_signature(self, expr):
         assert signature_of(Scale(7, expr)) == signature_of(expr)
@@ -302,6 +307,39 @@ class TestCompare:
     def test_constant_scaling_is_big_o(self):
         assert compare(Scale(7, Pow(2)), Pow(2), Mode.BIG_O).holds
 
+    @pytest.mark.parametrize(
+        "xi,eta,ratio",
+        [
+            # a float scale against an exact one past the float range
+            (Ampliation(2, Pow(F(1, 2))), Scale(10 ** 400, Pow(F(1, 2))), 0.0),
+            (Scale(10 ** 400, Pow(F(1, 2))), Ampliation(2, Pow(F(1, 2))), math.inf),
+            # an exact ratio past the digit limit
+            (Scale(10 ** 3000, Pow(1)), Scale(F(1, 10 ** 3000), Pow(1)), math.inf),
+            # a subsample step whose power underflows
+            (Pow(10 ** 10), Subsample(2, Pow(10 ** 10)), math.inf),
+        ],
+    )
+    def test_limiting_ratio_outside_the_float_range(self, xi, eta, ratio):
+        v = compare(xi, eta, Mode.BIG_O)
+        assert v.holds and v.evidence["limiting_ratio"] == ratio
+
+    @pytest.mark.parametrize(
+        "xi,eta,ratio",
+        [
+            # scales past the digit limit whose powers cancel stay exact
+            (Ampliation(10, Pow(5000)), Ampliation(10, Pow(5000)), F(1)),
+            (Product(Ampliation(10, Pow(5000)), Subsample(10, Pow(5000))), Pow(10000), F(1)),
+            (Ampliation(6, Pow(5000)), Scale(F(1, 2 ** 5000), Ampliation(3, Pow(5000))), F(4) ** 5000),
+            # two float scales that both underflow
+            (Scale(F(1, 10 ** 400), Ampliation(2, Pow(F(1, 2)))),
+             Scale(F(1, 10 ** 400), Ampliation(2, Pow(F(1, 2)))), 1.0),
+        ],
+    )
+    def test_limiting_ratio_of_scales_past_the_digit_limit(self, xi, eta, ratio):
+        v = compare(xi, eta, Mode.BIG_O)
+        assert v.holds and v.evidence["limiting_ratio"] == ratio
+        assert type(v.evidence["limiting_ratio"]) is type(ratio)
+
     def test_division_by_zero_tail(self):
         v = compare(Pow(1), FiniteSupport([1, 1]), Mode.BIG_O)
         assert v.fails
@@ -357,6 +395,10 @@ class TestDelta2:
         with pytest.raises(InvalidSequenceError):
             delta2_check(FiniteSupport([1]))
 
+    def test_ratio_past_the_digit_limit_is_a_float(self):
+        assert delta2_check(Pow(10 ** 10)).evidence["limiting_ratio"] == math.inf
+        assert delta2_check(Pow(5000)).evidence["limiting_ratio"] == F(2) ** 5000
+
     @given(expr=battery_expr)
     def test_dyadic_ratio_oracle(self, expr):
         """Brute-force dyadic sampling (in log space) agrees with the verdict."""
@@ -395,6 +437,20 @@ class TestNumericProbe:
         v = numeric_probe(Pow(1), Exp(F(1, 2)), Mode.BIG_O, 2 ** 20, 1e-3)
         assert v.evidence["notes"]
         assert v.status in (Status.FAILS, Status.UNKNOWN)
+
+    def test_log_past_the_float_range_is_minus_inf(self):
+        assert eval_log(Subsample(10 ** 400, Exp(F(1, 2))), 1) == -math.inf
+
+    @pytest.mark.parametrize("mode", [Mode.BIG_O, Mode.LITTLE_O])
+    def test_underflowing_eta_is_unknown_not_zero_tail(self, mode):
+        v = numeric_probe(Exp(F(1, 2)), Subsample(10 ** 400, Exp(F(1, 2))), mode)
+        assert v.status is Status.UNKNOWN
+        assert "underflows" in v.evidence["notes"][0]
+        assert "reason" not in v.evidence
+
+    def test_finite_eta_is_still_zero_tail_division(self):
+        v = numeric_probe(Pow(1), FiniteSupport([1]), Mode.BIG_O)
+        assert v.fails and v.evidence["reason"] == "division by zero tail"
 
 
 class TestSignatureSoundness:
