@@ -1,9 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 when the analysis completed (whatever the verdict), 2 on
-input errors, 3 when --strict is set and any reported verdict is Unknown or
-merely numerically indicated.  Reports go to stdout (text by default,
-machine-readable with --json); diagnostics go to stderr.
+bad input (an InputError, an unreadable file or malformed JSON), 3 when
+--strict is set and any reported verdict is Unknown or merely numerically
+indicated.  Any other exception is a bug and propagates with its traceback.
+Reports go to stdout (text by default, machine-readable with --json);
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -13,24 +15,12 @@ import json
 import sys
 
 from . import dsl, idealcalc, matlie, seqspace, witness
-from .dsl import DslError
-from .idealcalc import ZeroIdealError
-from .matlie import NotClosedError
-from .seqspace import DEFAULT_EPS, DEFAULT_NMAX, InvalidSequenceError, Method, Mode, Status
-from .witness import CertificateError, ShiftModel
+from .seqspace import DEFAULT_EPS, DEFAULT_NMAX, InputError, Method, Mode, Status
+from .witness import ShiftModel
 
 SCHEMA_VERSION = "1"
 
-_USER_ERRORS = (
-    DslError,
-    InvalidSequenceError,
-    ZeroIdealError,
-    NotClosedError,
-    CertificateError,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
+_USER_ERRORS = (InputError, OSError, json.JSONDecodeError)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -88,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
     p = lie.add_parser("build", help="construct a catalog algebra and save it")
     p.add_argument("kind", choices=sorted(matlie._KINDS) + ["shift"])
     p.add_argument("--n", type=int, required=True, help="size parameter")
-    p.add_argument("--weights", help="weight sequence for kind=shift")
+    p.add_argument("--weights", help="weight sequence, for kind=shift only")
     p.add_argument("--name", help="override the presentation name")
     _add_common(p)
     for cmd, desc in [
@@ -195,7 +185,6 @@ def _handle_seq(args):
             "seq delta2", sequence=dsl.format_seq(expr), verdict=verdict.to_json()
         )
         return rpt, [_verdict_line("delta2 condition", verdict)] + _evidence_lines(verdict)
-    raise ValueError("missing seq subcommand (signature | compare | delta2)")
 
 
 def _soft_text(v: seqspace.Verdict) -> str:
@@ -247,7 +236,6 @@ def _handle_ideal(args):
             "implications: all consistent",
         ]
         return rpt, lines
-    raise ValueError("missing ideal subcommand (soft | member | idempotent | report)")
 
 
 def _subspace_json(sub: matlie.Subspace) -> dict:
@@ -305,13 +293,7 @@ def _handle_lie(args):
         )
         return rpt, [f"derived algebra: dim {sub.dim} of {algebra.dim}"]
     if args.cmd == "ideal-gen":
-        with open(args.seeds, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        elements = payload["elements"] if isinstance(payload, dict) else payload
-        seeds = []
-        for flat in elements:
-            vals = [matlie._decode_rational(v) for v in flat]
-            seeds.append(matlie._from_flat(vals, algebra.ambient, algebra.ambient))
+        seeds = matlie.load_seeds(args.seeds, algebra.ambient)
         sub = matlie.lie_ideal_generated(algebra, seeds)
         rpt = _report(
             "lie ideal-gen",
@@ -365,9 +347,6 @@ def _handle_lie(args):
                 + ("proper ideal found" if found else "no proper ideal found")
             )
         return rpt, lines
-    raise ValueError(
-        "missing lie subcommand (build | check-closure | derived | ideal-gen | killing | simple)"
-    )
 
 
 def _handle_witness(args):
@@ -398,7 +377,6 @@ def _handle_witness(args):
         word = "VERIFIED" if verdict.holds else "REJECTED"
         lines = [f"{word}: {verdict.status.value}"] + _evidence_lines(verdict)
         return rpt, lines
-    raise ValueError("missing witness subcommand (build | verify)")
 
 
 _HANDLERS = {
@@ -415,9 +393,10 @@ def main(argv=None) -> int:
     if not args.group:
         parser.print_help()
         return 2
-    handler = _HANDLERS[args.group]
     try:
-        report, lines = handler(args)
+        if args.cmd is None:
+            raise InputError(f"missing {args.group} subcommand; see idealkit {args.group} --help")
+        report, lines = _HANDLERS[args.group](args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,10 +19,12 @@ from fractions import Fraction
 
 from . import idealcalc, seqspace
 from .seqspace import (
+    MAX_RATIONAL_DIGITS,
     Ampliation,
     Exp,
     Explicit,
     FiniteSupport,
+    InputError,
     Pow,
     PowLog,
     Product,
@@ -30,6 +32,7 @@ from .seqspace import (
     SequenceExpr,
     Subsample,
     ensure_valid,
+    fits_digit_cap,
 )
 
 __all__ = ["DslError", "parse_rational", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
@@ -38,19 +41,13 @@ _NUMBER = re.compile(r"[+-]?(\d+)(?:\.(\d+)|/(\d+))?")
 _INT = re.compile(r"\d+")
 _HEAD = re.compile(r"[a-z-]+")
 
-# Most digits in the numerator or the denominator of a rational as written
-# (a decimal's digits on both sides of the point form its numerator); the
-# interpreter's default limit on converting a str to an int.
-MAX_RATIONAL_DIGITS = 4300
-_DIGITS_BOUND = 10 ** MAX_RATIONAL_DIGITS
-
 # Deepest nesting of amp, sub, prod, explicit tails and idealprod the parser
 # accepts: well below the recursion limit, so that parsing and every recursive
 # walk of the parsed expression stay clear of it.
 MAX_NESTING = 200
 
 
-class DslError(ValueError):
+class DslError(InputError):
     """Syntax error with the byte offset where parsing stopped."""
 
     def __init__(self, message: str, offset: int):
@@ -91,20 +88,21 @@ class _Cursor:
 
 def parse_rational(text: str) -> Fraction:
     """A rational written p/q or as a decimal, with no exponent, and at most
-    MAX_RATIONAL_DIGITS digits in its numerator and in its denominator.
-    Raises ValueError otherwise."""
+    MAX_RATIONAL_DIGITS digits in its numerator and in its denominator (a
+    decimal's digits on both sides of the point form its numerator).
+    Raises InputError otherwise."""
     m = _NUMBER.fullmatch(text)
     if not m:
-        raise ValueError(f"expected a rational number (p/q or decimal), got {text[:40]!r}")
+        raise InputError(f"expected a rational number (p/q or decimal), got {text[:40]!r}")
     whole, point, den = m.groups()
     if max(len(whole) + len(point or ""), len(den or "")) > MAX_RATIONAL_DIGITS:
-        raise ValueError(
+        raise InputError(
             f"rational with more than {MAX_RATIONAL_DIGITS} digits in its numerator or denominator"
         )
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ValueError(f"bad rational {text[:40]!r}: {exc}") from None
+        raise InputError(f"bad rational {text[:40]!r}: {exc}") from None
 
 
 def _number(c: _Cursor) -> Fraction:
@@ -113,7 +111,7 @@ def _number(c: _Cursor) -> Fraction:
         c.fail("expected a rational number (p/q or decimal)")
     try:
         return parse_rational(tok)
-    except ValueError as exc:
+    except InputError as exc:
         raise DslError(str(exc), c.pos) from None
 
 
@@ -121,6 +119,8 @@ def _integer(c: _Cursor) -> int:
     tok = c.take(_INT)
     if not tok:
         c.fail("expected an integer")
+    if len(tok) > MAX_RATIONAL_DIGITS:
+        c.fail(f"integer with more than {MAX_RATIONAL_DIGITS} digits")
     return int(tok)
 
 
@@ -162,7 +162,7 @@ def _seq(c: _Cursor, depth: int = 0) -> SequenceExpr:
             expr = Scale(factor, _seq(c, _nest(c, depth)))
             break
         fused = factor if fused is None else fused * factor
-        if max(fused.numerator, fused.denominator) >= _DIGITS_BOUND:
+        if not fits_digit_cap(fused):
             c.fail(
                 f"fused scale factor with more than {MAX_RATIONAL_DIGITS} digits "
                 "in its numerator or denominator"

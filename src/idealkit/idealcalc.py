@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .seqspace import (
+    InputError,
     Mode,
     Product,
     RATE_ONE,
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-class ZeroIdealError(ValueError):
+class ZeroIdealError(InputError):
     """An identically zero generator gives the zero ideal, which is not modeled."""
 
 
@@ -294,7 +295,7 @@ def necessary_soft_condition(xi: SequenceExpr) -> Verdict:
     xi is little-o of one of its own proper ampliations."""
     ensure_valid(xi)
     if support(xi) is not None:
-        raise ValueError("necessary softness condition needs infinite support")
+        raise InputError("necessary softness condition needs infinite support")
     sig = signature_of(xi)
     v = compare(xi, ampliate(2, xi), Mode.LITTLE_O)
     ev = dict(v.evidence)
@@ -337,7 +338,7 @@ def implication_report(xi: SequenceExpr) -> ImplicationReport:
     """
     ensure_valid(xi)
     if support(xi) is not None:
-        raise ValueError("implication report needs an infinite-support generator")
+        raise InputError("implication report needs an infinite-support generator")
     ideal = Principal(xi)
     d2 = delta2_check(xi)
     soft = is_soft(ideal)

@@ -11,8 +11,8 @@ scalars without ever being able to prove the converse.
 The commutant-dimension criterion counts the simple summands of a split
 semisimple algebra; for a simple algebra whose centroid is a proper field
 extension of the rationals the criterion can exceed one, in which case
-witness extraction degrades to an explicitly flagged certificate rather
-than a wrong eigenspace.
+a NotSimple verdict without a witness carries the flag "witness
+extraction incomplete" rather than a wrong eigenspace.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .ratlinalg import (
     frac_mod_p,
     nullspace,
 )
-from .seqspace import SequenceExpr, as_fraction, ensure_valid, eval_at, has_exact_eval
+from .seqspace import InputError, SequenceExpr, as_fraction, ensure_valid, eval_at, has_exact_eval
 
 __all__ = [
     "ClosureReport",
@@ -62,7 +62,9 @@ __all__ = [
     "killing_form",
     "lie_ideal_generated",
     "load_algebra",
+    "load_seeds",
     "make_algebra",
+    "matrices_from_json",
     "random_ideal_search",
     "save_algebra",
     "shift_truncation",
@@ -77,7 +79,7 @@ __all__ = [
 ]
 
 
-class NotClosedError(ValueError):
+class NotClosedError(InputError):
     """The presented basis is not closed under the commutator bracket."""
 
 
@@ -278,13 +280,6 @@ class LieAlgebraPresentation:
         return len(self.basis)
 
 
-def _presentation(ambient: int, mats: Sequence[RationalMatrix], name: str) -> LieAlgebraPresentation:
-    for m in mats:
-        if m.rows != ambient or m.cols != ambient:
-            raise ValueError(f"{name}: basis matrix of wrong shape")
-    return LieAlgebraPresentation(ambient, tuple(mats), name)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of a presentation, as canonical reduced-echelon coordinate rows."""
@@ -333,15 +328,18 @@ def subspace_from_coords(parent: LieAlgebraPresentation, rows: Sequence[Sequence
     return _subspace(parent, ([as_fraction(v) for v in row] for row in rows))
 
 
+def _matrix_coords(L: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) -> List[dict]:
+    """Sparse coordinates of the matrices in the basis of L; InputError when
+    one lies outside its span."""
+    span = _structure(L).span
+    coords = [_coords(span, _flat(m)) for m in mats]
+    if None in coords:
+        raise InputError("matrix outside the span of the presentation basis")
+    return coords
+
+
 def subspace_from_matrices(parent: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) -> Subspace:
-    st = _structure(parent)
-    coords = []
-    for m in mats:
-        c = _coords(st.span, _flat(m))
-        if c is None:
-            raise ValueError("matrix outside the span of the presentation basis")
-        coords.append(c)
-    return _subspace(parent, coords)
+    return _subspace(parent, _matrix_coords(parent, mats))
 
 
 def span_reduce(mats: Sequence[RationalMatrix]) -> List[RationalMatrix]:
@@ -402,7 +400,7 @@ def _closure_scan(L: LieAlgebraPresentation):
     for idx, b in enumerate(L.basis):
         flat = _flat(b)
         if _coords(span, flat) is not None:
-            raise ValueError(f"{L.name}: basis matrix {idx} depends on earlier ones")
+            raise InputError(f"{L.name}: basis matrix {idx} depends on earlier ones")
         span.insert({**flat, n + idx: F1})
     d = L.dim
     ads = [[{} for _ in range(d)] for _ in range(d)]
@@ -442,16 +440,16 @@ def _structure(L: LieAlgebraPresentation) -> _Structure:
 # ---------------------------------------------------------------------------
 
 
-def _require_positive(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"size must be an integer >= 1, got {n}")
+def _require_size(n: int, least: int = 1) -> None:
+    if not isinstance(n, int) or n < least:
+        raise InputError(f"size must be an integer >= {least}, got {n}")
 
 
 def _sp_top_blocks(n: int) -> List[RationalMatrix]:
     """Generators shared by both 2n x 2n block forms: the top-left block
     entries row-major (bottom-right the negative transpose), then the
     symmetric top-right generators, i <= j row-major."""
-    _require_positive(n)
+    _require_size(n)
     a = 2 * n
     basis = []
     for i in range(n):
@@ -480,7 +478,7 @@ def sp_standard(n: int) -> LieAlgebraPresentation:
             if i != j:
                 m = m + RationalMatrix.unit(a, n + j, i)
             basis.append(m)
-    return _presentation(a, basis, f"sp_standard_{n}")
+    return LieAlgebraPresentation(a, tuple(basis), f"sp_standard_{n}")
 
 
 def sp_skew_variant(n: int) -> LieAlgebraPresentation:
@@ -492,13 +490,13 @@ def sp_skew_variant(n: int) -> LieAlgebraPresentation:
     for i in range(n):
         for j in range(i + 1, n):
             basis.append(RationalMatrix.unit(a, n + i, j) - RationalMatrix.unit(a, n + j, i))
-    return _presentation(a, basis, f"sp_skew_variant_{n}")
+    return LieAlgebraPresentation(a, tuple(basis), f"sp_skew_variant_{n}")
 
 
 def upper_triangular_sl(n: int) -> LieAlgebraPresentation:
     """Trace-zero upper triangular matrices: diagonal differences, then the
     strictly upper units row-major."""
-    _require_positive(n)
+    _require_size(n, 2)
     basis = [
         RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
         for i in range(n - 1)
@@ -506,26 +504,20 @@ def upper_triangular_sl(n: int) -> LieAlgebraPresentation:
     for i in range(n):
         for j in range(i + 1, n):
             basis.append(RationalMatrix.unit(n, i, j))
-    if not basis:
-        raise ValueError("upper_triangular_sl(1) is zero-dimensional")
-    return _presentation(n, basis, f"upper_triangular_sl_{n}")
+    return LieAlgebraPresentation(n, tuple(basis), f"upper_triangular_sl_{n}")
 
 
 def strictly_upper(n: int) -> LieAlgebraPresentation:
-    _require_positive(n)
-    if n < 2:
-        raise ValueError("strictly_upper needs n >= 2")
+    _require_size(n, 2)
     basis = [
         RationalMatrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)
     ]
-    return _presentation(n, basis, f"strictly_upper_{n}")
+    return LieAlgebraPresentation(n, tuple(basis), f"strictly_upper_{n}")
 
 
 def sl(n: int) -> LieAlgebraPresentation:
     """Trace-zero matrices: off-diagonal units row-major, then diagonal differences."""
-    _require_positive(n)
-    if n < 2:
-        raise ValueError("sl needs n >= 2")
+    _require_size(n, 2)
     basis = [
         RationalMatrix.unit(n, i, j) for i in range(n) for j in range(n) if i != j
     ]
@@ -533,27 +525,25 @@ def sl(n: int) -> LieAlgebraPresentation:
         RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
         for i in range(n - 1)
     )
-    return _presentation(n, basis, f"sl_{n}")
+    return LieAlgebraPresentation(n, tuple(basis), f"sl_{n}")
 
 
 def diagonal_algebra(n: int) -> LieAlgebraPresentation:
     """Abelian algebra of diagonal matrices."""
-    _require_positive(n)
+    _require_size(n)
     basis = [RationalMatrix.unit(n, i, i) for i in range(n)]
-    return _presentation(n, basis, f"diagonal_{n}")
+    return LieAlgebraPresentation(n, tuple(basis), f"diagonal_{n}")
 
 
 def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
     """Single-matrix presentation: the n x n truncation of a weighted shift,
     weight i on the superdiagonal.  Weights must evaluate exactly."""
-    _require_positive(n)
-    if n < 2:
-        raise ValueError("shift_truncation needs n >= 2")
+    _require_size(n, 2)
     ensure_valid(weights)
     if not has_exact_eval(weights):
-        raise ValueError("shift truncation needs exactly evaluable weights")
+        raise InputError("shift truncation needs exactly evaluable weights")
     m = RationalMatrix.from_nonzeros(n, n, {(i - 1, i): eval_at(weights, i) for i in range(1, n)})
-    return _presentation(n, [m], f"shift_truncation_{n}")
+    return LieAlgebraPresentation(n, (m,), f"shift_truncation_{n}")
 
 
 def direct_sum(a: LieAlgebraPresentation, b: LieAlgebraPresentation) -> LieAlgebraPresentation:
@@ -567,7 +557,7 @@ def direct_sum(a: LieAlgebraPresentation, b: LieAlgebraPresentation) -> LieAlgeb
         )
         for m in b.basis
     )
-    return _presentation(amb, basis, f"{a.name}+{b.name}")
+    return LieAlgebraPresentation(amb, tuple(basis), f"{a.name}+{b.name}")
 
 
 _KINDS = {
@@ -582,12 +572,14 @@ _KINDS = {
 def make_algebra(kind: str, n: int, weights: Optional[SequenceExpr] = None) -> LieAlgebraPresentation:
     if kind == "shift":
         if weights is None:
-            raise ValueError("shift truncation needs a weight sequence")
+            raise InputError("shift truncation needs a weight sequence")
         return shift_truncation(weights, n)
     ctor = _KINDS.get(kind)
     if ctor is None:
-        raise ValueError(f"unknown algebra kind {kind!r}; expected one of "
+        raise InputError(f"unknown algebra kind {kind!r}; expected one of "
                          f"{sorted(_KINDS)} or 'shift'")
+    if weights is not None:
+        raise InputError(f"weights apply to kind 'shift' only, not {kind!r}")
     return ctor(n)
 
 
@@ -657,6 +649,8 @@ class KillingReport:
 
 def killing_form(L: LieAlgebraPresentation) -> KillingReport:
     """Trace form of the adjoint representation, with its exact rank."""
+    if L.dim < 1:
+        raise InputError("need a nonzero algebra")
     ads = _structure(L).ads
     d = L.dim
     k = [[F0] * d for _ in range(d)]
@@ -704,14 +698,7 @@ def _ideal_fixpoint(L: LieAlgebraPresentation, seeds: Sequence[dict]) -> Subspac
 
 def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatrix]) -> Subspace:
     """Least Lie ideal of L containing the seeds, by bracket fixpoint."""
-    st = _structure(L)
-    seed_coords = []
-    for s in seeds:
-        coords = _coords(st.span, _flat(s))
-        if coords is None:
-            raise ValueError("seed lies outside the span of the presentation")
-        seed_coords.append(coords)
-    return _ideal_fixpoint(L, seed_coords)
+    return _ideal_fixpoint(L, _matrix_coords(L, seeds))
 
 
 def random_ideal_search(
@@ -898,7 +885,6 @@ class SimplicityReport:
     detail: str
     commutant_dim: Optional[int] = None
     flags: tuple = ()
-    certificate: Optional[tuple] = None  # commutant basis when extraction is incomplete
 
     @property
     def simple(self) -> bool:
@@ -924,8 +910,7 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
     non-scalar commutant element when the dimension exceeds one.
     """
     if L.dim < 1:
-        raise ValueError("need a nonzero algebra")
-    _structure(L)  # raises NotClosedError on a non-closed presentation
+        raise InputError("need a nonzero algebra")
     d = L.dim
     derived = derived_algebra(L)
     if derived.dim == 0:
@@ -978,7 +963,6 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
         "adjoint commutant dimension exceeds 1",
         com.dim,
         ("witness extraction incomplete",),
-        com.basis,
     )
 
 
@@ -1016,7 +1000,17 @@ def _decode_rational(v) -> Fraction:
         return Fraction(v)
     if isinstance(v, str):
         return parse_rational(v)
-    raise ValueError(f"rationals must be integers or 'p/q' strings, got {v!r}")
+    raise InputError(f"rationals must be integers or 'p/q' strings, got {v!r:.40}")
+
+
+def matrices_from_json(flats, ambient: int) -> List[RationalMatrix]:
+    """ambient x ambient matrices from a list of flat row-major lists of
+    exactly ambient**2 rationals (see _decode_rational); InputError
+    otherwise."""
+    size = ambient * ambient
+    if not isinstance(flats, list) or any(not isinstance(f, list) or len(f) != size for f in flats):
+        raise InputError(f"expected a list of matrices, each a flat list of {size} rationals")
+    return [_from_flat([_decode_rational(v) for v in flat], ambient, ambient) for flat in flats]
 
 
 def algebra_to_json(L: LieAlgebraPresentation) -> dict:
@@ -1033,18 +1027,10 @@ def algebra_from_json(obj: dict) -> LieAlgebraPresentation:
         ambient = obj["ambient_dim"]
         basis = obj["basis"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"algebra file missing field: {exc}") from None
+        raise InputError(f"algebra file missing field: {exc}") from None
     if not isinstance(ambient, int) or ambient < 1:
-        raise ValueError(f"bad ambient_dim: {ambient!r}")
-    mats = []
-    for flat in basis:
-        if len(flat) != ambient * ambient:
-            raise ValueError(
-                f"basis matrix has {len(flat)} entries, expected {ambient * ambient}"
-            )
-        vals = [_decode_rational(v) for v in flat]
-        mats.append(_from_flat(vals, ambient, ambient))
-    L = _presentation(ambient, mats, str(name))
+        raise InputError(f"bad ambient_dim: {ambient!r:.40}")
+    L = LieAlgebraPresentation(ambient, tuple(matrices_from_json(basis, ambient)), str(name))
     _closure_scan(L)  # raises on a dependent basis
     return L
 
@@ -1058,3 +1044,11 @@ def save_algebra(L: LieAlgebraPresentation, path: str) -> None:
 def load_algebra(path: str) -> LieAlgebraPresentation:
     with open(path, "r", encoding="utf-8") as fh:
         return algebra_from_json(json.load(fh))
+
+
+def load_seeds(path: str, ambient: int) -> List[RationalMatrix]:
+    """Seed matrices from a JSON file: {"elements": [...]} or the bare list."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    elements = payload.get("elements") if isinstance(payload, dict) else payload
+    return matrices_from_json(elements, ambient)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import decimal
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,7 +30,9 @@ __all__ = [
     "Exp",
     "Explicit",
     "FiniteSupport",
+    "InputError",
     "InvalidSequenceError",
+    "MAX_RATIONAL_DIGITS",
     "Mode",
     "Method",
     "Pow",
@@ -51,6 +52,7 @@ __all__ = [
     "eval_at",
     "eval_log",
     "explicit",
+    "fits_digit_cap",
     "has_exact_eval",
     "log_ratio_ceiling",
     "numeric_probe",
@@ -74,9 +76,24 @@ DIVERGENCE_FACTOR = 10.0
 FLAT_FACTOR = 0.9
 _EXP_OVERFLOW = 700.0  # exp() overflows around e^709
 
+# Most digits in the numerator or the denominator of a rational that is read
+# or printed exactly.  It equals the interpreter's default limit on int/str
+# conversion but does not follow that setting, so no answer depends on it.
+MAX_RATIONAL_DIGITS = 4300
+_DIGITS_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
-class InvalidSequenceError(ValueError):
+
+class InputError(ValueError):
+    """Refused input; the command line reports these, and no other error, as bad input."""
+
+
+class InvalidSequenceError(InputError):
     """The expression violates a catalog constraint (not in c0*)."""
+
+
+def fits_digit_cap(f: Fraction) -> bool:
+    """Whether f's numerator and denominator have at most MAX_RATIONAL_DIGITS digits."""
+    return abs(f.numerator) < _DIGITS_BOUND and f.denominator < _DIGITS_BOUND
 
 
 def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
@@ -648,9 +665,8 @@ def _vector_value(vector, index: int) -> Fraction:
 
 
 def _vector_prints(vector, index: int) -> bool:
-    """Whether _vector_value(vector, index) converts to str within the
-    interpreter's digit limit, judged from the log10 sizes of its numerator
-    and denominator."""
+    """Whether _vector_value(vector, index) prints within MAX_RATIONAL_DIGITS,
+    judged from the log10 sizes of its numerator and denominator."""
     sizes = [0.0, 0.0]
     for q, e in vector:
         k = e * index
@@ -672,15 +688,14 @@ def _log10_size(k, x: int) -> float:
 
 
 def _str_fits(log10_size: float, build) -> bool:
-    """Whether an int of about 10 ** log10_size converts to str within the
-    interpreter's digit limit.  The estimate decides, except within a digit
-    of the limit, where build() makes the int and it is checked exactly."""
-    limit = sys.get_int_max_str_digits()
-    if not limit or log10_size < limit - 1:
+    """Whether an int of about 10 ** log10_size has at most
+    MAX_RATIONAL_DIGITS digits.  The estimate decides, except within a digit
+    of the cap, where build() makes the int and it is checked exactly."""
+    if log10_size < MAX_RATIONAL_DIGITS - 1:
         return True
-    if log10_size > limit + 1:
+    if log10_size > MAX_RATIONAL_DIGITS + 1:
         return False
-    return build() < 10 ** limit
+    return build() < _DIGITS_BOUND
 
 
 def root_rational(base, index: int = 1) -> RootRational:
@@ -876,8 +891,8 @@ def _power_product(factors: list, approximate) -> Union[Fraction, float]:
     and a rational exponent e.
 
     With integral exponents it is exact, written over a coprime base so that
-    cancelling powers are never built, unless it would not print within the
-    interpreter's digit limit.  Otherwise it is approximate(), the product in
+    cancelling powers are never built, unless it would not print within
+    MAX_RATIONAL_DIGITS.  Otherwise it is approximate(), the product in
     float arithmetic, while its powers have at most _FLOAT_POWER_DIGITS
     digits and it lies inside the float range; else exp of the summed logs,
     which is inf or 0.0 only where the product leaves the float range.
@@ -916,8 +931,8 @@ def ampliate(m: int, expr: SequenceExpr) -> SequenceExpr:
 
 
 def subsample(k: int, expr: SequenceExpr) -> SequenceExpr:
-    """Take every k-th entry; exponentials whose powered ratio fits the
-    interpreter's int digit limit, and finite supports, rewrite in place."""
+    """Take every k-th entry; exponentials whose powered ratio fits
+    MAX_RATIONAL_DIGITS, and finite supports, rewrite in place."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"subsample step must be an integer >= 2, got {k}")
     if isinstance(expr, Exp):
@@ -940,12 +955,9 @@ def subsample(k: int, expr: SequenceExpr) -> SequenceExpr:
 
 
 def _limit_ratio_evidence(xi: SequenceExpr, eta: SequenceExpr, evidence: dict) -> None:
-    """Attach the limiting ratio for same-signature rate-one pairs, the
+    """Attach the limiting ratio of a same-signature rate-one pair, the
     quotient of their asymptotic scales (see _power_product)."""
-    try:
-        factors = _scale_factors(xi) + [(q, -e) for q, e in _scale_factors(eta)]
-    except ValueError:
-        return
+    factors = _scale_factors(xi) + [(q, -e) for q, e in _scale_factors(eta)]
     evidence["limiting_ratio"] = _power_product(
         factors, lambda: _asymptotic_scale(xi) / _asymptotic_scale(eta)
     )
@@ -979,7 +991,8 @@ def compare(xi: SequenceExpr, eta: SequenceExpr, mode: Mode) -> Verdict:
     if mode is Mode.BIG_O:
         if s == t:
             ev["rule"] = "equal signatures; catalog ratio eventually bounded"
-            _limit_ratio_evidence(xi, eta, ev)
+            if s.rate == RATE_ONE:
+                _limit_ratio_evidence(xi, eta, ev)
             return proven(Status.HOLDS, **ev)
         if decays_faster(s, t):
             return proven(Status.HOLDS, rule="strict signature dominance", **ev)
@@ -989,7 +1002,7 @@ def compare(xi: SequenceExpr, eta: SequenceExpr, mode: Mode) -> Verdict:
         return proven(Status.HOLDS, rule="strict signature dominance", **ev)
     if s == t:
         ev["reason"] = "equal signatures; ratio does not tend to zero"
-        if not s.is_zero_tail and s.rate == RATE_ONE:
+        if s.rate == RATE_ONE:
             _limit_ratio_evidence(xi, eta, ev)
         return proven(Status.FAILS, **ev)
     return proven(Status.FAILS, reason="xi decays strictly slower", **ev)
@@ -1059,9 +1072,9 @@ def numeric_probe(
     ensure_valid(xi)
     ensure_valid(eta)
     if n_max < 2 ** 10:
-        raise ValueError(f"n_max must be at least 2**10, got {n_max}")
+        raise InputError(f"n_max must be at least 2**10, got {n_max}")
     if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+        raise InputError(f"eps must be positive, got {eps}")
 
     eta_infinite = support(eta) is None
     notes = []

@@ -28,10 +28,12 @@ from . import dsl
 from .idealcalc import Principal, is_soft
 from .matlie import RationalMatrix, bracket
 from .seqspace import (
+    MAX_RATIONAL_DIGITS,
     Ampliation,
     Exp,
     Explicit,
     FiniteSupport,
+    InputError,
     Method,
     Pow,
     Product,
@@ -42,6 +44,7 @@ from .seqspace import (
     Verdict,
     ensure_valid,
     eval_at,
+    fits_digit_cap,
     has_exact_eval,
     support,
 )
@@ -52,6 +55,7 @@ __all__ = [
     "MAX_SCAN_WINDOW",
     "MAX_TRUNCATION",
     "MAX_WEIGHT_BITS",
+    "MIN_TRUNCATION",
     "ShiftBracket",
     "ShiftModel",
     "build_certificate",
@@ -72,6 +76,7 @@ DEFAULT_SCAN_WINDOW = 1024
 # weight of exp:1/2 has k bits, so there it grows as N^2 (about 3 s and
 # 120 MB at the limit).  The scan evaluates up to scan_window commutator
 # weights and stores none of them.
+MIN_TRUNCATION = 3
 MAX_TRUNCATION = 1 << 14
 MAX_SCAN_WINDOW = 1 << 16
 # Limit on N times the bits (numerator plus denominator) of the N-th weight
@@ -88,7 +93,7 @@ OBLIGATION_TRUNCATION = "truncation_bracket_matches_formula_window"
 OBLIGATION_POOL_CENTRAL = "pool_commutators_all_zero"
 
 
-class CertificateError(ValueError):
+class CertificateError(InputError):
     """Certificate cannot be built or decoded."""
 
 
@@ -104,8 +109,6 @@ class ShiftModel:
 def shift_matrix(model: ShiftModel) -> RationalMatrix:
     """N x N truncation: weight i at entry (i+1, i), 1-based."""
     ensure_valid(model.weights)
-    if model.truncation < 3:
-        raise ValueError("truncation must be at least 3")
     if not has_exact_eval(model.weights):
         raise CertificateError("shift model needs exactly evaluable weights")
     n = model.truncation
@@ -205,13 +208,15 @@ def _truncation_window_agrees(t: ShiftModel, s: ShiftModel, br: ShiftBracket) ->
 
 
 def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
-    """Refuse a truncation, weight size or scan window above its limit
-    before any work."""
+    """Refuse a truncation outside its bounds, or a weight size or scan
+    window above its limit, before any work."""
     for model in models:
         n = model.truncation
+        if n < MIN_TRUNCATION:
+            raise CertificateError(f"truncation {n} is below the minimum {MIN_TRUNCATION}")
         if n > MAX_TRUNCATION:
             raise CertificateError(f"truncation {n} exceeds the limit {MAX_TRUNCATION}")
-        if n >= 1 and has_exact_eval(model.weights):
+        if has_exact_eval(model.weights):
             bits = _weight_bits(model.weights, n)
             if n * bits > MAX_WEIGHT_BITS:
                 raise CertificateError(
@@ -277,7 +282,6 @@ def build_certificate(
     pool = [
         ShiftModel(dsl.parse_seq(dsl.format_seq(s.weights)), s.truncation) for s in pool
     ]
-    ensure_valid(generator.weights)
     soft = is_soft(Principal(generator.weights))
     if not (soft.fails and soft.proven):
         raise CertificateError(
@@ -299,6 +303,10 @@ def build_certificate(
         pool_brackets.append(br)
         if not br.all_zero:
             index, value = br.first_nonzero
+            if not fits_digit_cap(value):  # a certificate file could not hold it
+                raise CertificateError(f"commutator weight {index} has more than "
+                                       f"{MAX_RATIONAL_DIGITS} digits in its numerator or "
+                                       "denominator")
             agrees = _truncation_window_agrees(generator, s, br)
             obligations.append((OBLIGATION_COMMUTATOR, True))
             obligations.append((OBLIGATION_TRUNCATION, agrees))
@@ -491,6 +499,10 @@ def certificate_from_json(obj: dict) -> Certificate:
         raise CertificateError(f"malformed certificate: {exc}") from exc
     partner = [] if cert.partner is None else [cert.partner]
     _check_limits([cert.generator, *partner, *cert.pool], cert.scan_window)
+    if first is not None and not 1 <= cert.first_index <= cert.scan_window:
+        raise CertificateError(
+            f"first nonzero index {cert.first_index} lies outside 1..{cert.scan_window}"
+        )
     return cert
 
 

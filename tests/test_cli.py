@@ -17,7 +17,7 @@ import pytest
 import idealkit
 from idealkit.cli import main
 from idealkit.dsl import MAX_NESTING, MAX_RATIONAL_DIGITS
-from idealkit.witness import MAX_SCAN_WINDOW, MAX_TRUNCATION
+from idealkit.witness import MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
 
 
 def run_cli(argv):
@@ -436,6 +436,8 @@ class TestWitnessCommands:
     @pytest.mark.parametrize(
         "flag,value,code",
         [
+            ("--truncation", MIN_TRUNCATION, 0),
+            ("--truncation", MIN_TRUNCATION - 1, 2),
             ("--truncation", MAX_TRUNCATION, 0),
             ("--truncation", MAX_TRUNCATION + 1, 2),
             ("--window", MAX_SCAN_WINDOW, 0),

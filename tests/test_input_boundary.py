@@ -1,0 +1,221 @@
+"""The input boundary: bad input is an InputError and exits 2 with one
+``error:`` line; every other exception is a bug and surfaces as one."""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import json
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+import idealkit
+from idealkit import cli
+from idealkit.dsl import DslError, parse_seq
+from idealkit.idealcalc import ZeroIdealError
+from idealkit.matlie import NotClosedError, matrices_from_json
+from idealkit.seqspace import MAX_RATIONAL_DIGITS, InputError, InvalidSequenceError, Pow
+from idealkit.witness import (
+    MIN_TRUNCATION,
+    CertificateError,
+    ShiftModel,
+    build_certificate,
+    certificate_from_json,
+    certificate_to_json,
+    verify_certificate,
+)
+
+
+def test_error_classes_are_input_errors():
+    for cls in (DslError, InvalidSequenceError, ZeroIdealError, NotClosedError, CertificateError):
+        assert issubclass(cls, InputError)
+    assert cli._USER_ERRORS == (InputError, OSError, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize("exc", [ValueError("internal"), ZeroDivisionError("internal")])
+def test_internal_errors_propagate(monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "seq", broken)
+    with pytest.raises(type(exc), match="internal"):
+        cli.main(["seq", "signature", "pow:1"])
+
+
+def _caught_names(expr, assignments) -> set:
+    if expr is None:
+        return {"BaseException"}  # a bare except
+    if isinstance(expr, ast.Tuple):
+        return set().union(*(_caught_names(e, assignments) for e in expr.elts))
+    if isinstance(expr, ast.Name) and expr.id in assignments:
+        return _caught_names(assignments[expr.id], assignments)
+    if isinstance(expr, ast.Name):
+        return {expr.id}
+    if isinstance(expr, ast.Attribute):
+        return {expr.attr}
+    return {ast.dump(expr)}
+
+
+def test_main_catches_no_broad_exception():
+    tree = ast.parse(inspect.getsource(cli))
+    assignments = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [h for node in ast.walk(main) if isinstance(node, ast.Try) for h in node.handlers]
+    assert handlers
+    for handler in handlers:
+        caught = _caught_names(handler.type, assignments)
+        assert not caught & {"ValueError", "Exception", "BaseException"}, caught
+
+
+def _write(path, payload) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return str(path)
+
+
+SL2_BASIS = [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]]
+
+# (id, argv, payload): "{sl2}" in argv names an sl(2) algebra file, "{file}"
+# a file holding the payload
+EXIT_TWO = [
+    ("seeds-no-elements", ["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"], {"foo": 1}),
+    ("seeds-number", ["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"], 5),
+    ("seed-2-entries", ["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"], [[0, 1]]),
+    ("seed-6-entries", ["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"],
+     [[0, 1, 0, 0, 0, 0]]),
+    ("basis-number", ["lie", "check-closure", "--file", "{file}"],
+     {"name": "x", "ambient_dim": 2, "basis": [5]}),
+    ("first-value-digits", ["witness", "build", "--generator", "pow:100000",
+                            "--partner", "pow:1", "--truncation", "8"], None),
+    ("truncation-floor", ["witness", "build", "--generator", "exp:1/2",
+                          "--partner", "pow:1", "--truncation", "2"], None),
+    ("sl-size-zero", ["lie", "build", "sl", "--n", "0"], None),
+    ("shift-no-weights", ["lie", "build", "shift", "--n", "4"], None),
+    ("weights-not-shift", ["lie", "build", "sl", "--n", "3", "--weights", "pow:1"], None),
+    ("report-finite", ["ideal", "report", "finite:[1]"], None),
+    ("eps-zero", ["seq", "compare", "--mode", "O", "pow:1", "pow:1", "--numeric", "--eps", "0"],
+     None),
+    ("lie-no-subcommand", ["lie"], None),
+    ("killing-empty-basis", ["lie", "killing", "--file", "{file}"],
+     {"name": "x", "ambient_dim": 2, "basis": []}),
+]
+
+
+@pytest.mark.parametrize("argv,payload", [p[1:] for p in EXIT_TWO], ids=[p[0] for p in EXIT_TWO])
+def test_bad_input_exits_two_with_one_error_line(argv, payload, tmp_path, capsys):
+    sl2 = {"name": "sl2", "ambient_dim": 2, "basis": SL2_BASIS}
+    files = {
+        "{sl2}": _write(tmp_path / "sl2.json", sl2),
+        "{file}": _write(tmp_path / "payload.json", payload),
+    }
+    argv = [files.get(a, a) for a in argv]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 2, captured.out
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "Traceback" not in captured.err
+    assert seconds < 1
+
+
+def test_messages_name_the_broken_bound(capsys):
+    cli.main(["witness", "build", "--generator", "pow:100000", "--partner", "pow:1",
+              "--truncation", "8"])
+    assert f"more than {MAX_RATIONAL_DIGITS} digits" in capsys.readouterr().err
+    cli.main(["witness", "build", "--generator", "exp:1/2", "--partner", "pow:1",
+              "--truncation", "2"])
+    err = capsys.readouterr().err
+    assert f"below the minimum {MIN_TRUNCATION}" in err and "hypothesis gate" not in err
+
+
+@pytest.mark.parametrize("size", [3, 5], ids=["one-short", "one-long"])
+def test_seed_of_wrong_length_refused(size):
+    with pytest.raises(InputError, match="flat list of 4 rationals"):
+        matrices_from_json([[0] * size], 2)
+    assert matrices_from_json([[0, 1, 0, 0]], 2)[0].entries == ((0, 1), (0, 0))
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+def test_first_value_digit_cap(over):
+    # the first commutator weight of pow:p against pow:1 is (1 - 2^(p-1))/2^p
+    p = (10 ** MAX_RATIONAL_DIGITS - 1).bit_length() - 1 + over  # 2^p within the cap
+    generator, pool = ShiftModel(Pow(p), 3), [ShiftModel(Pow(1), 3)]
+    if over:
+        with pytest.raises(CertificateError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
+            build_certificate(generator, pool)
+    else:
+        cert = build_certificate(generator, pool)
+        assert cert.first_value.denominator == 2 ** p
+        restored = certificate_from_json(certificate_to_json(cert))
+        assert restored.first_value == cert.first_value
+        assert verify_certificate(restored).holds
+
+
+def test_integer_digit_cap():
+    at = "1" + "0" * (MAX_RATIONAL_DIGITS - 1)
+    assert parse_seq(f"amp:{at};pow:1").m == 10 ** (MAX_RATIONAL_DIGITS - 1)
+    with pytest.raises(DslError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
+        parse_seq(f"amp:{at}0;pow:1")
+
+
+class TestFirstIndexBound:
+    @staticmethod
+    def _payload():
+        cert = build_certificate(ShiftModel(Pow(1), 8), [ShiftModel(parse_seq("exp:1/2"), 8)])
+        return certificate_to_json(cert)
+
+    def test_index_at_the_scan_window_loads(self):
+        payload = self._payload()
+        payload["first_nonzero"]["index"] = payload["scan_window"]
+        assert certificate_from_json(payload).first_index == payload["scan_window"]
+
+    @pytest.mark.parametrize("index", ["window+1", 0, 10 ** 9])
+    def test_index_outside_the_scan_window_refused(self, index, tmp_path, capsys):
+        payload = self._payload()
+        window = payload["scan_window"]
+        payload["first_nonzero"]["index"] = window + 1 if index == "window+1" else index
+        path = _write(tmp_path / "cert.json", payload)
+        start = time.perf_counter()
+        assert cli.main(["witness", "verify", "--file", path]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"outside 1..{window}" in capsys.readouterr().err
+
+
+def _src_dir():
+    return os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["seq", "delta2", "pow:10000000000", "--json"], "inf"),
+        (["seq", "signature", "sub:100000000;exp:1/3", "--json"],
+         "rate=3^(-100000000), pow=0, logpow=0"),
+    ],
+    ids=["delta2", "signature"],
+)
+def test_digit_cap_ignores_the_interpreter_setting(argv, expected):
+    # with the interpreter's limit off, the cap still keeps huge powers unbuilt
+    env = dict(os.environ, PYTHONPATH=_src_dir(), PYTHONINTMAXSTRDIGITS="0")
+    out = subprocess.run(
+        [sys.executable, "-m", "idealkit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    if argv[1] == "delta2":
+        assert payload["verdict"]["evidence"]["limiting_ratio"] == expected
+    else:
+        assert payload["signature"] == expected

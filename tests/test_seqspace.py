@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealkit.seqspace import (
+    MAX_RATIONAL_DIGITS,
     Ampliation,
     Exp,
     Explicit,
@@ -234,7 +234,7 @@ class TestRateOrder:
 class TestDigitLimit:
     # 10^k has k + 1 digits; sub:k;exp:1/10 powers in place only while they print
     def test_subsample_powers_in_place_up_to_the_limit(self):
-        limit = sys.get_int_max_str_digits()
+        limit = MAX_RATIONAL_DIGITS
         at = subsample(limit - 1, Exp(F(1, 10)))
         assert at == Exp(F(1, 10 ** (limit - 1)))
         assert signature_of(at).describe() == f"rate=1/{10 ** (limit - 1)}, pow=0, logpow=0"
