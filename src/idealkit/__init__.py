@@ -1,7 +1,7 @@
 """Executable calculus for operator-ideal softness questions and exact
 simplicity decisions for rational matrix Lie algebras.
 
-Submodules:
+Submodules load on first attribute access; ``import idealkit`` imports none.
 
 - ``seqspace``: symbolic nonincreasing null sequences, exact big-O/little-o
   decisions, dyadic-ratio checks, and a numeric corroboration probe.
@@ -14,7 +14,13 @@ Submodules:
 - ``dsl`` / ``cli``: text syntax and the command line front end.
 """
 
-from . import dsl, idealcalc, matlie, ratlinalg, seqspace, witness
+import importlib
 
 __all__ = ["cli", "dsl", "idealcalc", "matlie", "ratlinalg", "seqspace", "witness"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

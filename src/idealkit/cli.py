@@ -14,9 +14,8 @@ import argparse
 import json
 import sys
 
-from . import dsl, idealcalc, matlie, seqspace, witness
+from . import dsl, idealcalc, seqspace
 from .seqspace import DEFAULT_EPS, DEFAULT_NMAX, InputError, Method, Mode, Status
-from .witness import ShiftModel
 
 SCHEMA_VERSION = "1"
 
@@ -76,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
 
     lie = top.add_parser("lie", help="matrix Lie algebra engine").add_subparsers(dest="cmd")
     p = lie.add_parser("build", help="construct a catalog algebra and save it")
-    p.add_argument("kind", choices=sorted(matlie._KINDS) + ["shift"])
+    p.add_argument("kind", help="catalog algebra kind; an unknown kind lists the known ones")
     p.add_argument("--n", type=int, required=True, help="size parameter")
     p.add_argument("--weights", help="weight sequence, for kind=shift only")
     p.add_argument("--name", help="override the presentation name")
@@ -106,7 +105,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--partner", action="append", default=[],
                    help="candidate partner weight sequence (repeatable)")
     p.add_argument("--truncation", type=int, default=64)
-    p.add_argument("--window", type=int, default=witness.DEFAULT_SCAN_WINDOW)
+    p.add_argument("--window", type=int, help="default: witness.DEFAULT_SCAN_WINDOW")
     _add_common(p)
     p = wit.add_parser("verify", help="verify a stored certificate")
     p.add_argument("--file", required=True, help="certificate JSON file")
@@ -238,14 +237,16 @@ def _handle_ideal(args):
         return rpt, lines
 
 
-def _subspace_json(sub: matlie.Subspace) -> dict:
+def _subspace_json(sub) -> dict:
+    from .matlie import _encode_rational
     return {
         "dim": sub.dim,
-        "coordinates": [[matlie._encode_rational(v) for v in row] for row in sub.vectors],
+        "coordinates": [[_encode_rational(v) for v in row] for row in sub.vectors],
     }
 
 
 def _handle_lie(args):
+    from . import matlie
     if args.cmd == "build":
         weights = dsl.parse_seq(args.weights) if args.weights else None
         algebra = matlie.make_algebra(args.kind, args.n, weights)
@@ -350,10 +351,12 @@ def _handle_lie(args):
 
 
 def _handle_witness(args):
+    from . import witness
     if args.cmd == "build":
-        generator = ShiftModel(dsl.parse_seq(args.generator), args.truncation)
-        pool = [ShiftModel(dsl.parse_seq(s), args.truncation) for s in args.partner]
-        cert = witness.build_certificate(generator, pool, args.window)
+        generator = witness.ShiftModel(dsl.parse_seq(args.generator), args.truncation)
+        pool = [witness.ShiftModel(dsl.parse_seq(s), args.truncation) for s in args.partner]
+        window = witness.DEFAULT_SCAN_WINDOW if args.window is None else args.window
+        cert = witness.build_certificate(generator, pool, window)
         payload = witness.certificate_to_json(cert)
         rpt = _report("witness build", certificate=payload)
         lines = [
@@ -388,6 +391,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # Input within the digit cap must not trip a lower interpreter limit (0: none).
+    if 0 < sys.get_int_max_str_digits() < seqspace.MAX_RATIONAL_DIGITS:
+        sys.set_int_max_str_digits(seqspace.MAX_RATIONAL_DIGITS)
     parser = _parser()
     args = parser.parse_args(argv)
     if not args.group:

@@ -20,7 +20,6 @@ from .seqspace import (
     SequenceExpr,
     Status,
     Verdict,
-    ZERO_TAIL,
     ampliate,
     compare,
     delta2_check,

@@ -32,7 +32,9 @@ from .ratlinalg import (
     F0,
     F1,
     MODP_PRIMES,
+    RationalMatrix,
     SparseEchelon,
+    bracket,
     frac_mod_p,
     nullspace,
 )
@@ -81,171 +83,6 @@ __all__ = [
 
 class NotClosedError(InputError):
     """The presented basis is not closed under the commutator bracket."""
-
-
-# ---------------------------------------------------------------------------
-# Matrices
-# ---------------------------------------------------------------------------
-
-
-class RationalMatrix:
-    """Immutable matrix with exact rational entries, stored sparsely.
-
-    It holds its shape and one dict {column: value} per nonzero row, keyed by
-    row index; a zero is never stored.  Every operation therefore costs time
-    proportional to the nonzeros it touches.  ``entries`` and ``flat()`` are
-    dense views.
-    """
-
-    __slots__ = ("rows", "cols", "_data")
-
-    def __init__(self, entries):
-        rows = [[as_fraction(v) for v in row] for row in entries]
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        data = {}
-        for i, r in enumerate(rows):
-            nonzero = {j: v for j, v in enumerate(r) if v}
-            if nonzero:
-                data[i] = nonzero
-        self._init(len(rows), width, data)
-
-    def _init(self, rows: int, cols: int, data: dict) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_data", data)
-
-    @classmethod
-    def _make(cls, rows: int, cols: int, data: dict) -> "RationalMatrix":
-        """Wrap nonzero rows that already hold no zero and no empty row."""
-        m = object.__new__(cls)
-        m._init(rows, cols, data)
-        return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @classmethod
-    def from_nonzeros(cls, rows: int, cols: int, items: dict) -> "RationalMatrix":
-        """Matrix of the given shape with entries {(row, column): value};
-        zero values are dropped."""
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix must have at least one row and column")
-        data: dict = {}
-        for (i, j), v in items.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i}, {j}) outside a {rows} x {cols} matrix")
-            v = as_fraction(v)
-            if v:
-                data.setdefault(i, {})[j] = v
-        return cls._make(rows, cols, data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: Optional[int] = None) -> "RationalMatrix":
-        return cls.from_nonzeros(rows, rows if cols is None else cols, {})
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_nonzeros(n, n, {(i, i): F1 for i in range(n)})
-
-    @classmethod
-    def unit(cls, n: int, i: int, j: int) -> "RationalMatrix":
-        return cls.from_nonzeros(n, n, {(i, j): F1})
-
-    @property
-    def entries(self) -> tuple:
-        """Dense view: one tuple of Fractions per row."""
-        empty: dict = {}
-        return tuple(
-            tuple(row.get(j, F0) for j in range(self.cols))
-            for row in (self._data.get(i, empty) for i in range(self.rows))
-        )
-
-    def flat(self) -> tuple:
-        """Dense row-major view."""
-        return tuple(v for row in self.entries for v in row)
-
-    def nonzeros(self) -> dict:
-        """The nonzero entries as {(row, column): value}."""
-        return {(i, j): v for i, row in self._data.items() for j, v in row.items()}
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        data = {i: dict(row) for i, row in self._data.items()}
-        for i, row in other._data.items():
-            acc = data.setdefault(i, {})
-            for j, v in row.items():
-                s = acc[j] + v if j in acc else v
-                if s:
-                    acc[j] = s
-                else:
-                    del acc[j]
-            if not acc:
-                del data[i]
-        return RationalMatrix._make(self.rows, self.cols, data)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + -other
-
-    def __neg__(self) -> "RationalMatrix":
-        data = {i: {j: -v for j, v in row.items()} for i, row in self._data.items()}
-        return RationalMatrix._make(self.rows, self.cols, data)
-
-    def scaled(self, c) -> "RationalMatrix":
-        c = as_fraction(c)
-        data = {i: {j: c * v for j, v in row.items()} for i, row in self._data.items()} if c else {}
-        return RationalMatrix._make(self.rows, self.cols, data)
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Row i of the product is the sum of a_ik times row k of other, over
-        the nonzero a_ik."""
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        right = other._data
-        data = {}
-        for i, row in self._data.items():
-            acc: dict = {}
-            for k, a in row.items():
-                for j, b in right.get(k, {}).items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                data[i] = acc
-        return RationalMatrix._make(self.rows, other.cols, data)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace needs a square matrix")
-        return sum((row.get(i, F0) for i, row in self._data.items()), F0)
-
-    def is_zero(self) -> bool:
-        return not self._data
-
-    def _same_shape(self, other: "RationalMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
-
-    def __hash__(self) -> int:
-        rows = frozenset((i, frozenset(row.items())) for i, row in self._data.items())
-        return hash((self.rows, self.cols, rows))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({[[str(v) for v in row] for row in self.entries]})"
-
-
-def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
-    """Commutator xy - yx; exact, and trace-free by symmetry of the trace."""
-    if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
-        raise ValueError("bracket needs square matrices of equal size")
-    return (x @ y) - (y @ x)
 
 
 def _flat(m: RationalMatrix) -> dict:

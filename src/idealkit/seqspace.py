@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import decimal
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -568,17 +569,23 @@ _LOG_DIGITS = 20
 _HASH_PRIMES = (2, 3, 5, 7)
 
 
+@functools.lru_cache(maxsize=256)
+def _ln(q: int, digits: int) -> tuple:
+    """ln q correctly rounded to ``digits`` significant digits, and its last place's unit."""
+    ln = decimal.Context(prec=digits).ln(q)
+    return Fraction(ln), Fraction(10) ** (ln.adjusted() - digits + 1)
+
+
 def _log_bounds(vector, digits: int) -> tuple:
     """sum(e * ln q) as an exact rational, from each ln q correctly rounded
     to ``digits`` significant digits, and a bound on its error: a rounded
     ln is off by at most half a unit in its last place, and a whole unit is
     allowed here."""
-    ctx = decimal.Context(prec=digits)
     value = error = Fraction(0)
     for q, e in vector:
-        ln = ctx.ln(q)
-        value += e * Fraction(ln)
-        error += abs(e) * Fraction(10) ** (ln.adjusted() - digits + 1)
+        ln, ulp = _ln(q, digits)
+        value += e * ln
+        error += abs(e) * ulp
     return value, error
 
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 
 from . import dsl
 from .idealcalc import Principal, is_soft
-from .matlie import RationalMatrix, bracket
+from .ratlinalg import RationalMatrix, bracket
 from .seqspace import (
     MAX_RATIONAL_DIGITS,
     Ampliation,

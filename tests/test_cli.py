@@ -17,7 +17,8 @@ import pytest
 import idealkit
 from idealkit.cli import main
 from idealkit.dsl import MAX_NESTING, MAX_RATIONAL_DIGITS
-from idealkit.witness import MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
+from idealkit.matlie import _KINDS
+from idealkit.witness import DEFAULT_SCAN_WINDOW, MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
 
 
 def run_cli(argv):
@@ -345,6 +346,12 @@ class TestFileRationals:
 
 
 class TestLieCommands:
+    def test_unknown_kind_lists_the_kinds(self, capsys):
+        assert run_cli(["lie", "build", "nope", "--n", "3"])[0] == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(repr(kind) in err[0] for kind in [*_KINDS, "shift"])
+
     def test_build_check_simple_flow(self, tmp_path):
         algebra_file = str(tmp_path / "sp2.json")
         code, out = run_cli(["lie", "build", "sp", "--n", "2", "-o", algebra_file])
@@ -415,6 +422,13 @@ class TestWitnessCommands:
         assert "index 1, value 1/4" in out
         code, out = run_cli(["witness", "verify", "--file", cert_file])
         assert code == 0 and out.startswith("VERIFIED")
+
+    def test_window_defaults_to_the_library_default(self):
+        argv = ["witness", "build", "--generator", "pow:1", "--partner", "pow:2", "--json"]
+        certs = [json.loads(run_cli(argv + extra)[1])["certificate"]
+                 for extra in ([], ["--window", str(DEFAULT_SCAN_WINDOW)])]
+        assert certs[0]["scan_window"] == DEFAULT_SCAN_WINDOW
+        assert certs[0] == certs[1]
 
     def test_build_gate_exit_two(self):
         code, _ = run_cli(["witness", "build", "--generator", "exp:1/2", "--partner", "pow:2"])
@@ -567,10 +581,55 @@ def test_package_import_reaches_submodules():
     assert out.stdout.strip() == "8"
 
 
-def test_cli_import_leaves_numpy_out():
+# Loads a fresh interpreter step by step and prints, after each step, the
+# idealkit submodules in sys.modules; argv[1] is a scratch certificate path.
+_IMPORT_MAP_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def loaded():
+    return sorted(m.split(".")[1] for m in sys.modules if m.startswith("idealkit."))
+
+import idealkit
+steps = {"package": loaded()}
+from idealkit import cli
+steps["cli"] = loaded()
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["seq", "signature", "pow:1"]) == 0
+    assert cli.main(["ideal", "member", "pow:2", "pow:1"]) == 0
+steps["seq+ideal"] = loaded()
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+                     "-o", sys.argv[1]]) == 0
+    assert cli.main(["witness", "verify", "--file", sys.argv[1]]) == 0
+steps["witness"] = loaded()
+steps["numpy"] = "numpy" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    """Each kind of call imports only the layers it runs."""
     env = dict(os.environ, PYTHONPATH=_src_dir())
-    probe = "import sys, idealkit.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _IMPORT_MAP_PROBE, str(tmp_path / "cert.json")],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    steps = json.loads(out.stdout)
+    assert steps["package"] == []
+    assert steps["cli"] == ["cli", "dsl", "idealcalc", "seqspace"]
+    assert steps["seq+ideal"] == steps["cli"]
+    assert "witness" in steps["witness"] and "matlie" not in steps["witness"]
+    assert steps["numpy"] is False
+
+
+def test_low_interpreter_digit_limit_is_lifted_to_the_cap():
+    argv = ["seq", "signature", "pow:" + "1" * 1000]
+    default = _run_bounded(argv)
+    env = dict(os.environ, PYTHONPATH=_src_dir(), PYTHONINTMAXSTRDIGITS="640")
+    low = subprocess.run(
+        [sys.executable, "-m", "idealkit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert default.returncode == 0, default.stderr
+    assert (low.returncode, low.stdout, low.stderr) == (0, default.stdout, "")

@@ -33,3 +33,12 @@ def test_entry_points_are_callable(tracer):
 
 def test_ratlinalg_all_names_exist():
     assert [name for name in ratlinalg.__all__ if getattr(ratlinalg, name, None) is None] == []
+
+
+def test_matrix_type_lives_in_ratlinalg_outside_its_all():
+    from idealkit import matlie
+
+    assert matlie.RationalMatrix is ratlinalg.RationalMatrix
+    assert matlie.bracket is ratlinalg.bracket
+    assert {"RationalMatrix", "bracket"} <= set(matlie.__all__)
+    assert {"RationalMatrix", "bracket"}.isdisjoint(ratlinalg.__all__)
