@@ -10,9 +10,8 @@ comparisons in :mod:`idealkit.seqspace`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .seqspace import (
+    Frozen,
     InputError,
     Mode,
     Product,
@@ -59,35 +58,32 @@ class InternalInconsistencyError(RuntimeError):
     """A proven implication between verdicts was violated; signals a bug."""
 
 
-class IdealExpr:
+class IdealExpr(Frozen):
     """Base class for ideal presentations."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FiniteRank(IdealExpr):
     """The ideal of finite rank operators; characteristic set = finite supports."""
 
 
-@dataclass(frozen=True)
 class Compact(IdealExpr):
     """The ideal of compact operators; characteristic set = all of c0*."""
 
 
-@dataclass(frozen=True)
 class Principal(IdealExpr):
     """The smallest two-sided ideal whose characteristic set contains gen."""
 
-    gen: SequenceExpr
+    def __init__(self, gen: SequenceExpr):
+        vars(self).update(gen=gen)
 
 
-@dataclass(frozen=True)
 class ProductIdeal(IdealExpr):
     """Product of two ideals: sequences dominated by a product of members."""
 
-    left: IdealExpr
-    right: IdealExpr
+    def __init__(self, left: IdealExpr, right: IdealExpr):
+        vars(self).update(left=left, right=right)
 
 
 FINITE_RANK = FiniteRank()
@@ -304,17 +300,14 @@ def necessary_soft_condition(xi: SequenceExpr) -> Verdict:
     return Verdict(v.status, v.method, ev)
 
 
-@dataclass(frozen=True)
-class ImplicationReport:
+class ImplicationReport(Frozen):
     """Joint verdicts for the principal ideal of one generator, with the
     implication chain between them re-checked."""
 
-    generator: SequenceExpr
-    delta2: Verdict
-    soft: Verdict
-    idempotent: Verdict
-    necessary: Verdict
-    flags: tuple
+    def __init__(self, generator: SequenceExpr, delta2: Verdict, soft: Verdict,
+                 idempotent: Verdict, necessary: Verdict, flags: tuple):
+        vars(self).update(generator=generator, delta2=delta2, soft=soft,
+                          idempotent=idempotent, necessary=necessary, flags=flags)
 
     def to_json(self) -> dict:
         return {

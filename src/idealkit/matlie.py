@@ -21,7 +21,6 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence
@@ -38,7 +37,15 @@ from .ratlinalg import (
     frac_mod_p,
     nullspace,
 )
-from .seqspace import InputError, SequenceExpr, as_fraction, ensure_valid, eval_at, has_exact_eval
+from .seqspace import (
+    Frozen,
+    InputError,
+    SequenceExpr,
+    as_fraction,
+    ensure_valid,
+    eval_at,
+    has_exact_eval,
+)
 
 __all__ = [
     "ClosureReport",
@@ -81,8 +88,23 @@ __all__ = [
 ]
 
 
+# Most entries, basis size times ambient_dim squared, of an algebra that is
+# built or read from a file; sl(14) has 38,220 and sl(15) 50,400.  Larger
+# ones are refused before they are built or decoded.  At the limit a file
+# decodes in about 0.6 s on a 2-core x86_64 VM, even with ambient_dim 1
+# where the cost per matrix dominates; the closure scan that follows is
+# bounded by the limit but not by that time.
+MAX_ALGEBRA_ENTRIES = 50_000
+
+
 class NotClosedError(InputError):
     """The presented basis is not closed under the commutator bracket."""
+
+
+def _require_entries(dim: int, ambient: int) -> None:
+    if dim * ambient * ambient > MAX_ALGEBRA_ENTRIES:
+        raise InputError(f"{dim} matrices of size {ambient} x {ambient} exceed the limit of "
+                         f"{MAX_ALGEBRA_ENTRIES} entries")
 
 
 def _flat(m: RationalMatrix) -> dict:
@@ -103,26 +125,24 @@ def _from_flat(flat, rows: int, cols: int) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LieAlgebraPresentation:
+class LieAlgebraPresentation(Frozen):
     """Linearly independent matrix basis of a subspace of ambient x ambient
     matrices, intended to be bracket-closed."""
 
-    ambient: int
-    basis: tuple
-    name: str
+    def __init__(self, ambient: int, basis: tuple, name: str):
+        vars(self).update(ambient=ambient, basis=basis, name=name)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """Subspace of a presentation, as canonical reduced-echelon coordinate rows."""
 
-    parent: LieAlgebraPresentation
-    vectors: tuple  # tuple of coordinate tuples, RREF canonical
+    def __init__(self, parent: LieAlgebraPresentation, vectors: tuple):
+        # vectors: tuple of coordinate tuples, RREF canonical
+        vars(self).update(parent=parent, vectors=vectors)
 
     @property
     def dim(self) -> int:
@@ -213,11 +233,11 @@ class _Structure:
         self.ads = ads
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    closed: bool
-    pair: Optional[tuple]  # (i, j) of the first failing bracket
-    residual: Optional[RationalMatrix]  # remainder after eliminating span components
+class ClosureReport(Frozen):
+    # pair: (i, j) of the first failing bracket; residual: its remainder
+    # after eliminating span components
+    def __init__(self, closed: bool, pair: Optional[tuple], residual: Optional[RationalMatrix]):
+        vars(self).update(closed=closed, pair=pair, residual=residual)
 
 
 def _coords(span: SparseEchelon, vec) -> Optional[dict]:
@@ -405,8 +425,22 @@ _KINDS = {
     "sl": sl,
 }
 
+# (basis size, ambient) of each kind at size n, known before it is built
+_SHAPES = {
+    "sp": lambda n: (n * (2 * n + 1), 2 * n),
+    "sp-skew": lambda n: (2 * n * n, 2 * n),
+    "ut-sl": lambda n: ((n - 1) * (n + 2) // 2, n),
+    "strictly-upper": lambda n: (n * (n - 1) // 2, n),
+    "sl": lambda n: (n * n - 1, n),
+    "shift": lambda n: (1, n),
+}
+
 
 def make_algebra(kind: str, n: int, weights: Optional[SequenceExpr] = None) -> LieAlgebraPresentation:
+    """Catalog algebra of the given kind and size, refused before it is
+    built when it would pass MAX_ALGEBRA_ENTRIES."""
+    if kind in _SHAPES and isinstance(n, int) and n > 0:  # the rest is refused below
+        _require_entries(*_SHAPES[kind](n))
     if kind == "shift":
         if weights is None:
             raise InputError("shift truncation needs a weight sequence")
@@ -432,10 +466,10 @@ def derived_algebra(L: LieAlgebraPresentation) -> Subspace:
     return _subspace(L, (ads[i][j] for i in range(d) for j in range(i + 1, d)))
 
 
-@dataclass(frozen=True)
-class IdealCheck:
-    is_ideal: bool
-    violation: Optional[tuple]  # (basis index of L, row index of J)
+class IdealCheck(Frozen):
+    # violation: (basis index of L, row index of J)
+    def __init__(self, is_ideal: bool, violation: Optional[tuple]):
+        vars(self).update(is_ideal=is_ideal, violation=violation)
 
 
 def _apply(ad: Sequence[dict], items) -> dict:
@@ -478,10 +512,9 @@ def _center_coords(L: LieAlgebraPresentation) -> List[List[Fraction]]:
     return nullspace((row for ad in _structure(L).ads for row in _rows(ad, d)), d)
 
 
-@dataclass(frozen=True)
-class KillingReport:
-    matrix: RationalMatrix
-    rank: int
+class KillingReport(Frozen):
+    def __init__(self, matrix: RationalMatrix, rank: int):
+        vars(self).update(matrix=matrix, rank=rank)
 
 
 def killing_form(L: LieAlgebraPresentation) -> KillingReport:
@@ -573,11 +606,10 @@ def random_ideal_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommutantReport:
-    dim: int
-    basis: tuple  # RationalMatrix values acting on the coordinate space of L
-    method: str
+class CommutantReport(Frozen):
+    # basis: RationalMatrix values acting on the coordinate space of L
+    def __init__(self, dim: int, basis: tuple, method: str):
+        vars(self).update(dim=dim, basis=basis, method=method)
 
 
 def _constraint_rows(ad: Sequence[dict], d: int):
@@ -715,13 +747,12 @@ def _rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
-    verdict: str  # "Simple" | "NotSimple" | "Abelian"
-    witness: Optional[Subspace]
-    detail: str
-    commutant_dim: Optional[int] = None
-    flags: tuple = ()
+class SimplicityReport(Frozen):
+    # verdict: "Simple" | "NotSimple" | "Abelian"
+    def __init__(self, verdict: str, witness: Optional[Subspace], detail: str,
+                 commutant_dim: Optional[int] = None, flags: tuple = ()):
+        vars(self).update(verdict=verdict, witness=witness, detail=detail,
+                          commutant_dim=commutant_dim, flags=flags)
 
     @property
     def simple(self) -> bool:
@@ -843,10 +874,11 @@ def _decode_rational(v) -> Fraction:
 def matrices_from_json(flats, ambient: int) -> List[RationalMatrix]:
     """ambient x ambient matrices from a list of flat row-major lists of
     exactly ambient**2 rationals (see _decode_rational); InputError
-    otherwise."""
+    otherwise, and before any entry is decoded past MAX_ALGEBRA_ENTRIES."""
     size = ambient * ambient
     if not isinstance(flats, list) or any(not isinstance(f, list) or len(f) != size for f in flats):
         raise InputError(f"expected a list of matrices, each a flat list of {size} rationals")
+    _require_entries(len(flats), ambient)
     return [_from_flat([_decode_rational(v) for v in flat], ambient, ambient) for flat in flats]
 
 

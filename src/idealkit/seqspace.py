@@ -20,9 +20,9 @@ import contextlib
 import decimal
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Union
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "Exp",
     "Explicit",
     "FiniteSupport",
+    "Frozen",
     "InputError",
     "InvalidSequenceError",
     "MAX_RATIONAL_DIGITS",
@@ -92,6 +93,53 @@ class InvalidSequenceError(InputError):
     """The expression violates a catalog constraint (not in c0*)."""
 
 
+class Frozen:
+    """Base of the immutable value classes; no code is generated for them.
+
+    A subclass's fields are the parameters of its own ``__init__``, which
+    stores each of them once with ``vars(self).update``.
+    Instances of one class are equal when their fields are, hash as the
+    tuple of their fields and print as ``Name(field=value, ...)``; setting
+    or deleting an attribute raises AttributeError.  Equality compares the
+    instance dicts, in C; the hash reads the fields through one
+    ``attrgetter`` per class.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        init = vars(cls).get("__init__")
+        if init is None:
+            return
+        fields = cls._fields = init.__code__.co_varnames[1 : init.__code__.co_argcount]
+        if "__hash__" not in vars(cls):
+            get = attrgetter(*fields)
+            if len(fields) == 1:  # attrgetter of one name returns the bare value
+                cls.__hash__ = lambda self: hash((get(self),))
+            else:
+                cls.__hash__ = lambda self: hash(get(self))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):  # a class with no fields
+        return hash(())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
 def fits_digit_cap(f: Fraction) -> bool:
     """Whether f's numerator and denominator have at most MAX_RATIONAL_DIGITS digits."""
     return abs(f.numerator) < _DIGITS_BOUND and f.denominator < _DIGITS_BOUND
@@ -143,13 +191,11 @@ def _jsonable(value):
     return value
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of a decision: exact (symbolic) or sampled (numeric) evidence."""
 
-    status: Status
-    method: Method
-    evidence: dict
+    def __init__(self, status: Status, method: Method, evidence: dict):
+        vars(self).update(status=status, method=method, evidence=evidence)
 
     @property
     def holds(self) -> bool:
@@ -184,33 +230,26 @@ def indicated(status: Status, **evidence) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-class SequenceExpr:
+class SequenceExpr(Frozen):
     """Base class of the closed expression catalog."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Pow(SequenceExpr):
     """n ** -p for a positive rational exponent p."""
 
-    p: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_fraction(self.p))
+    def __init__(self, p: Fraction):
+        vars(self).update(p=as_fraction(p))
 
 
-@dataclass(frozen=True)
 class Exp(SequenceExpr):
     """r ** n for a rational ratio r in (0, 1)."""
 
-    r: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", as_fraction(self.r))
+    def __init__(self, r: Fraction):
+        vars(self).update(r=as_fraction(r))
 
 
-@dataclass(frozen=True)
 class PowLog(SequenceExpr):
     """Running minimum of n**-p * ln(n+1)**-q.
 
@@ -220,25 +259,17 @@ class PowLog(SequenceExpr):
     while restoring monotonicity.  The asymptotic signature is unaffected.
     """
 
-    p: Fraction
-    q: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_fraction(self.p))
-        object.__setattr__(self, "q", as_fraction(self.q))
+    def __init__(self, p: Fraction, q: Fraction):
+        vars(self).update(p=as_fraction(p), q=as_fraction(q))
 
 
-@dataclass(frozen=True)
 class FiniteSupport(SequenceExpr):
     """Finitely many nonincreasing nonnegative values, then zero forever."""
 
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+    def __init__(self, values: tuple):
+        vars(self).update(values=tuple(as_fraction(v) for v in values))
 
 
-@dataclass(frozen=True)
 class Explicit(SequenceExpr):
     """A finite positive prefix followed by a shifted tail.
 
@@ -246,46 +277,36 @@ class Explicit(SequenceExpr):
     sequence stays nonincreasing.
     """
 
-    prefix: tuple
-    tail: SequenceExpr
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(as_fraction(v) for v in self.prefix))
+    def __init__(self, prefix: tuple, tail: SequenceExpr):
+        vars(self).update(prefix=tuple(as_fraction(v) for v in prefix), tail=tail)
 
 
-@dataclass(frozen=True)
 class Scale(SequenceExpr):
     """c * inner for a positive rational constant c."""
 
-    c: Fraction
-    inner: SequenceExpr
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_fraction(self.c))
+    def __init__(self, c: Fraction, inner: SequenceExpr):
+        vars(self).update(c=as_fraction(c), inner=inner)
 
 
-@dataclass(frozen=True)
 class Ampliation(SequenceExpr):
     """Each entry of the inner sequence repeated m times: entry(n) = inner(ceil(n/m))."""
 
-    m: int
-    inner: SequenceExpr
+    def __init__(self, m: int, inner: SequenceExpr):
+        vars(self).update(m=m, inner=inner)
 
 
-@dataclass(frozen=True)
 class Subsample(SequenceExpr):
     """Every k-th entry of the inner sequence: entry(n) = inner(n*k)."""
 
-    k: int
-    inner: SequenceExpr
+    def __init__(self, k: int, inner: SequenceExpr):
+        vars(self).update(k=k, inner=inner)
 
 
-@dataclass(frozen=True)
 class Product(SequenceExpr):
     """Pointwise product of two sequences."""
 
-    left: SequenceExpr
-    right: SequenceExpr
+    def __init__(self, left: SequenceExpr, right: SequenceExpr):
+        vars(self).update(left=left, right=right)
 
 
 def explicit(prefix, tail: SequenceExpr) -> SequenceExpr:
@@ -601,8 +622,7 @@ def _log_sign(vector) -> int:
         digits *= 2
 
 
-@dataclass(frozen=True, eq=False)
-class RootRational:
+class RootRational(Frozen):
     """A decay rate base ** (1/index), base rational in (0, 1], index >= 1.
 
     The rate's identity is ``vector``: pairs (q, e) of pairwise coprime
@@ -616,8 +636,8 @@ class RootRational:
     product of the q ** (e * index), built when asked for.
     """
 
-    vector: tuple
-    index: int
+    def __init__(self, vector: tuple, index: int):
+        vars(self).update(vector=vector, index=index)
 
     @property
     def base(self) -> Fraction:
@@ -763,8 +783,7 @@ def log_ratio_ceiling(a: RootRational, b: RootRational) -> tuple:
         digits *= 2
 
 
-@dataclass(frozen=True)
-class AsymSig:
+class AsymSig(Frozen):
     """Asymptotic signature: decay rate, power and log power of the tail.
 
     rate None encodes a zero tail (finite support).  The strict order
@@ -772,9 +791,9 @@ class AsymSig:
     larger log power; a zero tail decays faster than everything else.
     """
 
-    rate: Optional[RootRational]
-    pow: Fraction = Fraction(0)
-    logpow: Fraction = Fraction(0)
+    def __init__(self, rate: Optional[RootRational], pow: Fraction = Fraction(0),
+                 logpow: Fraction = Fraction(0)):
+        vars(self).update(rate=rate, pow=pow, logpow=logpow)
 
     @property
     def is_zero_tail(self) -> bool:
@@ -1080,8 +1099,8 @@ def numeric_probe(
     ensure_valid(eta)
     if n_max < 2 ** 10:
         raise InputError(f"n_max must be at least 2**10, got {n_max}")
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise InputError(f"eps must be finite and positive, got {eps}")
 
     eta_infinite = support(eta) is None
     notes = []

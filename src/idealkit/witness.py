@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -33,6 +32,7 @@ from .seqspace import (
     Exp,
     Explicit,
     FiniteSupport,
+    Frozen,
     InputError,
     Method,
     Pow,
@@ -97,13 +97,12 @@ class CertificateError(InputError):
     """Certificate cannot be built or decoded."""
 
 
-@dataclass(frozen=True)
-class ShiftModel:
+class ShiftModel(Frozen):
     """Forward weighted shift (basis vector n goes to weight(n) times vector
     n+1) together with a truncation size for finite evidence."""
 
-    weights: SequenceExpr
-    truncation: int = 64
+    def __init__(self, weights: SequenceExpr, truncation: int = 64):
+        vars(self).update(weights=weights, truncation=truncation)
 
 
 def shift_matrix(model: ShiftModel) -> RationalMatrix:
@@ -117,16 +116,16 @@ def shift_matrix(model: ShiftModel) -> RationalMatrix:
     )
 
 
-@dataclass(frozen=True)
-class ShiftBracket:
+class ShiftBracket(Frozen):
     """Commutator of two forward shifts: a two-step shift with weights
     a_n = v_n * w_{n+1} - w_n * v_{n+1}."""
 
-    w: SequenceExpr
-    v: SequenceExpr
-    first_nonzero: Optional[tuple]  # (index, exact value) or None for AllZero
-    proven_zero: bool  # True: structural proportionality; False: window scan only
-    window: int
+    # first_nonzero: (index, exact value), or None for AllZero; proven_zero:
+    # True for structural proportionality, False for a window scan only
+    def __init__(self, w: SequenceExpr, v: SequenceExpr, first_nonzero: Optional[tuple],
+                 proven_zero: bool, window: int):
+        vars(self).update(w=w, v=v, first_nonzero=first_nonzero, proven_zero=proven_zero,
+                          window=window)
 
     @property
     def all_zero(self) -> bool:
@@ -168,24 +167,23 @@ def shift_bracket(
     return br
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Self-contained non-simplicity witness for a shift model."""
 
-    schema_version: str
-    generator: ShiftModel
-    softness: Verdict
-    branch: str  # "commutator" | "central"
-    partner: Optional[ShiftModel]
-    pool: tuple  # all ShiftModel partners considered
-    first_index: Optional[int]
-    first_value: Optional[Fraction]
-    scan_window: int
-    obligations: tuple  # ((name, bool), ...)
-    conclusion: str
-    # central branch only: "structural" when every pool commutator vanishes by
+    # branch: "commutator" | "central"; pool: all ShiftModel partners
+    # considered; obligations: ((name, bool), ...); central_mode, central
+    # branch only: "structural" when every pool commutator vanishes by
     # proportionality, "window" when vanishing was checked on the scan window
-    central_mode: Optional[str] = None
+    def __init__(self, schema_version: str, generator: ShiftModel, softness: Verdict,
+                 branch: str, partner: Optional[ShiftModel], pool: tuple,
+                 first_index: Optional[int], first_value: Optional[Fraction],
+                 scan_window: int, obligations: tuple, conclusion: str,
+                 central_mode: Optional[str] = None):
+        vars(self).update(schema_version=schema_version, generator=generator,
+                          softness=softness, branch=branch, partner=partner, pool=pool,
+                          first_index=first_index, first_value=first_value,
+                          scan_window=scan_window, obligations=obligations,
+                          conclusion=conclusion, central_mode=central_mode)
 
     def obligation(self, name: str) -> Optional[bool]:
         for key, ok in self.obligations:

@@ -582,7 +582,9 @@ def test_package_import_reaches_submodules():
 
 
 # Loads a fresh interpreter step by step and prints, after each step, the
-# idealkit submodules in sys.modules; argv[1] is a scratch certificate path.
+# idealkit submodules in sys.modules and which of numpy, dataclasses and
+# inspect are loaded; argv[1] and argv[2] are scratch certificate and
+# algebra paths.
 _IMPORT_MAP_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -590,37 +592,49 @@ from contextlib import redirect_stdout
 def loaded():
     return sorted(m.split(".")[1] for m in sys.modules if m.startswith("idealkit."))
 
+def step(name):
+    steps[name] = loaded()
+    heavy[name] = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+
+steps, heavy = {}, {}
 import idealkit
-steps = {"package": loaded()}
+step("package")
 from idealkit import cli
-steps["cli"] = loaded()
+step("cli")
 with redirect_stdout(io.StringIO()):
     assert cli.main(["seq", "signature", "pow:1"]) == 0
     assert cli.main(["ideal", "member", "pow:2", "pow:1"]) == 0
-steps["seq+ideal"] = loaded()
+step("seq+ideal")
 with redirect_stdout(io.StringIO()):
     assert cli.main(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                      "-o", sys.argv[1]]) == 0
     assert cli.main(["witness", "verify", "--file", sys.argv[1]]) == 0
-steps["witness"] = loaded()
-steps["numpy"] = "numpy" in sys.modules
-print(json.dumps(steps))
+step("witness")
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["lie", "build", "sl", "--n", "2", "-o", sys.argv[2]]) == 0
+    assert cli.main(["lie", "simple", "--file", sys.argv[2]]) == 0
+step("lie")
+print(json.dumps({"steps": steps, "heavy": heavy}))
 """
 
 
 def test_cli_import_leaves_numpy_out(tmp_path):
-    """Each kind of call imports only the layers it runs."""
+    """Each kind of call imports only the layers it runs, and none of them
+    loads numpy, dataclasses or inspect."""
     env = dict(os.environ, PYTHONPATH=_src_dir())
     out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_MAP_PROBE, str(tmp_path / "cert.json")],
+        [sys.executable, "-c", _IMPORT_MAP_PROBE, str(tmp_path / "cert.json"),
+         str(tmp_path / "sl2.json")],
         env=env, capture_output=True, text=True, check=True,
     )
-    steps = json.loads(out.stdout)
+    probe = json.loads(out.stdout)
+    steps = probe["steps"]
     assert steps["package"] == []
     assert steps["cli"] == ["cli", "dsl", "idealcalc", "seqspace"]
     assert steps["seq+ideal"] == steps["cli"]
     assert "witness" in steps["witness"] and "matlie" not in steps["witness"]
-    assert steps["numpy"] is False
+    assert "matlie" in steps["lie"]
+    assert probe["heavy"] == {name: [] for name in steps}
 
 
 def test_low_interpreter_digit_limit_is_lifted_to_the_cap():

@@ -17,7 +17,13 @@ import idealkit
 from idealkit import cli
 from idealkit.dsl import DslError, parse_seq
 from idealkit.idealcalc import ZeroIdealError
-from idealkit.matlie import NotClosedError, matrices_from_json
+from idealkit.matlie import (
+    _SHAPES,
+    MAX_ALGEBRA_ENTRIES,
+    NotClosedError,
+    make_algebra,
+    matrices_from_json,
+)
 from idealkit.seqspace import MAX_RATIONAL_DIGITS, InputError, InvalidSequenceError, Pow
 from idealkit.witness import (
     MIN_TRUNCATION,
@@ -105,6 +111,13 @@ EXIT_TWO = [
     ("report-finite", ["ideal", "report", "finite:[1]"], None),
     ("eps-zero", ["seq", "compare", "--mode", "O", "pow:1", "pow:1", "--numeric", "--eps", "0"],
      None),
+    *[(f"eps-{eps}", ["seq", "compare", "--mode", "o", "--numeric", f"--eps={eps}",
+                      "pow:2", "pow:1", "--json"], None) for eps in ("nan", "inf", "-inf")],
+    ("soft-eps-nan", ["ideal", "soft", "pow:1", "--numeric", "--eps", "nan"], None),
+    ("sl-40-over-size-cap", ["lie", "build", "sl", "--n", "40"], None),
+    ("sl-80-over-size-cap", ["lie", "build", "sl", "--n", "80"], None),
+    ("seeds-over-size-cap", ["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"],
+     [[0, 0, 0, 0]] * (MAX_ALGEBRA_ENTRIES // 4 + 1)),
     ("lie-no-subcommand", ["lie"], None),
     ("killing-empty-basis", ["lie", "killing", "--file", "{file}"],
      {"name": "x", "ambient_dim": 2, "basis": []}),
@@ -128,6 +141,13 @@ def test_bad_input_exits_two_with_one_error_line(argv, payload, tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert "Traceback" not in captured.err
     assert seconds < 1
+
+
+def test_tiny_finite_eps_is_accepted(capsys):
+    argv = ["seq", "compare", "--mode", "o", "--numeric", "--eps", "1e-300", "pow:2", "pow:1",
+            "--json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["numeric"]["evidence"]["eps"] == 1e-300
 
 
 def test_messages_name_the_broken_bound(capsys):
@@ -161,6 +181,35 @@ def test_first_value_digit_cap(over):
         restored = certificate_from_json(certificate_to_json(cert))
         assert restored.first_value == cert.first_value
         assert verify_certificate(restored).holds
+
+
+class TestAlgebraSizeCap:
+    def test_shapes_match_the_built_algebras(self):
+        for kind, shape in _SHAPES.items():
+            for n in (2, 3, 5):
+                algebra = make_algebra(kind, n, Pow(1) if kind == "shift" else None)
+                assert shape(n) == (algebra.dim, algebra.ambient), (kind, n)
+
+    def test_catalog_build_below_and_above_the_cap(self):
+        assert 14 * 14 * (14 * 14 - 1) <= MAX_ALGEBRA_ENTRIES < 15 * 15 * (15 * 15 - 1)
+        assert make_algebra("sl", 14).dim == 14 * 14 - 1
+        with pytest.raises(InputError, match=f"limit of {MAX_ALGEBRA_ENTRIES} entries"):
+            make_algebra("sl", 15)
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+    def test_file_at_and_over_the_cap(self, over, tmp_path, capsys):
+        # ambient_dim 1, so the entries are the basis size; the second matrix
+        # repeats the first, which the closure scan reports once decoded
+        payload = {"name": "big", "ambient_dim": 1, "basis": [[1]] * (MAX_ALGEBRA_ENTRIES + over)}
+        path = _write(tmp_path / "big.json", payload)
+        start = time.perf_counter()
+        assert cli.main(["lie", "check-closure", "--file", path]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        if over:
+            assert f"limit of {MAX_ALGEBRA_ENTRIES} entries" in err
+        else:
+            assert "depends on earlier ones" in err
 
 
 def test_integer_digit_cap():
