@@ -100,14 +100,8 @@ def _collect_factors(ideal: IdealExpr, gens: list, flags: dict) -> None:
         flags["finite"] = True
     elif isinstance(normalized, Compact):
         flags["compact"] = True
-    elif isinstance(normalized, Principal):
+    else:  # make_ideal of a non-product ideal is finite-rank, compact or principal
         gens.append(normalized.gen)
-    else:  # normalized ProductIdeal: principal-or-compact core times special factor
-        _collect_factors(normalized.left, gens, flags)
-        if isinstance(normalized.right, FiniteRank):
-            flags["finite"] = True
-        else:
-            flags["compact"] = True
 
 
 def make_ideal(ideal: IdealExpr) -> IdealExpr:
@@ -231,10 +225,8 @@ def member(xi: SequenceExpr, ideal: IdealExpr) -> Verdict:
             ev = dict(v.evidence)
             ev["rule"] = "finite-rank factor absorbs the product"
             return Verdict(v.status, v.method, ev)
-        core = ideal.left
-        if isinstance(core, Compact):
-            return proven(Status.HOLDS, rule="compact times compact is compact")
-        return _member_principal(xi, core.gen, Mode.LITTLE_O)
+        # a compact right factor always comes with a principal left one
+        return _member_principal(xi, ideal.left.gen, Mode.LITTLE_O)
     raise TypeError(type(ideal).__name__)
 
 

@@ -3,10 +3,12 @@
 Everything here is proved, not approximated: matrices carry Fraction
 entries, spans are echelon bases over the rationals, and the simplicity
 decision is a ladder of exact steps (derived algebra, center, Killing
-radical, adjoint commutant).  The only modular arithmetic is a rank
-certificate for the commutant: a full-rank minor modulo a prime is nonzero
-over the rationals, so it can prove that the commutant is exactly the
-scalars without ever being able to prove the converse.
+radical, adjoint commutant).  The commutant comes from one routine of
+successive restriction, over the rationals or GF(p).  Modular arithmetic
+only shortcuts a proof: rank can only drop modulo a prime, so that routine
+run mod p proves a commutant of exactly the scalars, and the random ideal
+search mod p proves that a sample generates all of L; neither can prove
+the converse.
 
 The commutant-dimension criterion counts the simple summands of a split
 semisimple algebra; for a simple algebra whose centroid is a proper field
@@ -151,15 +153,7 @@ class Subspace(Frozen):
     def matrices(self) -> List[RationalMatrix]:
         amb = self.parent.ambient
         flats = [_flat(b) for b in self.parent.basis]
-        out = []
-        for vec in self.vectors:
-            acc: dict = {}
-            for c, flat in zip(vec, flats):
-                if c:
-                    for k, v in flat.items():
-                        acc[k] = acc.get(k, F0) + c * v
-            out.append(_from_flat(acc, amb, amb))
-        return out
+        return [_from_flat(_apply(flats, enumerate(vec)), amb, amb) for vec in self.vectors]
 
     def contains_coords(self, vec: Sequence[Fraction]) -> bool:
         span = SparseEchelon(len(vec))
@@ -170,15 +164,12 @@ class Subspace(Frozen):
     def ambient_rref(self) -> tuple:
         """Canonical form in the ambient matrix space; comparable across parents."""
         amb = self.parent.ambient
-        return tuple(tuple(r) for r in _flat_rref(self.matrices(), amb * amb))
+        return tuple(tuple(r) for r in _rref(map(_flat, self.matrices()), amb * amb))
 
 
 def _subspace(parent: LieAlgebraPresentation, rows) -> Subspace:
     """Subspace spanned by coordinate rows, dense or sparse dicts."""
-    span = SparseEchelon(parent.dim)
-    for row in rows:
-        span.insert(row)
-    return Subspace(parent, tuple(tuple(r) for r in span.reduced()))
+    return Subspace(parent, tuple(tuple(r) for r in _rref(rows, parent.dim)))
 
 
 def subspace_from_coords(parent: LieAlgebraPresentation, rows: Sequence[Sequence]) -> Subspace:
@@ -208,14 +199,15 @@ def span_reduce(mats: Sequence[RationalMatrix]) -> List[RationalMatrix]:
     for m in mats:
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("span_reduce needs matrices of equal shape")
-    return [_from_flat(r, rows, cols) for r in _flat_rref(mats, rows * cols)]
+    return [_from_flat(r, rows, cols) for r in _rref(map(_flat, mats), rows * cols)]
 
 
-def _flat_rref(mats: Sequence[RationalMatrix], n: int) -> list:
-    """Dense reduced row echelon rows of the flattened matrices, n entries each."""
+def _rref(rows, n: int) -> list:
+    """Dense reduced row echelon rows, n entries each, of the span of rows
+    given dense or as sparse dicts."""
     span = SparseEchelon(n)
-    for m in mats:
-        span.insert(_flat(m))
+    for row in rows:
+        span.insert(row)
     return span.reduced()
 
 
@@ -472,15 +464,15 @@ class IdealCheck(Frozen):
         vars(self).update(is_ideal=is_ideal, violation=violation)
 
 
-def _apply(ad: Sequence[dict], items) -> dict:
+def _apply(ad: Sequence[dict], items, p: Optional[int] = None) -> dict:
     """ad, given by its sparse columns, applied to the vector with the given
-    (index, value) pairs."""
+    (index, value) pairs; over GF(p) when p is given."""
     w: dict = {}
     for j, x in items:
         if x:
             for k, c in ad[j].items():
                 w[k] = w.get(k, 0) + x * c
-    return w
+    return w if p is None else {k: c % p for k, c in w.items()}
 
 
 def _rows(cols: Sequence[dict], d: int) -> List[dict]:
@@ -551,9 +543,7 @@ def _ideal_span(
     while queue and span.rank < d:
         v = queue.popleft()
         for ad in ads:
-            w = _apply(ad, v.items())
-            if p is not None:
-                w = {k: c % p for k, c in w.items()}
+            w = _apply(ad, v.items(), p)
             if span.insert(w):
                 queue.append(w)
                 if span.rank == d:
@@ -612,21 +602,6 @@ class CommutantReport(Frozen):
         vars(self).update(dim=dim, basis=basis, method=method)
 
 
-def _constraint_rows(ad: Sequence[dict], d: int):
-    """Sparse rows of X -> X·ad - ad·X on row-major flattened d x d matrices X,
-    one per entry (i, j); ad is given by its sparse columns, with Fraction
-    values or integers mod p."""
-    by_row = _rows(ad, d)
-    for i in range(d):
-        base = i * d
-        for j in range(d):
-            row = {base + k: a for k, a in ad[j].items()}
-            for l, b in by_row[i].items():
-                col = l * d + j
-                row[col] = row.get(col, 0) - b
-            yield row
-
-
 def _ads_mod_p(ads: Sequence[Sequence[dict]]) -> tuple:
     """(p, images of the sparse adjoint maps in GF(p)) for the first prime of
     MODP_PRIMES that leaves every denominator invertible; (None, None) when
@@ -638,32 +613,66 @@ def _ads_mod_p(ads: Sequence[Sequence[dict]]) -> tuple:
     return None, None
 
 
-def _commutant_exact(ads: Sequence[Sequence[dict]], d: int) -> List[RationalMatrix]:
-    ech = SparseEchelon(d * d)
+def _commutant(ads: Sequence[Sequence[dict]], d: int, p: Optional[int] = None) -> List[dict]:
+    """Sparse basis of the maps X (flattened row major) with X·ad = ad·X for
+    every ad, over Fraction or, when the ads are given mod p, over GF(p).
+
+    Successive restriction from the d² unit matrices: for each ad that does
+    not commute with the whole basis, the kernel of X -> X·ad - ad·X on the
+    basis becomes the next basis, until only the scalars are left.
+    """
+    # Restrict after every ad, with no switch to tune.  Inserting rows over all
+    # d² unknowns until at most 4d or 64d columns stay free took, best of 2 on a
+    # 2-core VM: sp(7) 0.27 / 0.19 s against 0.20 s here, sl(14) 1.24 / 0.84 s
+    # against 0.90 s, and exact sp(5)+sp(5) 5.93 / 1.13 s against 1.17 s.
+    one = F1 if p is None else 1
+    basis = [{c: one} for c in range(d * d)]
     for ad in ads:
-        for row in _constraint_rows(ad, d):
+        by_row = _rows(ad, d)
+        rows: dict = {}
+        for t, vec in enumerate(basis):
+            for c, x in vec.items():
+                i, k = divmod(c, d)
+                # X·ad puts x·(row k of ad) in row i; ad·X puts (column i of
+                # ad)·x in column k
+                for j, a in by_row[k].items():
+                    row = rows.setdefault(i * d + j, {})
+                    row[t] = row.get(t, 0) + x * a
+                for l, a in ad[i].items():
+                    row = rows.setdefault(l * d + k, {})
+                    row[t] = row.get(t, 0) - a * x
+        ech = SparseEchelon(len(basis), p)
+        for row in rows.values():
             ech.insert(row)
-    return [_from_flat(vec, d, d) for vec in ech.kernel()]
+        if not ech.rank:
+            continue
+        basis = [_apply(basis, coeffs.items(), p) for coeffs in ech.sparse_kernel()]
+        if len(basis) == 1:
+            break
+    return basis
+
+
+def _commutant_exact(ads: Sequence[Sequence[dict]], d: int) -> List[RationalMatrix]:
+    """The exact commutant in the basis ``SparseEchelon.kernel`` gives for the
+    full constraint system: reduced echelon form with the columns read right
+    to left, so each vector has a unit at its last nonzero column."""
+    last = d * d - 1
+    flipped = _rref(({last - c: x for c, x in vec.items()} for vec in _commutant(ads, d)), d * d)
+    return [_from_flat(row[::-1], d, d) for row in reversed(flipped)]
 
 
 def adjoint_commutant(L: LieAlgebraPresentation) -> CommutantReport:
     """Dimension and basis of the linear maps commuting with every adjoint map.
 
-    First a modular full-rank certificate (proving dimension exactly one,
-    since the identity always commutes): the constraint rows of one ``ad``
-    at a time go into a GF(p) echelon, stopping as soon as the rank reaches
-    d²-1.  Only a denominator that vanishes mod p moves on to the next
-    prime; a rank shortfall goes straight to exact elimination.
+    ``_commutant`` runs mod p first: dimension one there proves dimension
+    one over Q.  Only a denominator that vanishes mod p moves on to the next
+    prime; a larger dimension goes to the exact routine.
     """
     st = _structure(L)
     d = L.dim
-    target = d * d - 1
     p, mods = _ads_mod_p(st.ads)
-    if mods is not None:
-        ech = SparseEchelon(d * d, p)
-        rows = (row for ad in mods for row in _constraint_rows(ad, d))
-        if ech.rank == target or any(ech.insert(row) and ech.rank == target for row in rows):
-            return CommutantReport(1, (RationalMatrix.identity(d),), "modular-rank-certificate")
+    if mods is not None and len(_commutant(mods, d, p)) == 1:
+        return CommutantReport(1, (RationalMatrix.identity(d),), "modular-rank-certificate")
     basis = _commutant_exact(st.ads, d)
     return CommutantReport(len(basis), tuple(basis), "exact-elimination")
 
@@ -754,10 +763,6 @@ class SimplicityReport(Frozen):
         vars(self).update(verdict=verdict, witness=witness, detail=detail,
                           commutant_dim=commutant_dim, flags=flags)
 
-    @property
-    def simple(self) -> bool:
-        return self.verdict == "Simple"
-
 
 def _checked_witness(L: LieAlgebraPresentation, J: Subspace) -> Subspace:
     if not (0 < J.dim < L.dim):
@@ -838,9 +843,6 @@ def _extract_commutant_witness(L: LieAlgebraPresentation, com: CommutantReport) 
     d = L.dim
     for C in com.basis:
         dense = C.entries
-        diff = C - RationalMatrix.identity(d).scaled(dense[0][0])
-        if diff.is_zero():
-            continue
         # C lies in the centroid of a semisimple algebra, a product of number
         # fields, so its minimal polynomial is already square-free
         for lam in _rational_roots(_min_poly(C)) or ():

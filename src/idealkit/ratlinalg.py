@@ -4,9 +4,9 @@
 rows (dict column -> value, or dense sequences), over Fraction or GF(p)
 integers as its caller picks.  ``insert`` adds a row, ``reduce`` returns the
 remainder after eliminating every held pivot (empty exactly when the row
-lies in the span), ``reduced`` gives the dense RREF and ``kernel`` the
-canonical kernel basis by back-substitution.  The remainder, the RREF and
-the kernel depend only on the span, never on the insertion order.
+lies in the span), ``reduced`` gives the dense RREF and ``sparse_kernel``
+the canonical kernel basis by back-substitution (``kernel`` is its dense
+view).  The remainder, the RREF and the kernel depend only on the span.
 ``rref``, ``rank`` and ``nullspace`` are adapters from dense rows to the
 core.
 
@@ -18,9 +18,9 @@ entries.
 
 Over GF(p) it certifies a rank lower bound: a nonzero r x r minor modulo p
 is nonzero over the rationals, so rank_p <= rank_Q always holds.  The
-commutant certificate makes one sparse pass over the adjoint maps and stops
-as soon as the rank reaches its target; it moves to the next prime only
-when a denominator of the input vanishes modulo the current one.
+commutant certificate runs the commutant's restriction loop over GF(p) and
+stops once only the scalars are left; it moves to the next prime only when
+a denominator of the input vanishes modulo the current one.
 """
 
 from __future__ import annotations
@@ -166,11 +166,11 @@ class SparseEchelon:
             out.append(dense)
         return out
 
-    def kernel(self) -> list:
-        """Canonical kernel basis, one vector per free column with a unit there,
-        by back-substitution on the held rows."""
+    def sparse_kernel(self) -> list:
+        """Canonical kernel basis as sparse vectors {column: value}, one per
+        free column with a unit there, by back-substitution on the held rows."""
         p = self.p
-        zero, one = (F0, F1) if p is None else (0, 1)
+        one = F1 if p is None else 1
         rows = self._rows
         free = [c for c in range(self.ncols) if c not in rows]
         # value of each column as a sparse combination of the free columns
@@ -181,15 +181,20 @@ class SparseEchelon:
                 if c == piv:
                     continue
                 for f, w in expr[c].items():
-                    acc[f] = acc.get(f, zero) - v * w
+                    acc[f] = acc.get(f, 0) - v * w
             if p is not None:
                 acc = {f: w % p for f, w in acc.items()}
             expr[piv] = {f: w for f, w in acc.items() if w}
-        basis = {f: [zero] * self.ncols for f in free}
+        basis: dict = {f: {} for f in free}
         for c, e in expr.items():
             for f, w in e.items():
                 basis[f][c] = w
         return [basis[f] for f in free]
+
+    def kernel(self) -> list:
+        """Dense view of ``sparse_kernel``."""
+        zero = F0 if self.p is None else 0
+        return [[vec.get(c, zero) for c in range(self.ncols)] for vec in self.sparse_kernel()]
 
 
 def frac_mod_p(f: Fraction, p: int) -> Optional[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 import idealkit
 from idealkit.cli import main
 from idealkit.dsl import MAX_NESTING, MAX_RATIONAL_DIGITS
-from idealkit.matlie import _KINDS
+from idealkit.matlie import _KINDS, direct_sum, save_algebra, sl, sp_standard
 from idealkit.witness import DEFAULT_SCAN_WINDOW, MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
 
 
@@ -405,6 +406,28 @@ class TestLieCommands:
 
     def test_missing_file_exit_two(self):
         assert run_cli(["lie", "simple", "--file", "/nonexistent.json"])[0] == 2
+
+    # sha256 of the whole `lie simple --json` stdout.  The benchmark oracle
+    # accepts either summand as the witness, so only these digests catch a
+    # changed witness, commutant basis or coordinate.
+    @pytest.mark.parametrize(
+        "algebra,digest",
+        [
+            (direct_sum(sp_standard(3), sp_standard(2)),
+             "4ba034fdfea7a354831e5c8816cd50fc1a0ea398f641f4c0df56762fdafbe9da"),
+            (direct_sum(sl(2), sl(3)),
+             "58920d6ced3814aa7cf2bdc6d3f96333740d0167b708cc61947a7bd3f004e9fc"),
+            (direct_sum(direct_sum(sl(2), sl(2)), sl(2)),
+             "7c6e469573580aac0ddb9e745ba6aab881bd9128925543ab16743797e850cabb"),
+        ],
+        ids=["sp3+sp2", "sl2+sl3", "sl2+sl2+sl2"],
+    )
+    def test_simple_json_bytes_pinned(self, tmp_path, algebra, digest):
+        algebra_file = str(tmp_path / "algebra.json")
+        save_algebra(algebra, algebra_file)
+        code, out = run_cli(["lie", "simple", "--file", algebra_file, "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestWitnessCommands:

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from idealkit.matlie import (
     LieAlgebraPresentation,
@@ -39,8 +39,15 @@ from idealkit.matlie import (
     shift_truncation,
     upper_triangular_sl,
 )
-from idealkit.matlie import _commutant_exact, _min_poly, _rational_roots, _structure
-from idealkit.ratlinalg import MODP_PRIMES
+from idealkit.matlie import (
+    _ads_mod_p,
+    _commutant,
+    _commutant_exact,
+    _min_poly,
+    _rational_roots,
+    _structure,
+)
+from idealkit.ratlinalg import MODP_PRIMES, SparseEchelon, rank
 from idealkit.seqspace import Pow, PowLog
 
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
@@ -65,6 +72,38 @@ def dense_constants(algebra):
 def dense_ads(algebra):
     """ad(b_i) as dense rows: row k, column j holds coordinate k of [b_i, b_j]."""
     return [[list(row) for row in zip(*cols)] for cols in dense_constants(algebra)]
+
+
+def from_entries(n, *mats):
+    """Matrices of size n from dicts {(row, column): value}."""
+    return tuple(RationalMatrix.from_nonzeros(n, n, m) for m in mats)
+
+
+def sl2_over_qi():
+    """sl(2, Q(i)) over Q: e, f, h tensored with 1 and with i = [[0, -1], [1, 0]]."""
+    one, i = [[1, 0], [0, 1]], [[0, -1], [1, 0]]
+    sl2 = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]])
+    return LieAlgebraPresentation(4, tuple(
+        RationalMatrix([[a[r // 2][c // 2] * b[r % 2][c % 2] for c in range(4)] for r in range(4)])
+        for a in sl2 for b in (one, i)), "sl2_Qi")
+
+
+def reference_commutant(algebra):
+    """Full elimination: every constraint row of X -> X·ad - ad·X, over all
+    d² unknowns of X, in one Fraction echelon, and its kernel."""
+    d = algebra.dim
+    ech = SparseEchelon(d * d)
+    for ad in dense_ads(algebra):
+        cols = [[(k, ad[k][j]) for k in range(d) if ad[k][j]] for j in range(d)]
+        rows = [[(k, v) for k, v in enumerate(ad[i]) if v] for i in range(d)]
+        for i in range(d):
+            for j in range(d):
+                # entry (i, j) of X·ad - ad·X
+                row = {i * d + k: v for k, v in cols[j]}
+                for k, v in rows[i]:
+                    row[k * d + j] = row.get(k * d + j, 0) - v
+                ech.insert(row)
+    return [RationalMatrix([vec[r * d:(r + 1) * d] for r in range(d)]) for vec in ech.kernel()]
 
 
 class TestConstructors:
@@ -344,7 +383,7 @@ class TestCommutant:
                 assert ((C @ adm) - (adm @ C)).is_zero()
 
     def test_one_dimensional_abelian(self):
-        # target rank d*d - 1 = 0 holds before any constraint row
+        # the one unit matrix is already the identity
         rep = adjoint_commutant(diagonal_algebra(1))
         assert rep.dim == 1
         assert rep.method == "modular-rank-certificate"
@@ -396,6 +435,51 @@ class TestCommutant:
         assert rep.verdict == "NotSimple" and rep.witness.dim == witness_dim
 
 
+class TestCommutantReference:
+    """The restriction loop against full elimination, basis for basis."""
+
+    @staticmethod
+    def check(algebra):
+        d = algebra.dim
+        ads = _structure(algebra).ads
+        expected = reference_commutant(algebra)
+        assert _commutant_exact(ads, d) == expected
+        p, mods = _ads_mod_p(ads)
+        assert len(_commutant(mods, d, p)) == len(expected)
+        rep = adjoint_commutant(algebra)
+        assert rep.dim == len(expected) and list(rep.basis) == expected
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [
+            direct_sum(sl(2), sl(2)),
+            direct_sum(sp_standard(3), sp_standard(2)),
+            direct_sum(sl(2), sl(3)),
+            sl2_over_qi(),
+            diagonal_algebra(2),
+            # every ad of these constrains the commutant, so dropping one shows
+            strictly_upper(3),
+            upper_triangular_sl(3),
+        ],
+        ids=["sl2+sl2", "sp3+sp2", "sl2+sl3", "sl2(Q(i))", "diagonal2", "su3", "ut-sl3"],
+    )
+    def test_matches_full_elimination(self, algebra):
+        self.check(algebra)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(-1, 1), min_size=36, max_size=36))
+    def test_rational_structure_constants(self, entries):
+        # an invertible integer change of basis of sl(2)+sl(2) makes the
+        # structure constants rational
+        change = [entries[6 * r:6 * r + 6] for r in range(6)]
+        assume(rank([[F(v) for v in row] for row in change]) == 6)
+        base = direct_sum(sl(2), sl(2)).basis
+        basis = tuple(
+            sum((b.scaled(c) for c, b in zip(row, base)), RationalMatrix.zeros(4)) for row in change
+        )
+        self.check(LieAlgebraPresentation(4, basis, "sl2+sl2_rebased"))
+
+
 class TestMinPoly:
     def test_projection_polynomial(self):
         c = RationalMatrix([[1, 0], [0, 0]])
@@ -439,6 +523,30 @@ class TestSimplicity:
             for idx in ([0, 1, 2], [3, 4, 5])
         ]
         assert rep.witness.ambient_rref() in summands
+
+    def test_center_rung(self):
+        # the Jacobi algebra sl(2) ⋉ h_3: rows [0, wᵀJ, z], [0, A, w], [0, 0, 0]
+        # with J = [[0, 1], [-1, 0]]; its center is the z line
+        algebra = LieAlgebraPresentation(4, from_entries(
+            4,
+            {(1, 2): 1}, {(2, 1): 1}, {(1, 1): 1, (2, 2): -1},
+            {(0, 2): 1, (1, 3): 1}, {(0, 1): -1, (2, 3): 1}, {(0, 3): 1},
+        ), "jacobi")
+        assert closure_check(algebra).closed
+        rep = is_simple(algebra)
+        assert (rep.verdict, rep.detail) == ("NotSimple", "center is a proper nonzero Lie ideal")
+        assert rep.witness.vectors == ((0, 0, 0, 0, 0, 1),)
+
+    def test_killing_radical_rung(self):
+        # affine sl(2) as [[A, w], [0, 0]]: centerless and perfect, and the
+        # translations w are its Killing radical
+        algebra = LieAlgebraPresentation(3, from_entries(
+            3, {(0, 1): 1}, {(1, 0): 1}, {(0, 0): 1, (1, 1): -1}, {(0, 2): 1}, {(1, 2): 1},
+        ), "affine_sl2")
+        assert closure_check(algebra).closed
+        rep = is_simple(algebra)
+        assert (rep.verdict, rep.detail) == ("NotSimple", "Killing radical is a proper nonzero Lie ideal")
+        assert rep.witness.vectors == ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
 
     def test_abelian_verdict(self):
         rep = is_simple(diagonal_algebra(2))
