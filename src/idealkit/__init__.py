@@ -12,11 +12,13 @@ Submodules load on first attribute access; ``import idealkit`` imports none.
 - ``witness``: machine-checkable non-simplicity certificates for weighted
   shift models.
 - ``dsl`` / ``cli``: text syntax and the command line front end.
+- ``base``: names every layer shares (``InputError``, ``Frozen``, the
+  rational digit cap and reader); it imports no other submodule.
 """
 
 import importlib
 
-__all__ = ["cli", "dsl", "idealcalc", "matlie", "ratlinalg", "seqspace", "witness"]
+__all__ = ["base", "cli", "dsl", "idealcalc", "matlie", "ratlinalg", "seqspace", "witness"]
 __version__ = "0.1.0"
 
 

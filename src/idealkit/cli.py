@@ -13,9 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import dsl, idealcalc, seqspace
-from .seqspace import DEFAULT_EPS, DEFAULT_NMAX, InputError, Method, Mode, Status
+from .base import DEFAULT_EPS, DEFAULT_NMAX, MAX_RATIONAL_DIGITS, InputError
+
+if TYPE_CHECKING:
+    from .seqspace import Verdict
 
 SCHEMA_VERSION = "1"
 
@@ -35,15 +38,7 @@ def _add_numeric(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="numeric probe tolerance")
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="idealkit",
-        description="softness/membership calculus for operator ideals, exact Lie "
-        "algebra simplicity decisions, and non-simplicity certificates",
-    )
-    top = parser.add_subparsers(dest="group", metavar="{seq,ideal,lie,witness}")
-
-    seq = top.add_parser("seq", help="sequence calculus").add_subparsers(dest="cmd")
+def _add_seq(seq) -> None:
     p = seq.add_parser("signature", help="asymptotic signature of a sequence")
     p.add_argument("sequence")
     _add_common(p)
@@ -57,7 +52,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("sequence")
     _add_common(p)
 
-    ideal = top.add_parser("ideal", help="ideal calculus").add_subparsers(dest="cmd")
+
+def _add_ideal(ideal) -> None:
     p = ideal.add_parser("soft", help="is the ideal soft-edged")
     p.add_argument("ideal")
     _add_numeric(p)
@@ -73,7 +69,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("sequence")
     _add_common(p)
 
-    lie = top.add_parser("lie", help="matrix Lie algebra engine").add_subparsers(dest="cmd")
+
+def _add_lie(lie) -> None:
     p = lie.add_parser("build", help="construct a catalog algebra and save it")
     p.add_argument("kind", help="catalog algebra kind; an unknown kind lists the known ones")
     p.add_argument("--n", type=int, required=True, help="size parameter")
@@ -99,7 +96,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="JSON file with flat row-major seed matrices")
     _add_common(p)
 
-    wit = top.add_parser("witness", help="non-simplicity certificates").add_subparsers(dest="cmd")
+
+def _add_witness(wit) -> None:
     p = wit.add_parser("build", help="build a certificate for a shift generator")
     p.add_argument("--generator", required=True, help="generator weight sequence")
     p.add_argument("--partner", action="append", default=[],
@@ -111,6 +109,31 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="certificate JSON file")
     _add_common(p)
 
+
+# group: (help, adds its subcommands)
+_GROUPS = {
+    "seq": ("sequence calculus", _add_seq),
+    "ideal": ("ideal calculus", _add_ideal),
+    "lie": ("matrix Lie algebra engine", _add_lie),
+    "witness": ("non-simplicity certificates", _add_witness),
+}
+
+
+def _parser(argv) -> argparse.ArgumentParser:
+    """The full parser, except that when argv[0] names a group only that
+    group's subcommands are added; the other groups' parsers exist but stay
+    empty, as nothing in such a call can reach them."""
+    parser = argparse.ArgumentParser(
+        prog="idealkit",
+        description="softness/membership calculus for operator ideals, exact Lie "
+        "algebra simplicity decisions, and non-simplicity certificates",
+    )
+    top = parser.add_subparsers(dest="group", metavar="{seq,ideal,lie,witness}")
+    called = argv[0] if argv and argv[0] in _GROUPS else None
+    for group, (desc, add_commands) in _GROUPS.items():
+        commands = top.add_parser(group, help=desc).add_subparsers(dest="cmd")
+        if called in (None, group):
+            add_commands(commands)
     return parser
 
 
@@ -119,11 +142,11 @@ def _parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _verdict_line(label: str, v: seqspace.Verdict) -> str:
+def _verdict_line(label: str, v: Verdict) -> str:
     return f"{label}: {v.status.value} ({v.method.value})"
 
 
-def _evidence_lines(v: seqspace.Verdict) -> list:
+def _evidence_lines(v: Verdict) -> list:
     return [f"  {key}: {value}" for key, value in v.to_json()["evidence"].items()]
 
 
@@ -148,6 +171,7 @@ def _collect_methods(obj, found: set) -> None:
 
 
 def _handle_seq(args):
+    from . import dsl, seqspace
     if args.cmd == "signature":
         expr = dsl.parse_seq(args.sequence)
         sig = seqspace.signature_of(expr)
@@ -161,7 +185,7 @@ def _handle_seq(args):
     if args.cmd == "compare":
         xi = dsl.parse_seq(args.xi)
         eta = dsl.parse_seq(args.eta)
-        mode = Mode.BIG_O if args.mode == "O" else Mode.LITTLE_O
+        mode = seqspace.Mode.BIG_O if args.mode == "O" else seqspace.Mode.LITTLE_O
         verdict = seqspace.compare(xi, eta, mode)
         rpt = _report(
             "seq compare",
@@ -186,12 +210,13 @@ def _handle_seq(args):
         return rpt, [_verdict_line("delta2 condition", verdict)] + _evidence_lines(verdict)
 
 
-def _soft_text(v: seqspace.Verdict) -> str:
+def _soft_text(v: Verdict) -> str:
     word = "SOFT" if v.holds else "NOT SOFT"
     return f"{word} ({v.method.value})"
 
 
 def _handle_ideal(args):
+    from . import dsl, idealcalc, seqspace
     if args.cmd == "soft":
         ideal = dsl.parse_ideal(args.ideal)
         verdict = idealcalc.is_soft(ideal)
@@ -200,7 +225,8 @@ def _handle_ideal(args):
         if args.numeric and isinstance(ideal, idealcalc.Principal):
             k = verdict.evidence.get("k", 2)
             probe = seqspace.numeric_probe(
-                seqspace.subsample(k, ideal.gen), ideal.gen, Mode.LITTLE_O, args.nmax, args.eps
+                seqspace.subsample(k, ideal.gen), ideal.gen, seqspace.Mode.LITTLE_O,
+                args.nmax, args.eps,
             )
             rpt["numeric"] = probe.to_json()
             lines.append(_verdict_line("numeric corroboration", probe))
@@ -248,7 +274,10 @@ def _subspace_json(sub) -> dict:
 def _handle_lie(args):
     from . import matlie
     if args.cmd == "build":
-        weights = dsl.parse_seq(args.weights) if args.weights else None
+        weights = None
+        if args.weights:
+            from . import dsl
+            weights = dsl.parse_seq(args.weights)
         algebra = matlie.make_algebra(args.kind, args.n, weights)
         if args.name:
             algebra = matlie.LieAlgebraPresentation(algebra.ambient, algebra.basis, args.name)
@@ -351,7 +380,7 @@ def _handle_lie(args):
 
 
 def _handle_witness(args):
-    from . import witness
+    from . import dsl, witness
     if args.cmd == "build":
         generator = witness.ShiftModel(dsl.parse_seq(args.generator), args.truncation)
         pool = [witness.ShiftModel(dsl.parse_seq(s), args.truncation) for s in args.partner]
@@ -392,9 +421,11 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     # Input within the digit cap must not trip a lower interpreter limit (0: none).
-    if 0 < sys.get_int_max_str_digits() < seqspace.MAX_RATIONAL_DIGITS:
-        sys.set_int_max_str_digits(seqspace.MAX_RATIONAL_DIGITS)
-    parser = _parser()
+    if 0 < sys.get_int_max_str_digits() < MAX_RATIONAL_DIGITS:
+        sys.set_int_max_str_digits(MAX_RATIONAL_DIGITS)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser(argv)
     args = parser.parse_args(argv)
     if not args.group:
         parser.print_help()
@@ -421,6 +452,8 @@ def main(argv=None) -> int:
     if args.strict:
         found: set = set()
         _collect_methods(report, found)
+        if found:  # only sequence verdicts carry a status and a method
+            from .seqspace import Method, Status
         for status, method in found:
             if status == Status.UNKNOWN.value or method == Method.NUMERIC.value:
                 return 3

@@ -18,13 +18,12 @@ import re
 from fractions import Fraction
 
 from . import idealcalc, seqspace
+from .base import _NUMBER, MAX_RATIONAL_DIGITS, InputError, fits_digit_cap, parse_rational
 from .seqspace import (
-    MAX_RATIONAL_DIGITS,
     Ampliation,
     Exp,
     Explicit,
     FiniteSupport,
-    InputError,
     Pow,
     PowLog,
     Product,
@@ -32,12 +31,10 @@ from .seqspace import (
     SequenceExpr,
     Subsample,
     ensure_valid,
-    fits_digit_cap,
 )
 
 __all__ = ["DslError", "parse_rational", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
 
-_NUMBER = re.compile(r"[+-]?(\d+)(?:\.(\d+)|/(\d+))?")
 _INT = re.compile(r"\d+")
 _HEAD = re.compile(r"[a-z-]+")
 
@@ -84,25 +81,6 @@ class _Cursor:
 
     def fail(self, message: str):
         raise DslError(message, self.pos)
-
-
-def parse_rational(text: str) -> Fraction:
-    """A rational written p/q or as a decimal, with no exponent, and at most
-    MAX_RATIONAL_DIGITS digits in its numerator and in its denominator (a
-    decimal's digits on both sides of the point form its numerator).
-    Raises InputError otherwise."""
-    m = _NUMBER.fullmatch(text)
-    if not m:
-        raise InputError(f"expected a rational number (p/q or decimal), got {text[:40]!r}")
-    whole, point, den = m.groups()
-    if max(len(whole) + len(point or ""), len(den or "")) > MAX_RATIONAL_DIGITS:
-        raise InputError(
-            f"rational with more than {MAX_RATIONAL_DIGITS} digits in its numerator or denominator"
-        )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise InputError(f"bad rational {text[:40]!r}: {exc}") from None
 
 
 def _number(c: _Cursor) -> Fraction:

@@ -25,10 +25,10 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import ratlinalg
-from .dsl import parse_rational
+from .base import Frozen, InputError, as_fraction, parse_rational
 from .ratlinalg import (
     F0,
     F1,
@@ -39,15 +39,9 @@ from .ratlinalg import (
     frac_mod_p,
     nullspace,
 )
-from .seqspace import (
-    Frozen,
-    InputError,
-    SequenceExpr,
-    as_fraction,
-    ensure_valid,
-    eval_at,
-    has_exact_eval,
-)
+
+if TYPE_CHECKING:
+    from .seqspace import SequenceExpr
 
 __all__ = [
     "ClosureReport",
@@ -387,6 +381,7 @@ def diagonal_algebra(n: int) -> LieAlgebraPresentation:
 def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
     """Single-matrix presentation: the n x n truncation of a weighted shift,
     weight i on the superdiagonal.  Weights must evaluate exactly."""
+    from .seqspace import ensure_valid, eval_at, has_exact_eval  # only this builder needs them
     _require_size(n, 2)
     ensure_valid(weights)
     if not has_exact_eval(weights):

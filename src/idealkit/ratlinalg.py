@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .seqspace import as_fraction
+from .base import as_fraction
 
 F0 = Fraction(0)
 F1 = Fraction(1)

@@ -22,8 +22,10 @@ import functools
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 from typing import Optional, Union
+
+from .base import _DIGITS_BOUND, DEFAULT_EPS, DEFAULT_NMAX, MAX_RATIONAL_DIGITS
+from .base import Frozen, InputError, as_fraction, fits_digit_cap
 
 __all__ = [
     "Ampliation",
@@ -68,9 +70,6 @@ __all__ = [
     "DEFAULT_EPS",
 ]
 
-DEFAULT_NMAX = 2 ** 20
-DEFAULT_EPS = 1e-3
-
 # Numeric-probe policy constants: geometric grid of ratio 2, trend judged on
 # the last half of the grid, divergence called at a 10x sup increase.
 GRID_RATIO = 2
@@ -78,82 +77,9 @@ DIVERGENCE_FACTOR = 10.0
 FLAT_FACTOR = 0.9
 _EXP_OVERFLOW = 700.0  # exp() overflows around e^709
 
-# Most digits in the numerator or the denominator of a rational that is read
-# or printed exactly.  It equals the interpreter's default limit on int/str
-# conversion but does not follow that setting, so no answer depends on it.
-MAX_RATIONAL_DIGITS = 4300
-_DIGITS_BOUND = 10 ** MAX_RATIONAL_DIGITS
-
-
-class InputError(ValueError):
-    """Refused input; the command line reports these, and no other error, as bad input."""
-
 
 class InvalidSequenceError(InputError):
     """The expression violates a catalog constraint (not in c0*)."""
-
-
-class Frozen:
-    """Base of the immutable value classes; no code is generated for them.
-
-    A subclass's fields are the parameters of its own ``__init__``, which
-    stores each of them once with ``vars(self).update``.
-    Instances of one class are equal when their fields are, hash as the
-    tuple of their fields and print as ``Name(field=value, ...)``; setting
-    or deleting an attribute raises AttributeError.  Equality compares the
-    instance dicts, in C; the hash reads the fields through one
-    ``attrgetter`` per class.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        init = vars(cls).get("__init__")
-        if init is None:
-            return
-        fields = cls._fields = init.__code__.co_varnames[1 : init.__code__.co_argcount]
-        if "__hash__" not in vars(cls):
-            get = attrgetter(*fields)
-            if len(fields) == 1:  # attrgetter of one name returns the bare value
-                cls.__hash__ = lambda self: hash((get(self),))
-            else:
-                cls.__hash__ = lambda self: hash(get(self))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
-        return NotImplemented
-
-    def __hash__(self):  # a class with no fields
-        return hash(())
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({args})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set field {name!r} of a frozen {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
-
-
-def fits_digit_cap(f: Fraction) -> bool:
-    """Whether f's numerator and denominator have at most MAX_RATIONAL_DIGITS digits."""
-    return abs(f.numerator) < _DIGITS_BOUND and f.denominator < _DIGITS_BOUND
-
-
-def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
-    """Coerce to an exact rational; floats are rejected to avoid silent rounding."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected int, str or Fraction, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from decimal import Decimal
 import pytest
 
 import idealkit
+from idealkit import cli
 from idealkit.cli import main
 from idealkit.dsl import MAX_NESTING, MAX_RATIONAL_DIGITS
 from idealkit.matlie import _KINDS, direct_sum, save_algebra, sl, sp_standard
@@ -585,6 +586,75 @@ class TestTopLevel:
             assert json.load(fh)["verdict"]["status"] == "Fails"
 
 
+# sha256 of "exit code, newline, stdout, NUL, stderr" of the CLI at 80
+# columns, taken before the parser was built for the called group only:
+# top-level, group and leaf help, and usage errors in every group.  The
+# digests are of CPython 3.11's argparse text.
+PARSER_TEXT = [
+    ([],
+     "c3ebe102137ad744e2aeabf61c7ae8e3245aa01ad21bbd34f775faa1f6b7f4de"),
+    (["--help"],
+     "1e9550c3583fbed48f5da0814ae789d1378a5dc279c8a039739cfeb9d0683dd0"),
+    (["seq", "--help"],
+     "641463db88893074aecb373035e8e93247d2bfaedc9e01dc668410da14709530"),
+    (["ideal", "--help"],
+     "8661f89c7d46d712d2fcd7c32bae93980b6580693f49b25851bb952bef2a6b84"),
+    (["lie", "--help"],
+     "17b24d7d0a933069e7614bc127deea0300d1c04d5f05e8340038e1c79590570d"),
+    (["witness", "--help"],
+     "8f0e173dcc019f4bd7b26228d0877adefa7b3baa83c8d3c24363cb79d5fded7f"),
+    (["seq", "compare", "--help"],
+     "746d926e91c6b7fcd70bdf2874d6bce656348b9528334cd4f50accce57a84f16"),
+    (["ideal", "member", "--help"],
+     "216233557540f86a787e5e682606cab030f279ece5513e9847d4d3f1db5ea667"),
+    (["lie", "simple", "--help"],
+     "5448450c4481967c354e69544d0d616a2fbf1f97be493f2ac698fded54a78704"),
+    (["witness", "build", "--help"],
+     "7c882257096c43bb67bb498aae3521b58ffcc4dfeb30204f3d8c0e85749aae34"),
+    (["seq", "compare", "pow:1", "pow:2"],
+     "1d25bc271212c980bf8fabee4efbf8d6063e205f1108986a101d1f69b852422c"),
+    (["ideal", "member", "pow:1"],
+     "8376ca7844294924f0ff822e245584497fc5ae34dae7c714351f005809757706"),
+    (["lie", "simple"],
+     "76d72c84d8bc06ccaa5dc2deb20a74c72e7a7235d547d2361996f1542bac2ca2"),
+    (["witness", "build"],
+     "23e579d2c8694c3dcc1179973a5f79e124924b2c97fe667b660741baefdaa326"),
+    (["nope"],
+     "488ad492cf669f1ad5a6dbb3db9fc380c545e3c86595c19303fe32fe3379d81b"),
+    (["lie", "nope"],
+     "8ecde6746354ee21409c1b587f84677e3174af71aef5f41212eec858037b80c0"),
+    (["lie"],
+     "59cda95ad275be5dd440331ff452bb84518b05fe9e58b22e54378e46b57e007c"),
+    (["-h", "lie"],
+     "1e9550c3583fbed48f5da0814ae789d1378a5dc279c8a039739cfeb9d0683dd0"),
+]
+_PARSER_TEXT_IDS = [" ".join(argv) or "no-args" for argv, _ in PARSER_TEXT]
+
+
+def _cli_text(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return f"{code}\n{out.getvalue()}\0{err.getvalue()}"
+
+
+class TestParserText:
+    @pytest.mark.parametrize("argv,digest", PARSER_TEXT, ids=_PARSER_TEXT_IDS)
+    def test_help_and_usage_text_pinned(self, monkeypatch, argv, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert hashlib.sha256(_cli_text(argv).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in PARSER_TEXT], ids=_PARSER_TEXT_IDS)
+    def test_group_parser_matches_full_parser(self, monkeypatch, argv):
+        group_only = _cli_text(argv)
+        build = cli._parser
+        monkeypatch.setattr(cli, "_parser", lambda argv: build([]))
+        assert _cli_text(argv) == group_only
+
+
 def _src_dir():
     return os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
 
@@ -604,10 +674,10 @@ def test_package_import_reaches_submodules():
     assert out.stdout.strip() == "8"
 
 
-# Loads a fresh interpreter step by step and prints, after each step, the
-# idealkit submodules in sys.modules and which of numpy, dataclasses and
-# inspect are loaded; argv[1] and argv[2] are scratch certificate and
-# algebra paths.
+# Imports idealkit and idealkit.cli in a fresh interpreter, then runs the CLI
+# calls given as JSON in argv[1], and prints the idealkit submodules in
+# sys.modules after the package import, after the cli import and after the
+# calls, with which of numpy, dataclasses and inspect are loaded at the end.
 _IMPORT_MAP_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -615,49 +685,44 @@ from contextlib import redirect_stdout
 def loaded():
     return sorted(m.split(".")[1] for m in sys.modules if m.startswith("idealkit."))
 
-def step(name):
-    steps[name] = loaded()
-    heavy[name] = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
-
-steps, heavy = {}, {}
 import idealkit
-step("package")
+package = loaded()
 from idealkit import cli
-step("cli")
+after_cli = loaded()
 with redirect_stdout(io.StringIO()):
-    assert cli.main(["seq", "signature", "pow:1"]) == 0
-    assert cli.main(["ideal", "member", "pow:2", "pow:1"]) == 0
-step("seq+ideal")
-with redirect_stdout(io.StringIO()):
-    assert cli.main(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
-                     "-o", sys.argv[1]]) == 0
-    assert cli.main(["witness", "verify", "--file", sys.argv[1]]) == 0
-step("witness")
-with redirect_stdout(io.StringIO()):
-    assert cli.main(["lie", "build", "sl", "--n", "2", "-o", sys.argv[2]]) == 0
-    assert cli.main(["lie", "simple", "--file", sys.argv[2]]) == 0
-step("lie")
-print(json.dumps({"steps": steps, "heavy": heavy}))
+    for argv in json.loads(sys.argv[1]):
+        assert cli.main(argv) == 0, argv
+heavy = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+print(json.dumps({"package": package, "cli": after_cli, "calls": loaded(), "heavy": heavy}))
 """
 
 
 def test_cli_import_leaves_numpy_out(tmp_path):
-    """Each kind of call imports only the layers it runs, and none of them
-    loads numpy, dataclasses or inspect."""
+    """Each kind of call, in its own fresh interpreter, imports exactly the
+    layers it runs, and none of them loads numpy, dataclasses or inspect."""
+    cert, algebra = str(tmp_path / "cert.json"), str(tmp_path / "sl2.json")
+    kinds = {
+        "lie": ([["lie", "build", "sl", "--n", "2", "-o", algebra],
+                 ["lie", "simple", "--file", algebra, "--strict"]],
+                ["base", "cli", "matlie", "ratlinalg"]),
+        "seq+ideal": ([["seq", "signature", "pow:1"], ["ideal", "member", "pow:2", "pow:1"]],
+                      ["base", "cli", "dsl", "idealcalc", "seqspace"]),
+        "witness": ([["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+                      "-o", cert],
+                     ["witness", "verify", "--file", cert]],
+                    ["base", "cli", "dsl", "idealcalc", "ratlinalg", "seqspace", "witness"]),
+    }
     env = dict(os.environ, PYTHONPATH=_src_dir())
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_MAP_PROBE, str(tmp_path / "cert.json"),
-         str(tmp_path / "sl2.json")],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    probe = json.loads(out.stdout)
-    steps = probe["steps"]
-    assert steps["package"] == []
-    assert steps["cli"] == ["cli", "dsl", "idealcalc", "seqspace"]
-    assert steps["seq+ideal"] == steps["cli"]
-    assert "witness" in steps["witness"] and "matlie" not in steps["witness"]
-    assert "matlie" in steps["lie"]
-    assert probe["heavy"] == {name: [] for name in steps}
+    for kind, (calls, expected) in kinds.items():
+        out = subprocess.run(
+            [sys.executable, "-c", _IMPORT_MAP_PROBE, json.dumps(calls)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        probe = json.loads(out.stdout)
+        assert probe["package"] == [], kind
+        assert probe["cli"] == ["base", "cli"], kind
+        assert probe["calls"] == expected, kind
+        assert probe["heavy"] == [], kind
 
 
 def test_low_interpreter_digit_limit_is_lifted_to_the_cap():

@@ -271,3 +271,45 @@ class TestImplicationReport:
         from idealkit.seqspace import delta2_check
 
         assert not (is_soft(Principal(xi)).holds and delta2_check(xi).holds)
+
+
+class TestProductBranches:
+    """The product-ideal branches of member, is_soft and is_idempotent, each
+    checked for the verdict and the rule its docstring or comment states."""
+
+    @staticmethod
+    def _ideal(text):
+        from idealkit.dsl import parse_ideal
+
+        return parse_ideal(text)
+
+    def test_member_of_finite_rank_product(self):
+        ideal = self._ideal("idealprod(pow:1,finite-rank)")
+        assert make_ideal(ideal) == ProductIdeal(Principal(Pow(1)), FINITE_RANK)
+        v = member(FiniteSupport([1, F(1, 2), F(1, 3)]), ideal)
+        assert v.holds and v.proven
+        assert v.evidence == {"rule": "finite-rank factor absorbs the product", "support": 3}
+        v = member(Pow(1), ideal)
+        assert v.fails and v.proven
+        assert v.evidence == {"rule": "finite-rank factor absorbs the product",
+                              "reason": "infinite support", "support": "infinite"}
+
+    def test_finite_rank_product_is_soft(self):
+        v = is_soft(self._ideal("idealprod(pow:1,finite-rank)"))
+        assert v.holds and v.proven
+        assert v.evidence == {"rule": "finite-rank factor: the product is finite-rank, hence soft"}
+
+    @pytest.mark.parametrize(
+        "text,holds,evidence",
+        [
+            ("idealprod(pow:1,finite-rank)", True, {"rule": "reduces to the finite-rank ideal"}),
+            ("idealprod(exp:1/2,compact)", True,
+             {"rule": "exponential-type soft edge is idempotent"}),
+            ("idealprod(pow:1,compact)", False,
+             {"reason": "rate-one soft edge: the squared generator class is strictly smaller"}),
+        ],
+    )
+    def test_product_idempotency(self, text, holds, evidence):
+        v = is_idempotent(self._ideal(text))
+        assert v.proven and v.holds is holds and v.fails is not holds
+        assert v.evidence == evidence
