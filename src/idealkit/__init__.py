@@ -9,16 +9,21 @@ Submodules load on first attribute access; ``import idealkit`` imports none.
   softness, idempotency and the implication chain between them.
 - ``matlie``: exact-rational matrix Lie algebras; closure, derived algebra,
   generated ideals, Killing form, adjoint commutant, simplicity ladder.
+- ``catalog``: the named algebras (sl, sp, ...), ``make_algebra``, direct
+  sums and writing algebra files; ``matlie`` re-exports its names.
 - ``witness``: machine-checkable non-simplicity certificates for weighted
   shift models.
-- ``dsl`` / ``cli``: text syntax and the command line front end.
+- ``dsl`` / ``cli``: text syntax and the command line front end; each
+  group's handler lives in ``cli_seq``, ``cli_ideal``, ``cli_lie`` or
+  ``cli_witness`` and loads only when that group is called.
 - ``base``: names every layer shares (``InputError``, ``Frozen``, the
   rational digit cap and reader); it imports no other submodule.
 """
 
 import importlib
 
-__all__ = ["base", "cli", "dsl", "idealcalc", "matlie", "ratlinalg", "seqspace", "witness"]
+__all__ = ["base", "catalog", "cli", "dsl", "idealcalc", "matlie", "ratlinalg", "seqspace",
+           "witness"]
 __version__ = "0.1.0"
 
 

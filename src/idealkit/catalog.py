@@ -1,0 +1,192 @@
+"""Catalog of matrix Lie algebras and their files: the named constructors,
+``make_algebra`` with its size check before building, direct sums, shift
+truncations, and writing an algebra to JSON.
+
+Only ``lie build`` (and library code) needs it; ``matlie`` re-exports every
+public name here, loading this module on first access, so the commands that
+read an algebra file never compile it.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import TYPE_CHECKING, List, Optional
+
+from .base import InputError
+from .matlie import LieAlgebraPresentation, _encode_rational, _require_entries
+from .ratlinalg import RationalMatrix
+
+if TYPE_CHECKING:
+    from .seqspace import SequenceExpr
+
+
+def _require_size(n: int, least: int = 1) -> None:
+    if not isinstance(n, int) or n < least:
+        raise InputError(f"size must be an integer >= {least}, got {n}")
+
+
+def _sp_top_blocks(n: int) -> List[RationalMatrix]:
+    """Generators shared by both 2n x 2n block forms: the top-left block
+    entries row-major (bottom-right the negative transpose), then the
+    symmetric top-right generators, i <= j row-major."""
+    _require_size(n)
+    a = 2 * n
+    basis = []
+    for i in range(n):
+        for j in range(n):
+            basis.append(RationalMatrix.unit(a, i, j) - RationalMatrix.unit(a, n + j, n + i))
+    for i in range(n):
+        for j in range(i, n):
+            m = RationalMatrix.unit(a, i, n + j)
+            if i != j:
+                m = m + RationalMatrix.unit(a, j, n + i)
+            basis.append(m)
+    return basis
+
+
+def sp_standard(n: int) -> LieAlgebraPresentation:
+    """Symplectic algebra in 2n x 2n block form: top-right and bottom-left
+    blocks symmetric, bottom-right the negative transpose of the top-left.
+    Basis order: top-left block entries row-major, then the symmetric
+    generators of the top-right block (i <= j row-major), then bottom-left.
+    """
+    basis = _sp_top_blocks(n)
+    a = 2 * n
+    for i in range(n):
+        for j in range(i, n):
+            m = RationalMatrix.unit(a, n + i, j)
+            if i != j:
+                m = m + RationalMatrix.unit(a, n + j, i)
+            basis.append(m)
+    return LieAlgebraPresentation(a, tuple(basis), f"sp_standard_{n}")
+
+
+def sp_skew_variant(n: int) -> LieAlgebraPresentation:
+    """Block form with a symmetric top-right and an antisymmetric bottom-left
+    block.  Retained for auditing: for n >= 2 this constraint set is not
+    closed under the bracket (closure_check exhibits the failing pair)."""
+    basis = _sp_top_blocks(n)
+    a = 2 * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            basis.append(RationalMatrix.unit(a, n + i, j) - RationalMatrix.unit(a, n + j, i))
+    return LieAlgebraPresentation(a, tuple(basis), f"sp_skew_variant_{n}")
+
+
+def upper_triangular_sl(n: int) -> LieAlgebraPresentation:
+    """Trace-zero upper triangular matrices: diagonal differences, then the
+    strictly upper units row-major."""
+    _require_size(n, 2)
+    basis = [
+        RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
+        for i in range(n - 1)
+    ]
+    for i in range(n):
+        for j in range(i + 1, n):
+            basis.append(RationalMatrix.unit(n, i, j))
+    return LieAlgebraPresentation(n, tuple(basis), f"upper_triangular_sl_{n}")
+
+
+def strictly_upper(n: int) -> LieAlgebraPresentation:
+    _require_size(n, 2)
+    basis = [
+        RationalMatrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)
+    ]
+    return LieAlgebraPresentation(n, tuple(basis), f"strictly_upper_{n}")
+
+
+def sl(n: int) -> LieAlgebraPresentation:
+    """Trace-zero matrices: off-diagonal units row-major, then diagonal differences."""
+    _require_size(n, 2)
+    basis = [
+        RationalMatrix.unit(n, i, j) for i in range(n) for j in range(n) if i != j
+    ]
+    basis.extend(
+        RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
+        for i in range(n - 1)
+    )
+    return LieAlgebraPresentation(n, tuple(basis), f"sl_{n}")
+
+
+def diagonal_algebra(n: int) -> LieAlgebraPresentation:
+    """Abelian algebra of diagonal matrices."""
+    _require_size(n)
+    basis = [RationalMatrix.unit(n, i, i) for i in range(n)]
+    return LieAlgebraPresentation(n, tuple(basis), f"diagonal_{n}")
+
+
+def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
+    """Single-matrix presentation: the n x n truncation of a weighted shift,
+    weight i on the superdiagonal.  Weights must evaluate exactly."""
+    from .seqspace import ensure_valid, eval_at, has_exact_eval  # only this builder needs them
+    _require_size(n, 2)
+    ensure_valid(weights)
+    if not has_exact_eval(weights):
+        raise InputError("shift truncation needs exactly evaluable weights")
+    m = RationalMatrix.from_nonzeros(n, n, {(i - 1, i): eval_at(weights, i) for i in range(1, n)})
+    return LieAlgebraPresentation(n, (m,), f"shift_truncation_{n}")
+
+
+def direct_sum(a: LieAlgebraPresentation, b: LieAlgebraPresentation) -> LieAlgebraPresentation:
+    """Block-diagonal direct sum of two presentations."""
+    amb = a.ambient + b.ambient
+    off = a.ambient
+    basis = [RationalMatrix.from_nonzeros(amb, amb, m.nonzeros()) for m in a.basis]
+    basis.extend(
+        RationalMatrix.from_nonzeros(
+            amb, amb, {(i + off, j + off): v for (i, j), v in m.nonzeros().items()}
+        )
+        for m in b.basis
+    )
+    return LieAlgebraPresentation(amb, tuple(basis), f"{a.name}+{b.name}")
+
+
+_KINDS = {
+    "sp": sp_standard,
+    "sp-skew": sp_skew_variant,
+    "ut-sl": upper_triangular_sl,
+    "strictly-upper": strictly_upper,
+    "sl": sl,
+}
+
+# (basis size, ambient) of each kind at size n, known before it is built
+_SHAPES = {
+    "sp": lambda n: (n * (2 * n + 1), 2 * n),
+    "sp-skew": lambda n: (2 * n * n, 2 * n),
+    "ut-sl": lambda n: ((n - 1) * (n + 2) // 2, n),
+    "strictly-upper": lambda n: (n * (n - 1) // 2, n),
+    "sl": lambda n: (n * n - 1, n),
+    "shift": lambda n: (1, n),
+}
+
+
+def make_algebra(kind: str, n: int, weights: Optional[SequenceExpr] = None) -> LieAlgebraPresentation:
+    """Catalog algebra of the given kind and size, refused before it is
+    built when it would pass MAX_ALGEBRA_ENTRIES."""
+    if kind in _SHAPES and isinstance(n, int) and n > 0:  # the rest is refused below
+        _require_entries(*_SHAPES[kind](n))
+    if kind == "shift":
+        if weights is None:
+            raise InputError("shift truncation needs a weight sequence")
+        return shift_truncation(weights, n)
+    ctor = _KINDS.get(kind)
+    if ctor is None:
+        raise InputError(f"unknown algebra kind {kind!r}; expected one of "
+                         f"{sorted(_KINDS)} or 'shift'")
+    if weights is not None:
+        raise InputError(f"weights apply to kind 'shift' only, not {kind!r}")
+    return ctor(n)
+
+
+def algebra_to_json(L: LieAlgebraPresentation) -> dict:
+    return {
+        "name": L.name,
+        "ambient_dim": L.ambient,
+        "basis": [[_encode_rational(v) for v in m.flat()] for m in L.basis],
+    }
+
+
+def save_algebra(L: LieAlgebraPresentation, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(algebra_to_json(L), fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -6,116 +6,100 @@ bad input (an InputError, an unreadable file or malformed JSON), 3 when
 indicated.  Any other exception is a bug and propagates with its traceback.
 Reports go to stdout (text by default, machine-readable with --json);
 diagnostics go to stderr.
+
+Every command and its arguments are data in ``_COMMANDS``.  A call in the
+plain form (group, command, then exact option strings and positionals) is
+read from that table directly; anything else, including every help request
+and usage error, goes to the argparse parser built from the same table, so
+argparse is imported only when it has something to print.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
+from importlib import import_module
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from .base import DEFAULT_EPS, DEFAULT_NMAX, MAX_RATIONAL_DIGITS, InputError
 
 if TYPE_CHECKING:
+    import argparse
+
     from .seqspace import Verdict
 
 SCHEMA_VERSION = "1"
 
 _USER_ERRORS = (InputError, OSError, json.JSONDecodeError)
 
+# An argument is (option strings or positional name, argparse keyword arguments).
+_COMMON = (
+    (("--json",), {"action": "store_true", "help": "emit a machine-readable report"}),
+    (("--strict",), {"action": "store_true",
+                     "help": "exit 3 when any verdict is Unknown or only numerically indicated"}),
+    (("-o", "--output"), {"metavar": "FILE", "help": "also write the JSON report to FILE"}),
+)
+_NUMERIC = (
+    (("--numeric",), {"action": "store_true", "help": "add numeric corroboration"}),
+    (("--nmax",), {"type": int, "default": DEFAULT_NMAX, "help": "numeric probe grid limit"}),
+    (("--eps",), {"type": float, "default": DEFAULT_EPS, "help": "numeric probe tolerance"}),
+)
+_SEQUENCE = (("sequence",), {})
+_IDEAL = (("ideal",), {})
+_ALGEBRA_FILE = (("--file",), {"required": True, "help": "algebra JSON file"})
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 when any verdict is Unknown or only numerically indicated")
-    p.add_argument("-o", "--output", metavar="FILE", help="also write the JSON report to FILE")
-
-
-def _add_numeric(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--numeric", action="store_true", help="add numeric corroboration")
-    p.add_argument("--nmax", type=int, default=DEFAULT_NMAX, help="numeric probe grid limit")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="numeric probe tolerance")
-
-
-def _add_seq(seq) -> None:
-    p = seq.add_parser("signature", help="asymptotic signature of a sequence")
-    p.add_argument("sequence")
-    _add_common(p)
-    p = seq.add_parser("compare", help="decide big-O / little-o between two sequences")
-    p.add_argument("--mode", choices=["O", "o"], required=True)
-    p.add_argument("xi")
-    p.add_argument("eta")
-    _add_numeric(p)
-    _add_common(p)
-    p = seq.add_parser("delta2", help="dyadic ratio boundedness check")
-    p.add_argument("sequence")
-    _add_common(p)
-
-
-def _add_ideal(ideal) -> None:
-    p = ideal.add_parser("soft", help="is the ideal soft-edged")
-    p.add_argument("ideal")
-    _add_numeric(p)
-    _add_common(p)
-    p = ideal.add_parser("member", help="does the sequence belong to the ideal")
-    p.add_argument("sequence")
-    p.add_argument("ideal")
-    _add_common(p)
-    p = ideal.add_parser("idempotent", help="does the ideal equal its square")
-    p.add_argument("ideal")
-    _add_common(p)
-    p = ideal.add_parser("report", help="joint softness diagnostics for a generator")
-    p.add_argument("sequence")
-    _add_common(p)
-
-
-def _add_lie(lie) -> None:
-    p = lie.add_parser("build", help="construct a catalog algebra and save it")
-    p.add_argument("kind", help="catalog algebra kind; an unknown kind lists the known ones")
-    p.add_argument("--n", type=int, required=True, help="size parameter")
-    p.add_argument("--weights", help="weight sequence, for kind=shift only")
-    p.add_argument("--name", help="override the presentation name")
-    _add_common(p)
-    for cmd, desc in [
-        ("check-closure", "is the basis closed under the bracket"),
-        ("derived", "derived algebra of a closed presentation"),
-        ("killing", "Killing form and its rank"),
-        ("simple", "simplicity decision"),
-    ]:
-        p = lie.add_parser(cmd, help=desc)
-        p.add_argument("--file", required=True, help="algebra JSON file")
-        if cmd == "simple":
-            p.add_argument("--cross-check", type=int, default=0, metavar="N",
-                           help="also run a seeded random ideal search with N samples")
-            p.add_argument("--seed", type=int, default=0)
-        _add_common(p)
-    p = lie.add_parser("ideal-gen", help="Lie ideal generated by seed elements")
-    p.add_argument("--file", required=True, help="algebra JSON file")
-    p.add_argument("--seeds", required=True,
-                   help="JSON file with flat row-major seed matrices")
-    _add_common(p)
-
-
-def _add_witness(wit) -> None:
-    p = wit.add_parser("build", help="build a certificate for a shift generator")
-    p.add_argument("--generator", required=True, help="generator weight sequence")
-    p.add_argument("--partner", action="append", default=[],
-                   help="candidate partner weight sequence (repeatable)")
-    p.add_argument("--truncation", type=int, default=64)
-    p.add_argument("--window", type=int, help="default: witness.DEFAULT_SCAN_WINDOW")
-    _add_common(p)
-    p = wit.add_parser("verify", help="verify a stored certificate")
-    p.add_argument("--file", required=True, help="certificate JSON file")
-    _add_common(p)
-
-
-# group: (help, adds its subcommands)
-_GROUPS = {
-    "seq": ("sequence calculus", _add_seq),
-    "ideal": ("ideal calculus", _add_ideal),
-    "lie": ("matrix Lie algebra engine", _add_lie),
-    "witness": ("non-simplicity certificates", _add_witness),
+# group: (help, {command: (help, arguments in the order argparse lists them)})
+_COMMANDS = {
+    "seq": ("sequence calculus", {
+        "signature": ("asymptotic signature of a sequence", (_SEQUENCE, *_COMMON)),
+        "compare": ("decide big-O / little-o between two sequences", (
+            (("--mode",), {"choices": ["O", "o"], "required": True}),
+            (("xi",), {}),
+            (("eta",), {}),
+            *_NUMERIC, *_COMMON)),
+        "delta2": ("dyadic ratio boundedness check", (_SEQUENCE, *_COMMON)),
+    }),
+    "ideal": ("ideal calculus", {
+        "soft": ("is the ideal soft-edged", (_IDEAL, *_NUMERIC, *_COMMON)),
+        "member": ("does the sequence belong to the ideal", (_SEQUENCE, _IDEAL, *_COMMON)),
+        "idempotent": ("does the ideal equal its square", (_IDEAL, *_COMMON)),
+        "report": ("joint softness diagnostics for a generator", (_SEQUENCE, *_COMMON)),
+    }),
+    "lie": ("matrix Lie algebra engine", {
+        "build": ("construct a catalog algebra and save it", (
+            (("kind",), {"help": "catalog algebra kind; an unknown kind lists the known ones"}),
+            (("--n",), {"type": int, "required": True, "help": "size parameter"}),
+            (("--weights",), {"help": "weight sequence, for kind=shift only"}),
+            (("--name",), {"help": "override the presentation name"}),
+            *_COMMON)),
+        "check-closure": ("is the basis closed under the bracket", (_ALGEBRA_FILE, *_COMMON)),
+        "derived": ("derived algebra of a closed presentation", (_ALGEBRA_FILE, *_COMMON)),
+        "killing": ("Killing form and its rank", (_ALGEBRA_FILE, *_COMMON)),
+        "simple": ("simplicity decision", (
+            _ALGEBRA_FILE,
+            (("--cross-check",), {"type": int, "default": 0, "metavar": "N",
+                                  "help": "also run a seeded random ideal search with N samples"}),
+            (("--seed",), {"type": int, "default": 0}),
+            *_COMMON)),
+        "ideal-gen": ("Lie ideal generated by seed elements", (
+            _ALGEBRA_FILE,
+            (("--seeds",), {"required": True,
+                            "help": "JSON file with flat row-major seed matrices"}),
+            *_COMMON)),
+    }),
+    "witness": ("non-simplicity certificates", {
+        "build": ("build a certificate for a shift generator", (
+            (("--generator",), {"required": True, "help": "generator weight sequence"}),
+            (("--partner",), {"action": "append", "default": [],
+                              "help": "candidate partner weight sequence (repeatable)"}),
+            (("--truncation",), {"type": int, "default": 64}),
+            (("--window",), {"type": int, "help": "default: witness.DEFAULT_SCAN_WINDOW"}),
+            *_COMMON)),
+        "verify": ("verify a stored certificate", (
+            (("--file",), {"required": True, "help": "certificate JSON file"}),
+            *_COMMON)),
+    }),
 }
 
 
@@ -123,22 +107,96 @@ def _parser(argv) -> argparse.ArgumentParser:
     """The full parser, except that when argv[0] names a group only that
     group's subcommands are added; the other groups' parsers exist but stay
     empty, as nothing in such a call can reach them."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="idealkit",
         description="softness/membership calculus for operator ideals, exact Lie "
         "algebra simplicity decisions, and non-simplicity certificates",
     )
     top = parser.add_subparsers(dest="group", metavar="{seq,ideal,lie,witness}")
-    called = argv[0] if argv and argv[0] in _GROUPS else None
-    for group, (desc, add_commands) in _GROUPS.items():
-        commands = top.add_parser(group, help=desc).add_subparsers(dest="cmd")
+    called = argv[0] if argv and argv[0] in _COMMANDS else None
+    for group, (desc, commands) in _COMMANDS.items():
+        subparsers = top.add_parser(group, help=desc).add_subparsers(dest="cmd")
         if called in (None, group):
-            add_commands(commands)
+            for cmd, (help_text, arguments) in commands.items():
+                p = subparsers.add_parser(cmd, help=help_text)
+                for flags, kwargs in arguments:
+                    p.add_argument(*flags, **kwargs)
     return parser
 
 
+def _dest(flags: tuple) -> str:
+    """The attribute argparse stores an option under."""
+    long = [f for f in flags if f.startswith("--")]
+    return (long or flags)[0].lstrip("-").replace("-", "_")
+
+
+def _strict_parse(argv) -> Optional[SimpleNamespace]:
+    """The namespace argparse would return for a call in the plain form, or
+    None for argparse to handle.
+
+    The plain form is a group, one of its commands, then tokens that are
+    each an exact option string of that command or a positional; an
+    option's value is the next token, which must not start with '-'.
+    ``store_true``, ``append``, ``type``, ``choices`` and ``required`` apply
+    as in argparse.  Anything else (help, abbreviations, ``--opt=value``,
+    ``--``, a value starting with '-', a bad value, a missing or surplus
+    argument) returns None.
+    """
+    if len(argv) < 2 or argv[0] not in _COMMANDS:
+        return None
+    group, cmd = argv[0], argv[1]
+    command = _COMMANDS[group][1].get(cmd)
+    if command is None:
+        return None
+    values = {"group": group, "cmd": cmd}
+    options, pending, required = {}, [], set()
+    for flags, kwargs in command[1]:
+        if not flags[0].startswith("-"):
+            pending.append((flags[0], kwargs))
+            continue
+        dest = _dest(flags)
+        for flag in flags:
+            options[flag] = (dest, kwargs)
+        action = kwargs.get("action")
+        values[dest] = (False if action == "store_true"
+                        else list(kwargs["default"]) if action == "append"
+                        else kwargs.get("default"))
+        if kwargs.get("required"):
+            required.add(dest)
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if token in options:
+            dest, kwargs = options[token]
+            if kwargs.get("action") == "store_true":
+                values[dest] = True
+                continue
+            token = next(tokens, None)
+            if token is None or token.startswith("-"):
+                return None
+            required.discard(dest)
+        elif token.startswith("-") or not pending:
+            return None
+        else:
+            dest, kwargs = pending.pop(0)
+        try:
+            value = kwargs.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        if kwargs.get("action") == "append":
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    if pending or required:
+        return None
+    return SimpleNamespace(**values)
+
+
 # ---------------------------------------------------------------------------
-# Rendering
+# Rendering shared by the groups
 # ---------------------------------------------------------------------------
 
 
@@ -166,257 +224,17 @@ def _collect_methods(obj, found: set) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Handlers
+# Handlers: each group's module loads only when that group is called
 # ---------------------------------------------------------------------------
 
 
-def _handle_seq(args):
-    from . import dsl, seqspace
-    if args.cmd == "signature":
-        expr = dsl.parse_seq(args.sequence)
-        sig = seqspace.signature_of(expr)
-        rpt = _report(
-            "seq signature",
-            sequence=dsl.format_seq(expr),
-            signature=sig.describe(),
-            finite_support=sig.is_zero_tail,
-        )
-        return rpt, [f"signature: {sig.describe()}"]
-    if args.cmd == "compare":
-        xi = dsl.parse_seq(args.xi)
-        eta = dsl.parse_seq(args.eta)
-        mode = seqspace.Mode.BIG_O if args.mode == "O" else seqspace.Mode.LITTLE_O
-        verdict = seqspace.compare(xi, eta, mode)
-        rpt = _report(
-            "seq compare",
-            mode=args.mode,
-            xi=dsl.format_seq(xi),
-            eta=dsl.format_seq(eta),
-            verdict=verdict.to_json(),
-        )
-        lines = [_verdict_line(f"xi = {args.mode}(eta)", verdict)] + _evidence_lines(verdict)
-        if args.numeric:
-            probe = seqspace.numeric_probe(xi, eta, mode, args.nmax, args.eps)
-            rpt["numeric"] = probe.to_json()
-            lines.append(_verdict_line("numeric probe", probe))
-            lines.extend(_evidence_lines(probe))
-        return rpt, lines
-    if args.cmd == "delta2":
-        expr = dsl.parse_seq(args.sequence)
-        verdict = seqspace.delta2_check(expr)
-        rpt = _report(
-            "seq delta2", sequence=dsl.format_seq(expr), verdict=verdict.to_json()
-        )
-        return rpt, [_verdict_line("delta2 condition", verdict)] + _evidence_lines(verdict)
+def _handler(group: str):
+    def handle(args):
+        return import_module(f"{__package__}.cli_{group}").handle(args)
+    return handle
 
 
-def _soft_text(v: Verdict) -> str:
-    word = "SOFT" if v.holds else "NOT SOFT"
-    return f"{word} ({v.method.value})"
-
-
-def _handle_ideal(args):
-    from . import dsl, idealcalc, seqspace
-    if args.cmd == "soft":
-        ideal = dsl.parse_ideal(args.ideal)
-        verdict = idealcalc.is_soft(ideal)
-        rpt = _report("ideal soft", ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
-        lines = [_soft_text(verdict)] + _evidence_lines(verdict)
-        if args.numeric and isinstance(ideal, idealcalc.Principal):
-            k = verdict.evidence.get("k", 2)
-            probe = seqspace.numeric_probe(
-                seqspace.subsample(k, ideal.gen), ideal.gen, seqspace.Mode.LITTLE_O,
-                args.nmax, args.eps,
-            )
-            rpt["numeric"] = probe.to_json()
-            lines.append(_verdict_line("numeric corroboration", probe))
-        return rpt, lines
-    if args.cmd == "member":
-        xi = dsl.parse_seq(args.sequence)
-        ideal = dsl.parse_ideal(args.ideal)
-        verdict = idealcalc.member(xi, ideal)
-        rpt = _report(
-            "ideal member",
-            sequence=dsl.format_seq(xi),
-            ideal=dsl.format_ideal(ideal),
-            verdict=verdict.to_json(),
-        )
-        return rpt, [_verdict_line("membership", verdict)] + _evidence_lines(verdict)
-    if args.cmd == "idempotent":
-        ideal = dsl.parse_ideal(args.ideal)
-        verdict = idealcalc.is_idempotent(ideal)
-        rpt = _report(
-            "ideal idempotent", ideal=dsl.format_ideal(ideal), verdict=verdict.to_json()
-        )
-        return rpt, [_verdict_line("idempotent", verdict)] + _evidence_lines(verdict)
-    if args.cmd == "report":
-        xi = dsl.parse_seq(args.sequence)
-        report = idealcalc.implication_report(xi)
-        rpt = _report("ideal report", sequence=dsl.format_seq(xi), **report.to_json())
-        lines = [
-            _verdict_line("delta2", report.delta2),
-            _verdict_line("soft", report.soft),
-            _verdict_line("idempotent", report.idempotent),
-            _verdict_line("necessary condition", report.necessary),
-            "implications: all consistent",
-        ]
-        return rpt, lines
-
-
-def _subspace_json(sub) -> dict:
-    from .matlie import _encode_rational
-    return {
-        "dim": sub.dim,
-        "coordinates": [[_encode_rational(v) for v in row] for row in sub.vectors],
-    }
-
-
-def _handle_lie(args):
-    from . import matlie
-    if args.cmd == "build":
-        weights = None
-        if args.weights:
-            from . import dsl
-            weights = dsl.parse_seq(args.weights)
-        algebra = matlie.make_algebra(args.kind, args.n, weights)
-        if args.name:
-            algebra = matlie.LieAlgebraPresentation(algebra.ambient, algebra.basis, args.name)
-        payload = matlie.algebra_to_json(algebra)
-        rpt = _report("lie build", algebra=payload, dim=algebra.dim)
-        lines = [f"built {algebra.name}: ambient {algebra.ambient}, dim {algebra.dim}"]
-        if args.output:
-            matlie.save_algebra(algebra, args.output)
-            lines.append(f"wrote {args.output}")
-        return rpt, lines
-
-    algebra = matlie.load_algebra(args.file)
-    if args.cmd == "check-closure":
-        report = matlie.closure_check(algebra)
-        rpt = _report(
-            "lie check-closure",
-            name=algebra.name,
-            closed=report.closed,
-            counterexample=None
-            if report.closed
-            else {
-                "pair": list(report.pair),
-                "residual": [matlie._encode_rational(v) for v in report.residual.flat()],
-            },
-        )
-        if report.closed:
-            lines = ["CLOSED under the bracket"]
-        else:
-            i, j = report.pair
-            lines = [
-                f"NOT CLOSED: bracket of basis elements {i} and {j} leaves the span",
-                "  residual is exactly nonzero",
-            ]
-        return rpt, lines
-    if args.cmd == "derived":
-        sub = matlie.derived_algebra(algebra)
-        rpt = _report(
-            "lie derived",
-            name=algebra.name,
-            dim=algebra.dim,
-            derived=_subspace_json(sub),
-            proper=sub.dim < algebra.dim,
-        )
-        return rpt, [f"derived algebra: dim {sub.dim} of {algebra.dim}"]
-    if args.cmd == "ideal-gen":
-        seeds = matlie.load_seeds(args.seeds, algebra.ambient)
-        sub = matlie.lie_ideal_generated(algebra, seeds)
-        rpt = _report(
-            "lie ideal-gen",
-            name=algebra.name,
-            seeds=len(seeds),
-            ideal=_subspace_json(sub),
-            proper=0 < sub.dim < algebra.dim,
-        )
-        return rpt, [f"generated Lie ideal: dim {sub.dim} of {algebra.dim}"]
-    if args.cmd == "killing":
-        rep = matlie.killing_form(algebra)
-        nondegenerate = rep.rank == algebra.dim
-        rpt = _report(
-            "lie killing",
-            name=algebra.name,
-            rank=rep.rank,
-            dim=algebra.dim,
-            nondegenerate=nondegenerate,
-            matrix=[[matlie._encode_rational(v) for v in row] for row in rep.matrix.entries],
-        )
-        return rpt, [
-            f"Killing form rank {rep.rank} of {algebra.dim} "
-            f"({'nondegenerate' if nondegenerate else 'degenerate'})"
-        ]
-    if args.cmd == "simple":
-        rep = matlie.is_simple(algebra)
-        rpt = _report(
-            "lie simple",
-            name=algebra.name,
-            verdict=rep.verdict,
-            detail=rep.detail,
-            commutant_dim=rep.commutant_dim,
-            flags=list(rep.flags),
-            witness=None if rep.witness is None else _subspace_json(rep.witness),
-        )
-        headline = {"Simple": "SIMPLE", "NotSimple": "NOT SIMPLE", "Abelian": "ABELIAN"}[
-            rep.verdict
-        ]
-        lines = [f"{headline} ({rep.detail})"]
-        if rep.witness is not None:
-            lines.append(f"  witness ideal dimension: {rep.witness.dim}")
-        if args.cross_check:
-            found = matlie.random_ideal_search(algebra, args.cross_check, args.seed) is not None
-            rpt["cross_check"] = {
-                "samples": args.cross_check,
-                "seed": args.seed,
-                "proper_ideal_found": found,
-            }
-            lines.append(
-                f"  cross-check ({args.cross_check} samples): "
-                + ("proper ideal found" if found else "no proper ideal found")
-            )
-        return rpt, lines
-
-
-def _handle_witness(args):
-    from . import dsl, witness
-    if args.cmd == "build":
-        generator = witness.ShiftModel(dsl.parse_seq(args.generator), args.truncation)
-        pool = [witness.ShiftModel(dsl.parse_seq(s), args.truncation) for s in args.partner]
-        window = witness.DEFAULT_SCAN_WINDOW if args.window is None else args.window
-        cert = witness.build_certificate(generator, pool, window)
-        payload = witness.certificate_to_json(cert)
-        rpt = _report("witness build", certificate=payload)
-        lines = [
-            f"certificate built ({cert.branch} branch)",
-            f"  conclusion: {cert.conclusion}",
-        ]
-        if cert.first_index is not None:
-            lines.insert(
-                1,
-                f"  first nonzero commutator weight: index {cert.first_index}, "
-                f"value {cert.first_value}",
-            )
-        if args.output:
-            witness.save_certificate(cert, args.output)
-            lines.append(f"wrote {args.output}")
-        return rpt, lines
-    if args.cmd == "verify":
-        cert = witness.load_certificate(args.file)
-        verdict = witness.verify_certificate(cert)
-        rpt = _report("witness verify", branch=cert.branch, verdict=verdict.to_json())
-        word = "VERIFIED" if verdict.holds else "REJECTED"
-        lines = [f"{word}: {verdict.status.value}"] + _evidence_lines(verdict)
-        return rpt, lines
-
-
-_HANDLERS = {
-    "seq": _handle_seq,
-    "ideal": _handle_ideal,
-    "lie": _handle_lie,
-    "witness": _handle_witness,
-}
+_HANDLERS = {group: _handler(group) for group in _COMMANDS}
 
 
 def main(argv=None) -> int:
@@ -425,11 +243,13 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(MAX_RATIONAL_DIGITS)
     if argv is None:
         argv = sys.argv[1:]
-    parser = _parser(argv)
-    args = parser.parse_args(argv)
-    if not args.group:
-        parser.print_help()
-        return 2
+    args = _strict_parse(argv)
+    if args is None:
+        parser = _parser(argv)
+        args = parser.parse_args(argv)
+        if not args.group:
+            parser.print_help()
+            return 2
     try:
         if args.cmd is None:
             raise InputError(f"missing {args.group} subcommand; see idealkit {args.group} --help")

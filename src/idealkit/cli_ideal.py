@@ -1,0 +1,63 @@
+"""``idealkit ideal``: softness, membership, idempotency, joint report."""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from . import dsl, idealcalc, seqspace
+from .cli import _evidence_lines, _report, _verdict_line
+
+if TYPE_CHECKING:
+    from .seqspace import Verdict
+
+
+def _soft_text(v: Verdict) -> str:
+    word = "SOFT" if v.holds else "NOT SOFT"
+    return f"{word} ({v.method.value})"
+
+
+def handle(args):
+    if args.cmd == "soft":
+        ideal = dsl.parse_ideal(args.ideal)
+        verdict = idealcalc.is_soft(ideal)
+        rpt = _report("ideal soft", ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
+        lines = [_soft_text(verdict)] + _evidence_lines(verdict)
+        if args.numeric and isinstance(ideal, idealcalc.Principal):
+            k = verdict.evidence.get("k", 2)
+            probe = seqspace.numeric_probe(
+                seqspace.subsample(k, ideal.gen), ideal.gen, seqspace.Mode.LITTLE_O,
+                args.nmax, args.eps,
+            )
+            rpt["numeric"] = probe.to_json()
+            lines.append(_verdict_line("numeric corroboration", probe))
+        return rpt, lines
+    if args.cmd == "member":
+        xi = dsl.parse_seq(args.sequence)
+        ideal = dsl.parse_ideal(args.ideal)
+        verdict = idealcalc.member(xi, ideal)
+        rpt = _report(
+            "ideal member",
+            sequence=dsl.format_seq(xi),
+            ideal=dsl.format_ideal(ideal),
+            verdict=verdict.to_json(),
+        )
+        return rpt, [_verdict_line("membership", verdict)] + _evidence_lines(verdict)
+    if args.cmd == "idempotent":
+        ideal = dsl.parse_ideal(args.ideal)
+        verdict = idealcalc.is_idempotent(ideal)
+        rpt = _report(
+            "ideal idempotent", ideal=dsl.format_ideal(ideal), verdict=verdict.to_json()
+        )
+        return rpt, [_verdict_line("idempotent", verdict)] + _evidence_lines(verdict)
+    if args.cmd == "report":
+        xi = dsl.parse_seq(args.sequence)
+        report = idealcalc.implication_report(xi)
+        rpt = _report("ideal report", sequence=dsl.format_seq(xi), **report.to_json())
+        lines = [
+            _verdict_line("delta2", report.delta2),
+            _verdict_line("soft", report.soft),
+            _verdict_line("idempotent", report.idempotent),
+            _verdict_line("necessary condition", report.necessary),
+            "implications: all consistent",
+        ]
+        return rpt, lines

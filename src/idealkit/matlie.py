@@ -25,7 +25,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import ratlinalg
 from .base import Frozen, InputError, as_fraction, parse_rational
@@ -35,13 +35,10 @@ from .ratlinalg import (
     MODP_PRIMES,
     RationalMatrix,
     SparseEchelon,
-    bracket,
+    bracket,  # public here through __all__; nothing in this module calls it
     frac_mod_p,
     nullspace,
 )
-
-if TYPE_CHECKING:
-    from .seqspace import SequenceExpr
 
 __all__ = [
     "ClosureReport",
@@ -83,13 +80,28 @@ __all__ = [
     "upper_triangular_sl",
 ]
 
+# Names that live in ``catalog``; it loads on the first access to one.
+_CATALOG_NAMES = frozenset({
+    "_KINDS", "_SHAPES", "algebra_to_json", "diagonal_algebra", "direct_sum",
+    "make_algebra", "save_algebra", "shift_truncation", "sl", "sp_skew_variant",
+    "sp_standard", "strictly_upper", "upper_triangular_sl",
+})
+
+
+def __getattr__(name: str):
+    if name in _CATALOG_NAMES:
+        from . import catalog
+        return getattr(catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Most entries, basis size times ambient_dim squared, of an algebra that is
 # built or read from a file; sl(14) has 38,220 and sl(15) 50,400.  Larger
-# ones are refused before they are built or decoded.  At the limit a file
-# decodes in about 0.6 s on a 2-core x86_64 VM, even with ambient_dim 1
-# where the cost per matrix dominates; the closure scan that follows is
-# bounded by the limit but not by that time.
+# ones are refused before they are built or decoded.  On a 2-core x86_64
+# VM, in process, a file at the limit with ambient_dim 1, where the cost per
+# matrix dominates, decodes in about 0.25 s, and the closure scan of sl(14)
+# takes about 0.1 s; the rest of the ladder is bounded by the limit but not
+# by those times.
 MAX_ALGEBRA_ENTRIES = 50_000
 
 
@@ -236,24 +248,72 @@ def _coords(span: SparseEchelon, vec) -> Optional[dict]:
     return {k - n: -c for k, c in rem.items()}
 
 
+def _bracket_flat(x: dict, y: dict, cols: int) -> dict:
+    """xy - yx for two square matrices given by their sparse rows
+    (``RationalMatrix._data``), as its nonzero entries keyed by the row-major
+    flat index r·cols + c."""
+    acc: dict = {}
+    for i, row in x.items():
+        for k, a in row.items():
+            yk = y.get(k)
+            if yk:
+                for j, b in yk.items():
+                    key = i * cols + j
+                    acc[key] = acc[key] + a * b if key in acc else a * b
+    for i, row in y.items():
+        for k, a in row.items():
+            xk = x.get(k)
+            if xk:
+                for j, b in xk.items():
+                    key = i * cols + j
+                    acc[key] = acc[key] - a * b if key in acc else -(a * b)
+    return {k: v for k, v in acc.items() if v}
+
+
 @lru_cache(maxsize=128)
 def _closure_scan(L: LieAlgebraPresentation):
-    n = L.ambient * L.ambient
+    amb = L.ambient
+    n = amb * amb
     span = SparseEchelon(n)
     for idx, b in enumerate(L.basis):
         flat = _flat(b)
         if _coords(span, flat) is not None:
             raise InputError(f"{L.name}: basis matrix {idx} depends on earlier ones")
         span.insert({**flat, n + idx: F1})
+    span.back_substitute()
+    # With every pivot row zero at the other pivot columns, a bracket v lies
+    # in the span exactly when v minus v[p]·(row p), summed over the pivot
+    # columns p of v, leaves no matrix entry; its coordinates are then the
+    # sum of v[p]·(tag entries of row p).  So each pivot row is kept as its
+    # matrix entries off the pivot and its tag entries.
+    split = {
+        p: ([(c, x) for c, x in row.items() if c < n and c != p],
+            [(c - n, x) for c, x in row.items() if c >= n])
+        for p, row in span._rows.items()
+    }
+    mats = [b._data for b in L.basis]
     d = L.dim
     ads = [[{} for _ in range(d)] for _ in range(d)]
     for i in range(d):
+        x = mats[i]
         for j in range(i + 1, d):
-            flat = _flat(bracket(L.basis[i], L.basis[j]))
-            col = _coords(span, flat)
-            if col is None:
+            flat = _bracket_flat(x, mats[j], amb)
+            rest: dict = {}
+            col: dict = {}
+            for c, v in flat.items():
+                part = split.get(c)
+                if part is None:
+                    rest[c] = rest[c] + v if c in rest else v
+                    continue
+                off, tags = part
+                for k, w in off:
+                    rest[k] = rest[k] - v * w if k in rest else -(v * w)
+                for k, w in tags:
+                    col[k] = col[k] + v * w if k in col else v * w
+            if any(rest.values()):
                 residual = {c: v for c, v in span.reduce(flat).items() if c < n}
-                return None, (i, j, _from_flat(residual, L.ambient, L.ambient))
+                return None, (i, j, _from_flat(residual, amb, amb))
+            col = {k: c for k, c in col.items() if c}
             ads[i][j] = col
             ads[j][i] = {k: -c for k, c in col.items()}
     return _Structure(span, ads), None
@@ -276,169 +336,6 @@ def _structure(L: LieAlgebraPresentation) -> _Structure:
             f"{L.name}: bracket of basis elements {i} and {j} lies outside the span"
         )
     return st
-
-
-# ---------------------------------------------------------------------------
-# Constructors
-# ---------------------------------------------------------------------------
-
-
-def _require_size(n: int, least: int = 1) -> None:
-    if not isinstance(n, int) or n < least:
-        raise InputError(f"size must be an integer >= {least}, got {n}")
-
-
-def _sp_top_blocks(n: int) -> List[RationalMatrix]:
-    """Generators shared by both 2n x 2n block forms: the top-left block
-    entries row-major (bottom-right the negative transpose), then the
-    symmetric top-right generators, i <= j row-major."""
-    _require_size(n)
-    a = 2 * n
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            basis.append(RationalMatrix.unit(a, i, j) - RationalMatrix.unit(a, n + j, n + i))
-    for i in range(n):
-        for j in range(i, n):
-            m = RationalMatrix.unit(a, i, n + j)
-            if i != j:
-                m = m + RationalMatrix.unit(a, j, n + i)
-            basis.append(m)
-    return basis
-
-
-def sp_standard(n: int) -> LieAlgebraPresentation:
-    """Symplectic algebra in 2n x 2n block form: top-right and bottom-left
-    blocks symmetric, bottom-right the negative transpose of the top-left.
-    Basis order: top-left block entries row-major, then the symmetric
-    generators of the top-right block (i <= j row-major), then bottom-left.
-    """
-    basis = _sp_top_blocks(n)
-    a = 2 * n
-    for i in range(n):
-        for j in range(i, n):
-            m = RationalMatrix.unit(a, n + i, j)
-            if i != j:
-                m = m + RationalMatrix.unit(a, n + j, i)
-            basis.append(m)
-    return LieAlgebraPresentation(a, tuple(basis), f"sp_standard_{n}")
-
-
-def sp_skew_variant(n: int) -> LieAlgebraPresentation:
-    """Block form with a symmetric top-right and an antisymmetric bottom-left
-    block.  Retained for auditing: for n >= 2 this constraint set is not
-    closed under the bracket (closure_check exhibits the failing pair)."""
-    basis = _sp_top_blocks(n)
-    a = 2 * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis.append(RationalMatrix.unit(a, n + i, j) - RationalMatrix.unit(a, n + j, i))
-    return LieAlgebraPresentation(a, tuple(basis), f"sp_skew_variant_{n}")
-
-
-def upper_triangular_sl(n: int) -> LieAlgebraPresentation:
-    """Trace-zero upper triangular matrices: diagonal differences, then the
-    strictly upper units row-major."""
-    _require_size(n, 2)
-    basis = [
-        RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
-        for i in range(n - 1)
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis.append(RationalMatrix.unit(n, i, j))
-    return LieAlgebraPresentation(n, tuple(basis), f"upper_triangular_sl_{n}")
-
-
-def strictly_upper(n: int) -> LieAlgebraPresentation:
-    _require_size(n, 2)
-    basis = [
-        RationalMatrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)
-    ]
-    return LieAlgebraPresentation(n, tuple(basis), f"strictly_upper_{n}")
-
-
-def sl(n: int) -> LieAlgebraPresentation:
-    """Trace-zero matrices: off-diagonal units row-major, then diagonal differences."""
-    _require_size(n, 2)
-    basis = [
-        RationalMatrix.unit(n, i, j) for i in range(n) for j in range(n) if i != j
-    ]
-    basis.extend(
-        RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
-        for i in range(n - 1)
-    )
-    return LieAlgebraPresentation(n, tuple(basis), f"sl_{n}")
-
-
-def diagonal_algebra(n: int) -> LieAlgebraPresentation:
-    """Abelian algebra of diagonal matrices."""
-    _require_size(n)
-    basis = [RationalMatrix.unit(n, i, i) for i in range(n)]
-    return LieAlgebraPresentation(n, tuple(basis), f"diagonal_{n}")
-
-
-def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
-    """Single-matrix presentation: the n x n truncation of a weighted shift,
-    weight i on the superdiagonal.  Weights must evaluate exactly."""
-    from .seqspace import ensure_valid, eval_at, has_exact_eval  # only this builder needs them
-    _require_size(n, 2)
-    ensure_valid(weights)
-    if not has_exact_eval(weights):
-        raise InputError("shift truncation needs exactly evaluable weights")
-    m = RationalMatrix.from_nonzeros(n, n, {(i - 1, i): eval_at(weights, i) for i in range(1, n)})
-    return LieAlgebraPresentation(n, (m,), f"shift_truncation_{n}")
-
-
-def direct_sum(a: LieAlgebraPresentation, b: LieAlgebraPresentation) -> LieAlgebraPresentation:
-    """Block-diagonal direct sum of two presentations."""
-    amb = a.ambient + b.ambient
-    off = a.ambient
-    basis = [RationalMatrix.from_nonzeros(amb, amb, m.nonzeros()) for m in a.basis]
-    basis.extend(
-        RationalMatrix.from_nonzeros(
-            amb, amb, {(i + off, j + off): v for (i, j), v in m.nonzeros().items()}
-        )
-        for m in b.basis
-    )
-    return LieAlgebraPresentation(amb, tuple(basis), f"{a.name}+{b.name}")
-
-
-_KINDS = {
-    "sp": sp_standard,
-    "sp-skew": sp_skew_variant,
-    "ut-sl": upper_triangular_sl,
-    "strictly-upper": strictly_upper,
-    "sl": sl,
-}
-
-# (basis size, ambient) of each kind at size n, known before it is built
-_SHAPES = {
-    "sp": lambda n: (n * (2 * n + 1), 2 * n),
-    "sp-skew": lambda n: (2 * n * n, 2 * n),
-    "ut-sl": lambda n: ((n - 1) * (n + 2) // 2, n),
-    "strictly-upper": lambda n: (n * (n - 1) // 2, n),
-    "sl": lambda n: (n * n - 1, n),
-    "shift": lambda n: (1, n),
-}
-
-
-def make_algebra(kind: str, n: int, weights: Optional[SequenceExpr] = None) -> LieAlgebraPresentation:
-    """Catalog algebra of the given kind and size, refused before it is
-    built when it would pass MAX_ALGEBRA_ENTRIES."""
-    if kind in _SHAPES and isinstance(n, int) and n > 0:  # the rest is refused below
-        _require_entries(*_SHAPES[kind](n))
-    if kind == "shift":
-        if weights is None:
-            raise InputError("shift truncation needs a weight sequence")
-        return shift_truncation(weights, n)
-    ctor = _KINDS.get(kind)
-    if ctor is None:
-        raise InputError(f"unknown algebra kind {kind!r}; expected one of "
-                         f"{sorted(_KINDS)} or 'shift'")
-    if weights is not None:
-        raise InputError(f"weights apply to kind 'shift' only, not {kind!r}")
-    return ctor(n)
 
 
 # ---------------------------------------------------------------------------
@@ -876,15 +773,19 @@ def matrices_from_json(flats, ambient: int) -> List[RationalMatrix]:
     if not isinstance(flats, list) or any(not isinstance(f, list) or len(f) != size for f in flats):
         raise InputError(f"expected a list of matrices, each a flat list of {size} rationals")
     _require_entries(len(flats), ambient)
-    return [_from_flat([_decode_rational(v) for v in flat], ambient, ambient) for flat in flats]
-
-
-def algebra_to_json(L: LieAlgebraPresentation) -> dict:
-    return {
-        "name": L.name,
-        "ambient_dim": L.ambient,
-        "basis": [[_encode_rational(v) for v in m.flat()] for m in L.basis],
-    }
+    mats = []
+    for flat in flats:
+        data: dict = {}
+        for k, v in enumerate(flat):
+            # an exact int zero needs no Fraction; every other entry is checked
+            if v.__class__ is int and not v:
+                continue
+            f = _decode_rational(v)
+            if f:
+                r, c = divmod(k, ambient)
+                data.setdefault(r, {})[c] = f
+        mats.append(RationalMatrix._make(ambient, ambient, data))
+    return mats
 
 
 def algebra_from_json(obj: dict) -> LieAlgebraPresentation:
@@ -899,12 +800,6 @@ def algebra_from_json(obj: dict) -> LieAlgebraPresentation:
     L = LieAlgebraPresentation(ambient, tuple(matrices_from_json(basis, ambient)), str(name))
     _closure_scan(L)  # raises on a dependent basis
     return L
-
-
-def save_algebra(L: LieAlgebraPresentation, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_json(L), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_algebra(path: str) -> LieAlgebraPresentation:

@@ -4,11 +4,12 @@
 rows (dict column -> value, or dense sequences), over Fraction or GF(p)
 integers as its caller picks.  ``insert`` adds a row, ``reduce`` returns the
 remainder after eliminating every held pivot (empty exactly when the row
-lies in the span), ``reduced`` gives the dense RREF and ``sparse_kernel``
-the canonical kernel basis by back-substitution (``kernel`` is its dense
-view).  The remainder, the RREF and the kernel depend only on the span.
-``rref``, ``rank`` and ``nullspace`` are adapters from dense rows to the
-core.
+lies in the span), ``back_substitute`` clears every pivot column from the
+other held rows in place, ``reduced`` gives the dense RREF and
+``sparse_kernel`` the canonical kernel basis by back-substitution
+(``kernel`` is its dense view).  The remainder, the RREF and the kernel
+depend only on the span.  ``rref``, ``rank`` and ``nullspace`` are adapters
+from dense rows to the core.
 
 Coordinates need no extra bookkeeping: a caller that wants a vector's
 coordinates in its generators appends a tag column ``ncols + k`` with value
@@ -152,6 +153,33 @@ class SparseEchelon:
                 else:
                     del work[c]
         return work
+
+    def back_substitute(self) -> None:
+        """Eliminate each pivot column from every other held row, in place.
+
+        Afterwards each row is zero at every pivot column but its own, so a
+        row's remainder is the row minus, for each pivot column it touches,
+        its entry there times that pivot's row, in any order.
+        """
+        p = self.p
+        rows = self._rows
+        pivots = sorted(rows)
+        for t in range(len(pivots) - 1, 0, -1):
+            piv = pivots[t]
+            prow = rows[piv]
+            for q in pivots[:t]:
+                row = rows[q]
+                f = row.get(piv)
+                if not f:
+                    continue
+                for c, v in prow.items():
+                    nv = row.get(c, 0) - f * v
+                    if p is not None:
+                        nv %= p
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
 
     def reduced(self) -> list:
         """Dense reduced row echelon rows of the span, in pivot order."""

@@ -677,7 +677,8 @@ def test_package_import_reaches_submodules():
 # Imports idealkit and idealkit.cli in a fresh interpreter, then runs the CLI
 # calls given as JSON in argv[1], and prints the idealkit submodules in
 # sys.modules after the package import, after the cli import and after the
-# calls, with which of numpy, dataclasses and inspect are loaded at the end.
+# calls, with which of numpy, dataclasses, inspect, argparse, gettext and
+# locale are loaded at the end.
 _IMPORT_MAP_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -692,25 +693,29 @@ after_cli = loaded()
 with redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         assert cli.main(argv) == 0, argv
-heavy = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+heavy = [m for m in ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale")
+         if m in sys.modules]
 print(json.dumps({"package": package, "cli": after_cli, "calls": loaded(), "heavy": heavy}))
 """
 
 
 def test_cli_import_leaves_numpy_out(tmp_path):
     """Each kind of call, in its own fresh interpreter, imports exactly the
-    layers it runs, and none of them loads numpy, dataclasses or inspect."""
+    layers it runs, and none of them loads numpy, dataclasses or inspect, or
+    argparse with its gettext and locale: a successful call never needs it."""
     cert, algebra = str(tmp_path / "cert.json"), str(tmp_path / "sl2.json")
-    kinds = {
-        "lie": ([["lie", "build", "sl", "--n", "2", "-o", algebra],
-                 ["lie", "simple", "--file", algebra, "--strict"]],
-                ["base", "cli", "matlie", "ratlinalg"]),
+    kinds = {  # in order: lie-build writes the file lie-simple reads
+        "lie-build": ([["lie", "build", "sl", "--n", "2", "-o", algebra]],
+                      ["base", "catalog", "cli", "cli_lie", "matlie", "ratlinalg"]),
+        "lie-simple": ([["lie", "simple", "--file", algebra, "--strict"]],
+                       ["base", "cli", "cli_lie", "matlie", "ratlinalg"]),
         "seq+ideal": ([["seq", "signature", "pow:1"], ["ideal", "member", "pow:2", "pow:1"]],
-                      ["base", "cli", "dsl", "idealcalc", "seqspace"]),
+                      ["base", "cli", "cli_ideal", "cli_seq", "dsl", "idealcalc", "seqspace"]),
         "witness": ([["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                       "-o", cert],
                      ["witness", "verify", "--file", cert]],
-                    ["base", "cli", "dsl", "idealcalc", "ratlinalg", "seqspace", "witness"]),
+                    ["base", "cli", "cli_witness", "dsl", "idealcalc", "ratlinalg", "seqspace",
+                     "witness"]),
     }
     env = dict(os.environ, PYTHONPATH=_src_dir())
     for kind, (calls, expected) in kinds.items():

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealkit.ratlinalg import (
     MODP_PRIMES,
@@ -119,6 +119,25 @@ class TestSparseEchelon:
             for c, gen in zip(coeffs, m):
                 rebuilt = [a + c * g for a, g in zip(rebuilt, gen)]
             assert rebuilt == list(target)
+
+    @given(m=matrices, probe=matrices, p=st.sampled_from([None, MODP_PRIMES[0]]))
+    @example(m=[[F(1), F(1), F(0)], [F(0), F(1), F(5)]], probe=[[F(1), F(2), F(3)]],
+             p=MODP_PRIMES[0])
+    @settings(max_examples=100)
+    def test_back_substitute_clears_other_pivots_and_keeps_remainders(self, m, probe, p):
+        def field(v):
+            return v if p is None else frac_mod_p(v, p)
+
+        width = len(m[0])
+        ech = _echelon([[field(v) for v in row] for row in m], p)
+        probe = [{c: field(v) for c, v in enumerate(row[:width])} for row in probe]
+        before = [ech.reduce(row) for row in probe]
+        ech.back_substitute()
+        for piv, row in ech._rows.items():
+            assert row[piv] == 1 and all(c not in row for c in ech._rows if c != piv)
+            assert min(row) == piv
+            assert p is None or all(0 < v < p for v in row.values())
+        assert [ech.reduce(row) for row in probe] == before
 
     def test_dependent_row_rejected(self):
         ech = SparseEchelon(3)
