@@ -10,7 +10,7 @@ Submodules load on first attribute access; ``import idealkit`` imports none.
 - ``matlie``: exact-rational matrix Lie algebras; closure, derived algebra,
   generated ideals, Killing form, adjoint commutant, simplicity ladder.
 - ``catalog``: the named algebras (sl, sp, ...), ``make_algebra``, direct
-  sums and writing algebra files; ``matlie`` re-exports its names.
+  sums and writing algebra files.
 - ``witness``: machine-checkable non-simplicity certificates for weighted
   shift models.
 - ``dsl`` / ``cli``: text syntax and the command line front end; each
@@ -18,6 +18,8 @@ Submodules load on first attribute access; ``import idealkit`` imports none.
   ``cli_witness`` and loads only when that group is called.
 - ``base``: names every layer shares (``InputError``, ``Frozen``, the
   rational digit cap and reader); it imports no other submodule.
+
+Each name is imported from the module that defines it.
 """
 
 import importlib

@@ -2,9 +2,8 @@
 ``make_algebra`` with its size check before building, direct sums, shift
 truncations, and writing an algebra to JSON.
 
-Only ``lie build`` (and library code) needs it; ``matlie`` re-exports every
-public name here, loading this module on first access, so the commands that
-read an algebra file never compile it.
+Only ``lie build`` (and library code) needs it, so the commands that read
+an algebra file never compile it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when the analysis completed (whatever the verdict), 2 on
-bad input (an InputError, an unreadable file or malformed JSON), 3 when
---strict is set and any reported verdict is Unknown or merely numerically
-indicated.  Any other exception is a bug and propagates with its traceback.
+bad input (an InputError, an unreadable file or malformed JSON).  Any
+other exception is a bug and propagates with its traceback.
 Reports go to stdout (text by default, machine-readable with --json);
 diagnostics go to stderr.
 
@@ -36,8 +35,6 @@ _USER_ERRORS = (InputError, OSError, json.JSONDecodeError)
 # An argument is (option strings or positional name, argparse keyword arguments).
 _COMMON = (
     (("--json",), {"action": "store_true", "help": "emit a machine-readable report"}),
-    (("--strict",), {"action": "store_true",
-                     "help": "exit 3 when any verdict is Unknown or only numerically indicated"}),
     (("-o", "--output"), {"metavar": "FILE", "help": "also write the JSON report to FILE"}),
 )
 _NUMERIC = (
@@ -212,17 +209,6 @@ def _report(command: str, **fields) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
 
 
-def _collect_methods(obj, found: set) -> None:
-    if isinstance(obj, dict):
-        if "status" in obj and "method" in obj:
-            found.add((obj["status"], obj["method"]))
-        for v in obj.values():
-            _collect_methods(v, found)
-    elif isinstance(obj, list):
-        for v in obj:
-            _collect_methods(v, found)
-
-
 # ---------------------------------------------------------------------------
 # Handlers: each group's module loads only when that group is called
 # ---------------------------------------------------------------------------
@@ -269,16 +255,11 @@ def main(argv=None) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
             fh.write("\n")
-    if args.strict:
-        found: set = set()
-        _collect_methods(report, found)
-        if found:  # only sequence verdicts carry a status and a method
-            from .seqspace import Method, Status
-        for status, method in found:
-            if status == Status.UNKNOWN.value or method == Method.NUMERIC.value:
-                return 3
     return 0
 
 
 if __name__ == "__main__":
+    # Run as ``python -m idealkit.cli``: the handlers' ``from .cli import``
+    # then finds this module instead of compiling a second copy.
+    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
     sys.exit(main())

@@ -33,7 +33,7 @@ from .seqspace import (
     ensure_valid,
 )
 
-__all__ = ["DslError", "parse_rational", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
+__all__ = ["DslError", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
 
 _INT = re.compile(r"\d+")
 _HEAD = re.compile(r"[a-z-]+")

@@ -10,9 +10,8 @@ comparisons in :mod:`idealkit.seqspace`.
 
 from __future__ import annotations
 
+from .base import Frozen, InputError
 from .seqspace import (
-    Frozen,
-    InputError,
     Mode,
     Product,
     RATE_ONE,

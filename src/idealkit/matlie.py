@@ -24,7 +24,6 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from . import ratlinalg
@@ -35,11 +34,14 @@ from .ratlinalg import (
     MODP_PRIMES,
     RationalMatrix,
     SparseEchelon,
-    bracket,  # public here through __all__; nothing in this module calls it
+    bracket,
     frac_mod_p,
     nullspace,
 )
 
+# RationalMatrix and bracket live in ratlinalg and stay listed here:
+# perfbench's tracer wraps matlie.bracket, which nothing here calls, and
+# tests/test_tracer_entry_points.py reads both.
 __all__ = [
     "ClosureReport",
     "CommutantReport",
@@ -53,39 +55,25 @@ __all__ = [
     "adjoint_commutant",
     "adjoint_commutant_dim",
     "algebra_from_json",
-    "algebra_to_json",
     "bracket",
     "closure_check",
     "derived_algebra",
-    "diagonal_algebra",
-    "direct_sum",
     "is_lie_ideal",
     "is_simple",
     "killing_form",
     "lie_ideal_generated",
     "load_algebra",
     "load_seeds",
-    "make_algebra",
     "matrices_from_json",
     "random_ideal_search",
-    "save_algebra",
-    "shift_truncation",
-    "sl",
-    "sp_skew_variant",
-    "sp_standard",
     "span_reduce",
-    "strictly_upper",
     "subspace_from_coords",
     "subspace_from_matrices",
-    "upper_triangular_sl",
 ]
 
-# Names that live in ``catalog``; it loads on the first access to one.
-_CATALOG_NAMES = frozenset({
-    "_KINDS", "_SHAPES", "algebra_to_json", "diagonal_algebra", "direct_sum",
-    "make_algebra", "save_algebra", "shift_truncation", "sl", "sp_skew_variant",
-    "sp_standard", "strictly_upper", "upper_triangular_sl",
-})
+# The catalog names that perfbench/make_algebras.py calls through matlie;
+# catalog loads on the first access to one.
+_CATALOG_NAMES = frozenset({"direct_sum", "make_algebra", "save_algebra", "sp_standard"})
 
 
 def __getattr__(name: str):
@@ -136,6 +124,10 @@ def _from_flat(flat, rows: int, cols: int) -> RationalMatrix:
 class LieAlgebraPresentation(Frozen):
     """Linearly independent matrix basis of a subspace of ambient x ambient
     matrices, intended to be bracket-closed."""
+
+    # _scan: the closure scan's result, set once by _scanned; a slot, so it is
+    # not a field and equality and hashing never read it
+    __slots__ = ("__dict__", "_scan")
 
     def __init__(self, ambient: int, basis: tuple, name: str):
         vars(self).update(ambient=ambient, basis=basis, name=name)
@@ -270,7 +262,6 @@ def _bracket_flat(x: dict, y: dict, cols: int) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
-@lru_cache(maxsize=128)
 def _closure_scan(L: LieAlgebraPresentation):
     amb = L.ambient
     n = amb * amb
@@ -319,9 +310,18 @@ def _closure_scan(L: LieAlgebraPresentation):
     return _Structure(span, ads), None
 
 
+def _scanned(L: LieAlgebraPresentation):
+    """_closure_scan(L), run once per presentation; every rung reads it."""
+    try:
+        return L._scan
+    except AttributeError:
+        object.__setattr__(L, "_scan", _closure_scan(L))
+        return L._scan
+
+
 def closure_check(L: LieAlgebraPresentation) -> ClosureReport:
     """Scan basis pairs in lexicographic order for a bracket outside the span."""
-    st, bad = _closure_scan(L)
+    st, bad = _scanned(L)
     if st is not None:
         return ClosureReport(True, None, None)
     i, j, residual = bad
@@ -329,7 +329,7 @@ def closure_check(L: LieAlgebraPresentation) -> ClosureReport:
 
 
 def _structure(L: LieAlgebraPresentation) -> _Structure:
-    st, bad = _closure_scan(L)
+    st, bad = _scanned(L)
     if st is None:
         i, j, _ = bad
         raise NotClosedError(
@@ -798,7 +798,7 @@ def algebra_from_json(obj: dict) -> LieAlgebraPresentation:
     if not isinstance(ambient, int) or ambient < 1:
         raise InputError(f"bad ambient_dim: {ambient!r:.40}")
     L = LieAlgebraPresentation(ambient, tuple(matrices_from_json(basis, ambient)), str(name))
-    _closure_scan(L)  # raises on a dependent basis
+    _scanned(L)  # raises on a dependent basis
     return L
 
 

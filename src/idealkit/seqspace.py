@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .base import _DIGITS_BOUND, DEFAULT_EPS, DEFAULT_NMAX, MAX_RATIONAL_DIGITS
-from .base import Frozen, InputError, as_fraction, fits_digit_cap
+from .base import Frozen, InputError, as_fraction
 
 __all__ = [
     "Ampliation",
@@ -33,10 +33,7 @@ __all__ = [
     "Exp",
     "Explicit",
     "FiniteSupport",
-    "Frozen",
-    "InputError",
     "InvalidSequenceError",
-    "MAX_RATIONAL_DIGITS",
     "Mode",
     "Method",
     "Pow",
@@ -49,14 +46,12 @@ __all__ = [
     "Subsample",
     "Verdict",
     "ampliate",
-    "as_fraction",
     "compare",
     "decays_faster",
     "delta2_check",
     "eval_at",
     "eval_log",
     "explicit",
-    "fits_digit_cap",
     "has_exact_eval",
     "log_ratio_ceiling",
     "numeric_probe",
@@ -66,8 +61,6 @@ __all__ = [
     "support",
     "validate",
     "ensure_valid",
-    "DEFAULT_NMAX",
-    "DEFAULT_EPS",
 ]
 
 # Numeric-probe policy constants: geometric grid of ratio 2, trend judged on

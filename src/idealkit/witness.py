@@ -24,16 +24,14 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import dsl
+from .base import MAX_RATIONAL_DIGITS, Frozen, InputError, fits_digit_cap, parse_rational
 from .idealcalc import Principal, is_soft
 from .ratlinalg import RationalMatrix, bracket
 from .seqspace import (
-    MAX_RATIONAL_DIGITS,
     Ampliation,
     Exp,
     Explicit,
     FiniteSupport,
-    Frozen,
-    InputError,
     Method,
     Pow,
     Product,
@@ -44,7 +42,6 @@ from .seqspace import (
     Verdict,
     ensure_valid,
     eval_at,
-    fits_digit_cap,
     has_exact_eval,
     support,
 )
@@ -483,7 +480,7 @@ def certificate_from_json(obj: dict) -> Certificate:
             partner=None if obj["partner"] is None else _shift_from_json(obj["partner"]),
             pool=tuple(_shift_from_json(s) for s in obj["pool"]),
             first_index=None if first is None else int(first["index"]),
-            first_value=None if first is None else dsl.parse_rational(str(first["value"])),
+            first_value=None if first is None else parse_rational(str(first["value"])),
             scan_window=int(obj["scan_window"]),
             obligations=tuple(
                 (entry["name"], bool(entry["passed"])) for entry in obj["obligations"]

@@ -13,6 +13,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from idealkit.catalog import (
+    direct_sum,
+    sl,
+    sp_skew_variant,
+    sp_standard,
+    strictly_upper,
+    upper_triangular_sl,
+)
 from idealkit.cli import main
 from idealkit.idealcalc import (
     Principal,
@@ -23,20 +31,14 @@ from idealkit.idealcalc import (
 )
 from idealkit.matlie import (
     adjoint_commutant_dim,
-    bracket,
     closure_check,
-    direct_sum,
     is_lie_ideal,
     is_simple,
     killing_form,
-    sl,
-    sp_skew_variant,
-    sp_standard,
     span_reduce,
-    strictly_upper,
     subspace_from_matrices,
-    upper_triangular_sl,
 )
+from idealkit.ratlinalg import bracket
 from idealkit.seqspace import (
     Ampliation,
     Exp,

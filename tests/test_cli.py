@@ -18,8 +18,9 @@ import pytest
 import idealkit
 from idealkit import cli
 from idealkit.cli import main
-from idealkit.dsl import MAX_NESTING, MAX_RATIONAL_DIGITS
-from idealkit.matlie import _KINDS, direct_sum, save_algebra, sl, sp_standard
+from idealkit.base import MAX_RATIONAL_DIGITS
+from idealkit.catalog import _KINDS, direct_sum, save_algebra, sl, sp_standard
+from idealkit.dsl import MAX_NESTING
 from idealkit.witness import DEFAULT_SCAN_WINDOW, MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
 
 
@@ -38,16 +39,16 @@ class TestSeqCommands:
 
     def test_compare_proven_fails_exits_zero(self):
         code, out = run_cli(
-            ["seq", "compare", "--mode", "o", "pow:1", "amp:2;pow:1", "--strict"]
+            ["seq", "compare", "--mode", "o", "pow:1", "amp:2;pow:1"]
         )
         assert code == 0
         assert "Fails (SymbolicProven)" in out
 
-    def test_compare_numeric_strict_exits_three(self):
+    def test_compare_numeric_exits_zero(self):
         code, out = run_cli(
-            ["seq", "compare", "--mode", "o", "exp:1/2", "pow:1", "--numeric", "--strict"]
+            ["seq", "compare", "--mode", "o", "exp:1/2", "pow:1", "--numeric"]
         )
-        assert code == 3
+        assert code == 0
         assert "NumericIndicated" in out
 
     def test_delta2(self):
@@ -589,7 +590,9 @@ class TestTopLevel:
 # sha256 of "exit code, newline, stdout, NUL, stderr" of the CLI at 80
 # columns, taken before the parser was built for the called group only:
 # top-level, group and leaf help, and usage errors in every group.  The
-# digests are of CPython 3.11's argparse text.
+# leaf help and usage texts were taken again when --strict was removed, and
+# differ from the earlier ones only by its lines.  The digests are of
+# CPython 3.11's argparse text.
 PARSER_TEXT = [
     ([],
      "c3ebe102137ad744e2aeabf61c7ae8e3245aa01ad21bbd34f775faa1f6b7f4de"),
@@ -604,21 +607,21 @@ PARSER_TEXT = [
     (["witness", "--help"],
      "8f0e173dcc019f4bd7b26228d0877adefa7b3baa83c8d3c24363cb79d5fded7f"),
     (["seq", "compare", "--help"],
-     "746d926e91c6b7fcd70bdf2874d6bce656348b9528334cd4f50accce57a84f16"),
+     "f10facab9870ea178f90db8d1e8f7e1e2d42cb2065c0309968e0ec830cf721ec"),
     (["ideal", "member", "--help"],
-     "216233557540f86a787e5e682606cab030f279ece5513e9847d4d3f1db5ea667"),
+     "72761c7e395777bb2da65f242fd84ec8877256655e25d5cd151270cf0cd81220"),
     (["lie", "simple", "--help"],
-     "5448450c4481967c354e69544d0d616a2fbf1f97be493f2ac698fded54a78704"),
+     "7a82c512270faa4d46770592ecc97b3806bcdda50510d851175d8f4edc27bcbe"),
     (["witness", "build", "--help"],
-     "7c882257096c43bb67bb498aae3521b58ffcc4dfeb30204f3d8c0e85749aae34"),
+     "36ed4e7f4f94d060f099b53b2abe734af0d1529d978f415ec360b7e80d84893a"),
     (["seq", "compare", "pow:1", "pow:2"],
-     "1d25bc271212c980bf8fabee4efbf8d6063e205f1108986a101d1f69b852422c"),
+     "eeceef4e865d4c306ac272ebceb32292913fa0cfa8a06d9202944b1c4d1835bc"),
     (["ideal", "member", "pow:1"],
-     "8376ca7844294924f0ff822e245584497fc5ae34dae7c714351f005809757706"),
+     "219c854b9dade088862e355745d9a5f62eb60aa34b049c7c2aa6881049a5bb93"),
     (["lie", "simple"],
-     "76d72c84d8bc06ccaa5dc2deb20a74c72e7a7235d547d2361996f1542bac2ca2"),
+     "ba546b043e131fba185f3f89007de3d089a8f4a7144449f07d5dbb556d81411f"),
     (["witness", "build"],
-     "23e579d2c8694c3dcc1179973a5f79e124924b2c97fe667b660741baefdaa326"),
+     "49a0ae9c428ee098066e228ccf741893c6b76faa81706323605ef232a45d1d9f"),
     (["nope"],
      "488ad492cf669f1ad5a6dbb3db9fc380c545e3c86595c19303fe32fe3379d81b"),
     (["lie", "nope"],
@@ -655,6 +658,23 @@ class TestParserText:
         assert _cli_text(argv) == group_only
 
 
+_CALLS = [(group, cmd) for group, (_, commands) in cli._COMMANDS.items() for cmd in commands]
+
+
+@pytest.mark.parametrize("group,cmd", _CALLS, ids=[" ".join(call) for call in _CALLS])
+def test_strict_flag_is_a_usage_error(group, cmd):
+    """No command takes --strict; a call given it is a usage error (exit 2)."""
+    argv = [group, cmd]
+    for flags, kwargs in cli._COMMANDS[group][1][cmd][1]:
+        if not flags[0].startswith("-"):
+            argv.append("pow:1")
+        elif kwargs.get("required"):
+            argv += [flags[0], kwargs.get("choices", ["1"])[0]]
+    assert cli._strict_parse(argv) is not None  # a complete call without it
+    text = _cli_text(argv + ["--strict"])
+    assert text.startswith("2\n") and "unrecognized arguments: --strict" in text
+
+
 def _src_dir():
     return os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
 
@@ -665,9 +685,25 @@ def test_module_run_has_no_runpy_warning():
     assert "RuntimeWarning" not in out.stderr
 
 
+def test_module_run_imports_cli_once():
+    """Run as ``python -m idealkit.cli``, the handlers' ``from .cli import``
+    finds the ``__main__`` module, so cli is never imported a second time
+    and one module object holds its code."""
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "idealkit.cli", "seq", "signature", "pow:1"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (out.returncode, out.stdout) == (0, "signature: rate=1, pow=1, logpow=0\n")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "idealkit.seqspace" in imported  # loaded by dsl's `from .seqspace import`
+    assert "idealkit.cli" not in imported
+
+
 def test_package_import_reaches_submodules():
     env = dict(os.environ, PYTHONPATH=_src_dir())
-    probe = "import idealkit; print(idealkit.matlie.sl(3).dim)"
+    probe = "import idealkit; print(idealkit.catalog.sl(3).dim)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -707,7 +743,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     kinds = {  # in order: lie-build writes the file lie-simple reads
         "lie-build": ([["lie", "build", "sl", "--n", "2", "-o", algebra]],
                       ["base", "catalog", "cli", "cli_lie", "matlie", "ratlinalg"]),
-        "lie-simple": ([["lie", "simple", "--file", algebra, "--strict"]],
+        "lie-simple": ([["lie", "simple", "--file", algebra]],
                        ["base", "cli", "cli_lie", "matlie", "ratlinalg"]),
         "seq+ideal": ([["seq", "signature", "pow:1"], ["ideal", "member", "pow:2", "pow:1"]],
                       ["base", "cli", "cli_ideal", "cli_seq", "dsl", "idealcalc", "seqspace"]),

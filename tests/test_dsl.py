@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealkit import idealcalc
+from idealkit.base import MAX_RATIONAL_DIGITS, parse_rational
 from idealkit.dsl import (
     MAX_NESTING,
-    MAX_RATIONAL_DIGITS,
     DslError,
     format_ideal,
     format_seq,
     parse_ideal,
-    parse_rational,
     parse_seq,
 )
 from idealkit.seqspace import (

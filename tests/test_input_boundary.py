@@ -15,16 +15,12 @@ import pytest
 
 import idealkit
 from idealkit import cli
+from idealkit.base import MAX_RATIONAL_DIGITS, InputError
+from idealkit.catalog import _SHAPES, make_algebra
 from idealkit.dsl import DslError, parse_seq
 from idealkit.idealcalc import ZeroIdealError
-from idealkit.matlie import (
-    _SHAPES,
-    MAX_ALGEBRA_ENTRIES,
-    NotClosedError,
-    make_algebra,
-    matrices_from_json,
-)
-from idealkit.seqspace import MAX_RATIONAL_DIGITS, InputError, InvalidSequenceError, Pow
+from idealkit.matlie import MAX_ALGEBRA_ENTRIES, NotClosedError, matrices_from_json
+from idealkit.seqspace import InvalidSequenceError, Pow
 from idealkit.witness import (
     MIN_TRUNCATION,
     CertificateError,

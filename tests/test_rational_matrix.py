@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit.matlie import RationalMatrix, bracket
+from idealkit.ratlinalg import RationalMatrix, bracket
 
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 dims = st.integers(1, 6)

@@ -8,8 +8,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealkit.base import MAX_RATIONAL_DIGITS
 from idealkit.seqspace import (
-    MAX_RATIONAL_DIGITS,
     Ampliation,
     Exp,
     Explicit,

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from idealkit.matlie import bracket
+from idealkit.ratlinalg import bracket
 from idealkit.seqspace import (
     Exp,
     FiniteSupport,
