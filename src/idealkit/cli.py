@@ -39,8 +39,8 @@ _COMMON = (
 )
 _NUMERIC = (
     (("--numeric",), {"action": "store_true", "help": "add numeric corroboration"}),
-    (("--nmax",), {"type": int, "default": DEFAULT_NMAX, "help": "numeric probe grid limit"}),
-    (("--eps",), {"type": float, "default": DEFAULT_EPS, "help": "numeric probe tolerance"}),
+    (("--nmax",), {"type": int, "help": "numeric probe grid limit"}),
+    (("--eps",), {"type": float, "help": "numeric probe tolerance"}),
 )
 _SEQUENCE = (("sequence",), {})
 _IDEAL = (("ideal",), {})
@@ -209,6 +209,13 @@ def _report(command: str, **fields) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
 
 
+def _probe_limits(args) -> tuple:
+    """(nmax, eps) for the numeric probe.  Their options default to None, so
+    that main can refuse them without --numeric, where they do nothing."""
+    return (DEFAULT_NMAX if args.nmax is None else args.nmax,
+            DEFAULT_EPS if args.eps is None else args.eps)
+
+
 # ---------------------------------------------------------------------------
 # Handlers: each group's module loads only when that group is called
 # ---------------------------------------------------------------------------
@@ -239,6 +246,8 @@ def main(argv=None) -> int:
     try:
         if args.cmd is None:
             raise InputError(f"missing {args.group} subcommand; see idealkit {args.group} --help")
+        if vars(args).get("numeric") is False and (args.nmax, args.eps) != (None, None):
+            raise InputError("--nmax and --eps act only with --numeric")
         report, lines = _HANDLERS[args.group](args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

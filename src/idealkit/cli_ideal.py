@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import dsl, idealcalc, seqspace
-from .cli import _evidence_lines, _report, _verdict_line
+from .cli import _evidence_lines, _probe_limits, _report, _verdict_line
 
 if TYPE_CHECKING:
     from .seqspace import Verdict
@@ -26,7 +26,7 @@ def handle(args):
             k = verdict.evidence.get("k", 2)
             probe = seqspace.numeric_probe(
                 seqspace.subsample(k, ideal.gen), ideal.gen, seqspace.Mode.LITTLE_O,
-                args.nmax, args.eps,
+                *_probe_limits(args),
             )
             rpt["numeric"] = probe.to_json()
             lines.append(_verdict_line("numeric corroboration", probe))

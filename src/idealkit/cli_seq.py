@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import dsl, seqspace
-from .cli import _evidence_lines, _report, _verdict_line
+from .cli import _evidence_lines, _probe_limits, _report, _verdict_line
 
 
 def handle(args):
@@ -31,7 +31,7 @@ def handle(args):
         )
         lines = [_verdict_line(f"xi = {args.mode}(eta)", verdict)] + _evidence_lines(verdict)
         if args.numeric:
-            probe = seqspace.numeric_probe(xi, eta, mode, args.nmax, args.eps)
+            probe = seqspace.numeric_probe(xi, eta, mode, *_probe_limits(args))
             rpt["numeric"] = probe.to_json()
             lines.append(_verdict_line("numeric probe", probe))
             lines.extend(_evidence_lines(probe))

@@ -5,10 +5,12 @@ entries, spans are echelon bases over the rationals, and the simplicity
 decision is a ladder of exact steps (derived algebra, center, Killing
 radical, adjoint commutant).  The commutant comes from one routine of
 successive restriction, over the rationals or GF(p).  Modular arithmetic
-only shortcuts a proof: rank can only drop modulo a prime, so that routine
-run mod p proves a commutant of exactly the scalars, and the random ideal
-search mod p proves that a sample generates all of L; neither can prove
-the converse.
+only shortcuts a proof, as rank can only drop modulo a prime: the random
+ideal search mod p proves that a sample generates all of L, and the
+commutant's dimension k mod p bounds the one over Q.  So k = 1 is a proof;
+otherwise the exact routine starts from the support of the modular basis,
+and k maps found there span the commutant (fewer make it rerun on all
+positions).
 
 The commutant-dimension criterion counts the simple summands of a split
 semisimple algebra; for a simple algebra whose centroid is a proper field
@@ -44,7 +46,6 @@ from .ratlinalg import (
 # tests/test_tracer_entry_points.py reads both.
 __all__ = [
     "ClosureReport",
-    "CommutantReport",
     "IdealCheck",
     "KillingReport",
     "LieAlgebraPresentation",
@@ -53,7 +54,6 @@ __all__ = [
     "SimplicityReport",
     "Subspace",
     "adjoint_commutant",
-    "adjoint_commutant_dim",
     "algebra_from_json",
     "bracket",
     "closure_check",
@@ -488,12 +488,6 @@ def random_ideal_search(
 # ---------------------------------------------------------------------------
 
 
-class CommutantReport(Frozen):
-    # basis: RationalMatrix values acting on the coordinate space of L
-    def __init__(self, dim: int, basis: tuple, method: str):
-        vars(self).update(dim=dim, basis=basis, method=method)
-
-
 def _ads_mod_p(ads: Sequence[Sequence[dict]]) -> tuple:
     """(p, images of the sparse adjoint maps in GF(p)) for the first prime of
     MODP_PRIMES that leaves every denominator invertible; (None, None) when
@@ -505,20 +499,20 @@ def _ads_mod_p(ads: Sequence[Sequence[dict]]) -> tuple:
     return None, None
 
 
-def _commutant(ads: Sequence[Sequence[dict]], d: int, p: Optional[int] = None) -> List[dict]:
-    """Sparse basis of the maps X (flattened row major) with X·ad = ad·X for
-    every ad, over Fraction or, when the ads are given mod p, over GF(p).
+def _commutant(ads: Sequence[Sequence[dict]], d: int, positions, p: Optional[int] = None) -> List[dict]:
+    """Sparse basis of the maps X zero off the given row-major positions with
+    X·ad = ad·X for every ad; over GF(p) for ads given mod p, else Fraction.
 
-    Successive restriction from the d² unit matrices: for each ad that does
-    not commute with the whole basis, the kernel of X -> X·ad - ad·X on the
-    basis becomes the next basis, until only the scalars are left.
+    Successive restriction from the unit matrices at those positions: for
+    each ad that does not commute with the whole basis, the kernel of
+    X -> X·ad - ad·X on the basis becomes the next basis, until one is left.
     """
     # Restrict after every ad, with no switch to tune.  Inserting rows over all
     # d² unknowns until at most 4d or 64d columns stay free took, best of 2 on a
     # 2-core VM: sp(7) 0.27 / 0.19 s against 0.20 s here, sl(14) 1.24 / 0.84 s
     # against 0.90 s, and exact sp(5)+sp(5) 5.93 / 1.13 s against 1.17 s.
     one = F1 if p is None else 1
-    basis = [{c: one} for c in range(d * d)]
+    basis = [{c: one} for c in positions]
     for ad in ads:
         by_row = _rows(ad, d)
         rows: dict = {}
@@ -544,33 +538,36 @@ def _commutant(ads: Sequence[Sequence[dict]], d: int, p: Optional[int] = None) -
     return basis
 
 
-def _commutant_exact(ads: Sequence[Sequence[dict]], d: int) -> List[RationalMatrix]:
-    """The exact commutant in the basis ``SparseEchelon.kernel`` gives for the
-    full constraint system: reduced echelon form with the columns read right
-    to left, so each vector has a unit at its last nonzero column."""
+def _commutant_exact(ads: Sequence[Sequence[dict]], d: int, positions) -> List[RationalMatrix]:
+    """The exact commutant maps zero off the given positions, in the basis
+    ``SparseEchelon.kernel`` gives for the full constraint system: reduced
+    echelon form with the columns read right to left, so each vector has a
+    unit at its last nonzero column."""
     last = d * d - 1
-    flipped = _rref(({last - c: x for c, x in vec.items()} for vec in _commutant(ads, d)), d * d)
+    flipped = _rref(({last - c: x for c, x in v.items()} for v in _commutant(ads, d, positions)), d * d)
     return [_from_flat(row[::-1], d, d) for row in reversed(flipped)]
 
 
-def adjoint_commutant(L: LieAlgebraPresentation) -> CommutantReport:
-    """Dimension and basis of the linear maps commuting with every adjoint map.
+def adjoint_commutant(L: LieAlgebraPresentation) -> tuple:
+    """Canonical basis of the linear maps commuting with every adjoint map.
 
     ``_commutant`` runs mod p first: dimension one there proves dimension
     one over Q.  Only a denominator that vanishes mod p moves on to the next
-    prime; a larger dimension goes to the exact routine.
+    prime.  A dimension k > 1 mod p bounds the rational one, so the exact
+    routine starts from the support of the modular basis, and k maps found
+    there span the commutant.  Fewer (p zeroed an entry on that support or
+    raised the dimension), or no usable prime, mean a run on all d² positions.
     """
-    st = _structure(L)
-    d = L.dim
-    p, mods = _ads_mod_p(st.ads)
-    if mods is not None and len(_commutant(mods, d, p)) == 1:
-        return CommutantReport(1, (RationalMatrix.identity(d),), "modular-rank-certificate")
-    basis = _commutant_exact(st.ads, d)
-    return CommutantReport(len(basis), tuple(basis), "exact-elimination")
-
-
-def adjoint_commutant_dim(L: LieAlgebraPresentation) -> int:
-    return adjoint_commutant(L).dim
+    ads, d = _structure(L).ads, L.dim
+    every = range(d * d)
+    p, mods = _ads_mod_p(ads)
+    modular = [] if mods is None else _commutant(mods, d, every, p)
+    if len(modular) == 1:
+        return (RationalMatrix.identity(d),)
+    basis = _commutant_exact(ads, d, sorted(set().union(*modular)) if modular else every)
+    if len(basis) < len(modular):
+        basis = _commutant_exact(ads, d, every)
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +704,7 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             "Killing radical is a proper nonzero Lie ideal",
         )
     com = adjoint_commutant(L)
-    if com.dim == 1:
+    if len(com) == 1:
         return SimplicityReport(
             "Simple",
             None,
@@ -720,20 +717,20 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             "NotSimple",
             witness,
             "eigenspace of a non-scalar commutant element is a proper nonzero Lie ideal",
-            com.dim,
+            len(com),
         )
     return SimplicityReport(
         "NotSimple",
         None,
         "adjoint commutant dimension exceeds 1",
-        com.dim,
+        len(com),
         ("witness extraction incomplete",),
     )
 
 
-def _extract_commutant_witness(L: LieAlgebraPresentation, com: CommutantReport) -> Optional[Subspace]:
+def _extract_commutant_witness(L: LieAlgebraPresentation, com: tuple) -> Optional[Subspace]:
     d = L.dim
-    for C in com.basis:
+    for C in com:
         dense = C.entries
         # C lies in the centroid of a semisimple algebra, a product of number
         # fields, so its minimal polynomial is already square-free

@@ -8,8 +8,8 @@ lies in the span), ``back_substitute`` clears every pivot column from the
 other held rows in place, ``reduced`` gives the dense RREF and
 ``sparse_kernel`` the canonical kernel basis by back-substitution
 (``kernel`` is its dense view).  The remainder, the RREF and the kernel
-depend only on the span.  ``rref``, ``rank`` and ``nullspace`` are adapters
-from dense rows to the core.
+depend only on the span.  ``rank`` and ``nullspace`` are adapters from
+dense rows to the core.
 
 Coordinates need no extra bookkeeping: a caller that wants a vector's
 coordinates in its generators appends a tag column ``ncols + k`` with value
@@ -18,16 +18,17 @@ vector lies in the span, and its coordinates are minus the remainder's tag
 entries.
 
 Over GF(p) it certifies a rank lower bound: a nonzero r x r minor modulo p
-is nonzero over the rationals, so rank_p <= rank_Q always holds.  The
-commutant certificate runs the commutant's restriction loop over GF(p) and
-stops once only the scalars are left; it moves to the next prime only when
-a denominator of the input vanishes modulo the current one.
+is nonzero over the rationals, so rank_p <= rank_Q always holds.  So the
+commutant's dimension k over GF(p) bounds the rational one: k = 1 is a
+proof, and otherwise the exact loop starts from the modular basis's support
+and reruns on every position unless it finds k maps there.  A later prime is
+tried only when a denominator of the input vanishes modulo the current one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from .base import as_fraction
 
@@ -40,7 +41,6 @@ __all__ = [
     "frac_mod_p",
     "nullspace",
     "rank",
-    "rref",
     "MODP_PRIMES",
 ]
 
@@ -56,13 +56,6 @@ def _span(rows: Iterable[Sequence[Fraction]], ncols: int = 0) -> "SparseEchelon"
     for row in rows:
         ech.insert(row)
     return ech
-
-
-def rref(rows: Iterable[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns nonzero rows and their pivot columns."""
-    rows = list(rows)
-    ech = _span(rows, len(rows[0]) if rows else 0)
-    return ech.reduced(), sorted(ech._rows)
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:

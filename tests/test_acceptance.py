@@ -30,7 +30,6 @@ from idealkit.idealcalc import (
     member,
 )
 from idealkit.matlie import (
-    adjoint_commutant_dim,
     closure_check,
     is_lie_ideal,
     is_simple,

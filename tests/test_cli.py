@@ -421,8 +421,10 @@ class TestLieCommands:
              "58920d6ced3814aa7cf2bdc6d3f96333740d0167b708cc61947a7bd3f004e9fc"),
             (direct_sum(direct_sum(sl(2), sl(2)), sl(2)),
              "7c6e469573580aac0ddb9e745ba6aab881bd9128925543ab16743797e850cabb"),
+            (direct_sum(sp_standard(5), sp_standard(5)),
+             "777c36cd8fbc92513bf4931d8357812fc020c5a116ba5a1a0639ede629bcb807"),
         ],
-        ids=["sp3+sp2", "sl2+sl3", "sl2+sl2+sl2"],
+        ids=["sp3+sp2", "sl2+sl3", "sl2+sl2+sl2", "sp5+sp5"],
     )
     def test_simple_json_bytes_pinned(self, tmp_path, algebra, digest):
         algebra_file = str(tmp_path / "algebra.json")

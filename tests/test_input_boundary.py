@@ -110,6 +110,9 @@ EXIT_TWO = [
     *[(f"eps-{eps}", ["seq", "compare", "--mode", "o", "--numeric", f"--eps={eps}",
                       "pow:2", "pow:1", "--json"], None) for eps in ("nan", "inf", "-inf")],
     ("soft-eps-nan", ["ideal", "soft", "pow:1", "--numeric", "--eps", "nan"], None),
+    ("nmax-eps-without-numeric",
+     ["seq", "compare", "--mode", "O", "pow:2", "pow:1", "--nmax", "0", "--eps", "nan"], None),
+    ("soft-eps-without-numeric", ["ideal", "soft", "pow:1", "--eps", "nan"], None),
     ("sl-40-over-size-cap", ["lie", "build", "sl", "--n", "40"], None),
     ("sl-80-over-size-cap", ["lie", "build", "sl", "--n", "80"], None),
     ("seeds-over-size-cap", ["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"],

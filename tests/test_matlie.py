@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from idealkit.catalog import (
     algebra_to_json,
@@ -22,11 +22,11 @@ from idealkit.catalog import (
     strictly_upper,
     upper_triangular_sl,
 )
+from idealkit import matlie
 from idealkit.matlie import (
     LieAlgebraPresentation,
     NotClosedError,
     adjoint_commutant,
-    adjoint_commutant_dim,
     algebra_from_json,
     closure_check,
     derived_algebra,
@@ -80,13 +80,28 @@ def from_entries(n, *mats):
     return tuple(RationalMatrix.from_nonzeros(n, n, m) for m in mats)
 
 
-def sl2_over_qi():
-    """sl(2, Q(i)) over Q: e, f, h tensored with 1 and with i = [[0, -1], [1, 0]]."""
-    one, i = [[1, 0], [0, 1]], [[0, -1], [1, 0]]
+def sl2_over_sqrt(D):
+    """sl(2, Q(√D)) over Q: e, f, h tensored with 1 and with s = [[0, D], [1, 0]],
+    whose square is D."""
+    one, s = [[1, 0], [0, 1]], [[0, D], [1, 0]]
     sl2 = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]])
     return LieAlgebraPresentation(4, tuple(
         RationalMatrix([[a[r // 2][c // 2] * b[r % 2][c % 2] for c in range(4)] for r in range(4)])
-        for a in sl2 for b in (one, i)), "sl2_Qi")
+        for a in sl2 for b in (one, s)), f"sl2_Q(sqrt {D})")
+
+
+@pytest.fixture
+def exact_runs(monkeypatch):
+    """The number of starting positions of each ``_commutant_exact`` call."""
+    runs = []
+    real = matlie._commutant_exact
+
+    def spy(ads, d, positions):
+        runs.append(len(positions))
+        return real(ads, d, positions)
+
+    monkeypatch.setattr(matlie, "_commutant_exact", spy)
+    return runs
 
 
 def reference_commutant(algebra):
@@ -364,43 +379,44 @@ class TestKilling:
 
 
 class TestCommutant:
-    def test_simple_algebra_scalars_only(self):
-        assert adjoint_commutant_dim(sl(2)) == 1
+    def test_simple_algebra_scalars_only(self, exact_runs):
+        for algebra in (sl(2), sl(3)):
+            assert adjoint_commutant(algebra) == (RationalMatrix.identity(algebra.dim),)
+        assert exact_runs == []
 
     @pytest.mark.parametrize(
-        "left,right",
-        [(sl(2), sl(2)), (sp_standard(3), sp_standard(2))],
+        "left,right,support",
+        [(sl(2), sl(2), 6), (sp_standard(3), sp_standard(2), 31)],
         ids=["sl2+sl2", "sp3+sp2"],
     )
-    def test_two_summands(self, left, right):
+    def test_two_summands(self, left, right, support, exact_runs):
         algebra = direct_sum(left, right)
-        rep = adjoint_commutant(algebra)
-        assert rep.dim == 2
-        assert rep.method == "exact-elimination"
+        com = adjoint_commutant(algebra)
+        assert len(com) == 2
+        # one exact run, from the support of the modular basis only
+        assert exact_runs == [support]
         # each basis element genuinely commutes with every adjoint map
         ads = [RationalMatrix(ad) for ad in dense_ads(algebra)]
-        for C in rep.basis:
+        for C in com:
             for adm in ads:
                 assert ((C @ adm) - (adm @ C)).is_zero()
 
-    def test_one_dimensional_abelian(self):
+    def test_one_dimensional_abelian(self, exact_runs):
         # the one unit matrix is already the identity
-        rep = adjoint_commutant(diagonal_algebra(1))
-        assert rep.dim == 1
-        assert rep.method == "modular-rank-certificate"
+        assert adjoint_commutant(diagonal_algebra(1)) == (RationalMatrix.identity(1),)
+        assert exact_runs == []
 
     def test_modular_and_exact_paths_agree(self):
         for algebra in (sl(2), sp_standard(1), sp_standard(2)):
-            rep = adjoint_commutant(algebra)
-            exact = _commutant_exact(_structure(algebra).ads, algebra.dim)
-            assert rep.dim == len(exact) == 1
+            d = algebra.dim
+            exact = _commutant_exact(_structure(algebra).ads, d, range(d * d))
+            assert list(adjoint_commutant(algebra)) == exact == [RationalMatrix.identity(d)]
 
-    def test_modular_certificate_for_sp4(self):
-        rep = adjoint_commutant(sp_standard(4))
-        assert rep.method == "modular-rank-certificate"
-        assert rep.dim == 1 and rep.basis == (RationalMatrix.identity(36),)
+    def test_modular_certificate_for_sp4(self, exact_runs):
+        assert adjoint_commutant(sp_standard(4)) == (RationalMatrix.identity(36),)
+        assert exact_runs == []
 
-    def test_vanishing_denominator_moves_to_next_prime(self):
+    def test_vanishing_denominator_moves_to_next_prime(self, exact_runs):
         # basis (p*h, e, f): [e, f] = h = (1/p) * (p*h), a denominator p
         p = MODP_PRIMES[0]
         h = E(2, 0, 0) - E(2, 1, 1)
@@ -408,10 +424,10 @@ class TestCommutant:
         assert any(v.denominator == p for ad in dense_ads(algebra) for r in ad for v in r)
         rep = is_simple(algebra)
         assert rep.verdict == "Simple" and rep.commutant_dim == 1
-        assert adjoint_commutant(algebra).method == "modular-rank-certificate"
+        assert exact_runs == []
 
     def test_abelian_commutant_is_full_endomorphism_space(self):
-        assert adjoint_commutant_dim(diagonal_algebra(2)) == 4
+        assert len(adjoint_commutant(diagonal_algebra(2))) == 4
 
     @pytest.mark.parametrize(
         "algebra,witness_dim",
@@ -429,7 +445,7 @@ class TestCommutant:
         # is its centroid, a product of number fields
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        for C in adjoint_commutant(algebra).basis:
+        for C in adjoint_commutant(algebra):
             f = sympy.Poly(list(reversed(_min_poly(C))), x, domain="QQ")
             assert sympy.gcd(f, f.diff(x)).degree() == 0
         rep = is_simple(algebra)
@@ -442,13 +458,13 @@ class TestCommutantReference:
     @staticmethod
     def check(algebra):
         d = algebra.dim
+        every = range(d * d)
         ads = _structure(algebra).ads
         expected = reference_commutant(algebra)
-        assert _commutant_exact(ads, d) == expected
+        assert _commutant_exact(ads, d, every) == expected
         p, mods = _ads_mod_p(ads)
-        assert len(_commutant(mods, d, p)) == len(expected)
-        rep = adjoint_commutant(algebra)
-        assert rep.dim == len(expected) and list(rep.basis) == expected
+        assert len(_commutant(mods, d, every, p)) == len(expected)
+        assert list(adjoint_commutant(algebra)) == expected
 
     @pytest.mark.parametrize(
         "algebra",
@@ -456,7 +472,7 @@ class TestCommutantReference:
             direct_sum(sl(2), sl(2)),
             direct_sum(sp_standard(3), sp_standard(2)),
             direct_sum(sl(2), sl(3)),
-            sl2_over_qi(),
+            sl2_over_sqrt(-1),
             diagonal_algebra(2),
             # every ad of these constrains the commutant, so dropping one shows
             strictly_upper(3),
@@ -479,6 +495,21 @@ class TestCommutantReference:
             sum((b.scaled(c) for c, b in zip(row, base)), RationalMatrix.zeros(4)) for row in change
         )
         self.check(LieAlgebraPresentation(4, basis, "sl2+sl2_rebased"))
+
+    def test_unlucky_prime_reruns_on_every_position(self, exact_runs):
+        # mod p the generator s of Q(√p) squares to zero: the centroid keeps
+        # its dimension, but its maps lose their entries p, so the modular
+        # support misses positions of the rational commutant
+        algebra = sl2_over_sqrt(MODP_PRIMES[0])
+        assert list(adjoint_commutant(algebra)) == reference_commutant(algebra)
+        assert exact_runs == [9, 36]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30).filter(bool))
+    @example(MODP_PRIMES[0])
+    @example(10 ** 200 + 1)
+    def test_quadratic_centroid_plus_sl2(self, D):
+        self.check(direct_sum(sl2_over_sqrt(D), sl(2)))
 
 
 class TestMinPoly:
@@ -562,7 +593,7 @@ class TestSimplicity:
     @pytest.mark.xfail(strict=True, reason="a centroid that is a proper field extension of Q "
                        "gives NotSimple, commutant_dim 2, flag 'witness extraction incomplete'")
     def test_simple_over_a_quadratic_centroid(self):
-        algebra = sl2_over_qi()
+        algebra = sl2_over_sqrt(-1)
         assert closure_check(algebra).closed
         assert killing_form(algebra).rank == 6
         assert is_simple(algebra).verdict == "Simple"

@@ -77,8 +77,6 @@ CASES = [
      "IdealCheck(is_ideal=False, violation=(1, 0))"),
     (ml.KillingReport, lambda: dict(matrix=_matrix(), rank=0),
      f"KillingReport(matrix={_M}, rank=0)"),
-    (ml.CommutantReport, lambda: dict(dim=1, basis=(_matrix(),), method="modular"),
-     f"CommutantReport(dim=1, basis=({_M},), method='modular')"),
     (ml.SimplicityReport,
      lambda: dict(verdict="NotSimple", witness=None, detail="d", commutant_dim=2, flags=("x",)),
      "SimplicityReport(verdict='NotSimple', witness=None, detail='d', commutant_dim=2, "
@@ -109,7 +107,7 @@ def test_every_value_class_is_covered():
         if isinstance(obj, type) and issubclass(obj, ss.Frozen) and "__init__" in vars(obj)
     }
     assert classes | {ic.FiniteRank, ic.Compact} == {case[0] for case in CASES}
-    assert len(CASES) == 27
+    assert len(CASES) == 26
 
 
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=[case[0].__name__ for case in CASES])
