@@ -77,7 +77,7 @@ _COMMANDS = {
             _ALGEBRA_FILE,
             (("--cross-check",), {"type": int, "default": 0, "metavar": "N",
                                   "help": "also run a seeded random ideal search with N samples"}),
-            (("--seed",), {"type": int, "default": 0}),
+            (("--seed",), {"type": int}),
             *_COMMON)),
         "ideal-gen": ("Lie ideal generated by seed elements", (
             _ALGEBRA_FILE,
@@ -248,6 +248,10 @@ def main(argv=None) -> int:
             raise InputError(f"missing {args.group} subcommand; see idealkit {args.group} --help")
         if vars(args).get("numeric") is False and (args.nmax, args.eps) != (None, None):
             raise InputError("--nmax and --eps act only with --numeric")
+        if vars(args).get("cross_check", 0) < 0:
+            raise InputError(f"--cross-check needs a count of at least 0, got {args.cross_check}")
+        if vars(args).get("seed") is not None and args.cross_check <= 0:
+            raise InputError("--seed acts only with a positive --cross-check")
         report, lines = _HANDLERS[args.group](args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,10 +114,11 @@ def handle(args):
         if rep.witness is not None:
             lines.append(f"  witness ideal dimension: {rep.witness.dim}")
         if args.cross_check:
-            found = matlie.random_ideal_search(algebra, args.cross_check, args.seed) is not None
+            seed = 0 if args.seed is None else args.seed
+            found = matlie.random_ideal_search(algebra, args.cross_check, seed) is not None
             rpt["cross_check"] = {
                 "samples": args.cross_check,
-                "seed": args.seed,
+                "seed": seed,
                 "proper_ideal_found": found,
             }
             lines.append(

@@ -18,7 +18,8 @@ import re
 from fractions import Fraction
 
 from . import idealcalc, seqspace
-from .base import _NUMBER, MAX_RATIONAL_DIGITS, InputError, fits_digit_cap, parse_rational
+from .base import _DIGITS_BOUND, _NUMBER, MAX_RATIONAL_DIGITS, InputError
+from .base import fits_digit_cap, parse_rational
 from .seqspace import (
     Ampliation,
     Exp,
@@ -180,14 +181,14 @@ def _form(c: _Cursor, head: str, start: int, depth: int) -> SequenceExpr:
         c.expect(";")
         if m < 1:
             raise DslError(f"ampliation index must be >= 1, got {m}", start)
-        return seqspace.ampliate(m, _seq(c, _nest(c, depth)))
+        return _fused(seqspace.ampliate(m, _seq(c, _nest(c, depth))), head, start)
     if head == "sub":
         c.expect(":")
         k = _integer(c)
         c.expect(";")
         if k < 2:
             raise DslError(f"subsample step must be >= 2, got {k}", start)
-        return seqspace.subsample(k, _seq(c, _nest(c, depth)))
+        return _fused(seqspace.subsample(k, _seq(c, _nest(c, depth))), head, start)
     if head == "prod":
         c.expect("(")
         depth = _nest(c, depth)
@@ -197,6 +198,18 @@ def _form(c: _Cursor, head: str, start: int, depth: int) -> SequenceExpr:
         c.expect(")")
         return Product(left, right)
     raise DslError(f"unknown sequence form {head!r}" if head else "expected a sequence", start)
+
+
+def _fused(expr: SequenceExpr, head: str, start: int) -> SequenceExpr:
+    """expr, unless it fused nested amp: or sub: (sub: also across a scale:)
+    into an index with more than MAX_RATIONAL_DIGITS digits."""
+    inner = expr
+    while isinstance(inner, Scale):
+        inner = inner.inner
+    index = inner.m if isinstance(inner, Ampliation) else getattr(inner, "k", 1)
+    if index >= _DIGITS_BOUND:
+        raise DslError(f"fused {head} index with more than {MAX_RATIONAL_DIGITS} digits", start)
+    return expr
 
 
 def parse_seq(text: str) -> SequenceExpr:

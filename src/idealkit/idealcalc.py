@@ -10,7 +10,9 @@ comparisons in :mod:`idealkit.seqspace`.
 
 from __future__ import annotations
 
-from .base import Frozen, InputError
+from typing import Optional
+
+from .base import _DIGITS_BOUND, MAX_RATIONAL_DIGITS, Frozen, InputError
 from .seqspace import (
     Mode,
     Product,
@@ -149,7 +151,8 @@ def make_ideal(ideal: IdealExpr) -> IdealExpr:
     raise TypeError(f"not an IdealExpr: {type(ideal).__name__}")
 
 
-def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr, mode: Mode) -> int:
+def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr,
+                    mode: Mode) -> Optional[int]:
     """Smallest m such that xi relates to the m-fold ampliation of gen.
 
     Only called with exponential-type signatures on both sides.  Ampliation
@@ -157,14 +160,20 @@ def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr, mode: 
     t = ln rate(gen) / ln rate(xi): for m > t xi's rate is strictly
     smaller, for m < t strictly larger, and at an integral t pow and logpow
     decide.  t comes from certified logs; compare confirms the answer and
-    refutes the index below it.
+    refutes the index below it.  None when that m would have more than
+    MAX_RATIONAL_DIGITS digits; it is then neither computed nor printed.
     """
-    m, integral = log_ratio_ceiling(gen_sig.rate, xi_sig.rate)
+    ceiling = log_ratio_ceiling(gen_sig.rate, xi_sig.rate)
+    if ceiling is None:
+        return None
+    m, integral = ceiling
     if m > 1 and compare(xi, ampliate(m - 1, gen), mode).holds:
         raise InternalInconsistencyError(
             f"ampliation index {m - 1} certifies below the certified bound {m}"
         )
     for candidate in (m, m + 1) if integral else (m,):
+        if candidate >= _DIGITS_BOUND:
+            return None
         if compare(xi, ampliate(candidate, gen), mode).holds:
             return candidate
     raise InternalInconsistencyError(
@@ -198,6 +207,8 @@ def _member_principal(xi: SequenceExpr, gen: SequenceExpr, mode: Mode) -> Verdic
             **ev,
         )
     m = _min_ampliation(xi_sig, gen_sig, gen, xi, mode)
+    if m is None:
+        m = f"more than {MAX_RATIONAL_DIGITS} digits; not computed"
     return proven(Status.HOLDS, m=m, rule="ampliated-rate dominance", **ev)
 
 

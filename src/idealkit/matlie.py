@@ -2,15 +2,15 @@
 
 Everything here is proved, not approximated: matrices carry Fraction
 entries, spans are echelon bases over the rationals, and the simplicity
-decision is a ladder of exact steps (derived algebra, center, Killing
-radical, adjoint commutant).  The commutant comes from one routine of
-successive restriction, over the rationals or GF(p).  Modular arithmetic
-only shortcuts a proof, as rank can only drop modulo a prime: the random
-ideal search mod p proves that a sample generates all of L, and the
-commutant's dimension k mod p bounds the one over Q.  So k = 1 is a proof;
-otherwise the exact routine starts from the support of the modular basis,
-and k maps found there span the commutant (fewer make it rerun on all
-positions).
+decision is a ladder of exact steps (Killing form; the derived algebra
+and the center only when that form is degenerate; adjoint commutant).  The
+commutant comes from one routine of successive restriction, over the
+rationals or GF(p).  Modular arithmetic only shortcuts a proof, as rank
+can only drop modulo a prime: the random ideal search mod p proves that a
+sample generates all of L, and the commutant's dimension k mod p bounds
+the one over Q.  So k = 1 is a proof; otherwise the exact routine starts
+from the support of the modular basis, and k maps found there span the
+commutant (fewer make it rerun on all positions).
 
 The commutant-dimension criterion counts the simple summands of a split
 semisimple algebra; for a simple algebra whose centroid is a proper field
@@ -445,7 +445,7 @@ def _ideal_span(
 
 def _ideal_fixpoint(L: LieAlgebraPresentation, seeds: Sequence[dict]) -> Subspace:
     """Least Lie ideal containing the sparse coordinate vectors seeds."""
-    return _subspace(L, _ideal_span(_structure(L).ads, seeds).reduced())
+    return Subspace(L, tuple(map(tuple, _ideal_span(_structure(L).ads, seeds).reduced())))
 
 
 def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatrix]) -> Subspace:
@@ -665,38 +665,41 @@ def _checked_witness(L: LieAlgebraPresentation, J: Subspace) -> Subspace:
 def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
     """Exact simplicity decision.
 
-    Ladder: zero derived algebra reports Abelian; a proper nonzero derived
-    algebra, a nonzero center or a nonzero Killing radical each give a
-    verified witness ideal; otherwise the Killing form is nondegenerate and
-    the adjoint commutant decides, with eigenspace extraction from a
-    non-scalar commutant element when the dimension exceeds one.
+    Ladder: the Killing form first.  When it is degenerate, a zero derived
+    algebra reports Abelian, and a proper nonzero derived algebra, a nonzero
+    center or else the Killing radical is a verified witness ideal.  When it
+    is nondegenerate the algebra is semisimple, hence perfect and
+    centerless, and the adjoint commutant decides, with eigenspace
+    extraction from a non-scalar commutant element when the dimension
+    exceeds one; that eigenspace is an ideal by construction, so a failed
+    check raises as a bug.
     """
-    if L.dim < 1:
-        raise InputError("need a nonzero algebra")
+    killing = killing_form(L)  # refuses an empty basis
     d = L.dim
-    derived = derived_algebra(L)
-    if derived.dim == 0:
-        witness = None
-        if d >= 2:
-            witness = _checked_witness(
-                L, subspace_from_coords(L, [[F1] + [F0] * (d - 1)])
-            )
-        return SimplicityReport("Abelian", witness, "derived algebra is zero")
-    if derived.dim < d:
-        return SimplicityReport(
-            "NotSimple",
-            _checked_witness(L, derived),
-            "derived algebra is a proper nonzero Lie ideal",
-        )
-    center = _center_coords(L)
-    if center:
-        return SimplicityReport(
-            "NotSimple",
-            _checked_witness(L, subspace_from_coords(L, center)),
-            "center is a proper nonzero Lie ideal",
-        )
-    killing = killing_form(L)
     if killing.rank < d:
+        # a nondegenerate form proves L perfect and centerless (the center
+        # lies in its radical), so only a degenerate one leaves these rungs
+        derived = derived_algebra(L)
+        if derived.dim == 0:
+            witness = None
+            if d >= 2:
+                witness = _checked_witness(
+                    L, subspace_from_coords(L, [[F1] + [F0] * (d - 1)])
+                )
+            return SimplicityReport("Abelian", witness, "derived algebra is zero")
+        if derived.dim < d:
+            return SimplicityReport(
+                "NotSimple",
+                _checked_witness(L, derived),
+                "derived algebra is a proper nonzero Lie ideal",
+            )
+        center = _center_coords(L)
+        if center:
+            return SimplicityReport(
+                "NotSimple",
+                _checked_witness(L, subspace_from_coords(L, center)),
+                "center is a proper nonzero Lie ideal",
+            )
         rad = nullspace(killing.matrix.entries, d)
         return SimplicityReport(
             "NotSimple",
@@ -740,8 +743,8 @@ def _extract_commutant_witness(L: LieAlgebraPresentation, com: tuple) -> Optiona
                 for i, row in enumerate(dense)
             ]
             J = subspace_from_coords(L, nullspace(shifted, d))
-            if 0 < J.dim < d and is_lie_ideal(L, J).is_ideal:
-                return J
+            if J.dim < d:  # C is not lam times the identity
+                return _checked_witness(L, J)
     return None
 
 

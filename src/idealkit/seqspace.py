@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .base import _DIGITS_BOUND, DEFAULT_EPS, DEFAULT_NMAX, MAX_RATIONAL_DIGITS
-from .base import Frozen, InputError, as_fraction
+from .base import Frozen, InputError, as_fraction, fits_digit_cap
 
 __all__ = [
     "Ampliation",
@@ -571,7 +571,8 @@ class RootRational(Frozen):
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootRational):
             return NotImplemented
-        return self._cmp(other) == 0
+        a, b = _common(self.vector, other.vector)
+        return a == b
 
     def __hash__(self) -> int:
         # the p-adic valuations of the rate for a few small primes p do not
@@ -590,11 +591,10 @@ class RootRational(Frozen):
         return self._cmp(other) < 0
 
     def describe(self) -> str:
-        if not _vector_prints(self.vector, self.index):
-            return "*".join(f"{q}^({e})" for q, e in self.vector)
-        if self.index == 1:
-            return str(self.base)
-        return f"({self.base})^(1/{self.index})"
+        if self.index < _DIGITS_BOUND and _vector_prints(self.vector, self.index):
+            return str(self.base) if self.index == 1 else f"({self.base})^(1/{self.index})"
+        too_long = f"[more than {MAX_RATIONAL_DIGITS} digits]"
+        return "*".join(f"{q}^({e if fits_digit_cap(e) else too_long})" for q, e in self.vector)
 
 
 def _vector_value(vector, index: int) -> Fraction:
@@ -676,38 +676,41 @@ def _rate_root(a: RootRational, m: int) -> RootRational:
     return _rate(tuple((q, e / m) for q, e in a.vector), a.index * m)
 
 
-def log_ratio_ceiling(a: RootRational, b: RootRational) -> tuple:
+def log_ratio_ceiling(a: RootRational, b: RootRational) -> Optional[tuple]:
     """(ceil(t), whether t is that integer) for t = ln a / ln b, rates a and b
-    below one.
+    below one; None when t > 10**MAX_RATIONAL_DIGITS - 1, where ceil(t)
+    would not print within the cap.
 
     Proportional vectors give t exactly.  Otherwise t is irrational (a
     rational t = u/v would make v*ln a - u*ln b a vanishing combination of
     independent logs), and certified logs at rising precision pin the
-    interval around t between two consecutive integers.
+    interval around t between two consecutive integers, or above the cap.
     """
     x, y = _common(a.vector, b.vector)
     q0 = next(iter(y))
     t = x.get(q0, 0) / y[q0]
     if x.keys() == y.keys() and all(x[q] == t * y[q] for q in y):
-        return math.ceil(t), t.denominator == 1
+        m = math.ceil(t)
+        return (m, t.denominator == 1) if m < _DIGITS_BOUND else None
     digits = _LOG_DIGITS
     while True:
         va, ea = _log_bounds(a.vector, digits)
         vb, eb = _log_bounds(b.vector, digits)
-        if abs(vb) > eb:
-            lo = (abs(va) - ea) / (abs(vb) + eb)
-            hi = (abs(va) + ea) / (abs(vb) - eb)
-            if math.floor(lo) == math.floor(hi):
-                return math.floor(lo) + 1, False
+        # a lower bound on t even before ln b is told apart from zero
+        m = math.floor((abs(va) - ea) / (abs(vb) + eb)) + 1
+        if m >= _DIGITS_BOUND:
+            return None
+        if abs(vb) > eb and m == math.floor((abs(va) + ea) / (abs(vb) - eb)) + 1:
+            return m, False
         digits *= 2
 
 
 class AsymSig(Frozen):
     """Asymptotic signature: decay rate, power and log power of the tail.
 
-    rate None encodes a zero tail (finite support).  The strict order
-    ``decays_faster`` is total: smaller rate wins, then larger power, then
-    larger log power; a zero tail decays faster than everything else.
+    rate None encodes a zero tail (finite support).  The order ``_order``
+    is total: smaller rate wins, then larger power, then larger log power;
+    a zero tail decays faster than everything else.
     """
 
     def __init__(self, rate: Optional[RootRational], pow: Fraction = Fraction(0),
@@ -727,17 +730,18 @@ class AsymSig(Frozen):
 ZERO_TAIL = AsymSig(None)
 
 
+def _order(s: AsymSig, t: AsymSig) -> int:
+    """-1, 0 or 1 as s decays faster than t, like t or slower; the rates
+    take one _cmp, so at most one certified log sign."""
+    if s.is_zero_tail or t.is_zero_tail:
+        return t.is_zero_tail - s.is_zero_tail
+    return (s.rate._cmp(t.rate) or (t.pow > s.pow) - (t.pow < s.pow)
+            or (t.logpow > s.logpow) - (t.logpow < s.logpow))
+
+
 def decays_faster(s: AsymSig, t: AsymSig) -> bool:
     """Strict total order: s decays strictly faster than t."""
-    if s.is_zero_tail:
-        return not t.is_zero_tail
-    if t.is_zero_tail:
-        return False
-    if s.rate != t.rate:
-        return s.rate < t.rate
-    if s.pow != t.pow:
-        return s.pow > t.pow
-    return s.logpow > t.logpow
+    return _order(s, t) < 0
 
 
 def _sig(expr: SequenceExpr) -> AsymSig:
@@ -933,24 +937,18 @@ def compare(xi: SequenceExpr, eta: SequenceExpr, mode: Mode) -> Verdict:
             else "eta vanishes beyond its support while xi does not"
         )
         return proven(Status.FAILS, reason=reason, **ev)
-    if mode is Mode.BIG_O:
-        if s == t:
-            ev["rule"] = "equal signatures; catalog ratio eventually bounded"
-            if s.rate == RATE_ONE:
-                _limit_ratio_evidence(xi, eta, ev)
-            return proven(Status.HOLDS, **ev)
-        if decays_faster(s, t):
-            return proven(Status.HOLDS, rule="strict signature dominance", **ev)
-        return proven(Status.FAILS, reason="xi decays strictly slower", **ev)
-    # little-o
-    if decays_faster(s, t):
+    order = _order(s, t)
+    if order < 0:
         return proven(Status.HOLDS, rule="strict signature dominance", **ev)
-    if s == t:
+    if order > 0:
+        return proven(Status.FAILS, reason="xi decays strictly slower", **ev)
+    if mode is Mode.BIG_O:
+        ev["rule"] = "equal signatures; catalog ratio eventually bounded"
+    else:
         ev["reason"] = "equal signatures; ratio does not tend to zero"
-        if s.rate == RATE_ONE:
-            _limit_ratio_evidence(xi, eta, ev)
-        return proven(Status.FAILS, **ev)
-    return proven(Status.FAILS, reason="xi decays strictly slower", **ev)
+    if s.rate == RATE_ONE:
+        _limit_ratio_evidence(xi, eta, ev)
+    return proven(Status.HOLDS if mode is Mode.BIG_O else Status.FAILS, **ev)
 
 
 def delta2_check(xi: SequenceExpr) -> Verdict:

@@ -203,8 +203,8 @@ def _truncation_window_agrees(t: ShiftModel, s: ShiftModel, br: ShiftBracket) ->
 
 
 def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
-    """Refuse a truncation outside its bounds, or a weight size or scan
-    window above its limit, before any work."""
+    """Refuse a truncation or scan window outside its bounds, or a weight
+    size above its limit, before any work."""
     for model in models:
         n = model.truncation
         if n < MIN_TRUNCATION:
@@ -218,6 +218,8 @@ def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
                     f"truncation {n} times the {bits} bits of weight {n} exceeds "
                     f"the limit {MAX_WEIGHT_BITS}"
                 )
+    if scan_window < 1:
+        raise CertificateError(f"scan window {scan_window} is below the minimum 1")
     if scan_window > MAX_SCAN_WINDOW:
         raise CertificateError(f"scan window {scan_window} exceeds the limit {MAX_SCAN_WINDOW}")
 

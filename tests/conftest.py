@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from idealkit.seqspace import (
     PowLog,
     Product,
     Scale,
+    ampliate,
     explicit,
     has_exact_eval,
     subsample,
@@ -66,6 +68,42 @@ EXACT_BATTERY = [e for e in FULL_BATTERY if has_exact_eval(e)]
 
 assert len(BATTERY) >= 20
 assert all(support(e) is None for e in BATTERY)
+
+
+_SMALL_RATES = (F(1, 2), F(1, 3), F(1, 4), F(1, 6), F(1, 8), F(1, 9), F(2, 3), F(3, 4), F(9, 10))
+_SMALL_POWLOGS = ((1, 1), (2, 1), (0, 1), (1, -1), (F(1, 2), 2), (0, 2))
+
+
+def random_catalog(rng: random.Random, depth: int = 3):
+    """A random catalog expression with small parameters, so that equal
+    signatures written in different ways are common; half the leaves are
+    exponentials."""
+    kind = rng.choice("peeelf" + ("aasscxPP" if depth else ""))
+    if kind == "p":
+        return Pow(rng.choice((F(1, 2), 1, 2, 3)))
+    if kind == "e":
+        return Exp(rng.choice(_SMALL_RATES))
+    if kind == "l":
+        return PowLog(*rng.choice(_SMALL_POWLOGS))
+    if kind == "f":
+        return FiniteSupport([F(1, 2 ** i) for i in range(rng.randrange(4))])
+    inner = random_catalog(rng, depth - 1)
+    if kind == "a":
+        return ampliate(rng.randint(2, 4), inner)
+    if kind == "s":
+        return subsample(rng.randint(2, 4), inner)
+    if kind == "c":
+        return Scale(rng.choice((F(1, 3), 2, 7)), inner)
+    if kind == "x":
+        return explicit([9, 8], inner)
+    return Product(inner, random_catalog(rng, depth - 1))
+
+
+def seeded_compare_pairs(seed: int = 0, size: int = 300, pairs: int = 1200) -> list:
+    """``pairs`` pairs drawn from ``size`` seeded random catalog expressions."""
+    rng = random.Random(seed)
+    exprs = [random_catalog(rng) for _ in range(size)]
+    return [(rng.choice(exprs), rng.choice(exprs)) for _ in range(pairs)]
 
 
 def battery_ids(exprs):

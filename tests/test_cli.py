@@ -16,11 +16,12 @@ from decimal import Decimal
 import pytest
 
 import idealkit
-from idealkit import cli
+from idealkit import cli, witness
 from idealkit.cli import main
 from idealkit.base import MAX_RATIONAL_DIGITS
 from idealkit.catalog import _KINDS, direct_sum, save_algebra, sl, sp_standard
 from idealkit.dsl import MAX_NESTING
+from idealkit.seqspace import Pow
 from idealkit.witness import DEFAULT_SCAN_WINDOW, MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
 
 
@@ -283,6 +284,89 @@ class TestPastTheDigitLimit:
         assert numeric["evidence"].get("reason") != "division by zero tail"
 
 
+_CAP = 10 ** MAX_RATIONAL_DIGITS - 1  # the largest integer within the digit cap
+_HALF = 10 ** 2200
+_NOT_COMPUTED = f"more than {MAX_RATIONAL_DIGITS} digits; not computed"
+
+
+def _atanh_inverse(k: int, scale: int) -> tuple:
+    """(atanh(1/k) * scale rounded down term by term, a bound on its error)."""
+    total, power, n = 0, k, 1
+    while power <= scale:
+        total += scale // (n * power)
+        power *= k * k
+        n += 2
+    return total, n
+
+
+def _least_m_for_cap_rates() -> int:
+    """ceil(t) for t = _CAP·ln 3 / (10·ln 2), from integer series for
+    ln 2 = 2 atanh(1/3) and ln 3 = ln 2 + 2 atanh(1/5), both bounded."""
+    scale = 10 ** (MAX_RATIONAL_DIGITS + 40)
+    a3, e3 = _atanh_inverse(3, scale)
+    a5, e5 = _atanh_inverse(5, scale)
+    ln2, ln3, err = 2 * a3, 2 * (a3 + a5), 2 * (e3 + e5)
+    lo = -(-_CAP * (ln3 - err) // (10 * (ln2 + err)))
+    hi = -(-_CAP * (ln3 + err) // (10 * (ln2 - err)))
+    assert lo == hi
+    return lo
+
+
+class TestRatesAtTheDigitCap:
+    # each number below is written out in full and fits the cap; a least
+    # ampliation index past the cap is neither computed nor printed
+    @staticmethod
+    def _json(argv):
+        out = _run_bounded(argv + ["--json"], timeout=120)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    @staticmethod
+    def _member(sequence, ideal, xi, gen, mode, m):
+        return {
+            "command": "ideal member", "ideal": ideal, "schema_version": "1",
+            "sequence": sequence,
+            "verdict": {"method": "SymbolicProven", "status": "Holds", "evidence": {
+                "generator_signature": f"rate={gen}, pow=0, logpow=0", "m": m, "mode": mode,
+                "rule": "ampliated-rate dominance", "xi_signature": f"rate={xi}, pow=0, logpow=0",
+            }},
+        }
+
+    def test_rate_next_to_one_at_the_cap(self):
+        n = 10 ** (MAX_RATIONAL_DIGITS - 1)
+        sequence = f"amp:{n};exp:{n - 1}/{n}"
+        assert self._json(["ideal", "member", sequence, "exp:1/2"]) == self._member(
+            sequence, "exp:1/2", f"({n - 1}/{n})^(1/{n})", "1/2", "O", _NOT_COMPUTED)
+
+    def test_soft_edge_index_one_past_the_cap(self):
+        sequence, ideal = f"amp:{_CAP};exp:1/2", "idealprod(exp:1/2,compact)"
+        assert self._json(["ideal", "member", sequence, ideal]) == self._member(
+            sequence, ideal, f"(1/2)^(1/{_CAP})", "1/2", "o", _NOT_COMPUTED)
+
+    def test_index_within_the_cap_is_printed(self):
+        sequence = f"amp:{_CAP};exp:1/2"
+        assert self._json(["ideal", "member", sequence, "amp:10;exp:1/3"]) == self._member(
+            sequence, "amp:10;exp:1/3", f"(1/2)^(1/{_CAP})", "(1/3)^(1/10)", "O",
+            _least_m_for_cap_rates())
+
+    def test_exponent_past_the_cap_is_not_printed(self):
+        sequence = f"amp:{_HALF};prod(amp:{_HALF};exp:1/2,exp:1/3)"
+        assert self._json(["seq", "signature", sequence]) == {
+            "command": "seq signature", "finite_support": False, "schema_version": "1",
+            "sequence": sequence,
+            "signature": f"rate=2^([more than {MAX_RATIONAL_DIGITS} digits])*3^(-1/{_HALF}), "
+                         "pow=0, logpow=0",
+        }
+
+    @pytest.mark.parametrize("head,leaf", [("amp", "exp:1/2"), ("sub", "pow:1"),
+                                           ("sub", "scale:2;sub:10;exp:1/2")])
+    def test_fused_index_past_the_cap_is_bad_input(self, head, leaf):
+        out = _run_bounded(["seq", "signature", f"{head}:{_HALF};{head}:{_HALF};{leaf}"])
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            f"error: offset 0: fused {head} index with more than {MAX_RATIONAL_DIGITS} digits"]
+
+
 class TestFileRationals:
     @pytest.fixture
     def sl2(self, tmp_path):
@@ -483,6 +567,8 @@ class TestWitnessCommands:
             ("--truncation", MAX_TRUNCATION + 1, 2),
             ("--window", MAX_SCAN_WINDOW, 0),
             ("--window", MAX_SCAN_WINDOW + 1, 2),
+            ("--window", 1, 0),
+            ("--window", 0, 2),
         ],
     )
     def test_size_limits(self, flag, value, code, capsys):
@@ -524,6 +610,21 @@ class TestWitnessCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds the limit" in err
+
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_verify_refuses_a_scan_window_below_one(self, window, tmp_path, monkeypatch, capsys):
+        # the central certificate that an unchecked window built: its scan
+        # saw no commutator weight, so it proved nothing
+        cert_file = str(tmp_path / "cert.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(witness, "_check_limits", lambda models, scan_window: None)
+            cert = witness.build_certificate(witness.ShiftModel(Pow(1)),
+                                             [witness.ShiftModel(Pow(2))], window)
+        assert cert.branch == "central"
+        witness.save_certificate(cert, cert_file)
+        assert run_cli(["witness", "verify", "--file", cert_file])[0] == 2
+        assert capsys.readouterr().err == f"error: scan window {window} is below the minimum 1\n"
 
 
 class TestDeterminism:

@@ -120,6 +120,8 @@ EXIT_TWO = [
     ("lie-no-subcommand", ["lie"], None),
     ("killing-empty-basis", ["lie", "killing", "--file", "{file}"],
      {"name": "x", "ambient_dim": 2, "basis": []}),
+    ("seed-without-cross-check", ["lie", "simple", "--file", "{sl2}", "--seed", "7"], None),
+    ("negative-cross-check", ["lie", "simple", "--file", "{sl2}", "--cross-check", "-3"], None),
 ]
 
 

@@ -90,6 +90,38 @@ def sl2_over_sqrt(D):
         for a in sl2 for b in (one, s)), f"sl2_Q(sqrt {D})")
 
 
+def jacobi_algebra():
+    """The Jacobi algebra sl(2) ⋉ h_3: rows [0, wᵀJ, z], [0, A, w], [0, 0, 0]
+    with J = [[0, 1], [-1, 0]]; its center is the z line."""
+    return LieAlgebraPresentation(4, from_entries(
+        4,
+        {(1, 2): 1}, {(2, 1): 1}, {(1, 1): 1, (2, 2): -1},
+        {(0, 2): 1, (1, 3): 1}, {(0, 1): -1, (2, 3): 1}, {(0, 3): 1},
+    ), "jacobi")
+
+
+def affine_sl2():
+    """Affine sl(2) as [[A, w], [0, 0]]: centerless and perfect, and the
+    translations w are its Killing radical."""
+    return LieAlgebraPresentation(3, from_entries(
+        3, {(0, 1): 1}, {(1, 0): 1}, {(0, 0): 1, (1, 1): -1}, {(0, 2): 1}, {(1, 2): 1},
+    ), "affine_sl2")
+
+
+@pytest.fixture
+def center_runs(monkeypatch):
+    """The name of the algebra of each ``_center_coords`` call."""
+    runs = []
+    real = matlie._center_coords
+
+    def spy(L):
+        runs.append(L.name)
+        return real(L)
+
+    monkeypatch.setattr(matlie, "_center_coords", spy)
+    return runs
+
+
 @pytest.fixture
 def exact_runs(monkeypatch):
     """The number of starting positions of each ``_commutant_exact`` call."""
@@ -556,29 +588,35 @@ class TestSimplicity:
         ]
         assert rep.witness.ambient_rref() in summands
 
-    def test_center_rung(self):
-        # the Jacobi algebra sl(2) ⋉ h_3: rows [0, wᵀJ, z], [0, A, w], [0, 0, 0]
-        # with J = [[0, 1], [-1, 0]]; its center is the z line
-        algebra = LieAlgebraPresentation(4, from_entries(
-            4,
-            {(1, 2): 1}, {(2, 1): 1}, {(1, 1): 1, (2, 2): -1},
-            {(0, 2): 1, (1, 3): 1}, {(0, 1): -1, (2, 3): 1}, {(0, 3): 1},
-        ), "jacobi")
+    def test_center_rung(self, center_runs):
+        algebra = jacobi_algebra()
         assert closure_check(algebra).closed
         rep = is_simple(algebra)
         assert (rep.verdict, rep.detail) == ("NotSimple", "center is a proper nonzero Lie ideal")
         assert rep.witness.vectors == ((0, 0, 0, 0, 0, 1),)
+        assert center_runs == ["jacobi"]
 
-    def test_killing_radical_rung(self):
-        # affine sl(2) as [[A, w], [0, 0]]: centerless and perfect, and the
-        # translations w are its Killing radical
-        algebra = LieAlgebraPresentation(3, from_entries(
-            3, {(0, 1): 1}, {(1, 0): 1}, {(0, 0): 1, (1, 1): -1}, {(0, 2): 1}, {(1, 2): 1},
-        ), "affine_sl2")
+    def test_killing_radical_rung(self, center_runs):
+        algebra = affine_sl2()
         assert closure_check(algebra).closed
         rep = is_simple(algebra)
         assert (rep.verdict, rep.detail) == ("NotSimple", "Killing radical is a proper nonzero Lie ideal")
         assert rep.witness.vectors == ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+        assert center_runs == ["affine_sl2"]
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [sl(3), sp_standard(2), direct_sum(sp_standard(3), sp_standard(2)), upper_triangular_sl(4)],
+        ids=["sl3", "sp2", "sp3+sp2", "ut-sl4"],
+    )
+    def test_no_center_rung_without_a_degenerate_killing_form(self, algebra, center_runs):
+        is_simple(algebra)
+        assert center_runs == []
+
+    def test_commutant_eigenspace_failing_the_ideal_check_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr(matlie, "is_lie_ideal", lambda L, J: matlie.IdealCheck(False, (0, 0)))
+        with pytest.raises(RuntimeError, match="not a Lie ideal"):
+            is_simple(direct_sum(sp_standard(3), sp_standard(2)))
 
     def test_abelian_verdict(self):
         rep = is_simple(diagonal_algebra(2))

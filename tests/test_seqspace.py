@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from idealkit import seqspace
 from idealkit.base import MAX_RATIONAL_DIGITS
 from idealkit.seqspace import (
     Ampliation,
@@ -20,6 +23,7 @@ from idealkit.seqspace import (
     Pow,
     PowLog,
     Product,
+    RATE_ONE,
     Scale,
     Status,
     Subsample,
@@ -36,8 +40,9 @@ from idealkit.seqspace import (
     support,
     validate,
 )
+from idealkit.seqspace import _order
 
-from conftest import BATTERY, EXACT_BATTERY, FULL_BATTERY, battery_ids
+from conftest import BATTERY, EXACT_BATTERY, FULL_BATTERY, battery_ids, seeded_compare_pairs
 
 battery_expr = st.sampled_from(BATTERY)
 full_expr = st.sampled_from(FULL_BATTERY)
@@ -229,6 +234,97 @@ class TestRateOrder:
         sig = signature_of(Product(Ampliation(3, Exp(F(1, 2))), Ampliation(5, Exp(F(1, 3)))))
         assert (sig.rate.base, sig.rate.index) == (F(1, 2 ** 5 * 3 ** 3), 15)
         assert sig.rate.describe() == "(1/864)^(1/15)"
+
+
+def _old_decays_faster(s, t) -> bool:
+    """The order before ``_order``, rate equality read off the certified
+    log sign as the old ``RootRational.__eq__`` did."""
+    if s.is_zero_tail:
+        return not t.is_zero_tail
+    if t.is_zero_tail:
+        return False
+    if s.rate._cmp(t.rate):
+        return s.rate._cmp(t.rate) < 0
+    if s.pow != t.pow:
+        return s.pow > t.pow
+    return s.logpow > t.logpow
+
+
+def _old_equal(s, t) -> bool:
+    if s.is_zero_tail or t.is_zero_tail:
+        return s.is_zero_tail and t.is_zero_tail
+    return s.rate._cmp(t.rate) == 0 and (s.pow, s.logpow) == (t.pow, t.logpow)
+
+
+_signature_exprs = st.one_of(
+    _rate_exprs(),
+    st.sampled_from(FULL_BATTERY),
+    st.builds(Product, _rate_exprs(), st.sampled_from(BATTERY)),
+)
+
+
+@pytest.fixture
+def log_signs(monkeypatch):
+    """The vectors of each ``_log_sign`` call."""
+    calls = []
+    real = seqspace._log_sign
+
+    def spy(vector):
+        calls.append(vector)
+        return real(vector)
+
+    monkeypatch.setattr(seqspace, "_log_sign", spy)
+    return calls
+
+
+class TestSignatureOrder:
+    @given(x=_signature_exprs, y=_signature_exprs)
+    @example(x=Exp(F(1, 6)), y=Product(Exp(F(1, 2)), Exp(F(1, 3))))
+    @example(x=Product(Exp(F(1, 6)), Pow(1)), y=Product(Exp(F(1, 2)), Exp(F(1, 3))))
+    @example(x=FiniteSupport([1]), y=FiniteSupport([]))
+    @example(x=FiniteSupport([1]), y=Exp(F(1, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_old_order(self, x, y):
+        s, t = signature_of(x), signature_of(y)
+        order = _order(s, t)
+        assert (order < 0) == _old_decays_faster(s, t)
+        assert (order > 0) == _old_decays_faster(t, s)
+        assert (order == 0) == (s == t) == _old_equal(s, t)
+        assert _order(t, s) == -order
+
+    @given(x=_rate_exprs(), y=_rate_exprs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cross_powering(self, x, y):
+        s, t = signature_of(x), signature_of(y)
+        assert _order(s, t) == _cross_power_cmp(s.rate, t.rate)
+
+    def test_seeded_battery_verdicts_pinned(self):
+        # 2400 verdicts on 1200 pairs of 300 seeded random expressions: a
+        # changed status, rule, reason or evidence string changes the digest
+        verdicts = [compare(x, y, mode).to_json()
+                    for x, y in seeded_compare_pairs() for mode in Mode]
+        digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+        assert digest == "3f540461a342829bc580df5b2674ee368048abefe31158a89deeef7c5add6b3f"
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_one_log_sign_per_compare(self, mode, log_signs):
+        compare(Exp(F(1, 2)), Exp(F(1, 3)), mode)
+        assert len(log_signs) == 1
+        compare(ampliate(3, Exp(F(1, 2))), Product(Exp(F(1, 2)), Pow(2)), mode)
+        assert len(log_signs) == 2
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_equal_rates_take_no_log_sign(self, mode, log_signs):
+        fused = Product(Exp(F(1, 2)), Exp(F(1, 3)))
+        for xi in (Exp(F(1, 6)), Product(Exp(F(1, 6)), Pow(1)), subsample(2, ampliate(2, fused))):
+            compare(xi, fused, mode)
+            assert signature_of(xi).rate == signature_of(fused).rate
+        assert log_signs == []
+
+    def test_rate_one_test_takes_no_log_sign(self, log_signs):
+        for expr in (Exp(F(1, 2)), ampliate(10 ** 12, Exp(F(1, 2))), Pow(1), PowLog(1, 1)):
+            assert (signature_of(expr).rate == RATE_ONE) == isinstance(expr, (Pow, PowLog))
+        assert log_signs == []
 
 
 class TestDigitLimit:
