@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import dsl, idealcalc, seqspace
+from .base import InputError
 from .cli import _evidence_lines, _probe_limits, _report, _verdict_line
 
 if TYPE_CHECKING:
@@ -19,10 +20,12 @@ def _soft_text(v: Verdict) -> str:
 def handle(args):
     if args.cmd == "soft":
         ideal = dsl.parse_ideal(args.ideal)
+        if args.numeric and not isinstance(ideal, idealcalc.Principal):
+            raise InputError("--numeric acts only on a principal ideal")
         verdict = idealcalc.is_soft(ideal)
         rpt = _report("ideal soft", ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
         lines = [_soft_text(verdict)] + _evidence_lines(verdict)
-        if args.numeric and isinstance(ideal, idealcalc.Principal):
+        if args.numeric:
             k = verdict.evidence.get("k", 2)
             probe = seqspace.numeric_probe(
                 seqspace.subsample(k, ideal.gen), ideal.gen, seqspace.Mode.LITTLE_O,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from . import idealcalc, seqspace
 from .base import _DIGITS_BOUND, _NUMBER, MAX_RATIONAL_DIGITS, InputError
 from .base import fits_digit_cap, parse_rational
 from .seqspace import (
@@ -31,7 +30,10 @@ from .seqspace import (
     Scale,
     SequenceExpr,
     Subsample,
+    ampliate,
     ensure_valid,
+    explicit,
+    subsample,
 )
 
 __all__ = ["DslError", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
@@ -174,21 +176,21 @@ def _form(c: _Cursor, head: str, start: int, depth: int) -> SequenceExpr:
         c.expect(";")
         c.expect("tail")
         c.expect("=")
-        return seqspace.explicit(prefix, _seq(c, _nest(c, depth)))
+        return explicit(prefix, _seq(c, _nest(c, depth)))
     if head == "amp":
         c.expect(":")
         m = _integer(c)
         c.expect(";")
         if m < 1:
             raise DslError(f"ampliation index must be >= 1, got {m}", start)
-        return _fused(seqspace.ampliate(m, _seq(c, _nest(c, depth))), head, start)
+        return _fused(ampliate(m, _seq(c, _nest(c, depth))), head, start)
     if head == "sub":
         c.expect(":")
         k = _integer(c)
         c.expect(";")
         if k < 2:
             raise DslError(f"subsample step must be >= 2, got {k}", start)
-        return _fused(seqspace.subsample(k, _seq(c, _nest(c, depth))), head, start)
+        return _fused(subsample(k, _seq(c, _nest(c, depth))), head, start)
     if head == "prod":
         c.expect("(")
         depth = _nest(c, depth)
@@ -249,6 +251,7 @@ def format_seq(expr: SequenceExpr) -> str:
 
 def parse_ideal(text: str):
     """Parse an ideal: finite-rank, compact, idealprod(...) or a generator sequence."""
+    from . import idealcalc  # only the ideal grammar needs the ideal calculus
     c = _Cursor(text)
     ideal = _ideal(c)
     if not c.eof():
@@ -257,6 +260,7 @@ def parse_ideal(text: str):
 
 
 def _ideal(c: _Cursor, depth: int = 0):
+    from . import idealcalc
     c.skip_ws()
     rest = c.text[c.pos :]
     if rest.startswith("finite-rank"):
@@ -278,6 +282,7 @@ def _ideal(c: _Cursor, depth: int = 0):
 
 
 def format_ideal(ideal) -> str:
+    from . import idealcalc
     if isinstance(ideal, idealcalc.FiniteRank):
         return "finite-rank"
     if isinstance(ideal, idealcalc.Compact):

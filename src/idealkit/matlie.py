@@ -12,11 +12,14 @@ the one over Q.  So k = 1 is a proof; otherwise the exact routine starts
 from the support of the modular basis, and k maps found there span the
 commutant (fewer make it rerun on all positions).
 
-The commutant-dimension criterion counts the simple summands of a split
-semisimple algebra; for a simple algebra whose centroid is a proper field
-extension of the rationals the criterion can exceed one, in which case
-a NotSimple verdict without a witness carries the flag "witness
-extraction incomplete" rather than a wrong eigenspace.
+Under a nondegenerate Killing form the commutant is the centroid, a
+product of number fields, one per simple ideal, of total degree k.  A
+rational eigenvalue of a non-scalar element gives a witness ideal.  When
+k <= 3 and a non-scalar element provably has none, no factor is Q, so the
+centroid is a field and the algebra is simple.  Only for k >= 4, or when
+the root search stalls, is a NotSimple verdict left without a witness; it
+carries the flag "witness extraction incomplete" rather than a wrong
+eigenspace.
 """
 
 from __future__ import annotations
@@ -672,7 +675,8 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
     centerless, and the adjoint commutant decides, with eigenspace
     extraction from a non-scalar commutant element when the dimension
     exceeds one; that eigenspace is an ideal by construction, so a failed
-    check raises as a bug.
+    check raises as a bug.  With no eigenspace, a commutant of dimension at
+    most 3 with a non-scalar element whose root search finished is a field.
     """
     killing = killing_form(L)  # refuses an empty basis
     d = L.dim
@@ -714,12 +718,22 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             "Killing form nondegenerate and adjoint commutant has dimension 1",
             1,
         )
-    witness = _extract_commutant_witness(L, com)
+    witness, rootless = _extract_commutant_witness(L, com)
     if witness is not None:
         return SimplicityReport(
             "NotSimple",
             witness,
             "eigenspace of a non-scalar commutant element is a proper nonzero Lie ideal",
+            len(com),
+        )
+    if rootless and len(com) <= 3:
+        # a product of number fields of total degree at most 3 that is not a
+        # field has Q as a factor, so every non-scalar element would have a
+        # rational eigenvalue
+        return SimplicityReport(
+            "Simple",
+            None,
+            f"Killing form nondegenerate and the centroid is a field of degree {len(com)}",
             len(com),
         )
     return SimplicityReport(
@@ -731,21 +745,28 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
     )
 
 
-def _extract_commutant_witness(L: LieAlgebraPresentation, com: tuple) -> Optional[Subspace]:
+def _extract_commutant_witness(L: LieAlgebraPresentation, com: tuple) -> tuple:
+    """(witness, rootless): the checked eigenspace of the first commutant
+    element with a rational eigenvalue that is not all of L, or None; and
+    whether the root search of some element finished with no root, which
+    only a non-scalar element allows."""
     d = L.dim
+    rootless = False
     for C in com:
         dense = C.entries
         # C lies in the centroid of a semisimple algebra, a product of number
         # fields, so its minimal polynomial is already square-free
-        for lam in _rational_roots(_min_poly(C)) or ():
+        roots = _rational_roots(_min_poly(C))
+        rootless = rootless or roots == []
+        for lam in roots or ():
             shifted = [
                 [v - lam if i == j else v for j, v in enumerate(row)]
                 for i, row in enumerate(dense)
             ]
             J = subspace_from_coords(L, nullspace(shifted, d))
             if J.dim < d:  # C is not lam times the identity
-                return _checked_witness(L, J)
-    return None
+                return _checked_witness(L, J), rootless
+    return None, rootless
 
 
 # ---------------------------------------------------------------------------

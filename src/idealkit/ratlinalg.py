@@ -2,14 +2,14 @@
 
 ``SparseEchelon`` is the one elimination core: an online echelon over sparse
 rows (dict column -> value, or dense sequences), over Fraction or GF(p)
-integers as its caller picks.  ``insert`` adds a row, ``reduce`` returns the
-remainder after eliminating every held pivot (empty exactly when the row
-lies in the span), ``back_substitute`` clears every pivot column from the
-other held rows in place, ``reduced`` gives the dense RREF and
-``sparse_kernel`` the canonical kernel basis by back-substitution
-(``kernel`` is its dense view).  The remainder, the RREF and the kernel
-depend only on the span.  ``rank`` and ``nullspace`` are adapters from
-dense rows to the core.
+integers as its caller picks.  ``insert`` adds a row, and ``reduce`` returns
+the remainder after eliminating every held pivot (empty exactly when the row
+lies in the span).  ``back_substitute`` is the one backward pass: it clears
+every pivot column from the other held rows in place.  ``reduced`` (the
+dense RREF) and ``sparse_kernel`` (the canonical kernel basis; ``kernel`` is
+its dense view) run it and read their answer off the held rows.  The
+remainder, the RREF and the kernel depend only on the span.  ``rank`` and
+``nullspace`` are adapters from dense rows to the core.
 
 Coordinates need no extra bookkeeping: a caller that wants a vector's
 coordinates in its generators appends a tag column ``ncols + k`` with value
@@ -72,9 +72,10 @@ class SparseEchelon:
 
     The caller picks the field: Fraction coefficients when ``p`` is None,
     otherwise integers in GF(p).  Each stored row has pivot value one at its
-    leftmost column and no entries left of it.  ``ncols`` is the width seen
-    by ``reduced`` and ``kernel``; tag columns at or beyond it are for
-    ``insert`` and ``reduce`` only.
+    leftmost column and no entries left of it, also after ``reduced`` and
+    ``sparse_kernel`` back-substitute the rows in place.  ``ncols`` is the
+    width they see; tag columns at or beyond it are for ``insert`` and
+    ``reduce`` only.
     """
 
     def __init__(self, ncols: int, p: Optional[int] = None):
@@ -148,24 +149,19 @@ class SparseEchelon:
         return work
 
     def back_substitute(self) -> None:
-        """Eliminate each pivot column from every other held row, in place.
+        """Clear each pivot column from every other held row, in place.
 
-        Afterwards each row is zero at every pivot column but its own, so a
-        row's remainder is the row minus, for each pivot column it touches,
-        its entry there times that pivot's row, in any order.
+        Rows are cleared from the last pivot to the first, each against the
+        rows after it, which are already clear: a row's pivot entries are read
+        once, and no subtraction adds one.  A row's remainder is then the row
+        minus its entry at each pivot column times that pivot's row.
         """
         p = self.p
         rows = self._rows
-        pivots = sorted(rows)
-        for t in range(len(pivots) - 1, 0, -1):
-            piv = pivots[t]
-            prow = rows[piv]
-            for q in pivots[:t]:
-                row = rows[q]
-                f = row.get(piv)
-                if not f:
-                    continue
-                for c, v in prow.items():
+        for piv in sorted(rows, reverse=True):
+            row = rows[piv]
+            for q, f in [(c, v) for c, v in row.items() if c != piv and c in rows]:
+                for c, v in rows[q].items():
                     nv = row.get(c, 0) - f * v
                     if p is not None:
                         nv %= p
@@ -175,42 +171,31 @@ class SparseEchelon:
                         del row[c]
 
     def reduced(self) -> list:
-        """Dense reduced row echelon rows of the span, in pivot order."""
-        zero, one = (F0, F1) if self.p is None else (0, 1)
+        """Dense reduced row echelon rows of the span, in pivot order: the
+        held rows, back-substituted in place."""
+        self.back_substitute()
+        zero = F0 if self.p is None else 0
         out = []
         for piv in sorted(self._rows):
             dense = [zero] * self.ncols
-            dense[piv] = one
-            rest = {c: v for c, v in self._rows[piv].items() if c != piv}
-            for c, v in self.reduce(rest).items():
+            for c, v in self._rows[piv].items():
                 dense[c] = v
             out.append(dense)
         return out
 
     def sparse_kernel(self) -> list:
         """Canonical kernel basis as sparse vectors {column: value}, one per
-        free column with a unit there, by back-substitution on the held rows."""
+        free column f: a unit at f and -row[f] at each pivot, read off the
+        held rows after back-substituting them in place."""
         p = self.p
+        self.back_substitute()
         one = F1 if p is None else 1
-        rows = self._rows
-        free = [c for c in range(self.ncols) if c not in rows]
-        # value of each column as a sparse combination of the free columns
-        expr = {f: {f: one} for f in free}
-        for piv in sorted(rows, reverse=True):
-            acc: dict = {}
-            for c, v in rows[piv].items():
-                if c == piv:
-                    continue
-                for f, w in expr[c].items():
-                    acc[f] = acc.get(f, 0) - v * w
-            if p is not None:
-                acc = {f: w % p for f, w in acc.items()}
-            expr[piv] = {f: w for f, w in acc.items() if w}
-        basis: dict = {f: {} for f in free}
-        for c, e in expr.items():
-            for f, w in e.items():
-                basis[f][c] = w
-        return [basis[f] for f in free]
+        basis = {f: {f: one} for f in range(self.ncols) if f not in self._rows}
+        for piv, row in self._rows.items():
+            for f, v in row.items():
+                if f in basis:
+                    basis[f][piv] = -v if p is None else -v % p
+        return list(basis.values())
 
     def kernel(self) -> list:
         """Dense view of ``sparse_kernel``."""

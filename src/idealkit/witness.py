@@ -268,8 +268,10 @@ def _weight_bits(expr: SequenceExpr, n: int) -> int:
 def build_certificate(
     generator: ShiftModel, pool: Sequence[ShiftModel], scan_window: int = DEFAULT_SCAN_WINDOW
 ) -> Certificate:
-    """Assemble a certificate for the shift model, refusing unless the
-    non-softness hypothesis is symbolically proven."""
+    """Assemble a certificate for the shift model, refusing unless the pool
+    holds a partner and the non-softness hypothesis is symbolically proven."""
+    if not pool:
+        raise CertificateError("a certificate needs at least one partner")
     _check_limits([generator, *pool], scan_window)
     # Round-trip all weights through their text form first, so every decision
     # below is made on exactly the structures the certificate will store.
@@ -403,7 +405,8 @@ def verify_certificate(cert: Certificate) -> Verdict:
             modes.append("structural" if br.proven_zero else "window")
         else:
             recomputed = "structural" if all(m == "structural" for m in modes) else "window"
-            if cert.central_mode != recomputed:
+            # an empty pool would make T central vacuously
+            if not cert.pool or cert.central_mode != recomputed:
                 failures.append(OBLIGATION_POOL_CENTRAL)
     else:
         failures.append("branch")

@@ -848,8 +848,9 @@ def test_cli_import_leaves_numpy_out(tmp_path):
                       ["base", "catalog", "cli", "cli_lie", "matlie", "ratlinalg"]),
         "lie-simple": ([["lie", "simple", "--file", algebra]],
                        ["base", "cli", "cli_lie", "matlie", "ratlinalg"]),
-        "seq+ideal": ([["seq", "signature", "pow:1"], ["ideal", "member", "pow:2", "pow:1"]],
-                      ["base", "cli", "cli_ideal", "cli_seq", "dsl", "idealcalc", "seqspace"]),
+        "seq": ([["seq", "signature", "pow:1"]], ["base", "cli", "cli_seq", "dsl", "seqspace"]),
+        "ideal": ([["ideal", "member", "pow:2", "pow:1"]],
+                  ["base", "cli", "cli_ideal", "dsl", "idealcalc", "seqspace"]),
         "witness": ([["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                       "-o", cert],
                      ["witness", "verify", "--file", cert]],

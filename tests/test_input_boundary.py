@@ -99,6 +99,8 @@ EXIT_TWO = [
      {"name": "x", "ambient_dim": 2, "basis": [5]}),
     ("first-value-digits", ["witness", "build", "--generator", "pow:100000",
                             "--partner", "pow:1", "--truncation", "8"], None),
+    ("witness-no-partner", ["witness", "build", "--generator", "pow:1", "--truncation", "8"],
+     None),
     ("truncation-floor", ["witness", "build", "--generator", "exp:1/2",
                           "--partner", "pow:1", "--truncation", "2"], None),
     ("sl-size-zero", ["lie", "build", "sl", "--n", "0"], None),
@@ -113,6 +115,9 @@ EXIT_TWO = [
     ("nmax-eps-without-numeric",
      ["seq", "compare", "--mode", "O", "pow:2", "pow:1", "--nmax", "0", "--eps", "nan"], None),
     ("soft-eps-without-numeric", ["ideal", "soft", "pow:1", "--eps", "nan"], None),
+    ("soft-numeric-compact", ["ideal", "soft", "compact", "--numeric"], None),
+    ("soft-numeric-product", ["ideal", "soft", "idealprod(exp:1/2,compact)", "--numeric",
+                              "--nmax", "4096"], None),
     ("sl-40-over-size-cap", ["lie", "build", "sl", "--n", "40"], None),
     ("sl-80-over-size-cap", ["lie", "build", "sl", "--n", "80"], None),
     ("seeds-over-size-cap", ["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"],

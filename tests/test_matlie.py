@@ -80,14 +80,36 @@ def from_entries(n, *mats):
     return tuple(RationalMatrix.from_nonzeros(n, n, m) for m in mats)
 
 
+def sl2_over_field(s, name):
+    """sl(2, K) over Q by restriction of scalars, for K = Q(a) given by the
+    n x n matrix s of multiplication by a on the basis 1, a, ..., a^(n-1):
+    e, f, h tensored with 1, s, ..., s^(n-1)."""
+    n = len(s)
+    powers = [RationalMatrix.identity(n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ RationalMatrix(s))
+    sl2 = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]])
+    return LieAlgebraPresentation(2 * n, tuple(
+        RationalMatrix([[a[r // n][c // n] * b.entries[r % n][c % n] for c in range(2 * n)]
+                        for r in range(2 * n)])
+        for a in sl2 for b in powers), name)
+
+
 def sl2_over_sqrt(D):
     """sl(2, Q(√D)) over Q: e, f, h tensored with 1 and with s = [[0, D], [1, 0]],
     whose square is D."""
-    one, s = [[1, 0], [0, 1]], [[0, D], [1, 0]]
-    sl2 = ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]])
-    return LieAlgebraPresentation(4, tuple(
-        RationalMatrix([[a[r // 2][c // 2] * b[r % 2][c % 2] for c in range(4)] for r in range(4)])
-        for a in sl2 for b in (one, s)), f"sl2_Q(sqrt {D})")
+    return sl2_over_field([[0, D], [1, 0]], f"sl2_Q(sqrt {D})")
+
+
+def sl2_over_cbrt2():
+    """sl(2, Q(∛2)) over Q: s multiplies 1, a, a² by a, with a³ = 2."""
+    return sl2_over_field([[0, 0, 2], [1, 0, 0], [0, 1, 0]], "sl2_Q(cbrt 2)")
+
+
+def sl2_over_fourth_root2():
+    """sl(2, Q(2^(1/4))) over Q: a centroid of degree 4."""
+    return sl2_over_field([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                          "sl2_Q(2^(1/4))")
 
 
 def jacobi_algebra():
@@ -628,13 +650,41 @@ class TestSimplicity:
         with pytest.raises(NotClosedError):
             is_simple(sp_skew_variant(2))
 
-    @pytest.mark.xfail(strict=True, reason="a centroid that is a proper field extension of Q "
-                       "gives NotSimple, commutant_dim 2, flag 'witness extraction incomplete'")
     def test_simple_over_a_quadratic_centroid(self):
         algebra = sl2_over_sqrt(-1)
         assert closure_check(algebra).closed
         assert killing_form(algebra).rank == 6
-        assert is_simple(algebra).verdict == "Simple"
+        rep = is_simple(algebra)
+        assert (rep.verdict, rep.witness, rep.commutant_dim, rep.flags) == ("Simple", None, 2, ())
+        assert rep.detail == "Killing form nondegenerate and the centroid is a field of degree 2"
+
+    @pytest.mark.parametrize("algebra,k", [(sl2_over_sqrt(2), 2), (sl2_over_cbrt2(), 3)],
+                             ids=["sl2(Q(sqrt2))", "sl2(Q(cbrt2))"])
+    def test_simple_over_a_centroid_of_degree_at_most_three(self, algebra, k):
+        assert killing_form(algebra).rank == algebra.dim == 3 * k
+        rep = is_simple(algebra)
+        assert (rep.verdict, rep.witness, rep.commutant_dim, rep.flags) == ("Simple", None, k, ())
+        assert rep.detail == f"Killing form nondegenerate and the centroid is a field of degree {k}"
+
+    @pytest.mark.parametrize("algebra,k", [
+        (direct_sum(sl(2), sl2_over_sqrt(-1)), 3),
+        (direct_sum(sp_standard(3), sp_standard(2)), 2),
+    ], ids=["sl2+sl2(Q(i))", "sp3+sp2"])
+    def test_split_centroid_gives_a_checked_witness(self, algebra, k):
+        rep = is_simple(algebra)
+        assert (rep.verdict, rep.commutant_dim, rep.flags) == ("NotSimple", k, ())
+        assert matlie._checked_witness(algebra, rep.witness) is rep.witness
+
+    def test_centroid_of_degree_four_keeps_the_flag(self):
+        rep = is_simple(sl2_over_fourth_root2())
+        assert (rep.verdict, rep.witness, rep.commutant_dim) == ("NotSimple", None, 4)
+        assert rep.flags == ("witness extraction incomplete",)
+
+    def test_stalled_root_search_keeps_the_flag(self, monkeypatch):
+        monkeypatch.setattr(matlie, "_rational_roots", lambda poly: None)
+        rep = is_simple(sl2_over_sqrt(-1))
+        assert (rep.verdict, rep.witness, rep.commutant_dim) == ("NotSimple", None, 2)
+        assert rep.flags == ("witness extraction incomplete",)
 
     @pytest.mark.parametrize("algebra", [sp_standard(1), sp_standard(2), sl(2), sl(3)])
     def test_randomized_soundness_fast_algebras(self, algebra):

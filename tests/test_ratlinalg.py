@@ -40,6 +40,76 @@ def pivots(red):
     return [next(c for c, v in enumerate(row) if v) for row in red]
 
 
+def reference_reduced(ech):
+    """``reduced`` as it was with its own backward pass: each held row
+    re-reduced against every pivot.  Reads the held rows only."""
+    zero, one = (F(0), F(1)) if ech.p is None else (0, 1)
+    out = []
+    for piv in sorted(ech._rows):
+        dense = [zero] * ech.ncols
+        dense[piv] = one
+        rest = {c: v for c, v in ech._rows[piv].items() if c != piv}
+        for c, v in ech.reduce(rest).items():
+            dense[c] = v
+        out.append(dense)
+    return out
+
+
+def reference_sparse_kernel(ech):
+    """``sparse_kernel`` as it was with its own backward pass: a table of
+    each column as a combination of the free columns.  Reads the held rows
+    only."""
+    p = ech.p
+    one = F(1) if p is None else 1
+    rows = ech._rows
+    free = [c for c in range(ech.ncols) if c not in rows]
+    expr = {f: {f: one} for f in free}
+    for piv in sorted(rows, reverse=True):
+        acc: dict = {}
+        for c, v in rows[piv].items():
+            if c == piv:
+                continue
+            for f, w in expr[c].items():
+                acc[f] = acc.get(f, 0) - v * w
+        if p is not None:
+            acc = {f: w % p for f, w in acc.items()}
+        expr[piv] = {f: w for f, w in acc.items() if w}
+    basis: dict = {f: {} for f in free}
+    for c, e in expr.items():
+        for f, w in e.items():
+            basis[f][c] = w
+    return [basis[f] for f in free]
+
+
+def _outcome(method, ech):
+    """What method(ech) returns, or the type of the lookup error it raises:
+    a held row with a tag column has no dense row, and the reference kernel
+    has no expression for a tag column that is not a pivot."""
+    try:
+        return method(ech)
+    except (IndexError, KeyError) as exc:
+        return type(exc)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(p, ncols, rows, probes): sparse rows over Fraction or GF(p), some
+    with tag columns at or beyond ncols, and probe rows of the same kind."""
+    p = draw(st.sampled_from([None, 7, MODP_PRIMES[0]]))
+    ncols = draw(st.integers(1, 6))
+    width = ncols + draw(st.integers(0, 2))
+    values = fractions if p is None else st.integers(-9, 9) | st.integers(0, p - 1)
+    rows = st.lists(st.dictionaries(st.integers(0, width - 1), values, max_size=width), max_size=7)
+    return p, ncols, draw(rows), draw(rows)
+
+
+def _held(p, ncols, rows):
+    ech = SparseEchelon(ncols, p)
+    for row in rows:
+        ech.insert(row)
+    return ech
+
+
 class TestRref:
     def test_simple_rank(self):
         rows = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]
@@ -126,24 +196,19 @@ class TestSparseEchelon:
                 rebuilt = [a + c * g for a, g in zip(rebuilt, gen)]
             assert rebuilt == list(target)
 
-    @given(m=matrices, probe=matrices, p=st.sampled_from([None, MODP_PRIMES[0]]))
-    @example(m=[[F(1), F(1), F(0)], [F(0), F(1), F(5)]], probe=[[F(1), F(2), F(3)]],
-             p=MODP_PRIMES[0])
-    @settings(max_examples=100)
-    def test_back_substitute_clears_other_pivots_and_keeps_remainders(self, m, probe, p):
-        def field(v):
-            return v if p is None else frac_mod_p(v, p)
-
-        width = len(m[0])
-        ech = _echelon([[field(v) for v in row] for row in m], p)
-        probe = [{c: field(v) for c, v in enumerate(row[:width])} for row in probe]
-        before = [ech.reduce(row) for row in probe]
+    @given(system=sparse_systems())
+    @example(system=(MODP_PRIMES[0], 3, [{0: 1, 1: 1}, {1: 1, 2: 5}], [{0: 1, 1: 2, 2: 3}]))
+    @settings(max_examples=200, deadline=None)
+    def test_back_substitute_clears_other_pivots_and_keeps_remainders(self, system):
+        p, ncols, rows, probes = system
+        ech = _held(p, ncols, rows)
+        before = [ech.reduce(row) for row in probes]
         ech.back_substitute()
         for piv, row in ech._rows.items():
             assert row[piv] == 1 and all(c not in row for c in ech._rows if c != piv)
             assert min(row) == piv
             assert p is None or all(0 < v < p for v in row.values())
-        assert [ech.reduce(row) for row in probe] == before
+        assert [ech.reduce(row) for row in probes] == before
 
     def test_dependent_row_rejected(self):
         ech = SparseEchelon(3)
@@ -151,6 +216,32 @@ class TestSparseEchelon:
         assert not ech.insert({0: F(-3), 2: F(-3)})
         assert not ech.insert({})
         assert ech.rank == 1
+
+
+class TestOneBackwardPass:
+    """``reduced`` and ``sparse_kernel`` read the rows ``back_substitute``
+    clears, and leave an echelon that answers as a fresh one."""
+
+    @given(system=sparse_systems())
+    @example(system=(None, 2, [{0: F(1), 1: F(2), 2: F(1)}, {2: F(3)}], [{1: F(1), 3: F(1)}]))
+    @example(system=(7, 3, [{0: 1, 1: 6, 2: 3}, {1: 1, 2: 5}, {3: 2}], [{0: 5, 2: 1}]))
+    @example(system=(MODP_PRIMES[0], 3, [{0: 1, 2: 9}, {0: 2, 1: 1}], [{1: 4}]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_and_answers_as_a_fresh_echelon(self, system):
+        p, ncols, rows, probes = system
+        red, kern = _held(p, ncols, rows), _held(p, ncols, rows)
+        expected_red = _outcome(reference_reduced, _held(p, ncols, rows))
+        expected_kern = _outcome(reference_sparse_kernel, _held(p, ncols, rows))
+        assert _outcome(SparseEchelon.reduced, red) == expected_red
+        kernel = kern.sparse_kernel()
+        if expected_kern is not KeyError:
+            assert kernel == expected_kern
+        fresh = _held(p, ncols, rows)
+        for probe in probes:
+            expected = (fresh.reduce(probe), fresh.insert(probe))
+            for ech in (red, kern):
+                assert (ech.reduce(probe), ech.insert(probe)) == expected
+        assert red.rank == kern.rank == fresh.rank
 
 
 int_matrices = st.lists(

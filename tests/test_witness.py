@@ -28,6 +28,7 @@ from idealkit.witness import (
     MAX_WEIGHT_BITS,
     OBLIGATION_COMMUTATOR,
     OBLIGATION_NOT_SOFT,
+    OBLIGATION_POOL_CENTRAL,
     ShiftModel,
     build_certificate,
     certificate_from_json,
@@ -196,6 +197,20 @@ class TestBuildCertificate:
         payload = certificate_to_json(cert)
         payload["central_mode"] = "structural"
         assert verify_certificate(certificate_from_json(payload)).fails
+
+    def test_empty_pool_is_refused_and_rejected(self, tmp_path):
+        # over no partner the central branch would hold vacuously
+        with pytest.raises(CertificateError, match="at least one partner"):
+            build_certificate(ShiftModel(Pow(1), 8), [])
+        payload = certificate_to_json(
+            build_certificate(ShiftModel(Pow(1), 8), [ShiftModel(Scale(3, Pow(1)), 8)])
+        )
+        payload["pool"] = []
+        path = tmp_path / "empty-pool.json"
+        path.write_text(json.dumps(payload))
+        verdict = verify_certificate(load_certificate(str(path)))
+        assert verdict.fails
+        assert verdict.evidence["all_failures"] == [OBLIGATION_POOL_CENTRAL]
 
     def test_wider_window_sees_past_the_prefix(self):
         cert = build_certificate(
