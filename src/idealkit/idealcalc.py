@@ -182,9 +182,8 @@ def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr,
 
 
 def _member_principal(xi: SequenceExpr, gen: SequenceExpr, mode: Mode) -> Verdict:
+    # gen has infinite support: make_ideal turns any other into FINITE_RANK
     gen_sig = signature_of(gen)
-    if gen_sig.is_zero_tail:
-        return _member_finite(xi)
     if gen_sig.rate == RATE_ONE:
         # Ampliation leaves a rate-one signature fixed: testing m = 1 decides.
         v = compare(xi, gen, mode)

@@ -14,16 +14,17 @@ commutant (fewer make it rerun on all positions).
 
 Under a nondegenerate Killing form the commutant is the centroid, a
 product of number fields, one per simple ideal, of total degree k.  A
-rational eigenvalue of a non-scalar element gives a witness ideal.  When
-k <= 3 and a non-scalar element provably has none, no factor is Q, so the
-centroid is a field and the algebra is simple.  Only for k >= 4, or when
-the root search stalls, is a NotSimple verdict left without a witness; it
-carries the flag "witness extraction incomplete" rather than a wrong
-eigenspace.
+rational eigenvalue of a non-scalar element gives a witness ideal; the
+rational roots are found by p-adic lifting, never by trial division, so
+the search is complete.  When k <= 3 and a non-scalar element has none, no
+factor is Q, so the centroid is a field and the algebra is simple.  Only
+for k >= 4 is a NotSimple verdict left without a witness; it carries the
+flag "witness extraction incomplete" rather than a wrong eigenspace.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -39,6 +40,7 @@ from .ratlinalg import (
     MODP_PRIMES,
     RationalMatrix,
     SparseEchelon,
+    _span,
     bracket,
     frac_mod_p,
     nullspace,
@@ -157,20 +159,17 @@ class Subspace(Frozen):
         return [_from_flat(_apply(flats, enumerate(vec)), amb, amb) for vec in self.vectors]
 
     def contains_coords(self, vec: Sequence[Fraction]) -> bool:
-        span = SparseEchelon(len(vec))
-        for row in self.vectors:
-            span.insert(row)
-        return not span.reduce(vec)
+        return not _span(self.vectors, len(vec)).reduce(vec)
 
     def ambient_rref(self) -> tuple:
         """Canonical form in the ambient matrix space; comparable across parents."""
         amb = self.parent.ambient
-        return tuple(tuple(r) for r in _rref(map(_flat, self.matrices()), amb * amb))
+        return tuple(tuple(r) for r in _span(map(_flat, self.matrices()), amb * amb).reduced())
 
 
 def _subspace(parent: LieAlgebraPresentation, rows) -> Subspace:
     """Subspace spanned by coordinate rows, dense or sparse dicts."""
-    return Subspace(parent, tuple(tuple(r) for r in _rref(rows, parent.dim)))
+    return Subspace(parent, tuple(tuple(r) for r in _span(rows, parent.dim).reduced()))
 
 
 def subspace_from_coords(parent: LieAlgebraPresentation, rows: Sequence[Sequence]) -> Subspace:
@@ -200,16 +199,7 @@ def span_reduce(mats: Sequence[RationalMatrix]) -> List[RationalMatrix]:
     for m in mats:
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("span_reduce needs matrices of equal shape")
-    return [_from_flat(r, rows, cols) for r in _rref(map(_flat, mats), rows * cols)]
-
-
-def _rref(rows, n: int) -> list:
-    """Dense reduced row echelon rows, n entries each, of the span of rows
-    given dense or as sparse dicts."""
-    span = SparseEchelon(n)
-    for row in rows:
-        span.insert(row)
-    return span.reduced()
+    return [_from_flat(r, rows, cols) for r in _span(map(_flat, mats), rows * cols).reduced()]
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +374,7 @@ def is_lie_ideal(L: LieAlgebraPresentation, J: Subspace) -> IdealCheck:
     if J.parent != L:
         raise ValueError("subspace does not live in the given presentation")
     st = _structure(L)
-    span = SparseEchelon(L.dim)
-    for row in J.vectors:
-        span.insert(row)
+    span = _span(J.vectors, L.dim)
     for i, ad in enumerate(st.ads):
         for j, vec in enumerate(J.vectors):
             if span.reduce(_apply(ad, enumerate(vec))):
@@ -547,8 +535,8 @@ def _commutant_exact(ads: Sequence[Sequence[dict]], d: int, positions) -> List[R
     echelon form with the columns read right to left, so each vector has a
     unit at its last nonzero column."""
     last = d * d - 1
-    flipped = _rref(({last - c: x for c, x in v.items()} for v in _commutant(ads, d, positions)), d * d)
-    return [_from_flat(row[::-1], d, d) for row in reversed(flipped)]
+    flipped = ({last - c: x for c, x in v.items()} for v in _commutant(ads, d, positions))
+    return [_from_flat(row[::-1], d, d) for row in reversed(_span(flipped, d * d).reduced())]
 
 
 def adjoint_commutant(L: LieAlgebraPresentation) -> tuple:
@@ -578,10 +566,11 @@ def adjoint_commutant(L: LieAlgebraPresentation) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = F0
+def _poly_eval(p: Sequence, x, m: Optional[int] = None):
+    """p, coefficients from the constant up, at x; reduced mod m if given."""
+    acc = 0
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * x + c if m is None else (acc * x + c) % m
     return acc
 
 
@@ -599,48 +588,50 @@ def _min_poly(C: RationalMatrix) -> List[Fraction]:
         power = power @ C
 
 
-def _divisors(n: int, limit: int = 10 ** 6) -> Optional[List[int]]:
-    """All positive divisors of a nonzero n via trial division; None when
-    factoring stalls."""
-    n = abs(n)
-    factors = {}
-    m = n
-    f = 2
-    while f * f <= m and f <= limit:
-        while m % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            m //= f
-        f += 1
-    if m > 1:
-        if m > 10 ** 12:
-            return None
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime ** e for d in divs for e in range(mult + 1)]
-    return sorted(set(divs))
+def _rational_roots(poly: Sequence[Fraction]) -> List[Fraction]:
+    """Rational roots, ascending, of a square-free polynomial of positive
+    degree (coefficients from the constant up), by p-adic lifting.
 
-
-def _rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Rational roots of a monic polynomial, or None if the coefficient
-    factorizations are out of reach."""
-    zeros = next(i for i, c in enumerate(poly) if c)
-    roots = [F0] if zeros else []
-    p = list(poly[zeros:])
-    if len(p) == 1:
-        return roots
-    scale = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * scale) for c in p]
-    d0 = _divisors(ints[0])
-    dl = _divisors(ints[-1])
-    if d0 is None or dl is None:
-        return None
-    for num in d0:
-        for den in dl:
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if _poly_eval(p, cand) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+    For g the integer multiple of poly and a its leading coefficient, a·x
+    is an integer of size at most |a| + max|g_i| (Cauchy) for each rational
+    root x.  At the first prime p not dividing a where every root of g mod
+    p is simple, each root is Newton-lifted mod q = p^(2^j) past twice that
+    size; a times it, as a symmetric residue, is a·x, kept if x is a root.
+    Each rejected prime divides a·disc g = ±Res(g, g'), which Hadamard's
+    bound caps; past it g is not square-free, which raises RuntimeError as
+    a bug: a centroid element's minimal polynomial is square-free.
+    """
+    scale = math.lcm(*(c.denominator for c in poly))
+    g = [int(c * scale) for c in poly]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    a, n = g[-1], len(g) - 1
+    size = abs(a) + max(map(abs, g))
+    # |Res(g, g')|² is at most the product of the squared row norms of the
+    # Sylvester matrix: n - 1 rows of g and n rows of g'
+    res_bound = sum(c * c for c in g) ** (n - 1) * sum(c * c for c in dg) ** n
+    rejected = 1
+    for p in itertools.count(2):
+        # every prime below p was rejected, so p is prime when coprime to them
+        if math.gcd(p, rejected) > 1:
+            continue
+        if a % p:
+            found = [r for r in range(p) if not _poly_eval(g, r, p)]
+            if all(_poly_eval(dg, r, p) for r in found):
+                break
+        rejected *= p
+        if rejected * rejected > res_bound:
+            raise RuntimeError("rational root search needs a square-free polynomial")
+    roots = []
+    for r in found:
+        q = p
+        while q <= 2 * size:
+            q *= q
+            r = (r - _poly_eval(g, r, q) * pow(_poly_eval(dg, r, q), -1, q)) % q
+        ax = a * r % q
+        x = Fraction(ax - q if 2 * ax > q else ax, a)
+        if not _poly_eval(g, x):
+            roots.append(x)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +666,9 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
     centerless, and the adjoint commutant decides, with eigenspace
     extraction from a non-scalar commutant element when the dimension
     exceeds one; that eigenspace is an ideal by construction, so a failed
-    check raises as a bug.  With no eigenspace, a commutant of dimension at
-    most 3 with a non-scalar element whose root search finished is a field.
+    check raises as a bug.  With no eigenspace, every non-scalar basis
+    element has no rational eigenvalue (``_rational_roots`` finds them all),
+    so a commutant of dimension 2 or 3 is a field; only k >= 4 is flagged.
     """
     killing = killing_form(L)  # refuses an empty basis
     d = L.dim
@@ -718,7 +710,7 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             "Killing form nondegenerate and adjoint commutant has dimension 1",
             1,
         )
-    witness, rootless = _extract_commutant_witness(L, com)
+    witness = _extract_commutant_witness(L, com)
     if witness is not None:
         return SimplicityReport(
             "NotSimple",
@@ -726,10 +718,11 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
             "eigenspace of a non-scalar commutant element is a proper nonzero Lie ideal",
             len(com),
         )
-    if rootless and len(com) <= 3:
-        # a product of number fields of total degree at most 3 that is not a
-        # field has Q as a factor, so every non-scalar element would have a
-        # rational eigenvalue
+    if len(com) <= 3:
+        # the basis holds a non-scalar element, and each one's rational roots
+        # were all found: a product of number fields of total degree at most
+        # 3 that is not a field has Q as a factor, so every non-scalar
+        # element would have a rational eigenvalue
         return SimplicityReport(
             "Simple",
             None,
@@ -745,28 +738,23 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
     )
 
 
-def _extract_commutant_witness(L: LieAlgebraPresentation, com: tuple) -> tuple:
-    """(witness, rootless): the checked eigenspace of the first commutant
-    element with a rational eigenvalue that is not all of L, or None; and
-    whether the root search of some element finished with no root, which
-    only a non-scalar element allows."""
+def _extract_commutant_witness(L: LieAlgebraPresentation, com: tuple) -> Optional[Subspace]:
+    """The checked eigenspace of the first commutant element with a rational
+    eigenvalue that is not all of L, or None."""
     d = L.dim
-    rootless = False
     for C in com:
         dense = C.entries
         # C lies in the centroid of a semisimple algebra, a product of number
-        # fields, so its minimal polynomial is already square-free
-        roots = _rational_roots(_min_poly(C))
-        rootless = rootless or roots == []
-        for lam in roots or ():
+        # fields, so its minimal polynomial is square-free
+        for lam in _rational_roots(_min_poly(C)):
             shifted = [
                 [v - lam if i == j else v for j, v in enumerate(row)]
                 for i, row in enumerate(dense)
             ]
             J = subspace_from_coords(L, nullspace(shifted, d))
             if J.dim < d:  # C is not lam times the identity
-                return _checked_witness(L, J), rootless
-    return None, rootless
+                return _checked_witness(L, J)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,9 @@ __all__ = [
 MODP_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
-def _span(rows: Iterable[Sequence[Fraction]], ncols: int = 0) -> "SparseEchelon":
-    """Echelon of dense rows; ncols is the width ``reduced`` and ``kernel`` see."""
+def _span(rows: Iterable, ncols: int = 0) -> "SparseEchelon":
+    """Echelon over Q of rows, dense or sparse dicts; ncols is the width
+    ``reduced`` and ``kernel`` see."""
     ech = SparseEchelon(ncols)
     for row in rows:
         ech.insert(row)

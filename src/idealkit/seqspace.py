@@ -47,7 +47,6 @@ __all__ = [
     "Verdict",
     "ampliate",
     "compare",
-    "decays_faster",
     "delta2_check",
     "eval_at",
     "eval_log",
@@ -737,11 +736,6 @@ def _order(s: AsymSig, t: AsymSig) -> int:
         return t.is_zero_tail - s.is_zero_tail
     return (s.rate._cmp(t.rate) or (t.pow > s.pow) - (t.pow < s.pow)
             or (t.logpow > s.logpow) - (t.logpow < s.logpow))
-
-
-def decays_faster(s: AsymSig, t: AsymSig) -> bool:
-    """Strict total order: s decays strictly faster than t."""
-    return _order(s, t) < 0
 
 
 def _sig(expr: SequenceExpr) -> AsymSig:

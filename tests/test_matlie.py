@@ -4,7 +4,9 @@ commutant, simplicity ladder."""
 from __future__ import annotations
 
 import json
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -576,6 +578,41 @@ class TestMinPoly:
         roots = _rational_roots([F(-3, 2), F(5, 2), F(1)])
         assert roots == [F(-3), F(1, 2)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        linear=st.lists(st.builds(F, st.integers(-10 ** 15, 10 ** 15), st.integers(1, 10 ** 8)),
+                        max_size=4),
+        nonlinear=st.lists(st.lists(st.integers(-30, 30), min_size=2, max_size=3)
+                           .map(lambda low: low + [1]), max_size=2),
+        with_zero=st.booleans(),
+    )
+    @example(linear=[F(10 ** 15, 10 ** 8 - 1)], nonlinear=[[-2, 0, 1]], with_zero=True)
+    def test_rational_roots_match_sympy(self, linear, nonlinear, with_zero):
+        # products of linear factors x - u/v and quadratic or cubic ones,
+        # against the degree-one factors sympy finds
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        factors = [x - sympy.Rational(u.numerator, u.denominator) for u in linear + [F(0)] * with_zero]
+        factors += [sum(c * x ** i for i, c in enumerate(low)) for low in nonlinear]
+        f = sympy.Poly(sympy.prod(factors) if factors else x - 1, x, domain="QQ")
+        assume(sympy.gcd(f, f.diff(x)).degree() == 0)
+        f = f.monic()
+        expected = sorted(
+            -F(int(c.p), int(c.q))
+            for c in (g.TC() / g.LC() for g, _ in f.factor_list()[1] if g.degree() == 1)
+        )
+        coeffs = [F(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+        assert _rational_roots(coeffs) == expected
+
+    @pytest.mark.parametrize("poly", [
+        [F(-2), F(5), F(-4), F(1)],  # (x - 1)²(x - 2)
+        [F(0), F(0), F(1), F(1)],  # x²(x + 1)
+        [F(1, 4), F(1), F(1)],  # (x + 1/2)²
+    ], ids=["(x-1)^2(x-2)", "x^2(x+1)", "(x+1/2)^2"])
+    def test_repeated_root_is_a_bug(self, poly):
+        with pytest.raises(RuntimeError, match="square-free"):
+            _rational_roots(poly)
+
 
 class TestSimplicity:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -680,11 +717,29 @@ class TestSimplicity:
         assert (rep.verdict, rep.witness, rep.commutant_dim) == ("NotSimple", None, 4)
         assert rep.flags == ("witness extraction incomplete",)
 
-    def test_stalled_root_search_keeps_the_flag(self, monkeypatch):
-        monkeypatch.setattr(matlie, "_rational_roots", lambda poly: None)
-        rep = is_simple(sl2_over_sqrt(-1))
-        assert (rep.verdict, rep.witness, rep.commutant_dim) == ("NotSimple", None, 2)
-        assert rep.flags == ("witness extraction incomplete",)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30).filter(bool))
+    @example(10 ** 12 + 39)
+    @example((10 ** 6 + 3) * (10 ** 6 + 33))
+    @example(10 ** 200 + 1)
+    @example(1)
+    @example((10 ** 15 + 37) ** 2)
+    def test_quadratic_centroid_decided_for_any_coefficient(self, D):
+        # the root search of the centroid element s, with s² = D, never stalls
+        algebra = sl2_over_sqrt(D)
+        rep = is_simple(algebra)
+        if D > 0 and math.isqrt(D) ** 2 == D:
+            assert (rep.verdict, rep.commutant_dim, rep.flags) == ("NotSimple", 2, ())
+            assert matlie._checked_witness(algebra, rep.witness) is rep.witness
+        else:
+            assert (rep.verdict, rep.witness, rep.commutant_dim, rep.flags) == ("Simple", None, 2, ())
+
+    def test_centroid_with_a_many_prime_discriminant(self):
+        # D = 2·3·5·…·61 has 2^18 divisors; a search through them takes seconds
+        start = time.perf_counter()
+        rep = is_simple(sl2_over_sqrt(117288381359406970983270))
+        assert time.perf_counter() - start < 1.0  # a guard against a divisor search
+        assert (rep.verdict, rep.witness, rep.commutant_dim, rep.flags) == ("Simple", None, 2, ())
 
     @pytest.mark.parametrize("algebra", [sp_standard(1), sp_standard(2), sl(2), sl(3)])
     def test_randomized_soundness_fast_algebras(self, algebra):
