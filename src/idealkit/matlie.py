@@ -159,7 +159,9 @@ class Subspace(Frozen):
         return [_from_flat(_apply(flats, enumerate(vec)), amb, amb) for vec in self.vectors]
 
     def contains_coords(self, vec: Sequence[Fraction]) -> bool:
-        return not _span(self.vectors, len(vec)).reduce(vec)
+        if len(vec) != self.parent.dim:
+            raise ValueError(f"expected {self.parent.dim} coordinates, got {len(vec)}")
+        return _span(self.vectors, len(vec)).coords(vec) is not None
 
     def ambient_rref(self) -> tuple:
         """Canonical form in the ambient matrix space; comparable across parents."""
@@ -180,7 +182,7 @@ def _matrix_coords(L: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) ->
     """Sparse coordinates of the matrices in the basis of L; InputError when
     one lies outside its span."""
     span = _structure(L).span
-    coords = [_coords(span, _flat(m)) for m in mats]
+    coords = [span.coords(_flat(m)) for m in mats]
     if None in coords:
         raise InputError("matrix outside the span of the presentation basis")
     return coords
@@ -211,7 +213,7 @@ class _Structure:
     __slots__ = ("span", "ads")
 
     def __init__(self, span, ads):
-        self.span = span  # basis matrix k flattened, tagged at column ambient² + k
+        self.span = span  # basis matrix k flat, tagged at column ambient² + k, for coords
         # ads[i][j] = {k: c}, the nonzero coordinates of [b_i, b_j]: column j of ad(b_i)
         self.ads = ads
 
@@ -221,16 +223,6 @@ class ClosureReport(Frozen):
     # after eliminating span components
     def __init__(self, closed: bool, pair: Optional[tuple], residual: Optional[RationalMatrix]):
         vars(self).update(closed=closed, pair=pair, residual=residual)
-
-
-def _coords(span: SparseEchelon, vec) -> Optional[dict]:
-    """Nonzero coordinates {k: c} of vec in the generators of span, generator k
-    tagged at column span.ncols + k; None when vec lies outside their span."""
-    rem = span.reduce(vec)
-    n = span.ncols
-    if any(c < n for c in rem):
-        return None
-    return {k - n: -c for k, c in rem.items()}
 
 
 def _bracket_flat(x: dict, y: dict, cols: int) -> dict:
@@ -261,43 +253,21 @@ def _closure_scan(L: LieAlgebraPresentation):
     span = SparseEchelon(n)
     for idx, b in enumerate(L.basis):
         flat = _flat(b)
-        if _coords(span, flat) is not None:
+        if all(c >= n for c in span.reduce(flat)):
             raise InputError(f"{L.name}: basis matrix {idx} depends on earlier ones")
         span.insert({**flat, n + idx: F1})
-    span.back_substitute()
-    # With every pivot row zero at the other pivot columns, a bracket v lies
-    # in the span exactly when v minus v[p]·(row p), summed over the pivot
-    # columns p of v, leaves no matrix entry; its coordinates are then the
-    # sum of v[p]·(tag entries of row p).  So each pivot row is kept as its
-    # matrix entries off the pivot and its tag entries.
-    split = {
-        p: ([(c, x) for c, x in row.items() if c < n and c != p],
-            [(c - n, x) for c, x in row.items() if c >= n])
-        for p, row in span._rows.items()
-    }
     mats = [b._data for b in L.basis]
     d = L.dim
     ads = [[{} for _ in range(d)] for _ in range(d)]
+    coords = span.coords
     for i in range(d):
         x = mats[i]
         for j in range(i + 1, d):
             flat = _bracket_flat(x, mats[j], amb)
-            rest: dict = {}
-            col: dict = {}
-            for c, v in flat.items():
-                part = split.get(c)
-                if part is None:
-                    rest[c] = rest[c] + v if c in rest else v
-                    continue
-                off, tags = part
-                for k, w in off:
-                    rest[k] = rest[k] - v * w if k in rest else -(v * w)
-                for k, w in tags:
-                    col[k] = col[k] + v * w if k in col else v * w
-            if any(rest.values()):
+            col = coords(flat)
+            if col is None:
                 residual = {c: v for c, v in span.reduce(flat).items() if c < n}
                 return None, (i, j, _from_flat(residual, amb, amb))
-            col = {k: c for k, c in col.items() if c}
             ads[i][j] = col
             ads[j][i] = {k: -c for k, c in col.items()}
     return _Structure(span, ads), None
@@ -373,11 +343,11 @@ def is_lie_ideal(L: LieAlgebraPresentation, J: Subspace) -> IdealCheck:
     """Check [L, J] <= J on basis elements."""
     if J.parent != L:
         raise ValueError("subspace does not live in the given presentation")
-    st = _structure(L)
-    span = _span(J.vectors, L.dim)
-    for i, ad in enumerate(st.ads):
-        for j, vec in enumerate(J.vectors):
-            if span.reduce(_apply(ad, enumerate(vec))):
+    rows = [{c: x for c, x in enumerate(vec) if x} for vec in J.vectors]
+    span = _span(rows, L.dim)
+    for i, ad in enumerate(_structure(L).ads):
+        for j, row in enumerate(rows):
+            if span.coords(_apply(ad, row.items())) is None:
                 return IdealCheck(False, (i, j))
     return IdealCheck(True, None)
 
@@ -581,7 +551,7 @@ def _min_poly(C: RationalMatrix) -> List[Fraction]:
     power = RationalMatrix.identity(C.rows)
     while True:
         vec = _flat(power)
-        coeffs = _coords(span, vec)
+        coeffs = span.coords(vec)
         if coeffs is not None:
             return [-coeffs.get(k, F0) for k in range(span.rank)] + [F1]
         span.insert({**vec, n + span.rank: F1})

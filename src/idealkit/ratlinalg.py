@@ -11,11 +11,9 @@ its dense view) run it and read their answer off the held rows.  The
 remainder, the RREF and the kernel depend only on the span.  ``rank`` and
 ``nullspace`` are adapters from dense rows to the core.
 
-Coordinates need no extra bookkeeping: a caller that wants a vector's
-coordinates in its generators appends a tag column ``ncols + k`` with value
-one to generator ``k``.  A remainder with no column below ``ncols`` means the
-vector lies in the span, and its coordinates are minus the remainder's tag
-entries.
+A caller that wants coordinates in its generators appends a tag column
+``ncols + k`` with value one to generator ``k``; ``coords`` reads a vector's
+coordinates, or None outside the span, off the back-substituted rows.
 
 Over GF(p) it certifies a rank lower bound: a nonzero r x r minor modulo p
 is nonzero over the rationals, so rank_p <= rank_Q always holds.  So the
@@ -75,14 +73,15 @@ class SparseEchelon:
     otherwise integers in GF(p).  Each stored row has pivot value one at its
     leftmost column and no entries left of it, also after ``reduced`` and
     ``sparse_kernel`` back-substitute the rows in place.  ``ncols`` is the
-    width they see; tag columns at or beyond it are for ``insert`` and
-    ``reduce`` only.
+    width they see; tag columns at or beyond it are for ``insert``,
+    ``reduce`` and ``coords`` only.
     """
 
     def __init__(self, ncols: int, p: Optional[int] = None):
         self.ncols = ncols
         self.p = p
         self._rows: dict = {}  # pivot column -> sparse row with pivot value 1
+        self._split: Optional[dict] = None  # coords' table; insert drops it
 
     @property
     def rank(self) -> int:
@@ -110,6 +109,7 @@ class SparseEchelon:
             existing = rows.get(piv)
             f = work[piv]
             if existing is None:
+                self._split = None
                 if p is None:
                     rows[piv] = {c: v / f for c, v in work.items()}
                 else:
@@ -148,6 +148,36 @@ class SparseEchelon:
                 else:
                     del work[c]
         return work
+
+    def coords(self, vec) -> Optional[dict]:
+        """Nonzero tag coordinates {k: c} of a vector with entries below
+        ``ncols``, or None outside the span; over Fraction only.  On
+        back-substituted rows, vec lies in the span exactly when vec minus
+        vec[p]·(row p), summed over its pivot columns p, leaves no entry below
+        ``ncols``; its coordinates, minus ``reduce``'s tag entries, are the sum
+        of vec[p]·(tag entries of row p).  The first call after an insert
+        back-substitutes and splits each row into those two parts."""
+        split = self._split
+        if split is None:
+            self.back_substitute()
+            n = self.ncols
+            split = self._split = {
+                p: ([(c, x) for c, x in row.items() if c < n and c != p],
+                    [(c - n, x) for c, x in row.items() if c >= n])
+                for p, row in self._rows.items()
+            }
+        rest, col = {}, {}
+        for c, v in vec.items() if isinstance(vec, dict) else enumerate(vec):
+            part = split.get(c)
+            if part is None:
+                rest[c] = rest[c] + v if c in rest else v
+                continue
+            off, tags = part
+            for k, w in off:
+                rest[k] = rest[k] - v * w if k in rest else -(v * w)
+            for k, w in tags:
+                col[k] = col[k] + v * w if k in col else v * w
+        return None if any(rest.values()) else {k: c for k, c in col.items() if c}
 
     def back_substitute(self) -> None:
         """Clear each pivot column from every other held row, in place.

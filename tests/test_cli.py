@@ -19,7 +19,7 @@ import idealkit
 from idealkit import cli, witness
 from idealkit.cli import main
 from idealkit.base import MAX_RATIONAL_DIGITS
-from idealkit.catalog import _KINDS, direct_sum, save_algebra, sl, sp_standard
+from idealkit.catalog import _KINDS, direct_sum, make_algebra, save_algebra, sl, sp_standard
 from idealkit.dsl import MAX_NESTING
 from idealkit.seqspace import Pow
 from idealkit.witness import DEFAULT_SCAN_WINDOW, MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
@@ -493,27 +493,49 @@ class TestLieCommands:
     def test_missing_file_exit_two(self):
         assert run_cli(["lie", "simple", "--file", "/nonexistent.json"])[0] == 2
 
-    # sha256 of the whole `lie simple --json` stdout.  The benchmark oracle
-    # accepts either summand as the witness, so only these digests catch a
-    # changed witness, commutant basis or coordinate.
+    # sha256 of the whole `lie simple --json` stdout, or of `lie ideal-gen
+    # --json` when a seed {basis index: coefficient} is given.  The benchmark
+    # oracle accepts either summand as the witness, so only these digests
+    # catch a changed witness, commutant basis or coordinate.  ut-sl(6) and
+    # strictly-upper(5) pin witnesses of the derived-algebra rung; the two
+    # seeds, one inside the sp(3) summand and one mixed, pin coordinates read
+    # off the closure scan's echelon.
     @pytest.mark.parametrize(
-        "algebra,digest",
+        "algebra,seed,digest",
         [
-            (direct_sum(sp_standard(3), sp_standard(2)),
+            (direct_sum(sp_standard(3), sp_standard(2)), None,
              "4ba034fdfea7a354831e5c8816cd50fc1a0ea398f641f4c0df56762fdafbe9da"),
-            (direct_sum(sl(2), sl(3)),
+            (direct_sum(sl(2), sl(3)), None,
              "58920d6ced3814aa7cf2bdc6d3f96333740d0167b708cc61947a7bd3f004e9fc"),
-            (direct_sum(direct_sum(sl(2), sl(2)), sl(2)),
+            (direct_sum(direct_sum(sl(2), sl(2)), sl(2)), None,
              "7c6e469573580aac0ddb9e745ba6aab881bd9128925543ab16743797e850cabb"),
-            (direct_sum(sp_standard(5), sp_standard(5)),
+            (direct_sum(sp_standard(5), sp_standard(5)), None,
              "777c36cd8fbc92513bf4931d8357812fc020c5a116ba5a1a0639ede629bcb807"),
+            (make_algebra("ut-sl", 6), None,
+             "f3919dc7fbeb67acc83b2838073c0c451f4e318da6ab30d7131809a8187a3e44"),
+            (make_algebra("strictly-upper", 5), None,
+             "a0ccae8a40209fadeffde9f0340d69a426ae3f10c7ed601ec086a71f8d9abd7c"),
+            (direct_sum(sp_standard(3), sp_standard(2)), {2: 1, 7: -3, 15: 2},
+             "cc78287c86edbc5cf230239de2ab0fb46dfbd1290948260127ece46f3a83fdeb"),
+            (direct_sum(sp_standard(3), sp_standard(2)), {4: 1, 25: 5},
+             "9c46cc052886dbdaaa91cbeb43513070101523ccce25a69e2c38a80cbbdee823"),
         ],
-        ids=["sp3+sp2", "sl2+sl3", "sl2+sl2+sl2", "sp5+sp5"],
+        ids=["sp3+sp2", "sl2+sl3", "sl2+sl2+sl2", "sp5+sp5", "ut-sl6", "strictly-upper5",
+             "ideal-gen-sp3+sp2-summand", "ideal-gen-sp3+sp2-mixed"],
     )
-    def test_simple_json_bytes_pinned(self, tmp_path, algebra, digest):
+    def test_simple_json_bytes_pinned(self, tmp_path, algebra, seed, digest):
         algebra_file = str(tmp_path / "algebra.json")
         save_algebra(algebra, algebra_file)
-        code, out = run_cli(["lie", "simple", "--file", algebra_file, "--json"])
+        argv = ["lie", "simple", "--file", algebra_file, "--json"]
+        if seed is not None:
+            flats = [algebra.basis[k].flat() for k in seed]
+            element = [sum(c * flat[i] for c, flat in zip(seed.values(), flats))
+                       for i in range(algebra.ambient ** 2)]
+            seeds_file = str(tmp_path / "seeds.json")
+            with open(seeds_file, "w", encoding="utf-8") as fh:
+                json.dump({"elements": [[str(v) for v in element]]}, fh)
+            argv[1:2] = ["ideal-gen", "--seeds", seeds_file]
+        code, out = run_cli(argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

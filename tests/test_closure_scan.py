@@ -23,6 +23,12 @@ from idealkit.dsl import parse_seq
 from idealkit.ratlinalg import F1, RationalMatrix, SparseEchelon, bracket
 
 
+def _coords(span, vec):
+    """Coordinates of vec in span's tagged generators by ``reduce``; None outside."""
+    rem, n = span.reduce(vec), span.ncols
+    return None if any(c < n for c in rem) else {k - n: -c for k, c in rem.items()}
+
+
 def reference_scan(L):
     """(ads, None) for a closed basis, else (None, (i, j, residual)) for the
     first pair in lexicographic order whose bracket leaves the span."""
@@ -30,7 +36,7 @@ def reference_scan(L):
     span = SparseEchelon(n)
     for idx, b in enumerate(L.basis):
         flat = matlie._flat(b)
-        if matlie._coords(span, flat) is not None:
+        if _coords(span, flat) is not None:
             raise InputError(f"{L.name}: basis matrix {idx} depends on earlier ones")
         span.insert({**flat, n + idx: F1})
     d = L.dim
@@ -38,7 +44,7 @@ def reference_scan(L):
     for i in range(d):
         for j in range(i + 1, d):
             flat = matlie._flat(bracket(L.basis[i], L.basis[j]))
-            col = matlie._coords(span, flat)
+            col = _coords(span, flat)
             if col is None:
                 residual = {c: v for c, v in span.reduce(flat).items() if c < n}
                 return None, (i, j, matlie._from_flat(residual, L.ambient, L.ambient))

@@ -378,6 +378,15 @@ class TestIsLieIdeal:
         # basis (E01, E10, H): ad(E01) kills E01, [E10, E01] = -H is the first miss
         assert chk.violation == (1, 0)
 
+    def test_contains_coords_refuses_a_vector_of_the_wrong_length(self):
+        # sl(2) has dim 3; a short vector is not a zero-padded one
+        J = subspace_from_coords(sl(2), [[1, 0, 0]])
+        assert J.contains_coords([F(2), F(0), F(0)])
+        assert not J.contains_coords([F(0), F(1), F(0)])
+        for vec in ([F(1)], [F(1), F(0), F(0), F(0)]):
+            with pytest.raises(ValueError, match="expected 3 coordinates"):
+                J.contains_coords(vec)
+
 
 class TestKilling:
     def test_sl2_rank(self):

@@ -1,6 +1,7 @@
 """Every name has one home: each ``__all__`` entry is defined in its own
 module, and each ``from .m import name`` names the module that defines it.
-The only exceptions are the ``matlie`` bindings that perfbench reads."""
+The only exceptions are the ``matlie`` bindings that perfbench reads.  Span
+membership has one home too: only ``ratlinalg`` reads an echelon's rows."""
 
 from __future__ import annotations
 
@@ -84,3 +85,13 @@ def test_allowlist_is_exactly_what_perfbench_reads():
     for (module, name), reader in ALLOWED.items():
         assert name in (ROOT / reader).read_text(encoding="utf-8"), (name, reader)
         assert callable(getattr(matlie, name))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "ratlinalg"])
+def test_echelon_rows_are_read_in_ratlinalg_only(module):
+    """Span membership and coordinates go through ``SparseEchelon``'s methods:
+    no other module reads the held rows ``_rows`` (a plain name such as
+    matlie's function ``_rows`` is not an attribute read)."""
+    reads = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Attribute) and node.attr == "_rows"]
+    assert reads == []

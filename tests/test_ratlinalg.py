@@ -244,6 +244,65 @@ class TestOneBackwardPass:
         assert red.rank == kern.rank == fresh.rank
 
 
+@st.composite
+def tagged_runs(draw):
+    """(ncols, tagged, ops): Fraction generators below ncols, tagged at
+    ncols + k when tagged, inserted in turn between probes.  A probe is a
+    vector below ncols, or ("combo", coefficients) of the generators inserted
+    so far, which lies in their span."""
+    ncols = draw(st.integers(1, 6))
+    vec = st.dictionaries(st.integers(0, ncols - 1), fractions, max_size=ncols)
+    ops = st.lists(st.tuples(st.just("insert"), vec) | st.tuples(st.just("probe"), vec)
+                   | st.tuples(st.just("combo"), st.lists(fractions, max_size=7)), max_size=12)
+    return ncols, draw(st.booleans()), draw(ops)
+
+
+class TestCoords:
+    """``coords`` answers what ``reduce`` on a fresh echelon of the same rows
+    does: None when the remainder keeps a column below ncols, else minus its
+    tag entries; an insert between two probes drops the read-off table."""
+
+    @given(run=tagged_runs())
+    # a stale table would still answer None after the second insert
+    @example(run=(2, True, [("insert", {0: F(1)}), ("probe", {1: F(1)}),
+                            ("insert", {1: F(2)}), ("probe", {0: F(1), 1: F(1)})]))
+    # dependent generators leave a pivot at a tag column
+    @example(run=(2, True, [("insert", {0: F(1)}), ("insert", {0: F(2)}), ("probe", {0: F(3)})]))
+    @example(run=(3, False, [("insert", {0: F(1), 2: F(1)}), ("combo", [F(2)]),
+                             ("insert", {1: F(1)}), ("probe", {2: F(1)})]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reduce_between_inserts(self, run):
+        ncols, tagged, ops = run
+        ech = SparseEchelon(ncols)
+        gens, held = [], []
+        for kind, arg in ops:
+            if kind == "insert":
+                gens.append(arg)
+                held.append({**arg, ncols + len(gens) - 1: F(1)} if tagged else arg)
+                ech.insert(held[-1])
+                continue
+            if kind == "combo":
+                combo: dict = {}
+                for x, gen in zip(arg, gens):
+                    for c, v in gen.items():
+                        combo[c] = combo.get(c, F(0)) + x * v
+                arg = {c: v for c, v in combo.items() if v}
+            rem = _held(None, ncols, held).reduce(arg)
+            expected = None if any(c < ncols for c in rem) else {
+                c - ncols: -v for c, v in rem.items()}
+            assert ech.coords(arg) == expected
+            if kind == "combo":
+                assert expected is not None
+        # after coords, reduced and sparse_kernel answer as on a fresh echelon
+        expected_red = _outcome(reference_reduced, _held(None, ncols, held))
+        expected_kern = _outcome(reference_sparse_kernel, _held(None, ncols, held))
+        assert _outcome(SparseEchelon.reduced, ech) == expected_red
+        kernel = ech.sparse_kernel()
+        if expected_kern is not KeyError:
+            assert kernel == expected_kern
+        assert ech.rank == _held(None, ncols, held).rank
+
+
 int_matrices = st.lists(
     st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=2, max_size=6
 )
