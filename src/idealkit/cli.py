@@ -235,6 +235,13 @@ def main(argv=None) -> int:
     if 0 < sys.get_int_max_str_digits() < MAX_RATIONAL_DIGITS:
         sys.set_int_max_str_digits(MAX_RATIONAL_DIGITS)
     if argv is None:
+        # A command-line process: freeze the heap at exit, so that shutdown
+        # does not run full cyclic collections over every start-up object.
+        # A caller that passes argv keeps its own gc and atexit state.
+        import atexit
+        import gc
+
+        atexit.register(gc.freeze)
         argv = sys.argv[1:]
     args = _strict_parse(argv)
     if args is None:

@@ -180,7 +180,11 @@ def subspace_from_coords(parent: LieAlgebraPresentation, rows: Sequence[Sequence
 
 def _matrix_coords(L: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) -> List[dict]:
     """Sparse coordinates of the matrices in the basis of L; InputError when
-    one lies outside its span."""
+    one is not ambient x ambient or lies outside its span."""
+    amb = L.ambient
+    for k, m in enumerate(mats):
+        if (m.rows, m.cols) != (amb, amb):
+            raise InputError(f"matrix {k} is {m.rows} x {m.cols}, not {amb} x {amb}")
     span = _structure(L).span
     coords = [span.coords(_flat(m)) for m in mats]
     if None in coords:

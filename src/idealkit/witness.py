@@ -88,6 +88,12 @@ OBLIGATION_NOT_SOFT = "generator_ideal_not_soft_symbolic"
 OBLIGATION_COMMUTATOR = "commutator_nonzero_at_first_index"
 OBLIGATION_TRUNCATION = "truncation_bracket_matches_formula_window"
 OBLIGATION_POOL_CENTRAL = "pool_commutators_all_zero"
+# The obligations each branch proves, in the order a certificate records them.
+_OBLIGATIONS = {
+    "commutator": (OBLIGATION_NOT_FINITE_RANK, OBLIGATION_NOT_SOFT, OBLIGATION_COMMUTATOR,
+                   OBLIGATION_TRUNCATION),
+    "central": (OBLIGATION_NOT_FINITE_RANK, OBLIGATION_NOT_SOFT, OBLIGATION_POOL_CENTRAL),
+}
 
 
 class CertificateError(InputError):
@@ -102,15 +108,22 @@ class ShiftModel(Frozen):
         vars(self).update(weights=weights, truncation=truncation)
 
 
-def shift_matrix(model: ShiftModel) -> RationalMatrix:
-    """N x N truncation: weight i at entry (i+1, i), 1-based."""
+def _exact_weights(model: ShiftModel) -> list:
+    """Weights 1..N-1 of the N x N truncation, exactly."""
     ensure_valid(model.weights)
     if not has_exact_eval(model.weights):
         raise CertificateError("shift model needs exactly evaluable weights")
-    n = model.truncation
-    return RationalMatrix.from_nonzeros(
-        n, n, {(i, i - 1): eval_at(model.weights, i) for i in range(1, n)}
-    )
+    return [eval_at(model.weights, i) for i in range(1, model.truncation)]
+
+
+def _lower_shift(weights: list) -> RationalMatrix:
+    n = len(weights) + 1
+    return RationalMatrix.from_nonzeros(n, n, {(i, i - 1): x for i, x in enumerate(weights, 1)})
+
+
+def shift_matrix(model: ShiftModel) -> RationalMatrix:
+    """N x N truncation: weight i at entry (i+1, i), 1-based."""
+    return _lower_shift(_exact_weights(model))
 
 
 class ShiftBracket(Frozen):
@@ -189,17 +202,21 @@ class Certificate(Frozen):
         return None
 
 
-def _truncation_window_agrees(t: ShiftModel, s: ShiftModel, br: ShiftBracket) -> bool:
+def _truncation_window_agrees(t: ShiftModel, s: ShiftModel) -> bool:
     """Matrix bracket of the truncations versus the closed formula: every
     stored nonzero must sit at (i+1, i-1), and each interior index
     i = 1..N-2 must carry the formula's weight there.  Those indices are all
     the positions (i+1, i-1) of an N x N matrix, so a product that is wrong
-    anywhere fails the check."""
-    n = t.truncation
-    a = bracket(shift_matrix(t), shift_matrix(ShiftModel(s.weights, n))).nonzeros()
+    anywhere fails the check.  Each weight is evaluated once, for both the
+    matrices and the formula."""
+    w = _exact_weights(t)
+    v = _exact_weights(ShiftModel(s.weights, t.truncation))
+    a = bracket(_lower_shift(w), _lower_shift(v)).nonzeros()
     if any(r != c + 2 for r, c in a):
         return False
-    return all(a.get((i + 1, i - 1), 0) == br.weight_at(i) for i in range(1, n - 1))
+    # w[i] is weight i+1, so the formula's a_i = v_i w_{i+1} - w_i v_{i+1}
+    return all(a.get((i + 1, i - 1), 0) == v[i - 1] * w[i] - w[i - 1] * v[i]
+               for i in range(1, len(w)))
 
 
 def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
@@ -265,6 +282,10 @@ def _weight_bits(expr: SequenceExpr, n: int) -> int:
     raise TypeError(type(expr).__name__)
 
 
+def _central_mode(brackets: Sequence[ShiftBracket]) -> str:
+    return "structural" if all(br.proven_zero for br in brackets) else "window"
+
+
 def build_certificate(
     generator: ShiftModel, pool: Sequence[ShiftModel], scan_window: int = DEFAULT_SCAN_WINDOW
 ) -> Certificate:
@@ -292,68 +313,41 @@ def build_certificate(
     if not has_exact_eval(generator.weights):
         raise CertificateError("certificates need exactly evaluable generator weights")
 
-    obligations = [
-        (OBLIGATION_NOT_FINITE_RANK, True),
-        (OBLIGATION_NOT_SOFT, True),
-    ]
-    pool_brackets = []
-    for s in pool:
-        br = shift_bracket(generator.weights, s.weights, scan_window)
-        pool_brackets.append(br)
-        if not br.all_zero:
-            index, value = br.first_nonzero
-            if not fits_digit_cap(value):  # a certificate file could not hold it
-                raise CertificateError(f"commutator weight {index} has more than "
-                                       f"{MAX_RATIONAL_DIGITS} digits in its numerator or "
-                                       "denominator")
-            agrees = _truncation_window_agrees(generator, s, br)
-            obligations.append((OBLIGATION_COMMUTATOR, True))
-            obligations.append((OBLIGATION_TRUNCATION, agrees))
-            if not agrees:
-                raise CertificateError("truncation bracket disagrees with the weight formula")
-            return Certificate(
-                schema_version=SCHEMA_VERSION,
-                generator=generator,
-                softness=soft,
-                branch="commutator",
-                partner=s,
-                pool=tuple(pool),
-                first_index=index,
-                first_value=value,
-                scan_window=scan_window,
-                obligations=tuple(obligations),
-                conclusion=(
-                    "the Lie ideal generated by the commutator A = [T, S] is "
-                    "nonzero and does not contain T, so no Lie algebra "
-                    "containing T and S is simple"
-                ),
-            )
-    obligations.append((OBLIGATION_POOL_CENTRAL, True))
-    mode = "structural" if all(br.proven_zero for br in pool_brackets) else "window"
-    how = (
-        "proportional weights, proven for every index"
-        if mode == "structural"
-        else f"verified on the first {scan_window} commutator weights only"
-    )
-    return Certificate(
-        schema_version=SCHEMA_VERSION,
-        generator=generator,
-        softness=soft,
-        branch="central",
-        partner=None,
-        pool=tuple(pool),
-        first_index=None,
-        first_value=None,
-        scan_window=scan_window,
-        obligations=tuple(obligations),
-        conclusion=(
+    brackets, partner = [], None
+    for s in pool:  # the first partner that does not commute is the one used
+        brackets.append(shift_bracket(generator.weights, s.weights, scan_window))
+        if not brackets[-1].all_zero:
+            partner = s
+            break
+    index, value = brackets[-1].first_nonzero or (None, None)
+    if partner is not None:
+        branch, mode = "commutator", None
+        if not fits_digit_cap(value):  # a certificate file could not hold it
+            raise CertificateError(f"commutator weight {index} has more than "
+                                   f"{MAX_RATIONAL_DIGITS} digits in its numerator or "
+                                   "denominator")
+        if not _truncation_window_agrees(generator, partner):
+            raise CertificateError("truncation bracket disagrees with the weight formula")
+        conclusion = (
+            "the Lie ideal generated by the commutator A = [T, S] is nonzero and "
+            "does not contain T, so no Lie algebra containing T and S is simple"
+        )
+    else:
+        branch, mode = "central", _central_mode(brackets)
+        how = (
+            "proportional weights, proven for every index"
+            if mode == "structural"
+            else f"verified on the first {scan_window} commutator weights only"
+        )
+        conclusion = (
             "T commutes with every partner in the recorded pool "
             f"({how}); in any Lie algebra where T is central, span(T) is a "
             "proper nonzero Lie ideal (this certificate is conditional on "
             "the recorded pool)"
-        ),
-        central_mode=mode,
-    )
+        )
+    return Certificate(SCHEMA_VERSION, generator, soft, branch, partner, tuple(pool), index,
+                       value, scan_window, tuple((name, True) for name in _OBLIGATIONS[branch]),
+                       conclusion, mode)
 
 
 def verify_certificate(cert: Certificate) -> Verdict:
@@ -361,19 +355,13 @@ def verify_certificate(cert: Certificate) -> Verdict:
     failures: List[str] = []
 
     if cert.schema_version != SCHEMA_VERSION:
-        return Verdict(
-            Status.FAILS,
-            cert.softness.method,
-            {"failed_obligation": "schema_version", "found": cert.schema_version},
-        )
+        return Verdict(Status.FAILS, cert.softness.method,
+                       {"failed_obligation": "schema_version", "found": cert.schema_version})
 
     # (a) softness: the stored verdict must claim a symbolically proven
     # failure, and the re-derivation must agree
     soft = is_soft(Principal(cert.generator.weights))
-    stored_ok = (
-        cert.softness.status is Status.FAILS
-        and cert.softness.method is Method.SYMBOLIC
-    )
+    stored_ok = cert.softness.status is Status.FAILS and cert.softness.method is Method.SYMBOLIC
     if not (stored_ok and soft.fails and soft.proven):
         failures.append(OBLIGATION_NOT_SOFT)
     if support(cert.generator.weights) is not None:
@@ -383,55 +371,39 @@ def verify_certificate(cert: Certificate) -> Verdict:
         if cert.partner is None or cert.first_index is None or cert.first_value is None:
             failures.append(OBLIGATION_COMMUTATOR)
         else:
-            br = ShiftBracket(
-                cert.generator.weights, cert.partner.weights, None, False, cert.scan_window
-            )
-            # (b) stored value is exact, nonzero, and genuinely the first
-            value = br.weight_at(cert.first_index)
-            if value == 0 or value != cert.first_value:
+            # (c) before (b): inexact weights are refused as a shift model
+            agrees = _truncation_window_agrees(cert.generator, cert.partner)
+            # (b) the stored value is exact, nonzero, and genuinely the first
+            br = shift_bracket(cert.generator.weights, cert.partner.weights, cert.scan_window)
+            if br.first_nonzero != (cert.first_index, cert.first_value):
                 failures.append(OBLIGATION_COMMUTATOR)
-            elif any(br.weight_at(n) != 0 for n in range(1, cert.first_index)):
-                failures.append(OBLIGATION_COMMUTATOR)
-            # (c) truncated bracket window
-            if not _truncation_window_agrees(cert.generator, cert.partner, br):
+            if not agrees:
                 failures.append(OBLIGATION_TRUNCATION)
     elif cert.branch == "central":
-        modes = []
+        brackets = []
         for s in cert.pool:
-            br = shift_bracket(cert.generator.weights, s.weights, cert.scan_window)
-            if not br.all_zero:
-                failures.append(OBLIGATION_POOL_CENTRAL)
+            brackets.append(shift_bracket(cert.generator.weights, s.weights, cert.scan_window))
+            if not brackets[-1].all_zero:
                 break
-            modes.append("structural" if br.proven_zero else "window")
-        else:
-            recomputed = "structural" if all(m == "structural" for m in modes) else "window"
-            # an empty pool would make T central vacuously
-            if not cert.pool or cert.central_mode != recomputed:
-                failures.append(OBLIGATION_POOL_CENTRAL)
+        # an empty pool would make T central vacuously
+        mode = _central_mode(brackets)
+        if not cert.pool or not brackets[-1].all_zero or cert.central_mode != mode:
+            failures.append(OBLIGATION_POOL_CENTRAL)
     else:
         failures.append("branch")
 
-    # (d) checklist complete and affirmative
-    required = {OBLIGATION_NOT_FINITE_RANK, OBLIGATION_NOT_SOFT}
-    if cert.branch == "commutator":
-        required |= {OBLIGATION_COMMUTATOR, OBLIGATION_TRUNCATION}
-    else:
-        required |= {OBLIGATION_POOL_CENTRAL}
+    # (d) checklist complete and affirmative; an unknown branch, already a
+    # failure, is held to the central checklist
+    required = _OBLIGATIONS.get(cert.branch, _OBLIGATIONS["central"])
     recorded = {name for name, _ in cert.obligations}
-    if not required <= recorded or any(not ok for _, ok in cert.obligations):
+    if not recorded.issuperset(required) or any(not ok for _, ok in cert.obligations):
         failures.append("obligation_checklist")
 
     if failures:
-        return Verdict(
-            Status.FAILS,
-            soft.method,
-            {"failed_obligation": failures[0], "all_failures": failures},
-        )
-    return Verdict(
-        Status.HOLDS,
-        soft.method,
-        {"branch": cert.branch, "obligations": [name for name, _ in cert.obligations]},
-    )
+        return Verdict(Status.FAILS, soft.method,
+                       {"failed_obligation": failures[0], "all_failures": failures})
+    return Verdict(Status.HOLDS, soft.method,
+                   {"branch": cert.branch, "obligations": [name for name, _ in cert.obligations]})
 
 
 # ---------------------------------------------------------------------------

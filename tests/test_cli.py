@@ -839,6 +839,48 @@ def test_module_run_imports_cli_once():
     assert out.stderr.splitlines()[-1] == "1"
 
 
+# Runs cli.main once, with the argv list in argv[1] (JSON; null reads
+# sys.argv), and prints how many atexit callbacks the call registered.
+_EXIT_FREEZE_PROBE = """
+import atexit, io, json, sys
+from contextlib import redirect_stdout
+from idealkit import cli
+
+argv = json.loads(sys.argv[1])
+sys.argv = ["idealkit", "seq", "signature", "pow:1"]
+before = atexit._ncallbacks()
+with redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+print(atexit._ncallbacks() - before)
+"""
+
+
+@pytest.mark.parametrize("argv,registered", [
+    (None, 1),
+    (["seq", "signature", "pow:1"], 0),
+])
+def test_exit_freeze_only_for_command_line_calls(argv, registered):
+    """main() reading sys.argv registers gc.freeze at exit; main(argv), the
+    library and test entry, leaves atexit (and so gc) untouched."""
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    out = subprocess.run(
+        [sys.executable, "-c", _EXIT_FREEZE_PROBE, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{registered}\n"
+
+
+def test_witness_build_file_is_complete_after_exit(tmp_path):
+    path = tmp_path / "cert.json"
+    out = _run_bounded(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+                        "--truncation", "16", "-o", str(path)])
+    assert out.returncode == 0, out.stderr
+    cert = witness.load_certificate(str(path))
+    assert cert.branch == "commutator"
+    assert witness.verify_certificate(cert).holds
+
+
 def test_package_import_reaches_submodules():
     env = dict(os.environ, PYTHONPATH=_src_dir())
     probe = "import idealkit; print(idealkit.catalog.sl(3).dim)"

@@ -387,6 +387,21 @@ class TestIsLieIdeal:
             with pytest.raises(ValueError, match="expected 3 coordinates"):
                 J.contains_coords(vec)
 
+    @pytest.mark.parametrize("matrix,shape", [
+        (RationalMatrix.unit(3, 0, 1), "3 x 3"),
+        (RationalMatrix.from_nonzeros(1, 4, {(0, 1): 1}), "1 x 4"),
+        (RationalMatrix.unit(3, 2, 2), "3 x 3"),
+    ])
+    def test_matrix_of_another_shape_is_refused(self, matrix, shape):
+        # read through its flat index, the first two would pass for sl(2)'s E01
+        from idealkit.base import InputError
+
+        algebra = sl(2)
+        seeds = [algebra.basis[0], matrix]
+        for call in (lie_ideal_generated, subspace_from_matrices):
+            with pytest.raises(InputError, match=f"matrix 1 is {shape}, not 2 x 2"):
+                call(algebra, seeds)
+
 
 class TestKilling:
     def test_sl2_rank(self):

@@ -305,6 +305,133 @@ class TestVerify:
         assert verify_certificate(restored).holds
 
 
+_COMMUTATOR_CHECKLIST = [
+    "generator_not_finite_rank",
+    "generator_ideal_not_soft_symbolic",
+    "commutator_nonzero_at_first_index",
+    "truncation_bracket_matches_formula_window",
+]
+_CENTRAL_CHECKLIST = [
+    "generator_not_finite_rank",
+    "generator_ideal_not_soft_symbolic",
+    "pool_commutators_all_zero",
+]
+_COMM, _SOFT = "commutator_nonzero_at_first_index", "generator_ideal_not_soft_symbolic"
+_POOL, _LIST = "pool_commutators_all_zero", "obligation_checklist"
+
+
+def _fails(*names):
+    return {"status": "Fails", "method": "SymbolicProven",
+            "evidence": {"failed_obligation": names[0], "all_failures": list(names)}}
+
+
+def _holds(branch):
+    checklist = _COMMUTATOR_CHECKLIST if branch == "commutator" else _CENTRAL_CHECKLIST
+    return {"status": "Holds", "method": "SymbolicProven",
+            "evidence": {"branch": branch, "obligations": checklist}}
+
+
+_INEXACT_MODEL = "error: shift model needs exactly evaluable weights"
+_INEXACT_BRACKET = "error: shift brackets need exactly evaluable weights"
+_POW2_AT_8 = {"truncation": 8, "weights": "pow:2"}
+
+
+class TestTamperTable:
+    """One stored field changed at a time.  Each outcome, the verdict JSON
+    (with the order of all_failures) or the error line the CLI prints, is
+    pinned: a change to verify must keep every one."""
+
+    @staticmethod
+    def _base(name):
+        if name == "pinned":
+            return json.loads(json.dumps(PINNED_CERTIFICATE))
+        if name == "central":
+            pool = [ShiftModel(Scale(3, Pow(1)), 8), ShiftModel(Scale(F(1, 7), Pow(1)), 8)]
+            return certificate_to_json(build_certificate(ShiftModel(Pow(1), 8), pool))
+        partner = TestBuildCertificate._prefix_copy_partner()
+        return certificate_to_json(
+            build_certificate(ShiftModel(Pow(1), 32), [ShiftModel(partner, 32)], scan_window=9)
+        )
+
+    @pytest.mark.parametrize("base,path,value,expected", [
+        ("pinned", ("branch",), "central", _fails(_POOL, _LIST)),
+        ("pinned", ("branch",), "bogus", _fails("branch", _LIST)),
+        ("pinned", ("partner", "weights"), "pow:2", _fails(_COMM)),
+        ("pinned", ("partner", "weights"), "scale:7;pow:1", _fails(_COMM)),
+        ("pinned", ("partner", "weights"), "powlog:1,1", _INEXACT_MODEL),
+        ("pinned", ("partner", "weights"), "pow:1/2", _INEXACT_MODEL),
+        ("pinned", ("partner", "truncation"), 8, _holds("commutator")),
+        ("pinned", ("partner", "truncation"), 2, "error: truncation 2 is below the minimum 3"),
+        ("pinned", ("partner", "truncation"), MAX_TRUNCATION + 1,
+         "error: truncation 16385 exceeds the limit 16384"),
+        ("pinned", ("partner",), None, _fails(_COMM)),
+        ("pinned", ("first_nonzero", "index"), 2, _fails(_COMM)),
+        ("pinned", ("first_nonzero", "index"), 1025,
+         "error: first nonzero index 1025 lies outside 1..1024"),
+        ("pinned", ("first_nonzero", "value"), "1/5", _fails(_COMM)),
+        ("pinned", ("first_nonzero", "value"), "0", _fails(_COMM)),
+        ("pinned", ("first_nonzero",), None, _fails(_COMM)),
+        ("pinned", ("scan_window",), 1, _holds("commutator")),
+        ("pinned", ("scan_window",), 0, "error: scan window 0 is below the minimum 1"),
+        ("pinned", ("scan_window",), MAX_SCAN_WINDOW + 1,
+         "error: scan window 65537 exceeds the limit 65536"),
+        ("pinned", ("obligations", 0, "passed"), False, _fails(_LIST)),
+        ("pinned", ("obligations", 1, "passed"), False, _fails(_LIST)),
+        ("pinned", ("obligations", 2, "passed"), False, _fails(_LIST)),
+        ("pinned", ("obligations", 3, "passed"), False, _fails(_LIST)),
+        ("pinned", ("obligations", 3, "name"), "bogus", _fails(_LIST)),
+        ("pinned", ("central_mode",), "structural", _holds("commutator")),
+        ("pinned", ("pool",), [], _holds("commutator")),
+        ("pinned", ("pool", 0, "weights"), "powlog:1,1", _holds("commutator")),
+        ("pinned", ("generator", "weights"), "exp:1/2", _fails(_SOFT, _COMM)),
+        ("pinned", ("generator", "weights"), "powlog:1,1", _INEXACT_MODEL),
+        ("pinned", ("generator", "weights"), "pow:1/2", _INEXACT_MODEL),
+        ("pinned", ("generator", "truncation"), 16, _holds("commutator")),
+        ("pinned", ("softness", "status"), "Holds", _fails(_SOFT)),
+        ("central", ("branch",), "commutator", _fails(_COMM, _LIST)),
+        ("central", ("branch",), "bogus", _fails("branch")),
+        ("central", ("partner",), _POW2_AT_8, _holds("central")),
+        ("central", ("first_nonzero",), {"index": 1, "value": "1/4"}, _holds("central")),
+        ("central", ("scan_window",), 1, _holds("central")),
+        ("central", ("obligations", 0, "passed"), False, _fails(_LIST)),
+        ("central", ("obligations", 1, "passed"), False, _fails(_LIST)),
+        ("central", ("obligations", 2, "passed"), False, _fails(_LIST)),
+        ("central", ("obligations", 2, "name"), "bogus", _fails(_LIST)),
+        ("central", ("central_mode",), "window", _fails(_POOL)),
+        ("central", ("central_mode",), None, _fails(_POOL)),
+        ("central", ("central_mode",), "bogus", _fails(_POOL)),
+        ("central", ("pool",), [], _fails(_POOL)),
+        ("central", ("pool", 0, "weights"), "pow:2", _fails(_POOL)),
+        ("central", ("pool", 1, "weights"), "pow:2", _fails(_POOL)),
+        ("central", ("pool", 0, "weights"), "powlog:1,1", _INEXACT_BRACKET),
+        ("central", ("pool", 1, "weights"), "powlog:1,1", _INEXACT_BRACKET),
+        # the scan stops at the first partner that does not commute
+        ("central", ("pool",), [_POW2_AT_8, {"truncation": 8, "weights": "powlog:1,1"}],
+         _fails(_POOL)),
+        ("central", ("pool", 0, "truncation"), 2, "error: truncation 2 is below the minimum 3"),
+        ("window", ("central_mode",), "structural", _fails(_POOL)),
+        ("window", ("scan_window",), 10, _fails(_POOL)),
+        ("window", ("scan_window",), 8, _holds("central")),
+    ])
+    def test_one_field_changed(self, base, path, value, expected):
+        payload = self._base(base)
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            outcome = verify_certificate(certificate_from_json(payload)).to_json()
+        except CertificateError as exc:
+            outcome = f"error: {exc}"
+        assert outcome == expected
+
+    @pytest.mark.parametrize("base", ["pinned", "central", "window"])
+    def test_unchanged_base_holds(self, base):
+        payload = self._base(base)
+        branch = payload["branch"]
+        assert verify_certificate(certificate_from_json(payload)).to_json() == _holds(branch)
+
+
 class TestHypothesisGateInvariant:
     def test_no_certificate_with_soft_generator(self):
         soft_weights = [Exp(F(1, 2)), Exp(F(9, 10)), FiniteSupport([1])]
