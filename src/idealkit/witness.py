@@ -9,11 +9,12 @@ make the commutator exactly computable from weight sequences: for forward
 shifts with weights w and v, [T_w, T_v] is a two-step shift with weights
 a_n = v_n * w_{n+1} - w_n * v_{n+1}.
 
-A certificate stores the generator, the softness verdict, the chosen
-partner (or the recorded pool when everything commutes), the first nonzero
+A certificate stores the generator, its softness verdict, a pool of partners,
+the first of them that does not commute (if any) with its first nonzero
 commutator weight, and finite truncation evidence.  Verification re-derives
-every obligation from stored data alone.  The truncations corroborate; they
-are never claimed to prove the infinite-dimensional statement by themselves.
+the whole certificate from the generator, pool and scan window alone and
+compares every stored field.  The truncations corroborate; they are never
+claimed to prove the infinite-dimensional statement by themselves.
 """
 
 from __future__ import annotations
@@ -282,8 +283,34 @@ def _weight_bits(expr: SequenceExpr, n: int) -> int:
     raise TypeError(type(expr).__name__)
 
 
-def _central_mode(brackets: Sequence[ShiftBracket]) -> str:
-    return "structural" if all(br.proven_zero for br in brackets) else "window"
+def _derive(generator: ShiftModel, pool: Sequence[ShiftModel], scan_window: int,
+            softness: Verdict) -> Certificate:
+    """The certificate these inputs determine.  The partner is the first pool
+    entry whose commutator with the generator is nonzero on the scan window,
+    and no later entry is evaluated; with none the branch is central, in mode
+    "structural" when every commutator vanishes by proportionality and
+    "window" when its vanishing was only scanned."""
+    brackets, partner = [], None
+    for s in pool:
+        brackets.append(shift_bracket(generator.weights, s.weights, scan_window))
+        if not brackets[-1].all_zero:
+            partner = s
+            break
+    if partner is not None:
+        branch, mode, (index, value) = "commutator", None, brackets[-1].first_nonzero
+        conclusion = ("the Lie ideal generated by the commutator A = [T, S] is nonzero and "
+                      "does not contain T, so no Lie algebra containing T and S is simple")
+    else:
+        branch, index, value = "central", None, None
+        mode = "structural" if all(br.proven_zero for br in brackets) else "window"
+        how = ("proportional weights, proven for every index" if mode == "structural"
+               else f"verified on the first {scan_window} commutator weights only")
+        conclusion = (f"T commutes with every partner in the recorded pool ({how}); in any "
+                      "Lie algebra where T is central, span(T) is a proper nonzero Lie ideal "
+                      "(this certificate is conditional on the recorded pool)")
+    return Certificate(SCHEMA_VERSION, generator, softness, branch, partner, tuple(pool), index,
+                       value, scan_window, tuple((name, True) for name in _OBLIGATIONS[branch]),
+                       conclusion, mode)
 
 
 def build_certificate(
@@ -296,12 +323,8 @@ def build_certificate(
     _check_limits([generator, *pool], scan_window)
     # Round-trip all weights through their text form first, so every decision
     # below is made on exactly the structures the certificate will store.
-    generator = ShiftModel(
-        dsl.parse_seq(dsl.format_seq(generator.weights)), generator.truncation
-    )
-    pool = [
-        ShiftModel(dsl.parse_seq(dsl.format_seq(s.weights)), s.truncation) for s in pool
-    ]
+    generator, *pool = [ShiftModel(dsl.parse_seq(dsl.format_seq(s.weights)), s.truncation)
+                        for s in (generator, *pool)]
     soft = is_soft(Principal(generator.weights))
     if not (soft.fails and soft.proven):
         raise CertificateError(
@@ -312,93 +335,46 @@ def build_certificate(
         raise CertificateError("hypothesis gate: the generator must have infinite rank")
     if not has_exact_eval(generator.weights):
         raise CertificateError("certificates need exactly evaluable generator weights")
-
-    brackets, partner = [], None
-    for s in pool:  # the first partner that does not commute is the one used
-        brackets.append(shift_bracket(generator.weights, s.weights, scan_window))
-        if not brackets[-1].all_zero:
-            partner = s
-            break
-    index, value = brackets[-1].first_nonzero or (None, None)
-    if partner is not None:
-        branch, mode = "commutator", None
-        if not fits_digit_cap(value):  # a certificate file could not hold it
-            raise CertificateError(f"commutator weight {index} has more than "
+    cert = _derive(generator, pool, scan_window, soft)
+    if cert.partner is not None:
+        if not fits_digit_cap(cert.first_value):  # a certificate file could not hold it
+            raise CertificateError(f"commutator weight {cert.first_index} has more than "
                                    f"{MAX_RATIONAL_DIGITS} digits in its numerator or "
                                    "denominator")
-        if not _truncation_window_agrees(generator, partner):
+        if not _truncation_window_agrees(generator, cert.partner):
             raise CertificateError("truncation bracket disagrees with the weight formula")
-        conclusion = (
-            "the Lie ideal generated by the commutator A = [T, S] is nonzero and "
-            "does not contain T, so no Lie algebra containing T and S is simple"
-        )
-    else:
-        branch, mode = "central", _central_mode(brackets)
-        how = (
-            "proportional weights, proven for every index"
-            if mode == "structural"
-            else f"verified on the first {scan_window} commutator weights only"
-        )
-        conclusion = (
-            "T commutes with every partner in the recorded pool "
-            f"({how}); in any Lie algebra where T is central, span(T) is a "
-            "proper nonzero Lie ideal (this certificate is conditional on "
-            "the recorded pool)"
-        )
-    return Certificate(SCHEMA_VERSION, generator, soft, branch, partner, tuple(pool), index,
-                       value, scan_window, tuple((name, True) for name in _OBLIGATIONS[branch]),
-                       conclusion, mode)
+    return cert
 
 
 def verify_certificate(cert: Certificate) -> Verdict:
-    """Re-derive every obligation from stored data; Holds only if all pass."""
-    failures: List[str] = []
-
+    """Re-derive the certificate from its generator, pool and scan window and
+    compare every stored field; Holds only if all of them agree."""
     if cert.schema_version != SCHEMA_VERSION:
         return Verdict(Status.FAILS, cert.softness.method,
                        {"failed_obligation": "schema_version", "found": cert.schema_version})
-
-    # (a) softness: the stored verdict must claim a symbolically proven
-    # failure, and the re-derivation must agree
+    # the stored partner's truncation check first: inexact weights are
+    # refused as a shift model
+    agrees = cert.partner is None or _truncation_window_agrees(cert.generator, cert.partner)
     soft = is_soft(Principal(cert.generator.weights))
-    stored_ok = cert.softness.status is Status.FAILS and cert.softness.method is Method.SYMBOLIC
-    if not (stored_ok and soft.fails and soft.proven):
+    derived = _derive(cert.generator, cert.pool, cert.scan_window, soft)
+    failures: List[str] = []
+    if not (soft.fails and soft.proven) or cert.softness.to_json() != soft.to_json():
         failures.append(OBLIGATION_NOT_SOFT)
     if support(cert.generator.weights) is not None:
         failures.append(OBLIGATION_NOT_FINITE_RANK)
-
-    if cert.branch == "commutator":
-        if cert.partner is None or cert.first_index is None or cert.first_value is None:
-            failures.append(OBLIGATION_COMMUTATOR)
-        else:
-            # (c) before (b): inexact weights are refused as a shift model
-            agrees = _truncation_window_agrees(cert.generator, cert.partner)
-            # (b) the stored value is exact, nonzero, and genuinely the first
-            br = shift_bracket(cert.generator.weights, cert.partner.weights, cert.scan_window)
-            if br.first_nonzero != (cert.first_index, cert.first_value):
-                failures.append(OBLIGATION_COMMUTATOR)
-            if not agrees:
-                failures.append(OBLIGATION_TRUNCATION)
-    elif cert.branch == "central":
-        brackets = []
-        for s in cert.pool:
-            brackets.append(shift_bracket(cert.generator.weights, s.weights, cert.scan_window))
-            if not brackets[-1].all_zero:
-                break
-        # an empty pool would make T central vacuously
-        mode = _central_mode(brackets)
-        if not cert.pool or not brackets[-1].all_zero or cert.central_mode != mode:
-            failures.append(OBLIGATION_POOL_CENTRAL)
-    else:
-        failures.append("branch")
-
-    # (d) checklist complete and affirmative; an unknown branch, already a
-    # failure, is held to the central checklist
+    # every other field but the checklist is the branch's to prove; an empty
+    # pool would make T central vacuously
+    if not cert.pool or any(getattr(cert, f) != getattr(derived, f) for f in Certificate._fields
+                            if f not in ("softness", "obligations")):
+        failures.append({"commutator": OBLIGATION_COMMUTATOR,
+                         "central": OBLIGATION_POOL_CENTRAL}.get(cert.branch, "branch"))
+    if not agrees:
+        failures.append(OBLIGATION_TRUNCATION)
+    # the stored branch's checklist, affirmative and in order; an unknown
+    # branch, already a failure, is held to the central checklist
     required = _OBLIGATIONS.get(cert.branch, _OBLIGATIONS["central"])
-    recorded = {name for name, _ in cert.obligations}
-    if not recorded.issuperset(required) or any(not ok for _, ok in cert.obligations):
+    if cert.obligations != tuple((name, True) for name in required):
         failures.append("obligation_checklist")
-
     if failures:
         return Verdict(Status.FAILS, soft.method,
                        {"failed_obligation": failures[0], "all_failures": failures})
@@ -433,8 +409,23 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+_JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _typed(value, kind: type, what: str, nullable: bool = False):
+    """value if its type is exactly kind (so a boolean is no integer), or it
+    is None where nullable; otherwise the certificate is malformed."""
+    if type(value) is kind or (nullable and value is None):
+        return value
+    wanted = _JSON_TYPES[kind] + (" or null" if nullable else "")
+    raise CertificateError(f"malformed certificate: {what} must be {wanted}, "
+                           f"got {json.dumps(value, default=str):.40}")
+
+
 def _shift_from_json(obj: dict) -> ShiftModel:
-    return ShiftModel(dsl.parse_seq(obj["weights"]), int(obj["truncation"]))
+    return ShiftModel(dsl.parse_seq(_typed(obj["weights"], str, "weights")),
+                      _typed(obj["truncation"], int, "truncation"))
 
 
 def certificate_from_json(obj: dict) -> Certificate:
@@ -446,24 +437,26 @@ def certificate_from_json(obj: dict) -> Certificate:
         softness = Verdict(
             Status(soft_obj["status"]),
             Method(soft_obj["method"]),
-            soft_obj.get("evidence", {}),
+            _typed(soft_obj.get("evidence", {}), dict, "evidence"),
         )
         first = obj["first_nonzero"]
         cert = Certificate(
             schema_version=version,
             generator=_shift_from_json(obj["generator"]),
             softness=softness,
-            branch=obj["branch"],
+            branch=_typed(obj["branch"], str, "branch"),
             partner=None if obj["partner"] is None else _shift_from_json(obj["partner"]),
-            pool=tuple(_shift_from_json(s) for s in obj["pool"]),
-            first_index=None if first is None else int(first["index"]),
-            first_value=None if first is None else parse_rational(str(first["value"])),
-            scan_window=int(obj["scan_window"]),
+            pool=tuple(_shift_from_json(s) for s in _typed(obj["pool"], list, "pool")),
+            first_index=None if first is None else _typed(first["index"], int, "index"),
+            first_value=None if first is None
+            else parse_rational(_typed(first["value"], str, "value")),
+            scan_window=_typed(obj["scan_window"], int, "scan_window"),
             obligations=tuple(
-                (entry["name"], bool(entry["passed"])) for entry in obj["obligations"]
+                (_typed(entry["name"], str, "name"), _typed(entry["passed"], bool, "passed"))
+                for entry in _typed(obj["obligations"], list, "obligations")
             ),
-            conclusion=obj["conclusion"],
-            central_mode=obj.get("central_mode"),
+            conclusion=_typed(obj["conclusion"], str, "conclusion"),
+            central_mode=_typed(obj.get("central_mode"), str, "central_mode", nullable=True),
         )
     except CertificateError:
         raise

@@ -634,6 +634,34 @@ class TestWitnessCommands:
         assert err.startswith("error: ") and "exceeds the limit" in err
 
 
+    # sha256 of the whole stdout of `witness build --json` and of `witness
+    # verify --json` on the file it wrote, for a commutator certificate (a
+    # commuting pool entry before the partner) and both central modes
+    @pytest.mark.parametrize(
+        "args,build_digest,verify_digest",
+        [
+            (["--partner", "scale:3;pow:1", "--partner", "pow:2", "--truncation", "16"],
+             "e72cc04788df5bdb1e9ad230afe8bf90cc21dfe5538efad75dbab5fdd3d5f0e2",
+             "376631bcc6bc3d9ab10d31b6c01e9509093aeba60d54a847e67302782bbd43f1"),
+            (["--partner", "scale:3;pow:1", "--partner", "scale:1/7;pow:1", "--truncation", "8"],
+             "0554d1659176e4a8a1938598cc8eb3b92f29fc15fe60e20602751293509f80f7",
+             "aed4e0f20e1affb62941ffefeea9c9ea5841a8f6fe22ee10aff37090f8c683f3"),
+            (["--partner", "exp:1/2", "--window", "1", "--truncation", "8"],
+             "a25e0fb542d4ee138353ad4e2485a4244c90cfb2bb925e2d985ca9ccd422b8d2",
+             "aed4e0f20e1affb62941ffefeea9c9ea5841a8f6fe22ee10aff37090f8c683f3"),
+        ],
+        ids=["commutator", "central-structural", "central-window"],
+    )
+    def test_json_bytes_pinned(self, tmp_path, args, build_digest, verify_digest):
+        cert_file = str(tmp_path / "cert.json")
+        code, out = run_cli(["witness", "build", "--generator", "pow:1", *args, "--json",
+                             "-o", cert_file])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == build_digest
+        code, out = run_cli(["witness", "verify", "--file", cert_file, "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == verify_digest
+
     @pytest.mark.parametrize("window", [0, -5])
     def test_verify_refuses_a_scan_window_below_one(self, window, tmp_path, monkeypatch, capsys):
         # the central certificate that an unchecked window built: its scan

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from idealkit import cli
 from idealkit.ratlinalg import bracket
 from idealkit.seqspace import (
     Exp,
@@ -167,7 +168,7 @@ class TestBuildCertificate:
         cert = build_certificate(ShiftModel(Pow(1), 64), pool)
         assert cert.branch == "central"
         assert len(cert.pool) == 2
-        assert "conditional on the recorded pool" in cert.conclusion
+        assert cert.conclusion == _STRUCTURAL_CONCLUSION
         assert cert.central_mode == "structural"
         assert verify_certificate(cert).holds
 
@@ -333,7 +334,48 @@ def _holds(branch):
 
 _INEXACT_MODEL = "error: shift model needs exactly evaluable weights"
 _INEXACT_BRACKET = "error: shift brackets need exactly evaluable weights"
+_MALFORMED = "error: malformed certificate: "
 _POW2_AT_8 = {"truncation": 8, "weights": "pow:2"}
+_STRUCTURAL_CONCLUSION = (
+    "T commutes with every partner in the recorded pool (proportional weights, proven for "
+    "every index); in any Lie algebra where T is central, span(T) is a proper nonzero Lie "
+    "ideal (this certificate is conditional on the recorded pool)"
+)
+
+
+def _changed(payload, path, value):
+    """A copy of the certificate JSON with the field at path set to value."""
+    payload = json.loads(json.dumps(payload))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return payload
+
+
+def _outcome(payload):
+    """The verdict JSON for a certificate, or the error line the CLI prints."""
+    try:
+        return verify_certificate(certificate_from_json(payload)).to_json()
+    except CertificateError as exc:
+        return f"error: {exc}"
+
+
+def _paths(node, prefix=()):
+    """(path, value) for every field below node, objects and lists included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from _paths(child, prefix + (key,))
+
+
+_BASES = ["pinned", "central", "window"]
+_ANY_TYPE = (None, True, 1.5, "x", [], {})
 
 
 class TestTamperTable:
@@ -360,7 +402,7 @@ class TestTamperTable:
         ("pinned", ("partner", "weights"), "scale:7;pow:1", _fails(_COMM)),
         ("pinned", ("partner", "weights"), "powlog:1,1", _INEXACT_MODEL),
         ("pinned", ("partner", "weights"), "pow:1/2", _INEXACT_MODEL),
-        ("pinned", ("partner", "truncation"), 8, _holds("commutator")),
+        ("pinned", ("partner", "truncation"), 8, _fails(_COMM)),
         ("pinned", ("partner", "truncation"), 2, "error: truncation 2 is below the minimum 3"),
         ("pinned", ("partner", "truncation"), MAX_TRUNCATION + 1,
          "error: truncation 16385 exceeds the limit 16384"),
@@ -380,9 +422,9 @@ class TestTamperTable:
         ("pinned", ("obligations", 2, "passed"), False, _fails(_LIST)),
         ("pinned", ("obligations", 3, "passed"), False, _fails(_LIST)),
         ("pinned", ("obligations", 3, "name"), "bogus", _fails(_LIST)),
-        ("pinned", ("central_mode",), "structural", _holds("commutator")),
-        ("pinned", ("pool",), [], _holds("commutator")),
-        ("pinned", ("pool", 0, "weights"), "powlog:1,1", _holds("commutator")),
+        ("pinned", ("central_mode",), "structural", _fails(_COMM)),
+        ("pinned", ("pool",), [], _fails(_COMM)),
+        ("pinned", ("pool", 0, "weights"), "powlog:1,1", _INEXACT_BRACKET),
         ("pinned", ("generator", "weights"), "exp:1/2", _fails(_SOFT, _COMM)),
         ("pinned", ("generator", "weights"), "powlog:1,1", _INEXACT_MODEL),
         ("pinned", ("generator", "weights"), "pow:1/2", _INEXACT_MODEL),
@@ -390,8 +432,8 @@ class TestTamperTable:
         ("pinned", ("softness", "status"), "Holds", _fails(_SOFT)),
         ("central", ("branch",), "commutator", _fails(_COMM, _LIST)),
         ("central", ("branch",), "bogus", _fails("branch")),
-        ("central", ("partner",), _POW2_AT_8, _holds("central")),
-        ("central", ("first_nonzero",), {"index": 1, "value": "1/4"}, _holds("central")),
+        ("central", ("partner",), _POW2_AT_8, _fails(_POOL)),
+        ("central", ("first_nonzero",), {"index": 1, "value": "1/4"}, _fails(_POOL)),
         ("central", ("scan_window",), 1, _holds("central")),
         ("central", ("obligations", 0, "passed"), False, _fails(_LIST)),
         ("central", ("obligations", 1, "passed"), False, _fails(_LIST)),
@@ -411,25 +453,86 @@ class TestTamperTable:
         ("central", ("pool", 0, "truncation"), 2, "error: truncation 2 is below the minimum 3"),
         ("window", ("central_mode",), "structural", _fails(_POOL)),
         ("window", ("scan_window",), 10, _fails(_POOL)),
-        ("window", ("scan_window",), 8, _holds("central")),
+        # the conclusion names the window the scan used
+        ("window", ("scan_window",), 8, _fails(_POOL)),
+        # the partner must be the first pool entry that does not commute
+        ("pinned", ("pool", 0, "weights"), "pow:3", _fails(_COMM)),
+        ("pinned", ("conclusion",), "T is not simple", _fails(_COMM)),
+        ("central", ("conclusion",), "T is central", _fails(_POOL)),
+        ("window", ("conclusion",), _STRUCTURAL_CONCLUSION, _fails(_POOL)),
+        ("pinned", ("softness", "evidence", "k"), 3, _fails(_SOFT)),
+        ("central", ("softness", "evidence"), {}, _fails(_SOFT)),
+        ("pinned", ("softness", "method"), "NumericIndicated", _fails(_SOFT)),
+        ("pinned", ("obligations",), PINNED_CERTIFICATE["obligations"][::-1], _fails(_LIST)),
+        # each field has one JSON type: no string, float or boolean is read
+        # as a number, nor a string as a boolean
+        ("pinned", ("obligations", 0, "passed"), "false",
+         _MALFORMED + 'passed must be a boolean, got "false"'),
+        ("pinned", ("generator", "truncation"), 16.9,
+         _MALFORMED + "truncation must be an integer, got 16.9"),
+        ("pinned", ("partner", "truncation"), "16",
+         _MALFORMED + 'truncation must be an integer, got "16"'),
+        ("pinned", ("scan_window",), True,
+         _MALFORMED + "scan_window must be an integer, got true"),
+        ("pinned", ("first_nonzero", "index"), 1.5,
+         _MALFORMED + "index must be an integer, got 1.5"),
+        ("pinned", ("first_nonzero", "value"), 0.125,
+         _MALFORMED + "value must be a string, got 0.125"),
+        ("pinned", ("branch",), [], _MALFORMED + "branch must be a string, got []"),
+        ("pinned", ("obligations", 1, "name"), [], _MALFORMED + "name must be a string, got []"),
+        ("pinned", ("conclusion",), None, _MALFORMED + "conclusion must be a string, got null"),
+        ("central", ("central_mode",), 1,
+         _MALFORMED + "central_mode must be a string or null, got 1"),
+        ("central", ("pool",), {}, _MALFORMED + "pool must be a list, got {}"),
+        ("central", ("softness", "evidence"), [],
+         _MALFORMED + "evidence must be an object, got []"),
     ])
     def test_one_field_changed(self, base, path, value, expected):
-        payload = self._base(base)
-        target = payload
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        try:
-            outcome = verify_certificate(certificate_from_json(payload)).to_json()
-        except CertificateError as exc:
-            outcome = f"error: {exc}"
-        assert outcome == expected
+        assert _outcome(_changed(self._base(base), path, value)) == expected
 
     @pytest.mark.parametrize("base", ["pinned", "central", "window"])
     def test_unchanged_base_holds(self, base):
         payload = self._base(base)
         branch = payload["branch"]
         assert verify_certificate(certificate_from_json(payload)).to_json() == _holds(branch)
+
+
+class TestEveryField:
+    """Each stored field of the three tamper-table bases, changed alone."""
+
+    @pytest.mark.parametrize("base", _BASES)
+    def test_any_json_type_gives_a_verdict_or_one_error_line(self, base, tmp_path, capsys):
+        payload, path_file, bad = TestTamperTable._base(base), tmp_path / "cert.json", []
+        for path, _ in _paths(payload):
+            for value in _ANY_TYPE:
+                path_file.write_text(json.dumps(_changed(payload, path, value)))
+                try:
+                    code = cli.main(["witness", "verify", "--file", str(path_file)])
+                except Exception as exc:  # any escape is the failure sought
+                    code = repr(exc)
+                out, err = capsys.readouterr()
+                verdict = code == 0 and out.startswith(("VERIFIED", "REJECTED")) and not err
+                error = code == 2 and not out and len(err.splitlines()) == 1 \
+                    and err.startswith("error: ")
+                if not (verdict or error):
+                    bad.append((path, value, code, err[-200:]))
+        assert bad == []
+
+    @pytest.mark.parametrize("base", _BASES)
+    def test_every_field_is_checked(self, base):
+        # some value of the field's own type (any type for a null) is refused:
+        # a field that no obligation reads would hold with every one
+        payload, unchecked = TestTamperTable._base(base), []
+        for path, old in _paths(payload):
+            if isinstance(old, (dict, list)):
+                continue
+            kind = type(old)
+            values = ([not old] if kind is bool else [0, old + 1] if kind is int
+                      else ["x"] if kind is str else _ANY_TYPE)
+            if all(_outcome(_changed(payload, path, v)) == _holds(payload["branch"])
+                   for v in values):
+                unchecked.append(path)
+        assert unchecked == []
 
 
 class TestHypothesisGateInvariant:
