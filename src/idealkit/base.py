@@ -1,10 +1,11 @@
 """Names every layer shares: the input error, the value-class base, the
-rational digit cap, the rational reader and the numeric probe defaults.
-It imports no other idealkit module, so the Lie engine loads no sequence
-calculus to use them."""
+rational digit cap, the rational reader, the numeric probe defaults and
+the JSON file boundary, ``read_json`` and ``write_json``.  It imports no
+other idealkit module, so the Lie engine loads no sequence calculus."""
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from operator import attrgetter
@@ -107,3 +108,40 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise InputError(f"bad rational {text[:40]!r}: {exc}") from None
+
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def typed(value, kind: type, what: str, nullable: bool = False):
+    """value if its JSON type is exactly kind (so a boolean is no integer),
+    or it is None where nullable; InputError otherwise."""
+    if type(value) is kind or (nullable and value is None):
+        return value
+    wanted = _JSON_TYPES[kind] + (" or null" if nullable else "")
+    raise InputError(f"{what} must be {wanted}, got {json.dumps(value, default=str):.40}")
+
+
+def _json_int(text: str) -> int:
+    if len(text) - text.startswith("-") > MAX_RATIONAL_DIGITS:
+        raise InputError(f"integer with more than {MAX_RATIONAL_DIGITS} digits")
+    return int(text)
+
+
+def read_json(path: str):
+    """The JSON value in the file at path: InputError unless it is UTF-8 JSON the
+    parser can nest into, with at most MAX_RATIONAL_DIGITS digits per integer."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_int=_json_int)
+    except RecursionError:
+        raise InputError("JSON nested deeper than the parser can follow") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer over the cap
+        raise InputError(str(exc)) from None
+
+
+def write_json(path: str, obj) -> None:
+    """Write obj to path as JSON: sorted keys, a two-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")

@@ -8,10 +8,9 @@ an algebra file never compile it.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, List, Optional
 
-from .base import InputError
+from .base import InputError, write_json
 from .matlie import LieAlgebraPresentation, _encode_rational, _require_entries
 from .ratlinalg import RationalMatrix
 
@@ -186,6 +185,4 @@ def algebra_to_json(L: LieAlgebraPresentation) -> dict:
 
 
 def save_algebra(L: LieAlgebraPresentation, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_json(L), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, algebra_to_json(L))

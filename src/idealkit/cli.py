@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when the analysis completed (whatever the verdict), 2 on
-bad input (an InputError, an unreadable file or malformed JSON).  Any
-other exception is a bug and propagates with its traceback.
+bad input (an InputError, malformed JSON included, or an OSError on a
+file).  Any other exception is a bug and propagates with its traceback.
 Reports go to stdout (text by default, machine-readable with --json);
 diagnostics go to stderr.
 
@@ -21,7 +21,7 @@ from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
-from .base import DEFAULT_EPS, DEFAULT_NMAX, MAX_RATIONAL_DIGITS, InputError
+from .base import DEFAULT_EPS, DEFAULT_NMAX, MAX_RATIONAL_DIGITS, InputError, write_json
 
 if TYPE_CHECKING:
     import argparse
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = "1"
 
-_USER_ERRORS = (InputError, OSError, json.JSONDecodeError)
+_USER_ERRORS = (InputError, OSError)
 
 # An argument is (option strings or positional name, argparse keyword arguments).
 _COMMON = (
@@ -260,21 +260,18 @@ def main(argv=None) -> int:
         if vars(args).get("seed") is not None and args.cross_check <= 0:
             raise InputError("--seed acts only with a positive --cross-check")
         report, lines = _HANDLERS[args.group](args)
+        # For the two build commands -o names the artifact file, written by
+        # the handler; everywhere else it duplicates the JSON report.
+        if args.output and (args.group, args.cmd) not in {("lie", "build"), ("witness", "build")}:
+            write_json(args.output, report)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = json.dumps(report, sort_keys=True, indent=2)
     if args.json:
-        print(payload)
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
         for line in lines:
             print(line)
-    # For the two build commands -o names the artifact file, written by the
-    # handler; everywhere else it duplicates the JSON report.
-    if args.output and (args.group, args.cmd) not in {("lie", "build"), ("witness", "build")}:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
     return 0
 
 

@@ -10,6 +10,7 @@ comparisons in :mod:`idealkit.seqspace`.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional
 
 from .base import _DIGITS_BOUND, MAX_RATIONAL_DIGITS, Frozen, InputError
@@ -91,18 +92,11 @@ FINITE_RANK = FiniteRank()
 COMPACT = Compact()
 
 
-def _collect_factors(ideal: IdealExpr, gens: list, flags: dict) -> None:
+def _factors(ideal: IdealExpr) -> list:
+    """The normalized leaves of a product tree, left to right."""
     if isinstance(ideal, ProductIdeal):
-        _collect_factors(ideal.left, gens, flags)
-        _collect_factors(ideal.right, gens, flags)
-        return
-    normalized = make_ideal(ideal)
-    if isinstance(normalized, FiniteRank):
-        flags["finite"] = True
-    elif isinstance(normalized, Compact):
-        flags["compact"] = True
-    else:  # make_ideal of a non-product ideal is finite-rank, compact or principal
-        gens.append(normalized.gen)
+        return _factors(ideal.left) + _factors(ideal.right)
+    return [make_ideal(ideal)]
 
 
 def make_ideal(ideal: IdealExpr) -> IdealExpr:
@@ -128,25 +122,15 @@ def make_ideal(ideal: IdealExpr) -> IdealExpr:
             return FINITE_RANK
         return ideal
     if isinstance(ideal, ProductIdeal):
-        gens: list = []
-        flags = {"finite": False, "compact": False}
-        _collect_factors(ideal.left, gens, flags)
-        _collect_factors(ideal.right, gens, flags)
-        core = None
-        if gens:
-            folded = gens[0]
-            for g in gens[1:]:
-                folded = Product(folded, g)
-            core = Principal(folded)
-        if flags["finite"]:
-            if core is None and not flags["compact"]:
+        factors = _factors(ideal)  # each finite-rank, compact or principal
+        gens = [f.gen for f in factors if isinstance(f, Principal)]
+        core = Principal(reduce(Product, gens)) if gens else None
+        if FINITE_RANK in factors:
+            if core is None and COMPACT not in factors:
                 return FINITE_RANK
-            return ProductIdeal(core if core is not None else COMPACT, FINITE_RANK)
-        if flags["compact"]:
-            if core is None:
-                return COMPACT
-            return ProductIdeal(core, COMPACT)
-        assert core is not None
+            return ProductIdeal(core or COMPACT, FINITE_RANK)
+        if COMPACT in factors:
+            return COMPACT if core is None else ProductIdeal(core, COMPACT)
         return core
     raise TypeError(f"not an IdealExpr: {type(ideal).__name__}")
 

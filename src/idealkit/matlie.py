@@ -25,7 +25,6 @@ flag "witness extraction incomplete" rather than a wrong eigenspace.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from collections import deque
@@ -33,7 +32,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import ratlinalg
-from .base import Frozen, InputError, as_fraction, parse_rational
+from .base import Frozen, InputError, as_fraction, parse_rational, read_json, typed
 from .ratlinalg import (
     F0,
     F1,
@@ -773,26 +772,24 @@ def matrices_from_json(flats, ambient: int) -> List[RationalMatrix]:
 
 def algebra_from_json(obj: dict) -> LieAlgebraPresentation:
     try:
-        name = obj["name"]
-        ambient = obj["ambient_dim"]
+        name = typed(obj["name"], str, "name")
+        ambient = typed(obj["ambient_dim"], int, "ambient_dim")
         basis = obj["basis"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"algebra file missing field: {exc}") from None
-    if not isinstance(ambient, int) or ambient < 1:
+    if ambient < 1:
         raise InputError(f"bad ambient_dim: {ambient!r:.40}")
-    L = LieAlgebraPresentation(ambient, tuple(matrices_from_json(basis, ambient)), str(name))
+    L = LieAlgebraPresentation(ambient, tuple(matrices_from_json(basis, ambient)), name)
     _scanned(L)  # raises on a dependent basis
     return L
 
 
 def load_algebra(path: str) -> LieAlgebraPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))
+    return algebra_from_json(read_json(path))
 
 
 def load_seeds(path: str, ambient: int) -> List[RationalMatrix]:
     """Seed matrices from a JSON file: {"elements": [...]} or the bare list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     elements = payload.get("elements") if isinstance(payload, dict) else payload
     return matrices_from_json(elements, ambient)

@@ -19,13 +19,13 @@ claimed to prove the infinite-dimensional statement by themselves.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import dsl
-from .base import MAX_RATIONAL_DIGITS, Frozen, InputError, fits_digit_cap, parse_rational
+from .base import (MAX_RATIONAL_DIGITS, Frozen, InputError, fits_digit_cap, parse_rational,
+                   read_json, typed, write_json)
 from .idealcalc import Principal, is_soft
 from .ratlinalg import RationalMatrix, bracket
 from .seqspace import (
@@ -409,23 +409,9 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
-_JSON_TYPES = {bool: "a boolean", int: "an integer", str: "a string", list: "a list",
-               dict: "an object"}
-
-
-def _typed(value, kind: type, what: str, nullable: bool = False):
-    """value if its type is exactly kind (so a boolean is no integer), or it
-    is None where nullable; otherwise the certificate is malformed."""
-    if type(value) is kind or (nullable and value is None):
-        return value
-    wanted = _JSON_TYPES[kind] + (" or null" if nullable else "")
-    raise CertificateError(f"malformed certificate: {what} must be {wanted}, "
-                           f"got {json.dumps(value, default=str):.40}")
-
-
 def _shift_from_json(obj: dict) -> ShiftModel:
-    return ShiftModel(dsl.parse_seq(_typed(obj["weights"], str, "weights")),
-                      _typed(obj["truncation"], int, "truncation"))
+    return ShiftModel(dsl.parse_seq(typed(obj["weights"], str, "weights")),
+                      typed(obj["truncation"], int, "truncation"))
 
 
 def certificate_from_json(obj: dict) -> Certificate:
@@ -437,26 +423,26 @@ def certificate_from_json(obj: dict) -> Certificate:
         softness = Verdict(
             Status(soft_obj["status"]),
             Method(soft_obj["method"]),
-            _typed(soft_obj.get("evidence", {}), dict, "evidence"),
+            typed(soft_obj.get("evidence", {}), dict, "evidence"),
         )
         first = obj["first_nonzero"]
         cert = Certificate(
             schema_version=version,
             generator=_shift_from_json(obj["generator"]),
             softness=softness,
-            branch=_typed(obj["branch"], str, "branch"),
+            branch=typed(obj["branch"], str, "branch"),
             partner=None if obj["partner"] is None else _shift_from_json(obj["partner"]),
-            pool=tuple(_shift_from_json(s) for s in _typed(obj["pool"], list, "pool")),
-            first_index=None if first is None else _typed(first["index"], int, "index"),
+            pool=tuple(_shift_from_json(s) for s in typed(obj["pool"], list, "pool")),
+            first_index=None if first is None else typed(first["index"], int, "index"),
             first_value=None if first is None
-            else parse_rational(_typed(first["value"], str, "value")),
-            scan_window=_typed(obj["scan_window"], int, "scan_window"),
+            else parse_rational(typed(first["value"], str, "value")),
+            scan_window=typed(obj["scan_window"], int, "scan_window"),
             obligations=tuple(
-                (_typed(entry["name"], str, "name"), _typed(entry["passed"], bool, "passed"))
-                for entry in _typed(obj["obligations"], list, "obligations")
+                (typed(entry["name"], str, "name"), typed(entry["passed"], bool, "passed"))
+                for entry in typed(obj["obligations"], list, "obligations")
             ),
-            conclusion=_typed(obj["conclusion"], str, "conclusion"),
-            central_mode=_typed(obj.get("central_mode"), str, "central_mode", nullable=True),
+            conclusion=typed(obj["conclusion"], str, "conclusion"),
+            central_mode=typed(obj.get("central_mode"), str, "central_mode", nullable=True),
         )
     except CertificateError:
         raise
@@ -472,11 +458,8 @@ def certificate_from_json(obj: dict) -> Certificate:
 
 
 def save_certificate(cert: Certificate, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, certificate_to_json(cert))
 
 
 def load_certificate(path: str) -> Certificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_json(json.load(fh))
+    return certificate_from_json(read_json(path))

@@ -710,6 +710,25 @@ class TestDeterminism:
                 "--seed", "5", "--json"]
         assert run_cli(list(argv)) == run_cli(list(argv))
 
+    # sha256 of the files that -o writes, taken while each writer still
+    # opened its file itself: an algebra, a certificate, and a report that
+    # duplicates --json stdout
+    def test_written_files_pinned(self, tmp_path):
+        algebra, cert, report = (tmp_path / f"{name}.json" for name in ("sp2", "cert", "report"))
+        for argv, path, digest in [
+            (["lie", "build", "sp", "--n", "2"], algebra,
+             "055903df335e494be2f19f42affedc248f31383eb0d590578a58abf4e39cbb79"),
+            (["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+              "--truncation", "16"], cert,
+             "81191dfb32ed9a8791a7494ea2bf38aa825b215367fecbda150e1bd27375a8d1"),
+            (["lie", "simple", "--file", str(algebra), "--json"], report,
+             "5c897b7312d406bf758c6b824cd6bd154c901dedc080ca0699a3d525cb6320b8"),
+        ]:
+            code, out = run_cli([*argv, "-o", str(path)])
+            assert code == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, argv
+        assert out.encode() == report.read_bytes()
+
 
 class TestTopLevel:
     def test_no_arguments_prints_help(self):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealkit.dsl import format_ideal, format_seq, parse_ideal
 from idealkit.idealcalc import (
     COMPACT,
     FINITE_RANK,
@@ -38,9 +41,23 @@ from idealkit.seqspace import (
     support,
 )
 
-from conftest import BATTERY, FINITE_BATTERY
+from conftest import BATTERY, FINITE_BATTERY, random_catalog
 
 battery_expr = st.sampled_from(BATTERY)
+
+
+def _random_ideal_text(rng: random.Random, depth: int = 4) -> str:
+    """A random ideal: finite-rank, compact, a small catalog generator (a
+    zero one among them) or, above depth 0, an idealprod of two more."""
+    kind = rng.choice("FCSS" + ("PPP" if depth else ""))
+    if kind == "F":
+        return "finite-rank"
+    if kind == "C":
+        return "compact"
+    if kind == "S":
+        return format_seq(random_catalog(rng, 1))
+    left, right = _random_ideal_text(rng, depth - 1), _random_ideal_text(rng, depth - 1)
+    return f"idealprod({left},{right})"
 
 
 class TestMakeIdeal:
@@ -67,6 +84,20 @@ class TestMakeIdeal:
         assert isinstance(ideal, ProductIdeal)
         assert ideal.right == COMPACT
         assert ideal.left == Principal(Product(Pow(1), Pow(2)))
+
+    def test_seeded_normal_forms_pinned(self):
+        # sha256 of the normal forms (or the error class) of 5000 seeded
+        # ideals, taken before make_ideal read its product tree as one list
+        rng = random.Random(0)
+        lines = []
+        for _ in range(5000):
+            try:
+                lines.append(format_ideal(parse_ideal(_random_ideal_text(rng))))
+            except ZeroIdealError:
+                lines.append("ZeroIdealError")
+        assert sum(line.startswith("idealprod(") for line in lines) > 1000
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e3a83721603a5f0badcf25e39fb5fed7af148cd3ea1eb1dd7b0fbd76ae31a34f"
 
     def test_zero_generator_rejected(self):
         with pytest.raises(ZeroIdealError):

@@ -35,7 +35,7 @@ from idealkit.witness import (
 def test_error_classes_are_input_errors():
     for cls in (DslError, InvalidSequenceError, ZeroIdealError, NotClosedError, CertificateError):
         assert issubclass(cls, InputError)
-    assert cli._USER_ERRORS == (InputError, OSError, json.JSONDecodeError)
+    assert cli._USER_ERRORS == (InputError, OSError)
 
 
 @pytest.mark.parametrize("exc", [ValueError("internal"), ZeroDivisionError("internal")])
@@ -274,3 +274,85 @@ def test_digit_cap_ignores_the_interpreter_setting(argv, expected):
         assert payload["verdict"]["evidence"]["limiting_ratio"] == expected
     else:
         assert payload["signature"] == expected
+
+
+# Hostile files: each kind of file idealkit reads, as a template whose "@"
+# an attack replaces; the template with its own value there is valid.
+_SL2_TEXT = json.dumps({"name": "sl2", "ambient_dim": 2, "basis": SL2_BASIS})
+_FILE_KINDS = {
+    "algebra": (["lie", "simple", "--file", "{file}"], _SL2_TEXT.replace("-1", "@"), "-1"),
+    "seeds": (["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"], "[[0, @, 0, 0]]",
+              "1"),
+    "certificate": (["witness", "verify", "--file", "{file}"], None, "8"),
+}
+_ATTACKS = {
+    "5000-digits": b"1" * 5000,
+    "nested-100000": b"[" * 100_000,
+    "byte-0xff": b"\xff",
+}
+# algebra files only: (file, the one error line) for field types that are refused
+_ALGEBRA_FIELDS = {
+    "ambient-dim-true": ('{"name": "x", "ambient_dim": true, "basis": [[1]]}',
+                         "error: ambient_dim must be an integer, got true"),
+    "name-list": (_SL2_TEXT.replace('"sl2"', '["a"]'), 'error: name must be a string, got ["a"]'),
+    "name-number": (_SL2_TEXT.replace('"sl2"', "5"), "error: name must be a string, got 5"),
+}
+
+
+def _template(kind: str) -> str:
+    template = _FILE_KINDS[kind][1]
+    if template is None:  # a certificate with its scan window at "@"
+        cert = build_certificate(ShiftModel(Pow(1), 8), [ShiftModel(Pow(2), 8)], scan_window=8)
+        template = json.dumps(certificate_to_json(cert))
+        template = template.replace('"scan_window": 8', '"scan_window": @')
+    return template
+
+
+def _run_file(kind: str, data: bytes, tmp_path, capsys) -> tuple:
+    """(exit code, stderr lines) of the kind's command on a file holding data."""
+    (tmp_path / "sl2.json").write_text(_SL2_TEXT)
+    (tmp_path / "input.json").write_bytes(data)
+    files = {"{sl2}": str(tmp_path / "sl2.json"), "{file}": str(tmp_path / "input.json")}
+    code = cli.main([files.get(a, a) for a in _FILE_KINDS[kind][0]])
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("kind", _FILE_KINDS)
+def test_file_templates_are_valid(kind, tmp_path, capsys):
+    data = _template(kind).replace("@", _FILE_KINDS[kind][2]).encode()
+    assert _run_file(kind, data, tmp_path, capsys) == (0, [])
+
+
+@pytest.mark.parametrize("attack", _ATTACKS)
+@pytest.mark.parametrize("kind", _FILE_KINDS)
+def test_hostile_file_exits_two_with_one_error_line(kind, attack, tmp_path, capsys):
+    data = _template(kind).encode().replace(b"@", _ATTACKS[attack])
+    code, err = _run_file(kind, data, tmp_path, capsys)
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: "), (code, err)
+
+
+@pytest.mark.parametrize("text,error", _ALGEBRA_FIELDS.values(), ids=_ALGEBRA_FIELDS)
+def test_algebra_field_types_refused(text, error, tmp_path, capsys):
+    assert _run_file("algebra", text.encode(), tmp_path, capsys) == (2, [error])
+
+
+def test_reader_digit_cap_ignores_the_interpreter_setting(tmp_path):
+    # with the interpreter's limit off, a 5000-digit entry is still refused
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "x", "ambient_dim": 1, "basis": [[' + "1" * 5000 + "]]}")
+    env = dict(os.environ, PYTHONPATH=_src_dir(), PYTHONINTMAXSTRDIGITS="0")
+    out = subprocess.run(
+        [sys.executable, "-m", "idealkit.cli", "lie", "simple", "--file", str(path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 2, out.stdout
+    assert out.stderr == f"error: integer with more than {MAX_RATIONAL_DIGITS} digits\n"
+
+
+def test_unwritable_report_file_exits_two(tmp_path, capsys):
+    (tmp_path / "sl2.json").write_text(_SL2_TEXT)
+    report = str(tmp_path / "missing" / "report.json")
+    assert cli.main(["lie", "simple", "--file", str(tmp_path / "sl2.json"), "-o", report]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")

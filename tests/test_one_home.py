@@ -1,7 +1,8 @@
 """Every name has one home: each ``__all__`` entry is defined in its own
 module, and each ``from .m import name`` names the module that defines it.
 The only exceptions are the ``matlie`` bindings that perfbench reads.  Span
-membership has one home too: only ``ratlinalg`` reads an echelon's rows."""
+membership has one home too: only ``ratlinalg`` reads an echelon's rows,
+and so has the file format: only ``base`` opens files."""
 
 from __future__ import annotations
 
@@ -95,3 +96,25 @@ def test_echelon_rows_are_read_in_ratlinalg_only(module):
     reads = [node.lineno for node in ast.walk(_tree(module))
              if isinstance(node, ast.Attribute) and node.attr == "_rows"]
     assert reads == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "base"])
+def test_files_are_read_and_written_in_base_only(module):
+    """Every file goes through ``base.read_json`` and ``base.write_json``: no
+    other module calls ``open``, ``json.load`` or ``json.dump``, and only
+    ``cli``, which prints its reports, imports ``json``."""
+    calls, imports = [], []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute) and func.attr == "open"
+                    or isinstance(func, ast.Attribute) and func.attr in ("load", "dump")
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                calls.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            imports += [node.lineno for alias in node.names if alias.name == "json"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            imports.append(node.lineno)
+    assert calls == []
+    assert imports == [] or module == "cli"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import json
 import math
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from idealkit import seqspace
 from idealkit.base import MAX_RATIONAL_DIGITS
+from idealkit.dsl import parse_seq
+from idealkit.idealcalc import Principal, member
 from idealkit.seqspace import (
     Ampliation,
     Exp,
@@ -33,6 +36,7 @@ from idealkit.seqspace import (
     eval_at,
     eval_log,
     explicit,
+    log_ratio_ceiling,
     numeric_probe,
     root_rational,
     signature_of,
@@ -325,6 +329,52 @@ class TestSignatureOrder:
         for expr in (Exp(F(1, 2)), ampliate(10 ** 12, Exp(F(1, 2))), Pow(1), PowLog(1, 1)):
             assert (signature_of(expr).rate == RATE_ONE) == isinstance(expr, (Pow, PowLog))
         assert log_signs == []
+
+
+@pytest.fixture
+def log_digits(monkeypatch):
+    """The precision of each ``_log_bounds`` call."""
+    calls = []
+    real = seqspace._log_bounds
+
+    def spy(vector, digits):
+        calls.append(digits)
+        return real(vector, digits)
+
+    monkeypatch.setattr(seqspace, "_log_bounds", spy)
+    return calls
+
+
+# The convergent 9115015689657667/5750934602875680 of log2(3) sets
+# 9115015689657667 ln 2 and 5750934602875680 ln 3 about 1e-16 apart, which
+# the first 20 digits of the logs cannot resolve.
+_NUM, _DEN = 9115015689657667, 5750934602875680
+_REFERENCE = decimal.Context(prec=200)
+
+
+class TestCertifiedLogRetry:
+    def test_compare_retries_at_higher_precision(self, log_digits):
+        xi, eta = parse_seq(f"amp:{_DEN};exp:1/2"), parse_seq(f"amp:{_NUM};exp:1/3")
+        # xi's rate 2^(-1/_DEN) is below eta's 3^(-1/_NUM) iff this is positive
+        gap = _REFERENCE.subtract(_REFERENCE.multiply(_REFERENCE.ln(2), _NUM),
+                                  _REFERENCE.multiply(_REFERENCE.ln(3), _DEN))
+        assert 0 < abs(gap) < F(1, 10 ** 15)
+        for mode in Mode:
+            assert compare(xi, eta, mode).holds == (gap > 0)
+            assert compare(eta, xi, mode).holds == (gap < 0)
+        assert max(log_digits) > 20
+
+    def test_ampliation_index_retries_at_higher_precision(self, log_digits):
+        # m is the ceiling of t = _NUM ln 2 / ln 3, which lies about 1e-16
+        # above the integer _DEN
+        t = _REFERENCE.divide(_REFERENCE.multiply(_REFERENCE.ln(2), _NUM), _REFERENCE.ln(3))
+        assert 0 < t - _DEN < F(1, 10 ** 15)
+        m = int(t.to_integral_value(rounding=decimal.ROUND_CEILING))
+        gen, xi = parse_seq("exp:1/2"), parse_seq(f"amp:{_NUM};exp:1/3")
+        assert log_ratio_ceiling(signature_of(gen).rate, signature_of(xi).rate) == (m, False)
+        assert max(log_digits) > 20
+        v = member(xi, Principal(gen))
+        assert v.holds and v.proven and v.evidence["m"] == m == _DEN + 1
 
 
 class TestDigitLimit:
