@@ -5,6 +5,7 @@ Submodules load on first attribute access; ``import idealkit`` imports none.
 
 - ``seqspace``: symbolic nonincreasing null sequences, exact big-O/little-o
   decisions, dyadic-ratio checks, and a numeric corroboration probe.
+- ``rates``: exact decay rates over a coprime base; products and order.
 - ``idealcalc``: ideals presented via characteristic sets; membership,
   softness, idempotency and the implication chain between them.
 - ``matlie``: exact-rational matrix Lie algebras; closure, derived algebra,
@@ -24,8 +25,8 @@ Each name is imported from the module that defines it.
 
 import importlib
 
-__all__ = ["base", "catalog", "cli", "dsl", "idealcalc", "matlie", "ratlinalg", "seqspace",
-           "witness"]
+__all__ = ["base", "catalog", "cli", "dsl", "idealcalc", "matlie", "ratlinalg", "rates",
+           "seqspace", "witness"]
 __version__ = "0.1.0"
 
 

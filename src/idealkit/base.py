@@ -21,6 +21,9 @@ DEFAULT_EPS = 1e-3
 MAX_RATIONAL_DIGITS = 4300
 _DIGITS_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
+# Deepest nesting of lists and objects in a file read; idealkit writes three.
+MAX_JSON_DEPTH = 32
+
 _NUMBER = re.compile(r"[+-]?(\d+)(?:\.(\d+)|/(\d+))?")
 
 
@@ -130,15 +133,22 @@ def _json_int(text: str) -> int:
 
 
 def read_json(path: str):
-    """The JSON value in the file at path: InputError unless it is UTF-8 JSON the
-    parser can nest into, with at most MAX_RATIONAL_DIGITS digits per integer."""
+    """The JSON value in the file at path: InputError unless it is UTF-8 JSON nested
+    at most MAX_JSON_DEPTH levels, with at most MAX_RATIONAL_DIGITS digits per integer."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_json_int)
+            value = json.load(fh, parse_int=_json_int)
     except RecursionError:
-        raise InputError("JSON nested deeper than the parser can follow") from None
+        raise InputError(f"JSON nested deeper than {MAX_JSON_DEPTH} levels") from None
     except ValueError as exc:  # not UTF-8, not JSON, or an integer over the cap
         raise InputError(str(exc)) from None
+    level = [value]  # the values inside as many lists and objects as the loop has run
+    for _ in range(MAX_JSON_DEPTH):
+        level = [x for v in level if isinstance(v, (list, dict))
+                 for x in (v.values() if isinstance(v, dict) else v)]
+    if any(isinstance(v, (list, dict)) for v in level):
+        raise InputError(f"JSON nested deeper than {MAX_JSON_DEPTH} levels")
+    return value
 
 
 def write_json(path: str, obj) -> None:

@@ -14,10 +14,10 @@ from functools import reduce
 from typing import Optional
 
 from .base import _DIGITS_BOUND, MAX_RATIONAL_DIGITS, Frozen, InputError
+from .rates import RATE_ONE, log_ratio_ceiling
 from .seqspace import (
     Mode,
     Product,
-    RATE_ONE,
     SequenceExpr,
     Status,
     Verdict,
@@ -25,7 +25,6 @@ from .seqspace import (
     compare,
     delta2_check,
     ensure_valid,
-    log_ratio_ceiling,
     proven,
     signature_of,
     subsample,

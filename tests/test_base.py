@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import idealkit
-from idealkit import base, dsl, idealcalc, matlie, ratlinalg, seqspace, witness
+from idealkit import base, dsl, idealcalc, matlie, ratlinalg, rates, seqspace, witness
 
 ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(idealkit.__file__)))
 
@@ -21,7 +21,7 @@ ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(idealkit.__fil
     [
         (seqspace, "InputError"),
         (seqspace, "Frozen"),
-        (seqspace, "MAX_RATIONAL_DIGITS"),
+        (rates, "MAX_RATIONAL_DIGITS"),
         (seqspace, "as_fraction"),
         (seqspace, "DEFAULT_NMAX"),
         (seqspace, "DEFAULT_EPS"),

@@ -972,14 +972,15 @@ def test_cli_import_leaves_numpy_out(tmp_path):
                       ["base", "catalog", "cli", "cli_lie", "matlie", "ratlinalg"]),
         "lie-simple": ([["lie", "simple", "--file", algebra]],
                        ["base", "cli", "cli_lie", "matlie", "ratlinalg"]),
-        "seq": ([["seq", "signature", "pow:1"]], ["base", "cli", "cli_seq", "dsl", "seqspace"]),
+        "seq": ([["seq", "signature", "pow:1"]], ["base", "cli", "cli_seq", "dsl", "rates",
+                                                   "seqspace"]),
         "ideal": ([["ideal", "member", "pow:2", "pow:1"]],
-                  ["base", "cli", "cli_ideal", "dsl", "idealcalc", "seqspace"]),
+                  ["base", "cli", "cli_ideal", "dsl", "idealcalc", "rates", "seqspace"]),
         "witness": ([["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                       "-o", cert],
                      ["witness", "verify", "--file", cert]],
-                    ["base", "cli", "cli_witness", "dsl", "idealcalc", "ratlinalg", "seqspace",
-                     "witness"]),
+                    ["base", "cli", "cli_witness", "dsl", "idealcalc", "rates", "ratlinalg",
+                     "seqspace", "witness"]),
     }
     env = dict(os.environ, PYTHONPATH=_src_dir())
     for kind, (calls, expected) in kinds.items():

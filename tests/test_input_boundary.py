@@ -7,6 +7,7 @@ import ast
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,10 +18,10 @@ import idealkit
 from idealkit import cli
 from idealkit.base import MAX_RATIONAL_DIGITS, InputError
 from idealkit.catalog import _SHAPES, make_algebra
-from idealkit.dsl import DslError, parse_seq
+from idealkit.dsl import DslError, format_seq, parse_seq
 from idealkit.idealcalc import ZeroIdealError
 from idealkit.matlie import MAX_ALGEBRA_ENTRIES, NotClosedError, matrices_from_json
-from idealkit.seqspace import InvalidSequenceError, Pow
+from idealkit.seqspace import InvalidSequenceError, Mode, Pow, compare, signature_of
 from idealkit.witness import (
     MIN_TRUNCATION,
     CertificateError,
@@ -248,6 +249,52 @@ class TestFirstIndexBound:
         assert f"outside 1..{window}" in capsys.readouterr().err
 
 
+def _exp_leaves(seed: int, count: int, bits: int) -> list:
+    """``exp:a/b`` with seeded random b of the given bit length and 0 < a < b."""
+    rng = random.Random(seed)
+    bs = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(count)]
+    return [f"exp:{rng.randrange(1, b)}/{b}" for b in bs]
+
+
+def _prod(parts: list, shape: str = "left") -> str:
+    """The parts multiplied by a left- or right-nested chain of prod, or by a
+    balanced tree."""
+    while len(parts) > 1:
+        if shape == "balanced":
+            parts = [f"prod({x},{y})" for x, y in zip(parts[::2], parts[1::2])]
+        elif shape == "left":
+            parts = [f"prod({parts[0]},{parts[1]})"] + parts[2:]
+        else:
+            parts = parts[:-2] + [f"prod({parts[-2]},{parts[-1]})"]
+    return parts[0]
+
+
+def _tree_chain(shape: str) -> tuple:
+    # a chain of 150 balanced 8-leaf trees of 40-bit rates: 43 KB
+    leaves = _exp_leaves(1, 1200, 40)
+    return (_prod([_prod(leaves[i:i + 8], "balanced") for i in range(0, 1200, 8)], shape),)
+
+
+def _chain_pair() -> tuple:
+    # two 190-factor chains of 400-bit rates: 48 KB each
+    return _prod(_exp_leaves(2, 190, 400)), _prod(_exp_leaves(3, 190, 400))
+
+
+@pytest.mark.parametrize("call,inputs", [
+    (signature_of, lambda: _tree_chain("left")),
+    (signature_of, lambda: _tree_chain("right")),
+    (lambda xi, eta: compare(xi, eta, Mode.BIG_O), _chain_pair),
+], ids=["signature-43kb-tree-chain", "signature-43kb-right-nested", "compare-48kb-chains"])
+def test_product_chains_answer_in_seconds(call, inputs):
+    # each product merges the shorter vector's numbers into the longer one's
+    # base, which is already coprime
+    exprs = [parse_seq(text) for text in inputs()]
+    assert min(len(format_seq(e)) for e in exprs) > 40_000
+    start = time.perf_counter()
+    call(*exprs)
+    assert time.perf_counter() - start < 10
+
+
 def _src_dir():
     return os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
 
@@ -277,18 +324,24 @@ def test_digit_cap_ignores_the_interpreter_setting(argv, expected):
 
 
 # Hostile files: each kind of file idealkit reads, as a template whose "@"
-# an attack replaces; the template with its own value there is valid.
+# an attack replaces; the template with its own value there is valid.  A
+# certificate's template is the (field, "@") replacement in a built one.
 _SL2_TEXT = json.dumps({"name": "sl2", "ambient_dim": 2, "basis": SL2_BASIS})
 _FILE_KINDS = {
     "algebra": (["lie", "simple", "--file", "{file}"], _SL2_TEXT.replace("-1", "@"), "-1"),
     "seeds": (["lie", "ideal-gen", "--file", "{sl2}", "--seeds", "{file}"], "[[0, @, 0, 0]]",
               "1"),
-    "certificate": (["witness", "verify", "--file", "{file}"], None, "8"),
+    "certificate": (["witness", "verify", "--file", "{file}"],
+                    ('"scan_window": 8', '"scan_window": @'), "8"),
+    "certificate-evidence": (["witness", "verify", "--file", "{file}"], ('"k": 2', '"k": @'), "2"),
 }
 _ATTACKS = {
     "5000-digits": b"1" * 5000,
     "nested-100000": b"[" * 100_000,
     "byte-0xff": b"\xff",
+    # well-formed lists nested past the reader's bound of 32 levels
+    "nested-33": b"[" * 33 + b"]" * 33,
+    "nested-600": b"[" * 600 + b"]" * 600,
 }
 # algebra files only: (file, the one error line) for field types that are refused
 _ALGEBRA_FIELDS = {
@@ -301,10 +354,11 @@ _ALGEBRA_FIELDS = {
 
 def _template(kind: str) -> str:
     template = _FILE_KINDS[kind][1]
-    if template is None:  # a certificate with its scan window at "@"
+    if isinstance(template, tuple):
         cert = build_certificate(ShiftModel(Pow(1), 8), [ShiftModel(Pow(2), 8)], scan_window=8)
-        template = json.dumps(certificate_to_json(cert))
-        template = template.replace('"scan_window": 8', '"scan_window": @')
+        text = json.dumps(certificate_to_json(cert))
+        assert text.count(template[0]) == 1
+        template = text.replace(*template)
     return template
 
 

@@ -1,8 +1,9 @@
 """Every name has one home: each ``__all__`` entry is defined in its own
 module, and each ``from .m import name`` names the module that defines it.
 The only exceptions are the ``matlie`` bindings that perfbench reads.  Span
-membership has one home too: only ``ratlinalg`` reads an echelon's rows,
-and so has the file format: only ``base`` opens files."""
+membership has one home too: only ``ratlinalg`` reads an echelon's rows;
+so has the rate format: only ``rates`` reads exponent vectors; and so has
+the file format: only ``base`` opens files."""
 
 from __future__ import annotations
 
@@ -95,6 +96,18 @@ def test_echelon_rows_are_read_in_ratlinalg_only(module):
     matlie's function ``_rows`` is not an attribute read)."""
     reads = [node.lineno for node in ast.walk(_tree(module))
              if isinstance(node, ast.Attribute) and node.attr == "_rows"]
+    assert reads == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "rates"])
+def test_rate_vectors_are_read_in_rates_only(module):
+    """A rate's exponent vector and its coprime base are the rates module's
+    format: no other module reads ``.vector`` or calls ``_coprime_base`` or
+    ``_over``."""
+    reads = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Attribute) and node.attr == "vector"
+             or isinstance(node, ast.Name) and node.id in ("_coprime_base", "_over")
+             or isinstance(node, ast.alias) and node.name in ("_coprime_base", "_over")]
     assert reads == []
 
 

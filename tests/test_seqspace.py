@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealkit import seqspace
+from idealkit import rates
 from idealkit.base import MAX_RATIONAL_DIGITS
 from idealkit.dsl import parse_seq
 from idealkit.idealcalc import Principal, member
@@ -26,7 +26,6 @@ from idealkit.seqspace import (
     Pow,
     PowLog,
     Product,
-    RATE_ONE,
     Scale,
     Status,
     Subsample,
@@ -36,14 +35,13 @@ from idealkit.seqspace import (
     eval_at,
     eval_log,
     explicit,
-    log_ratio_ceiling,
     numeric_probe,
-    root_rational,
     signature_of,
     subsample,
     support,
     validate,
 )
+from idealkit.rates import RATE_ONE, log_ratio_ceiling, root_rational
 from idealkit.seqspace import _order
 
 from conftest import BATTERY, EXACT_BATTERY, FULL_BATTERY, battery_ids, seeded_compare_pairs
@@ -240,6 +238,79 @@ class TestRateOrder:
         assert sig.rate.describe() == "(1/864)^(1/15)"
 
 
+def _fold_coprime_base(numbers) -> list:
+    """The coprime base before merging: every number refined from scratch."""
+    base: list = []
+    pending = [n for n in numbers if n > 1]
+    while pending:
+        x = pending.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                if x != b:
+                    del base[i]
+                    pending.extend(y for y in (g, b // g, x // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def _fold_over(vector, base) -> dict:
+    out: dict = {}
+    for q, e in vector:
+        for b in base:
+            k = 0
+            while q % b == 0:
+                q //= b
+                k += 1
+            if k:
+                out[b] = out.get(b, 0) + e * k
+            if q == 1:
+                break
+    return out
+
+
+def _fold_vector(expr) -> tuple:
+    """The rate vector of an Exp/amp/sub/prod tree by the pairwise fold that
+    rebuilt the base of both vectors at every product."""
+    if isinstance(expr, Exp):
+        return root_rational(expr.r).vector
+    if isinstance(expr, Ampliation):
+        return tuple((q, e / expr.m) for q, e in _fold_vector(expr.inner))
+    if isinstance(expr, Subsample):
+        return tuple((q, e * expr.k) for q, e in _fold_vector(expr.inner))
+    a, b = _fold_vector(expr.left), _fold_vector(expr.right)
+    if [q for q, _ in a] == [q for q, _ in b]:
+        x, y = dict(a), dict(b)
+    else:
+        base = _fold_coprime_base([q for q, _ in a] + [q for q, _ in b])
+        x, y = _fold_over(a, base), _fold_over(b, base)
+    total = {q: x.get(q, 0) + y.get(q, 0) for q in x.keys() | y.keys()}
+    return tuple(sorted((q, e) for q, e in total.items() if e))
+
+
+# small composites, so that bases split and exponents cancel
+_COMPOSITES = st.sampled_from([6, 10, 12, 15, 30])
+_composite_trees = st.recursive(
+    st.one_of(st.builds(lambda c: Exp(F(1, c)), _COMPOSITES),
+              st.builds(lambda a, c: Exp(F(a, c * c)), _COMPOSITES, _COMPOSITES)),
+    lambda inner: st.one_of(
+        st.builds(Ampliation, st.integers(2, 4), inner),
+        st.builds(Subsample, st.integers(2, 3), inner),
+        st.builds(Product, inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+class TestRateRefinement:
+    @given(expr=_composite_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_vector_equals_the_pairwise_fold(self, expr):
+        assert signature_of(expr).rate.vector == _fold_vector(expr)
+
+
 def _old_decays_faster(s, t) -> bool:
     """The order before ``_order``, rate equality read off the certified
     log sign as the old ``RootRational.__eq__`` did."""
@@ -271,13 +342,13 @@ _signature_exprs = st.one_of(
 def log_signs(monkeypatch):
     """The vectors of each ``_log_sign`` call."""
     calls = []
-    real = seqspace._log_sign
+    real = rates._log_sign
 
     def spy(vector):
         calls.append(vector)
         return real(vector)
 
-    monkeypatch.setattr(seqspace, "_log_sign", spy)
+    monkeypatch.setattr(rates, "_log_sign", spy)
     return calls
 
 
@@ -335,13 +406,13 @@ class TestSignatureOrder:
 def log_digits(monkeypatch):
     """The precision of each ``_log_bounds`` call."""
     calls = []
-    real = seqspace._log_bounds
+    real = rates._log_bounds
 
     def spy(vector, digits):
         calls.append(digits)
         return real(vector, digits)
 
-    monkeypatch.setattr(seqspace, "_log_bounds", spy)
+    monkeypatch.setattr(rates, "_log_bounds", spy)
     return calls
 
 
