@@ -15,12 +15,15 @@ from typing import Optional
 
 from .base import _DIGITS_BOUND, MAX_RATIONAL_DIGITS, Frozen, InputError
 from .rates import RATE_ONE, log_ratio_ceiling
+# compare and signature_of, unused here, stay bound for perfbench/tracer.py to wrap.
 from .seqspace import (
     Mode,
     Product,
     SequenceExpr,
     Status,
     Verdict,
+    _compared,
+    _sig,
     ampliate,
     compare,
     delta2_check,
@@ -142,39 +145,43 @@ def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr,
     by m divides ln rate(gen) by m, so the rates meet at
     t = ln rate(gen) / ln rate(xi): for m > t xi's rate is strictly
     smaller, for m < t strictly larger, and at an integral t pow and logpow
-    decide.  t comes from certified logs; compare confirms the answer and
-    refutes the index below it.  None when that m would have more than
-    MAX_RATIONAL_DIGITS digits; it is then neither computed nor printed.
+    decide.  t comes from certified logs; gen_sig.ampliated confirms the
+    answer and refutes the index below it.  None when that m would have more
+    than MAX_RATIONAL_DIGITS digits; it is then neither computed nor printed.
     """
     ceiling = log_ratio_ceiling(gen_sig.rate, xi_sig.rate)
     if ceiling is None:
         return None
     m, integral = ceiling
-    if m > 1 and compare(xi, ampliate(m - 1, gen), mode).holds:
+
+    def holds(k: int) -> bool:
+        return _compared(xi, xi_sig, ampliate(k, gen), gen_sig.ampliated(k), mode).holds
+
+    if m > 1 and holds(m - 1):
         raise InternalInconsistencyError(
             f"ampliation index {m - 1} certifies below the certified bound {m}"
         )
     for candidate in (m, m + 1) if integral else (m,):
         if candidate >= _DIGITS_BOUND:
             return None
-        if compare(xi, ampliate(candidate, gen), mode).holds:
+        if holds(candidate):
             return candidate
     raise InternalInconsistencyError(
         f"ampliation index {m} from the certified bound does not certify"
     )
 
 
-def _member_principal(xi: SequenceExpr, gen: SequenceExpr, mode: Mode) -> Verdict:
-    # gen has infinite support: make_ideal turns any other into FINITE_RANK
-    gen_sig = signature_of(gen)
+def _member_principal(xi: SequenceExpr, xi_sig, gen: SequenceExpr, gen_sig,
+                      mode: Mode) -> Verdict:
+    # valid xi and gen with their signatures; gen has infinite support, as
+    # make_ideal turns any other into FINITE_RANK
     if gen_sig.rate == RATE_ONE:
         # Ampliation leaves a rate-one signature fixed: testing m = 1 decides.
-        v = compare(xi, gen, mode)
+        v = _compared(xi, xi_sig, gen, gen_sig, mode)
         ev = dict(v.evidence)
         ev["m"] = 1
         ev["ampliation_rule"] = "rate-one generator: ampliation preserves the signature"
         return Verdict(v.status, v.method, ev)
-    xi_sig = signature_of(xi)
     ev = {
         "xi_signature": xi_sig.describe(),
         "generator_signature": gen_sig.describe(),
@@ -210,7 +217,7 @@ def member(xi: SequenceExpr, ideal: IdealExpr) -> Verdict:
     if isinstance(ideal, FiniteRank):
         return _member_finite(xi)
     if isinstance(ideal, Principal):
-        return _member_principal(xi, ideal.gen, Mode.BIG_O)
+        return _member_principal(xi, _sig(xi), ideal.gen, _sig(ideal.gen), Mode.BIG_O)
     if isinstance(ideal, ProductIdeal):
         if isinstance(ideal.right, FiniteRank):
             v = _member_finite(xi)
@@ -218,7 +225,8 @@ def member(xi: SequenceExpr, ideal: IdealExpr) -> Verdict:
             ev["rule"] = "finite-rank factor absorbs the product"
             return Verdict(v.status, v.method, ev)
         # a compact right factor always comes with a principal left one
-        return _member_principal(xi, ideal.left.gen, Mode.LITTLE_O)
+        gen = ideal.left.gen
+        return _member_principal(xi, _sig(xi), gen, _sig(gen), Mode.LITTLE_O)
     raise TypeError(type(ideal).__name__)
 
 
@@ -240,7 +248,8 @@ def is_soft(ideal: IdealExpr) -> Verdict:
         return proven(Status.HOLDS, rule="finite-rank factor: the product is finite-rank, hence soft")
     gen = ideal.gen
     k = 2
-    v = compare(subsample(k, gen), gen, Mode.LITTLE_O)
+    sig = _sig(gen)
+    v = _compared(subsample(k, gen), sig.subsampled(k), gen, sig, Mode.LITTLE_O)
     ev = dict(v.evidence)
     ev["k"] = k
     ev["criterion"] = "subsampled generator little-o of generator"
@@ -255,15 +264,15 @@ def is_idempotent(ideal: IdealExpr) -> Verdict:
     if isinstance(ideal, ProductIdeal):
         if isinstance(ideal.right, FiniteRank):
             return proven(Status.HOLDS, rule="reduces to the finite-rank ideal")
-        gen_sig = signature_of(ideal.left.gen)
-        if gen_sig.rate != RATE_ONE:
+        if _sig(ideal.left.gen).rate != RATE_ONE:
             return proven(Status.HOLDS, rule="exponential-type soft edge is idempotent")
         return proven(
             Status.FAILS,
             reason="rate-one soft edge: the squared generator class is strictly smaller",
         )
     gen = ideal.gen
-    v = member(gen, Principal(Product(gen, gen)))
+    sig = _sig(gen)
+    v = _member_principal(gen, sig, Product(gen, gen), sig * sig, Mode.BIG_O)
     ev = dict(v.evidence)
     ev["criterion"] = "generator big-O of an ampliated squared generator"
     return Verdict(v.status, v.method, ev)
@@ -275,8 +284,8 @@ def necessary_soft_condition(xi: SequenceExpr) -> Verdict:
     ensure_valid(xi)
     if support(xi) is not None:
         raise InputError("necessary softness condition needs infinite support")
-    sig = signature_of(xi)
-    v = compare(xi, ampliate(2, xi), Mode.LITTLE_O)
+    sig = _sig(xi)
+    v = _compared(xi, sig, ampliate(2, xi), sig.ampliated(2), Mode.LITTLE_O)
     ev = dict(v.evidence)
     ev["m"] = 2
     if sig.rate == RATE_ONE:

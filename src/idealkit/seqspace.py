@@ -444,7 +444,9 @@ class AsymSig(Frozen):
 
     rate None encodes a zero tail (finite support).  The order ``_order``
     is total: smaller rate wins, then larger power, then larger log power;
-    a zero tail decays faster than everything else.
+    a zero tail decays faster than everything else.  ``ampliated(m)``,
+    ``subsampled(k)`` and ``*`` give the signatures of the m-fold
+    ampliation, the k-fold subsample and the pointwise product.
     """
 
     def __init__(self, rate: Optional[RootRational], pow: Fraction = Fraction(0),
@@ -459,6 +461,18 @@ class AsymSig(Frozen):
         if self.is_zero_tail:
             return "zero-tail"
         return f"rate={self.rate.describe()}, pow={self.pow}, logpow={self.logpow}"
+
+    def ampliated(self, m: int) -> "AsymSig":
+        return self if self.is_zero_tail else AsymSig(_rate_root(self.rate, m), self.pow, self.logpow)
+
+    def subsampled(self, k: int) -> "AsymSig":
+        return self if self.is_zero_tail else AsymSig(_rate_pow(self.rate, k), self.pow, self.logpow)
+
+    def __mul__(self, other: "AsymSig") -> "AsymSig":
+        if self.is_zero_tail or other.is_zero_tail:
+            return ZERO_TAIL
+        return AsymSig(_rate_mul(self.rate, other.rate), self.pow + other.pow,
+                       self.logpow + other.logpow)
 
 
 ZERO_TAIL = AsymSig(None)
@@ -487,20 +501,11 @@ def _sig(expr: SequenceExpr) -> AsymSig:
     if isinstance(expr, Scale):
         return _sig(expr.inner)
     if isinstance(expr, Ampliation):
-        s = _sig(expr.inner)
-        if s.is_zero_tail:
-            return s
-        return AsymSig(_rate_root(s.rate, expr.m), s.pow, s.logpow)
+        return _sig(expr.inner).ampliated(expr.m)
     if isinstance(expr, Subsample):
-        s = _sig(expr.inner)
-        if s.is_zero_tail:
-            return s
-        return AsymSig(_rate_pow(s.rate, expr.k), s.pow, s.logpow)
+        return _sig(expr.inner).subsampled(expr.k)
     if isinstance(expr, Product):
-        a, b = _sig(expr.left), _sig(expr.right)
-        if a.is_zero_tail or b.is_zero_tail:
-            return ZERO_TAIL
-        return AsymSig(_rate_mul(a.rate, b.rate), a.pow + b.pow, a.logpow + b.logpow)
+        return _sig(expr.left) * _sig(expr.right)
     raise TypeError(type(expr).__name__)
 
 
@@ -618,7 +623,12 @@ def compare(xi: SequenceExpr, eta: SequenceExpr, mode: Mode) -> Verdict:
     """
     ensure_valid(xi)
     ensure_valid(eta)
-    s, t = _sig(xi), _sig(eta)
+    return _compared(xi, _sig(xi), eta, _sig(eta), mode)
+
+
+def _compared(xi: SequenceExpr, s: AsymSig, eta: SequenceExpr, t: AsymSig,
+              mode: Mode) -> Verdict:
+    """compare of valid xi and eta whose signatures s and t are known."""
     ev = {"xi_signature": s.describe(), "eta_signature": t.describe(), "mode": mode}
     if t.is_zero_tail:
         sx, sy = support(xi), support(eta)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from idealkit.seqspace import (
     Ampliation,
@@ -97,6 +98,11 @@ def random_catalog(rng: random.Random, depth: int = 3):
     if kind == "x":
         return explicit([9, 8], inner)
     return Product(inner, random_catalog(rng, depth - 1))
+
+
+# Hypothesis draws of random_catalog: zero tails, rate-one forms, amp/sub
+# nestings and exp leaves, which subsample rewrites to Exp(r ** k).
+catalog_exprs = st.builds(random_catalog, st.randoms(use_true_random=False))
 
 
 def seeded_compare_pairs(seed: int = 0, size: int = 300, pairs: int = 1200) -> list:

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit.dsl import format_ideal, format_seq, parse_ideal
+from idealkit import idealcalc, seqspace
+from idealkit.dsl import format_ideal, format_seq, parse_ideal, parse_seq
 from idealkit.idealcalc import (
     COMPACT,
     FINITE_RANK,
@@ -26,6 +27,7 @@ from idealkit.idealcalc import (
     member,
     necessary_soft_condition,
 )
+from idealkit.rates import RATE_ONE
 from idealkit.seqspace import (
     Ampliation,
     Exp,
@@ -36,12 +38,15 @@ from idealkit.seqspace import (
     Product,
     Scale,
     ampliate,
+    compare,
     eval_log,
     numeric_probe,
+    signature_of,
+    subsample,
     support,
 )
 
-from conftest import BATTERY, FINITE_BATTERY, random_catalog
+from conftest import BATTERY, FINITE_BATTERY, catalog_exprs, random_catalog
 
 battery_expr = st.sampled_from(BATTERY)
 
@@ -344,3 +349,81 @@ class TestProductBranches:
         v = is_idempotent(self._ideal(text))
         assert v.proven and v.holds is holds and v.fails is not holds
         assert v.evidence == evidence
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """A one-element list counting the outermost entries into seqspace._sig,
+    wherever a module binds it; the recursion inside one entry is not counted."""
+    real, depth, count = seqspace._sig, [0], [0]
+
+    def counting(expr):
+        count[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(expr)
+        finally:
+            depth[0] -= 1
+
+    for module in (seqspace, idealcalc):
+        if getattr(module, "_sig", None) is real:
+            monkeypatch.setattr(module, "_sig", counting)
+    return count
+
+
+_XI, _GEN = parse_seq("prod(exp:1/3,pow:1)"), parse_seq("prod(exp:1/2,exp:2/3)")
+# the least ampliation index of this pair is 3, so index 2 is refuted too
+_XI3, _GEN3 = parse_seq("prod(exp:1/2,pow:1)"), parse_seq("prod(exp:1/4,exp:1/2)")
+
+
+class TestSignatureOnce:
+    """Each public decision derives each input's signature once and reads
+    ampliated, subsampled and squared signatures off it."""
+
+    @pytest.mark.parametrize("call,count", [
+        (lambda: member(_XI, Principal(_GEN)), 2),
+        (lambda: member(_XI, ProductIdeal(Principal(_GEN), COMPACT)), 2),
+        (lambda: member(_XI3, Principal(_GEN3)), 2),
+        (lambda: is_soft(Principal(_GEN)), 1),
+        (lambda: is_idempotent(Principal(_GEN)), 1),
+        (lambda: necessary_soft_condition(_GEN), 1),
+        (lambda: implication_report(_GEN), 4),
+    ], ids=["member", "member-soft-edge", "member-m3", "soft", "idempotent", "necessary",
+            "report"])
+    def test_derivation_count(self, derivations, call, count):
+        call()
+        assert derivations == [count]
+
+    def test_least_index_above_one(self):
+        v = member(_XI3, Principal(_GEN3))
+        assert v.holds and v.evidence["m"] == 3
+        assert compare(_XI3, ampliate(3, _GEN3), Mode.BIG_O).holds
+        assert compare(_XI3, ampliate(2, _GEN3), Mode.BIG_O).fails
+
+    @given(gen=catalog_exprs.filter(lambda e: support(e) is None), xi=catalog_exprs)
+    @settings(max_examples=200, deadline=None)
+    def test_evidence_of_the_comparisons_by_expression(self, gen, xi):
+        """The verdicts equal, evidence order included, those of the
+        comparisons of built expressions that each decision stands for."""
+        def same(v, w):
+            assert (v.status, list(v.evidence.items())) == (w.status, list(w.evidence.items()))
+
+        v = compare(subsample(2, gen), gen, Mode.LITTLE_O)
+        same(is_soft(Principal(gen)), seqspace.Verdict(v.status, v.method, v.evidence | {
+            "k": 2, "criterion": "subsampled generator little-o of generator"}))
+        v = compare(gen, ampliate(2, gen), Mode.LITTLE_O)
+        ev = v.evidence | {"m": 2}
+        if signature_of(gen).rate == RATE_ONE:
+            ev["reason"] = "ampliation preserves a rate-one signature; the ratio has a positive limit"
+        same(necessary_soft_condition(gen), seqspace.Verdict(v.status, v.method, ev))
+        v = member(gen, Principal(Product(gen, gen)))
+        same(is_idempotent(Principal(gen)), seqspace.Verdict(v.status, v.method, v.evidence | {
+            "criterion": "generator big-O of an ampliated squared generator"}))
+        got = member(xi, Principal(gen))
+        if signature_of(gen).rate == RATE_ONE:
+            v = compare(xi, gen, Mode.BIG_O)
+            same(got, seqspace.Verdict(v.status, v.method, v.evidence | {
+                "m": 1, "ampliation_rule": "rate-one generator: ampliation preserves the signature"}))
+        elif isinstance(m := got.evidence.get("m"), int):
+            assert compare(xi, ampliate(m, gen), Mode.BIG_O).holds
+            assert m == 1 or compare(xi, ampliate(m - 1, gen), Mode.BIG_O).fails

@@ -19,7 +19,8 @@ from idealkit import cli
 from idealkit.base import MAX_RATIONAL_DIGITS, InputError
 from idealkit.catalog import _SHAPES, make_algebra
 from idealkit.dsl import DslError, format_seq, parse_seq
-from idealkit.idealcalc import ZeroIdealError
+from idealkit.idealcalc import (Principal, ZeroIdealError, implication_report, is_idempotent,
+                                member)
 from idealkit.matlie import MAX_ALGEBRA_ENTRIES, NotClosedError, matrices_from_json
 from idealkit.seqspace import InvalidSequenceError, Mode, Pow, compare, signature_of
 from idealkit.witness import (
@@ -284,7 +285,11 @@ def _chain_pair() -> tuple:
     (signature_of, lambda: _tree_chain("left")),
     (signature_of, lambda: _tree_chain("right")),
     (lambda xi, eta: compare(xi, eta, Mode.BIG_O), _chain_pair),
-], ids=["signature-43kb-tree-chain", "signature-43kb-right-nested", "compare-48kb-chains"])
+    (lambda xi, gen: member(xi, Principal(gen)), _chain_pair),
+    (lambda gen: is_idempotent(Principal(gen)), lambda: _tree_chain("left")),
+    (implication_report, lambda: _tree_chain("left")),
+], ids=["signature-43kb-tree-chain", "signature-43kb-right-nested", "compare-48kb-chains",
+        "member-48kb-chains", "idempotent-43kb-tree-chain", "report-43kb-tree-chain"])
 def test_product_chains_answer_in_seconds(call, inputs):
     # each product merges the shorter vector's numbers into the longer one's
     # base, which is already coprime

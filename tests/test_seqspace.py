@@ -44,7 +44,8 @@ from idealkit.seqspace import (
 from idealkit.rates import RATE_ONE, log_ratio_ceiling, root_rational
 from idealkit.seqspace import _order
 
-from conftest import BATTERY, EXACT_BATTERY, FULL_BATTERY, battery_ids, seeded_compare_pairs
+from conftest import (BATTERY, EXACT_BATTERY, FULL_BATTERY, battery_ids, catalog_exprs,
+                      seeded_compare_pairs)
 
 battery_expr = st.sampled_from(BATTERY)
 full_expr = st.sampled_from(FULL_BATTERY)
@@ -167,6 +168,27 @@ class TestSignature:
         sa, sb, sp = signature_of(a), signature_of(b), signature_of(Product(a, b))
         assert sp.pow == sa.pow + sb.pow
         assert sp.logpow == sa.logpow + sb.logpow
+
+
+class TestSignatureRules:
+    @given(expr=catalog_exprs, other=catalog_exprs, m=st.integers(1, 4), k=st.integers(2, 4))
+    @example(expr=Exp(F(2, 3)), other=FiniteSupport([]), m=2, k=3)
+    @example(expr=Ampliation(2, Subsample(2, PowLog(1, 1))), other=Pow(1), m=3, k=2)
+    @settings(max_examples=300, deadline=None)
+    def test_rules_give_the_signature_of_the_built_expression(self, expr, other, m, k):
+        s = signature_of(expr)
+        for built, ruled in ((ampliate(m, expr), s.ampliated(m)),
+                             (subsample(k, expr), s.subsampled(k)),
+                             (Product(expr, other), s * signature_of(other))):
+            assert signature_of(built) == ruled
+            assert signature_of(built).describe() == ruled.describe()
+
+    def test_rewritten_exponential_differs_only_in_representation(self):
+        built, ruled = signature_of(Exp(F(8, 27))), signature_of(Exp(F(2, 3))).subsampled(3)
+        assert subsample(3, Exp(F(2, 3))) == Exp(F(8, 27))
+        assert built.rate.vector == ((8, 1), (27, -1))
+        assert ruled.rate.vector == ((2, 3), (3, -3))
+        assert built == ruled and built.describe() == ruled.describe() == "rate=8/27, pow=0, logpow=0"
 
 
 def _rate_exprs():
