@@ -15,7 +15,7 @@ from typing import Optional
 
 from .base import _DIGITS_BOUND, MAX_RATIONAL_DIGITS, Frozen, InputError
 from .rates import RATE_ONE, log_ratio_ceiling
-# compare and signature_of, unused here, stay bound for perfbench/tracer.py to wrap.
+# compare, delta2_check and signature_of, unused here, stay bound for perfbench/tracer.py.
 from .seqspace import (
     Mode,
     Product,
@@ -23,6 +23,7 @@ from .seqspace import (
     Status,
     Verdict,
     _compared,
+    _delta2,
     _sig,
     ampliate,
     compare,
@@ -246,9 +247,12 @@ def is_soft(ideal: IdealExpr) -> Verdict:
         if isinstance(ideal.right, Compact):
             return proven(Status.HOLDS, rule="soft by construction: compact factor")
         return proven(Status.HOLDS, rule="finite-rank factor: the product is finite-rank, hence soft")
-    gen = ideal.gen
+    return _soft(ideal.gen, _sig(ideal.gen))
+
+
+def _soft(gen: SequenceExpr, sig) -> Verdict:
+    # is_soft of the principal ideal of a valid infinite-support gen of signature sig
     k = 2
-    sig = _sig(gen)
     v = _compared(subsample(k, gen), sig.subsampled(k), gen, sig, Mode.LITTLE_O)
     ev = dict(v.evidence)
     ev["k"] = k
@@ -270,8 +274,11 @@ def is_idempotent(ideal: IdealExpr) -> Verdict:
             Status.FAILS,
             reason="rate-one soft edge: the squared generator class is strictly smaller",
         )
-    gen = ideal.gen
-    sig = _sig(gen)
+    return _idempotent(ideal.gen, _sig(ideal.gen))
+
+
+def _idempotent(gen: SequenceExpr, sig) -> Verdict:
+    # is_idempotent of the principal ideal of gen, as _soft
     v = _member_principal(gen, sig, Product(gen, gen), sig * sig, Mode.BIG_O)
     ev = dict(v.evidence)
     ev["criterion"] = "generator big-O of an ampliated squared generator"
@@ -284,7 +291,11 @@ def necessary_soft_condition(xi: SequenceExpr) -> Verdict:
     ensure_valid(xi)
     if support(xi) is not None:
         raise InputError("necessary softness condition needs infinite support")
-    sig = _sig(xi)
+    return _necessary(xi, _sig(xi))
+
+
+def _necessary(xi: SequenceExpr, sig) -> Verdict:
+    # necessary_soft_condition of xi, as _soft
     v = _compared(xi, sig, ampliate(2, xi), sig.ampliated(2), Mode.LITTLE_O)
     ev = dict(v.evidence)
     ev["m"] = 2
@@ -324,11 +335,9 @@ def implication_report(xi: SequenceExpr) -> ImplicationReport:
     ensure_valid(xi)
     if support(xi) is not None:
         raise InputError("implication report needs an infinite-support generator")
-    ideal = Principal(xi)
-    d2 = delta2_check(xi)
-    soft = is_soft(ideal)
-    idem = is_idempotent(ideal)
-    nec = necessary_soft_condition(xi)
+    sig = _sig(xi)
+    d2, soft = _delta2(sig), _soft(xi, sig)
+    idem, nec = _idempotent(xi, sig), _necessary(xi, sig)
     flags = (
         ("delta2 holds => not soft", not (d2.holds and soft.holds)),
         ("idempotent => soft", not (idem.holds and not soft.holds)),

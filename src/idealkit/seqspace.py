@@ -515,52 +515,33 @@ def signature_of(expr: SequenceExpr) -> AsymSig:
     return _sig(expr)
 
 
-def _asymptotic_scale(expr: SequenceExpr):
-    """Limit of entry(n) / (n**-p * ln(n)**-q) for rate-one expressions.
-
-    Exact Fraction when all exponents are integral, float otherwise; only
-    meaningful when the signature rate is one (power-log decay class).
-    """
+def _scale(expr: SequenceExpr) -> tuple:
+    """(pow, factors, approximate) of a rate-one expression in one walk.
+    The asymptotic scale, lim entry(n) / (n**-pow * ln(n)**-logpow), is the
+    product of the q ** e over the pairs (q, e) in factors; approximate()
+    evaluates it node by node, exactly while the exponents are integral and
+    in floats after (see _power_product)."""
     if isinstance(expr, (Pow, PowLog)):
-        return Fraction(1)
+        return expr.p, [], lambda: Fraction(1)
     if isinstance(expr, Explicit):
-        return _asymptotic_scale(expr.tail)
+        return _scale(expr.tail)
+    if isinstance(expr, Product):  # a side without factors has scale exactly 1
+        (p, f, x), (q, g, y) = _scale(expr.left), _scale(expr.right)
+        return p + q, f + g, (lambda: x() * y()) if f and g else x if f else y
+    if not isinstance(expr, (Scale, Ampliation, Subsample)):
+        raise ValueError("asymptotic scale is defined only for rate-one expressions")
+    p, factors, inner = _scale(expr.inner)
     if isinstance(expr, Scale):
-        return expr.c * _asymptotic_scale(expr.inner)
-    if isinstance(expr, Ampliation):
-        s = _sig(expr.inner)
-        inner = _asymptotic_scale(expr.inner)
-        if s.pow.denominator == 1 and isinstance(inner, Fraction):
-            return inner * Fraction(expr.m) ** s.pow.numerator
-        return float(inner) * float(expr.m) ** float(s.pow)
-    if isinstance(expr, Subsample):
-        s = _sig(expr.inner)
-        inner = _asymptotic_scale(expr.inner)
-        if s.pow.denominator == 1 and isinstance(inner, Fraction):
-            return inner / Fraction(expr.k) ** s.pow.numerator
-        return float(inner) * float(expr.k) ** (-float(s.pow))
-    if isinstance(expr, Product):
-        return _asymptotic_scale(expr.left) * _asymptotic_scale(expr.right)
-    raise ValueError("asymptotic scale is defined only for rate-one expressions")
+        return p, [(expr.c, Fraction(1))] + factors, lambda: expr.c * inner()
+    n, e = (expr.m, p) if isinstance(expr, Ampliation) else (expr.k, -p)
 
+    def approximate():
+        x = inner()
+        if e.denominator == 1 and isinstance(x, Fraction):
+            return x * Fraction(n) ** e.numerator
+        return float(x) * float(n) ** float(e)
 
-def _scale_factors(expr: SequenceExpr) -> list:
-    """The asymptotic scale of a rate-one expression as pairs (q, e) of a
-    positive rational q and a rational exponent e, the scale being the
-    product of the q ** e."""
-    if isinstance(expr, (Pow, PowLog)):
-        return []
-    if isinstance(expr, Explicit):
-        return _scale_factors(expr.tail)
-    if isinstance(expr, Scale):
-        return [(expr.c, Fraction(1))] + _scale_factors(expr.inner)
-    if isinstance(expr, Ampliation):
-        return [(Fraction(expr.m), _sig(expr.inner).pow)] + _scale_factors(expr.inner)
-    if isinstance(expr, Subsample):
-        return [(Fraction(expr.k), -_sig(expr.inner).pow)] + _scale_factors(expr.inner)
-    if isinstance(expr, Product):
-        return _scale_factors(expr.left) + _scale_factors(expr.right)
-    raise ValueError("asymptotic scale is defined only for rate-one expressions")
+    return p, [(Fraction(n), e)] + factors, approximate
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +586,9 @@ def subsample(k: int, expr: SequenceExpr) -> SequenceExpr:
 
 def _limit_ratio_evidence(xi: SequenceExpr, eta: SequenceExpr, evidence: dict) -> None:
     """Attach the limiting ratio of a same-signature rate-one pair, the
-    quotient of their asymptotic scales (see _power_product)."""
-    factors = _scale_factors(xi) + [(q, -e) for q, e in _scale_factors(eta)]
-    evidence["limiting_ratio"] = _power_product(
-        factors, lambda: _asymptotic_scale(xi) / _asymptotic_scale(eta)
-    )
+    quotient of their asymptotic scales (see _scale)."""
+    (_, f, x), (_, g, y) = _scale(xi), _scale(eta)
+    evidence["limiting_ratio"] = _power_product(f + [(q, -e) for q, e in g], lambda: x() / y())
 
 
 def compare(xi: SequenceExpr, eta: SequenceExpr, mode: Mode) -> Verdict:
@@ -668,7 +647,11 @@ def delta2_check(xi: SequenceExpr) -> Verdict:
         raise InvalidSequenceError(
             "delta2 condition is undefined for finite rank (finite support)"
         )
-    s = _sig(xi)
+    return _delta2(_sig(xi))
+
+
+def _delta2(s: AsymSig) -> Verdict:
+    """delta2_check of a valid infinite-support expression of signature s."""
     if s.rate == RATE_ONE:
         p = s.pow
         return proven(

@@ -374,11 +374,14 @@ def derivations(monkeypatch):
 _XI, _GEN = parse_seq("prod(exp:1/3,pow:1)"), parse_seq("prod(exp:1/2,exp:2/3)")
 # the least ampliation index of this pair is 3, so index 2 is refuted too
 _XI3, _GEN3 = parse_seq("prod(exp:1/2,pow:1)"), parse_seq("prod(exp:1/4,exp:1/2)")
+# a rate-one input, whose verdicts carry a limiting ratio
+_ONE = parse_seq("amp:2;sub:3;pow:1/2")
 
 
 class TestSignatureOnce:
     """Each public decision derives each input's signature once and reads
-    ampliated, subsampled and squared signatures off it."""
+    ampliated, subsampled and squared signatures off it; a limiting ratio
+    derives none."""
 
     @pytest.mark.parametrize("call,count", [
         (lambda: member(_XI, Principal(_GEN)), 2),
@@ -387,9 +390,15 @@ class TestSignatureOnce:
         (lambda: is_soft(Principal(_GEN)), 1),
         (lambda: is_idempotent(Principal(_GEN)), 1),
         (lambda: necessary_soft_condition(_GEN), 1),
-        (lambda: implication_report(_GEN), 4),
+        (lambda: implication_report(_GEN), 1),
+        (lambda: compare(_ONE, _ONE, Mode.BIG_O), 2),
+        (lambda: is_soft(Principal(_ONE)), 1),
+        (lambda: member(_ONE, Principal(_ONE)), 2),
+        (lambda: necessary_soft_condition(_ONE), 1),
+        (lambda: implication_report(_ONE), 1),
     ], ids=["member", "member-soft-edge", "member-m3", "soft", "idempotent", "necessary",
-            "report"])
+            "report", "rate-one-compare", "rate-one-soft", "rate-one-member",
+            "rate-one-necessary", "rate-one-report"])
     def test_derivation_count(self, derivations, call, count):
         call()
         assert derivations == [count]

@@ -20,7 +20,7 @@ from idealkit.base import MAX_RATIONAL_DIGITS, InputError
 from idealkit.catalog import _SHAPES, make_algebra
 from idealkit.dsl import DslError, format_seq, parse_seq
 from idealkit.idealcalc import (Principal, ZeroIdealError, implication_report, is_idempotent,
-                                member)
+                                is_soft, member)
 from idealkit.matlie import MAX_ALGEBRA_ENTRIES, NotClosedError, matrices_from_json
 from idealkit.seqspace import InvalidSequenceError, Mode, Pow, compare, signature_of
 from idealkit.witness import (
@@ -261,8 +261,9 @@ def _prod(parts: list, shape: str = "left") -> str:
     """The parts multiplied by a left- or right-nested chain of prod, or by a
     balanced tree."""
     while len(parts) > 1:
-        if shape == "balanced":
-            parts = [f"prod({x},{y})" for x, y in zip(parts[::2], parts[1::2])]
+        if shape == "balanced":  # an odd last part moves up a level unpaired
+            pairs = zip(parts[::2], parts[1::2])
+            parts = [f"prod({x},{y})" for x, y in pairs] + parts[len(parts) & ~1:]
         elif shape == "left":
             parts = [f"prod({parts[0]},{parts[1]})"] + parts[2:]
         else:
@@ -274,6 +275,13 @@ def _tree_chain(shape: str) -> tuple:
     # a chain of 150 balanced 8-leaf trees of 40-bit rates: 43 KB
     leaves = _exp_leaves(1, 1200, 40)
     return (_prod([_prod(leaves[i:i + 8], "balanced") for i in range(0, 1200, 8)], shape),)
+
+
+def _rate_one_chain() -> tuple:
+    # 100 alternating sub:2; and amp:2; around a balanced product of 8000
+    # pow:1/2 leaves: 112 KB, nested 113 levels; the limiting ratio reads the
+    # power of the whole product under every amp: and sub:
+    return ("sub:2;amp:2;" * 50 + _prod(["pow:1/2"] * 8000, "balanced"),)
 
 
 def _chain_pair() -> tuple:
@@ -288,8 +296,14 @@ def _chain_pair() -> tuple:
     (lambda xi, gen: member(xi, Principal(gen)), _chain_pair),
     (lambda gen: is_idempotent(Principal(gen)), lambda: _tree_chain("left")),
     (implication_report, lambda: _tree_chain("left")),
+    (lambda x: compare(x, x, Mode.BIG_O), _rate_one_chain),
+    (lambda x: is_soft(Principal(x)), _rate_one_chain),
+    (lambda x: member(x, Principal(x)), _rate_one_chain),
+    (implication_report, _rate_one_chain),
 ], ids=["signature-43kb-tree-chain", "signature-43kb-right-nested", "compare-48kb-chains",
-        "member-48kb-chains", "idempotent-43kb-tree-chain", "report-43kb-tree-chain"])
+        "member-48kb-chains", "idempotent-43kb-tree-chain", "report-43kb-tree-chain",
+        "compare-112kb-rate-one-chain", "soft-112kb-rate-one-chain",
+        "member-112kb-rate-one-chain", "report-112kb-rate-one-chain"])
 def test_product_chains_answer_in_seconds(call, inputs):
     # each product merges the shorter vector's numbers into the longer one's
     # base, which is already coprime

@@ -42,7 +42,7 @@ from idealkit.seqspace import (
     validate,
 )
 from idealkit.rates import RATE_ONE, log_ratio_ceiling, root_rational
-from idealkit.seqspace import _order
+from idealkit.seqspace import _order, _scale, _sig
 
 from conftest import (BATTERY, EXACT_BATTERY, FULL_BATTERY, battery_ids, catalog_exprs,
                       seeded_compare_pairs)
@@ -607,6 +607,90 @@ class TestCompare:
     def test_big_o_transitive(self, a, b, c):
         if compare(a, b, Mode.BIG_O).holds and compare(b, c, Mode.BIG_O).holds:
             assert compare(a, c, Mode.BIG_O).holds
+
+
+def _old_asymptotic_scale(expr):
+    """The float or exact scale by the walk that re-derived the signature of
+    every amp: and sub: inner expression."""
+    if isinstance(expr, (Pow, PowLog)):
+        return F(1)
+    if isinstance(expr, Explicit):
+        return _old_asymptotic_scale(expr.tail)
+    if isinstance(expr, Scale):
+        return expr.c * _old_asymptotic_scale(expr.inner)
+    if isinstance(expr, Ampliation):
+        s = _sig(expr.inner)
+        inner = _old_asymptotic_scale(expr.inner)
+        if s.pow.denominator == 1 and isinstance(inner, F):
+            return inner * F(expr.m) ** s.pow.numerator
+        return float(inner) * float(expr.m) ** float(s.pow)
+    if isinstance(expr, Subsample):
+        s = _sig(expr.inner)
+        inner = _old_asymptotic_scale(expr.inner)
+        if s.pow.denominator == 1 and isinstance(inner, F):
+            return inner / F(expr.k) ** s.pow.numerator
+        return float(inner) * float(expr.k) ** (-float(s.pow))
+    return _old_asymptotic_scale(expr.left) * _old_asymptotic_scale(expr.right)
+
+
+def _old_scale_factors(expr) -> list:
+    if isinstance(expr, (Pow, PowLog)):
+        return []
+    if isinstance(expr, Explicit):
+        return _old_scale_factors(expr.tail)
+    if isinstance(expr, Scale):
+        return [(expr.c, F(1))] + _old_scale_factors(expr.inner)
+    if isinstance(expr, Ampliation):
+        return [(F(expr.m), _sig(expr.inner).pow)] + _old_scale_factors(expr.inner)
+    if isinstance(expr, Subsample):
+        return [(F(expr.k), -_sig(expr.inner).pow)] + _old_scale_factors(expr.inner)
+    return _old_scale_factors(expr.left) + _old_scale_factors(expr.right)
+
+
+def _outcome(approximate):
+    """The value with its type, or the exception, of approximate(); repr
+    tells nan and the float extremes apart."""
+    try:
+        x = approximate()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc), exc.args
+    return type(x), repr(x)
+
+
+# rate-one trees whose powers are often fractional, with scales and powers
+# large enough that the float path overflows and underflows
+_rate_one_trees = st.recursive(
+    st.one_of(
+        st.builds(Pow, st.sampled_from([F(1, 2), 1, 2, F(5, 2), 400, F(801, 2)])),
+        st.sampled_from([PowLog(1, 1), PowLog(0, 1), PowLog(1, -1), PowLog(F(1, 2), 2)]),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Scale, st.sampled_from([F(1, 3), 7, 10 ** 400, F(1, 10 ** 400)]), inner),
+        st.builds(lambda tail: Explicit((F(9), F(8)), tail), inner),
+        st.builds(Ampliation, st.integers(2, 5), inner),
+        st.builds(Subsample, st.integers(2, 5), inner),
+        st.builds(Product, inner, inner),
+    ),
+    max_leaves=10,
+)
+
+
+class TestScale:
+    @given(xi=_rate_one_trees, eta=_rate_one_trees)
+    @settings(max_examples=400, deadline=None)
+    def test_one_walk_equals_the_two_walks(self, xi, eta):
+        """_scale gives the signature's power, the old factor list and the
+        old scale, exceptions included, of each tree and of their quotient."""
+        (p, f, x), (_, g, y) = _scale(xi), _scale(eta)
+        assert p == signature_of(xi).pow
+        assert f == _old_scale_factors(xi)
+        assert _outcome(x) == _outcome(lambda: _old_asymptotic_scale(xi))
+        assert _outcome(lambda: x() / y()) == _outcome(
+            lambda: _old_asymptotic_scale(xi) / _old_asymptotic_scale(eta))
+
+    def test_other_rates_have_no_scale(self):
+        with pytest.raises(ValueError):
+            _scale(Product(Pow(1), Exp(F(1, 2))))
 
 
 class TestDelta2:
