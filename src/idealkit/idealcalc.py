@@ -95,6 +95,11 @@ FINITE_RANK = FiniteRank()
 COMPACT = Compact()
 
 
+def _extended(v: Verdict, **extra) -> Verdict:
+    """v with extra evidence; a key it already has keeps its place."""
+    return Verdict(v.status, v.method, {**v.evidence, **extra})
+
+
 def _factors(ideal: IdealExpr) -> list:
     """The normalized leaves of a product tree, left to right."""
     if isinstance(ideal, ProductIdeal):
@@ -178,11 +183,8 @@ def _member_principal(xi: SequenceExpr, xi_sig, gen: SequenceExpr, gen_sig,
     # make_ideal turns any other into FINITE_RANK
     if gen_sig.rate == RATE_ONE:
         # Ampliation leaves a rate-one signature fixed: testing m = 1 decides.
-        v = _compared(xi, xi_sig, gen, gen_sig, mode)
-        ev = dict(v.evidence)
-        ev["m"] = 1
-        ev["ampliation_rule"] = "rate-one generator: ampliation preserves the signature"
-        return Verdict(v.status, v.method, ev)
+        return _extended(_compared(xi, xi_sig, gen, gen_sig, mode), m=1,
+                         ampliation_rule="rate-one generator: ampliation preserves the signature")
     ev = {
         "xi_signature": xi_sig.describe(),
         "generator_signature": gen_sig.describe(),
@@ -221,10 +223,7 @@ def member(xi: SequenceExpr, ideal: IdealExpr) -> Verdict:
         return _member_principal(xi, _sig(xi), ideal.gen, _sig(ideal.gen), Mode.BIG_O)
     if isinstance(ideal, ProductIdeal):
         if isinstance(ideal.right, FiniteRank):
-            v = _member_finite(xi)
-            ev = dict(v.evidence)
-            ev["rule"] = "finite-rank factor absorbs the product"
-            return Verdict(v.status, v.method, ev)
+            return _extended(_member_finite(xi), rule="finite-rank factor absorbs the product")
         # a compact right factor always comes with a principal left one
         gen = ideal.left.gen
         return _member_principal(xi, _sig(xi), gen, _sig(gen), Mode.LITTLE_O)
@@ -254,10 +253,7 @@ def _soft(gen: SequenceExpr, sig) -> Verdict:
     # is_soft of the principal ideal of a valid infinite-support gen of signature sig
     k = 2
     v = _compared(subsample(k, gen), sig.subsampled(k), gen, sig, Mode.LITTLE_O)
-    ev = dict(v.evidence)
-    ev["k"] = k
-    ev["criterion"] = "subsampled generator little-o of generator"
-    return Verdict(v.status, v.method, ev)
+    return _extended(v, k=k, criterion="subsampled generator little-o of generator")
 
 
 def is_idempotent(ideal: IdealExpr) -> Verdict:
@@ -280,9 +276,7 @@ def is_idempotent(ideal: IdealExpr) -> Verdict:
 def _idempotent(gen: SequenceExpr, sig) -> Verdict:
     # is_idempotent of the principal ideal of gen, as _soft
     v = _member_principal(gen, sig, Product(gen, gen), sig * sig, Mode.BIG_O)
-    ev = dict(v.evidence)
-    ev["criterion"] = "generator big-O of an ampliated squared generator"
-    return Verdict(v.status, v.method, ev)
+    return _extended(v, criterion="generator big-O of an ampliated squared generator")
 
 
 def necessary_soft_condition(xi: SequenceExpr) -> Verdict:
@@ -297,11 +291,10 @@ def necessary_soft_condition(xi: SequenceExpr) -> Verdict:
 def _necessary(xi: SequenceExpr, sig) -> Verdict:
     # necessary_soft_condition of xi, as _soft
     v = _compared(xi, sig, ampliate(2, xi), sig.ampliated(2), Mode.LITTLE_O)
-    ev = dict(v.evidence)
-    ev["m"] = 2
     if sig.rate == RATE_ONE:
-        ev["reason"] = "ampliation preserves a rate-one signature; the ratio has a positive limit"
-    return Verdict(v.status, v.method, ev)
+        return _extended(v, m=2, reason="ampliation preserves a rate-one signature; "
+                                        "the ratio has a positive limit")
+    return _extended(v, m=2)
 
 
 class ImplicationReport(Frozen):

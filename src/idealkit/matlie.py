@@ -41,6 +41,7 @@ from .ratlinalg import (
     SparseEchelon,
     _span,
     bracket,
+    bracket_flat,
     frac_mod_p,
     nullspace,
 )
@@ -107,19 +108,6 @@ def _require_entries(dim: int, ambient: int) -> None:
                          f"{MAX_ALGEBRA_ENTRIES} entries")
 
 
-def _flat(m: RationalMatrix) -> dict:
-    """Nonzero entries keyed by the row-major flat index r·cols + c."""
-    cols = m.cols
-    return {r * cols + c: v for r, row in m._data.items() for c, v in row.items()}
-
-
-def _from_flat(flat, rows: int, cols: int) -> RationalMatrix:
-    """Matrix from row-major flat entries: a dense sequence, or a dict
-    {r·cols + c: value} like the one ``_flat`` returns."""
-    items = flat.items() if isinstance(flat, dict) else enumerate(flat)
-    return RationalMatrix.from_nonzeros(rows, cols, {divmod(k, cols): v for k, v in items if v})
-
-
 # ---------------------------------------------------------------------------
 # Presentations and subspaces
 # ---------------------------------------------------------------------------
@@ -154,8 +142,9 @@ class Subspace(Frozen):
 
     def matrices(self) -> List[RationalMatrix]:
         amb = self.parent.ambient
-        flats = [_flat(b) for b in self.parent.basis]
-        return [_from_flat(_apply(flats, enumerate(vec)), amb, amb) for vec in self.vectors]
+        flats = [b.flat_nonzeros() for b in self.parent.basis]
+        return [RationalMatrix.from_flat(amb, amb, _apply(flats, enumerate(vec)))
+                for vec in self.vectors]
 
     def contains_coords(self, vec: Sequence[Fraction]) -> bool:
         if len(vec) != self.parent.dim:
@@ -165,7 +154,8 @@ class Subspace(Frozen):
     def ambient_rref(self) -> tuple:
         """Canonical form in the ambient matrix space; comparable across parents."""
         amb = self.parent.ambient
-        return tuple(tuple(r) for r in _span(map(_flat, self.matrices()), amb * amb).reduced())
+        flats = (m.flat_nonzeros() for m in self.matrices())
+        return tuple(tuple(r) for r in _span(flats, amb * amb).reduced())
 
 
 def _subspace(parent: LieAlgebraPresentation, rows) -> Subspace:
@@ -185,7 +175,7 @@ def _matrix_coords(L: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) ->
         if (m.rows, m.cols) != (amb, amb):
             raise InputError(f"matrix {k} is {m.rows} x {m.cols}, not {amb} x {amb}")
     span = _structure(L).span
-    coords = [span.coords(_flat(m)) for m in mats]
+    coords = [span.coords(m.flat_nonzeros()) for m in mats]
     if None in coords:
         raise InputError("matrix outside the span of the presentation basis")
     return coords
@@ -204,7 +194,8 @@ def span_reduce(mats: Sequence[RationalMatrix]) -> List[RationalMatrix]:
     for m in mats:
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError("span_reduce needs matrices of equal shape")
-    return [_from_flat(r, rows, cols) for r in _span(map(_flat, mats), rows * cols).reduced()]
+    span = _span((m.flat_nonzeros() for m in mats), rows * cols)
+    return [RationalMatrix.from_flat(rows, cols, r) for r in span.reduced()]
 
 
 # ---------------------------------------------------------------------------
@@ -228,49 +219,26 @@ class ClosureReport(Frozen):
         vars(self).update(closed=closed, pair=pair, residual=residual)
 
 
-def _bracket_flat(x: dict, y: dict, cols: int) -> dict:
-    """xy - yx for two square matrices given by their sparse rows
-    (``RationalMatrix._data``), as its nonzero entries keyed by the row-major
-    flat index r·cols + c."""
-    acc: dict = {}
-    for i, row in x.items():
-        for k, a in row.items():
-            yk = y.get(k)
-            if yk:
-                for j, b in yk.items():
-                    key = i * cols + j
-                    acc[key] = acc[key] + a * b if key in acc else a * b
-    for i, row in y.items():
-        for k, a in row.items():
-            xk = x.get(k)
-            if xk:
-                for j, b in xk.items():
-                    key = i * cols + j
-                    acc[key] = acc[key] - a * b if key in acc else -(a * b)
-    return {k: v for k, v in acc.items() if v}
-
-
 def _closure_scan(L: LieAlgebraPresentation):
     amb = L.ambient
     n = amb * amb
     span = SparseEchelon(n)
     for idx, b in enumerate(L.basis):
-        flat = _flat(b)
+        flat = b.flat_nonzeros()
         if all(c >= n for c in span.reduce(flat)):
             raise InputError(f"{L.name}: basis matrix {idx} depends on earlier ones")
         span.insert({**flat, n + idx: F1})
-    mats = [b._data for b in L.basis]
     d = L.dim
     ads = [[{} for _ in range(d)] for _ in range(d)]
     coords = span.coords
     for i in range(d):
-        x = mats[i]
+        x = L.basis[i]
         for j in range(i + 1, d):
-            flat = _bracket_flat(x, mats[j], amb)
+            flat = bracket_flat(x, L.basis[j])
             col = coords(flat)
             if col is None:
                 residual = {c: v for c, v in span.reduce(flat).items() if c < n}
-                return None, (i, j, _from_flat(residual, amb, amb))
+                return None, (i, j, RationalMatrix.from_flat(amb, amb, residual))
             ads[i][j] = col
             ads[j][i] = {k: -c for k, c in col.items()}
     return _Structure(span, ads), None
@@ -509,7 +477,8 @@ def _commutant_exact(ads: Sequence[Sequence[dict]], d: int, positions) -> List[R
     unit at its last nonzero column."""
     last = d * d - 1
     flipped = ({last - c: x for c, x in v.items()} for v in _commutant(ads, d, positions))
-    return [_from_flat(row[::-1], d, d) for row in reversed(_span(flipped, d * d).reduced())]
+    return [RationalMatrix.from_flat(d, d, row[::-1])
+            for row in reversed(_span(flipped, d * d).reduced())]
 
 
 def adjoint_commutant(L: LieAlgebraPresentation) -> tuple:
@@ -553,7 +522,7 @@ def _min_poly(C: RationalMatrix) -> List[Fraction]:
     span = SparseEchelon(n)
     power = RationalMatrix.identity(C.rows)
     while True:
-        vec = _flat(power)
+        vec = power.flat_nonzeros()
         coeffs = span.coords(vec)
         if coeffs is not None:
             return [-coeffs.get(k, F0) for k in range(span.rank)] + [F1]
@@ -755,19 +724,10 @@ def matrices_from_json(flats, ambient: int) -> List[RationalMatrix]:
     if not isinstance(flats, list) or any(not isinstance(f, list) or len(f) != size for f in flats):
         raise InputError(f"expected a list of matrices, each a flat list of {size} rationals")
     _require_entries(len(flats), ambient)
-    mats = []
-    for flat in flats:
-        data: dict = {}
-        for k, v in enumerate(flat):
-            # an exact int zero needs no Fraction; every other entry is checked
-            if v.__class__ is int and not v:
-                continue
-            f = _decode_rational(v)
-            if f:
-                r, c = divmod(k, ambient)
-                data.setdefault(r, {})[c] = f
-        mats.append(RationalMatrix._make(ambient, ambient, data))
-    return mats
+    # an exact int zero needs no Fraction; every other entry is checked
+    return [RationalMatrix.from_flat(ambient, ambient, {
+        k: _decode_rational(v) for k, v in enumerate(flat) if v.__class__ is not int or v
+    }) for flat in flats]
 
 
 def algebra_from_json(obj: dict) -> LieAlgebraPresentation:

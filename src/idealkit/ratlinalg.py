@@ -2,14 +2,18 @@
 
 ``SparseEchelon`` is the one elimination core: an online echelon over sparse
 rows (dict column -> value, or dense sequences), over Fraction or GF(p)
-integers as its caller picks.  ``insert`` adds a row, and ``reduce`` returns
-the remainder after eliminating every held pivot (empty exactly when the row
-lies in the span).  ``back_substitute`` is the one backward pass: it clears
-every pivot column from the other held rows in place.  ``reduced`` (the
-dense RREF) and ``sparse_kernel`` (the canonical kernel basis; ``kernel`` is
-its dense view) run it and read their answer off the held rows.  The
+integers as its caller picks.  ``insert`` adds a row, ``reduce`` returns the
+remainder after eliminating every held pivot (empty exactly when the row lies
+in the span), and ``back_substitute`` clears every pivot column from the
+other held rows in place; all three run one elimination step, ``_subtract``.
+``reduced`` (the dense RREF) and ``sparse_kernel`` (the canonical kernel
+basis; ``kernel`` is its dense view) read off the back-substituted rows.  The
 remainder, the RREF and the kernel depend only on the span.  ``rank`` and
 ``nullspace`` are adapters from dense rows to the core.
+
+No other module reads a ``RationalMatrix``'s stored rows; its flat form, the
+nonzeros keyed by row-major index r·cols + c (``flat_nonzeros``, ``from_flat``),
+is what an echelon holds and what ``bracket_flat``, the one commutator, returns.
 
 A caller that wants coordinates in its generators appends a tag column
 ``ncols + k`` with value one to generator ``k``; ``coords`` reads a vector's
@@ -33,7 +37,7 @@ from .base import as_fraction
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-# RationalMatrix and bracket stay out: perfbench's tracer wraps every name listed here.
+# RationalMatrix, bracket and bracket_flat stay out: perfbench's tracer wraps each name here.
 __all__ = [
     "SparseEchelon",
     "frac_mod_p",
@@ -66,6 +70,27 @@ def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int) -> List[List[Fract
     return _span(rows, ncols).kernel()
 
 
+def _normalised(row, p: Optional[int]) -> dict:
+    """A new sparse dict of a dense or sparse row's nonzeros, mod p if p is given."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    if p is None:
+        return {c: v for c, v in items if v}
+    return {c: v % p for c, v in items if v % p}
+
+
+def _subtract(work: dict, f, row: dict, p: Optional[int]) -> None:
+    """The one elimination step: work -= f·row in place, mod p when p is
+    given, deleting every entry that becomes zero."""
+    for c, v in row.items():
+        nv = work.get(c, 0) - f * v
+        if p is not None:
+            nv %= p
+        if nv:
+            work[c] = nv
+        else:
+            del work[c]
+
+
 class SparseEchelon:
     """Online echelon over sparse rows (dict column -> value) or dense ones.
 
@@ -88,22 +113,11 @@ class SparseEchelon:
         return len(self._rows)
 
     def insert(self, row) -> bool:
-        """Add a row; returns False when it depends on the rows already held.
-
-        Only the leftmost entry is eliminated, until it lands on a column
-        without a pivot.  The elimination step is written out here and in
-        ``reduce`` rather than shared: the commutant certificate inserts
-        tens of thousands of rows that are mostly empty, and a loop shared
-        through one more call per row made its echelon for sp(5) about 10%
-        slower.
-        """
+        """Add a row, eliminating its leftmost entry until that lands on a
+        column without a pivot; False when the row depends on the held rows."""
         p = self.p
         rows = self._rows
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        if p is None:
-            work = {c: v for c, v in items if v}
-        else:
-            work = {c: v % p for c, v in items if v % p}
+        work = _normalised(row, p)
         while work:
             piv = min(work)
             existing = rows.get(piv)
@@ -116,37 +130,18 @@ class SparseEchelon:
                     inv = pow(f, -1, p)
                     rows[piv] = {c: v * inv % p for c, v in work.items()}
                 return True
-            for c, v in existing.items():
-                nv = work.get(c, 0) - f * v
-                if p is not None:
-                    nv %= p
-                if nv:
-                    work[c] = nv
-                else:
-                    del work[c]
+            _subtract(work, f, existing, p)
         return False
 
     def reduce(self, row) -> dict:
         """Remainder of a row after eliminating every held pivot: zero at each
         pivot column, empty exactly when the row lies in the span."""
         p = self.p
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        if p is None:
-            work = {c: v for c, v in items if v}
-        else:
-            work = {c: v % p for c, v in items if v % p}
+        work = _normalised(row, p)
         for piv, existing in sorted(self._rows.items()):
             f = work.get(piv)
-            if not f:
-                continue
-            for c, v in existing.items():
-                nv = work.get(c, 0) - f * v
-                if p is not None:
-                    nv %= p
-                if nv:
-                    work[c] = nv
-                else:
-                    del work[c]
+            if f:
+                _subtract(work, f, existing, p)
         return work
 
     def coords(self, vec) -> Optional[dict]:
@@ -192,14 +187,7 @@ class SparseEchelon:
         for piv in sorted(rows, reverse=True):
             row = rows[piv]
             for q, f in [(c, v) for c, v in row.items() if c != piv and c in rows]:
-                for c, v in rows[q].items():
-                    nv = row.get(c, 0) - f * v
-                    if p is not None:
-                        nv %= p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        del row[c]
+                _subtract(row, f, rows[q], p)
 
     def reduced(self) -> list:
         """Dense reduced row echelon rows of the span, in pivot order: the
@@ -260,11 +248,7 @@ class RationalMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix")
-        data = {}
-        for i, r in enumerate(rows):
-            nonzero = {j: v for j, v in enumerate(r) if v}
-            if nonzero:
-                data[i] = nonzero
+        data = {i: _normalised(r, None) for i, r in enumerate(rows) if any(r)}
         self._init(len(rows), width, data)
 
     def _init(self, rows: int, cols: int, data: dict) -> None:
@@ -298,6 +282,13 @@ class RationalMatrix:
         return cls._make(rows, cols, data)
 
     @classmethod
+    def from_flat(cls, rows: int, cols: int, flat) -> "RationalMatrix":
+        """Matrix from row-major flat entries: a dense sequence, or a dict
+        {r·cols + c: value} like the one ``flat_nonzeros`` returns."""
+        items = flat.items() if isinstance(flat, dict) else enumerate(flat)
+        return cls.from_nonzeros(rows, cols, {divmod(k, cols): v for k, v in items if v})
+
+    @classmethod
     def zeros(cls, rows: int, cols: Optional[int] = None) -> "RationalMatrix":
         return cls.from_nonzeros(rows, rows if cols is None else cols, {})
 
@@ -325,6 +316,11 @@ class RationalMatrix:
     def nonzeros(self) -> dict:
         """The nonzero entries as {(row, column): value}."""
         return {(i, j): v for i, row in self._data.items() for j, v in row.items()}
+
+    def flat_nonzeros(self) -> dict:
+        """The nonzero entries keyed by the row-major flat index r·cols + c."""
+        cols = self.cols
+        return {r * cols + c: v for r, row in self._data.items() for c, v in row.items()}
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -392,8 +388,32 @@ class RationalMatrix:
         return f"RationalMatrix({[[str(v) for v in row] for row in self.entries]})"
 
 
+def bracket_flat(x: RationalMatrix, y: RationalMatrix) -> dict:
+    """The one commutator: the flat nonzeros of xy - yx for square x and y of
+    equal size.  It sums xy, then subtracts yx: one loop with an int sign
+    would cost every product one more Fraction multiply."""
+    n = x.rows
+    if x.cols != n or y.rows != n or y.cols != n:
+        raise ValueError("bracket needs square matrices of equal size")
+    xd, yd = x._data, y._data
+    acc: dict = {}
+    for i, row in xd.items():
+        for k, a in row.items():
+            yk = yd.get(k)
+            if yk:
+                for j, b in yk.items():
+                    key = i * n + j
+                    acc[key] = acc[key] + a * b if key in acc else a * b
+    for i, row in yd.items():
+        for k, a in row.items():
+            xk = xd.get(k)
+            if xk:
+                for j, b in xk.items():
+                    key = i * n + j
+                    acc[key] = acc[key] - a * b if key in acc else -(a * b)
+    return {k: v for k, v in acc.items() if v}
+
+
 def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     """Commutator xy - yx; exact, and trace-free by symmetry of the trace."""
-    if x.rows != x.cols or y.rows != y.cols or x.rows != y.rows:
-        raise ValueError("bracket needs square matrices of equal size")
-    return (x @ y) - (y @ x)
+    return RationalMatrix.from_flat(x.rows, x.rows, bracket_flat(x, y))

@@ -20,7 +20,7 @@ from idealkit.catalog import (
     sp_standard,
 )
 from idealkit.dsl import parse_seq
-from idealkit.ratlinalg import F1, RationalMatrix, SparseEchelon, bracket
+from idealkit.ratlinalg import F1, RationalMatrix, SparseEchelon
 
 
 def _coords(span, vec):
@@ -31,11 +31,13 @@ def _coords(span, vec):
 
 def reference_scan(L):
     """(ads, None) for a closed basis, else (None, (i, j, residual)) for the
-    first pair in lexicographic order whose bracket leaves the span."""
+    first pair in lexicographic order whose bracket leaves the span.  Each
+    bracket is two products and a difference, so the reference never runs
+    the commutator the scan uses."""
     n = L.ambient * L.ambient
     span = SparseEchelon(n)
     for idx, b in enumerate(L.basis):
-        flat = matlie._flat(b)
+        flat = b.flat_nonzeros()
         if _coords(span, flat) is not None:
             raise InputError(f"{L.name}: basis matrix {idx} depends on earlier ones")
         span.insert({**flat, n + idx: F1})
@@ -43,11 +45,12 @@ def reference_scan(L):
     ads = [[{} for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            flat = matlie._flat(bracket(L.basis[i], L.basis[j]))
+            x, y = L.basis[i], L.basis[j]
+            flat = ((x @ y) - (y @ x)).flat_nonzeros()
             col = _coords(span, flat)
             if col is None:
                 residual = {c: v for c, v in span.reduce(flat).items() if c < n}
-                return None, (i, j, matlie._from_flat(residual, L.ambient, L.ambient))
+                return None, (i, j, RationalMatrix.from_flat(L.ambient, L.ambient, residual))
             ads[i][j] = col
             ads[j][i] = {k: -c for k, c in col.items()}
     return ads, None

@@ -2,7 +2,8 @@
 module, and each ``from .m import name`` names the module that defines it.
 The only exceptions are the ``matlie`` bindings that perfbench reads.  Span
 membership has one home too: only ``ratlinalg`` reads an echelon's rows;
-so has the rate format: only ``rates`` reads exponent vectors; and so has
+so has the matrix format: only ``ratlinalg`` reads ``_data`` or calls
+``_make``; so has the rate format: only ``rates`` reads exponent vectors; and so has
 the file format: only ``base`` opens files."""
 
 from __future__ import annotations
@@ -96,6 +97,16 @@ def test_echelon_rows_are_read_in_ratlinalg_only(module):
     matlie's function ``_rows`` is not an attribute read)."""
     reads = [node.lineno for node in ast.walk(_tree(module))
              if isinstance(node, ast.Attribute) and node.attr == "_rows"]
+    assert reads == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "ratlinalg"])
+def test_matrix_rows_are_read_in_ratlinalg_only(module):
+    """A matrix enters and leaves other modules through ``RationalMatrix``'s
+    views and constructors: no other module reads its stored rows ``_data``
+    or wraps rows with ``_make``."""
+    reads = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Attribute) and node.attr in ("_data", "_make")]
     assert reads == []
 
 

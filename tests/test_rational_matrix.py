@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealkit.ratlinalg import RationalMatrix, bracket
+from idealkit.ratlinalg import RationalMatrix, bracket, bracket_flat
 
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 dims = st.integers(1, 6)
@@ -72,9 +72,11 @@ def test_bracket_matches_triple_loop(data, n):
     x = data.draw(dense(n, n))
     y = data.draw(dense(n, n))
     expected = ref_add(ref_mul(x, y), ref_mul(y, x), -1)
-    got = bracket(RationalMatrix(x), RationalMatrix(y))
+    mx, my = RationalMatrix(x), RationalMatrix(y)
+    got = bracket(mx, my)
     check_invariants(got, expected)
     assert got.trace() == 0
+    assert bracket_flat(mx, my) == {k: v for k, v in enumerate(sum(expected, [])) if v}
 
 
 @given(data=st.data(), r=dims, c=dims, scale=small_fraction)
@@ -104,6 +106,9 @@ def test_dense_views_round_trip(data, r, c):
     assert m.flat() == tuple(v for row in x for v in row)
     assert m.nonzeros() == {(i, j): v for i, row in enumerate(x) for j, v in enumerate(row) if v}
     assert RationalMatrix.from_nonzeros(r, c, m.nonzeros()) == m
+    assert m.flat_nonzeros() == {k: v for k, v in enumerate(m.flat()) if v}
+    assert RationalMatrix.from_flat(r, c, m.flat_nonzeros()) == m
+    assert RationalMatrix.from_flat(r, c, m.flat()) == m
     assert m.is_zero() == (not any(v for row in x for v in row))
     if r == c:
         assert m.trace() == sum((x[i][i] for i in range(r)), F(0))
@@ -123,5 +128,10 @@ def test_constructors_and_repr():
         RationalMatrix.from_nonzeros(2, 2, {(2, 0): 1})
     with pytest.raises(ValueError):
         RationalMatrix.zeros(2) @ RationalMatrix.zeros(3)
+    for x, y in [(RationalMatrix.zeros(2), RationalMatrix.zeros(3)),
+                 (RationalMatrix.zeros(2, 3), RationalMatrix.zeros(2, 3)),
+                 (RationalMatrix.zeros(2), RationalMatrix.zeros(2, 3))]:
+        with pytest.raises(ValueError):
+            bracket(x, y)
     with pytest.raises(AttributeError):
         RationalMatrix.zeros(2).rows = 3
