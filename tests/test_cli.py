@@ -133,6 +133,38 @@ class TestIdealCommands:
         assert verdict["status"] == "Holds" and verdict["method"] == "SymbolicProven"
         assert verdict["evidence"]["m"] == least_m
 
+    # (argv, stdout): soft --numeric run to its corroboration line, on a
+    # non-soft and a soft generator
+    SOFT_NUMERIC = [
+        (["ideal", "soft", "pow:1", "--numeric"],
+         "NOT SOFT (SymbolicProven)\n"
+         "  xi_signature: rate=1, pow=1, logpow=0\n"
+         "  eta_signature: rate=1, pow=1, logpow=0\n"
+         "  mode: o\n"
+         "  reason: equal signatures; ratio does not tend to zero\n"
+         "  limiting_ratio: 1/2\n"
+         "  k: 2\n"
+         "  criterion: subsampled generator little-o of generator\n"
+         "numeric corroboration: Fails (NumericIndicated)\n"),
+        (["ideal", "soft", "exp:1/2", "--numeric", "--nmax", "4096"],
+         "SOFT (SymbolicProven)\n"
+         "  rule: strict signature dominance\n"
+         "  xi_signature: rate=1/4, pow=0, logpow=0\n"
+         "  eta_signature: rate=1/2, pow=0, logpow=0\n"
+         "  mode: o\n"
+         "  k: 2\n"
+         "  criterion: subsampled generator little-o of generator\n"
+         "numeric corroboration: Holds (NumericIndicated)\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,stdout", SOFT_NUMERIC, ids=["pow-1", "exp-1/2"])
+    def test_soft_numeric_table(self, argv, stdout):
+        assert run_cli(argv) == (0, stdout)
+        code, out = run_cli(argv + ["--json"])
+        payload = json.loads(out)
+        assert payload["numeric"]["evidence"]["mode"] == "o"
+        assert payload["verdict"]["evidence"]["k"] == 2
+
     def test_json_report_is_valid(self):
         code, out = run_cli(["ideal", "soft", "pow:1", "--json"])
         assert code == 0
@@ -492,6 +524,16 @@ class TestLieCommands:
 
     def test_missing_file_exit_two(self):
         assert run_cli(["lie", "simple", "--file", "/nonexistent.json"])[0] == 2
+
+    def test_build_name_overrides_the_presentation_name(self, tmp_path):
+        algebra_file = str(tmp_path / "tri.json")
+        argv = ["lie", "build", "ut-sl", "--n", "2", "--name", "tri", "-o", algebra_file]
+        assert run_cli(argv) == (0, f"built tri: ambient 2, dim 2\nwrote {algebra_file}\n")
+        with open(algebra_file, encoding="utf-8") as fh:
+            assert json.load(fh) == {"name": "tri", "ambient_dim": 2,
+                                     "basis": [[1, 0, 0, -1], [0, 1, 0, 0]]}
+        payload = json.loads(run_cli(argv[:-2] + ["--json"])[1])
+        assert payload["algebra"]["name"] == "tri" and payload["dim"] == 2
 
     # sha256 of the whole `lie simple --json` stdout, or of `lie ideal-gen
     # --json` when a seed {basis index: coefficient} is given.  The benchmark

@@ -103,6 +103,25 @@ class TestParse:
     def test_explicit_zero_prefix_normalizes(self):
         assert parse_seq("explicit:[1,0];tail=pow:1") == FiniteSupport([1, 0])
 
+    # (text, offset, message): the parser's own refusals, before any
+    # constructor constraint is checked
+    SYNTAX_ERRORS = [
+        ("amp:0;pow:1", 0, "ampliation index must be >= 1, got 0"),
+        ("sub:1;pow:1", 0, "subsample step must be >= 2, got 1"),
+        ("pow:", 4, "expected a rational number (p/q or decimal)"),
+        ("amp:x;pow:1", 4, "expected an integer"),
+        ("pw:1", 0, "unknown sequence form 'pw'"),
+        ("pow:1 junk", 6, "trailing input after sequence"),
+    ]
+
+    @pytest.mark.parametrize("text,offset,message", SYNTAX_ERRORS,
+                             ids=[row[0] for row in SYNTAX_ERRORS])
+    def test_syntax_error_table(self, text, offset, message):
+        with pytest.raises(DslError) as err:
+            parse_seq(text)
+        assert err.value.offset == offset
+        assert str(err.value) == f"offset {offset}: {message}"
+
 
 class TestRationals:
     @pytest.mark.parametrize("text", ["1e5", "1.5/3", " 1/2", "0x10", "1/", ""])

@@ -32,6 +32,7 @@ from idealkit.seqspace import (
     ampliate,
     compare,
     delta2_check,
+    ensure_valid,
     eval_at,
     eval_log,
     explicit,
@@ -127,6 +128,58 @@ class TestValidate:
     @given(expr=full_expr)
     def test_battery_validates(self, expr):
         assert validate(expr).holds
+
+    # (text or None, expression, location, message): every message validate
+    # can give, and which check wins where two apply
+    VIOLATIONS = [
+        ("pow:0", Pow(0), "seq", "Pow exponent must be positive, got 0"),
+        ("exp:2", Exp(2), "seq", "Exp ratio must lie in (0, 1), got 2"),
+        ("powlog:-1,1", PowLog(-1, 1), "seq", "PowLog power must be nonnegative, got -1"),
+        ("powlog:0,0", PowLog(0, 0), "seq", "PowLog with p = 0 needs q > 0 to tend to zero"),
+        ("finite:[-1]", FiniteSupport([-1]), "seq.values[0]", "negative value -1"),
+        ("finite:[1,-1]", FiniteSupport([1, -1]), "seq.values[1]", "negative value -1"),
+        ("finite:[1,2]", FiniteSupport([1, 2]), "seq.values[1]", "values must be nonincreasing"),
+        ("finite:[1,2,-1]", FiniteSupport([1, 2, -1]), "seq.values[1]",
+         "values must be nonincreasing"),
+        (None, Explicit((), Pow(1)), "seq.prefix", "empty prefix; use the tail directly"),
+        ("explicit:[1,-1];tail=pow:1", Explicit((1, -1), Pow(1)), "seq.prefix[1]",
+         "negative value -1"),
+        ("explicit:[1/2,1];tail=pow:1", Explicit((F(1, 2), 1), Pow(1)), "seq.prefix[1]",
+         "prefix must be nonincreasing"),
+        (None, Explicit((1, 2, 0), Pow(1)), "seq.prefix[1]", "prefix must be nonincreasing"),
+        (None, Explicit((1, 0), Pow(1)), "seq.prefix", "prefix ends at zero; use FiniteSupport"),
+        ("explicit:[1];tail=pow:0", Explicit((1,), Pow(0)), "seq.tail",
+         "Pow exponent must be positive, got 0"),
+        ("scale:-1;pow:1", Scale(-1, Pow(1)), "seq", "scale factor must be positive, got -1"),
+        ("scale:1;pow:0", Scale(1, Pow(0)), "seq.inner", "Pow exponent must be positive, got 0"),
+        (None, Ampliation(0, Pow(1)), "seq", "ampliation index must be an integer >= 1, got 0"),
+        (None, Ampliation(F(3, 2), Pow(1)), "seq",
+         "ampliation index must be an integer >= 1, got 3/2"),
+        (None, Ampliation(2, Pow(0)), "seq.inner", "Pow exponent must be positive, got 0"),
+        (None, Subsample(0, Pow(1)), "seq", "subsample step must be an integer >= 1, got 0"),
+        (None, Subsample(2.5, Pow(1)), "seq", "subsample step must be an integer >= 1, got 2.5"),
+        (None, Subsample(2, Pow(0)), "seq.inner", "Pow exponent must be positive, got 0"),
+        ("prod(pow:0,exp:2)", Product(Pow(0), Exp(2)), "seq.left",
+         "Pow exponent must be positive, got 0"),
+        ("prod(pow:1,exp:2)", Product(Pow(1), Exp(2)), "seq.right",
+         "Exp ratio must lie in (0, 1), got 2"),
+        (None, "pow:1", "seq", "not a SequenceExpr: str"),
+        (None, Product(Pow(1), None), "seq.right", "not a SequenceExpr: NoneType"),
+    ]
+
+    @pytest.mark.parametrize("text,expr,location,message", VIOLATIONS,
+                             ids=[f"{i}-{row[0] or row[2]}" for i, row in enumerate(VIOLATIONS)])
+    def test_violation_table(self, text, expr, location, message):
+        v = validate(expr)
+        assert v.fails and v.proven
+        assert v.evidence == {"location": location, "violation": message}
+        with pytest.raises(InvalidSequenceError) as err:
+            ensure_valid(expr)
+        assert str(err.value) == f"{location}: {message}"
+        if text is not None:
+            with pytest.raises(InvalidSequenceError) as err:
+                parse_seq(text)
+            assert str(err.value) == f"{location}: {message}"
 
 
 class TestSignature:
@@ -774,6 +827,36 @@ class TestNumericProbe:
     def test_finite_eta_is_still_zero_tail_division(self):
         v = numeric_probe(Pow(1), FiniteSupport([1]), Mode.BIG_O)
         assert v.fails and v.evidence["reason"] == "division by zero tail"
+
+    # (xi, eta, mode, n_max, status, evidence): the grid's last point at an
+    # n_max that is no power of two, a 0/0 grid point read as ratio 0, and
+    # an all-zero ratio, whose sup has no growth to measure
+    EDGES = [
+        ("pow:2", "pow:1", Mode.BIG_O, 5000, Status.HOLDS,
+         {"n_max": 5000, "grid_points": 14, "final_ratio": 1 / 5000, "sup_ratio": 1.0,
+          "window_start_ratio": 1 / 128, "notes": [], "sup_at_window_start": 1.0,
+          "sup_relative_growth": 0.0}),
+        ("finite:[1]", "finite:[1,1]", Mode.BIG_O, 2 ** 20, Status.HOLDS,
+         {"n_max": 2 ** 20, "grid_points": 21, "final_ratio": 0.0, "sup_ratio": 1.0,
+          "window_start_ratio": 0.0, "notes": [], "sup_at_window_start": 1.0,
+          "sup_relative_growth": 0.0}),
+        ("finite:[1]", "finite:[1,1]", Mode.LITTLE_O, 2 ** 20, Status.HOLDS,
+         {"n_max": 2 ** 20, "grid_points": 21, "final_ratio": 0.0, "sup_ratio": 1.0,
+          "window_start_ratio": 0.0, "notes": [], "monotone_window": True}),
+        ("finite:[]", "pow:1", Mode.BIG_O, 2 ** 20, Status.HOLDS,
+         {"n_max": 2 ** 20, "grid_points": 21, "final_ratio": 0.0, "sup_ratio": 0.0,
+          "window_start_ratio": 0.0, "notes": [], "sup_at_window_start": 0.0}),
+    ]
+
+    @pytest.mark.parametrize("xi,eta,mode,n_max,status,evidence", EDGES,
+                             ids=["grid-end-5000", "zero-over-zero-O", "zero-over-zero-o",
+                                  "all-zero-O"])
+    def test_probe_edge_table(self, xi, eta, mode, n_max, status, evidence):
+        v = numeric_probe(parse_seq(xi), parse_seq(eta), mode, n_max, 1e-3)
+        assert v.status is status and v.method is Method.NUMERIC
+        expected = {k: pytest.approx(x) if isinstance(x, float) else x
+                    for k, x in evidence.items()}
+        assert v.evidence == {**expected, "eps": 1e-3, "mode": mode}
 
 
 class TestSignatureSoundness:
