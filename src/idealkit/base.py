@@ -20,6 +20,8 @@ DEFAULT_EPS = 1e-3
 # conversion but does not follow that setting, so no answer depends on it.
 MAX_RATIONAL_DIGITS = 4300
 _DIGITS_BOUND = 10 ** MAX_RATIONAL_DIGITS
+# What a report prints in place of a number past the cap.
+TOO_MANY_DIGITS = f"[more than {MAX_RATIONAL_DIGITS} digits]"
 
 # Deepest nesting of lists and objects in a file read; idealkit writes three.
 MAX_JSON_DEPTH = 32

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from .base import InputError, write_json
+from .base import MAX_RATIONAL_DIGITS, InputError, fits_digit_cap, write_json
 from .matlie import LieAlgebraPresentation, _encode_rational, _require_entries
 from .ratlinalg import RationalMatrix
 
@@ -71,14 +71,17 @@ def sp_skew_variant(n: int) -> LieAlgebraPresentation:
     return LieAlgebraPresentation(a, tuple(basis), f"sp_skew_variant_{n}")
 
 
+def _diagonal_differences(n: int) -> List[RationalMatrix]:
+    """E_ii - E_{i+1,i+1} for i = 0..n-2: a basis of the trace-zero diagonal."""
+    _require_size(n, 2)
+    return [RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
+            for i in range(n - 1)]
+
+
 def upper_triangular_sl(n: int) -> LieAlgebraPresentation:
     """Trace-zero upper triangular matrices: diagonal differences, then the
     strictly upper units row-major."""
-    _require_size(n, 2)
-    basis = [
-        RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
-        for i in range(n - 1)
-    ]
+    basis = _diagonal_differences(n)
     for i in range(n):
         for j in range(i + 1, n):
             basis.append(RationalMatrix.unit(n, i, j))
@@ -95,15 +98,9 @@ def strictly_upper(n: int) -> LieAlgebraPresentation:
 
 def sl(n: int) -> LieAlgebraPresentation:
     """Trace-zero matrices: off-diagonal units row-major, then diagonal differences."""
-    _require_size(n, 2)
-    basis = [
-        RationalMatrix.unit(n, i, j) for i in range(n) for j in range(n) if i != j
-    ]
-    basis.extend(
-        RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
-        for i in range(n - 1)
-    )
-    return LieAlgebraPresentation(n, tuple(basis), f"sl_{n}")
+    diagonal = _diagonal_differences(n)  # refuses a bad n before range(n) reads it
+    basis = [RationalMatrix.unit(n, i, j) for i in range(n) for j in range(n) if i != j]
+    return LieAlgebraPresentation(n, (*basis, *diagonal), f"sl_{n}")
 
 
 def diagonal_algebra(n: int) -> LieAlgebraPresentation:
@@ -115,13 +112,22 @@ def diagonal_algebra(n: int) -> LieAlgebraPresentation:
 
 def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
     """Single-matrix presentation: the n x n truncation of a weighted shift,
-    weight i on the superdiagonal.  Weights must evaluate exactly."""
-    from .seqspace import ensure_valid, eval_at, has_exact_eval  # only this builder needs them
+    weight i on the superdiagonal.  Weights must evaluate exactly, within the
+    weight-size limit a certificate's truncation meets, and each within the
+    digit cap of an algebra file."""
+    # only this builder needs them
+    from .seqspace import check_weight_bits, ensure_valid, eval_at, has_exact_eval
     _require_size(n, 2)
     ensure_valid(weights)
     if not has_exact_eval(weights):
         raise InputError("shift truncation needs exactly evaluable weights")
-    m = RationalMatrix.from_nonzeros(n, n, {(i - 1, i): eval_at(weights, i) for i in range(1, n)})
+    check_weight_bits(weights, n)
+    entries = {(i - 1, i): eval_at(weights, i) for i in range(1, n)}
+    for (_, i), w in entries.items():
+        if not fits_digit_cap(w):  # an algebra file could not hold it
+            raise InputError(f"weight {i} has more than {MAX_RATIONAL_DIGITS} digits in its "
+                             "numerator or denominator")
+    m = RationalMatrix.from_nonzeros(n, n, entries)
     return LieAlgebraPresentation(n, (m,), f"shift_truncation_{n}")
 
 

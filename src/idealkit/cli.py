@@ -11,6 +11,11 @@ plain form (group, command, then exact option strings and positionals) is
 read from that table directly; anything else, including every help request
 and usage error, goes to the argparse parser built from the same table, so
 argparse is imported only when it has something to print.
+
+``main`` is the one dispatcher: it imports the called group's module,
+``cli_<group>``, whose ``handle`` returns the report's own fields and the
+text lines, and it stamps every report with ``schema_version`` and
+``command``.
 """
 
 from __future__ import annotations
@@ -205,29 +210,11 @@ def _evidence_lines(v: Verdict) -> list:
     return [f"  {key}: {value}" for key, value in v.to_json()["evidence"].items()]
 
 
-def _report(command: str, **fields) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
-
-
 def _probe_limits(args) -> tuple:
     """(nmax, eps) for the numeric probe.  Their options default to None, so
     that main can refuse them without --numeric, where they do nothing."""
     return (DEFAULT_NMAX if args.nmax is None else args.nmax,
             DEFAULT_EPS if args.eps is None else args.eps)
-
-
-# ---------------------------------------------------------------------------
-# Handlers: each group's module loads only when that group is called
-# ---------------------------------------------------------------------------
-
-
-def _handler(group: str):
-    def handle(args):
-        return import_module(f"{__package__}.cli_{group}").handle(args)
-    return handle
-
-
-_HANDLERS = {group: _handler(group) for group in _COMMANDS}
 
 
 def main(argv=None) -> int:
@@ -259,7 +246,9 @@ def main(argv=None) -> int:
             raise InputError(f"--cross-check needs a count of at least 0, got {args.cross_check}")
         if vars(args).get("seed") is not None and args.cross_check <= 0:
             raise InputError("--seed acts only with a positive --cross-check")
-        report, lines = _HANDLERS[args.group](args)
+        fields, lines = import_module(f"{__package__}.cli_{args.group}").handle(args)
+        report = {"schema_version": SCHEMA_VERSION, "command": f"{args.group} {args.cmd}",
+                  **fields}
         # For the two build commands -o names the artifact file, written by
         # the handler; everywhere else it duplicates the JSON report.
         if args.output and (args.group, args.cmd) not in {("lie", "build"), ("witness", "build")}:

@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING
 
 from . import dsl, idealcalc, seqspace
 from .base import InputError
-from .cli import _evidence_lines, _probe_limits, _report, _verdict_line
+from .cli import _evidence_lines, _probe_limits, _verdict_line
 
 if TYPE_CHECKING:
     from .seqspace import Verdict
@@ -23,13 +23,12 @@ def handle(args):
         if args.numeric and not isinstance(ideal, idealcalc.Principal):
             raise InputError("--numeric acts only on a principal ideal")
         verdict = idealcalc.is_soft(ideal)
-        rpt = _report("ideal soft", ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
+        rpt = dict(ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
         lines = [_soft_text(verdict)] + _evidence_lines(verdict)
         if args.numeric:
-            k = verdict.evidence.get("k", 2)
             probe = seqspace.numeric_probe(
-                seqspace.subsample(k, ideal.gen), ideal.gen, seqspace.Mode.LITTLE_O,
-                *_probe_limits(args),
+                seqspace.subsample(verdict.evidence["k"], ideal.gen), ideal.gen,
+                seqspace.Mode.LITTLE_O, *_probe_limits(args),
             )
             rpt["numeric"] = probe.to_json()
             lines.append(_verdict_line("numeric corroboration", probe))
@@ -38,8 +37,7 @@ def handle(args):
         xi = dsl.parse_seq(args.sequence)
         ideal = dsl.parse_ideal(args.ideal)
         verdict = idealcalc.member(xi, ideal)
-        rpt = _report(
-            "ideal member",
+        rpt = dict(
             sequence=dsl.format_seq(xi),
             ideal=dsl.format_ideal(ideal),
             verdict=verdict.to_json(),
@@ -48,14 +46,12 @@ def handle(args):
     if args.cmd == "idempotent":
         ideal = dsl.parse_ideal(args.ideal)
         verdict = idealcalc.is_idempotent(ideal)
-        rpt = _report(
-            "ideal idempotent", ideal=dsl.format_ideal(ideal), verdict=verdict.to_json()
-        )
+        rpt = dict(ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
         return rpt, [_verdict_line("idempotent", verdict)] + _evidence_lines(verdict)
     if args.cmd == "report":
         xi = dsl.parse_seq(args.sequence)
         report = idealcalc.implication_report(xi)
-        rpt = _report("ideal report", sequence=dsl.format_seq(xi), **report.to_json())
+        rpt = dict(sequence=dsl.format_seq(xi), **report.to_json())
         lines = [
             _verdict_line("delta2", report.delta2),
             _verdict_line("soft", report.soft),

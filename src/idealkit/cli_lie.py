@@ -4,14 +4,20 @@ rungs on algebra files.  Only ``lie build`` loads the catalog."""
 from __future__ import annotations
 
 from . import matlie
-from .cli import _report
+from .base import TOO_MANY_DIGITS, fits_digit_cap
 from .matlie import _encode_rational
+
+
+def _report_rational(f):
+    """A rational of a report as a file writes it, or the marker past the
+    digit cap, which a file never holds."""
+    return _encode_rational(f) if fits_digit_cap(f) else TOO_MANY_DIGITS
 
 
 def _subspace_json(sub) -> dict:
     return {
         "dim": sub.dim,
-        "coordinates": [[_encode_rational(v) for v in row] for row in sub.vectors],
+        "coordinates": [[_report_rational(v) for v in row] for row in sub.vectors],
     }
 
 
@@ -25,7 +31,7 @@ def _build(args):
     if args.name:
         algebra = matlie.LieAlgebraPresentation(algebra.ambient, algebra.basis, args.name)
     payload = catalog.algebra_to_json(algebra)
-    rpt = _report("lie build", algebra=payload, dim=algebra.dim)
+    rpt = dict(algebra=payload, dim=algebra.dim)
     lines = [f"built {algebra.name}: ambient {algebra.ambient}, dim {algebra.dim}"]
     if args.output:
         catalog.save_algebra(algebra, args.output)
@@ -40,15 +46,14 @@ def handle(args):
     algebra = matlie.load_algebra(args.file)
     if args.cmd == "check-closure":
         report = matlie.closure_check(algebra)
-        rpt = _report(
-            "lie check-closure",
+        rpt = dict(
             name=algebra.name,
             closed=report.closed,
             counterexample=None
             if report.closed
             else {
                 "pair": list(report.pair),
-                "residual": [_encode_rational(v) for v in report.residual.flat()],
+                "residual": [_report_rational(v) for v in report.residual.flat()],
             },
         )
         if report.closed:
@@ -62,8 +67,7 @@ def handle(args):
         return rpt, lines
     if args.cmd == "derived":
         sub = matlie.derived_algebra(algebra)
-        rpt = _report(
-            "lie derived",
+        rpt = dict(
             name=algebra.name,
             dim=algebra.dim,
             derived=_subspace_json(sub),
@@ -73,8 +77,7 @@ def handle(args):
     if args.cmd == "ideal-gen":
         seeds = matlie.load_seeds(args.seeds, algebra.ambient)
         sub = matlie.lie_ideal_generated(algebra, seeds)
-        rpt = _report(
-            "lie ideal-gen",
+        rpt = dict(
             name=algebra.name,
             seeds=len(seeds),
             ideal=_subspace_json(sub),
@@ -84,13 +87,12 @@ def handle(args):
     if args.cmd == "killing":
         rep = matlie.killing_form(algebra)
         nondegenerate = rep.rank == algebra.dim
-        rpt = _report(
-            "lie killing",
+        rpt = dict(
             name=algebra.name,
             rank=rep.rank,
             dim=algebra.dim,
             nondegenerate=nondegenerate,
-            matrix=[[_encode_rational(v) for v in row] for row in rep.matrix.entries],
+            matrix=[[_report_rational(v) for v in row] for row in rep.matrix.entries],
         )
         return rpt, [
             f"Killing form rank {rep.rank} of {algebra.dim} "
@@ -98,8 +100,7 @@ def handle(args):
         ]
     if args.cmd == "simple":
         rep = matlie.is_simple(algebra)
-        rpt = _report(
-            "lie simple",
+        rpt = dict(
             name=algebra.name,
             verdict=rep.verdict,
             detail=rep.detail,

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from . import dsl, seqspace
-from .cli import _evidence_lines, _probe_limits, _report, _verdict_line
+from .cli import _evidence_lines, _probe_limits, _verdict_line
 
 
 def handle(args):
     if args.cmd == "signature":
         expr = dsl.parse_seq(args.sequence)
         sig = seqspace.signature_of(expr)
-        rpt = _report(
-            "seq signature",
+        rpt = dict(
             sequence=dsl.format_seq(expr),
             signature=sig.describe(),
             finite_support=sig.is_zero_tail,
@@ -20,10 +19,9 @@ def handle(args):
     if args.cmd == "compare":
         xi = dsl.parse_seq(args.xi)
         eta = dsl.parse_seq(args.eta)
-        mode = seqspace.Mode.BIG_O if args.mode == "O" else seqspace.Mode.LITTLE_O
+        mode = seqspace.Mode(args.mode)
         verdict = seqspace.compare(xi, eta, mode)
-        rpt = _report(
-            "seq compare",
+        rpt = dict(
             mode=args.mode,
             xi=dsl.format_seq(xi),
             eta=dsl.format_seq(eta),
@@ -39,7 +37,5 @@ def handle(args):
     if args.cmd == "delta2":
         expr = dsl.parse_seq(args.sequence)
         verdict = seqspace.delta2_check(expr)
-        rpt = _report(
-            "seq delta2", sequence=dsl.format_seq(expr), verdict=verdict.to_json()
-        )
+        rpt = dict(sequence=dsl.format_seq(expr), verdict=verdict.to_json())
         return rpt, [_verdict_line("delta2 condition", verdict)] + _evidence_lines(verdict)

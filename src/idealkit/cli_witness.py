@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import dsl, witness
-from .cli import _evidence_lines, _report
+from .cli import _evidence_lines
 
 
 def handle(args):
@@ -13,7 +13,7 @@ def handle(args):
         window = witness.DEFAULT_SCAN_WINDOW if args.window is None else args.window
         cert = witness.build_certificate(generator, pool, window)
         payload = witness.certificate_to_json(cert)
-        rpt = _report("witness build", certificate=payload)
+        rpt = dict(certificate=payload)
         lines = [
             f"certificate built ({cert.branch} branch)",
             f"  conclusion: {cert.conclusion}",
@@ -31,7 +31,7 @@ def handle(args):
     if args.cmd == "verify":
         cert = witness.load_certificate(args.file)
         verdict = witness.verify_certificate(cert)
-        rpt = _report("witness verify", branch=cert.branch, verdict=verdict.to_json())
+        rpt = dict(branch=cert.branch, verdict=verdict.to_json())
         word = "VERIFIED" if verdict.holds else "REJECTED"
         lines = [f"{word}: {verdict.status.value}"] + _evidence_lines(verdict)
         return rpt, lines

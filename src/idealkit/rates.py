@@ -11,7 +11,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .base import _DIGITS_BOUND, MAX_RATIONAL_DIGITS, Frozen, as_fraction, fits_digit_cap
+from .base import (_DIGITS_BOUND, MAX_RATIONAL_DIGITS, TOO_MANY_DIGITS, Frozen, as_fraction,
+                   fits_digit_cap)
 
 __all__ = ["RATE_ONE", "RootRational", "log_ratio_ceiling", "root_rational"]
 
@@ -172,8 +173,8 @@ class RootRational(Frozen):
     def describe(self) -> str:
         if self.index < _DIGITS_BOUND and _vector_prints(self.vector, self.index):
             return str(self.base) if self.index == 1 else f"({self.base})^(1/{self.index})"
-        too_long = f"[more than {MAX_RATIONAL_DIGITS} digits]"
-        return "*".join(f"{q}^({e if fits_digit_cap(e) else too_long})" for q, e in self.vector)
+        return "*".join(f"{q}^({e if fits_digit_cap(e) else TOO_MANY_DIGITS})"
+                        for q, e in self.vector)
 
 
 def _vector_value(vector, index: int) -> Fraction:

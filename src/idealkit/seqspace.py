@@ -33,6 +33,7 @@ __all__ = [
     "Explicit",
     "FiniteSupport",
     "InvalidSequenceError",
+    "MAX_WEIGHT_BITS",
     "Mode",
     "Method",
     "Pow",
@@ -44,6 +45,7 @@ __all__ = [
     "Subsample",
     "Verdict",
     "ampliate",
+    "check_weight_bits",
     "compare",
     "delta2_check",
     "eval_at",
@@ -64,6 +66,13 @@ GRID_RATIO = 2
 DIVERGENCE_FACTOR = 10.0
 FLAT_FACTOR = 0.9
 _EXP_OVERFLOW = 700.0  # exp() overflows around e^709
+# Limit on N times the bits (numerator plus denominator) of the N-th weight
+# of a weighted shift truncated at N, which sizes the exact weights that a
+# certificate's truncation check multiplies and that a `lie build shift`
+# file holds: at the limit a certificate build or verify takes about 0.7 s
+# of CLI wall time on a 2-core x86_64 VM.  The bits are read off the
+# expression, so an oversized weight is refused without being built.
+MAX_WEIGHT_BITS = 1 << 23
 
 
 class InvalidSequenceError(InputError):
@@ -242,6 +251,17 @@ def explicit(prefix, tail: SequenceExpr) -> SequenceExpr:
 # ---------------------------------------------------------------------------
 
 
+def _descent_violation(path: str, field: str, values: tuple) -> Optional[tuple]:
+    """The first of the values, the named field at path, that is negative or
+    above the one before it, as (location, message); None if there is none."""
+    for i, v in enumerate(values):
+        if v < 0:
+            return (f"{path}.{field}[{i}]", f"negative value {v}")
+        if i and v > values[i - 1]:
+            return (f"{path}.{field}[{i}]", f"{field} must be nonincreasing")
+    return None
+
+
 def _violation(expr: SequenceExpr, path: str) -> Optional[tuple]:
     """First violated constraint as (location, message), or None."""
     if isinstance(expr, Pow):
@@ -259,25 +279,14 @@ def _violation(expr: SequenceExpr, path: str) -> Optional[tuple]:
             return (path, "PowLog with p = 0 needs q > 0 to tend to zero")
         return None
     if isinstance(expr, FiniteSupport):
-        vals = expr.values
-        for i, v in enumerate(vals):
-            if v < 0:
-                return (f"{path}.values[{i}]", f"negative value {v}")
-            if i and v > vals[i - 1]:
-                return (f"{path}.values[{i}]", "values must be nonincreasing")
-        return None
+        return _descent_violation(path, "values", expr.values)
     if isinstance(expr, Explicit):
-        pre = expr.prefix
-        if not pre:
+        if not expr.prefix:
             return (f"{path}.prefix", "empty prefix; use the tail directly")
-        for i, v in enumerate(pre):
-            if v < 0:
-                return (f"{path}.prefix[{i}]", f"negative value {v}")
-            if i and v > pre[i - 1]:
-                return (f"{path}.prefix[{i}]", "prefix must be nonincreasing")
-        if pre[-1] == 0:
-            return (f"{path}.prefix", "prefix ends at zero; use FiniteSupport")
-        return _violation(expr.tail, f"{path}.tail")
+        bad = _descent_violation(path, "prefix", expr.prefix)
+        if bad is None and expr.prefix[-1] == 0:
+            bad = (f"{path}.prefix", "prefix ends at zero; use FiniteSupport")
+        return bad or _violation(expr.tail, f"{path}.tail")
     if isinstance(expr, Scale):
         if expr.c <= 0:
             return (path, f"scale factor must be positive, got {expr.c}")
@@ -375,6 +384,56 @@ def eval_at(expr: SequenceExpr, n: int):
     if isinstance(expr, Product):
         return eval_at(expr.left, n) * eval_at(expr.right, n)
     raise TypeError(type(expr).__name__)
+
+
+def _power_bits(x: int, k: int) -> int:
+    """Bits of x ** k for an integer x >= 1, read off log2(x): exact when x
+    is a power of two, otherwise at most one too many.  Past the weight
+    limit, k alone bounds them from below, which is all the check needs."""
+    if x == 1:
+        return 1
+    if k > MAX_WEIGHT_BITS:
+        return k
+    return math.floor(k * math.log2(x) * (1 + 2 ** -40)) + 1
+
+
+def _rational_bits(f: Fraction) -> int:
+    return f.numerator.bit_length() + f.denominator.bit_length()
+
+
+def _weight_bits(expr: SequenceExpr, n: int) -> int:
+    """Bits of the numerator plus the denominator of the exactly evaluable
+    weight n, or a little more (a product's factors are counted before they
+    cancel), computed without building the weight."""
+    if isinstance(expr, Pow):
+        return 1 + _power_bits(n, expr.p.numerator)
+    if isinstance(expr, Exp):
+        return _power_bits(expr.r.numerator, n) + _power_bits(expr.r.denominator, n)
+    if isinstance(expr, FiniteSupport):
+        return _rational_bits(eval_at(expr, n))
+    if isinstance(expr, Explicit):
+        k = len(expr.prefix)
+        if n <= k:
+            return _rational_bits(expr.prefix[n - 1])
+        return max(_rational_bits(expr.prefix[-1]), _weight_bits(expr.tail, n - k))
+    if isinstance(expr, Scale):
+        return _rational_bits(expr.c) + _weight_bits(expr.inner, n)
+    if isinstance(expr, Ampliation):
+        return _weight_bits(expr.inner, (n + expr.m - 1) // expr.m)
+    if isinstance(expr, Subsample):
+        return _weight_bits(expr.inner, n * expr.k)
+    if isinstance(expr, Product):
+        return _weight_bits(expr.left, n) + _weight_bits(expr.right, n)
+    raise TypeError(type(expr).__name__)
+
+
+def check_weight_bits(expr: SequenceExpr, n: int, error: type = InputError) -> None:
+    """Raise error when n times the bits of the exactly evaluable weight n
+    of expr exceeds MAX_WEIGHT_BITS, before any weight is built."""
+    bits = _weight_bits(expr, n)
+    if n * bits > MAX_WEIGHT_BITS:
+        raise error(f"truncation {n} times the {bits} bits of weight {n} exceeds "
+                    f"the limit {MAX_WEIGHT_BITS}")
 
 
 def eval_log(expr: SequenceExpr, n: int) -> float:

@@ -19,7 +19,6 @@ claimed to prove the infinite-dimensional statement by themselves.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -29,18 +28,12 @@ from .base import (MAX_RATIONAL_DIGITS, Frozen, InputError, fits_digit_cap, pars
 from .idealcalc import Principal, is_soft
 from .ratlinalg import RationalMatrix, bracket
 from .seqspace import (
-    Ampliation,
-    Exp,
-    Explicit,
-    FiniteSupport,
     Method,
-    Pow,
-    Product,
     Scale,
     SequenceExpr,
     Status,
-    Subsample,
     Verdict,
+    check_weight_bits,
     ensure_valid,
     eval_at,
     has_exact_eval,
@@ -52,7 +45,6 @@ __all__ = [
     "CertificateError",
     "MAX_SCAN_WINDOW",
     "MAX_TRUNCATION",
-    "MAX_WEIGHT_BITS",
     "MIN_TRUNCATION",
     "ShiftBracket",
     "ShiftModel",
@@ -77,12 +69,6 @@ DEFAULT_SCAN_WINDOW = 1024
 MIN_TRUNCATION = 3
 MAX_TRUNCATION = 1 << 14
 MAX_SCAN_WINDOW = 1 << 16
-# Limit on N times the bits (numerator plus denominator) of the N-th weight
-# of a model truncated at N, which sizes the exact weights the truncation
-# check multiplies: at the limit a build or verify takes about 0.7 s of CLI
-# wall time on a 2-core x86_64 VM.  The bits are read off the expression, so
-# an oversized weight is refused without being built.
-MAX_WEIGHT_BITS = 1 << 23
 
 OBLIGATION_NOT_FINITE_RANK = "generator_not_finite_rank"
 OBLIGATION_NOT_SOFT = "generator_ideal_not_soft_symbolic"
@@ -230,57 +216,11 @@ def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
         if n > MAX_TRUNCATION:
             raise CertificateError(f"truncation {n} exceeds the limit {MAX_TRUNCATION}")
         if has_exact_eval(model.weights):
-            bits = _weight_bits(model.weights, n)
-            if n * bits > MAX_WEIGHT_BITS:
-                raise CertificateError(
-                    f"truncation {n} times the {bits} bits of weight {n} exceeds "
-                    f"the limit {MAX_WEIGHT_BITS}"
-                )
+            check_weight_bits(model.weights, n, CertificateError)
     if scan_window < 1:
         raise CertificateError(f"scan window {scan_window} is below the minimum 1")
     if scan_window > MAX_SCAN_WINDOW:
         raise CertificateError(f"scan window {scan_window} exceeds the limit {MAX_SCAN_WINDOW}")
-
-
-def _power_bits(x: int, k: int) -> int:
-    """Bits of x ** k for an integer x >= 1, read off log2(x): exact when x
-    is a power of two, otherwise at most one too many.  Past the weight
-    limit, k alone bounds them from below, which is all the check needs."""
-    if x == 1:
-        return 1
-    if k > MAX_WEIGHT_BITS:
-        return k
-    return math.floor(k * math.log2(x) * (1 + 2 ** -40)) + 1
-
-
-def _rational_bits(f: Fraction) -> int:
-    return f.numerator.bit_length() + f.denominator.bit_length()
-
-
-def _weight_bits(expr: SequenceExpr, n: int) -> int:
-    """Bits of the numerator plus the denominator of the exactly evaluable
-    weight n, or a little more (a product's factors are counted before they
-    cancel), computed without building the weight."""
-    if isinstance(expr, Pow):
-        return 1 + _power_bits(n, expr.p.numerator)
-    if isinstance(expr, Exp):
-        return _power_bits(expr.r.numerator, n) + _power_bits(expr.r.denominator, n)
-    if isinstance(expr, FiniteSupport):
-        return _rational_bits(eval_at(expr, n))
-    if isinstance(expr, Explicit):
-        k = len(expr.prefix)
-        if n <= k:
-            return _rational_bits(expr.prefix[n - 1])
-        return max(_rational_bits(expr.prefix[-1]), _weight_bits(expr.tail, n - k))
-    if isinstance(expr, Scale):
-        return _rational_bits(expr.c) + _weight_bits(expr.inner, n)
-    if isinstance(expr, Ampliation):
-        return _weight_bits(expr.inner, (n + expr.m - 1) // expr.m)
-    if isinstance(expr, Subsample):
-        return _weight_bits(expr.inner, n * expr.k)
-    if isinstance(expr, Product):
-        return _weight_bits(expr.left, n) + _weight_bits(expr.right, n)
-    raise TypeError(type(expr).__name__)
 
 
 def _derive(generator: ShiftModel, pool: Sequence[ShiftModel], scan_window: int,

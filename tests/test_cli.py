@@ -525,6 +525,28 @@ class TestLieCommands:
     def test_missing_file_exit_two(self):
         assert run_cli(["lie", "simple", "--file", "/nonexistent.json"])[0] == 2
 
+    def test_report_value_past_the_digit_cap_prints_the_marker(self, tmp_path):
+        # sl(2) with E and F scaled by 10^3000: each entry has 3001 digits,
+        # within a file's cap, but the Killing entry K(E, F) is 4 * 10^6000
+        big = 10 ** 3000
+        algebra_file, report_file = str(tmp_path / "sl2big.json"), str(tmp_path / "k.json")
+        with open(algebra_file, "w", encoding="utf-8") as fh:
+            json.dump({"name": "sl2big", "ambient_dim": 2,
+                       "basis": [[0, big, 0, 0], [0, 0, big, 0], [1, 0, 0, -1]]}, fh)
+        marker = f"[more than {MAX_RATIONAL_DIGITS} digits]"
+        expected = {
+            "schema_version": "1", "command": "lie killing", "name": "sl2big", "rank": 3,
+            "dim": 3, "nondegenerate": True,
+            "matrix": [[0, marker, 0], [marker, 0, 0], [0, 0, 8]],
+        }
+        argv = ["lie", "killing", "--file", algebra_file]
+        code, out = run_cli(argv + ["--json"])
+        assert code == 0 and json.loads(out) == expected
+        assert run_cli(argv + ["-o", report_file]) == (
+            0, "Killing form rank 3 of 3 (nondegenerate)\n")
+        with open(report_file, encoding="utf-8") as fh:
+            assert json.load(fh) == expected
+
     def test_build_name_overrides_the_presentation_name(self, tmp_path):
         algebra_file = str(tmp_path / "tri.json")
         argv = ["lie", "build", "ut-sl", "--n", "2", "--name", "tri", "-o", algebra_file]

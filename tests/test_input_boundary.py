@@ -15,7 +15,7 @@ import time
 import pytest
 
 import idealkit
-from idealkit import cli
+from idealkit import cli, cli_seq, matlie
 from idealkit.base import MAX_RATIONAL_DIGITS, InputError
 from idealkit.catalog import _SHAPES, make_algebra
 from idealkit.dsl import DslError, format_seq, parse_seq
@@ -45,7 +45,7 @@ def test_internal_errors_propagate(monkeypatch, exc):
     def broken(args):
         raise exc
 
-    monkeypatch.setitem(cli._HANDLERS, "seq", broken)
+    monkeypatch.setattr(cli_seq, "handle", broken)
     with pytest.raises(type(exc), match="internal"):
         cli.main(["seq", "signature", "pow:1"])
 
@@ -429,3 +429,37 @@ def test_unwritable_report_file_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+# (weights, n, exit code): a shift's built weights go to an algebra file, so
+# each must meet the file's digit cap, and n times the bits of weight n the
+# weight-size limit a certificate's truncation meets
+SHIFT_WEIGHTS = [
+    ("pow:20000", 3, 2),
+    ("pow:1000000", 50, 2),
+    ("exp:1/1" + "0" * 2149, 3, 0),  # weight 2 is 10^-4298: 4299 digits
+    ("exp:1/1" + "0" * 2150, 3, 2),  # weight 2 is 10^-4300: 4301 digits
+]
+
+
+@pytest.mark.parametrize("weights,n,code", SHIFT_WEIGHTS,
+                         ids=["pow-20000", "pow-1e6-n50", "exp-at-cap", "exp-over-cap"])
+def test_shift_weights_within_the_file_caps(weights, n, code, tmp_path):
+    path = str(tmp_path / "shift.json")
+    env = dict(os.environ, PYTHONPATH=_src_dir())
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "idealkit.cli", "lie", "build", "shift", "--n", str(n),
+         "--weights", weights, "-o", path],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert out.returncode == code, out.stderr
+    if code:
+        err = out.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not os.path.exists(path)
+    else:
+        [shift] = matlie.load_algebra(path).basis
+        r = parse_seq(weights).r
+        assert shift.nonzeros() == {(0, 1): r, (1, 2): r ** 2}

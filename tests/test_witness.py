@@ -14,10 +14,12 @@ from idealkit.ratlinalg import bracket
 from idealkit.seqspace import (
     Exp,
     FiniteSupport,
+    MAX_WEIGHT_BITS,
     Pow,
     Product,
     Scale,
     Status,
+    _weight_bits,
     eval_at,
     has_exact_eval,
 )
@@ -26,7 +28,6 @@ from idealkit.witness import (
     CertificateError,
     MAX_SCAN_WINDOW,
     MAX_TRUNCATION,
-    MAX_WEIGHT_BITS,
     OBLIGATION_COMMUTATOR,
     OBLIGATION_NOT_SOFT,
     OBLIGATION_POOL_CENTRAL,
@@ -39,7 +40,6 @@ from idealkit.witness import (
     shift_bracket,
     shift_matrix,
     verify_certificate,
-    _weight_bits,
 )
 
 from conftest import EXACT_BATTERY
