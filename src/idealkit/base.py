@@ -85,6 +85,12 @@ def fits_digit_cap(f: Fraction) -> bool:
     return abs(f.numerator) < _DIGITS_BOUND and f.denominator < _DIGITS_BOUND
 
 
+def capped(x: Union[int, Fraction]):
+    """x as it is, or TOO_MANY_DIGITS where it does not fit the digit cap:
+    what a report or a message prints for an int or a rational."""
+    return x if fits_digit_cap(x) else TOO_MANY_DIGITS
+
+
 def as_fraction(x: Union[int, str, Fraction]) -> Fraction:
     """Coerce to an exact rational; floats are rejected to avoid silent rounding."""
     if isinstance(x, Fraction):

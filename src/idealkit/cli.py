@@ -15,7 +15,7 @@ argparse is imported only when it has something to print.
 ``main`` is the one dispatcher: it imports the called group's module,
 ``cli_<group>``, whose ``handle`` returns the report's own fields and the
 text lines, and it stamps every report with ``schema_version`` and
-``command``.
+``command``.  No group module imports this one.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .base import DEFAULT_EPS, DEFAULT_NMAX, MAX_RATIONAL_DIGITS, InputError, wr
 
 if TYPE_CHECKING:
     import argparse
-
-    from .seqspace import Verdict
 
 SCHEMA_VERSION = "1"
 
@@ -50,6 +48,9 @@ _NUMERIC = (
 _SEQUENCE = (("sequence",), {})
 _IDEAL = (("ideal",), {})
 _ALGEBRA_FILE = (("--file",), {"required": True, "help": "algebra JSON file"})
+# Options parsed as None when absent, so that main can refuse them where they
+# do nothing; main fills them in after those checks.
+_LATE_DEFAULTS = {"nmax": DEFAULT_NMAX, "eps": DEFAULT_EPS, "seed": 0}
 
 # group: (help, {command: (help, arguments in the order argparse lists them)})
 _COMMANDS = {
@@ -105,10 +106,8 @@ _COMMANDS = {
 }
 
 
-def _parser(argv) -> argparse.ArgumentParser:
-    """The full parser, except that when argv[0] names a group only that
-    group's subcommands are added; the other groups' parsers exist but stay
-    empty, as nothing in such a call can reach them."""
+def _parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command in ``_COMMANDS``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -117,14 +116,12 @@ def _parser(argv) -> argparse.ArgumentParser:
         "algebra simplicity decisions, and non-simplicity certificates",
     )
     top = parser.add_subparsers(dest="group", metavar="{seq,ideal,lie,witness}")
-    called = argv[0] if argv and argv[0] in _COMMANDS else None
     for group, (desc, commands) in _COMMANDS.items():
         subparsers = top.add_parser(group, help=desc).add_subparsers(dest="cmd")
-        if called in (None, group):
-            for cmd, (help_text, arguments) in commands.items():
-                p = subparsers.add_parser(cmd, help=help_text)
-                for flags, kwargs in arguments:
-                    p.add_argument(*flags, **kwargs)
+        for cmd, (help_text, arguments) in commands.items():
+            p = subparsers.add_parser(cmd, help=help_text)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -197,26 +194,6 @@ def _strict_parse(argv) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**values)
 
 
-# ---------------------------------------------------------------------------
-# Rendering shared by the groups
-# ---------------------------------------------------------------------------
-
-
-def _verdict_line(label: str, v: Verdict) -> str:
-    return f"{label}: {v.status.value} ({v.method.value})"
-
-
-def _evidence_lines(v: Verdict) -> list:
-    return [f"  {key}: {value}" for key, value in v.to_json()["evidence"].items()]
-
-
-def _probe_limits(args) -> tuple:
-    """(nmax, eps) for the numeric probe.  Their options default to None, so
-    that main can refuse them without --numeric, where they do nothing."""
-    return (DEFAULT_NMAX if args.nmax is None else args.nmax,
-            DEFAULT_EPS if args.eps is None else args.eps)
-
-
 def main(argv=None) -> int:
     # Input within the digit cap must not trip a lower interpreter limit (0: none).
     if 0 < sys.get_int_max_str_digits() < MAX_RATIONAL_DIGITS:
@@ -232,7 +209,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _strict_parse(argv)
     if args is None:
-        parser = _parser(argv)
+        parser = _parser()
         args = parser.parse_args(argv)
         if not args.group:
             parser.print_help()
@@ -246,6 +223,9 @@ def main(argv=None) -> int:
             raise InputError(f"--cross-check needs a count of at least 0, got {args.cross_check}")
         if vars(args).get("seed") is not None and args.cross_check <= 0:
             raise InputError("--seed acts only with a positive --cross-check")
+        for dest, default in _LATE_DEFAULTS.items():
+            if vars(args).get(dest, default) is None:
+                setattr(args, dest, default)
         fields, lines = import_module(f"{__package__}.cli_{args.group}").handle(args)
         report = {"schema_version": SCHEMA_VERSION, "command": f"{args.group} {args.cmd}",
                   **fields}
@@ -265,7 +245,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # Run as ``python -m idealkit.cli``: the handlers' ``from .cli import``
-    # then finds this module instead of compiling a second copy.
-    sys.modules[f"{__package__}.cli"] = sys.modules[__name__]
     sys.exit(main())

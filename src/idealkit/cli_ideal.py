@@ -6,7 +6,6 @@ from typing import TYPE_CHECKING
 
 from . import dsl, idealcalc, seqspace
 from .base import InputError
-from .cli import _evidence_lines, _probe_limits, _verdict_line
 
 if TYPE_CHECKING:
     from .seqspace import Verdict
@@ -24,14 +23,12 @@ def handle(args):
             raise InputError("--numeric acts only on a principal ideal")
         verdict = idealcalc.is_soft(ideal)
         rpt = dict(ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
-        lines = [_soft_text(verdict)] + _evidence_lines(verdict)
+        lines = [_soft_text(verdict)] + verdict.evidence_lines()
         if args.numeric:
-            probe = seqspace.numeric_probe(
-                seqspace.subsample(verdict.evidence["k"], ideal.gen), ideal.gen,
-                seqspace.Mode.LITTLE_O, *_probe_limits(args),
-            )
+            probe = seqspace.numeric_probe(seqspace.subsample(verdict.evidence["k"], ideal.gen),
+                                           ideal.gen, seqspace.Mode.LITTLE_O, args.nmax, args.eps)
             rpt["numeric"] = probe.to_json()
-            lines.append(_verdict_line("numeric corroboration", probe))
+            lines.append(probe.line("numeric corroboration"))
         return rpt, lines
     if args.cmd == "member":
         xi = dsl.parse_seq(args.sequence)
@@ -42,21 +39,21 @@ def handle(args):
             ideal=dsl.format_ideal(ideal),
             verdict=verdict.to_json(),
         )
-        return rpt, [_verdict_line("membership", verdict)] + _evidence_lines(verdict)
+        return rpt, [verdict.line("membership")] + verdict.evidence_lines()
     if args.cmd == "idempotent":
         ideal = dsl.parse_ideal(args.ideal)
         verdict = idealcalc.is_idempotent(ideal)
         rpt = dict(ideal=dsl.format_ideal(ideal), verdict=verdict.to_json())
-        return rpt, [_verdict_line("idempotent", verdict)] + _evidence_lines(verdict)
+        return rpt, [verdict.line("idempotent")] + verdict.evidence_lines()
     if args.cmd == "report":
         xi = dsl.parse_seq(args.sequence)
         report = idealcalc.implication_report(xi)
         rpt = dict(sequence=dsl.format_seq(xi), **report.to_json())
         lines = [
-            _verdict_line("delta2", report.delta2),
-            _verdict_line("soft", report.soft),
-            _verdict_line("idempotent", report.idempotent),
-            _verdict_line("necessary condition", report.necessary),
+            report.delta2.line("delta2"),
+            report.soft.line("soft"),
+            report.idempotent.line("idempotent"),
+            report.necessary.line("necessary condition"),
             "implications: all consistent",
         ]
         return rpt, lines

@@ -115,11 +115,10 @@ def handle(args):
         if rep.witness is not None:
             lines.append(f"  witness ideal dimension: {rep.witness.dim}")
         if args.cross_check:
-            seed = 0 if args.seed is None else args.seed
-            found = matlie.random_ideal_search(algebra, args.cross_check, seed) is not None
+            found = matlie.random_ideal_search(algebra, args.cross_check, args.seed) is not None
             rpt["cross_check"] = {
                 "samples": args.cross_check,
-                "seed": seed,
+                "seed": args.seed,
                 "proper_ideal_found": found,
             }
             lines.append(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from . import dsl, seqspace
-from .cli import _evidence_lines, _probe_limits, _verdict_line
 
 
 def handle(args):
@@ -27,15 +26,15 @@ def handle(args):
             eta=dsl.format_seq(eta),
             verdict=verdict.to_json(),
         )
-        lines = [_verdict_line(f"xi = {args.mode}(eta)", verdict)] + _evidence_lines(verdict)
+        lines = [verdict.line(f"xi = {args.mode}(eta)")] + verdict.evidence_lines()
         if args.numeric:
-            probe = seqspace.numeric_probe(xi, eta, mode, *_probe_limits(args))
+            probe = seqspace.numeric_probe(xi, eta, mode, args.nmax, args.eps)
             rpt["numeric"] = probe.to_json()
-            lines.append(_verdict_line("numeric probe", probe))
-            lines.extend(_evidence_lines(probe))
+            lines.append(probe.line("numeric probe"))
+            lines.extend(probe.evidence_lines())
         return rpt, lines
     if args.cmd == "delta2":
         expr = dsl.parse_seq(args.sequence)
         verdict = seqspace.delta2_check(expr)
         rpt = dict(sequence=dsl.format_seq(expr), verdict=verdict.to_json())
-        return rpt, [_verdict_line("delta2 condition", verdict)] + _evidence_lines(verdict)
+        return rpt, [verdict.line("delta2 condition")] + verdict.evidence_lines()

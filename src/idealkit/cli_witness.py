@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from . import dsl, witness
-from .cli import _evidence_lines
 
 
 def handle(args):
@@ -33,5 +32,5 @@ def handle(args):
         verdict = witness.verify_certificate(cert)
         rpt = dict(branch=cert.branch, verdict=verdict.to_json())
         word = "VERIFIED" if verdict.holds else "REJECTED"
-        lines = [f"{word}: {verdict.status.value}"] + _evidence_lines(verdict)
+        lines = [f"{word}: {verdict.status.value}"] + verdict.evidence_lines()
         return rpt, lines

@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .base import (_DIGITS_BOUND, MAX_RATIONAL_DIGITS, TOO_MANY_DIGITS, Frozen, as_fraction,
-                   fits_digit_cap)
+from .base import _DIGITS_BOUND, MAX_RATIONAL_DIGITS, Frozen, as_fraction, capped
 
 __all__ = ["RATE_ONE", "RootRational", "log_ratio_ceiling", "root_rational"]
 
@@ -173,8 +172,7 @@ class RootRational(Frozen):
     def describe(self) -> str:
         if self.index < _DIGITS_BOUND and _vector_prints(self.vector, self.index):
             return str(self.base) if self.index == 1 else f"({self.base})^(1/{self.index})"
-        return "*".join(f"{q}^({e if fits_digit_cap(e) else TOO_MANY_DIGITS})"
-                        for q, e in self.vector)
+        return "*".join(f"{q}^({capped(e)})" for q, e in self.vector)
 
 
 def _vector_value(vector, index: int) -> Fraction:

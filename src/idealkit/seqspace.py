@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .base import DEFAULT_EPS, DEFAULT_NMAX, Frozen, InputError, as_fraction
+from .base import DEFAULT_EPS, DEFAULT_NMAX, Frozen, InputError, as_fraction, capped
 from .rates import (RATE_ONE, RootRational, _log10_size, _log_fraction, _power_product,
                     _rate_mul, _rate_pow, _rate_root, _str_fits, root_rational)
 
@@ -102,7 +102,9 @@ class Mode(Enum):
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return str(value)
+        return str(capped(value))
+    if isinstance(value, int):
+        return capped(value)
     if isinstance(value, (Status, Method, Mode)):
         return value.value
     if isinstance(value, dict):
@@ -138,6 +140,12 @@ class Verdict(Frozen):
             "method": self.method.value,
             "evidence": _jsonable(self.evidence),
         }
+
+    def line(self, label: str) -> str:
+        return f"{label}: {self.status.value} ({self.method.value})"
+
+    def evidence_lines(self) -> list:
+        return [f"  {key}: {value}" for key, value in self.to_json()["evidence"].items()]
 
 
 def proven(status: Status, **evidence) -> Verdict:
@@ -427,12 +435,14 @@ def _weight_bits(expr: SequenceExpr, n: int) -> int:
     raise TypeError(type(expr).__name__)
 
 
-def check_weight_bits(expr: SequenceExpr, n: int, error: type = InputError) -> None:
+def check_weight_bits(expr: SequenceExpr, n: int, error: type = InputError,
+                      what: str = "truncation") -> None:
     """Raise error when n times the bits of the exactly evaluable weight n
-    of expr exceeds MAX_WEIGHT_BITS, before any weight is built."""
+    of expr exceeds MAX_WEIGHT_BITS, before any weight is built; what names n
+    in the message."""
     bits = _weight_bits(expr, n)
     if n * bits > MAX_WEIGHT_BITS:
-        raise error(f"truncation {n} times the {bits} bits of weight {n} exceeds "
+        raise error(f"{what} {n} times the {capped(bits)} bits of weight {n} exceeds "
                     f"the limit {MAX_WEIGHT_BITS}")
 
 
@@ -519,7 +529,7 @@ class AsymSig(Frozen):
     def describe(self) -> str:
         if self.is_zero_tail:
             return "zero-tail"
-        return f"rate={self.rate.describe()}, pow={self.pow}, logpow={self.logpow}"
+        return f"rate={self.rate.describe()}, pow={capped(self.pow)}, logpow={capped(self.logpow)}"
 
     def ampliated(self, m: int) -> "AsymSig":
         return self if self.is_zero_tail else AsymSig(_rate_root(self.rate, m), self.pow, self.logpow)

@@ -96,10 +96,12 @@ class ShiftModel(Frozen):
 
 
 def _exact_weights(model: ShiftModel) -> list:
-    """Weights 1..N-1 of the N x N truncation, exactly."""
+    """Weights 1..N-1 of the N x N truncation, exactly, within the weight-size
+    limit at N."""
     ensure_valid(model.weights)
     if not has_exact_eval(model.weights):
         raise CertificateError("shift model needs exactly evaluable weights")
+    check_weight_bits(model.weights, model.truncation, CertificateError)
     return [eval_at(model.weights, i) for i in range(1, model.truncation)]
 
 
@@ -148,7 +150,9 @@ def shift_bracket(
     Proportional weight sequences commute identically (detected structurally
     after stripping scale factors); otherwise the weights are scanned on a
     finite window, and an all-zero scan is reported as AllZero with the
-    window recorded.
+    window recorded.  Before the scan passes each power of two n, both
+    sequences must meet the weight-size limit at 2n, which bounds every
+    weight the scan evaluates up to there.
     """
     ensure_valid(w)
     ensure_valid(v)
@@ -158,6 +162,9 @@ def shift_bracket(
     if _strip_scale(w) == _strip_scale(v):
         return ShiftBracket(w, v, None, True, window)
     for n in range(1, window + 1):
+        if n & (n - 1) == 0:
+            check_weight_bits(w, 2 * n, CertificateError, "scan index")
+            check_weight_bits(v, 2 * n, CertificateError, "scan index")
         val = br.weight_at(n)
         if val != 0:
             return ShiftBracket(w, v, (n, val), False, window)

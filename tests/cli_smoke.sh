@@ -1,7 +1,8 @@
 #!/bin/sh
 # CLI smoke test from the source tree, with nothing installed: one call per
-# group, an algebra and a certificate each written then read back, and one
-# bad input, which must exit 2 with an error line.
+# group, an algebra and a certificate each written then read back, one
+# bad input, which must exit 2 with an error line, a help request, which
+# must exit 0, and a usage error, which must exit 2 with an error line.
 # Run from the repository root; PYTHON names the interpreter (default python3):
 #   PYTHON=python3.10 sh tests/cli_smoke.sh
 set -eu
@@ -27,5 +28,14 @@ code=0
 idealkit seq signature pow:0 2> "$dir/err" || code=$?
 [ "$code" -eq 2 ] || { echo "cli smoke: bad input exited $code, not 2" >&2; exit 1; }
 expect "error: " "$(cat "$dir/err")"
+
+# help and usage errors go through the argparse parser; under set -e the
+# assignment fails the script unless --help exits 0
+help=$(idealkit --help)
+expect "usage: " "$help"
+code=0
+idealkit lie simple 2> "$dir/err" || code=$?
+[ "$code" -eq 2 ] || { echo "cli smoke: usage error exited $code, not 2" >&2; exit 1; }
+case $(cat "$dir/err") in *"error: "*) ;; *) echo "cli smoke: no error line" >&2; exit 1 ;; esac
 
 echo "cli smoke: ok on $("$PY" --version 2>&1)"

@@ -86,6 +86,15 @@ class TestSeqCommands:
         assert run_cli(["seq", "signature", "scale:-1;scale:-1;pow:1"])[0] == 2
         assert "scale factor must be positive" in capsys.readouterr().err
 
+    def test_trailing_zeros_leave_the_support(self):
+        code, out = run_cli(["seq", "compare", "--mode", "O", "finite:[1,1/2,0,0]",
+                             "finite:[2,1]", "--json"])
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        assert verdict["status"] == "Holds"
+        assert verdict["evidence"]["rule"] == "support containment"
+        assert verdict["evidence"]["xi_support"] == 2
+
 
 class TestIdealCommands:
     def test_soft_dichotomy_text(self):
@@ -213,6 +222,8 @@ class TestExactRates:
         [
             ("sub:100000000;exp:1/2", "2^(-100000000)"),
             ("prod(amp:1000003;exp:1/3,amp:1000033;exp:1/5)", "3^(-1/1000003)*5^(-1/1000033)"),
+            # an exponent past the float range: its size is estimated as infinite
+            pytest.param(f"sub:1{'0' * 400};exp:1/3", f"3^(-1{'0' * 400})", id="sub-1e400"),
         ],
     )
     def test_signature_past_the_digit_limit(self, sequence, rate):
@@ -314,6 +325,41 @@ class TestPastTheDigitLimit:
             assert numeric["status"] == "Unknown"
             assert "underflows" in numeric["evidence"]["notes"][0]
         assert numeric["evidence"].get("reason") != "division by zero tail"
+
+
+_NINES = "9" * MAX_RATIONAL_DIGITS  # the largest integer a rational may be written with
+_MARKER = f"[more than {MAX_RATIONAL_DIGITS} digits]"
+
+
+class TestReportValuesPastTheCap:
+    # valid input whose report holds a number past the digit cap: the number
+    # prints as the marker, in the text and in the JSON report
+    @pytest.mark.parametrize("sequence", [
+        f"prod(pow:{_NINES},pow:{_NINES})",  # pow sums to 4301 digits
+        f"prod(pow:1/{_NINES},pow:1/{_NINES[:-1]}8)",  # denominators multiply
+    ], ids=["pow-sum", "denominator-product"])
+    def test_signature(self, sequence):
+        code, out = run_cli(["seq", "signature", sequence])
+        assert code == 0
+        assert out == f"signature: rate=1, pow={_MARKER}, logpow=0\n"
+
+    def test_report(self):
+        code, out = run_cli(["ideal", "report", f"prod(pow:{_NINES},pow:{_NINES})", "--json"])
+        assert code == 0
+        assert json.loads(out)["soft"]["evidence"]["xi_signature"] == (
+            f"rate=1, pow={_MARKER}, logpow=0")
+
+    @pytest.mark.parametrize("argv,key", [
+        (["seq", "compare", "--mode", "O", f"amp:{_NINES};finite:[1,1]", "finite:[1]"],
+         "xi_support"),
+        (["ideal", "member", f"amp:{_NINES};finite:[1,1]", "finite-rank"], "support"),
+    ], ids=["compare", "member"])
+    def test_support(self, argv, key):
+        code, out = run_cli(argv)
+        assert code == 0 and f"  {key}: {_MARKER}\n" in out
+        code, out = run_cli(argv + ["--json"])
+        assert code == 0
+        assert json.loads(out)["verdict"]["evidence"][key] == _MARKER
 
 
 _CAP = 10 ** MAX_RATIONAL_DIGITS - 1  # the largest integer within the digit cap
@@ -886,13 +932,6 @@ class TestParserText:
         monkeypatch.setenv("COLUMNS", "80")
         assert hashlib.sha256(_cli_text(argv).encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("argv", [argv for argv, _ in PARSER_TEXT], ids=_PARSER_TEXT_IDS)
-    def test_group_parser_matches_full_parser(self, monkeypatch, argv):
-        group_only = _cli_text(argv)
-        build = cli._parser
-        monkeypatch.setattr(cli, "_parser", lambda argv: build([]))
-        assert _cli_text(argv) == group_only
-
 
 _CALLS = [(group, cmd) for group, (_, commands) in cli._COMMANDS.items() for cmd in commands]
 
@@ -938,9 +977,9 @@ sys.exit(_probe_code)
 
 
 def test_module_run_imports_cli_once():
-    """Run as ``python -m idealkit.cli``, the handlers' ``from .cli import``
-    finds the ``__main__`` module, so cli is never imported a second time
-    and one module object holds its code."""
+    """Run as ``python -m idealkit.cli``, cli is never imported a second
+    time, since no group module imports it, and one module object holds its
+    code."""
     env = dict(os.environ, PYTHONPATH=_src_dir())
     out = subprocess.run(
         [sys.executable, "-c", _MODULE_RUN_PROBE],

@@ -88,6 +88,7 @@ def _write(path, payload) -> str:
 
 
 SL2_BASIS = [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, -1]]
+NINES = "9" * MAX_RATIONAL_DIGITS  # the largest integer a rational may be written with
 
 # (id, argv, payload): "{sl2}" in argv names an sl(2) algebra file, "{file}"
 # a file holding the payload
@@ -129,6 +130,14 @@ EXIT_TWO = [
      {"name": "x", "ambient_dim": 2, "basis": []}),
     ("seed-without-cross-check", ["lie", "simple", "--file", "{sl2}", "--seed", "7"], None),
     ("negative-cross-check", ["lie", "simple", "--file", "{sl2}", "--cross-check", "-3"], None),
+    # refusals whose message counts past the digit cap print the count as the marker
+    ("witness-bits-past-cap", ["witness", "build", "--generator", f"pow:{NINES}",
+                               "--partner", "pow:1"], None),
+    ("shift-bits-past-cap", ["lie", "build", "shift", "--n", "3", "--weights", f"pow:{NINES}"],
+     None),
+    ("shift-sub-bits-past-cap", ["lie", "build", "shift", "--n", "3",
+                                 "--weights", f"sub:{NINES};exp:1/3"], None),
+    ("sl-entries-past-cap", ["lie", "build", "sl", "--n", "9" * 2200], None),
 ]
 
 

@@ -4,7 +4,8 @@ The only exceptions are the ``matlie`` bindings that perfbench reads.  Span
 membership has one home too: only ``ratlinalg`` reads an echelon's rows;
 so has the matrix format: only ``ratlinalg`` reads ``_data`` or calls
 ``_make``; so has the rate format: only ``rates`` reads exponent vectors; and so has
-the file format: only ``base`` opens files."""
+the file format: only ``base`` opens files.  Imports between ``cli`` and its
+group modules run one way."""
 
 from __future__ import annotations
 
@@ -78,6 +79,27 @@ def test_imports_name_the_defining_module(module):
             wrong += [f"{node.lineno}: {alias.name} from {home}"
                       for alias in node.names if alias.name not in defined]
     assert wrong == []
+
+
+def _imported_submodules(module: str) -> set:
+    """The idealkit submodules a module imports, in any import form."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("idealkit."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "idealkit"):
+            parts = [p for p in (node.module or "").split(".")[0 if node.level else 1:] if p]
+            found.update(parts[:1] or [alias.name for alias in node.names])
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.startswith("cli_")])
+def test_group_modules_do_not_import_cli(module):
+    """Imports between ``cli`` and the group modules run one way: ``cli.main``
+    imports ``cli_<group>``, and no group module imports ``cli`` back."""
+    assert "cli" not in _imported_submodules(module)
 
 
 def test_allowlist_is_exactly_what_perfbench_reads():

@@ -78,7 +78,7 @@ def _same(a, b) -> bool:
 def _argparse_vars(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._parser(argv).parse_args(argv))
+            return vars(cli._parser().parse_args(argv))
         except SystemExit as exc:
             pytest.fail(f"strict parse accepted {argv!r}, argparse exited {exc.code}")
 
