@@ -357,23 +357,16 @@ def support(expr: SequenceExpr) -> Optional[int]:
     raise TypeError(type(expr).__name__)
 
 
-def _powlog_raw(p: float, q: float, n: int) -> float:
-    return n ** (-p) * math.log(n + 1) ** (-q)
-
-
 def eval_at(expr: SequenceExpr, n: int):
     """Entry n (1-based) as an exact Fraction where possible, else a float."""
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
-    if isinstance(expr, Pow):
-        if expr.p.denominator == 1:
-            return Fraction(1, n ** expr.p.numerator)
-        return float(n) ** (-float(expr.p))
+    if isinstance(expr, Pow) and expr.p.denominator == 1:
+        return Fraction(1, n ** expr.p.numerator)
+    if isinstance(expr, (Pow, PowLog)):
+        return math.exp(eval_log(expr, n))
     if isinstance(expr, Exp):
         return expr.r ** n
-    if isinstance(expr, PowLog):
-        p, q = float(expr.p), float(expr.q)
-        return min(_powlog_raw(p, q, 1), _powlog_raw(p, q, n))
     if isinstance(expr, FiniteSupport):
         return expr.values[n - 1] if n <= len(expr.values) else Fraction(0)
     if isinstance(expr, Explicit):
@@ -409,41 +402,55 @@ def _rational_bits(f: Fraction) -> int:
     return f.numerator.bit_length() + f.denominator.bit_length()
 
 
-def _weight_bits(expr: SequenceExpr, n: int) -> int:
-    """Bits of the numerator plus the denominator of the exactly evaluable
-    weight n, or a little more (a product's factors are counted before they
-    cancel), computed without building the weight."""
+def _weight_bits(expr: SequenceExpr, n: int) -> Optional[int]:
+    """Bits of the numerator plus the denominator of weight n, or a little
+    more (a product's factors are counted before they cancel), computed
+    without building the weight; None when some weight of expr is not an
+    exact rational (a fractional power or a log factor anywhere in it)."""
     if isinstance(expr, Pow):
-        return 1 + _power_bits(n, expr.p.numerator)
+        return 1 + _power_bits(n, expr.p.numerator) if expr.p.denominator == 1 else None
+    if isinstance(expr, PowLog):
+        return None
     if isinstance(expr, Exp):
         return _power_bits(expr.r.numerator, n) + _power_bits(expr.r.denominator, n)
     if isinstance(expr, FiniteSupport):
         return _rational_bits(eval_at(expr, n))
     if isinstance(expr, Explicit):
         k = len(expr.prefix)
+        # read at every n: an inexact tail makes the whole expression inexact
+        tail = _weight_bits(expr.tail, max(n - k, 1))
+        if tail is None:
+            return None
         if n <= k:
             return _rational_bits(expr.prefix[n - 1])
-        return max(_rational_bits(expr.prefix[-1]), _weight_bits(expr.tail, n - k))
+        return max(_rational_bits(expr.prefix[-1]), tail)
     if isinstance(expr, Scale):
-        return _rational_bits(expr.c) + _weight_bits(expr.inner, n)
+        inner = _weight_bits(expr.inner, n)
+        return None if inner is None else _rational_bits(expr.c) + inner
     if isinstance(expr, Ampliation):
         return _weight_bits(expr.inner, (n + expr.m - 1) // expr.m)
     if isinstance(expr, Subsample):
         return _weight_bits(expr.inner, n * expr.k)
     if isinstance(expr, Product):
-        return _weight_bits(expr.left, n) + _weight_bits(expr.right, n)
+        left, right = _weight_bits(expr.left, n), _weight_bits(expr.right, n)
+        return None if left is None or right is None else left + right
     raise TypeError(type(expr).__name__)
 
 
 def check_weight_bits(expr: SequenceExpr, n: int, error: type = InputError,
                       what: str = "truncation") -> None:
-    """Raise error when n times the bits of the exactly evaluable weight n
-    of expr exceeds MAX_WEIGHT_BITS, before any weight is built; what names n
-    in the message."""
+    """Raise error when n times the bits of weight n of expr exceeds
+    MAX_WEIGHT_BITS, before any weight is built; what names n in the
+    message.  Inexact weights are left to the callers that refuse them."""
     bits = _weight_bits(expr, n)
-    if n * bits > MAX_WEIGHT_BITS:
-        raise error(f"{what} {n} times the {capped(bits)} bits of weight {n} exceeds "
+    if bits is None or n * bits <= MAX_WEIGHT_BITS:
+        return
+    if bits <= MAX_WEIGHT_BITS:
+        raise error(f"{what} {n} times the {bits} bits of weight {n} exceeds "
                     f"the limit {MAX_WEIGHT_BITS}")
+    # past the limit _power_bits may return a lower bound, so no count is printed
+    raise error(f"{what} {n} times the bits of weight {n} exceeds the limit "
+                f"{MAX_WEIGHT_BITS}: weight {n} has more than {MAX_WEIGHT_BITS} bits")
 
 
 def eval_log(expr: SequenceExpr, n: int) -> float:
@@ -488,19 +495,7 @@ def eval_log(expr: SequenceExpr, n: int) -> float:
 
 def has_exact_eval(expr: SequenceExpr) -> bool:
     """True when eval_at returns exact rationals at every index."""
-    if isinstance(expr, Pow):
-        return expr.p.denominator == 1
-    if isinstance(expr, PowLog):
-        return False
-    if isinstance(expr, (Exp, FiniteSupport)):
-        return True
-    if isinstance(expr, Explicit):
-        return has_exact_eval(expr.tail)
-    if isinstance(expr, (Scale, Ampliation, Subsample)):
-        return has_exact_eval(expr.inner)
-    if isinstance(expr, Product):
-        return has_exact_eval(expr.left) and has_exact_eval(expr.right)
-    raise TypeError(type(expr).__name__)
+    return _weight_bits(expr, 1) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,7 @@ def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
             raise CertificateError(f"truncation {n} is below the minimum {MIN_TRUNCATION}")
         if n > MAX_TRUNCATION:
             raise CertificateError(f"truncation {n} exceeds the limit {MAX_TRUNCATION}")
-        if has_exact_eval(model.weights):
-            check_weight_bits(model.weights, n, CertificateError)
+        check_weight_bits(model.weights, n, CertificateError)
     if scan_window < 1:
         raise CertificateError(f"scan window {scan_window} is below the minimum 1")
     if scan_window > MAX_SCAN_WINDOW:
@@ -272,14 +271,13 @@ def build_certificate(
     # below is made on exactly the structures the certificate will store.
     generator, *pool = [ShiftModel(dsl.parse_seq(dsl.format_seq(s.weights)), s.truncation)
                         for s in (generator, *pool)]
+    # a finite-rank generator's ideal is soft, so this gate refuses it too
     soft = is_soft(Principal(generator.weights))
     if not (soft.fails and soft.proven):
         raise CertificateError(
             "hypothesis gate: the generator's principal ideal must be proven "
             f"not soft, got {soft.status.value} ({soft.method.value})"
         )
-    if support(generator.weights) is not None:
-        raise CertificateError("hypothesis gate: the generator must have infinite rank")
     if not has_exact_eval(generator.weights):
         raise CertificateError("certificates need exactly evaluable generator weights")
     cert = _derive(generator, pool, scan_window, soft)

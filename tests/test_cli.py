@@ -792,6 +792,8 @@ class TestDeterminism:
         ["seq", "signature", "prod(exp:1/2,pow:3)", "--json"],
         ["seq", "compare", "--mode", "o", "pow:1", "amp:3;pow:1", "--json"],
         ["seq", "compare", "--mode", "O", "exp:1/2", "pow:1", "--numeric", "--json"],
+        # the zero weight's log is -inf
+        ["seq", "compare", "--mode", "O", "--numeric", "finite:[1,0]", "finite:[1]", "--json"],
         ["seq", "delta2", "powlog:1,1", "--json"],
         ["ideal", "soft", "pow:1", "--json"],
         ["ideal", "member", "exp:1/2", "exp:1/4", "--json"],

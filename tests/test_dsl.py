@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from idealkit import idealcalc
+from idealkit import cli, idealcalc
 from idealkit.base import MAX_RATIONAL_DIGITS, parse_rational
 from idealkit.dsl import (
     MAX_NESTING,
@@ -121,6 +121,10 @@ class TestParse:
             parse_seq(text)
         assert err.value.offset == offset
         assert str(err.value) == f"offset {offset}: {message}"
+
+    def test_trailing_input_after_ideal(self, capsys):
+        assert cli.main(["ideal", "soft", "compact x"]) == 2
+        assert capsys.readouterr().err == "error: offset 8: trailing input after ideal\n"
 
 
 class TestRationals:

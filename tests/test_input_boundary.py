@@ -130,7 +130,8 @@ EXIT_TWO = [
      {"name": "x", "ambient_dim": 2, "basis": []}),
     ("seed-without-cross-check", ["lie", "simple", "--file", "{sl2}", "--seed", "7"], None),
     ("negative-cross-check", ["lie", "simple", "--file", "{sl2}", "--cross-check", "-3"], None),
-    # refusals whose message counts past the digit cap print the count as the marker
+    # refusals of numbers past the digit cap: a weight past the weight limit
+    # is refused with no bit count, and a count past the cap prints as the marker
     ("witness-bits-past-cap", ["witness", "build", "--generator", f"pow:{NINES}",
                                "--partner", "pow:1"], None),
     ("shift-bits-past-cap", ["lie", "build", "shift", "--n", "3", "--weights", f"pow:{NINES}"],
@@ -138,6 +139,8 @@ EXIT_TWO = [
     ("shift-sub-bits-past-cap", ["lie", "build", "shift", "--n", "3",
                                  "--weights", f"sub:{NINES};exp:1/3"], None),
     ("sl-entries-past-cap", ["lie", "build", "sl", "--n", "9" * 2200], None),
+    ("witness-fractional-generator", ["witness", "build", "--generator", "pow:1/2",
+                                      "--partner", "pow:2"], None),
 ]
 
 
@@ -175,6 +178,34 @@ def test_messages_name_the_broken_bound(capsys):
               "--truncation", "2"])
     err = capsys.readouterr().err
     assert f"below the minimum {MIN_TRUNCATION}" in err and "hypothesis gate" not in err
+
+
+_OVER = "exceeds the limit 8388608"
+# (id, argv, error line): past MAX_WEIGHT_BITS a weight's bits are only
+# bounded from below, so the line says "more than" instead of a count
+WEIGHT_LIMIT_LINES = [
+    ("shift-sub-4001-digits", ["lie", "build", "shift", "--n", "3",
+                               "--weights", "sub:1" + "0" * 4000 + ";exp:1/3"],
+     f"error: truncation 3 times the bits of weight 3 {_OVER}: "
+     "weight 3 has more than 8388608 bits"),
+    ("witness-pow-nines", ["witness", "build", "--generator", f"pow:{NINES}",
+                           "--partner", "pow:1"],
+     f"error: truncation 64 times the bits of weight 64 {_OVER}: "
+     "weight 64 has more than 8388608 bits"),
+    ("shift-pow-1e6-n50", ["lie", "build", "shift", "--n", "50", "--weights", "pow:1000000"],
+     f"error: truncation 50 times the 5643858 bits of weight 50 {_OVER}"),
+    ("witness-scan-index", ["witness", "build", "--generator", "pow:2000", "--partner",
+                            "prod(pow:1000,pow:1000)", "--truncation", "3"],
+     f"error: scan index 512 times the 18002 bits of weight 512 {_OVER}"),
+]
+
+
+@pytest.mark.parametrize("argv,line", [row[1:] for row in WEIGHT_LIMIT_LINES],
+                         ids=[row[0] for row in WEIGHT_LIMIT_LINES])
+def test_weight_limit_line(argv, line, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert len(line) < 200
 
 
 @pytest.mark.parametrize("size", [3, 5], ids=["one-short", "one-long"])

@@ -506,6 +506,18 @@ class TestCommutant:
         assert rep.verdict == "Simple" and rep.commutant_dim == 1
         assert exact_runs == []
 
+    def test_no_prime_left_runs_the_exact_commutant(self, exact_runs):
+        # a denominator divisible by every prime of MODP_PRIMES: no modular
+        # image exists, so the commutant is eliminated exactly over all 9
+        # positions of the 3 x 3 unknown
+        p = math.prod(MODP_PRIMES)
+        h = E(2, 0, 0) - E(2, 1, 1)
+        algebra = LieAlgebraPresentation(2, (h.scaled(p), E(2, 0, 1), E(2, 1, 0)), "sl_2_scaled")
+        assert matlie._ads_mod_p(matlie._structure(algebra).ads) == (None, None)
+        rep = is_simple(algebra)
+        assert rep.verdict == "Simple" and rep.commutant_dim == 1
+        assert exact_runs == [9]
+
     def test_abelian_commutant_is_full_endomorphism_space(self):
         assert len(adjoint_commutant(diagonal_algebra(2))) == 4
 

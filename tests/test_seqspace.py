@@ -36,6 +36,7 @@ from idealkit.seqspace import (
     eval_at,
     eval_log,
     explicit,
+    has_exact_eval,
     numeric_probe,
     signature_of,
     subsample,
@@ -43,7 +44,8 @@ from idealkit.seqspace import (
     validate,
 )
 from idealkit.rates import RATE_ONE, log_ratio_ceiling, root_rational
-from idealkit.seqspace import _order, _scale, _sig
+from idealkit.seqspace import (_order, _power_bits, _rational_bits, _scale, _sig,
+                               _weight_bits)
 
 from conftest import (BATTERY, EXACT_BATTERY, FULL_BATTERY, battery_ids, catalog_exprs,
                       seeded_compare_pairs)
@@ -92,6 +94,93 @@ class TestEval:
             # big-integer logs avoid float underflow of tiny exact values
             ref = math.log(v.numerator) - math.log(v.denominator)
             assert math.isclose(lv, ref, rel_tol=1e-9, abs_tol=1e-9)
+
+
+# The two walks and the float leaves that _weight_bits and eval_log replaced:
+# has_exact_eval's own walk, the bit count that trusted its caller to ask
+# only of exact weights, and eval_at's direct float formulas.
+def _old_has_exact_eval(expr) -> bool:
+    if isinstance(expr, Pow):
+        return expr.p.denominator == 1
+    if isinstance(expr, PowLog):
+        return False
+    if isinstance(expr, (Exp, FiniteSupport)):
+        return True
+    if isinstance(expr, Explicit):
+        return _old_has_exact_eval(expr.tail)
+    if isinstance(expr, (Scale, Ampliation, Subsample)):
+        return _old_has_exact_eval(expr.inner)
+    return _old_has_exact_eval(expr.left) and _old_has_exact_eval(expr.right)
+
+
+def _old_weight_bits(expr, n: int) -> int:
+    if isinstance(expr, Pow):
+        return 1 + _power_bits(n, expr.p.numerator)
+    if isinstance(expr, Exp):
+        return _power_bits(expr.r.numerator, n) + _power_bits(expr.r.denominator, n)
+    if isinstance(expr, FiniteSupport):
+        return _rational_bits(eval_at(expr, n))
+    if isinstance(expr, Explicit):
+        k = len(expr.prefix)
+        if n <= k:
+            return _rational_bits(expr.prefix[n - 1])
+        return max(_rational_bits(expr.prefix[-1]), _old_weight_bits(expr.tail, n - k))
+    if isinstance(expr, Scale):
+        return _rational_bits(expr.c) + _old_weight_bits(expr.inner, n)
+    if isinstance(expr, Ampliation):
+        return _old_weight_bits(expr.inner, (n + expr.m - 1) // expr.m)
+    if isinstance(expr, Subsample):
+        return _old_weight_bits(expr.inner, n * expr.k)
+    return _old_weight_bits(expr.left, n) + _old_weight_bits(expr.right, n)
+
+
+def _old_eval_at(expr, n: int):
+    if isinstance(expr, Pow):
+        if expr.p.denominator == 1:
+            return F(1, n ** expr.p.numerator)
+        return float(n) ** (-float(expr.p))
+    if isinstance(expr, PowLog):
+        p, q = float(expr.p), float(expr.q)
+
+        def raw(k: int) -> float:
+            return k ** (-p) * math.log(k + 1) ** (-q)
+
+        return min(raw(1), raw(n))
+    if isinstance(expr, Explicit):
+        k = len(expr.prefix)
+        if n <= k:
+            return expr.prefix[n - 1]
+        v, last = _old_eval_at(expr.tail, n - k), expr.prefix[-1]
+        return v if v <= last else last
+    if isinstance(expr, Scale):
+        return expr.c * _old_eval_at(expr.inner, n)
+    if isinstance(expr, Ampliation):
+        return _old_eval_at(expr.inner, (n + expr.m - 1) // expr.m)
+    if isinstance(expr, Subsample):
+        return _old_eval_at(expr.inner, n * expr.k)
+    if isinstance(expr, Product):
+        return _old_eval_at(expr.left, n) * _old_eval_at(expr.right, n)
+    return eval_at(expr, n)  # Exp and FiniteSupport were always exact
+
+
+class TestOneExactnessWalk:
+    """_weight_bits decides exactness and counts bits in one walk; eval_at
+    takes its floats from eval_log."""
+
+    @given(expr=st.one_of(catalog_exprs, full_expr),
+           ns=st.lists(st.integers(1, 1024), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_old_walks(self, expr, ns):
+        exact = _old_has_exact_eval(expr)
+        assert has_exact_eval(expr) == exact
+        for n in ns:
+            if exact:
+                assert _weight_bits(expr, n) == _old_weight_bits(expr, n)
+            else:
+                assert _weight_bits(expr, n) is None
+                new, old = eval_at(expr, n), _old_eval_at(expr, n)
+                # relative in the normal float range; both are 0 or subnormal below it
+                assert math.isclose(new, old, rel_tol=1e-12, abs_tol=1e-300), (n, new, old)
 
 
 class TestValidate:

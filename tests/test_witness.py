@@ -334,6 +334,7 @@ _CENTRAL_CHECKLIST = [
 ]
 _COMM, _SOFT = "commutator_nonzero_at_first_index", "generator_ideal_not_soft_symbolic"
 _POOL, _LIST = "pool_commutators_all_zero", "obligation_checklist"
+_FINITE = "generator_not_finite_rank"
 
 
 def _fails(*names):
@@ -501,6 +502,9 @@ class TestTamperTable:
         ("central", ("pool",), {}, _MALFORMED + "pool must be a list, got {}"),
         ("central", ("softness", "evidence"), [],
          _MALFORMED + "evidence must be an object, got []"),
+        # a finite-rank generator is soft too, so verify fails both obligations;
+        # pool entry 0 stops commuting with it, so the partner is wrong as well
+        ("pinned", ("generator", "weights"), "finite:[1,1/2]", _fails(_SOFT, _FINITE, _COMM)),
     ])
     def test_one_field_changed(self, base, path, value, expected):
         assert _outcome(_changed(self._base(base), path, value)) == expected
