@@ -116,12 +116,11 @@ def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
     weight-size limit a certificate's truncation meets, and each within the
     digit cap of an algebra file."""
     # only this builder needs them
-    from .seqspace import check_weight_bits, ensure_valid, eval_at, has_exact_eval
+    from .seqspace import check_weight_bits, ensure_valid, eval_at
     _require_size(n, 2)
     ensure_valid(weights)
-    if not has_exact_eval(weights):
+    if not check_weight_bits(weights, n):
         raise InputError("shift truncation needs exactly evaluable weights")
-    check_weight_bits(weights, n)
     entries = {(i - 1, i): eval_at(weights, i) for i in range(1, n)}
     for (_, i), w in entries.items():
         if not fits_digit_cap(w):  # an algebra file could not hold it

@@ -150,31 +150,18 @@ def _min_ampliation(xi_sig, gen_sig, gen: SequenceExpr, xi: SequenceExpr,
     Only called with exponential-type signatures on both sides.  Ampliation
     by m divides ln rate(gen) by m, so the rates meet at
     t = ln rate(gen) / ln rate(xi): for m > t xi's rate is strictly
-    smaller, for m < t strictly larger, and at an integral t pow and logpow
-    decide.  t comes from certified logs; gen_sig.ampliated confirms the
-    answer and refutes the index below it.  None when that m would have more
-    than MAX_RATIONAL_DIGITS digits; it is then neither computed nor printed.
+    smaller, for m < t strictly larger.  So ceil(t), from certified logs,
+    answers in both modes unless t is an integer; at that tie pow and logpow
+    decide between t and t + 1.  None when that m would have more than
+    MAX_RATIONAL_DIGITS digits; it is then neither computed nor printed.
     """
     ceiling = log_ratio_ceiling(gen_sig.rate, xi_sig.rate)
     if ceiling is None:
         return None
-    m, integral = ceiling
-
-    def holds(k: int) -> bool:
-        return _compared(xi, xi_sig, ampliate(k, gen), gen_sig.ampliated(k), mode).holds
-
-    if m > 1 and holds(m - 1):
-        raise InternalInconsistencyError(
-            f"ampliation index {m - 1} certifies below the certified bound {m}"
-        )
-    for candidate in (m, m + 1) if integral else (m,):
-        if candidate >= _DIGITS_BOUND:
-            return None
-        if holds(candidate):
-            return candidate
-    raise InternalInconsistencyError(
-        f"ampliation index {m} from the certified bound does not certify"
-    )
+    m, tie = ceiling
+    if tie and not _compared(xi, xi_sig, ampliate(m, gen), gen_sig.ampliated(m), mode).holds:
+        m += 1
+    return m if m < _DIGITS_BOUND else None
 
 
 def _member_principal(xi: SequenceExpr, xi_sig, gen: SequenceExpr, gen_sig,

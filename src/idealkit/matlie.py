@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import ratlinalg
-from .base import Frozen, InputError, as_fraction, capped, parse_rational, read_json, typed
+from .base import Frozen, InputError, as_fraction, parse_rational, read_json, typed
 from .ratlinalg import (
     F0,
     F1,
@@ -104,8 +104,10 @@ class NotClosedError(InputError):
 
 def _require_entries(dim: int, ambient: int) -> None:
     if dim * ambient * ambient > MAX_ALGEBRA_ENTRIES:
-        size = capped(ambient)
-        raise InputError(f"{capped(dim)} matrices of size {size} x {size} exceed the limit of "
+        if ambient * ambient > MAX_ALGEBRA_ENTRIES:  # one matrix is too large; no size is printed
+            raise InputError(f"a single matrix of this size exceeds the limit of "
+                             f"{MAX_ALGEBRA_ENTRIES} entries")
+        raise InputError(f"{dim} matrices of size {ambient} x {ambient} exceed the limit of "
                          f"{MAX_ALGEBRA_ENTRIES} entries")
 
 

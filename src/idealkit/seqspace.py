@@ -438,13 +438,15 @@ def _weight_bits(expr: SequenceExpr, n: int) -> Optional[int]:
 
 
 def check_weight_bits(expr: SequenceExpr, n: int, error: type = InputError,
-                      what: str = "truncation") -> None:
-    """Raise error when n times the bits of weight n of expr exceeds
-    MAX_WEIGHT_BITS, before any weight is built; what names n in the
-    message.  Inexact weights are left to the callers that refuse them."""
+                      what: str = "truncation") -> bool:
+    """Whether every weight of expr is an exact rational, read off the walk
+    that sizes weight n.  False when one is not: the callers refuse that
+    with their own message.  Otherwise raise error when n times the bits of
+    weight n exceeds MAX_WEIGHT_BITS, before any weight is built; what names
+    n in the message."""
     bits = _weight_bits(expr, n)
     if bits is None or n * bits <= MAX_WEIGHT_BITS:
-        return
+        return bits is not None
     if bits <= MAX_WEIGHT_BITS:
         raise error(f"{what} {n} times the {bits} bits of weight {n} exceeds "
                     f"the limit {MAX_WEIGHT_BITS}")

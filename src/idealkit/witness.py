@@ -99,9 +99,8 @@ def _exact_weights(model: ShiftModel) -> list:
     """Weights 1..N-1 of the N x N truncation, exactly, within the weight-size
     limit at N."""
     ensure_valid(model.weights)
-    if not has_exact_eval(model.weights):
+    if not check_weight_bits(model.weights, model.truncation, CertificateError):
         raise CertificateError("shift model needs exactly evaluable weights")
-    check_weight_bits(model.weights, model.truncation, CertificateError)
     return [eval_at(model.weights, i) for i in range(1, model.truncation)]
 
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CLI smoke test from the source tree, with nothing installed: one call per
-# group, an algebra and a certificate each written then read back, one
-# bad input, which must exit 2 with an error line, a help request, which
-# must exit 0, and a usage error, which must exit 2 with an error line.
+# group, two least ampliation indices, an algebra and a certificate each
+# written then read back, one bad input, which must exit 2 with an error
+# line, a help request, which must exit 0, and a usage error, which must
+# exit 2 with an error line.
 # Run from the repository root; PYTHON names the interpreter (default python3):
 #   PYTHON=python3.10 sh tests/cli_smoke.sh
 set -eu
@@ -15,9 +16,16 @@ idealkit() { "$PY" -m idealkit.cli "$@"; }
 expect() {  # expect PATTERN OUTPUT: OUTPUT's first line starts with PATTERN
     case $2 in "$1"*) ;; *) echo "cli smoke: expected '$1', got: $2" >&2; exit 1 ;; esac
 }
+has_line() {  # has_line LINE OUTPUT: one of OUTPUT's lines is LINE
+    printf '%s\n' "$2" | grep -qxF -- "$1" || { echo "cli smoke: no line '$1' in: $2" >&2; exit 1; }
+}
 
 expect "signature: rate=1, pow=1" "$(idealkit seq signature pow:1)"
 expect "membership: Holds" "$(idealkit ideal member pow:2 pow:1)"
+# the least ampliation index of exponential-type rates: the certified
+# ceiling, and a tie that the comparison at m refutes
+has_line "  m: 4" "$(idealkit ideal member exp:1/2 exp:1/10)"
+has_line "  m: 3" "$(idealkit ideal member exp:1/4 "idealprod(exp:1/16,compact)")"
 expect "built sl_3" "$(idealkit lie build sl --n 3 -o "$dir/sl3.json")"
 expect "SIMPLE" "$(idealkit lie simple --file "$dir/sl3.json")"
 expect "certificate built" "$(idealkit witness build --generator pow:1 --partner pow:2 \

@@ -105,6 +105,32 @@ def random_catalog(rng: random.Random, depth: int = 3):
 catalog_exprs = st.builds(random_catalog, st.randoms(use_true_random=False))
 
 
+# Exponential-type expressions: a rate in (0, 1) under ampliations,
+# subsamples, scales and products, with power and power-log factors whose
+# pow and logpow decide a tie.
+_exp_rates = st.integers(2, 60).flatmap(lambda d: st.builds(F, st.integers(1, d - 1), st.just(d)))
+_rate_one = st.sampled_from([Pow(1), Pow(F(1, 2)), Pow(3), PowLog(1, 1), PowLog(1, -1)])
+exp_type_exprs = st.recursive(
+    st.builds(Exp, _exp_rates),
+    lambda inner: st.one_of(
+        st.builds(ampliate, st.integers(2, 6), inner),
+        st.builds(subsample, st.integers(2, 4), inner),
+        st.builds(Scale, st.sampled_from([F(1, 3), F(2), F(7, 5)]), inner),
+        st.builds(Product, inner, _rate_one),
+        st.builds(Product, inner, inner),
+    ),
+    max_leaves=4,
+)
+# proportional pairs: xi and the generator take the i-th and j-th power of
+# one exponential-type base's rate, which meet at t = j / i, a tie when i | j
+_tied_pairs = st.builds(
+    lambda base, i, j, left, right: (
+        Product(subsample(i, base) if i > 1 else base, left),
+        Product(subsample(j, base) if j > 1 else base, right)),
+    exp_type_exprs, st.integers(1, 3), st.integers(1, 8), _rate_one, _rate_one)
+exp_type_pairs = st.one_of(st.tuples(exp_type_exprs, exp_type_exprs), _tied_pairs)
+
+
 def seeded_compare_pairs(seed: int = 0, size: int = 300, pairs: int = 1200) -> list:
     """``pairs`` pairs drawn from ``size`` seeded random catalog expressions."""
     rng = random.Random(seed)

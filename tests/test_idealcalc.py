@@ -8,9 +8,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from idealkit import idealcalc, seqspace
+from idealkit import idealcalc, rates, seqspace
 from idealkit.dsl import format_ideal, format_seq, parse_ideal, parse_seq
 from idealkit.idealcalc import (
     COMPACT,
@@ -46,7 +46,7 @@ from idealkit.seqspace import (
     support,
 )
 
-from conftest import BATTERY, FINITE_BATTERY, catalog_exprs, random_catalog
+from conftest import BATTERY, FINITE_BATTERY, catalog_exprs, exp_type_pairs, random_catalog
 
 battery_expr = st.sampled_from(BATTERY)
 
@@ -436,3 +436,48 @@ class TestSignatureOnce:
         elif isinstance(m := got.evidence.get("m"), int):
             assert compare(xi, ampliate(m, gen), Mode.BIG_O).holds
             assert m == 1 or compare(xi, ampliate(m - 1, gen), Mode.BIG_O).fails
+
+
+class TestLeastAmpliationReference:
+    """member's least ampliation index, re-derived by the comparisons the
+    certified ceiling stands for: it holds at m and fails at m - 1."""
+
+    @given(pair=exp_type_pairs)
+    # ties that pow decides either way, in both modes
+    @example(pair=(parse_seq("prod(exp:1/2,pow:1)"), parse_seq("prod(exp:1/4,pow:2)")))
+    @example(pair=(parse_seq("prod(exp:1/2,pow:2)"), parse_seq("prod(exp:1/4,pow:1)")))
+    @example(pair=(parse_seq("exp:1/4"), parse_seq("exp:1/16")))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_confirmed_at_m_and_refuted_below(self, pair):
+        xi, gen = pair
+        xs, gs = signature_of(xi), signature_of(gen)
+        assert RATE_ONE not in (xs.rate, gs.rate)
+        for ideal, mode in ((Principal(gen), Mode.BIG_O),
+                            (ProductIdeal(Principal(gen), COMPACT), Mode.LITTLE_O)):
+            v = member(xi, ideal)
+            m = v.evidence["m"]
+            assert v.holds and v.evidence["mode"] is mode and isinstance(m, int)
+
+            def holds(k):
+                return seqspace._compared(xi, xs, ampliate(k, gen), gs.ampliated(k), mode).holds
+
+            assert holds(m)
+            assert m == 1 or not holds(m - 1)
+
+    @pytest.mark.parametrize("xi,ideal,m,calls", [
+        ("exp:1/2", "exp:1/10", 4, 3),
+        ("exp:1/4", "idealprod(exp:1/16,compact)", 3, 5),
+    ], ids=["ceiling", "failing-tie"])
+    def test_one_refinement_per_membership(self, monkeypatch, xi, ideal, m, calls):
+        """The certified ceiling refines the two rates' base once; the other
+        refinements are member's two tests against RATE_ONE and, at a tie,
+        those of the one comparison at m."""
+        real, count = rates._common, [0]
+
+        def counting(a, b):
+            count[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(rates, "_common", counting)
+        assert member(parse_seq(xi), parse_ideal(ideal)).evidence["m"] == m
+        assert count == [calls]

@@ -182,7 +182,8 @@ def test_messages_name_the_broken_bound(capsys):
 
 _OVER = "exceeds the limit 8388608"
 # (id, argv, error line): past MAX_WEIGHT_BITS a weight's bits are only
-# bounded from below, so the line says "more than" instead of a count
+# bounded from below, so the line says "more than" instead of a count; an
+# algebra one of whose matrices alone passes the entry limit prints no size
 WEIGHT_LIMIT_LINES = [
     ("shift-sub-4001-digits", ["lie", "build", "shift", "--n", "3",
                                "--weights", "sub:1" + "0" * 4000 + ";exp:1/3"],
@@ -197,6 +198,8 @@ WEIGHT_LIMIT_LINES = [
     ("witness-scan-index", ["witness", "build", "--generator", "pow:2000", "--partner",
                             "prod(pow:1000,pow:1000)", "--truncation", "3"],
      f"error: scan index 512 times the 18002 bits of weight 512 {_OVER}"),
+    ("sl-entries-2200-nines", ["lie", "build", "sl", "--n", "9" * 2200],
+     f"error: a single matrix of this size exceeds the limit of {MAX_ALGEBRA_ENTRIES} entries"),
 ]
 
 
