@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from operator import attrgetter
 from typing import Union
 
 # Numeric probe defaults: grid limit and tolerance.
@@ -37,40 +36,25 @@ class Frozen:
     """Base of the immutable value classes; no code is generated for them.
 
     A subclass's fields are the parameters of its own ``__init__``, which
-    stores each of them once with ``vars(self).update``.
-    Instances of one class are equal when their fields are, hash as the
-    tuple of their fields and print as ``Name(field=value, ...)``; setting
-    or deleting an attribute raises AttributeError.  Equality compares the
-    instance dicts, in C; the hash reads the fields through one
-    ``attrgetter`` per class.
+    stores each of them once, in parameter order, with ``vars(self).update``;
+    the instance dict is then the one record of the fields.  Instances of
+    one class are equal when their dicts are, hash as the tuple of the
+    dict's values and print as ``Name(field=value, ...)``; setting or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        init = vars(cls).get("__init__")
-        if init is None:
-            return
-        fields = cls._fields = init.__code__.co_varnames[1 : init.__code__.co_argcount]
-        if "__hash__" not in vars(cls):
-            get = attrgetter(*fields)
-            if len(fields) == 1:  # attrgetter of one name returns the bare value
-                cls.__hash__ = lambda self: hash((get(self),))
-            else:
-                cls.__hash__ = lambda self: hash(get(self))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.__dict__ == other.__dict__
         return NotImplemented
 
-    def __hash__(self):  # a class with no fields
-        return hash(())
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        args = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{type(self).__qualname__}({args})"
 
     def __setattr__(self, name, value):

@@ -122,6 +122,8 @@ def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
     if not check_weight_bits(weights, n):
         raise InputError("shift truncation needs exactly evaluable weights")
     entries = {(i - 1, i): eval_at(weights, i) for i in range(1, n)}
+    if not any(entries.values()):  # the zero matrix spans no algebra
+        raise InputError(f"the {n} x {n} shift truncation has no nonzero weight")
     for (_, i), w in entries.items():
         if not fits_digit_cap(w):  # an algebra file could not hold it
             raise InputError(f"weight {i} has more than {MAX_RATIONAL_DIGITS} digits in its "

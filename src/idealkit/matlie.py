@@ -734,11 +734,12 @@ def matrices_from_json(flats, ambient: int) -> List[RationalMatrix]:
 
 
 def algebra_from_json(obj: dict) -> LieAlgebraPresentation:
+    typed(obj, dict, "algebra file")
     try:
         name = typed(obj["name"], str, "name")
         ambient = typed(obj["ambient_dim"], int, "ambient_dim")
         basis = obj["basis"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"algebra file missing field: {exc}") from None
     if ambient < 1:
         raise InputError(f"bad ambient_dim: {ambient!r:.40}")

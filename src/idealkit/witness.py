@@ -155,6 +155,7 @@ def shift_bracket(
     """
     ensure_valid(w)
     ensure_valid(v)
+    # exactness first: it is refused before the proportional shortcut and any size refusal
     if not (has_exact_eval(w) and has_exact_eval(v)):
         raise CertificateError("shift brackets need exactly evaluable weights")
     br = ShiftBracket(w, v, None, False, window)
@@ -212,20 +213,24 @@ def _truncation_window_agrees(t: ShiftModel, s: ShiftModel) -> bool:
                for i in range(1, len(w)))
 
 
-def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
+def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> Optional[ShiftModel]:
     """Refuse a truncation or scan window outside its bounds, or a weight
-    size above its limit, before any work."""
+    size above its limit, before any work; return the first model whose
+    weights are not exact rationals (each caller refuses it), or None."""
+    inexact = []
     for model in models:
         n = model.truncation
         if n < MIN_TRUNCATION:
             raise CertificateError(f"truncation {n} is below the minimum {MIN_TRUNCATION}")
         if n > MAX_TRUNCATION:
             raise CertificateError(f"truncation {n} exceeds the limit {MAX_TRUNCATION}")
-        check_weight_bits(model.weights, n, CertificateError)
+        if not check_weight_bits(model.weights, n, CertificateError):
+            inexact.append(model)
     if scan_window < 1:
         raise CertificateError(f"scan window {scan_window} is below the minimum 1")
     if scan_window > MAX_SCAN_WINDOW:
         raise CertificateError(f"scan window {scan_window} exceeds the limit {MAX_SCAN_WINDOW}")
+    return inexact[0] if inexact else None
 
 
 def _derive(generator: ShiftModel, pool: Sequence[ShiftModel], scan_window: int,
@@ -265,7 +270,7 @@ def build_certificate(
     holds a partner and the non-softness hypothesis is symbolically proven."""
     if not pool:
         raise CertificateError("a certificate needs at least one partner")
-    _check_limits([generator, *pool], scan_window)
+    generator_exact = _check_limits([generator, *pool], scan_window) is not generator
     # Round-trip all weights through their text form first, so every decision
     # below is made on exactly the structures the certificate will store.
     generator, *pool = [ShiftModel(dsl.parse_seq(dsl.format_seq(s.weights)), s.truncation)
@@ -277,7 +282,7 @@ def build_certificate(
             "hypothesis gate: the generator's principal ideal must be proven "
             f"not soft, got {soft.status.value} ({soft.method.value})"
         )
-    if not has_exact_eval(generator.weights):
+    if not generator_exact:  # the text form keeps exactness
         raise CertificateError("certificates need exactly evaluable generator weights")
     cert = _derive(generator, pool, scan_window, soft)
     if cert.partner is not None:
@@ -308,7 +313,7 @@ def verify_certificate(cert: Certificate) -> Verdict:
         failures.append(OBLIGATION_NOT_FINITE_RANK)
     # every other field but the checklist is the branch's to prove; an empty
     # pool would make T central vacuously
-    if not cert.pool or any(getattr(cert, f) != getattr(derived, f) for f in Certificate._fields
+    if not cert.pool or any(value != getattr(derived, f) for f, value in vars(cert).items()
                             if f not in ("softness", "obligations")):
         failures.append({"commutator": OBLIGATION_COMMUTATOR,
                          "central": OBLIGATION_POOL_CENTRAL}.get(cert.branch, "branch"))

@@ -1,9 +1,9 @@
 #!/bin/sh
 # CLI smoke test from the source tree, with nothing installed: one call per
-# group, two least ampliation indices, an algebra and a certificate each
-# written then read back, one bad input, which must exit 2 with an error
-# line, a help request, which must exit 0, and a usage error, which must
-# exit 2 with an error line.
+# group, three least ampliation indices (one past the digit cap), an algebra
+# and a certificate each written then read back, two bad inputs, which must
+# exit 2 with an error line, a help request, which must exit 0, and a usage
+# error, which must exit 2 with an error line.
 # Run from the repository root; PYTHON names the interpreter (default python3):
 #   PYTHON=python3.10 sh tests/cli_smoke.sh
 set -eu
@@ -19,6 +19,12 @@ expect() {  # expect PATTERN OUTPUT: OUTPUT's first line starts with PATTERN
 has_line() {  # has_line LINE OUTPUT: one of OUTPUT's lines is LINE
     printf '%s\n' "$2" | grep -qxF -- "$1" || { echo "cli smoke: no line '$1' in: $2" >&2; exit 1; }
 }
+refused() {  # refused ARGS...: idealkit ARGS exits 2, and stderr starts with "error: "
+    code=0
+    idealkit "$@" 2> "$dir/err" || code=$?
+    [ "$code" -eq 2 ] || { echo "cli smoke: idealkit $* exited $code, not 2" >&2; exit 1; }
+    expect "error: " "$(cat "$dir/err")"
+}
 
 expect "signature: rate=1, pow=1" "$(idealkit seq signature pow:1)"
 expect "membership: Holds" "$(idealkit ideal member pow:2 pow:1)"
@@ -26,16 +32,19 @@ expect "membership: Holds" "$(idealkit ideal member pow:2 pow:1)"
 # ceiling, and a tie that the comparison at m refutes
 has_line "  m: 4" "$(idealkit ideal member exp:1/2 exp:1/10)"
 has_line "  m: 3" "$(idealkit ideal member exp:1/4 "idealprod(exp:1/16,compact)")"
+# an index past the digit cap is named, not computed
+nines=$("$PY" -c 'print("9" * 4300)')
+has_line "  m: more than 4300 digits; not computed" \
+    "$(idealkit ideal member "amp:$nines;exp:1/2" exp:1/3)"
 expect "built sl_3" "$(idealkit lie build sl --n 3 -o "$dir/sl3.json")"
 expect "SIMPLE" "$(idealkit lie simple --file "$dir/sl3.json")"
 expect "certificate built" "$(idealkit witness build --generator pow:1 --partner pow:2 \
     -o "$dir/cert.json")"
 expect "VERIFIED" "$(idealkit witness verify --file "$dir/cert.json")"
 
-code=0
-idealkit seq signature pow:0 2> "$dir/err" || code=$?
-[ "$code" -eq 2 ] || { echo "cli smoke: bad input exited $code, not 2" >&2; exit 1; }
-expect "error: " "$(cat "$dir/err")"
+refused seq signature pow:0
+# a shift truncation whose weights are all zero spans no algebra
+refused lie build shift --n 2 --weights "finite:[0]"
 
 # help and usage errors go through the argparse parser; under set -e the
 # assignment fails the script unless --help exits 0

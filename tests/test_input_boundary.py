@@ -141,6 +141,16 @@ EXIT_TWO = [
     ("sl-entries-past-cap", ["lie", "build", "sl", "--n", "9" * 2200], None),
     ("witness-fractional-generator", ["witness", "build", "--generator", "pow:1/2",
                                       "--partner", "pow:2"], None),
+    ("rational-zero-denominator", ["seq", "signature", "pow:1/0"], None),
+    # a shift truncation whose weights 1..n-1 are all zero spans no algebra
+    ("shift-zero-weight", ["lie", "build", "shift", "--n", "2", "--weights", "finite:[0]"],
+     None),
+    ("shift-empty-weights", ["lie", "build", "shift", "--n", "2", "--weights", "finite:[]"],
+     None),
+    ("shift-explicit-zero", ["lie", "build", "shift", "--n", "2",
+                             "--weights", "explicit:[0];tail=pow:1"], None),
+    ("shift-zero-weights-n3", ["lie", "build", "shift", "--n", "3",
+                               "--weights", "finite:[0,0]"], None),
 ]
 
 
@@ -159,6 +169,7 @@ def test_bad_input_exits_two_with_one_error_line(argv, payload, tmp_path, capsys
     err = captured.err.splitlines()
     assert code == 2, captured.out
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err[0]) < 200
     assert "Traceback" not in captured.err
     assert seconds < 1
 
@@ -411,6 +422,15 @@ _ALGEBRA_FIELDS = {
                          "error: ambient_dim must be an integer, got true"),
     "name-list": (_SL2_TEXT.replace('"sl2"', '["a"]'), 'error: name must be a string, got ["a"]'),
     "name-number": (_SL2_TEXT.replace('"sl2"', "5"), "error: name must be a string, got 5"),
+    "top-level-list": ("[1, 2]", "error: algebra file must be an object, got [1, 2]"),
+    "no-name": (_SL2_TEXT.replace('"name": "sl2", ', ""),
+                "error: algebra file missing field: 'name'"),
+    "no-ambient-dim": (_SL2_TEXT.replace('"ambient_dim": 2, ', ""),
+                       "error: algebra file missing field: 'ambient_dim'"),
+    "ambient-dim-zero": ('{"name": "x", "ambient_dim": 0, "basis": []}',
+                         "error: bad ambient_dim: 0"),
+    "entry-zero-denominator": (_SL2_TEXT.replace("-1", '"1/0"'),
+                               "error: bad rational '1/0': Fraction(1, 0)"),
 }
 
 
