@@ -23,23 +23,21 @@ def _require_size(n: int, least: int = 1) -> None:
         raise InputError(f"size must be an integer >= {least}, got {n}")
 
 
-def _sp_top_blocks(n: int) -> List[RationalMatrix]:
-    """Generators shared by both 2n x 2n block forms: the top-left block
-    entries row-major (bottom-right the negative transpose), then the
-    symmetric top-right generators, i <= j row-major."""
+def _algebra(ambient: int, elements: list, name: str) -> LieAlgebraPresentation:
+    """The presentation whose basis elements, in order, are the ambient x
+    ambient matrices with the given nonzero entries {(row, column): value}."""
+    basis = tuple(RationalMatrix.from_nonzeros(ambient, ambient, e) for e in elements)
+    return LieAlgebraPresentation(ambient, basis, name)
+
+
+def _sp_top_blocks(n: int) -> List[dict]:
+    """Entries of the generators shared by both 2n x 2n block forms: the
+    top-left block entries row-major (bottom-right the negative transpose),
+    then the symmetric top-right generators, i <= j row-major (at i = j the
+    two entries are one)."""
     _require_size(n)
-    a = 2 * n
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            basis.append(RationalMatrix.unit(a, i, j) - RationalMatrix.unit(a, n + j, n + i))
-    for i in range(n):
-        for j in range(i, n):
-            m = RationalMatrix.unit(a, i, n + j)
-            if i != j:
-                m = m + RationalMatrix.unit(a, j, n + i)
-            basis.append(m)
-    return basis
+    return [*({(i, j): 1, (n + j, n + i): -1} for i in range(n) for j in range(n)),
+            *({(i, n + j): 1, (j, n + i): 1} for i in range(n) for j in range(i, n))]
 
 
 def sp_standard(n: int) -> LieAlgebraPresentation:
@@ -48,66 +46,51 @@ def sp_standard(n: int) -> LieAlgebraPresentation:
     Basis order: top-left block entries row-major, then the symmetric
     generators of the top-right block (i <= j row-major), then bottom-left.
     """
-    basis = _sp_top_blocks(n)
-    a = 2 * n
-    for i in range(n):
-        for j in range(i, n):
-            m = RationalMatrix.unit(a, n + i, j)
-            if i != j:
-                m = m + RationalMatrix.unit(a, n + j, i)
-            basis.append(m)
-    return LieAlgebraPresentation(a, tuple(basis), f"sp_standard_{n}")
+    top = _sp_top_blocks(n)
+    bottom = [{(n + i, j): 1, (n + j, i): 1} for i in range(n) for j in range(i, n)]
+    return _algebra(2 * n, top + bottom, f"sp_standard_{n}")
 
 
 def sp_skew_variant(n: int) -> LieAlgebraPresentation:
     """Block form with a symmetric top-right and an antisymmetric bottom-left
     block.  Retained for auditing: for n >= 2 this constraint set is not
     closed under the bracket (closure_check exhibits the failing pair)."""
-    basis = _sp_top_blocks(n)
-    a = 2 * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis.append(RationalMatrix.unit(a, n + i, j) - RationalMatrix.unit(a, n + j, i))
-    return LieAlgebraPresentation(a, tuple(basis), f"sp_skew_variant_{n}")
+    top = _sp_top_blocks(n)
+    bottom = [{(n + i, j): 1, (n + j, i): -1} for i in range(n) for j in range(i + 1, n)]
+    return _algebra(2 * n, top + bottom, f"sp_skew_variant_{n}")
 
 
-def _diagonal_differences(n: int) -> List[RationalMatrix]:
-    """E_ii - E_{i+1,i+1} for i = 0..n-2: a basis of the trace-zero diagonal."""
+def _diagonal_differences(n: int) -> List[dict]:
+    """Entries of E_ii - E_{i+1,i+1} for i = 0..n-2: a basis of the trace-zero diagonal."""
     _require_size(n, 2)
-    return [RationalMatrix.unit(n, i, i) - RationalMatrix.unit(n, i + 1, i + 1)
-            for i in range(n - 1)]
+    return [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
 
 
 def upper_triangular_sl(n: int) -> LieAlgebraPresentation:
     """Trace-zero upper triangular matrices: diagonal differences, then the
     strictly upper units row-major."""
-    basis = _diagonal_differences(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis.append(RationalMatrix.unit(n, i, j))
-    return LieAlgebraPresentation(n, tuple(basis), f"upper_triangular_sl_{n}")
+    diagonal = _diagonal_differences(n)
+    upper = [{(i, j): 1} for i in range(n) for j in range(i + 1, n)]
+    return _algebra(n, diagonal + upper, f"upper_triangular_sl_{n}")
 
 
 def strictly_upper(n: int) -> LieAlgebraPresentation:
     _require_size(n, 2)
-    basis = [
-        RationalMatrix.unit(n, i, j) for i in range(n) for j in range(i + 1, n)
-    ]
-    return LieAlgebraPresentation(n, tuple(basis), f"strictly_upper_{n}")
+    upper = [{(i, j): 1} for i in range(n) for j in range(i + 1, n)]
+    return _algebra(n, upper, f"strictly_upper_{n}")
 
 
 def sl(n: int) -> LieAlgebraPresentation:
     """Trace-zero matrices: off-diagonal units row-major, then diagonal differences."""
     diagonal = _diagonal_differences(n)  # refuses a bad n before range(n) reads it
-    basis = [RationalMatrix.unit(n, i, j) for i in range(n) for j in range(n) if i != j]
-    return LieAlgebraPresentation(n, (*basis, *diagonal), f"sl_{n}")
+    off = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+    return _algebra(n, off + diagonal, f"sl_{n}")
 
 
 def diagonal_algebra(n: int) -> LieAlgebraPresentation:
     """Abelian algebra of diagonal matrices."""
     _require_size(n)
-    basis = [RationalMatrix.unit(n, i, i) for i in range(n)]
-    return LieAlgebraPresentation(n, tuple(basis), f"diagonal_{n}")
+    return _algebra(n, [{(i, i): 1} for i in range(n)], f"diagonal_{n}")
 
 
 def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
@@ -128,22 +111,15 @@ def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
         if not fits_digit_cap(w):  # an algebra file could not hold it
             raise InputError(f"weight {i} has more than {MAX_RATIONAL_DIGITS} digits in its "
                              "numerator or denominator")
-    m = RationalMatrix.from_nonzeros(n, n, entries)
-    return LieAlgebraPresentation(n, (m,), f"shift_truncation_{n}")
+    return _algebra(n, [entries], f"shift_truncation_{n}")
 
 
 def direct_sum(a: LieAlgebraPresentation, b: LieAlgebraPresentation) -> LieAlgebraPresentation:
     """Block-diagonal direct sum of two presentations."""
-    amb = a.ambient + b.ambient
     off = a.ambient
-    basis = [RationalMatrix.from_nonzeros(amb, amb, m.nonzeros()) for m in a.basis]
-    basis.extend(
-        RationalMatrix.from_nonzeros(
-            amb, amb, {(i + off, j + off): v for (i, j), v in m.nonzeros().items()}
-        )
-        for m in b.basis
-    )
-    return LieAlgebraPresentation(amb, tuple(basis), f"{a.name}+{b.name}")
+    shifted = [{(i + off, j + off): v for (i, j), v in m.nonzeros().items()} for m in b.basis]
+    return _algebra(off + b.ambient, [m.nonzeros() for m in a.basis] + shifted,
+                    f"{a.name}+{b.name}")
 
 
 _KINDS = {

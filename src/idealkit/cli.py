@@ -35,6 +35,20 @@ SCHEMA_VERSION = "1"
 
 _USER_ERRORS = (InputError, OSError)
 
+# Past this many characters an error message keeps only its head and tail,
+# so that one echoing a long input still prints one short line.  Every
+# message the tests pin is shorter (at most 120), and argparse's line, prog
+# included, stays under 200.
+_ERROR_WIDTH = 160
+
+
+def _bounded(message: str) -> str:
+    """message, or its head and tail around "..." when it is longer than _ERROR_WIDTH."""
+    if len(message) <= _ERROR_WIDTH:
+        return message
+    half = (_ERROR_WIDTH - 3) // 2
+    return f"{message[:half]}...{message[-half:]}"
+
 # An argument is (option strings or positional name, argparse keyword arguments).
 _COMMON = (
     (("--json",), {"action": "store_true", "help": "emit a machine-readable report"}),
@@ -110,7 +124,11 @@ def _parser() -> argparse.ArgumentParser:
     """The argparse parser of every command in ``_COMMANDS``."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # its subparsers are of this class too
+        def error(self, message):
+            super().error(_bounded(message))
+
+    parser = Parser(
         prog="idealkit",
         description="softness/membership calculus for operator ideals, exact Lie "
         "algebra simplicity decisions, and non-simplicity certificates",
@@ -234,7 +252,7 @@ def main(argv=None) -> int:
         if args.output and (args.group, args.cmd) not in {("lie", "build"), ("witness", "build")}:
             write_json(args.output, report)
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_bounded(str(exc))}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))

@@ -724,6 +724,7 @@ def matrices_from_json(flats, ambient: int) -> List[RationalMatrix]:
     exactly ambient**2 rationals (see _decode_rational); InputError
     otherwise, and before any entry is decoded past MAX_ALGEBRA_ENTRIES."""
     size = ambient * ambient
+    _require_entries(1, ambient)  # so that the shape line prints a size within the limit
     if not isinstance(flats, list) or any(not isinstance(f, list) or len(f) != size for f in flats):
         raise InputError(f"expected a list of matrices, each a flat list of {size} rationals")
     _require_entries(len(flats), ambient)
@@ -743,6 +744,8 @@ def algebra_from_json(obj: dict) -> LieAlgebraPresentation:
         raise InputError(f"algebra file missing field: {exc}") from None
     if ambient < 1:
         raise InputError(f"bad ambient_dim: {ambient!r:.40}")
+    if basis == []:
+        raise InputError("an algebra file needs at least one basis matrix")
     L = LieAlgebraPresentation(ambient, tuple(matrices_from_json(basis, ambient)), name)
     _scanned(L)  # raises on a dependent basis
     return L

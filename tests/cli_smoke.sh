@@ -1,9 +1,9 @@
 #!/bin/sh
 # CLI smoke test from the source tree, with nothing installed: one call per
 # group, three least ampliation indices (one past the digit cap), an algebra
-# and a certificate each written then read back, two bad inputs, which must
-# exit 2 with an error line, a help request, which must exit 0, and a usage
-# error, which must exit 2 with an error line.
+# and a certificate each written then read back, four bad inputs, which must
+# exit 2 with one short error line, a help request, which must exit 0, and a
+# usage error, which must exit 2 with an error line.
 # Run from the repository root; PYTHON names the interpreter (default python3):
 #   PYTHON=python3.10 sh tests/cli_smoke.sh
 set -eu
@@ -19,11 +19,13 @@ expect() {  # expect PATTERN OUTPUT: OUTPUT's first line starts with PATTERN
 has_line() {  # has_line LINE OUTPUT: one of OUTPUT's lines is LINE
     printf '%s\n' "$2" | grep -qxF -- "$1" || { echo "cli smoke: no line '$1' in: $2" >&2; exit 1; }
 }
-refused() {  # refused ARGS...: idealkit ARGS exits 2, and stderr starts with "error: "
+refused() {  # refused ARGS...: idealkit ARGS exits 2, and stderr is one short "error: " line
     code=0
     idealkit "$@" 2> "$dir/err" || code=$?
-    [ "$code" -eq 2 ] || { echo "cli smoke: idealkit $* exited $code, not 2" >&2; exit 1; }
+    [ "$code" -eq 2 ] || { echo "cli smoke: idealkit $1 $2 exited $code, not 2" >&2; exit 1; }
     expect "error: " "$(cat "$dir/err")"
+    [ "$(wc -l < "$dir/err")" -eq 1 ] && [ "$(wc -c < "$dir/err")" -le 200 ] ||
+        { echo "cli smoke: idealkit $1 $2 printed more than one short line" >&2; exit 1; }
 }
 
 expect "signature: rate=1, pow=1" "$(idealkit seq signature pow:1)"
@@ -45,6 +47,12 @@ expect "VERIFIED" "$(idealkit witness verify --file "$dir/cert.json")"
 refused seq signature pow:0
 # a shift truncation whose weights are all zero spans no algebra
 refused lie build shift --n 2 --weights "finite:[0]"
+# a matrix size past the entry limit is refused before any message prints it
+"$PY" -c 'print("{\"name\": \"h\", \"ambient_dim\": " + "9" * 2151 + ", \"basis\": [[1]]}")' \
+    > "$dir/huge.json"
+refused lie check-closure --file "$dir/huge.json"
+# a refusal that echoes a long input prints it shortened
+refused seq signature "$("$PY" -c 'print("x" * 5000)')"
 
 # help and usage errors go through the argparse parser; under set -e the
 # assignment fails the script unless --help exits 0

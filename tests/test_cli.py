@@ -952,6 +952,22 @@ def test_strict_flag_is_a_usage_error(group, cmd):
     assert text.startswith("2\n") and "unrecognized arguments: --strict" in text
 
 
+# usage errors whose argparse message echoes a long argument
+USAGE_ERRORS = [
+    ("size-50000-letters", ["lie", "build", "sl", "--n", "x" * 50_000]),
+    ("mode-5000-letters", ["seq", "compare", "--mode", "x" * 5000, "pow:1", "pow:2"]),
+    ("extra-5000-letters", ["seq", "signature", "pow:1", "x" * 5000]),
+]
+
+
+@pytest.mark.parametrize("argv", [row[1] for row in USAGE_ERRORS],
+                         ids=[row[0] for row in USAGE_ERRORS])
+def test_usage_error_prints_one_short_error_line(argv):
+    code, _, err = _cli_text(argv).partition("\n")
+    errors = [line for line in err.split("\0", 1)[1].splitlines() if "error: " in line]
+    assert code == "2" and len(errors) == 1 and len(errors[0]) < 200, errors
+
+
 def _src_dir():
     return os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
 

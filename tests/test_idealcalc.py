@@ -302,6 +302,19 @@ class TestImplicationReport:
         rep = implication_report(xi)  # raises on any violated implication
         assert all(ok for _, ok in rep.flags)
 
+    def test_violated_implication_is_an_internal_error(self, monkeypatch):
+        # pow:1 satisfies delta2, so a softness answer of Holds contradicts it
+        real = idealcalc._soft
+
+        def holds(xi, sig):
+            verdict = real(xi, sig)
+            return seqspace.Verdict(seqspace.Status.HOLDS, verdict.method, verdict.evidence)
+
+        monkeypatch.setattr(idealcalc, "_soft", holds)
+        with pytest.raises(idealcalc.InternalInconsistencyError,
+                           match="violated implication: delta2 holds => not soft"):
+            implication_report(Pow(1))
+
     @given(xi=battery_expr)
     def test_softness_delta2_exclusion(self, xi):
         from idealkit.seqspace import delta2_check

@@ -151,6 +151,28 @@ EXIT_TWO = [
                              "--weights", "explicit:[0];tail=pow:1"], None),
     ("shift-zero-weights-n3", ["lie", "build", "shift", "--n", "3",
                                "--weights", "finite:[0,0]"], None),
+    # an empty basis is refused by every command that reads an algebra file;
+    # the last file is an empty seed list too
+    ("check-closure-empty-basis", ["lie", "check-closure", "--file", "{file}"],
+     {"name": "x", "ambient_dim": 10 ** 100, "basis": []}),
+    ("derived-empty-basis", ["lie", "derived", "--file", "{file}"],
+     {"name": "x", "ambient_dim": 2, "basis": []}),
+    ("ideal-gen-empty-basis", ["lie", "ideal-gen", "--file", "{file}", "--seeds", "{file}"],
+     {"name": "x", "ambient_dim": 2, "basis": [], "elements": []}),
+    # a refusal that echoes a long input still prints one short line
+    ("head-50000-letters", ["seq", "signature", "x" * 50_000], None),
+    ("kind-50000-letters", ["lie", "build", "x" * 50_000, "--n", "3"], None),
+    ("path-50000-chars", ["lie", "simple", "--file", "x" * 50_000], None),
+    *[(f"{form}-negative-nines", ["seq", "signature", f"{form}:-{NINES}{tail}"], None)
+      for form, tail in (("pow", ""), ("exp", ""), ("scale", ";pow:1"))],
+    ("cross-check-negative-nines", ["lie", "simple", "--file", "{sl2}",
+                                    "--cross-check", f"-{NINES}"], None),
+    ("sl-size-negative-4000-nines", ["lie", "build", "sl", "--n", "-" + "9" * 4000], None),
+    *[(f"{option}-4000-nines", ["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+                                f"--{option}", "9" * 4000], None)
+      for option in ("truncation", "window")],
+    ("nmax-negative-4000-nines", ["seq", "compare", "--mode", "O", "pow:1", "pow:2",
+                                  "--numeric", "--nmax", "-" + "9" * 4000], None),
 ]
 
 
@@ -407,6 +429,16 @@ _FILE_KINDS = {
     "certificate": (["witness", "verify", "--file", "{file}"],
                     ('"scan_window": 8', '"scan_window": @'), "8"),
     "certificate-evidence": (["witness", "verify", "--file", "{file}"], ('"k": 2', '"k": @'), "2"),
+    # certificate fields whose refusal echoes the value
+    "certificate-index": (["witness", "verify", "--file", "{file}"],
+                          ('"index": 1', '"index": @'), "1"),
+    "certificate-truncation": (["witness", "verify", "--file", "{file}"],
+                               ('"generator": {"weights": "pow:1", "truncation": 8}',
+                                '"generator": {"weights": "pow:1", "truncation": @}'), "8"),
+    "certificate-schema": (["witness", "verify", "--file", "{file}"],
+                           ('"schema_version": "1"', '"schema_version": @'), '"1"'),
+    "certificate-status": (["witness", "verify", "--file", "{file}"],
+                           ('"status": "Fails"', '"status": @'), '"Fails"'),
 }
 _ATTACKS = {
     "5000-digits": b"1" * 5000,
@@ -415,6 +447,16 @@ _ATTACKS = {
     # well-formed lists nested past the reader's bound of 32 levels
     "nested-33": b"[" * 33 + b"]" * 33,
     "nested-600": b"[" * 600 + b"]" * 600,
+}
+# id: (kind, data): every attack on every kind, then overlong values at the
+# fields that echo them
+_HOSTILE = {
+    **{f"{kind}-{attack}": (kind, data)
+       for kind in _FILE_KINDS for attack, data in _ATTACKS.items()},
+    **{f"{kind}-4000-digits": (kind, b"9" * 4000)
+       for kind in ("certificate", "certificate-index", "certificate-truncation")},
+    **{f"{kind}-5000-letters": (kind, b'"' + b"x" * 5000 + b'"')
+       for kind in ("certificate-schema", "certificate-status")},
 }
 # algebra files only: (file, the one error line) for field types that are refused
 _ALGEBRA_FIELDS = {
@@ -431,6 +473,16 @@ _ALGEBRA_FIELDS = {
                          "error: bad ambient_dim: 0"),
     "entry-zero-denominator": (_SL2_TEXT.replace("-1", '"1/0"'),
                                "error: bad rational '1/0': Fraction(1, 0)"),
+    # a matrix size past the entry limit is refused before the shape check prints it
+    **{f"ambient-dim-{digits}-digits": (
+        '{"name": "h", "ambient_dim": ' + "9" * digits + ', "basis": [[1]]}',
+        f"error: a single matrix of this size exceeds the limit of {MAX_ALGEBRA_ENTRIES} entries")
+       for digits in (2151, MAX_RATIONAL_DIGITS)},
+    "basis-number-huge-ambient": (
+        '{"name": "h", "ambient_dim": 1' + "0" * 100 + ', "basis": 5}',
+        f"error: a single matrix of this size exceeds the limit of {MAX_ALGEBRA_ENTRIES} entries"),
+    "empty-basis": ('{"name": "x", "ambient_dim": 2, "basis": []}',
+                    "error: an algebra file needs at least one basis matrix"),
 }
 
 
@@ -459,12 +511,12 @@ def test_file_templates_are_valid(kind, tmp_path, capsys):
     assert _run_file(kind, data, tmp_path, capsys) == (0, [])
 
 
-@pytest.mark.parametrize("attack", _ATTACKS)
-@pytest.mark.parametrize("kind", _FILE_KINDS)
+@pytest.mark.parametrize("kind,attack", _HOSTILE.values(), ids=_HOSTILE)
 def test_hostile_file_exits_two_with_one_error_line(kind, attack, tmp_path, capsys):
-    data = _template(kind).encode().replace(b"@", _ATTACKS[attack])
+    data = _template(kind).encode().replace(b"@", attack)
     code, err = _run_file(kind, data, tmp_path, capsys)
     assert code == 2 and len(err) == 1 and err[0].startswith("error: "), (code, err)
+    assert len(err[0]) < 200
 
 
 @pytest.mark.parametrize("text,error", _ALGEBRA_FIELDS.values(), ids=_ALGEBRA_FIELDS)

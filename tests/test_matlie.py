@@ -257,6 +257,11 @@ class TestSpanReduce:
     def test_sp2_basis_independent(self):
         assert len(span_reduce(list(sp_standard(2).basis))) == 10
 
+    def test_unequal_shapes_refused(self):
+        # read through its flat index, E(3, 0, 1) would pass for E(2, 0, 1)
+        with pytest.raises(ValueError, match="matrices of equal shape"):
+            span_reduce([E(2, 0, 1), E(3, 0, 1)])
+
 
 class TestClosure:
     def test_sp_standard_closed(self):
@@ -377,6 +382,16 @@ class TestIsLieIdeal:
         assert not chk.is_ideal
         # basis (E01, E10, H): ad(E01) kills E01, [E10, E01] = -H is the first miss
         assert chk.violation == (1, 0)
+
+    def test_subspace_of_another_presentation_refused(self):
+        J = subspace_from_matrices(sl(2), [E(2, 0, 1)])
+        with pytest.raises(ValueError, match="does not live in the given presentation"):
+            is_lie_ideal(upper_triangular_sl(2), J)
+
+    def test_zero_witness_refused(self):
+        # the zero subspace is a Lie ideal, but not a proper nonzero one
+        with pytest.raises(RuntimeError, match="trivial dimension"):
+            matlie._checked_witness(sl(2), subspace_from_coords(sl(2), []))
 
     def test_contains_coords_refuses_a_vector_of_the_wrong_length(self):
         # sl(2) has dim 3; a short vector is not a zero-padded one

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import idealkit
-from idealkit import cli
-from idealkit.ratlinalg import bracket
+from idealkit import cli, witness
+from idealkit.ratlinalg import RationalMatrix, bracket
 from idealkit.seqspace import (
     Exp,
     FiniteSupport,
@@ -37,6 +37,7 @@ from idealkit.witness import (
     OBLIGATION_COMMUTATOR,
     OBLIGATION_NOT_SOFT,
     OBLIGATION_POOL_CENTRAL,
+    OBLIGATION_TRUNCATION,
     ShiftModel,
     build_certificate,
     certificate_from_json,
@@ -245,6 +246,32 @@ class TestBuildCertificate:
 
 
 class TestVerify:
+    @staticmethod
+    def _built():
+        return build_certificate(ShiftModel(Pow(1), 8), [ShiftModel(Pow(2), 8)])
+
+    def test_missing_obligation_is_none(self):
+        assert self._built().obligation("no_such_obligation") is None
+
+    def test_unknown_schema_version_fails(self):
+        # certificate_from_json refuses it first; only a certificate made in code gets here
+        cert = Certificate(**{**vars(self._built()), "schema_version": "2"})
+        verdict = verify_certificate(cert)
+        assert verdict.fails and verdict.evidence["failed_obligation"] == "schema_version"
+
+    def test_bracket_entry_off_the_two_step_diagonal_is_caught(self, monkeypatch):
+        cert = self._built()
+
+        def skewed(x, y):
+            m = bracket(x, y)
+            return RationalMatrix.from_nonzeros(m.rows, m.cols, {**m.nonzeros(), (0, 0): 1})
+
+        monkeypatch.setattr(witness, "bracket", skewed)
+        with pytest.raises(CertificateError,
+                           match="truncation bracket disagrees with the weight formula"):
+            self._built()
+        assert verify_certificate(cert).evidence["all_failures"] == [OBLIGATION_TRUNCATION]
+
     def test_round_trip_holds(self):
         cert = build_certificate(ShiftModel(Pow(1), 64), [ShiftModel(Pow(2), 64)])
         assert verify_certificate(cert).holds
