@@ -87,12 +87,6 @@ def sl(n: int) -> LieAlgebraPresentation:
     return _algebra(n, off + diagonal, f"sl_{n}")
 
 
-def diagonal_algebra(n: int) -> LieAlgebraPresentation:
-    """Abelian algebra of diagonal matrices."""
-    _require_size(n)
-    return _algebra(n, [{(i, i): 1} for i in range(n)], f"diagonal_{n}")
-
-
 def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
     """Single-matrix presentation: the n x n truncation of a weighted shift,
     weight i on the superdiagonal.  Weights must evaluate exactly, within the

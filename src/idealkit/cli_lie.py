@@ -4,8 +4,16 @@ rungs on algebra files.  Only ``lie build`` loads the catalog."""
 from __future__ import annotations
 
 from . import matlie
-from .base import TOO_MANY_DIGITS, fits_digit_cap
+from .base import TOO_MANY_DIGITS, InputError, fits_digit_cap
 from .matlie import _encode_rational
+
+# Most random-search work that ``simple --cross-check N`` accepts, counted
+# as N times d³ for an algebra of dimension d: a sample spins an ideal of up
+# to d vectors under d adjoint maps.  At the limit, in process on a 2-core
+# x86_64 VM, sl(14) (d = 195) takes 1 sample in 0.9 s, sp(8) (d = 136) 3 in
+# 1.1 s, sp(5)+sp(5) (d = 110), the slowest per d³ measured, 7 in about 31 s,
+# and sl(2) 370,370 in 11 s.
+MAX_CROSS_CHECK_WORK = 10 ** 7
 
 
 def _report_rational(f):
@@ -99,6 +107,10 @@ def handle(args):
             f"({'nondegenerate' if nondegenerate else 'degenerate'})"
         ]
     if args.cmd == "simple":
+        most = MAX_CROSS_CHECK_WORK // algebra.dim ** 3
+        if args.cross_check > most:
+            raise InputError(f"--cross-check allows at most {most} samples on an algebra of "
+                             f"dimension {algebra.dim}")
         rep = matlie.is_simple(algebra)
         rpt = dict(
             name=algebra.name,

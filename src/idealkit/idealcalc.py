@@ -51,7 +51,6 @@ __all__ = [
     "is_soft",
     "make_ideal",
     "member",
-    "necessary_soft_condition",
 ]
 
 
@@ -266,17 +265,9 @@ def _idempotent(gen: SequenceExpr, sig) -> Verdict:
     return _extended(v, criterion="generator big-O of an ampliated squared generator")
 
 
-def necessary_soft_condition(xi: SequenceExpr) -> Verdict:
-    """Necessary condition for softness of the principal ideal of xi:
-    xi is little-o of one of its own proper ampliations."""
-    ensure_valid(xi)
-    if support(xi) is not None:
-        raise InputError("necessary softness condition needs infinite support")
-    return _necessary(xi, _sig(xi))
-
-
 def _necessary(xi: SequenceExpr, sig) -> Verdict:
-    # necessary_soft_condition of xi, as _soft
+    # the necessary condition for softness of the principal ideal of xi: xi
+    # is little-o of its own 2-fold ampliation; xi and sig as for _soft
     v = _compared(xi, sig, ampliate(2, xi), sig.ampliated(2), Mode.LITTLE_O)
     if sig.rate == RATE_ONE:
         return _extended(v, m=2, reason="ampliation preserves a rate-one signature; "

@@ -71,9 +71,7 @@ __all__ = [
     "load_seeds",
     "matrices_from_json",
     "random_ideal_search",
-    "span_reduce",
     "subspace_from_coords",
-    "subspace_from_matrices",
 ]
 
 # The catalog names that perfbench/make_algebras.py calls through matlie;
@@ -143,23 +141,6 @@ class Subspace(Frozen):
     def dim(self) -> int:
         return len(self.vectors)
 
-    def matrices(self) -> List[RationalMatrix]:
-        amb = self.parent.ambient
-        flats = [b.flat_nonzeros() for b in self.parent.basis]
-        return [RationalMatrix.from_flat(amb, amb, _apply(flats, enumerate(vec)))
-                for vec in self.vectors]
-
-    def contains_coords(self, vec: Sequence[Fraction]) -> bool:
-        if len(vec) != self.parent.dim:
-            raise ValueError(f"expected {self.parent.dim} coordinates, got {len(vec)}")
-        return _span(self.vectors, len(vec)).coords(vec) is not None
-
-    def ambient_rref(self) -> tuple:
-        """Canonical form in the ambient matrix space; comparable across parents."""
-        amb = self.parent.ambient
-        flats = (m.flat_nonzeros() for m in self.matrices())
-        return tuple(tuple(r) for r in _span(flats, amb * amb).reduced())
-
 
 def _subspace(parent: LieAlgebraPresentation, rows) -> Subspace:
     """Subspace spanned by coordinate rows, dense or sparse dicts."""
@@ -182,23 +163,6 @@ def _matrix_coords(L: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) ->
     if None in coords:
         raise InputError("matrix outside the span of the presentation basis")
     return coords
-
-
-def subspace_from_matrices(parent: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) -> Subspace:
-    return _subspace(parent, _matrix_coords(parent, mats))
-
-
-def span_reduce(mats: Sequence[RationalMatrix]) -> List[RationalMatrix]:
-    """Canonical reduced-echelon basis of the span of the given matrices."""
-    mats = list(mats)
-    if not mats:
-        return []
-    rows, cols = mats[0].rows, mats[0].cols
-    for m in mats:
-        if (m.rows, m.cols) != (rows, cols):
-            raise ValueError("span_reduce needs matrices of equal shape")
-    span = _span((m.flat_nonzeros() for m in mats), rows * cols)
-    return [RationalMatrix.from_flat(rows, cols, r) for r in span.reduced()]
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +352,11 @@ def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatri
     return _ideal_fixpoint(L, _matrix_coords(L, seeds))
 
 
-def random_ideal_search(
-    L: LieAlgebraPresentation,
-    samples: int = 200,
-    seed: int = 0,
-    coord_bound: int = 9,
-) -> Optional[Subspace]:
-    """Generate the ideal of random integer elements; first proper nonzero
-    ideal found, or None.  Used as a soundness cross-check for Simple verdicts.
+def random_ideal_search(L: LieAlgebraPresentation, samples: int = 200,
+                        seed: int = 0) -> Optional[Subspace]:
+    """Generate the ideal of random elements, coordinates drawn from -9..9;
+    first proper nonzero ideal found, or None.  Used as a soundness
+    cross-check for Simple verdicts.
 
     Each sample's fixpoint runs in GF(p) first: rank can only drop mod p, so
     reaching rank d there proves the sample generates all of L.  Only a
@@ -406,7 +367,7 @@ def random_ideal_search(
     rng = random.Random(seed)
     d = L.dim
     for _ in range(samples):
-        coords = [rng.randint(-coord_bound, coord_bound) for _ in range(d)]
+        coords = [rng.randint(-9, 9) for _ in range(d)]
         if all(v == 0 for v in coords):
             coords[rng.randrange(d)] = 1
         seed_vec = {k: c for k, c in enumerate(coords) if c}

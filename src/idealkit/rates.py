@@ -222,15 +222,15 @@ def _str_fits(log10_size: float, build) -> bool:
     return build() < _DIGITS_BOUND
 
 
-def root_rational(base, index: int = 1) -> RootRational:
+def root_rational(base) -> RootRational:
     base = as_fraction(base)
     if base <= 0:
         raise ValueError(f"rate base must be positive, got {base}")
-    if base == 1 or index < 1:
+    if base == 1:
         return RATE_ONE
     # numerator and denominator are coprime, so they are the coprime base
-    vector = {base.numerator: Fraction(1, index), base.denominator: Fraction(-1, index)}
-    return RootRational(_as_vector({q: e for q, e in vector.items() if q > 1}), index)
+    vector = {base.numerator: Fraction(1), base.denominator: Fraction(-1)}
+    return RootRational(_as_vector({q: e for q, e in vector.items() if q > 1}), 1)
 
 
 RATE_ONE = RootRational((), 1)

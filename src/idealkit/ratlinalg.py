@@ -289,16 +289,8 @@ class RationalMatrix:
         return cls.from_nonzeros(rows, cols, {divmod(k, cols): v for k, v in items if v})
 
     @classmethod
-    def zeros(cls, rows: int, cols: Optional[int] = None) -> "RationalMatrix":
-        return cls.from_nonzeros(rows, rows if cols is None else cols, {})
-
-    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls.from_nonzeros(n, n, {(i, i): F1 for i in range(n)})
-
-    @classmethod
-    def unit(cls, n: int, i: int, j: int) -> "RationalMatrix":
-        return cls.from_nonzeros(n, n, {(i, j): F1})
 
     @property
     def entries(self) -> tuple:
@@ -322,34 +314,6 @@ class RationalMatrix:
         cols = self.cols
         return {r * cols + c: v for r, row in self._data.items() for c, v in row.items()}
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        data = {i: dict(row) for i, row in self._data.items()}
-        for i, row in other._data.items():
-            acc = data.setdefault(i, {})
-            for j, v in row.items():
-                s = acc[j] + v if j in acc else v
-                if s:
-                    acc[j] = s
-                else:
-                    del acc[j]
-            if not acc:
-                del data[i]
-        return RationalMatrix._make(self.rows, self.cols, data)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + -other
-
-    def __neg__(self) -> "RationalMatrix":
-        data = {i: {j: -v for j, v in row.items()} for i, row in self._data.items()}
-        return RationalMatrix._make(self.rows, self.cols, data)
-
-    def scaled(self, c) -> "RationalMatrix":
-        c = as_fraction(c)
-        data = {i: {j: c * v for j, v in row.items()} for i, row in self._data.items()} if c else {}
-        return RationalMatrix._make(self.rows, self.cols, data)
-
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         """Row i of the product is the sum of a_ik times row k of other, over
         the nonzero a_ik."""
@@ -366,14 +330,6 @@ class RationalMatrix:
             if acc:
                 data[i] = acc
         return RationalMatrix._make(self.rows, other.cols, data)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace needs a square matrix")
-        return sum((row.get(i, F0) for i, row in self._data.items()), F0)
-
-    def is_zero(self) -> bool:
-        return not self._data
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):

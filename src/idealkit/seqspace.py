@@ -56,7 +56,6 @@ __all__ = [
     "signature_of",
     "subsample",
     "support",
-    "validate",
     "ensure_valid",
 ]
 
@@ -310,14 +309,6 @@ def _violation(expr: SequenceExpr, path: str) -> Optional[tuple]:
     if isinstance(expr, Product):
         return _violation(expr.left, f"{path}.left") or _violation(expr.right, f"{path}.right")
     return (path, f"not a SequenceExpr: {type(expr).__name__}")
-
-
-def validate(expr: SequenceExpr) -> Verdict:
-    """Check membership of the expression (and all subexpressions) in c0*."""
-    bad = _violation(expr, "seq")
-    if bad is None:
-        return proven(Status.HOLDS, constraints="all constructor constraints satisfied")
-    return proven(Status.FAILS, location=bad[0], violation=bad[1])
 
 
 def ensure_valid(expr: SequenceExpr) -> None:

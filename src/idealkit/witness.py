@@ -54,7 +54,6 @@ __all__ = [
     "load_certificate",
     "save_certificate",
     "shift_bracket",
-    "shift_matrix",
     "verify_certificate",
 ]
 
@@ -107,11 +106,6 @@ def _exact_weights(model: ShiftModel) -> list:
 def _lower_shift(weights: list) -> RationalMatrix:
     n = len(weights) + 1
     return RationalMatrix.from_nonzeros(n, n, {(i, i - 1): x for i, x in enumerate(weights, 1)})
-
-
-def shift_matrix(model: ShiftModel) -> RationalMatrix:
-    """N x N truncation: weight i at entry (i+1, i), 1-based."""
-    return _lower_shift(_exact_weights(model))
 
 
 class ShiftBracket(Frozen):
@@ -188,12 +182,6 @@ class Certificate(Frozen):
                           first_index=first_index, first_value=first_value,
                           scan_window=scan_window, obligations=obligations,
                           conclusion=conclusion, central_mode=central_mode)
-
-    def obligation(self, name: str) -> Optional[bool]:
-        for key, ok in self.obligations:
-            if key == name:
-                return ok
-        return None
 
 
 def _truncation_window_agrees(t: ShiftModel, s: ShiftModel) -> bool:

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import strategies as st
 
+from idealkit.matlie import LieAlgebraPresentation, Subspace
+from idealkit.ratlinalg import RationalMatrix, SparseEchelon
 from idealkit.seqspace import (
     Ampliation,
     Exp,
@@ -136,6 +138,47 @@ def seeded_compare_pairs(seed: int = 0, size: int = 300, pairs: int = 1200) -> l
     rng = random.Random(seed)
     exprs = [random_catalog(rng) for _ in range(size)]
     return [(rng.choice(exprs), rng.choice(exprs)) for _ in range(pairs)]
+
+
+def combination(n, terms) -> RationalMatrix:
+    """The n x n matrix sum of c·m over the pairs (c, m) of terms."""
+    acc: dict = {}
+    for c, m in terms:
+        for k, v in m.flat_nonzeros().items():
+            acc[k] = acc.get(k, 0) + c * v
+    return RationalMatrix.from_flat(n, n, acc)
+
+
+def matrices(sub: Subspace) -> list:
+    """The matrices of a subspace's coordinate rows."""
+    L = sub.parent
+    return [combination(L.ambient, zip(vec, L.basis)) for vec in sub.vectors]
+
+
+def ambient_span(space) -> tuple:
+    """Canonical form of a span of square matrices, comparable across
+    presentations: the reduced echelon rows of their row-major entries.
+    ``space`` is a ``Subspace`` or a nonempty sequence of matrices; witness
+    ideals are compared through it."""
+    if isinstance(space, Subspace):
+        n, mats = space.parent.ambient, matrices(space)
+    else:
+        mats = list(space)
+        n = mats[0].rows
+    ech = SparseEchelon(n * n)
+    for m in mats:
+        ech.insert(m.flat_nonzeros())
+    return tuple(map(tuple, ech.reduced()))
+
+
+def trace(m: RationalMatrix) -> F:
+    return sum((m.entries[i][i] for i in range(m.rows)), F(0))
+
+
+def diagonal_algebra(n: int) -> LieAlgebraPresentation:
+    """The abelian algebra of n x n diagonal matrices."""
+    basis = tuple(RationalMatrix.from_nonzeros(n, n, {(i, i): 1}) for i in range(n))
+    return LieAlgebraPresentation(n, basis, f"diagonal_{n}")
 
 
 def battery_ids(exprs):

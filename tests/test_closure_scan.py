@@ -13,7 +13,6 @@ from idealkit import matlie
 from idealkit.base import InputError
 from idealkit.catalog import (
     _KINDS,
-    diagonal_algebra,
     direct_sum,
     make_algebra,
     sp_skew_variant,
@@ -21,6 +20,8 @@ from idealkit.catalog import (
 )
 from idealkit.dsl import parse_seq
 from idealkit.ratlinalg import F1, RationalMatrix, SparseEchelon
+
+from conftest import combination, diagonal_algebra
 
 
 def _coords(span, vec):
@@ -46,7 +47,7 @@ def reference_scan(L):
     for i in range(d):
         for j in range(i + 1, d):
             x, y = L.basis[i], L.basis[j]
-            flat = ((x @ y) - (y @ x)).flat_nonzeros()
+            flat = combination(L.ambient, [(1, x @ y), (-1, y @ x)]).flat_nonzeros()
             col = _coords(span, flat)
             if col is None:
                 residual = {c: v for c, v in span.reduce(flat).items() if c < n}
@@ -93,7 +94,8 @@ def test_not_closed_pair_and_residual_match_reference():
 
 def test_dependent_basis_error_matches_reference():
     b = sp_standard(2).basis
-    L = matlie.LieAlgebraPresentation(4, (b[0], b[1], b[0] + b[1].scaled(F(2, 3))), "dependent")
+    dependent = combination(4, [(1, b[0]), (F(2, 3), b[1])])
+    L = matlie.LieAlgebraPresentation(4, (b[0], b[1], dependent), "dependent")
     assert_matches_reference(L)
     with pytest.raises(InputError, match="basis matrix 2 depends on earlier ones"):
         matlie.closure_check(L)
@@ -122,10 +124,9 @@ def rebased_catalog(draw):
     units = st.sampled_from([F(1), F(-1), F(2, 3), F(-3, 2), F(5)])
     basis = []
     for k in range(L.dim):
-        m = L.basis[k].scaled(draw(units))
-        for l in range(k + 1, L.dim):
-            m = m + L.basis[l].scaled(draw(ENTRIES))
-        basis.append(m)
+        terms = [(draw(units), L.basis[k])]
+        terms += [(draw(ENTRIES), L.basis[l]) for l in range(k + 1, L.dim)]
+        basis.append(combination(L.ambient, terms))
     return matlie.LieAlgebraPresentation(L.ambient, tuple(basis), f"rebased {L.name}")
 
 

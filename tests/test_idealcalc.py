@@ -25,7 +25,6 @@ from idealkit.idealcalc import (
     is_soft,
     make_ideal,
     member,
-    necessary_soft_condition,
 )
 from idealkit.rates import RATE_ONE
 from idealkit.seqspace import (
@@ -235,17 +234,19 @@ class TestIdempotent:
 
 
 class TestNecessaryCondition:
+    """The necessary condition as ``implication_report`` gives it."""
+
     def test_exponential_holds(self):
-        v = necessary_soft_condition(Exp(F(1, 2)))
+        v = implication_report(Exp(F(1, 2))).necessary
         assert v.holds and v.evidence["m"] == 2
 
     def test_harmonic_fails(self):
-        v = necessary_soft_condition(Pow(1))
+        v = implication_report(Pow(1)).necessary
         assert v.fails
         assert v.evidence["limiting_ratio"] == F(1, 2)
 
     def test_pure_log_fails(self):
-        v = necessary_soft_condition(PowLog(0, 1))
+        v = implication_report(PowLog(0, 1)).necessary
         assert v.fails
         probe = numeric_probe(
             PowLog(0, 1), ampliate(3, PowLog(0, 1)), Mode.LITTLE_O, 2 ** 20, 1e-3
@@ -254,10 +255,10 @@ class TestNecessaryCondition:
 
     def test_finite_support_is_an_error(self):
         with pytest.raises(ValueError):
-            necessary_soft_condition(FiniteSupport([1]))
+            implication_report(FiniteSupport([1]))
 
     def test_evidence_pinned(self):
-        v = necessary_soft_condition(Pow(1))
+        v = implication_report(Pow(1)).necessary
         assert list(v.evidence.items()) == [
             ("xi_signature", "rate=1, pow=1, logpow=0"),
             ("eta_signature", "rate=1, pow=1, logpow=0"),
@@ -266,7 +267,7 @@ class TestNecessaryCondition:
             ("limiting_ratio", F(1, 2)),
             ("m", 2),
         ]
-        v = necessary_soft_condition(Exp(F(1, 2)))
+        v = implication_report(Exp(F(1, 2))).necessary
         assert list(v.evidence.items()) == [
             ("rule", "strict signature dominance"),
             ("xi_signature", "rate=1/2, pow=0, logpow=0"),
@@ -402,16 +403,13 @@ class TestSignatureOnce:
         (lambda: member(_XI3, Principal(_GEN3)), 2),
         (lambda: is_soft(Principal(_GEN)), 1),
         (lambda: is_idempotent(Principal(_GEN)), 1),
-        (lambda: necessary_soft_condition(_GEN), 1),
         (lambda: implication_report(_GEN), 1),
         (lambda: compare(_ONE, _ONE, Mode.BIG_O), 2),
         (lambda: is_soft(Principal(_ONE)), 1),
         (lambda: member(_ONE, Principal(_ONE)), 2),
-        (lambda: necessary_soft_condition(_ONE), 1),
         (lambda: implication_report(_ONE), 1),
-    ], ids=["member", "member-soft-edge", "member-m3", "soft", "idempotent", "necessary",
-            "report", "rate-one-compare", "rate-one-soft", "rate-one-member",
-            "rate-one-necessary", "rate-one-report"])
+    ], ids=["member", "member-soft-edge", "member-m3", "soft", "idempotent", "report",
+            "rate-one-compare", "rate-one-soft", "rate-one-member", "rate-one-report"])
     def test_derivation_count(self, derivations, call, count):
         call()
         assert derivations == [count]
@@ -437,7 +435,7 @@ class TestSignatureOnce:
         ev = v.evidence | {"m": 2}
         if signature_of(gen).rate == RATE_ONE:
             ev["reason"] = "ampliation preserves a rate-one signature; the ratio has a positive limit"
-        same(necessary_soft_condition(gen), seqspace.Verdict(v.status, v.method, ev))
+        same(implication_report(gen).necessary, seqspace.Verdict(v.status, v.method, ev))
         v = member(gen, Principal(Product(gen, gen)))
         same(is_idempotent(Principal(gen)), seqspace.Verdict(v.status, v.method, v.evidence | {
             "criterion": "generator big-O of an ampliated squared generator"}))

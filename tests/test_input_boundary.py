@@ -15,7 +15,7 @@ import time
 import pytest
 
 import idealkit
-from idealkit import cli, cli_seq, matlie
+from idealkit import cli, cli_lie, cli_seq, matlie
 from idealkit.base import MAX_RATIONAL_DIGITS, InputError
 from idealkit.catalog import _SHAPES, make_algebra
 from idealkit.dsl import DslError, format_seq, parse_seq
@@ -167,6 +167,11 @@ EXIT_TWO = [
       for form, tail in (("pow", ""), ("exp", ""), ("scale", ";pow:1"))],
     ("cross-check-negative-nines", ["lie", "simple", "--file", "{sl2}",
                                     "--cross-check", f"-{NINES}"], None),
+    # a sample count past the work limit, for sl(2) of dimension 3
+    ("cross-check-past-limit", ["lie", "simple", "--file", "{sl2}", "--cross-check",
+                                str(cli_lie.MAX_CROSS_CHECK_WORK // 27 + 1)], None),
+    ("cross-check-4000-nines", ["lie", "simple", "--file", "{sl2}",
+                                "--cross-check", "9" * 4000], None),
     ("sl-size-negative-4000-nines", ["lie", "build", "sl", "--n", "-" + "9" * 4000], None),
     *[(f"{option}-4000-nines", ["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                                 f"--{option}", "9" * 4000], None)
@@ -194,6 +199,24 @@ def test_bad_input_exits_two_with_one_error_line(argv, payload, tmp_path, capsys
     assert len(err[0]) < 200
     assert "Traceback" not in captured.err
     assert seconds < 1
+
+
+def test_cross_check_limit_is_exact(monkeypatch, tmp_path, capsys):
+    """sl(2) has dimension 3, so a limit of 5 · 3³ admits 5 samples; 6 are
+    refused before the ladder or any sample runs."""
+    path = _write(tmp_path / "sl2.json", {"name": "sl2", "ambient_dim": 2, "basis": SL2_BASIS})
+    monkeypatch.setattr(cli_lie, "MAX_CROSS_CHECK_WORK", 5 * 27)
+    assert cli.main(["lie", "simple", "--file", path, "--cross-check", "5"]) == 0
+    capsys.readouterr()
+
+    def never(*args):
+        raise AssertionError("ran past the refusal")
+
+    monkeypatch.setattr(matlie, "is_simple", never)
+    monkeypatch.setattr(matlie, "random_ideal_search", never)
+    assert cli.main(["lie", "simple", "--file", path, "--cross-check", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --cross-check allows at most 5 samples on an algebra of dimension 3\n")
 
 
 def test_tiny_finite_eps_is_accepted(capsys):

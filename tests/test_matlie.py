@@ -14,7 +14,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from idealkit.catalog import (
     algebra_to_json,
-    diagonal_algebra,
     direct_sum,
     make_algebra,
     shift_truncation,
@@ -37,9 +36,7 @@ from idealkit.matlie import (
     killing_form,
     lie_ideal_generated,
     random_ideal_search,
-    span_reduce,
     subspace_from_coords,
-    subspace_from_matrices,
 )
 from idealkit.ratlinalg import RationalMatrix, bracket
 from idealkit.matlie import (
@@ -53,6 +50,8 @@ from idealkit.matlie import (
 from idealkit.ratlinalg import MODP_PRIMES, SparseEchelon, rank
 from idealkit.seqspace import Pow, PowLog
 
+from conftest import ambient_span, combination, diagonal_algebra, matrices, trace
+
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 
 
@@ -63,7 +62,7 @@ def rational_matrix(n):
 
 
 def E(n, i, j):
-    return RationalMatrix.unit(n, i, j)
+    return RationalMatrix.from_nonzeros(n, n, {(i, j): 1})
 
 
 def dense_constants(algebra):
@@ -184,7 +183,7 @@ class TestConstructors:
         algebra = sp_standard(n)
         assert algebra.dim == dim == n * (2 * n + 1)
         # independence oracle: the vectorized basis has full rank
-        assert len(span_reduce(list(algebra.basis))) == dim
+        assert len(ambient_span(algebra.basis)) == dim
 
     def test_sp_skew_variant_dim(self):
         assert sp_skew_variant(2).dim == 8
@@ -230,7 +229,7 @@ class TestConstructors:
 class TestBracket:
     def test_alternating(self):
         x = E(2, 0, 1)
-        assert bracket(x, x).is_zero()
+        assert bracket(x, x).nonzeros() == {}
 
     def test_sl2_relation(self):
         h = bracket(E(2, 0, 1), E(2, 1, 0))
@@ -239,28 +238,11 @@ class TestBracket:
     @given(x=rational_matrix(3), y=rational_matrix(3))
     @settings(max_examples=100)
     def test_trace_zero(self, x, y):
-        assert bracket(x, y).trace() == 0
+        assert trace(bracket(x, y)) == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             bracket(E(2, 0, 1), E(3, 0, 1))
-
-
-class TestSpanReduce:
-    def test_scalar_multiple(self):
-        x = E(2, 0, 1)
-        assert len(span_reduce([x, x.scaled(2)])) == 1
-
-    def test_empty(self):
-        assert span_reduce([]) == []
-
-    def test_sp2_basis_independent(self):
-        assert len(span_reduce(list(sp_standard(2).basis))) == 10
-
-    def test_unequal_shapes_refused(self):
-        # read through its flat index, E(3, 0, 1) would pass for E(2, 0, 1)
-        with pytest.raises(ValueError, match="matrices of equal shape"):
-            span_reduce([E(2, 0, 1), E(3, 0, 1)])
 
 
 class TestClosure:
@@ -270,15 +252,14 @@ class TestClosure:
     def test_skew_variant_fails_for_n_at_least_two(self):
         report = closure_check(sp_skew_variant(2))
         assert not report.closed
-        assert report.residual is not None and not report.residual.is_zero()
+        assert report.residual is not None and report.residual.nonzeros()
         # independent recheck: the residual is outside the span of the basis
         algebra = sp_skew_variant(2)
         i, j = report.pair
         br = bracket(algebra.basis[i], algebra.basis[j])
         with pytest.raises(ValueError):
-            subspace_from_matrices(sp_standard(2), [br])  # wrong parent on purpose
-        reduced = span_reduce(list(algebra.basis) + [br])
-        assert len(reduced) == algebra.dim + 1
+            lie_ideal_generated(sp_standard(2), [br])  # wrong parent on purpose
+        assert len(ambient_span([*algebra.basis, br])) == algebra.dim + 1
 
     def test_skew_variant_n1_closed(self):
         assert closure_check(sp_skew_variant(1)).closed
@@ -302,9 +283,8 @@ class TestStructureTable:
             for j in range(d):
                 assert ads[j][i] == {k: -c for k, c in ads[i][j].items()}
                 assert all(c != 0 for c in ads[i][j].values())
-                rebuilt = RationalMatrix.zeros(algebra.ambient)
-                for k, c in ads[i][j].items():
-                    rebuilt = rebuilt + algebra.basis[k].scaled(c)
+                rebuilt = combination(algebra.ambient,
+                                      ((c, algebra.basis[k]) for k, c in ads[i][j].items()))
                 assert rebuilt == bracket(algebra.basis[i], algebra.basis[j])
 
 
@@ -313,8 +293,7 @@ class TestDerived:
         ut3 = upper_triangular_sl(3)
         derived = derived_algebra(ut3)
         assert derived.dim == 3
-        expected = subspace_from_matrices(ut3, list(strictly_upper(3).basis))
-        assert derived.ambient_rref() == expected.ambient_rref()
+        assert ambient_span(derived) == ambient_span(strictly_upper(3).basis)
 
     def test_sl2_is_perfect(self):
         assert derived_algebra(sl(2)).dim == 3
@@ -326,14 +305,14 @@ class TestDerived:
     def test_derived_is_trace_zero_ideal(self, algebra):
         derived = derived_algebra(algebra)
         assert is_lie_ideal(algebra, derived).is_ideal
-        for m in derived.matrices():
-            assert m.trace() == 0
+        for m in matrices(derived):
+            assert trace(m) == 0
 
 
 class TestLieIdealGenerated:
     def test_zero_seed(self):
         algebra = sl(2)
-        sub = lie_ideal_generated(algebra, [RationalMatrix.zeros(2)])
+        sub = lie_ideal_generated(algebra, [RationalMatrix.from_nonzeros(2, 2, {})])
         assert sub.dim == 0
 
     def test_sl2_single_root_generates_all(self):
@@ -346,9 +325,8 @@ class TestLieIdealGenerated:
         sub = lie_ideal_generated(ut3, [E(3, 0, 2)])
         assert sub.dim == 1
         assert is_lie_ideal(ut3, sub).is_ideal
-        inside = subspace_from_matrices(ut3, list(strictly_upper(3).basis))
-        for vec in sub.vectors:
-            assert inside.contains_coords(vec)
+        inside = strictly_upper(3).basis
+        assert ambient_span([*inside, *matrices(sub)]) == ambient_span(inside)
 
     def test_seed_outside_span_rejected(self):
         with pytest.raises(ValueError):
@@ -358,33 +336,34 @@ class TestLieIdealGenerated:
         algebra = upper_triangular_sl(4)
         small = lie_ideal_generated(algebra, [E(4, 0, 3)])
         large = lie_ideal_generated(algebra, [E(4, 0, 3), E(4, 0, 1)])
-        for vec in small.vectors:
-            assert subspace_from_coords(algebra, large.vectors).contains_coords(vec)
-        again = lie_ideal_generated(algebra, small.matrices())
+        joined = subspace_from_coords(algebra, large.vectors + small.vectors)
+        assert joined.vectors == large.vectors
+        again = lie_ideal_generated(algebra, matrices(small))
         assert again.vectors == small.vectors
 
 
 class TestIsLieIdeal:
     def test_whole_algebra(self):
         algebra = sl(2)
-        whole = subspace_from_matrices(algebra, list(algebra.basis))
+        whole = subspace_from_coords(algebra, [[int(i == j) for j in range(3)] for i in range(3)])
         assert is_lie_ideal(algebra, whole).is_ideal
 
     def test_strictly_upper_in_triangular(self):
         ut4 = upper_triangular_sl(4)
-        sub = subspace_from_matrices(ut4, list(strictly_upper(4).basis))
+        # basis: 3 diagonal differences, then the 6 strictly upper units
+        sub = subspace_from_coords(ut4, [[int(i == j) for j in range(9)] for i in range(3, 9)])
         assert is_lie_ideal(ut4, sub).is_ideal
 
     def test_root_space_is_not_an_ideal(self):
         algebra = sl(2)
-        sub = subspace_from_matrices(algebra, [E(2, 0, 1)])
+        sub = subspace_from_coords(algebra, [[1, 0, 0]])  # E01
         chk = is_lie_ideal(algebra, sub)
         assert not chk.is_ideal
         # basis (E01, E10, H): ad(E01) kills E01, [E10, E01] = -H is the first miss
         assert chk.violation == (1, 0)
 
     def test_subspace_of_another_presentation_refused(self):
-        J = subspace_from_matrices(sl(2), [E(2, 0, 1)])
+        J = subspace_from_coords(sl(2), [[1, 0, 0]])
         with pytest.raises(ValueError, match="does not live in the given presentation"):
             is_lie_ideal(upper_triangular_sl(2), J)
 
@@ -393,29 +372,18 @@ class TestIsLieIdeal:
         with pytest.raises(RuntimeError, match="trivial dimension"):
             matlie._checked_witness(sl(2), subspace_from_coords(sl(2), []))
 
-    def test_contains_coords_refuses_a_vector_of_the_wrong_length(self):
-        # sl(2) has dim 3; a short vector is not a zero-padded one
-        J = subspace_from_coords(sl(2), [[1, 0, 0]])
-        assert J.contains_coords([F(2), F(0), F(0)])
-        assert not J.contains_coords([F(0), F(1), F(0)])
-        for vec in ([F(1)], [F(1), F(0), F(0), F(0)]):
-            with pytest.raises(ValueError, match="expected 3 coordinates"):
-                J.contains_coords(vec)
-
     @pytest.mark.parametrize("matrix,shape", [
-        (RationalMatrix.unit(3, 0, 1), "3 x 3"),
+        (E(3, 0, 1), "3 x 3"),
         (RationalMatrix.from_nonzeros(1, 4, {(0, 1): 1}), "1 x 4"),
-        (RationalMatrix.unit(3, 2, 2), "3 x 3"),
+        (E(3, 2, 2), "3 x 3"),
     ])
     def test_matrix_of_another_shape_is_refused(self, matrix, shape):
         # read through its flat index, the first two would pass for sl(2)'s E01
         from idealkit.base import InputError
 
         algebra = sl(2)
-        seeds = [algebra.basis[0], matrix]
-        for call in (lie_ideal_generated, subspace_from_matrices):
-            with pytest.raises(InputError, match=f"matrix 1 is {shape}, not 2 x 2"):
-                call(algebra, seeds)
+        with pytest.raises(InputError, match=f"matrix 1 is {shape}, not 2 x 2"):
+            lie_ideal_generated(algebra, [algebra.basis[0], matrix])
 
 
 class TestKilling:
@@ -431,7 +399,7 @@ class TestKilling:
         rep = killing_form(algebra)
         for i, x in enumerate(algebra.basis):
             for j, y in enumerate(algebra.basis):
-                assert rep.matrix.entries[i][j] == 2 * n * (x @ y).trace()
+                assert rep.matrix.entries[i][j] == 2 * n * trace(x @ y)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sp_trace_form_oracle(self, n):
@@ -440,16 +408,16 @@ class TestKilling:
         factor = 2 * n + 2
         for i, x in enumerate(algebra.basis):
             for j, y in enumerate(algebra.basis):
-                assert rep.matrix.entries[i][j] == factor * (x @ y).trace()
+                assert rep.matrix.entries[i][j] == factor * trace(x @ y)
         assert rep.rank == algebra.dim
 
     def test_nilpotent_killing_vanishes(self):
         rep = killing_form(strictly_upper(3))
         assert rep.rank == 0
-        assert rep.matrix.is_zero()
+        assert rep.matrix.nonzeros() == {}
 
     def test_abelian_killing_vanishes(self):
-        assert killing_form(diagonal_algebra(2)).matrix.is_zero()
+        assert killing_form(diagonal_algebra(2)).matrix.nonzeros() == {}
 
     @pytest.mark.parametrize("algebra", [sl(2), sp_standard(2), upper_triangular_sl(3)])
     def test_invariance_on_basis_triples(self, algebra):
@@ -494,7 +462,7 @@ class TestCommutant:
         ads = [RationalMatrix(ad) for ad in dense_ads(algebra)]
         for C in com:
             for adm in ads:
-                assert ((C @ adm) - (adm @ C)).is_zero()
+                assert C @ adm == adm @ C
 
     def test_one_dimensional_abelian(self, exact_runs):
         # the one unit matrix is already the identity
@@ -514,8 +482,8 @@ class TestCommutant:
     def test_vanishing_denominator_moves_to_next_prime(self, exact_runs):
         # basis (p*h, e, f): [e, f] = h = (1/p) * (p*h), a denominator p
         p = MODP_PRIMES[0]
-        h = E(2, 0, 0) - E(2, 1, 1)
-        algebra = LieAlgebraPresentation(2, (h.scaled(p), E(2, 0, 1), E(2, 1, 0)), "sl_2_scaled")
+        ph = RationalMatrix.from_nonzeros(2, 2, {(0, 0): p, (1, 1): -p})
+        algebra = LieAlgebraPresentation(2, (ph, E(2, 0, 1), E(2, 1, 0)), "sl_2_scaled")
         assert any(v.denominator == p for ad in dense_ads(algebra) for r in ad for v in r)
         rep = is_simple(algebra)
         assert rep.verdict == "Simple" and rep.commutant_dim == 1
@@ -526,8 +494,8 @@ class TestCommutant:
         # image exists, so the commutant is eliminated exactly over all 9
         # positions of the 3 x 3 unknown
         p = math.prod(MODP_PRIMES)
-        h = E(2, 0, 0) - E(2, 1, 1)
-        algebra = LieAlgebraPresentation(2, (h.scaled(p), E(2, 0, 1), E(2, 1, 0)), "sl_2_scaled")
+        ph = RationalMatrix.from_nonzeros(2, 2, {(0, 0): p, (1, 1): -p})
+        algebra = LieAlgebraPresentation(2, (ph, E(2, 0, 1), E(2, 1, 0)), "sl_2_scaled")
         assert matlie._ads_mod_p(matlie._structure(algebra).ads) == (None, None)
         rep = is_simple(algebra)
         assert rep.verdict == "Simple" and rep.commutant_dim == 1
@@ -598,9 +566,7 @@ class TestCommutantReference:
         change = [entries[6 * r:6 * r + 6] for r in range(6)]
         assume(rank([[F(v) for v in row] for row in change]) == 6)
         base = direct_sum(sl(2), sl(2)).basis
-        basis = tuple(
-            sum((b.scaled(c) for c, b in zip(row, base)), RationalMatrix.zeros(4)) for row in change
-        )
+        basis = tuple(combination(4, zip(row, base)) for row in change)
         self.check(LieAlgebraPresentation(4, basis, "sl2+sl2_rebased"))
 
     def test_unlucky_prime_reruns_on_every_position(self, exact_runs):
@@ -677,8 +643,7 @@ class TestSimplicity:
         rep = is_simple(ut4)
         assert rep.verdict == "NotSimple"
         assert rep.witness.dim == 6
-        expected = subspace_from_matrices(ut4, list(strictly_upper(4).basis))
-        assert rep.witness.ambient_rref() == expected.ambient_rref()
+        assert ambient_span(rep.witness) == ambient_span(strictly_upper(4).basis)
         assert is_lie_ideal(ut4, rep.witness).is_ideal
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -692,11 +657,8 @@ class TestSimplicity:
         assert rep.commutant_dim == 2
         assert rep.witness is not None and 0 < rep.witness.dim < 6
         assert is_lie_ideal(ds, rep.witness).is_ideal
-        summands = [
-            subspace_from_matrices(ds, [ds.basis[i] for i in idx]).ambient_rref()
-            for idx in ([0, 1, 2], [3, 4, 5])
-        ]
-        assert rep.witness.ambient_rref() in summands
+        summands = [ambient_span(ds.basis[:3]), ambient_span(ds.basis[3:])]
+        assert ambient_span(rep.witness) in summands
 
     def test_center_rung(self, center_runs):
         algebra = jacobi_algebra()
@@ -801,38 +763,37 @@ class TestSimplicity:
         assert random_ideal_search(sp_standard(3), samples=200, seed=7) is None
 
     @staticmethod
-    def _exact_search(algebra, samples, seed, coord_bound=9):
+    def _exact_search(algebra, samples, seed):
         # the exact Fraction fixpoint for every sample, through the public API
         rng = random.Random(seed)
         d = algebra.dim
         for _ in range(samples):
-            coords = [rng.randint(-coord_bound, coord_bound) for _ in range(d)]
+            coords = [rng.randint(-9, 9) for _ in range(d)]
             if all(v == 0 for v in coords):
                 coords[rng.randrange(d)] = 1
-            element = RationalMatrix.zeros(algebra.ambient)
-            for c, b in zip(coords, algebra.basis):
-                element = element + b.scaled(c)
+            element = combination(algebra.ambient, zip(coords, algebra.basis))
             J = lie_ideal_generated(algebra, [element])
             if 0 < J.dim < d:
                 return J
         return None
 
     @pytest.mark.parametrize(
-        "algebra,samples,coord_bound,seed",
+        "algebra,samples,seed",
         [
-            (sp_standard(3), 12, 9, 0),
-            (sp_standard(3), 12, 9, 7),
-            (direct_sum(sl(2), sl(2)), 40, 1, 0),
-            (direct_sum(sl(2), sl(2)), 40, 1, 7),
-            (direct_sum(sp_standard(3), sp_standard(2)), 1, 9, 7),
-            # every sample is a basis element, which lies in one summand
-            (direct_sum(sp_standard(3), sp_standard(2)), 3, 0, 7),
+            (sp_standard(3), 12, 0),
+            (sp_standard(3), 12, 7),
+            (direct_sum(sl(2), sl(2)), 40, 0),
+            (direct_sum(sl(2), sl(2)), 40, 7),
+            (direct_sum(sp_standard(3), sp_standard(2)), 1, 7),
+            # not semisimple: the first sample generates a proper ideal, which
+            # only the exact fixpoint returns
+            (upper_triangular_sl(3), 3, 7),
         ],
-        ids=["sp3-0", "sp3-7", "sl2+sl2-0", "sl2+sl2-7", "sp3+sp2", "sp3+sp2-basis"],
+        ids=["sp3-0", "sp3-7", "sl2+sl2-0", "sl2+sl2-7", "sp3+sp2", "ut-sl3"],
     )
-    def test_random_search_matches_exact_path(self, algebra, samples, coord_bound, seed):
-        expected = self._exact_search(algebra, samples, seed, coord_bound)
-        assert random_ideal_search(algebra, samples, seed, coord_bound) == expected
+    def test_random_search_matches_exact_path(self, algebra, samples, seed):
+        expected = self._exact_search(algebra, samples, seed)
+        assert random_ideal_search(algebra, samples, seed) == expected
 
     def test_random_search_finds_ideal_in_reducible_algebra(self):
         found = random_ideal_search(upper_triangular_sl(3), samples=50, seed=3)
@@ -855,12 +816,12 @@ class TestJacobi:
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    total = (
-                        bracket(basis[i], pairwise[j, k])
-                        + bracket(basis[j], pairwise[k, i])
-                        + bracket(basis[k], pairwise[i, j])
-                    )
-                    assert total.is_zero()
+                    total = combination(algebra.ambient, [
+                        (1, bracket(basis[i], pairwise[j, k])),
+                        (1, bracket(basis[j], pairwise[k, i])),
+                        (1, bracket(basis[k], pairwise[i, j])),
+                    ])
+                    assert total.nonzeros() == {}
 
     def test_jacobi_sp3_via_adjoint_identity(self):
         # ad[x, y] = ad x ad y - ad y ad x covers every triple at dim 21
@@ -870,11 +831,8 @@ class TestJacobi:
         d = algebra.dim
         for i in range(d):
             for j in range(i + 1, d):
-                lhs = RationalMatrix.zeros(d)
-                for k, c in enumerate(constants[i][j]):
-                    if c:
-                        lhs = lhs + ads[k].scaled(c)
-                rhs = (ads[i] @ ads[j]) - (ads[j] @ ads[i])
+                lhs = combination(d, zip(constants[i][j], ads))
+                rhs = combination(d, [(1, ads[i] @ ads[j]), (-1, ads[j] @ ads[i])])
                 assert lhs == rhs
 
 

@@ -5,11 +5,13 @@ membership has one home too: only ``ratlinalg`` reads an echelon's rows;
 so has the matrix format: only ``ratlinalg`` reads ``_data`` or calls
 ``_make``; so has the rate format: only ``rates`` reads exponent vectors; and so has
 the file format: only ``base`` opens files.  Imports between ``cli`` and its
-group modules run one way."""
+group modules run one way.  And every definition has a caller in the package
+or in the benchmark scripts that import it."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -164,3 +166,72 @@ def test_files_are_read_and_written_in_base_only(module):
             imports.append(node.lineno)
     assert calls == []
     assert imports == [] or module == "cli"
+
+
+# Definitions whose callers are outside src/ and perfbench/: the console
+# script that pyproject.toml names, and the group handlers that cli.main
+# reaches through import_module.
+CALLED_FROM_OUTSIDE = {("cli", "main")} | {(m, "handle") for m in MODULES if m.startswith("cli_")}
+
+
+def _references(node) -> Counter:
+    """Names a subtree reads: loaded names and attributes, imported names,
+    and identifier strings (perfbench's tracer names its entry points as
+    strings), except the strings of an ``__all__`` list."""
+    found = Counter()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found[node.value] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _imports_idealkit(tree: ast.Module) -> bool:
+    return any(isinstance(n, ast.Import) and any(a.name.startswith("idealkit") for a in n.names)
+               or isinstance(n, ast.ImportFrom) and (n.module or "").startswith("idealkit")
+               for n in ast.walk(tree))
+
+
+def _definitions(module: str):
+    """(qualified name, name, node) of each top-level definition of a module
+    and each public method of its classes."""
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m.name, m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((n.id, n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
+def test_every_definition_has_a_caller():
+    """A module-level definition or public method that nothing in src/ or in
+    a perfbench script that imports idealkit reads outside its own body is
+    API that only tests use; dunders and CALLED_FROM_OUTSIDE are exempt."""
+    readers = [_tree(m) for m in MODULES]
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if _imports_idealkit(tree):
+            readers.append(tree)
+    total = sum((_references(tree) for tree in readers), Counter())
+    orphans = [f"{module}.{qualified}" for module in MODULES
+               for qualified, name, node in _definitions(module)
+               if not (name.startswith("__") and name.endswith("__"))
+               and (module, name) not in CALLED_FROM_OUTSIDE
+               and total[name] == _references(node)[name]]
+    assert orphans == []

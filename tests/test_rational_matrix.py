@@ -1,6 +1,6 @@
 """Sparse RationalMatrix against a test-local dense triple-loop reference:
-products, brackets, sums, differences and scaling on random shapes and
-densities, rows that cancel to zero, equality, hashing and the dense views."""
+products and brackets on random shapes and densities, rows that cancel to
+zero, equality, hashing and the dense views."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealkit.ratlinalg import RationalMatrix, bracket, bracket_flat
+
+from conftest import trace
 
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 dims = st.integers(1, 6)
@@ -33,8 +35,12 @@ def ref_mul(a, b):
     ]
 
 
-def ref_add(a, b, sign=1):
-    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def ref_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def zeros(rows, cols):
+    return RationalMatrix.from_nonzeros(rows, cols, {})
 
 
 def check_invariants(m, expected):
@@ -62,8 +68,8 @@ def test_product_rows_cancel_to_zero(data, r, k, c):
     wide = RationalMatrix([row + row for row in a])
     tall = RationalMatrix(b + [[-v for v in row] for row in b])
     prod = wide @ tall
-    assert prod.is_zero() and prod.nonzeros() == {}
-    assert prod == RationalMatrix.zeros(r, c)
+    assert prod.nonzeros() == {}
+    assert prod == zeros(r, c)
 
 
 @given(data=st.data(), n=dims)
@@ -71,30 +77,12 @@ def test_product_rows_cancel_to_zero(data, r, k, c):
 def test_bracket_matches_triple_loop(data, n):
     x = data.draw(dense(n, n))
     y = data.draw(dense(n, n))
-    expected = ref_add(ref_mul(x, y), ref_mul(y, x), -1)
+    expected = ref_sub(ref_mul(x, y), ref_mul(y, x))
     mx, my = RationalMatrix(x), RationalMatrix(y)
     got = bracket(mx, my)
     check_invariants(got, expected)
-    assert got.trace() == 0
+    assert trace(got) == 0
     assert bracket_flat(mx, my) == {k: v for k, v in enumerate(sum(expected, [])) if v}
-
-
-@given(data=st.data(), r=dims, c=dims, scale=small_fraction)
-@settings(max_examples=150, deadline=None)
-def test_sum_difference_scaling(data, r, c, scale):
-    x = data.draw(dense(r, c))
-    y = data.draw(dense(r, c))
-    mx, my = RationalMatrix(x), RationalMatrix(y)
-    check_invariants(mx + my, ref_add(x, y))
-    check_invariants(mx - my, ref_add(x, y, -1))
-    check_invariants(-mx, [[-v for v in row] for row in x])
-    check_invariants(mx.scaled(scale), [[scale * v for v in row] for row in x])
-    assert mx - mx == RationalMatrix.zeros(r, c)
-    assert (mx - mx).is_zero()
-    assert mx + my == my + mx and hash(mx + my) == hash(my + mx)
-    # a difference that cancels exactly the rows y shares with x
-    shared = [rx if i % 2 else ry for i, (rx, ry) in enumerate(zip(x, y))]
-    check_invariants(mx - RationalMatrix(shared), ref_add(x, shared, -1))
 
 
 @given(data=st.data(), r=dims, c=dims)
@@ -109,17 +97,14 @@ def test_dense_views_round_trip(data, r, c):
     assert m.flat_nonzeros() == {k: v for k, v in enumerate(m.flat()) if v}
     assert RationalMatrix.from_flat(r, c, m.flat_nonzeros()) == m
     assert RationalMatrix.from_flat(r, c, m.flat()) == m
-    assert m.is_zero() == (not any(v for row in x for v in row))
-    if r == c:
-        assert m.trace() == sum((x[i][i] for i in range(r)), F(0))
 
 
 def test_constructors_and_repr():
     assert RationalMatrix.identity(3) == RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert RationalMatrix.unit(2, 1, 0).entries == ((0, 0), (1, 0))
-    assert RationalMatrix.zeros(2, 3).entries == ((0, 0, 0), (0, 0, 0))
+    assert RationalMatrix.from_nonzeros(2, 2, {(1, 0): 1}).entries == ((0, 0), (1, 0))
+    assert zeros(2, 3).entries == ((0, 0, 0), (0, 0, 0))
     assert repr(RationalMatrix([[F(1, 2), 0]])) == "RationalMatrix([['1/2', '0']])"
-    assert RationalMatrix.zeros(2) != RationalMatrix.zeros(2, 3)
+    assert zeros(2, 2) != zeros(2, 3)
     with pytest.raises(ValueError):
         RationalMatrix([])
     with pytest.raises(ValueError):
@@ -127,11 +112,9 @@ def test_constructors_and_repr():
     with pytest.raises(ValueError):
         RationalMatrix.from_nonzeros(2, 2, {(2, 0): 1})
     with pytest.raises(ValueError):
-        RationalMatrix.zeros(2) @ RationalMatrix.zeros(3)
-    for x, y in [(RationalMatrix.zeros(2), RationalMatrix.zeros(3)),
-                 (RationalMatrix.zeros(2, 3), RationalMatrix.zeros(2, 3)),
-                 (RationalMatrix.zeros(2), RationalMatrix.zeros(2, 3))]:
+        zeros(2, 2) @ zeros(3, 3)
+    for x, y in [(zeros(2, 2), zeros(3, 3)), (zeros(2, 3), zeros(2, 3)), (zeros(2, 2), zeros(2, 3))]:
         with pytest.raises(ValueError):
             bracket(x, y)
     with pytest.raises(AttributeError):
-        RationalMatrix.zeros(2).rows = 3
+        zeros(2, 2).rows = 3

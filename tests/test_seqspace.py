@@ -41,7 +41,6 @@ from idealkit.seqspace import (
     signature_of,
     subsample,
     support,
-    validate,
 )
 from idealkit.rates import RATE_ONE, log_ratio_ceiling, root_rational
 from idealkit.seqspace import (_order, _power_bits, _rational_bits, _scale, _sig,
@@ -185,41 +184,40 @@ class TestOneExactnessWalk:
 
 class TestValidate:
     def test_valid_power(self):
-        assert validate(Pow(1)).holds
+        ensure_valid(Pow(1))
 
     def test_exp_ratio_out_of_range(self):
-        v = validate(Exp(2))
-        assert v.fails
-        assert "(0, 1)" in v.evidence["violation"]
+        with pytest.raises(InvalidSequenceError, match=r"\(0, 1\)"):
+            ensure_valid(Exp(2))
 
     def test_increasing_prefix_rejected(self):
-        v = validate(Explicit((F(1, 2), F(1)), Pow(1)))
-        assert v.fails
-        assert "prefix" in v.evidence["location"]
+        with pytest.raises(InvalidSequenceError, match=r"^seq\.prefix"):
+            ensure_valid(Explicit((F(1, 2), F(1)), Pow(1)))
 
     def test_powlog_needs_decay(self):
-        assert validate(PowLog(0, 0)).fails
-        assert validate(PowLog(0, -1)).fails
-        assert validate(PowLog(1, -1)).holds
+        for expr in (PowLog(0, 0), PowLog(0, -1)):
+            with pytest.raises(InvalidSequenceError):
+                ensure_valid(expr)
+        ensure_valid(PowLog(1, -1))
 
     def test_prefix_ending_in_zero_rejected(self):
-        assert validate(Explicit((F(1), F(0)), Pow(1))).fails
+        with pytest.raises(InvalidSequenceError):
+            ensure_valid(Explicit((F(1), F(0)), Pow(1)))
 
     def test_explicit_constructor_normalizes_zero_prefix(self):
         assert explicit([1, 0], Pow(1)) == FiniteSupport([1, 0])
         assert explicit([], Pow(1)) == Pow(1)
 
     def test_nested_violation_located(self):
-        v = validate(Product(Pow(1), Exp(3)))
-        assert v.fails
-        assert v.evidence["location"] == "seq.right"
+        with pytest.raises(InvalidSequenceError, match=r"^seq\.right: "):
+            ensure_valid(Product(Pow(1), Exp(3)))
 
     @given(expr=full_expr)
     def test_battery_validates(self, expr):
-        assert validate(expr).holds
+        ensure_valid(expr)
 
-    # (text or None, expression, location, message): every message validate
-    # can give, and which check wins where two apply
+    # (text or None, expression, location, message): every message
+    # ensure_valid can give, and which check wins where two apply
     VIOLATIONS = [
         ("pow:0", Pow(0), "seq", "Pow exponent must be positive, got 0"),
         ("exp:2", Exp(2), "seq", "Exp ratio must lie in (0, 1), got 2"),
@@ -259,9 +257,6 @@ class TestValidate:
     @pytest.mark.parametrize("text,expr,location,message", VIOLATIONS,
                              ids=[f"{i}-{row[0] or row[2]}" for i, row in enumerate(VIOLATIONS)])
     def test_violation_table(self, text, expr, location, message):
-        v = validate(expr)
-        assert v.fails and v.proven
-        assert v.evidence == {"location": location, "violation": message}
         with pytest.raises(InvalidSequenceError) as err:
             ensure_valid(expr)
         assert str(err.value) == f"{location}: {message}"
@@ -280,7 +275,7 @@ class TestSignature:
         sig = signature_of(Ampliation(3, Exp(F(1, 8))))
         assert sig.rate.base == F(1, 8) and sig.rate.index == 3
         # same rate value as the cube root taken exactly
-        assert sig.rate == root_rational(F(1, 2), 1)
+        assert sig.rate == root_rational(F(1, 2))
         assert sig == signature_of(Exp(F(1, 2)))
 
     def test_product_adds_powers(self):

@@ -164,7 +164,7 @@ def test_catalog_values_are_coerced_once():
 
 def test_root_rational_keeps_its_rate_equality():
     # 1/2 and (1/4)^(1/2) are one rate over two bases
-    half, root_quarter = rt.root_rational(F(1, 2)), rt.root_rational(F(1, 4), 2)
+    half, root_quarter = rt.root_rational(F(1, 2)), rt._rate_root(rt.root_rational(F(1, 4)), 2)
     assert half.vector != root_quarter.vector
     assert half == root_quarter and hash(half) == hash(root_quarter)
     assert rt.root_rational(F(1, 3)) != half

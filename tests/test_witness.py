@@ -39,13 +39,14 @@ from idealkit.witness import (
     OBLIGATION_POOL_CENTRAL,
     OBLIGATION_TRUNCATION,
     ShiftModel,
+    _exact_weights,
+    _lower_shift,
     build_certificate,
     certificate_from_json,
     certificate_to_json,
     load_certificate,
     save_certificate,
     shift_bracket,
-    shift_matrix,
     verify_certificate,
 )
 
@@ -145,7 +146,7 @@ class TestBandedExactness:
         for w in weights:
             for v in (Pow(2), Exp(F(1, 2))):
                 br = shift_bracket(w, v)
-                tm, sm = shift_matrix(ShiftModel(w, n)), shift_matrix(ShiftModel(v, n))
+                tm, sm = (_lower_shift(_exact_weights(ShiftModel(x, n))) for x in (w, v))
                 t, s = tm.nonzeros(), sm.nonzeros()
                 assert sorted(t) == [(i, i - 1) for i in range(1, n)]
                 ts, st_ = _sparse_mul(t, s), _sparse_mul(s, t)
@@ -250,9 +251,6 @@ class TestVerify:
     def _built():
         return build_certificate(ShiftModel(Pow(1), 8), [ShiftModel(Pow(2), 8)])
 
-    def test_missing_obligation_is_none(self):
-        assert self._built().obligation("no_such_obligation") is None
-
     def test_unknown_schema_version_fails(self):
         # certificate_from_json refuses it first; only a certificate made in code gets here
         cert = Certificate(**{**vars(self._built()), "schema_version": "2"})
@@ -280,7 +278,7 @@ class TestVerify:
 
     def test_round_trip_at_truncation_1024(self):
         cert = build_certificate(ShiftModel(Pow(1), 1024), [ShiftModel(Exp(F(1, 2)), 1024)])
-        assert cert.obligation("truncation_bracket_matches_formula_window")
+        assert dict(cert.obligations)[OBLIGATION_TRUNCATION]
         rebuilt = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
         assert certificate_to_json(rebuilt) == certificate_to_json(cert)
         assert verify_certificate(rebuilt).holds
