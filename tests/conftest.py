@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import io
+import os
 import random
+import signal
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from idealkit import cli
 from idealkit.matlie import LieAlgebraPresentation, Subspace
 from idealkit.ratlinalg import RationalMatrix, SparseEchelon
 from idealkit.seqspace import (
@@ -195,3 +203,51 @@ def battery():
 @pytest.fixture(scope="session")
 def full_battery():
     return list(FULL_BATTERY)
+
+
+# this checkout's package source, for CLI calls in a fresh interpreter
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class BudgetExceeded(Exception):
+    """A call run by ``run_main`` ran past its time budget."""
+
+
+def run_main(argv, budget=None) -> tuple:
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process.
+
+    Past ``budget`` seconds a timer raises BudgetExceeded in the call, once
+    the C call it is in returns, so a hang fails at the budget instead of
+    stalling the suite; the previous SIGALRM handler and timer come back.
+    """
+    def expire(signum, frame):
+        raise BudgetExceeded(f"{' '.join(argv[:2])} ran past {budget} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    if budget:
+        handler = signal.signal(signal.SIGALRM, expire)
+        timer = signal.setitimer(signal.ITIMER_REAL, budget)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse's help and usage errors
+                code = exc.code
+    finally:
+        if budget:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+            signal.setitimer(signal.ITIMER_REAL, *timer)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_process(argv, timeout=10, **env) -> subprocess.CompletedProcess:
+    """``python -m idealkit.cli *argv`` in a fresh interpreter on this checkout's
+    src, with env added to the environment, killed after ``timeout`` seconds."""
+    return subprocess.run([sys.executable, "-m", "idealkit.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=SRC, **env), text=True, timeout=timeout)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "adversarial: a row of the adversarial-input table in test_adversarial.py")

@@ -4,14 +4,10 @@ lines as they are produced."""
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import time
-from contextlib import redirect_stdout
 from fractions import Fraction as F
-
-import pytest
 
 from idealkit.catalog import (
     direct_sum,
@@ -21,12 +17,10 @@ from idealkit.catalog import (
     strictly_upper,
     upper_triangular_sl,
 )
-from idealkit.cli import main
 from idealkit.idealcalc import (
     Principal,
     implication_report,
     is_idempotent,
-    is_soft,
     member,
 )
 from idealkit.matlie import (
@@ -57,7 +51,7 @@ from idealkit.witness import (
     verify_certificate,
 )
 
-from conftest import BATTERY, ambient_span
+from conftest import BATTERY, ambient_span, run_main
 
 
 def _check(num: int, description: str, ok: bool) -> None:
@@ -65,18 +59,11 @@ def _check(num: int, description: str, ok: bool) -> None:
     assert ok, f"acceptance criterion {num} failed: {description}"
 
 
-def _run_cli(argv):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
-
-
 def test_01_softness_dichotomy():
     t0 = time.perf_counter()
-    code_soft, out_soft = _run_cli(["ideal", "soft", "exp:1/2"])
+    code_soft, out_soft, _ = run_main(["ideal", "soft", "exp:1/2"])
     t1 = time.perf_counter()
-    code_hard, out_hard = _run_cli(["ideal", "soft", "pow:1"])
+    code_hard, out_hard, _ = run_main(["ideal", "soft", "pow:1"])
     t2 = time.perf_counter()
     ok = (
         code_soft == 0
@@ -237,7 +224,7 @@ def test_11_characteristic_set_properties():
 
 def test_12_determinism(tmp_path):
     algebra_file = str(tmp_path / "sp2.json")
-    _run_cli(["lie", "build", "sp", "--n", "2", "-o", algebra_file])
+    run_main(["lie", "build", "sp", "--n", "2", "-o", algebra_file])
     suite = [
         ["seq", "signature", "prod(exp:1/2,pow:3)", "--json"],
         ["seq", "compare", "--mode", "o", "pow:1", "amp:2;pow:1", "--json"],
@@ -254,8 +241,8 @@ def test_12_determinism(tmp_path):
     ]
     ok = True
     for argv in suite:
-        first = _run_cli(list(argv))
-        second = _run_cli(list(argv))
+        first = run_main(argv)
+        second = run_main(argv)
         ok = ok and first == second and first[0] == 0
         json.loads(first[1])  # every report is valid JSON
     _check(12, "repeated runs produce byte-identical JSON under a fixed seed", ok)

@@ -10,10 +10,9 @@ import sys
 
 import pytest
 
-import idealkit
 from idealkit import base, dsl, idealcalc, matlie, ratlinalg, rates, seqspace, witness
 
-ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(idealkit.__file__)))
+from conftest import SRC, run_process
 
 
 @pytest.mark.parametrize(
@@ -44,17 +43,13 @@ def test_reexports_are_the_base_objects(module, name):
 def test_base_imports_no_other_layer():
     probe = ("import json, sys, idealkit.base; "
              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('idealkit.'))))")
-    out = subprocess.run([sys.executable, "-c", probe], env=ENV, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == ["idealkit.base"]
 
 
 def _lie_build_shift(weights):
-    return subprocess.run(
-        [sys.executable, "-m", "idealkit.cli", "lie", "build", "shift", "--n", "4",
-         "--weights", weights, "--json"],
-        env=ENV, capture_output=True, text=True, timeout=10,
-    )
+    return run_process(["lie", "build", "shift", "--n", "4", "--weights", weights, "--json"])
 
 
 def test_shift_build_reaches_the_lazy_weight_imports():

@@ -4,67 +4,58 @@ from __future__ import annotations
 
 import decimal
 import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
-import time
-from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 
 import pytest
 
-import idealkit
 from idealkit import cli, witness
-from idealkit.cli import main
 from idealkit.base import MAX_RATIONAL_DIGITS
 from idealkit.catalog import _KINDS, direct_sum, make_algebra, save_algebra, sl, sp_standard
 from idealkit.dsl import MAX_NESTING
 from idealkit.seqspace import Pow
 from idealkit.witness import DEFAULT_SCAN_WINDOW, MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
 
-
-def run_cli(argv):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
+from conftest import SRC, run_main, run_process
+from test_adversarial import FUSED_INDICES, SCALE_RUNS, USAGE_ERRORS, table_test
 
 
 class TestSeqCommands:
     def test_signature(self):
-        code, out = run_cli(["seq", "signature", "pow:2"])
+        code, out, _ = run_main(["seq", "signature", "pow:2"])
         assert code == 0
         assert "pow=2" in out
 
     def test_compare_proven_fails_exits_zero(self):
-        code, out = run_cli(
+        code, out, _ = run_main(
             ["seq", "compare", "--mode", "o", "pow:1", "amp:2;pow:1"]
         )
         assert code == 0
         assert "Fails (SymbolicProven)" in out
 
     def test_compare_numeric_exits_zero(self):
-        code, out = run_cli(
+        code, out, _ = run_main(
             ["seq", "compare", "--mode", "o", "exp:1/2", "pow:1", "--numeric"]
         )
         assert code == 0
         assert "NumericIndicated" in out
 
     def test_delta2(self):
-        code, out = run_cli(["seq", "delta2", "pow:3"])
+        code, out, _ = run_main(["seq", "delta2", "pow:3"])
         assert code == 0
         assert "Holds" in out and "8" in out
 
-    def test_syntax_error_exit_two(self, capsys):
-        assert run_cli(["seq", "signature", "pw:1"])[0] == 2
+    def test_syntax_error_exit_two(self):
+        assert run_main(["seq", "signature", "pw:1"])[0] == 2
 
     def test_constraint_error_exit_two(self):
-        assert run_cli(["seq", "signature", "exp:2"])[0] == 2
+        assert run_main(["seq", "signature", "exp:2"])[0] == 2
 
     def test_deep_scale_run_answers(self):
-        code, out = run_cli(["seq", "signature", "scale:2;" * 3000 + "pow:1"])
+        code, out, _ = run_main(["seq", "signature", "scale:2;" * 3000 + "pow:1"])
         assert code == 0
         assert out.strip() == "signature: rate=1, pow=1, logpow=0"
 
@@ -76,18 +67,17 @@ class TestSeqCommands:
         ],
         ids=["sub", "prod"],
     )
-    def test_nesting_past_limit_exit_two(self, text, capsys):
-        code, _ = run_cli(["seq", "signature", text])
-        err = capsys.readouterr().err
+    def test_nesting_past_limit_exit_two(self, text):
+        code, _, err = run_main(["seq", "signature", text])
         assert code == 2
         assert err.startswith("error: offset ") and "Traceback" not in err
 
-    def test_negative_scale_pair_exit_two(self, capsys):
-        assert run_cli(["seq", "signature", "scale:-1;scale:-1;pow:1"])[0] == 2
-        assert "scale factor must be positive" in capsys.readouterr().err
+    def test_negative_scale_pair_exit_two(self):
+        code, _, err = run_main(["seq", "signature", "scale:-1;scale:-1;pow:1"])
+        assert code == 2 and "scale factor must be positive" in err
 
     def test_trailing_zeros_leave_the_support(self):
-        code, out = run_cli(["seq", "compare", "--mode", "O", "finite:[1,1/2,0,0]",
+        code, out, _ = run_main(["seq", "compare", "--mode", "O", "finite:[1,1/2,0,0]",
                              "finite:[2,1]", "--json"])
         assert code == 0
         verdict = json.loads(out)["verdict"]
@@ -98,35 +88,33 @@ class TestSeqCommands:
 
 class TestIdealCommands:
     def test_soft_dichotomy_text(self):
-        code, out = run_cli(["ideal", "soft", "exp:1/2"])
+        code, out, _ = run_main(["ideal", "soft", "exp:1/2"])
         assert code == 0 and out.startswith("SOFT (SymbolicProven)")
-        code, out = run_cli(["ideal", "soft", "pow:1"])
+        code, out, _ = run_main(["ideal", "soft", "pow:1"])
         assert code == 0 and out.startswith("NOT SOFT (SymbolicProven)")
 
     def test_member(self):
-        code, out = run_cli(["ideal", "member", "exp:1/2", "exp:1/4"])
+        code, out, _ = run_main(["ideal", "member", "exp:1/2", "exp:1/4"])
         assert code == 0 and "Holds" in out
 
     def test_idempotent(self):
-        code, out = run_cli(["ideal", "idempotent", "pow:1"])
+        code, out, _ = run_main(["ideal", "idempotent", "pow:1"])
         assert code == 0 and "Fails" in out
 
     def test_report(self):
-        code, out = run_cli(["ideal", "report", "pow:2"])
+        code, out, _ = run_main(["ideal", "report", "pow:2"])
         assert code == 0
         assert "delta2: Holds" in out and "soft: Fails" in out
         assert "all consistent" in out
 
     def test_report_rejects_finite_support(self):
-        assert run_cli(["ideal", "report", "finite:[1]"])[0] == 2
+        assert run_main(["ideal", "report", "finite:[1]"])[0] == 2
 
     @pytest.mark.parametrize("cmd", [["member", "pow:2", "pow:1"], ["idempotent", "pow:1"]])
-    def test_numeric_flag_rejected(self, cmd, capsys):
+    def test_numeric_flag_rejected(self, cmd):
         # membership and idempotency are decided symbolically; no numeric probe
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["ideal", *cmd, "--numeric"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --numeric" in capsys.readouterr().err
+        code, _, err = run_main(["ideal", *cmd, "--numeric"])
+        assert code == 2 and "unrecognized arguments: --numeric" in err
 
     def test_rate_base_rounding_to_one_answers(self):
         # ln((10^340 - 1)/10^340) rounds to 0.0 in float; certified logs
@@ -135,7 +123,7 @@ class TestIdealCommands:
         with decimal.localcontext(decimal.Context(prec=1000)):
             ratio = Decimal(2).ln() / -(1 - Decimal(10) ** -340).ln()
             least_m = int(ratio.to_integral_value(rounding=decimal.ROUND_CEILING))
-        out = _run_bounded(["ideal", "member", f"exp:{big - 1}/{big}", "exp:1/2", "--json"])
+        out = run_process(["ideal", "member", f"exp:{big - 1}/{big}", "exp:1/2", "--json"])
         assert out.returncode == 0, out.stderr
         assert "Traceback" not in out.stderr
         verdict = json.loads(out.stdout)["verdict"]
@@ -168,27 +156,18 @@ class TestIdealCommands:
 
     @pytest.mark.parametrize("argv,stdout", SOFT_NUMERIC, ids=["pow-1", "exp-1/2"])
     def test_soft_numeric_table(self, argv, stdout):
-        assert run_cli(argv) == (0, stdout)
-        code, out = run_cli(argv + ["--json"])
+        assert run_main(argv) == (0, stdout, "")
+        code, out, _ = run_main(argv + ["--json"])
         payload = json.loads(out)
         assert payload["numeric"]["evidence"]["mode"] == "o"
         assert payload["verdict"]["evidence"]["k"] == 2
 
     def test_json_report_is_valid(self):
-        code, out = run_cli(["ideal", "soft", "pow:1", "--json"])
+        code, out, _ = run_main(["ideal", "soft", "pow:1", "--json"])
         assert code == 0
         payload = json.loads(out)
         assert payload["schema_version"] == "1"
         assert payload["verdict"]["status"] == "Fails"
-
-
-def _run_bounded(argv, timeout=10):
-    """The CLI in a fresh interpreter, killed after ``timeout`` seconds."""
-    env = dict(os.environ, PYTHONPATH=_src_dir())
-    return subprocess.run(
-        [sys.executable, "-m", "idealkit.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
-    )
 
 
 class TestExactRates:
@@ -204,13 +183,13 @@ class TestExactRates:
     )
     def test_near_one_membership_least_m(self, rate, m):
         # least m = ceil(ln 2 / -ln(rate))
-        out = _run_bounded(["ideal", "member", f"exp:{rate}", "exp:1/2", "--json"])
+        out = run_process(["ideal", "member", f"exp:{rate}", "exp:1/2", "--json"])
         assert out.returncode == 0, out.stderr
         verdict = json.loads(out.stdout)["verdict"]
         assert verdict["status"] == "Holds" and verdict["evidence"]["m"] == m
 
     def test_close_ampliations_compare(self):
-        out = _run_bounded(["seq", "compare", "--mode", "O", "amp:1000000000000;exp:1/2",
+        out = run_process(["seq", "compare", "--mode", "O", "amp:1000000000000;exp:1/2",
                             "amp:999999999999;exp:1/2", "--json"])
         assert out.returncode == 0, out.stderr
         verdict = json.loads(out.stdout)["verdict"]
@@ -227,7 +206,7 @@ class TestExactRates:
         ],
     )
     def test_signature_past_the_digit_limit(self, sequence, rate):
-        out = _run_bounded(["seq", "signature", sequence, "--json"])
+        out = run_process(["seq", "signature", sequence, "--json"])
         assert out.returncode == 0, out.stderr
         payload = json.loads(out.stdout)
         assert payload["sequence"] == sequence
@@ -235,16 +214,10 @@ class TestExactRates:
 
 
 def _timed_run(argv):
-    """_run_bounded, and the wall time of the same call in this process.
-
-    The subprocess timeout catches a hang; the in-process time leaves out
-    interpreter start-up and imports, which a loaded machine can slow.
-    """
-    out = _run_bounded(argv)
-    start = time.perf_counter()
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        main(argv)
-    return out, time.perf_counter() - start
+    """run_process, after the same call within 1 s in this process, which leaves
+    out interpreter start-up and imports that a loaded machine can slow."""
+    run_main(argv, budget=1)
+    return run_process(argv)
 
 
 BIG = str(10 ** 4299)  # 4300 digits: the most a written rational may have
@@ -264,12 +237,11 @@ class TestPastTheDigitLimit:
         ids=["delta2", "amp", "scale-ratio"],
     )
     def test_limiting_ratio_overflows_to_inf(self, argv):
-        out, seconds = _timed_run(argv + ["--json"])
+        out = _timed_run(argv + ["--json"])
         assert out.returncode == 0, out.stderr
         verdict = json.loads(out.stdout)["verdict"]
         assert verdict["status"] == "Holds" and verdict["method"] == "SymbolicProven"
         assert verdict["evidence"]["limiting_ratio"] == "inf"
-        assert seconds < 1
 
     @pytest.mark.parametrize(
         "xi,eta",
@@ -280,44 +252,35 @@ class TestPastTheDigitLimit:
         ids=["equal", "cancelling"],
     )
     def test_cancelling_scales_give_an_exact_ratio(self, xi, eta):
-        out, seconds = _timed_run(["seq", "compare", "--mode", "O", xi, eta, "--json"])
+        out = _timed_run(["seq", "compare", "--mode", "O", xi, eta, "--json"])
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["verdict"]["evidence"]["limiting_ratio"] == "1"
-        assert seconds < 1
 
     def test_report_on_a_huge_power(self):
-        out, seconds = _timed_run(["ideal", "report", "pow:10000000000", "--json"])
+        out = _timed_run(["ideal", "report", "pow:10000000000", "--json"])
         assert out.returncode == 0, out.stderr
         def statuses(report):
             return {k: v["status"] for k, v in report.items() if isinstance(v, dict)}
 
-        small = json.loads(run_cli(["ideal", "report", "pow:10", "--json"])[1])
+        small = json.loads(run_main(["ideal", "report", "pow:10", "--json"])[1])
         assert statuses(json.loads(out.stdout)) == statuses(small)
-        assert seconds < 1
 
     def test_scale_run_up_to_the_digit_cap_answers(self):
-        out, seconds = _timed_run(["seq", "signature", "scale:10;" * 4299 + "pow:1"])
+        out = _timed_run(["seq", "signature", "scale:10;" * 4299 + "pow:1"])
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "signature: rate=1, pow=1, logpow=0"
-        assert seconds < 1
 
-    @pytest.mark.parametrize("count", [4300, 5000])
-    def test_scale_run_past_the_digit_cap_is_bad_input(self, count):
-        out, seconds = _timed_run(["seq", "signature", "scale:10;" * count + "pow:1"])
-        assert out.returncode == 2
-        assert out.stderr.startswith("error: offset ") and "Traceback" not in out.stderr
-        assert "fused scale factor" in out.stderr
-        assert seconds < 1
+    test_scale_run_past_the_digit_cap_is_bad_input = staticmethod(table_test(SCALE_RUNS))
 
     @pytest.mark.parametrize("order", ["xi", "eta"])
     def test_subsampled_exponential_log_underflows(self, order):
         huge = f"sub:1{'0' * 400};exp:1/2"
         xi, eta = (huge, "exp:1/2") if order == "xi" else ("exp:1/2", huge)
-        out = _run_bounded(["seq", "compare", "--mode", "o", "--numeric", xi, eta, "--json"])
+        out = run_process(["seq", "compare", "--mode", "o", "--numeric", xi, eta, "--json"])
         assert out.returncode == 0, out.stderr
         payload = json.loads(out.stdout)
         assert payload["verdict"] == json.loads(
-            _run_bounded(["seq", "compare", "--mode", "o", xi, eta, "--json"]).stdout
+            run_process(["seq", "compare", "--mode", "o", xi, eta, "--json"]).stdout
         )["verdict"]
         assert payload["verdict"]["status"] == ("Holds" if order == "xi" else "Fails")
         numeric = payload["numeric"]
@@ -339,12 +302,12 @@ class TestReportValuesPastTheCap:
         f"prod(pow:1/{_NINES},pow:1/{_NINES[:-1]}8)",  # denominators multiply
     ], ids=["pow-sum", "denominator-product"])
     def test_signature(self, sequence):
-        code, out = run_cli(["seq", "signature", sequence])
+        code, out, _ = run_main(["seq", "signature", sequence])
         assert code == 0
         assert out == f"signature: rate=1, pow={_MARKER}, logpow=0\n"
 
     def test_report(self):
-        code, out = run_cli(["ideal", "report", f"prod(pow:{_NINES},pow:{_NINES})", "--json"])
+        code, out, _ = run_main(["ideal", "report", f"prod(pow:{_NINES},pow:{_NINES})", "--json"])
         assert code == 0
         assert json.loads(out)["soft"]["evidence"]["xi_signature"] == (
             f"rate=1, pow={_MARKER}, logpow=0")
@@ -355,9 +318,9 @@ class TestReportValuesPastTheCap:
         (["ideal", "member", f"amp:{_NINES};finite:[1,1]", "finite-rank"], "support"),
     ], ids=["compare", "member"])
     def test_support(self, argv, key):
-        code, out = run_cli(argv)
+        code, out, _ = run_main(argv)
         assert code == 0 and f"  {key}: {_MARKER}\n" in out
-        code, out = run_cli(argv + ["--json"])
+        code, out, _ = run_main(argv + ["--json"])
         assert code == 0
         assert json.loads(out)["verdict"]["evidence"][key] == _MARKER
 
@@ -395,7 +358,7 @@ class TestRatesAtTheDigitCap:
     # ampliation index past the cap is neither computed nor printed
     @staticmethod
     def _json(argv):
-        out = _run_bounded(argv + ["--json"], timeout=120)
+        out = run_process(argv + ["--json"], timeout=120)
         assert out.returncode == 0, out.stderr
         return json.loads(out.stdout)
 
@@ -436,20 +399,14 @@ class TestRatesAtTheDigitCap:
                          "pow=0, logpow=0",
         }
 
-    @pytest.mark.parametrize("head,leaf", [("amp", "exp:1/2"), ("sub", "pow:1"),
-                                           ("sub", "scale:2;sub:10;exp:1/2")])
-    def test_fused_index_past_the_cap_is_bad_input(self, head, leaf):
-        out = _run_bounded(["seq", "signature", f"{head}:{_HALF};{head}:{_HALF};{leaf}"])
-        assert out.returncode == 2
-        assert out.stderr.splitlines() == [
-            f"error: offset 0: fused {head} index with more than {MAX_RATIONAL_DIGITS} digits"]
+    test_fused_index_past_the_cap_is_bad_input = staticmethod(table_test(FUSED_INDICES))
 
 
 class TestFileRationals:
     @pytest.fixture
     def sl2(self, tmp_path):
         path = str(tmp_path / "sl2.json")
-        run_cli(["lie", "build", "sl", "--n", "2", "-o", path])
+        run_main(["lie", "build", "sl", "--n", "2", "-o", path])
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
 
@@ -462,25 +419,25 @@ class TestFileRationals:
         "digits,code", [(MAX_RATIONAL_DIGITS - 1, 0), (MAX_RATIONAL_DIGITS, 2)],
         ids=["at-cap", "over-cap"],
     )
-    def test_algebra_rational_digit_cap(self, sl2, tmp_path, digits, code, capsys):
+    def test_algebra_rational_digit_cap(self, sl2, tmp_path, digits, code):
         entry = sl2["basis"][0].index(1)
         sl2["basis"][0][entry] = self._one_written_with(digits)
         path = str(tmp_path / "padded.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(sl2, fh)
-        got, out = run_cli(["lie", "check-closure", "--file", path])
+        got, out, err = run_main(["lie", "check-closure", "--file", path])
         assert got == code
         if code == 0:
             assert "CLOSED" in out
         else:
-            assert capsys.readouterr().err.startswith("error: ")
+            assert err.startswith("error: ")
 
     def test_algebra_rational_exponent_refused(self, sl2, tmp_path):
         sl2["basis"][0][0] = "1e50000000"
         path = str(tmp_path / "exponent.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(sl2, fh)
-        out = _run_bounded(["lie", "check-closure", "--file", path])
+        out = run_process(["lie", "check-closure", "--file", path])
         assert out.returncode == 2 and out.stderr.splitlines()[-1].startswith("error: ")
 
     @pytest.mark.parametrize(
@@ -494,14 +451,14 @@ class TestFileRationals:
     )
     def test_certificate_value(self, tmp_path, value, code):
         cert_file = str(tmp_path / "cert.json")
-        run_cli(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+        run_main(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                  "-o", cert_file])
         with open(cert_file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         payload["first_nonzero"]["value"] = value
         with open(cert_file, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        out = _run_bounded(["witness", "verify", "--file", cert_file])
+        out = run_process(["witness", "verify", "--file", cert_file])
         assert out.returncode == code
         if code == 0:
             # zero is not the stored commutator weight
@@ -511,65 +468,66 @@ class TestFileRationals:
 
 
 class TestLieCommands:
-    def test_unknown_kind_lists_the_kinds(self, capsys):
-        assert run_cli(["lie", "build", "nope", "--n", "3"])[0] == 2
-        err = capsys.readouterr().err.splitlines()
+    def test_unknown_kind_lists_the_kinds(self):
+        code, _, err = run_main(["lie", "build", "nope", "--n", "3"])
+        assert code == 2
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert all(repr(kind) in err[0] for kind in [*_KINDS, "shift"])
 
     def test_build_check_simple_flow(self, tmp_path):
         algebra_file = str(tmp_path / "sp2.json")
-        code, out = run_cli(["lie", "build", "sp", "--n", "2", "-o", algebra_file])
+        code, out, _ = run_main(["lie", "build", "sp", "--n", "2", "-o", algebra_file])
         assert code == 0 and "dim 10" in out
-        code, out = run_cli(["lie", "check-closure", "--file", algebra_file])
+        code, out, _ = run_main(["lie", "check-closure", "--file", algebra_file])
         assert code == 0 and "CLOSED" in out
-        code, out = run_cli(["lie", "simple", "--file", algebra_file])
+        code, out, _ = run_main(["lie", "simple", "--file", algebra_file])
         assert code == 0 and out.startswith("SIMPLE")
-        code, out = run_cli(["lie", "killing", "--file", algebra_file])
+        code, out, _ = run_main(["lie", "killing", "--file", algebra_file])
         assert code == 0 and "nondegenerate" in out
 
     def test_skew_variant_audit_flow(self, tmp_path):
         algebra_file = str(tmp_path / "lit2.json")
-        assert run_cli(["lie", "build", "sp-skew", "--n", "2", "-o", algebra_file])[0] == 0
-        code, out = run_cli(["lie", "check-closure", "--file", algebra_file, "--json"])
+        assert run_main(["lie", "build", "sp-skew", "--n", "2", "-o", algebra_file])[0] == 0
+        code, out, _ = run_main(["lie", "check-closure", "--file", algebra_file, "--json"])
         assert code == 0
         payload = json.loads(out)
         assert payload["closed"] is False
         assert payload["counterexample"]["pair"] == [4, 7]
         # simplicity on a non-closed presentation is a user error
-        assert run_cli(["lie", "simple", "--file", algebra_file])[0] == 2
+        assert run_main(["lie", "simple", "--file", algebra_file])[0] == 2
 
     def test_derived_and_ideal_gen(self, tmp_path):
         algebra_file = str(tmp_path / "ut3.json")
-        run_cli(["lie", "build", "ut-sl", "--n", "3", "-o", algebra_file])
-        code, out = run_cli(["lie", "derived", "--file", algebra_file])
+        run_main(["lie", "build", "ut-sl", "--n", "3", "-o", algebra_file])
+        code, out, _ = run_main(["lie", "derived", "--file", algebra_file])
         assert code == 0 and "dim 3 of 5" in out
         seeds_file = str(tmp_path / "seeds.json")
         with open(seeds_file, "w", encoding="utf-8") as fh:
             json.dump({"elements": [[0, 0, 1, 0, 0, 0, 0, 0, 0]]}, fh)
-        code, out = run_cli(
+        code, out, _ = run_main(
             ["lie", "ideal-gen", "--file", algebra_file, "--seeds", seeds_file]
         )
         assert code == 0 and "dim 1 of 5" in out
 
     def test_simple_with_cross_check(self, tmp_path):
         algebra_file = str(tmp_path / "sl2.json")
-        run_cli(["lie", "build", "sl", "--n", "2", "-o", algebra_file])
-        code, out = run_cli(
+        run_main(["lie", "build", "sl", "--n", "2", "-o", algebra_file])
+        code, out, _ = run_main(
             ["lie", "simple", "--file", algebra_file, "--cross-check", "25", "--seed", "1"]
         )
         assert code == 0 and "no proper ideal found" in out
 
     def test_shift_build_requires_weights(self, tmp_path):
-        assert run_cli(["lie", "build", "shift", "--n", "4"])[0] == 2
+        assert run_main(["lie", "build", "shift", "--n", "4"])[0] == 2
         algebra_file = str(tmp_path / "shift.json")
-        code, out = run_cli(
+        code, out, _ = run_main(
             ["lie", "build", "shift", "--n", "4", "--weights", "pow:1", "-o", algebra_file]
         )
         assert code == 0
 
     def test_missing_file_exit_two(self):
-        assert run_cli(["lie", "simple", "--file", "/nonexistent.json"])[0] == 2
+        assert run_main(["lie", "simple", "--file", "/nonexistent.json"])[0] == 2
 
     def test_report_value_past_the_digit_cap_prints_the_marker(self, tmp_path):
         # sl(2) with E and F scaled by 10^3000: each entry has 3001 digits,
@@ -586,21 +544,21 @@ class TestLieCommands:
             "matrix": [[0, marker, 0], [marker, 0, 0], [0, 0, 8]],
         }
         argv = ["lie", "killing", "--file", algebra_file]
-        code, out = run_cli(argv + ["--json"])
+        code, out, _ = run_main(argv + ["--json"])
         assert code == 0 and json.loads(out) == expected
-        assert run_cli(argv + ["-o", report_file]) == (
-            0, "Killing form rank 3 of 3 (nondegenerate)\n")
+        assert run_main(argv + ["-o", report_file]) == (
+            0, "Killing form rank 3 of 3 (nondegenerate)\n", "")
         with open(report_file, encoding="utf-8") as fh:
             assert json.load(fh) == expected
 
     def test_build_name_overrides_the_presentation_name(self, tmp_path):
         algebra_file = str(tmp_path / "tri.json")
         argv = ["lie", "build", "ut-sl", "--n", "2", "--name", "tri", "-o", algebra_file]
-        assert run_cli(argv) == (0, f"built tri: ambient 2, dim 2\nwrote {algebra_file}\n")
+        assert run_main(argv) == (0, f"built tri: ambient 2, dim 2\nwrote {algebra_file}\n", "")
         with open(algebra_file, encoding="utf-8") as fh:
             assert json.load(fh) == {"name": "tri", "ambient_dim": 2,
                                      "basis": [[1, 0, 0, -1], [0, 1, 0, 0]]}
-        payload = json.loads(run_cli(argv[:-2] + ["--json"])[1])
+        payload = json.loads(run_main(argv[:-2] + ["--json"])[1])
         assert payload["algebra"]["name"] == "tri" and payload["dim"] == 2
 
     # sha256 of the whole `lie simple --json` stdout, or of `lie ideal-gen
@@ -645,7 +603,7 @@ class TestLieCommands:
             with open(seeds_file, "w", encoding="utf-8") as fh:
                 json.dump({"elements": [[str(v) for v in element]]}, fh)
             argv[1:2] = ["ideal-gen", "--seeds", seeds_file]
-        code, out = run_cli(argv)
+        code, out, _ = run_main(argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -653,7 +611,7 @@ class TestLieCommands:
 class TestWitnessCommands:
     def test_build_verify_flow(self, tmp_path):
         cert_file = str(tmp_path / "cert.json")
-        code, out = run_cli(
+        code, out, _ = run_main(
             [
                 "witness", "build",
                 "--generator", "pow:1",
@@ -663,30 +621,30 @@ class TestWitnessCommands:
         )
         assert code == 0
         assert "index 1, value 1/4" in out
-        code, out = run_cli(["witness", "verify", "--file", cert_file])
+        code, out, _ = run_main(["witness", "verify", "--file", cert_file])
         assert code == 0 and out.startswith("VERIFIED")
 
     def test_window_defaults_to_the_library_default(self):
         argv = ["witness", "build", "--generator", "pow:1", "--partner", "pow:2", "--json"]
-        certs = [json.loads(run_cli(argv + extra)[1])["certificate"]
+        certs = [json.loads(run_main(argv + extra)[1])["certificate"]
                  for extra in ([], ["--window", str(DEFAULT_SCAN_WINDOW)])]
         assert certs[0]["scan_window"] == DEFAULT_SCAN_WINDOW
         assert certs[0] == certs[1]
 
     def test_build_gate_exit_two(self):
-        code, _ = run_cli(["witness", "build", "--generator", "exp:1/2", "--partner", "pow:2"])
-        assert code == 2
+        assert run_main(["witness", "build", "--generator", "exp:1/2",
+                         "--partner", "pow:2"])[0] == 2
 
     def test_verify_rejects_tampered_file(self, tmp_path):
         cert_file = str(tmp_path / "cert.json")
-        run_cli(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+        run_main(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                  "-o", cert_file])
         with open(cert_file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         payload["first_nonzero"]["value"] = "1/3"
         with open(cert_file, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        code, out = run_cli(["witness", "verify", "--file", cert_file])
+        code, out, _ = run_main(["witness", "verify", "--file", cert_file])
         assert code == 0 and "REJECTED" in out
 
 
@@ -703,13 +661,13 @@ class TestWitnessCommands:
             ("--window", 0, 2),
         ],
     )
-    def test_size_limits(self, flag, value, code, capsys):
+    def test_size_limits(self, flag, value, code):
         # a proportional partner gives the central branch: no matrix, no scan
-        got, _ = run_cli(["witness", "build", "--generator", "pow:1",
-                          "--partner", "scale:3;pow:1", flag, str(value)])
+        got, _, err = run_main(["witness", "build", "--generator", "pow:1",
+                                "--partner", "scale:3;pow:1", flag, str(value)])
         assert got == code
         if code == 2:
-            assert capsys.readouterr().err.startswith("error: ")
+            assert err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "partner,truncation",
@@ -719,16 +677,16 @@ class TestWitnessCommands:
     def test_weight_bits_limit_refuses_quickly(self, partner, truncation):
         # weight 1024 of the first has about 1.16 million bits, weight 3 of
         # the second about 160 million: neither is built
-        out = _run_bounded(["witness", "build", "--generator", "pow:1", "--partner",
+        out = run_process(["witness", "build", "--generator", "pow:1", "--partner",
                             partner, "--truncation", str(truncation)])
         assert out.returncode == 2
         assert out.stderr.splitlines()[-1].startswith("error: ")
         assert "exceeds the limit" in out.stderr
 
     @pytest.mark.parametrize("field", ["truncation", "scan_window"])
-    def test_verify_rejects_file_over_limit(self, field, tmp_path, capsys):
+    def test_verify_rejects_file_over_limit(self, field, tmp_path):
         cert_file = str(tmp_path / "cert.json")
-        run_cli(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+        run_main(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                  "-o", cert_file])
         with open(cert_file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -738,9 +696,8 @@ class TestWitnessCommands:
             payload["scan_window"] = MAX_SCAN_WINDOW + 1
         with open(cert_file, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        code, _ = run_cli(["witness", "verify", "--file", cert_file])
+        code, _, err = run_main(["witness", "verify", "--file", cert_file])
         assert code == 2
-        err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds the limit" in err
 
 
@@ -764,16 +721,16 @@ class TestWitnessCommands:
     )
     def test_json_bytes_pinned(self, tmp_path, args, build_digest, verify_digest):
         cert_file = str(tmp_path / "cert.json")
-        code, out = run_cli(["witness", "build", "--generator", "pow:1", *args, "--json",
+        code, out, _ = run_main(["witness", "build", "--generator", "pow:1", *args, "--json",
                              "-o", cert_file])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == build_digest
-        code, out = run_cli(["witness", "verify", "--file", cert_file, "--json"])
+        code, out, _ = run_main(["witness", "verify", "--file", cert_file, "--json"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == verify_digest
 
     @pytest.mark.parametrize("window", [0, -5])
-    def test_verify_refuses_a_scan_window_below_one(self, window, tmp_path, monkeypatch, capsys):
+    def test_verify_refuses_a_scan_window_below_one(self, window, tmp_path, monkeypatch):
         # the central certificate that an unchecked window built: its scan
         # saw no commutator weight, so it proved nothing
         cert_file = str(tmp_path / "cert.json")
@@ -783,8 +740,8 @@ class TestWitnessCommands:
                                              [witness.ShiftModel(Pow(2))], window)
         assert cert.branch == "central"
         witness.save_certificate(cert, cert_file)
-        assert run_cli(["witness", "verify", "--file", cert_file])[0] == 2
-        assert capsys.readouterr().err == f"error: scan window {window} is below the minimum 1\n"
+        assert run_main(["witness", "verify", "--file", cert_file]) == (
+            2, "", f"error: scan window {window} is below the minimum 1\n")
 
 
 class TestDeterminism:
@@ -803,13 +760,13 @@ class TestDeterminism:
 
     def test_repeated_runs_byte_identical(self):
         for argv in self.COMMANDS:
-            first = run_cli(list(argv))
-            second = run_cli(list(argv))
+            first = run_main(argv)
+            second = run_main(argv)
             assert first == second
 
     def test_json_reports_round_trip(self):
         for argv in self.COMMANDS:
-            code, out = run_cli(list(argv))
+            code, out, _ = run_main(argv)
             assert code == 0
             parsed = json.loads(out)
             again = json.dumps(parsed, sort_keys=True, indent=2) + "\n"
@@ -817,10 +774,10 @@ class TestDeterminism:
 
     def test_seeded_cross_check_deterministic(self, tmp_path):
         algebra_file = str(tmp_path / "sl2.json")
-        run_cli(["lie", "build", "sl", "--n", "2", "-o", algebra_file])
+        run_main(["lie", "build", "sl", "--n", "2", "-o", algebra_file])
         argv = ["lie", "simple", "--file", algebra_file, "--cross-check", "10",
                 "--seed", "5", "--json"]
-        assert run_cli(list(argv)) == run_cli(list(argv))
+        assert run_main(argv) == run_main(argv)
 
     # sha256 of the files that -o writes, taken while each writer still
     # opened its file itself: an algebra, a certificate, and a report that
@@ -836,7 +793,7 @@ class TestDeterminism:
             (["lie", "simple", "--file", str(algebra), "--json"], report,
              "5c897b7312d406bf758c6b824cd6bd154c901dedc080ca0699a3d525cb6320b8"),
         ]:
-            code, out = run_cli([*argv, "-o", str(path)])
+            code, out, _ = run_main([*argv, "-o", str(path)])
             assert code == 0
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, argv
         assert out.encode() == report.read_bytes()
@@ -844,28 +801,28 @@ class TestDeterminism:
 
 class TestTopLevel:
     def test_no_arguments_prints_help(self):
-        code, out = run_cli([])
+        code, out, _ = run_main([])
         assert code == 2
         assert "idealkit" in out
 
     def test_explicit_nmax_reaches_probe(self):
-        code, out = run_cli(
+        code, out, _ = run_main(
             ["seq", "compare", "--mode", "O", "pow:2", "pow:1", "--numeric",
              "--nmax", "4096", "--json"]
         )
         assert code == 0
         assert json.loads(out)["numeric"]["evidence"]["n_max"] == 4096
 
-    def test_nmax_zero_is_user_error(self, capsys):
-        code, _ = run_cli(
+    def test_nmax_zero_is_user_error(self):
+        code, _, err = run_main(
             ["seq", "compare", "--mode", "O", "pow:2", "pow:1", "--numeric", "--nmax", "0"]
         )
         assert code == 2
-        assert "n_max must be at least" in capsys.readouterr().err
+        assert "n_max must be at least" in err
 
     def test_output_file_duplicate_report(self, tmp_path):
         out_file = str(tmp_path / "report.json")
-        code, out = run_cli(["ideal", "soft", "pow:1", "--json", "-o", out_file])
+        code, out, _ = run_main(["ideal", "soft", "pow:1", "--json", "-o", out_file])
         assert code == 0
         with open(out_file, "r", encoding="utf-8") as fh:
             assert json.load(fh)["verdict"]["status"] == "Fails"
@@ -918,21 +875,12 @@ PARSER_TEXT = [
 _PARSER_TEXT_IDS = [" ".join(argv) or "no-args" for argv, _ in PARSER_TEXT]
 
 
-def _cli_text(argv) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return f"{code}\n{out.getvalue()}\0{err.getvalue()}"
-
-
 class TestParserText:
     @pytest.mark.parametrize("argv,digest", PARSER_TEXT, ids=_PARSER_TEXT_IDS)
     def test_help_and_usage_text_pinned(self, monkeypatch, argv, digest):
         monkeypatch.setenv("COLUMNS", "80")
-        assert hashlib.sha256(_cli_text(argv).encode()).hexdigest() == digest
+        text = "{}\n{}\0{}".format(*run_main(argv))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 _CALLS = [(group, cmd) for group, (_, commands) in cli._COMMANDS.items() for cmd in commands]
@@ -948,32 +896,15 @@ def test_strict_flag_is_a_usage_error(group, cmd):
         elif kwargs.get("required"):
             argv += [flags[0], kwargs.get("choices", ["1"])[0]]
     assert cli._strict_parse(argv) is not None  # a complete call without it
-    text = _cli_text(argv + ["--strict"])
-    assert text.startswith("2\n") and "unrecognized arguments: --strict" in text
+    code, _, err = run_main(argv + ["--strict"])
+    assert code == 2 and "unrecognized arguments: --strict" in err
 
 
-# usage errors whose argparse message echoes a long argument
-USAGE_ERRORS = [
-    ("size-50000-letters", ["lie", "build", "sl", "--n", "x" * 50_000]),
-    ("mode-5000-letters", ["seq", "compare", "--mode", "x" * 5000, "pow:1", "pow:2"]),
-    ("extra-5000-letters", ["seq", "signature", "pow:1", "x" * 5000]),
-]
-
-
-@pytest.mark.parametrize("argv", [row[1] for row in USAGE_ERRORS],
-                         ids=[row[0] for row in USAGE_ERRORS])
-def test_usage_error_prints_one_short_error_line(argv):
-    code, _, err = _cli_text(argv).partition("\n")
-    errors = [line for line in err.split("\0", 1)[1].splitlines() if "error: " in line]
-    assert code == "2" and len(errors) == 1 and len(errors[0]) < 200, errors
-
-
-def _src_dir():
-    return os.path.dirname(os.path.dirname(os.path.abspath(idealkit.__file__)))
+test_usage_error_prints_one_short_error_line = table_test(USAGE_ERRORS)
 
 
 def test_module_run_has_no_runpy_warning():
-    out = _run_bounded(["seq", "signature", "pow:1"])
+    out = run_process(["seq", "signature", "pow:1"])
     assert out.returncode == 0
     assert "RuntimeWarning" not in out.stderr
 
@@ -998,7 +929,7 @@ def test_module_run_imports_cli_once():
     """Run as ``python -m idealkit.cli``, cli is never imported a second
     time, since no group module imports it, and one module object holds its
     code."""
-    env = dict(os.environ, PYTHONPATH=_src_dir())
+    env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
         [sys.executable, "-c", _MODULE_RUN_PROBE],
         env=env, capture_output=True, text=True, timeout=10,
@@ -1030,7 +961,7 @@ print(atexit._ncallbacks() - before)
 def test_exit_freeze_only_for_command_line_calls(argv, registered):
     """main() reading sys.argv registers gc.freeze at exit; main(argv), the
     library and test entry, leaves atexit (and so gc) untouched."""
-    env = dict(os.environ, PYTHONPATH=_src_dir())
+    env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
         [sys.executable, "-c", _EXIT_FREEZE_PROBE, json.dumps(argv)],
         env=env, capture_output=True, text=True, timeout=10,
@@ -1041,7 +972,7 @@ def test_exit_freeze_only_for_command_line_calls(argv, registered):
 
 def test_witness_build_file_is_complete_after_exit(tmp_path):
     path = tmp_path / "cert.json"
-    out = _run_bounded(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
+    out = run_process(["witness", "build", "--generator", "pow:1", "--partner", "pow:2",
                         "--truncation", "16", "-o", str(path)])
     assert out.returncode == 0, out.stderr
     cert = witness.load_certificate(str(path))
@@ -1050,7 +981,7 @@ def test_witness_build_file_is_complete_after_exit(tmp_path):
 
 
 def test_package_import_reaches_submodules():
-    env = dict(os.environ, PYTHONPATH=_src_dir())
+    env = dict(os.environ, PYTHONPATH=SRC)
     probe = "import idealkit; print(idealkit.catalog.sl(3).dim)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -1103,7 +1034,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
                     ["base", "cli", "cli_witness", "dsl", "idealcalc", "rates", "ratlinalg",
                      "seqspace", "witness"]),
     }
-    env = dict(os.environ, PYTHONPATH=_src_dir())
+    env = dict(os.environ, PYTHONPATH=SRC)
     for kind, (calls, expected) in kinds.items():
         out = subprocess.run(
             [sys.executable, "-c", _IMPORT_MAP_PROBE, json.dumps(calls)],
@@ -1118,11 +1049,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
 
 def test_low_interpreter_digit_limit_is_lifted_to_the_cap():
     argv = ["seq", "signature", "pow:" + "1" * 1000]
-    default = _run_bounded(argv)
-    env = dict(os.environ, PYTHONPATH=_src_dir(), PYTHONINTMAXSTRDIGITS="640")
-    low = subprocess.run(
-        [sys.executable, "-m", "idealkit.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    default = run_process(argv)
+    low = run_process(argv, PYTHONINTMAXSTRDIGITS="640")
     assert default.returncode == 0, default.stderr
     assert (low.returncode, low.stdout, low.stderr) == (0, default.stdout, "")

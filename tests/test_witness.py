@@ -4,17 +4,11 @@ tamper detection, the hypothesis gate."""
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-import time
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-import idealkit
 from idealkit import cli, witness
 from idealkit.ratlinalg import RationalMatrix, bracket
 from idealkit.seqspace import (
@@ -24,10 +18,8 @@ from idealkit.seqspace import (
     Pow,
     Product,
     Scale,
-    Status,
     _weight_bits,
     eval_at,
-    has_exact_eval,
 )
 from idealkit.witness import (
     Certificate,
@@ -51,15 +43,8 @@ from idealkit.witness import (
 )
 
 from conftest import EXACT_BATTERY
-
-
-def _run_cli(argv):
-    """The CLI in a fresh interpreter, killed after 10 s: (result, wall seconds)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(idealkit.__file__).resolve().parents[1]))
-    start = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "idealkit.cli", *argv], env=env,
-                         capture_output=True, text=True, timeout=10)
-    return out, time.perf_counter() - start
+from test_adversarial import (PARTNER_WEIGHTS, SCAN_WEIGHTS, SCAN_WEIGHTS_VERIFY, check,
+                              table_test)
 
 
 def _sparse_mul(a, b):
@@ -657,51 +642,15 @@ class TestLimits:
         with pytest.raises(CertificateError, match="exceeds the limit"):
             build_certificate(generator, [ShiftModel(Pow(1), n)])
 
+    @pytest.mark.adversarial
     def test_partner_weights_bounded_at_the_generator_truncation(self, tmp_path):
-        # the truncation check builds the partner's weights at the generator's
-        # truncation, whatever truncation the file stores for the partner
-        n = 1024
-        payload = certificate_to_json(
-            build_certificate(ShiftModel(Pow(1), n), [ShiftModel(Exp(F(1, 2)), n)]))
-        payload["partner"] = {"weights": "exp:1/1" + "0" * 100, "truncation": 3}
-        payload["pool"] = [payload["partner"]]
-        path = tmp_path / "cert.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        out, seconds = _run_cli(["witness", "verify", "--file", str(path)])
-        assert out.returncode == 2, out.stdout
-        assert out.stderr.splitlines() == [
-            f"error: truncation {n} times the 340167 bits of weight {n} exceeds the limit "
-            f"{MAX_WEIGHT_BITS}"]
-        assert seconds < 1
+        check(PARTNER_WEIGHTS, tmp_path)
 
-    # pairs that commute without being proportional, so that the scan runs
-    # to the end of its window unless the weight-size limit stops it
-    @pytest.mark.parametrize("generator,partner,index", [
-        ("pow:40000", "prod(pow:20000,pow:20000)", 64),
-        ("pow:4000", "prod(pow:2000,pow:2000)", 512),
-    ], ids=["pow-40000", "pow-4000"])
-    def test_scan_weights_bounded_in_build(self, generator, partner, index):
-        out, seconds = _run_cli(["witness", "build", "--generator", generator, "--partner",
-                                 partner, "--window", "1024", "--truncation", "3"])
-        assert out.returncode == 2, out.stdout
-        [line] = out.stderr.splitlines()
-        assert line.startswith(f"error: scan index {index} times the ")
-        assert seconds < 2
+    test_scan_weights_bounded_in_build = staticmethod(table_test(SCAN_WEIGHTS))
 
+    @pytest.mark.adversarial
     def test_scan_weights_bounded_in_verify(self, tmp_path):
-        # a central certificate in window mode replays the scan on its window
-        cert = build_certificate(ShiftModel(Pow(4000), 3),
-                                 [ShiftModel(Product(Pow(2000), Pow(2000)), 3)], 64)
-        assert cert.central_mode == "window"
-        payload = certificate_to_json(cert)
-        payload["scan_window"] = 1024
-        path = tmp_path / "cert.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        out, seconds = _run_cli(["witness", "verify", "--file", str(path)])
-        assert out.returncode == 2, out.stdout
-        [line] = out.stderr.splitlines()
-        assert line.startswith("error: scan index 512 times the ")
-        assert seconds < 2
+        check(SCAN_WEIGHTS_VERIFY, tmp_path)
 
     def test_file_at_the_limits_accepted(self):
         payload = certificate_to_json(self._central(64, 64))
