@@ -216,28 +216,33 @@ class BudgetExceeded(Exception):
 def run_main(argv, budget=None) -> tuple:
     """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process.
 
-    Past ``budget`` seconds a timer raises BudgetExceeded in the call, once
-    the C call it is in returns, so a hang fails at the budget instead of
-    stalling the suite; the previous SIGALRM handler and timer come back.
+    Past ``budget`` seconds a timer raises BudgetExceeded at the next return
+    to the interpreter (a long C operation runs to its end first); the
+    previous SIGALRM handler and timer come back.
     """
     def expire(signum, frame):
         raise BudgetExceeded(f"{' '.join(argv[:2])} ran past {budget} s")
 
     out, err = io.StringIO(), io.StringIO()
-    if budget:
-        handler = signal.signal(signal.SIGALRM, expire)
-        timer = signal.setitimer(signal.ITIMER_REAL, budget)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err):
+        if budget:
+            timer = signal.getitimer(signal.ITIMER_REAL)
+            handler = signal.signal(signal.SIGALRM, expire)
+        try:
+            if budget:
+                signal.setitimer(signal.ITIMER_REAL, budget)
             try:
                 code = cli.main(list(argv))
             except SystemExit as exc:  # argparse's help and usage errors
                 code = exc.code
-    finally:
-        if budget:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, handler)
-            signal.setitimer(signal.ITIMER_REAL, *timer)
+            finally:
+                # one-shot: a due alarm raises once disarmed, never in the restore
+                if budget:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            if budget:
+                signal.signal(signal.SIGALRM, handler)
+                signal.setitimer(signal.ITIMER_REAL, *timer)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -247,7 +252,3 @@ def run_process(argv, timeout=10, **env) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "idealkit.cli", *argv], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=SRC, **env), text=True, timeout=timeout)
 
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "adversarial: a row of the adversarial-input table in test_adversarial.py")

@@ -1,10 +1,10 @@
 """One table of adversarial inputs to the command line.
 
 A row is one call ``idealkit *argv``, run in process by ``run_main`` and
-stopped at its budget.  Its sections run under the test names their checks
-had in test_input_boundary, test_cli and test_witness; the open time bombs
-run here, as strict xfails naming the ROADMAP item whose fix makes them pass.
-``pytest -m adversarial`` runs every row.
+stopped at its budget.  Each section runs under the test id its checks had
+in test_input_boundary, test_cli or test_witness, through ``table_test``, so
+every check keeps its id.  The open time bombs run here, as strict xfails
+naming the ROADMAP item whose fix makes them pass.
 """
 
 from __future__ import annotations
@@ -31,35 +31,39 @@ from conftest import BudgetExceeded, run_main
 
 class Row(NamedTuple):
     id: str
-    argv: list
+    argv: object  # a list, or a seeded function returning one
     files: dict = {}
     exit: int = 2
     expect: object = None
     budget: float = 1
+    usage: bool = False  # argparse prints its usage text before the error line
 
 
 def check(row: Row, tmp_path) -> None:
-    """Run a row's call and hold it to the table's rule: exit 2 with one
-    ``error: `` line under 200 characters (after argparse's usage text for a
-    usage error), or exit 0 with nothing on stderr.
+    """Run a row's call and hold it to the table's rule: exit 2 with exactly
+    one ``error: `` line under 200 characters on stderr (after argparse's
+    usage text for a ``usage`` row), or exit 0 with nothing on stderr.
 
     ``files`` maps a placeholder in argv to bytes, or to a seeded function
     returning them; ``{sl2}`` is an sl(2) algebra file and ``{out}`` a path
-    the call may write.  A string ``expect`` is the error line, or a part of
-    it if it does not start with ``error: ``; a function is called with
-    stdout and the placeholders' paths.
+    the call may write.  A function argv is built before the budget starts.
+    A string ``expect`` is the error line, or a part of it if it does not
+    start with ``error: ``; a function is called with stdout and the
+    placeholders' paths.
     """
     paths = {"{out}": str(tmp_path / "out.json")}
     for name, data in {"{sl2}": SL2, **row.files}.items():
         path = tmp_path / f"{name.strip('{}')}.json"
         path.write_bytes(data() if callable(data) else data)
         paths[name] = str(path)
-    code, out, err = run_main([paths.get(a, a) for a in row.argv], row.budget)
+    argv = row.argv() if callable(row.argv) else row.argv
+    code, out, err = run_main([paths.get(a, a) for a in argv], row.budget)
     assert code == row.exit, (out[-400:], err[-400:])
     lines = [line for line in err.splitlines() if "error: " in line]
     if code == 2:
         assert len(lines) == 1 and len(lines[0]) < 200 and err.endswith(lines[0] + "\n"), err
-        assert err.startswith("usage: ") or err == lines[0] + "\n" and err.startswith("error: ")
+        assert err.startswith("usage: " if row.usage else "error: "), err
+        assert row.usage or err == lines[0] + "\n", err
     else:
         assert err == ""
     if isinstance(row.expect, str):
@@ -70,12 +74,12 @@ def check(row: Row, tmp_path) -> None:
 
 
 def table_test(section):
-    """A test of a section's rows (or pytest params of rows), marked adversarial."""
+    """A test of a section's rows (or pytest params of rows), one case per row."""
+    @pytest.mark.parametrize("row", section, ids=lambda row: row.id)
     def test(row, tmp_path):
         check(row, tmp_path)
 
-    return pytest.mark.adversarial(
-        pytest.mark.parametrize("row", section, ids=lambda row: row.id)(test))
+    return test
 
 
 def _json(value) -> bytes:
@@ -341,27 +345,33 @@ def rate_one_chain() -> str:
     return "sub:2;amp:2;" * 50 + _prod(["pow:1/2"] * 8000, "balanced")
 
 
-def chain_pair() -> tuple:
+def chain_pair() -> list:
     """Two 190-factor chains of 400-bit rates: 48 KB each."""
-    return _prod(_exp_leaves(2, 190, 400)), _prod(_exp_leaves(3, 190, 400))
+    return [_prod(_exp_leaves(2, 190, 400)), _prod(_exp_leaves(3, 190, 400))]
+
+
+def _chain_row(row_id: str, command: list, chains) -> Row:
+    """A row of command on the chains that chains() builds, each over 40 KB."""
+    def argv() -> list:
+        assert min(map(len, texts := chains())) > 40_000
+        return command + texts
+    return Row(row_id, argv, exit=0, budget=10)
 
 
 # each product merges the shorter vector's numbers into the longer one's
-# base, which is already coprime
-_TREE, _RIGHT, _RATE_ONE = tree_chain("left"), tree_chain("right"), rate_one_chain()
-_PAIR = chain_pair()
-assert min(map(len, (_TREE, _RIGHT, _RATE_ONE, *_PAIR))) > 40_000
-PRODUCT_CHAINS = [Row(row_id, argv, exit=0, budget=10) for row_id, argv in [
-    ("signature-43kb-tree-chain", ["seq", "signature", _TREE]),
-    ("signature-43kb-right-nested", ["seq", "signature", _RIGHT]),
-    ("compare-48kb-chains", ["seq", "compare", "--mode", "O", *_PAIR]),
-    ("member-48kb-chains", ["ideal", "member", *_PAIR]),
-    ("idempotent-43kb-tree-chain", ["ideal", "idempotent", _TREE]),
-    ("report-43kb-tree-chain", ["ideal", "report", _TREE]),
-    ("compare-112kb-rate-one-chain", ["seq", "compare", "--mode", "O", _RATE_ONE, _RATE_ONE]),
-    ("soft-112kb-rate-one-chain", ["ideal", "soft", _RATE_ONE]),
-    ("member-112kb-rate-one-chain", ["ideal", "member", _RATE_ONE, _RATE_ONE]),
-    ("report-112kb-rate-one-chain", ["ideal", "report", _RATE_ONE]),
+# base, which is already coprime; a row builds its chains when it runs
+_COMPARE = ["seq", "compare", "--mode", "O"]
+PRODUCT_CHAINS = [_chain_row(*row) for row in [
+    ("signature-43kb-tree-chain", ["seq", "signature"], lambda: [tree_chain("left")]),
+    ("signature-43kb-right-nested", ["seq", "signature"], lambda: [tree_chain("right")]),
+    ("compare-48kb-chains", _COMPARE, chain_pair),
+    ("member-48kb-chains", ["ideal", "member"], chain_pair),
+    ("idempotent-43kb-tree-chain", ["ideal", "idempotent"], lambda: [tree_chain("left")]),
+    ("report-43kb-tree-chain", ["ideal", "report"], lambda: [tree_chain("left")]),
+    ("compare-112kb-rate-one-chain", _COMPARE, lambda: [rate_one_chain()] * 2),
+    ("soft-112kb-rate-one-chain", ["ideal", "soft"], lambda: [rate_one_chain()]),
+    ("member-112kb-rate-one-chain", ["ideal", "member"], lambda: [rate_one_chain()] * 2),
+    ("report-112kb-rate-one-chain", ["ideal", "report"], lambda: [rate_one_chain()]),
 ]]
 
 # ambient_dim 1, so the entries are the basis size; the second matrix repeats
@@ -393,11 +403,11 @@ FIRST_INDEX = [
 ]
 
 # usage errors whose argparse message echoes a long argument
-USAGE_ERRORS = [
-    Row("size-50000-letters", ["lie", "build", "sl", "--n", "x" * 50_000]),
-    Row("mode-5000-letters", ["seq", "compare", "--mode", "x" * 5000, "pow:1", "pow:2"]),
-    Row("extra-5000-letters", ["seq", "signature", "pow:1", "x" * 5000]),
-]
+USAGE_ERRORS = [Row(row_id, argv, usage=True) for row_id, argv in [
+    ("size-50000-letters", ["lie", "build", "sl", "--n", "x" * 50_000]),
+    ("mode-5000-letters", ["seq", "compare", "--mode", "x" * 5000, "pow:1", "pow:2"]),
+    ("extra-5000-letters", ["seq", "signature", "pow:1", "x" * 5000]),
+]]
 
 # a run of scale factors whose fused factor passes the digit cap
 SCALE_RUNS = [
@@ -501,7 +511,7 @@ def _open(item: int, row: Row):
 
 
 TIME_BOMBS = [
-    _open(4, Row("digit-cap-membership", digit_cap_membership(), exit=0)),
+    _open(4, Row("digit-cap-membership", digit_cap_membership, exit=0)),
     _open(6, Row("scaled-sl7", _SIMPLE, {"{file}": lambda: scaled_sl(7)}, exit=0)),
     _open(13, Row("rebased-sl5", _SIMPLE, {"{file}": lambda: rebased_sl(5)}, exit=0, budget=3)),
 ]

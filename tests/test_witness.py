@@ -43,8 +43,7 @@ from idealkit.witness import (
 )
 
 from conftest import EXACT_BATTERY
-from test_adversarial import (PARTNER_WEIGHTS, SCAN_WEIGHTS, SCAN_WEIGHTS_VERIFY, check,
-                              table_test)
+from test_adversarial import PARTNER_WEIGHTS, SCAN_WEIGHTS, SCAN_WEIGHTS_VERIFY, check, table_test
 
 
 def _sparse_mul(a, b):
@@ -642,13 +641,11 @@ class TestLimits:
         with pytest.raises(CertificateError, match="exceeds the limit"):
             build_certificate(generator, [ShiftModel(Pow(1), n)])
 
-    @pytest.mark.adversarial
     def test_partner_weights_bounded_at_the_generator_truncation(self, tmp_path):
         check(PARTNER_WEIGHTS, tmp_path)
 
     test_scan_weights_bounded_in_build = staticmethod(table_test(SCAN_WEIGHTS))
 
-    @pytest.mark.adversarial
     def test_scan_weights_bounded_in_verify(self, tmp_path):
         check(SCAN_WEIGHTS_VERIFY, tmp_path)
 
