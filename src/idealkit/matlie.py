@@ -43,6 +43,7 @@ from .ratlinalg import (
     bracket,
     bracket_flat,
     frac_mod_p,
+    linear_combination,
     nullspace,
 )
 
@@ -257,17 +258,6 @@ class IdealCheck(Frozen):
         vars(self).update(is_ideal=is_ideal, violation=violation)
 
 
-def _apply(ad: Sequence[dict], items, p: Optional[int] = None) -> dict:
-    """ad, given by its sparse columns, applied to the vector with the given
-    (index, value) pairs; over GF(p) when p is given."""
-    w: dict = {}
-    for j, x in items:
-        if x:
-            for k, c in ad[j].items():
-                w[k] = w.get(k, 0) + x * c
-    return w if p is None else {k: c % p for k, c in w.items()}
-
-
 def _rows(cols: Sequence[dict], d: int) -> List[dict]:
     """Sparse rows of the d x d matrix whose column j is the dict cols[j]."""
     rows = [{} for _ in range(d)]
@@ -285,7 +275,7 @@ def is_lie_ideal(L: LieAlgebraPresentation, J: Subspace) -> IdealCheck:
     span = _span(rows, L.dim)
     for i, ad in enumerate(_structure(L).ads):
         for j, row in enumerate(rows):
-            if span.coords(_apply(ad, row.items())) is None:
+            if span.coords(linear_combination(ad, row.items())) is None:
                 return IdealCheck(False, (i, j))
     return IdealCheck(True, None)
 
@@ -334,7 +324,7 @@ def _ideal_span(
     while queue and span.rank < d:
         v = queue.popleft()
         for ad in ads:
-            w = _apply(ad, v.items(), p)
+            w = linear_combination(ad, v.items(), p)
             if span.insert(w):
                 queue.append(w)
                 if span.rank == d:
@@ -428,7 +418,7 @@ def _commutant(ads: Sequence[Sequence[dict]], d: int, positions, p: Optional[int
             ech.insert(row)
         if not ech.rank:
             continue
-        basis = [_apply(basis, coeffs.items(), p) for coeffs in ech.sparse_kernel()]
+        basis = [linear_combination(basis, coeffs.items(), p) for coeffs in ech.sparse_kernel()]
         if len(basis) == 1:
             break
     return basis

@@ -14,6 +14,8 @@ remainder, the RREF and the kernel depend only on the span.  ``rank`` and
 No other module reads a ``RationalMatrix``'s stored rows; its flat form, the
 nonzeros keyed by row-major index r·cols + c (``flat_nonzeros``, ``from_flat``),
 is what an echelon holds and what ``bracket_flat``, the one commutator, returns.
+``linear_combination`` is the one sparse sum of scaled rows: a product's rows,
+and matlie's adjoint images and commutant maps.
 
 A caller that wants coordinates in its generators appends a tag column
 ``ncols + k`` with value one to generator ``k``; ``coords`` reads a vector's
@@ -76,6 +78,17 @@ def _normalised(row, p: Optional[int]) -> dict:
     if p is None:
         return {c: v for c, v in items if v}
     return {c: v % p for c, v in items if v % p}
+
+
+def linear_combination(vectors: Sequence[dict], items, p: Optional[int] = None) -> dict:
+    """The one sparse linear combination: the nonzeros of the sum of
+    x·vectors[j] over the (j, x) pairs of items, mod p when p is given."""
+    acc: dict = {}
+    for j, x in items:
+        if x:
+            for k, c in vectors[j].items():
+                acc[k] = acc[k] + x * c if k in acc else x * c
+    return _normalised(acc, p)
 
 
 def _subtract(work: dict, f, row: dict, p: Optional[int]) -> None:
@@ -319,16 +332,9 @@ class RationalMatrix:
         the nonzero a_ik."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        right = other._data
-        data = {}
-        for i, row in self._data.items():
-            acc: dict = {}
-            for k, a in row.items():
-                for j, b in right.get(k, {}).items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                data[i] = acc
+        right = [other._data.get(k, {}) for k in range(other.rows)]
+        data = {i: acc for i, row in self._data.items()
+                if (acc := linear_combination(right, row.items()))}
         return RationalMatrix._make(self.rows, other.cols, data)
 
     def __eq__(self, other) -> bool:

@@ -201,24 +201,21 @@ def _truncation_window_agrees(t: ShiftModel, s: ShiftModel) -> bool:
                for i in range(1, len(w)))
 
 
-def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> Optional[ShiftModel]:
+def _check_limits(models: Sequence[ShiftModel], scan_window: int) -> None:
     """Refuse a truncation or scan window outside its bounds, or a weight
-    size above its limit, before any work; return the first model whose
-    weights are not exact rationals (each caller refuses it), or None."""
-    inexact = []
+    size above its limit, before any work; inexact weights pass here, and
+    each caller refuses them in its own words."""
     for model in models:
         n = model.truncation
         if n < MIN_TRUNCATION:
             raise CertificateError(f"truncation {n} is below the minimum {MIN_TRUNCATION}")
         if n > MAX_TRUNCATION:
             raise CertificateError(f"truncation {n} exceeds the limit {MAX_TRUNCATION}")
-        if not check_weight_bits(model.weights, n, CertificateError):
-            inexact.append(model)
+        check_weight_bits(model.weights, n, CertificateError)
     if scan_window < 1:
         raise CertificateError(f"scan window {scan_window} is below the minimum 1")
     if scan_window > MAX_SCAN_WINDOW:
         raise CertificateError(f"scan window {scan_window} exceeds the limit {MAX_SCAN_WINDOW}")
-    return inexact[0] if inexact else None
 
 
 def _derive(generator: ShiftModel, pool: Sequence[ShiftModel], scan_window: int,
@@ -258,7 +255,7 @@ def build_certificate(
     holds a partner and the non-softness hypothesis is symbolically proven."""
     if not pool:
         raise CertificateError("a certificate needs at least one partner")
-    generator_exact = _check_limits([generator, *pool], scan_window) is not generator
+    _check_limits([generator, *pool], scan_window)
     # Round-trip all weights through their text form first, so every decision
     # below is made on exactly the structures the certificate will store.
     generator, *pool = [ShiftModel(dsl.parse_seq(dsl.format_seq(s.weights)), s.truncation)
@@ -270,7 +267,7 @@ def build_certificate(
             "hypothesis gate: the generator's principal ideal must be proven "
             f"not soft, got {soft.status.value} ({soft.method.value})"
         )
-    if not generator_exact:  # the text form keeps exactness
+    if not has_exact_eval(generator.weights):
         raise CertificateError("certificates need exactly evaluable generator weights")
     cert = _derive(generator, pool, scan_window, soft)
     if cert.partner is not None:

@@ -213,36 +213,34 @@ class BudgetExceeded(Exception):
     """A call run by ``run_main`` ran past its time budget."""
 
 
-def run_main(argv, budget=None) -> tuple:
-    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process.
+def run_main(argv, budget=2) -> tuple:
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process: the
+    one way a test calls the command line in process.
 
-    Past ``budget`` seconds a timer raises BudgetExceeded at the next return
-    to the interpreter (a long C operation runs to its end first); the
-    previous SIGALRM handler and timer come back.
+    Past ``budget`` seconds (2 s unless a caller sets one, six times the
+    slowest call that sets none) a timer raises BudgetExceeded at the next
+    return to the interpreter (a long C operation runs to its end first);
+    the previous SIGALRM handler and timer come back.
     """
     def expire(signum, frame):
         raise BudgetExceeded(f"{' '.join(argv[:2])} ran past {budget} s")
 
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        if budget:
-            timer = signal.getitimer(signal.ITIMER_REAL)
-            handler = signal.signal(signal.SIGALRM, expire)
+        timer = signal.getitimer(signal.ITIMER_REAL)
+        handler = signal.signal(signal.SIGALRM, expire)
         try:
-            if budget:
-                signal.setitimer(signal.ITIMER_REAL, budget)
+            signal.setitimer(signal.ITIMER_REAL, budget)
             try:
                 code = cli.main(list(argv))
             except SystemExit as exc:  # argparse's help and usage errors
                 code = exc.code
             finally:
                 # one-shot: a due alarm raises once disarmed, never in the restore
-                if budget:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.setitimer(signal.ITIMER_REAL, 0)
         finally:
-            if budget:
-                signal.signal(signal.SIGALRM, handler)
-                signal.setitimer(signal.ITIMER_REAL, *timer)
+            signal.signal(signal.SIGALRM, handler)
+            signal.setitimer(signal.ITIMER_REAL, *timer)
     return code, out.getvalue(), err.getvalue()
 
 

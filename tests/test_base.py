@@ -44,7 +44,7 @@ def test_base_imports_no_other_layer():
     probe = ("import json, sys, idealkit.base; "
              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('idealkit.'))))")
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, timeout=10)
     assert json.loads(out.stdout) == ["idealkit.base"]
 
 

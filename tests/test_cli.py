@@ -358,7 +358,7 @@ class TestRatesAtTheDigitCap:
     # ampliation index past the cap is neither computed nor printed
     @staticmethod
     def _json(argv):
-        out = run_process(argv + ["--json"], timeout=120)
+        out = run_process(argv + ["--json"], timeout=20)
         assert out.returncode == 0, out.stderr
         return json.loads(out.stdout)
 
@@ -984,7 +984,8 @@ def test_package_import_reaches_submodules():
     env = dict(os.environ, PYTHONPATH=SRC)
     probe = "import idealkit; print(idealkit.catalog.sl(3).dim)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+        timeout=10,
     )
     assert out.stdout.strip() == "8"
 
@@ -1038,7 +1039,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     for kind, (calls, expected) in kinds.items():
         out = subprocess.run(
             [sys.executable, "-c", _IMPORT_MAP_PROBE, json.dumps(calls)],
-            env=env, capture_output=True, text=True, check=True,
+            env=env, capture_output=True, text=True, check=True, timeout=10,
         )
         probe = json.loads(out.stdout)
         assert probe["package"] == [], kind

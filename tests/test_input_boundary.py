@@ -27,7 +27,7 @@ from idealkit.witness import (
     verify_certificate,
 )
 
-from conftest import run_process
+from conftest import run_main, run_process
 from test_adversarial import (ALGEBRA_FIELDS, EXIT_TWO, FILE_CAP, FILE_TEMPLATES, FIRST_INDEX,
                               HOSTILE_FILES, PRODUCT_CHAINS, SHIFT_WEIGHTS, SL2,
                               WEIGHT_LIMIT_LINES, first_index_file, table_test)
@@ -46,7 +46,7 @@ def test_internal_errors_propagate(monkeypatch, exc):
 
     monkeypatch.setattr(cli_seq, "handle", broken)
     with pytest.raises(type(exc), match="internal"):
-        cli.main(["seq", "signature", "pow:1"])
+        run_main(["seq", "signature", "pow:1"])
 
 
 def _caught_names(expr, assignments) -> set:
@@ -83,39 +83,39 @@ def test_main_catches_no_broad_exception():
 test_bad_input_exits_two_with_one_error_line = table_test(EXIT_TWO)
 
 
-def test_cross_check_limit_is_exact(monkeypatch, tmp_path, capsys):
+def test_cross_check_limit_is_exact(monkeypatch, tmp_path):
     """sl(2) has dimension 3, so a limit of 5 · 3³ admits 5 samples; 6 are
     refused before the ladder or any sample runs."""
     path = str(tmp_path / "sl2.json")
     (tmp_path / "sl2.json").write_bytes(SL2)
     monkeypatch.setattr(cli_lie, "MAX_CROSS_CHECK_WORK", 5 * 27)
-    assert cli.main(["lie", "simple", "--file", path, "--cross-check", "5"]) == 0
-    capsys.readouterr()
+    assert run_main(["lie", "simple", "--file", path, "--cross-check", "5"])[0] == 0
 
     def never(*args):
         raise AssertionError("ran past the refusal")
 
     monkeypatch.setattr(matlie, "is_simple", never)
     monkeypatch.setattr(matlie, "random_ideal_search", never)
-    assert cli.main(["lie", "simple", "--file", path, "--cross-check", "6"]) == 2
-    assert capsys.readouterr().err == (
+    code, _, err = run_main(["lie", "simple", "--file", path, "--cross-check", "6"])
+    assert code == 2
+    assert err == (
         "error: --cross-check allows at most 5 samples on an algebra of dimension 3\n")
 
 
-def test_tiny_finite_eps_is_accepted(capsys):
+def test_tiny_finite_eps_is_accepted():
     argv = ["seq", "compare", "--mode", "o", "--numeric", "--eps", "1e-300", "pow:2", "pow:1",
             "--json"]
-    assert cli.main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["numeric"]["evidence"]["eps"] == 1e-300
+    code, out, _ = run_main(argv)
+    assert code == 0
+    assert json.loads(out)["numeric"]["evidence"]["eps"] == 1e-300
 
 
-def test_messages_name_the_broken_bound(capsys):
-    cli.main(["witness", "build", "--generator", "pow:100000", "--partner", "pow:1",
-              "--truncation", "8"])
-    assert f"more than {MAX_RATIONAL_DIGITS} digits" in capsys.readouterr().err
-    cli.main(["witness", "build", "--generator", "exp:1/2", "--partner", "pow:1",
-              "--truncation", "2"])
-    err = capsys.readouterr().err
+def test_messages_name_the_broken_bound():
+    _, _, err = run_main(["witness", "build", "--generator", "pow:100000", "--partner", "pow:1",
+                          "--truncation", "8"])
+    assert f"more than {MAX_RATIONAL_DIGITS} digits" in err
+    _, _, err = run_main(["witness", "build", "--generator", "exp:1/2", "--partner", "pow:1",
+                          "--truncation", "2"])
     assert f"below the minimum {MIN_TRUNCATION}" in err and "hypothesis gate" not in err
 
 
@@ -213,13 +213,13 @@ def test_reader_digit_cap_ignores_the_interpreter_setting(tmp_path):
     assert out.stderr == f"error: integer with more than {MAX_RATIONAL_DIGITS} digits\n"
 
 
-def test_unwritable_report_file_exits_two(tmp_path, capsys):
+def test_unwritable_report_file_exits_two(tmp_path):
     (tmp_path / "sl2.json").write_bytes(SL2)
     report = str(tmp_path / "missing" / "report.json")
-    assert cli.main(["lie", "simple", "--file", str(tmp_path / "sl2.json"), "-o", report]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: ")
+    code, out, err = run_main(["lie", "simple", "--file", str(tmp_path / "sl2.json"), "-o", report])
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 test_shift_weights_within_the_file_caps = table_test(SHIFT_WEIGHTS)

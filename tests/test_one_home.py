@@ -6,7 +6,8 @@ so has the matrix format: only ``ratlinalg`` reads ``_data`` or calls
 ``_make``; so has the rate format: only ``rates`` reads exponent vectors; and so has
 the file format: only ``base`` opens files.  Imports between ``cli`` and its
 group modules run one way.  And every definition has a caller in the package
-or in the benchmark scripts that import it."""
+or in the benchmark scripts that import it.  In the tests, every command-line
+call has one home too: ``conftest.run_main``, which runs it under a budget."""
 
 from __future__ import annotations
 
@@ -235,3 +236,23 @@ def test_every_definition_has_a_caller():
                and (module, name) not in CALLED_FROM_OUTSIDE
                and total[name] == _references(node)[name]]
     assert orphans == []
+
+
+def test_tests_call_the_cli_under_a_bound():
+    """No test module but conftest calls ``cli.main``: in process, a test
+    goes through ``run_main`` and its budget.  Every ``subprocess.run`` and
+    ``communicate`` in the tests carries ``timeout=``.  The ``-c`` probes that
+    mention ``cli.main`` are strings, not calls."""
+    unbounded = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = node.func.value.id if isinstance(node.func.value, ast.Name) else None
+            call = (owner, node.func.attr)
+            timed = any(keyword.arg == "timeout" for keyword in node.keywords)
+            if (call == ("cli", "main") and path.name != "conftest.py"
+                    or call == ("subprocess", "run") and not timed
+                    or call[1] == "communicate" and not timed):
+                unbounded.append(f"{path.name}:{node.lineno} {owner}.{call[1]}")
+    assert unbounded == []

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from idealkit import cli, witness
+from idealkit import witness
 from idealkit.ratlinalg import RationalMatrix, bracket
 from idealkit.seqspace import (
     Exp,
@@ -42,7 +42,7 @@ from idealkit.witness import (
     verify_certificate,
 )
 
-from conftest import EXACT_BATTERY
+from conftest import EXACT_BATTERY, run_main
 from test_adversarial import PARTNER_WEIGHTS, SCAN_WEIGHTS, SCAN_WEIGHTS_VERIFY, check, table_test
 
 
@@ -529,16 +529,15 @@ class TestEveryField:
     """Each stored field of the three tamper-table bases, changed alone."""
 
     @pytest.mark.parametrize("base", _BASES)
-    def test_any_json_type_gives_a_verdict_or_one_error_line(self, base, tmp_path, capsys):
+    def test_any_json_type_gives_a_verdict_or_one_error_line(self, base, tmp_path):
         payload, path_file, bad = TestTamperTable._base(base), tmp_path / "cert.json", []
         for path, _ in _paths(payload):
             for value in _ANY_TYPE:
                 path_file.write_text(json.dumps(_changed(payload, path, value)))
                 try:
-                    code = cli.main(["witness", "verify", "--file", str(path_file)])
+                    code, out, err = run_main(["witness", "verify", "--file", str(path_file)])
                 except Exception as exc:  # any escape is the failure sought
-                    code = repr(exc)
-                out, err = capsys.readouterr()
+                    code, out, err = repr(exc), "", ""
                 verdict = code == 0 and out.startswith(("VERIFIED", "REJECTED")) and not err
                 error = code == 2 and not out and len(err.splitlines()) == 1 \
                     and err.startswith("error: ")
