@@ -4,7 +4,7 @@ rungs on algebra files.  Only ``lie build`` loads the catalog."""
 from __future__ import annotations
 
 from . import matlie
-from .base import TOO_MANY_DIGITS, InputError, fits_digit_cap
+from .base import TOO_MANY_DIGITS, InputError, fits_digit_cap, write_json
 from .matlie import _encode_rational
 
 # Most random-search work that ``simple --cross-check N`` accepts, counted
@@ -42,7 +42,7 @@ def _build(args):
     rpt = dict(algebra=payload, dim=algebra.dim)
     lines = [f"built {algebra.name}: ambient {algebra.ambient}, dim {algebra.dim}"]
     if args.output:
-        catalog.save_algebra(algebra, args.output)
+        write_json(args.output, payload)
         lines.append(f"wrote {args.output}")
     return rpt, lines
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from . import dsl, witness
+from .base import write_json
 
 
 def handle(args):
@@ -24,7 +25,7 @@ def handle(args):
                 f"value {cert.first_value}",
             )
         if args.output:
-            witness.save_certificate(cert, args.output)
+            write_json(args.output, payload)
             lines.append(f"wrote {args.output}")
         return rpt, lines
     if args.cmd == "verify":

@@ -31,8 +31,7 @@ from collections import deque
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from . import ratlinalg
-from .base import Frozen, InputError, as_fraction, parse_rational, read_json, typed
+from .base import Frozen, InputError, parse_rational, read_json, typed
 from .ratlinalg import (
     F0,
     F1,
@@ -44,7 +43,6 @@ from .ratlinalg import (
     bracket_flat,
     frac_mod_p,
     linear_combination,
-    nullspace,
 )
 
 # RationalMatrix and bracket live in ratlinalg and stay listed here:
@@ -72,7 +70,6 @@ __all__ = [
     "load_seeds",
     "matrices_from_json",
     "random_ideal_search",
-    "subspace_from_coords",
 ]
 
 # The catalog names that perfbench/make_algebras.py calls through matlie;
@@ -144,12 +141,11 @@ class Subspace(Frozen):
 
 
 def _subspace(parent: LieAlgebraPresentation, rows) -> Subspace:
-    """Subspace spanned by coordinate rows, dense or sparse dicts."""
-    return Subspace(parent, tuple(tuple(r) for r in _span(rows, parent.dim).reduced()))
-
-
-def subspace_from_coords(parent: LieAlgebraPresentation, rows: Sequence[Sequence]) -> Subspace:
-    return _subspace(parent, ([as_fraction(v) for v in row] for row in rows))
+    """Subspace spanned by sparse coordinate rows: the one constructor, and
+    the only code that writes its reduced rows dense."""
+    d = parent.dim
+    return Subspace(parent, tuple(tuple(row.get(c, F0) for c in range(d))
+                                  for row in _span(rows).reduced()))
 
 
 def _matrix_coords(L: LieAlgebraPresentation, mats: Sequence[RationalMatrix]) -> List[dict]:
@@ -280,9 +276,18 @@ def is_lie_ideal(L: LieAlgebraPresentation, J: Subspace) -> IdealCheck:
     return IdealCheck(True, None)
 
 
-def _center_coords(L: LieAlgebraPresentation) -> List[List[Fraction]]:
+def _center_coords(L: LieAlgebraPresentation) -> List[dict]:
     d = L.dim
-    return nullspace((row for ad in _structure(L).ads for row in _rows(ad, d)), d)
+    return _span((row for ad in _structure(L).ads for row in _rows(ad, d)), d).sparse_kernel()
+
+
+def _eigenspace(C: RationalMatrix, lam: Fraction = F0) -> List[dict]:
+    """Sparse canonical basis of the kernel of C - lam·I."""
+    d = C.rows
+    rows = [{i: -lam} for i in range(d)]
+    for (i, j), v in C.nonzeros().items():
+        rows[i][j] = rows[i].get(j, F0) + v
+    return _span(rows, d).sparse_kernel()
 
 
 class KillingReport(Frozen):
@@ -296,7 +301,7 @@ def killing_form(L: LieAlgebraPresentation) -> KillingReport:
         raise InputError("need a nonzero algebra")
     ads = _structure(L).ads
     d = L.dim
-    k = [[F0] * d for _ in range(d)]
+    k = [{} for _ in range(d)]  # sparse rows of the form
     for i in range(d):
         # tr(ad_i ad_j) sums ad_i[l][m] * ad_j[m][l] over the nonzeros of ad_i
         entries = [(m, l, c) for m, col in enumerate(ads[i]) for l, c in col.items()]
@@ -307,9 +312,11 @@ def killing_form(L: LieAlgebraPresentation) -> KillingReport:
                 x = adj[l].get(m)
                 if x:
                     acc += c * x
-            k[i][j] = acc
-            k[j][i] = acc
-    return KillingReport(RationalMatrix(k), ratlinalg.rank(k))
+            if acc:
+                k[i][j] = k[j][i] = acc
+    matrix = RationalMatrix.from_nonzeros(d, d, {(i, j): v for i, row in enumerate(k)
+                                                 for j, v in row.items()})
+    return KillingReport(matrix, _span(k).rank)
 
 
 def _ideal_span(
@@ -334,7 +341,7 @@ def _ideal_span(
 
 def _ideal_fixpoint(L: LieAlgebraPresentation, seeds: Sequence[dict]) -> Subspace:
     """Least Lie ideal containing the sparse coordinate vectors seeds."""
-    return Subspace(L, tuple(map(tuple, _ideal_span(_structure(L).ads, seeds).reduced())))
+    return _subspace(L, _ideal_span(_structure(L).ads, seeds).reduced())
 
 
 def lie_ideal_generated(L: LieAlgebraPresentation, seeds: Sequence[RationalMatrix]) -> Subspace:
@@ -426,13 +433,13 @@ def _commutant(ads: Sequence[Sequence[dict]], d: int, positions, p: Optional[int
 
 def _commutant_exact(ads: Sequence[Sequence[dict]], d: int, positions) -> List[RationalMatrix]:
     """The exact commutant maps zero off the given positions, in the basis
-    ``SparseEchelon.kernel`` gives for the full constraint system: reduced
-    echelon form with the columns read right to left, so each vector has a
-    unit at its last nonzero column."""
+    ``SparseEchelon.sparse_kernel`` gives for the full constraint system:
+    reduced echelon form with the columns read right to left, so each vector
+    has a unit at its last nonzero column."""
     last = d * d - 1
     flipped = ({last - c: x for c, x in v.items()} for v in _commutant(ads, d, positions))
-    return [RationalMatrix.from_flat(d, d, row[::-1])
-            for row in reversed(_span(flipped, d * d).reduced())]
+    return [RationalMatrix.from_flat(d, d, {last - c: x for c, x in row.items()})
+            for row in reversed(_span(flipped).reduced())]
 
 
 def adjoint_commutant(L: LieAlgebraPresentation) -> tuple:
@@ -575,9 +582,7 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
         if derived.dim == 0:
             witness = None
             if d >= 2:
-                witness = _checked_witness(
-                    L, subspace_from_coords(L, [[F1] + [F0] * (d - 1)])
-                )
+                witness = _checked_witness(L, _subspace(L, [{0: F1}]))
             return SimplicityReport("Abelian", witness, "derived algebra is zero")
         if derived.dim < d:
             return SimplicityReport(
@@ -589,13 +594,12 @@ def is_simple(L: LieAlgebraPresentation) -> SimplicityReport:
         if center:
             return SimplicityReport(
                 "NotSimple",
-                _checked_witness(L, subspace_from_coords(L, center)),
+                _checked_witness(L, _subspace(L, center)),
                 "center is a proper nonzero Lie ideal",
             )
-        rad = nullspace(killing.matrix.entries, d)
         return SimplicityReport(
             "NotSimple",
-            _checked_witness(L, subspace_from_coords(L, rad)),
+            _checked_witness(L, _subspace(L, _eigenspace(killing.matrix))),
             "Killing radical is a proper nonzero Lie ideal",
         )
     com = adjoint_commutant(L)
@@ -639,17 +643,12 @@ def _extract_commutant_witness(L: LieAlgebraPresentation, com: tuple) -> Optiona
     eigenvalue that is not all of L, or None."""
     d = L.dim
     for C in com:
-        dense = C.entries
         # C lies in the centroid of a semisimple algebra, a product of number
         # fields, so its minimal polynomial is square-free
         for lam in _rational_roots(_min_poly(C)):
-            shifted = [
-                [v - lam if i == j else v for j, v in enumerate(row)]
-                for i, row in enumerate(dense)
-            ]
-            J = subspace_from_coords(L, nullspace(shifted, d))
-            if J.dim < d:  # C is not lam times the identity
-                return _checked_witness(L, J)
+            space = _eigenspace(C, lam)
+            if len(space) < d:  # C is not lam times the identity
+                return _checked_witness(L, _subspace(L, space))
     return None
 
 

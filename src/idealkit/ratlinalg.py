@@ -1,15 +1,14 @@
 """Exact linear algebra over the rationals, plus a modular rank certificate.
 
 ``SparseEchelon`` is the one elimination core: an online echelon over sparse
-rows (dict column -> value, or dense sequences), over Fraction or GF(p)
-integers as its caller picks.  ``insert`` adds a row, ``reduce`` returns the
-remainder after eliminating every held pivot (empty exactly when the row lies
-in the span), and ``back_substitute`` clears every pivot column from the
-other held rows in place; all three run one elimination step, ``_subtract``.
-``reduced`` (the dense RREF) and ``sparse_kernel`` (the canonical kernel
-basis; ``kernel`` is its dense view) read off the back-substituted rows.  The
-remainder, the RREF and the kernel depend only on the span.  ``rank`` and
-``nullspace`` are adapters from dense rows to the core.
+rows (dict column -> value), over Fraction or GF(p) integers as its caller
+picks.  Rows enter and leave it sparse.  ``insert`` adds a row, ``reduce``
+returns the remainder after eliminating every held pivot (empty exactly when
+the row lies in the span), and ``back_substitute`` clears every pivot column
+from the other held rows in place; all three run one elimination step,
+``_subtract``.  ``reduced`` (copies of the RREF rows) and ``sparse_kernel``
+(the canonical kernel basis) read off the back-substituted rows.  The
+remainder, the RREF and the kernel depend only on the span.
 
 No other module reads a ``RationalMatrix``'s stored rows; its flat form, the
 nonzeros keyed by row-major index r·cols + c (``flat_nonzeros``, ``from_flat``),
@@ -32,7 +31,7 @@ tried only when a denominator of the input vanishes modulo the current one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .base import as_fraction
 
@@ -43,8 +42,6 @@ F1 = Fraction(1)
 __all__ = [
     "SparseEchelon",
     "frac_mod_p",
-    "nullspace",
-    "rank",
     "MODP_PRIMES",
 ]
 
@@ -54,30 +51,20 @@ __all__ = [
 MODP_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
-def _span(rows: Iterable, ncols: int = 0) -> "SparseEchelon":
-    """Echelon over Q of rows, dense or sparse dicts; ncols is the width
-    ``reduced`` and ``kernel`` see."""
+def _span(rows: Iterable[dict], ncols: int = 0) -> "SparseEchelon":
+    """Echelon over Q of sparse rows; ncols is the width ``sparse_kernel``
+    and ``coords`` see."""
     ech = SparseEchelon(ncols)
     for row in rows:
         ech.insert(row)
     return ech
 
 
-def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return _span(rows).rank
-
-
-def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Canonical kernel basis: one vector per free column, unit at that column."""
-    return _span(rows, ncols).kernel()
-
-
-def _normalised(row, p: Optional[int]) -> dict:
-    """A new sparse dict of a dense or sparse row's nonzeros, mod p if p is given."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
+def _normalised(row: dict, p: Optional[int]) -> dict:
+    """A new sparse dict of a row's nonzeros, mod p if p is given."""
     if p is None:
-        return {c: v for c, v in items if v}
-    return {c: v % p for c, v in items if v % p}
+        return {c: v for c, v in row.items() if v}
+    return {c: v % p for c, v in row.items() if v % p}
 
 
 def linear_combination(vectors: Sequence[dict], items, p: Optional[int] = None) -> dict:
@@ -105,7 +92,7 @@ def _subtract(work: dict, f, row: dict, p: Optional[int]) -> None:
 
 
 class SparseEchelon:
-    """Online echelon over sparse rows (dict column -> value) or dense ones.
+    """Online echelon over sparse rows (dict column -> value).
 
     The caller picks the field: Fraction coefficients when ``p`` is None,
     otherwise integers in GF(p).  Each stored row has pivot value one at its
@@ -125,7 +112,7 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def insert(self, row) -> bool:
+    def insert(self, row: dict) -> bool:
         """Add a row, eliminating its leftmost entry until that lands on a
         column without a pivot; False when the row depends on the held rows."""
         p = self.p
@@ -146,7 +133,7 @@ class SparseEchelon:
             _subtract(work, f, existing, p)
         return False
 
-    def reduce(self, row) -> dict:
+    def reduce(self, row: dict) -> dict:
         """Remainder of a row after eliminating every held pivot: zero at each
         pivot column, empty exactly when the row lies in the span."""
         p = self.p
@@ -157,7 +144,7 @@ class SparseEchelon:
                 _subtract(work, f, existing, p)
         return work
 
-    def coords(self, vec) -> Optional[dict]:
+    def coords(self, vec: dict) -> Optional[dict]:
         """Nonzero tag coordinates {k: c} of a vector with entries below
         ``ncols``, or None outside the span; over Fraction only.  On
         back-substituted rows, vec lies in the span exactly when vec minus
@@ -175,7 +162,7 @@ class SparseEchelon:
                 for p, row in self._rows.items()
             }
         rest, col = {}, {}
-        for c, v in vec.items() if isinstance(vec, dict) else enumerate(vec):
+        for c, v in vec.items():
             part = split.get(c)
             if part is None:
                 rest[c] = rest[c] + v if c in rest else v
@@ -203,17 +190,11 @@ class SparseEchelon:
                 _subtract(row, f, rows[q], p)
 
     def reduced(self) -> list:
-        """Dense reduced row echelon rows of the span, in pivot order: the
-        held rows, back-substituted in place."""
+        """Reduced row echelon rows of the span, in pivot order: copies of
+        the held rows, back-substituted in place, so a caller cannot edit
+        them."""
         self.back_substitute()
-        zero = F0 if self.p is None else 0
-        out = []
-        for piv in sorted(self._rows):
-            dense = [zero] * self.ncols
-            for c, v in self._rows[piv].items():
-                dense[c] = v
-            out.append(dense)
-        return out
+        return [dict(self._rows[piv]) for piv in sorted(self._rows)]
 
     def sparse_kernel(self) -> list:
         """Canonical kernel basis as sparse vectors {column: value}, one per
@@ -228,11 +209,6 @@ class SparseEchelon:
                 if f in basis:
                     basis[f][piv] = -v if p is None else -v % p
         return list(basis.values())
-
-    def kernel(self) -> list:
-        """Dense view of ``sparse_kernel``."""
-        zero = F0 if self.p is None else 0
-        return [[vec.get(c, zero) for c in range(self.ncols)] for vec in self.sparse_kernel()]
 
 
 def frac_mod_p(f: Fraction, p: int) -> Optional[int]:
@@ -261,7 +237,7 @@ class RationalMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix")
-        data = {i: _normalised(r, None) for i, r in enumerate(rows) if any(r)}
+        data = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(rows) if any(r)}
         self._init(len(rows), width, data)
 
     def _init(self, rows: int, cols: int, data: dict) -> None:
@@ -295,11 +271,10 @@ class RationalMatrix:
         return cls._make(rows, cols, data)
 
     @classmethod
-    def from_flat(cls, rows: int, cols: int, flat) -> "RationalMatrix":
-        """Matrix from row-major flat entries: a dense sequence, or a dict
-        {r·cols + c: value} like the one ``flat_nonzeros`` returns."""
-        items = flat.items() if isinstance(flat, dict) else enumerate(flat)
-        return cls.from_nonzeros(rows, cols, {divmod(k, cols): v for k, v in items if v})
+    def from_flat(cls, rows: int, cols: int, flat: dict) -> "RationalMatrix":
+        """Matrix from its row-major flat nonzeros {r·cols + c: value}, like
+        the ones ``flat_nonzeros`` returns."""
+        return cls.from_nonzeros(rows, cols, {divmod(k, cols): v for k, v in flat.items() if v})
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":

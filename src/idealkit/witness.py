@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 from . import dsl
 from .base import (MAX_RATIONAL_DIGITS, Frozen, InputError, fits_digit_cap, parse_rational,
-                   read_json, typed, write_json)
+                   read_json, typed)
 from .idealcalc import Principal, is_soft
 from .ratlinalg import RationalMatrix, bracket
 from .seqspace import (
@@ -46,13 +46,11 @@ __all__ = [
     "MAX_SCAN_WINDOW",
     "MAX_TRUNCATION",
     "MIN_TRUNCATION",
-    "ShiftBracket",
     "ShiftModel",
     "build_certificate",
     "certificate_from_json",
     "certificate_to_json",
     "load_certificate",
-    "save_certificate",
     "shift_bracket",
     "verify_certificate",
 ]
@@ -108,25 +106,10 @@ def _lower_shift(weights: list) -> RationalMatrix:
     return RationalMatrix.from_nonzeros(n, n, {(i, i - 1): x for i, x in enumerate(weights, 1)})
 
 
-class ShiftBracket(Frozen):
-    """Commutator of two forward shifts: a two-step shift with weights
-    a_n = v_n * w_{n+1} - w_n * v_{n+1}."""
-
-    # first_nonzero: (index, exact value), or None for AllZero; proven_zero:
-    # True for structural proportionality, False for a window scan only
-    def __init__(self, w: SequenceExpr, v: SequenceExpr, first_nonzero: Optional[tuple],
-                 proven_zero: bool, window: int):
-        vars(self).update(w=w, v=v, first_nonzero=first_nonzero, proven_zero=proven_zero,
-                          window=window)
-
-    @property
-    def all_zero(self) -> bool:
-        return self.first_nonzero is None
-
-    def weight_at(self, n: int) -> Fraction:
-        a = eval_at(self.v, n) * eval_at(self.w, n + 1)
-        b = eval_at(self.w, n) * eval_at(self.v, n + 1)
-        return a - b
+def _commutator_weight(w_n, w_next, v_n, v_next):
+    """Weight n of the two-step shift [T_w, T_v], from weights n and n + 1
+    of w and v: a_n = v_n * w_{n+1} - w_n * v_{n+1}."""
+    return v_n * w_next - w_n * v_next
 
 
 def _strip_scale(expr: SequenceExpr) -> SequenceExpr:
@@ -135,34 +118,31 @@ def _strip_scale(expr: SequenceExpr) -> SequenceExpr:
     return expr
 
 
-def shift_bracket(
-    w: SequenceExpr, v: SequenceExpr, window: int = DEFAULT_SCAN_WINDOW
-) -> ShiftBracket:
-    """Exact commutator weights of two shifts, with the least nonzero index.
-
-    Proportional weight sequences commute identically (detected structurally
-    after stripping scale factors); otherwise the weights are scanned on a
-    finite window, and an all-zero scan is reported as AllZero with the
-    window recorded.  Before the scan passes each power of two n, both
-    sequences must meet the weight-size limit at 2n, which bounds every
-    weight the scan evaluates up to there.
+def shift_bracket(w: SequenceExpr, v: SequenceExpr, window: int = DEFAULT_SCAN_WINDOW):
+    """The least index of a nonzero commutator weight of two shifts, as
+    (index, exact value); otherwise the certificate's central mode:
+    "structural" for proportional weight sequences, which commute
+    identically (detected after stripping scale factors), or "window" when
+    the weights 1..window scan to zero.  Before the scan passes each power
+    of two n, both sequences must meet the weight-size limit at 2n, which
+    bounds every weight the scan evaluates up to there.
     """
     ensure_valid(w)
     ensure_valid(v)
     # exactness first: it is refused before the proportional shortcut and any size refusal
     if not (has_exact_eval(w) and has_exact_eval(v)):
         raise CertificateError("shift brackets need exactly evaluable weights")
-    br = ShiftBracket(w, v, None, False, window)
     if _strip_scale(w) == _strip_scale(v):
-        return ShiftBracket(w, v, None, True, window)
+        return "structural"
     for n in range(1, window + 1):
         if n & (n - 1) == 0:
             check_weight_bits(w, 2 * n, CertificateError, "scan index")
             check_weight_bits(v, 2 * n, CertificateError, "scan index")
-        val = br.weight_at(n)
+        val = _commutator_weight(eval_at(w, n), eval_at(w, n + 1), eval_at(v, n),
+                                 eval_at(v, n + 1))
         if val != 0:
-            return ShiftBracket(w, v, (n, val), False, window)
-    return br
+            return n, val
+    return "window"
 
 
 class Certificate(Frozen):
@@ -196,8 +176,8 @@ def _truncation_window_agrees(t: ShiftModel, s: ShiftModel) -> bool:
     a = bracket(_lower_shift(w), _lower_shift(v)).nonzeros()
     if any(r != c + 2 for r, c in a):
         return False
-    # w[i] is weight i+1, so the formula's a_i = v_i w_{i+1} - w_i v_{i+1}
-    return all(a.get((i + 1, i - 1), 0) == v[i - 1] * w[i] - w[i - 1] * v[i]
+    # w[i] is weight i+1, so weights i and i+1 are w[i-1] and w[i]
+    return all(a.get((i + 1, i - 1), 0) == _commutator_weight(w[i - 1], w[i], v[i - 1], v[i])
                for i in range(1, len(w)))
 
 
@@ -225,19 +205,20 @@ def _derive(generator: ShiftModel, pool: Sequence[ShiftModel], scan_window: int,
     and no later entry is evaluated; with none the branch is central, in mode
     "structural" when every commutator vanishes by proportionality and
     "window" when its vanishing was only scanned."""
-    brackets, partner = [], None
+    partner, mode = None, "structural"
     for s in pool:
-        brackets.append(shift_bracket(generator.weights, s.weights, scan_window))
-        if not brackets[-1].all_zero:
+        found = shift_bracket(generator.weights, s.weights, scan_window)
+        if found == "window":
+            mode = "window"
+        elif found != "structural":
             partner = s
             break
     if partner is not None:
-        branch, mode, (index, value) = "commutator", None, brackets[-1].first_nonzero
+        branch, mode, (index, value) = "commutator", None, found
         conclusion = ("the Lie ideal generated by the commutator A = [T, S] is nonzero and "
                       "does not contain T, so no Lie algebra containing T and S is simple")
     else:
         branch, index, value = "central", None, None
-        mode = "structural" if all(br.proven_zero for br in brackets) else "window"
         how = ("proportional weights, proven for every index" if mode == "structural"
                else f"verified on the first {scan_window} commutator weights only")
         conclusion = (f"T commutes with every partner in the recorded pool ({how}); in any "
@@ -389,10 +370,6 @@ def certificate_from_json(obj: dict) -> Certificate:
             f"first nonzero index {cert.first_index} lies outside 1..{cert.scan_window}"
         )
     return cert
-
-
-def save_certificate(cert: Certificate, path: str) -> None:
-    write_json(path, certificate_to_json(cert))
 
 
 def load_certificate(path: str) -> Certificate:

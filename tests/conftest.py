@@ -176,7 +176,59 @@ def ambient_span(space) -> tuple:
     ech = SparseEchelon(n * n)
     for m in mats:
         ech.insert(m.flat_nonzeros())
-    return tuple(map(tuple, ech.reduced()))
+    return tuple(tuple(sorted(row.items())) for row in ech.reduced())
+
+
+def textbook_rref(rows, ncols: int) -> tuple:
+    """(reduced rows, pivot columns) of dense rational rows by Gauss-Jordan
+    elimination on a dense copy, column by column: a reference for the
+    sparse echelon core that shares none of its code."""
+    m = [[F(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def textbook_rank(rows, ncols=None) -> int:
+    rows = list(rows)
+    return len(textbook_rref(rows, len(rows[0]) if ncols is None else ncols)[1])
+
+
+def textbook_nullspace(rows, ncols: int) -> list:
+    """The canonical kernel basis of dense rows: for each free column f, the
+    vector with a unit at f and minus each reduced row's entry f at its
+    pivot."""
+    red, pivots = textbook_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [F(0)] * ncols
+            vec[f] = F(1)
+            for row, p in zip(red, pivots):
+                vec[p] = -row[f]
+            basis.append(vec)
+    return basis
+
+
+def sparse(row) -> dict:
+    """The nonzeros of a dense row, keyed by column."""
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def dense(vec: dict, ncols: int) -> list:
+    """A sparse vector {column: value} written out as ncols entries."""
+    return [vec.get(c, F(0)) for c in range(ncols)]
 
 
 def trace(m: RationalMatrix) -> F:

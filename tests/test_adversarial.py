@@ -22,11 +22,10 @@ from idealkit.base import MAX_RATIONAL_DIGITS
 from idealkit.catalog import algebra_to_json, sl
 from idealkit.dsl import parse_seq
 from idealkit.matlie import MAX_ALGEBRA_ENTRIES
-from idealkit.ratlinalg import rank
 from idealkit.seqspace import MAX_WEIGHT_BITS, Exp, Pow, Product
 from idealkit.witness import DEFAULT_SCAN_WINDOW, ShiftModel, build_certificate, certificate_to_json
 
-from conftest import BudgetExceeded, run_main
+from conftest import BudgetExceeded, run_main, textbook_rank
 
 
 class Row(NamedTuple):
@@ -497,7 +496,7 @@ def rebased_sl(n: int, seed: int = 0) -> bytes:
     d = len(flats)
     while True:
         change = [[F(rng.choice((-1, 0, 1))) for _ in range(d)] for _ in range(d)]
-        if rank(change) == d:
+        if textbook_rank(change) == d:
             break
     payload["basis"] = [[str(sum(c * flat[k] for c, flat in zip(row, flats)))
                          for k in range(n * n)] for row in change]

@@ -13,13 +13,13 @@ from decimal import Decimal
 import pytest
 
 from idealkit import cli, witness
-from idealkit.base import MAX_RATIONAL_DIGITS
+from idealkit.base import MAX_RATIONAL_DIGITS, write_json
 from idealkit.catalog import _KINDS, direct_sum, make_algebra, save_algebra, sl, sp_standard
 from idealkit.dsl import MAX_NESTING
 from idealkit.seqspace import Pow
 from idealkit.witness import DEFAULT_SCAN_WINDOW, MAX_SCAN_WINDOW, MAX_TRUNCATION, MIN_TRUNCATION
 
-from conftest import SRC, run_main, run_process
+from conftest import SRC, diagonal_algebra, run_main, run_process
 from test_adversarial import FUSED_INDICES, SCALE_RUNS, USAGE_ERRORS, table_test
 
 
@@ -561,40 +561,51 @@ class TestLieCommands:
         payload = json.loads(run_main(argv[:-2] + ["--json"])[1])
         assert payload["algebra"]["name"] == "tri" and payload["dim"] == 2
 
-    # sha256 of the whole `lie simple --json` stdout, or of `lie ideal-gen
-    # --json` when a seed {basis index: coefficient} is given.  The benchmark
-    # oracle accepts either summand as the witness, so only these digests
-    # catch a changed witness, commutant basis or coordinate.  ut-sl(6) and
-    # strictly-upper(5) pin witnesses of the derived-algebra rung; the two
-    # seeds, one inside the sp(3) summand and one mixed, pin coordinates read
-    # off the closure scan's echelon.
+    # sha256 of the whole `lie CMD --json` stdout, with `lie ideal-gen` given
+    # the seed {basis index: coefficient}.  The benchmark oracle accepts
+    # either summand as the witness, so only these digests catch a changed
+    # witness, commutant basis or coordinate.  ut-sl(6) and strictly-upper(5)
+    # pin witnesses of the derived-algebra rung; the two seeds, one inside the
+    # sp(3) summand and one mixed, pin coordinates read off the closure scan's
+    # echelon.  The Killing forms of strictly-upper(4) (zero) and ut-sl(4)
+    # (degenerate), the derived algebra of ut-sl(5) and the Abelian witness of
+    # the diagonal algebra pin the other report rows built from the echelon.
     @pytest.mark.parametrize(
-        "algebra,seed,digest",
+        "cmd,algebra,seed,digest",
         [
-            (direct_sum(sp_standard(3), sp_standard(2)), None,
+            ("simple", direct_sum(sp_standard(3), sp_standard(2)), None,
              "4ba034fdfea7a354831e5c8816cd50fc1a0ea398f641f4c0df56762fdafbe9da"),
-            (direct_sum(sl(2), sl(3)), None,
+            ("simple", direct_sum(sl(2), sl(3)), None,
              "58920d6ced3814aa7cf2bdc6d3f96333740d0167b708cc61947a7bd3f004e9fc"),
-            (direct_sum(direct_sum(sl(2), sl(2)), sl(2)), None,
+            ("simple", direct_sum(direct_sum(sl(2), sl(2)), sl(2)), None,
              "7c6e469573580aac0ddb9e745ba6aab881bd9128925543ab16743797e850cabb"),
-            (direct_sum(sp_standard(5), sp_standard(5)), None,
+            ("simple", direct_sum(sp_standard(5), sp_standard(5)), None,
              "777c36cd8fbc92513bf4931d8357812fc020c5a116ba5a1a0639ede629bcb807"),
-            (make_algebra("ut-sl", 6), None,
+            ("simple", make_algebra("ut-sl", 6), None,
              "f3919dc7fbeb67acc83b2838073c0c451f4e318da6ab30d7131809a8187a3e44"),
-            (make_algebra("strictly-upper", 5), None,
+            ("simple", make_algebra("strictly-upper", 5), None,
              "a0ccae8a40209fadeffde9f0340d69a426ae3f10c7ed601ec086a71f8d9abd7c"),
-            (direct_sum(sp_standard(3), sp_standard(2)), {2: 1, 7: -3, 15: 2},
+            ("ideal-gen", direct_sum(sp_standard(3), sp_standard(2)), {2: 1, 7: -3, 15: 2},
              "cc78287c86edbc5cf230239de2ab0fb46dfbd1290948260127ece46f3a83fdeb"),
-            (direct_sum(sp_standard(3), sp_standard(2)), {4: 1, 25: 5},
+            ("ideal-gen", direct_sum(sp_standard(3), sp_standard(2)), {4: 1, 25: 5},
              "9c46cc052886dbdaaa91cbeb43513070101523ccce25a69e2c38a80cbbdee823"),
+            ("killing", make_algebra("strictly-upper", 4), None,
+             "494ca59468ada00311d074688f2fe12b0412be9c9eb071115032d768cbef0ac8"),
+            ("killing", make_algebra("ut-sl", 4), None,
+             "1acf5baf03117c2df661d9aa3c29239a941fb9121082ae6fcc0a5a2ec8016e57"),
+            ("derived", make_algebra("ut-sl", 5), None,
+             "af34cd3c67f5927846d2ac53064aca2cd88decce7261dfd86ee3308bca3ebe7c"),
+            ("simple", diagonal_algebra(2), None,
+             "6114842e385933c8927d93ef26352a9d8ac59387c2b9422117e4a2d52f89932b"),
         ],
         ids=["sp3+sp2", "sl2+sl3", "sl2+sl2+sl2", "sp5+sp5", "ut-sl6", "strictly-upper5",
-             "ideal-gen-sp3+sp2-summand", "ideal-gen-sp3+sp2-mixed"],
+             "ideal-gen-sp3+sp2-summand", "ideal-gen-sp3+sp2-mixed", "killing-strictly-upper4",
+             "killing-ut-sl4", "derived-ut-sl5", "abelian-diagonal2"],
     )
-    def test_simple_json_bytes_pinned(self, tmp_path, algebra, seed, digest):
+    def test_simple_json_bytes_pinned(self, tmp_path, cmd, algebra, seed, digest):
         algebra_file = str(tmp_path / "algebra.json")
         save_algebra(algebra, algebra_file)
-        argv = ["lie", "simple", "--file", algebra_file, "--json"]
+        argv = ["lie", cmd, "--file", algebra_file, "--json"]
         if seed is not None:
             flats = [algebra.basis[k].flat() for k in seed]
             element = [sum(c * flat[i] for c, flat in zip(seed.values(), flats))
@@ -602,7 +613,7 @@ class TestLieCommands:
             seeds_file = str(tmp_path / "seeds.json")
             with open(seeds_file, "w", encoding="utf-8") as fh:
                 json.dump({"elements": [[str(v) for v in element]]}, fh)
-            argv[1:2] = ["ideal-gen", "--seeds", seeds_file]
+            argv[2:2] = ["--seeds", seeds_file]
         code, out, _ = run_main(argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -739,7 +750,7 @@ class TestWitnessCommands:
             cert = witness.build_certificate(witness.ShiftModel(Pow(1)),
                                              [witness.ShiftModel(Pow(2))], window)
         assert cert.branch == "central"
-        witness.save_certificate(cert, cert_file)
+        write_json(cert_file, witness.certificate_to_json(cert))
         assert run_main(["witness", "verify", "--file", cert_file]) == (
             2, "", f"error: scan window {window} is below the minimum 1\n")
 

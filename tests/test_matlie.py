@@ -36,7 +36,6 @@ from idealkit.matlie import (
     killing_form,
     lie_ideal_generated,
     random_ideal_search,
-    subspace_from_coords,
 )
 from idealkit.ratlinalg import RationalMatrix, bracket
 from idealkit.matlie import (
@@ -47,10 +46,11 @@ from idealkit.matlie import (
     _rational_roots,
     _structure,
 )
-from idealkit.ratlinalg import MODP_PRIMES, SparseEchelon, rank
+from idealkit.ratlinalg import MODP_PRIMES, SparseEchelon
 from idealkit.seqspace import Pow, PowLog
 
-from conftest import ambient_span, combination, diagonal_algebra, matrices, trace
+from conftest import (ambient_span, combination, diagonal_algebra, matrices, sparse, textbook_rank,
+                      trace)
 
 small_fraction = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 
@@ -74,6 +74,11 @@ def dense_constants(algebra):
 def dense_ads(algebra):
     """ad(b_i) as dense rows: row k, column j holds coordinate k of [b_i, b_j]."""
     return [[list(row) for row in zip(*cols)] for cols in dense_constants(algebra)]
+
+
+def subspace(algebra, rows):
+    """The subspace of algebra spanned by dense coordinate rows."""
+    return matlie._subspace(algebra, [sparse(map(F, row)) for row in rows])
 
 
 def from_entries(n, *mats):
@@ -174,7 +179,7 @@ def reference_commutant(algebra):
                 for k, v in rows[i]:
                     row[k * d + j] = row.get(k * d + j, 0) - v
                 ech.insert(row)
-    return [RationalMatrix([vec[r * d:(r + 1) * d] for r in range(d)]) for vec in ech.kernel()]
+    return [RationalMatrix.from_flat(d, d, vec) for vec in ech.sparse_kernel()]
 
 
 class TestConstructors:
@@ -336,7 +341,7 @@ class TestLieIdealGenerated:
         algebra = upper_triangular_sl(4)
         small = lie_ideal_generated(algebra, [E(4, 0, 3)])
         large = lie_ideal_generated(algebra, [E(4, 0, 3), E(4, 0, 1)])
-        joined = subspace_from_coords(algebra, large.vectors + small.vectors)
+        joined = subspace(algebra, large.vectors + small.vectors)
         assert joined.vectors == large.vectors
         again = lie_ideal_generated(algebra, matrices(small))
         assert again.vectors == small.vectors
@@ -345,32 +350,32 @@ class TestLieIdealGenerated:
 class TestIsLieIdeal:
     def test_whole_algebra(self):
         algebra = sl(2)
-        whole = subspace_from_coords(algebra, [[int(i == j) for j in range(3)] for i in range(3)])
+        whole = subspace(algebra, [[int(i == j) for j in range(3)] for i in range(3)])
         assert is_lie_ideal(algebra, whole).is_ideal
 
     def test_strictly_upper_in_triangular(self):
         ut4 = upper_triangular_sl(4)
         # basis: 3 diagonal differences, then the 6 strictly upper units
-        sub = subspace_from_coords(ut4, [[int(i == j) for j in range(9)] for i in range(3, 9)])
+        sub = subspace(ut4, [[int(i == j) for j in range(9)] for i in range(3, 9)])
         assert is_lie_ideal(ut4, sub).is_ideal
 
     def test_root_space_is_not_an_ideal(self):
         algebra = sl(2)
-        sub = subspace_from_coords(algebra, [[1, 0, 0]])  # E01
+        sub = subspace(algebra, [[1, 0, 0]])  # E01
         chk = is_lie_ideal(algebra, sub)
         assert not chk.is_ideal
         # basis (E01, E10, H): ad(E01) kills E01, [E10, E01] = -H is the first miss
         assert chk.violation == (1, 0)
 
     def test_subspace_of_another_presentation_refused(self):
-        J = subspace_from_coords(sl(2), [[1, 0, 0]])
+        J = subspace(sl(2), [[1, 0, 0]])
         with pytest.raises(ValueError, match="does not live in the given presentation"):
             is_lie_ideal(upper_triangular_sl(2), J)
 
     def test_zero_witness_refused(self):
         # the zero subspace is a Lie ideal, but not a proper nonzero one
         with pytest.raises(RuntimeError, match="trivial dimension"):
-            matlie._checked_witness(sl(2), subspace_from_coords(sl(2), []))
+            matlie._checked_witness(sl(2), subspace(sl(2), []))
 
     @pytest.mark.parametrize("matrix,shape", [
         (E(3, 0, 1), "3 x 3"),
@@ -564,7 +569,7 @@ class TestCommutantReference:
         # an invertible integer change of basis of sl(2)+sl(2) makes the
         # structure constants rational
         change = [entries[6 * r:6 * r + 6] for r in range(6)]
-        assume(rank([[F(v) for v in row] for row in change]) == 6)
+        assume(textbook_rank(change) == 6)
         base = direct_sum(sl(2), sl(2)).basis
         basis = tuple(combination(4, zip(row, base)) for row in change)
         self.check(LieAlgebraPresentation(4, basis, "sl2+sl2_rebased"))

@@ -96,7 +96,6 @@ def test_dense_views_round_trip(data, r, c):
     assert RationalMatrix.from_nonzeros(r, c, m.nonzeros()) == m
     assert m.flat_nonzeros() == {k: v for k, v in enumerate(m.flat()) if v}
     assert RationalMatrix.from_flat(r, c, m.flat_nonzeros()) == m
-    assert RationalMatrix.from_flat(r, c, m.flat()) == m
 
 
 def test_constructors_and_repr():

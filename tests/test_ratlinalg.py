@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: the sparse echelon core over the rationals
-and over GF(p), its span and coordinate queries, and the dense adapters."""
+and over GF(p), and its span and coordinate queries, against a textbook
+dense elimination."""
 
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ from idealkit.ratlinalg import (
     MODP_PRIMES,
     SparseEchelon,
     frac_mod_p,
-    nullspace,
-    rank,
 )
+
+from conftest import dense, sparse, textbook_nullspace, textbook_rank, textbook_rref
 
 fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 matrices = st.integers(1, 5).flatmap(
@@ -31,27 +32,18 @@ def mat_vec(rows, v):
 def _echelon(m, p=None):
     ech = SparseEchelon(len(m[0]), p)
     for row in m:
-        ech.insert({i: v for i, v in enumerate(row) if v})
+        ech.insert(sparse(row))
     return ech
-
-
-def pivots(red):
-    """Pivot column of each reduced row: its first nonzero."""
-    return [next(c for c, v in enumerate(row) if v) for row in red]
 
 
 def reference_reduced(ech):
     """``reduced`` as it was with its own backward pass: each held row
     re-reduced against every pivot.  Reads the held rows only."""
-    zero, one = (F(0), F(1)) if ech.p is None else (0, 1)
+    one = F(1) if ech.p is None else 1
     out = []
     for piv in sorted(ech._rows):
-        dense = [zero] * ech.ncols
-        dense[piv] = one
         rest = {c: v for c, v in ech._rows[piv].items() if c != piv}
-        for c, v in ech.reduce(rest).items():
-            dense[c] = v
-        out.append(dense)
+        out.append({piv: one, **ech.reduce(rest)})
     return out
 
 
@@ -83,8 +75,8 @@ def reference_sparse_kernel(ech):
 
 def _outcome(method, ech):
     """What method(ech) returns, or the type of the lookup error it raises:
-    a held row with a tag column has no dense row, and the reference kernel
-    has no expression for a tag column that is not a pivot."""
+    the reference kernel has no expression for a tag column that is not a
+    pivot."""
     try:
         return method(ech)
     except (IndexError, KeyError) as exc:
@@ -114,18 +106,20 @@ class TestRref:
     def test_simple_rank(self):
         rows = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]
         red = _echelon(rows).reduced()
-        assert len(red) == 2 and pivots(red) == [0, 1]
-        assert red[0] == [F(1), F(0)] and red[1] == [F(0), F(1)]
+        assert red == [{0: F(1)}, {1: F(1)}]
 
     @given(m=matrices)
     @settings(max_examples=150)
     def test_rank_nullity(self, m):
         ncols = len(m[0])
-        r = rank(m)
-        kern = nullspace(m, ncols)
-        assert r + len(kern) == ncols
+        ech = _echelon(m)
+        kern = [dense(v, ncols) for v in ech.sparse_kernel()]
+        assert ech.rank + len(kern) == ncols
         for v in kern:
             assert all(x == 0 for x in mat_vec(m, v))
+        # the reduced rows are the textbook ones
+        red, _ = textbook_rref(m, ncols)
+        assert [dense(row, ncols) for row in ech.reduced()] == red
 
     @given(m=matrices)
     def test_rref_idempotent(self, m):
@@ -135,17 +129,27 @@ class TestRref:
             again.insert(row)
         assert again.reduced() == red
 
+    @given(m=matrices)
+    @example(m=[[F(1), F(2)], [F(0), F(3)]])
+    def test_reduced_rows_are_copies(self, m):
+        ech = _echelon(m)
+        red = ech.reduced()
+        for row in red:
+            row[len(m[0])] = F(5)
+            row.pop(min(row))
+        assert ech.reduced() == _echelon(m).reduced()
+
 
 class TestSparseEchelon:
     @given(m=matrices)
     def test_rank_agrees_with_dense(self, m):
-        assert _echelon(m).rank == rank(m)
+        assert _echelon(m).rank == textbook_rank(m)
 
     @given(m=matrices)
     @settings(max_examples=100)
     def test_kernel_annihilates(self, m):
         ech = _echelon(m)
-        kern = ech.kernel()
+        kern = [dense(v, len(m[0])) for v in ech.sparse_kernel()]
         for v in kern:
             assert all(x == 0 for x in mat_vec(m, v))
         assert ech.rank + len(kern) == len(m[0])
@@ -153,28 +157,30 @@ class TestSparseEchelon:
     @given(m=matrices)
     @settings(max_examples=100, deadline=None)
     def test_kernel_matches_nullspace(self, m):
-        # nullspace is the core's own kernel, so the reference is sympy's
+        # the textbook elimination's canonical basis, and sympy's
+        ncols = len(m[0])
+        kern = [dense(v, ncols) for v in _echelon(m).sparse_kernel()]
+        assert kern == textbook_nullspace(m, ncols)
         sympy = pytest.importorskip("sympy")
         ref = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m])
-        expected = [[F(int(x.p), int(x.q)) for x in v] for v in ref.nullspace()]
-        assert _echelon(m).kernel() == nullspace(m, len(m[0])) == expected
+        assert kern == [[F(int(x.p), int(x.q)) for x in v] for v in ref.nullspace()]
 
     def test_insert_and_contains(self):
         ech = SparseEchelon(3)
-        assert ech.insert([F(1), F(0), F(1)])
-        assert not ech.insert([F(2), F(0), F(2)])
-        assert ech.reduce([F(-3), F(0), F(-3)]) == {}
-        assert ech.reduce([F(1), F(1), F(0)])
+        assert ech.insert({0: F(1), 2: F(1)})
+        assert not ech.insert({0: F(2), 2: F(2)})
+        assert ech.reduce({0: F(-3), 2: F(-3)}) == {}
+        assert ech.reduce({0: F(1), 1: F(1)})
 
     @given(m=matrices)
     def test_dim_matches_rank(self, m):
         ech = SparseEchelon(len(m[0]))
-        for row in m:
+        for row in map(sparse, m):
             # a row adds to the rank exactly when its remainder is nonzero
             grows = bool(ech.reduce(row))
             assert ech.insert(row) == grows
             assert ech.reduce(row) == {}
-        assert ech.rank == rank(m)
+        assert ech.rank == textbook_rank(m)
 
     @given(m=matrices)
     @settings(max_examples=100)
@@ -186,11 +192,11 @@ class TestSparseEchelon:
             ech.insert({**dict(enumerate(row)), ncols + k: F(1)})
         units = [[F(int(i == c)) for i in range(ncols)] for c in range(ncols)]
         for target in m + units:
-            residual = {c: v for c, v in ech.reduce(target).items() if c < ncols}
+            residual = {c: v for c, v in ech.reduce(sparse(target)).items() if c < ncols}
             if residual:
-                assert rank(m + [target]) > rank(m)
+                assert textbook_rank(m + [target]) > textbook_rank(m)
                 continue
-            coeffs = [-ech.reduce(target).get(ncols + k, F(0)) for k in range(len(m))]
+            coeffs = [-ech.reduce(sparse(target)).get(ncols + k, F(0)) for k in range(len(m))]
             rebuilt = [F(0)] * ncols
             for c, gen in zip(coeffs, m):
                 rebuilt = [a + c * g for a, g in zip(rebuilt, gen)]
@@ -324,7 +330,7 @@ class TestModular:
     @given(m=int_matrices)
     @settings(max_examples=100)
     def test_modular_rank_lower_bounds_exact(self, m):
-        exact = rank([[F(v) for v in row] for row in m])
+        exact = textbook_rank(m)
         r = _echelon(m, MODP_PRIMES[0]).rank
         assert r <= exact
         # entries this small cannot hit a 2**31-sized prime
@@ -333,7 +339,7 @@ class TestModular:
     def test_rank_drops_only_mod_p(self):
         p = 5
         m = [[1, 2], [3, 1]]  # determinant -5: full rank over Q, not mod 5
-        assert rank([[F(v) for v in row] for row in m]) == 2
+        assert textbook_rank(m) == 2
         assert _echelon(m, p).rank == 1
 
     @given(m=int_matrices)
@@ -341,7 +347,7 @@ class TestModular:
     def test_modular_kernel_annihilates(self, m):
         p = MODP_PRIMES[0]
         ech = _echelon(m, p)
-        kern = ech.kernel()
+        kern = [dense(v, len(m[0])) for v in ech.sparse_kernel()]
         for v in kern:
             assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in m)
             assert all(0 <= x < p for x in v)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from idealkit.dsl import parse_seq
 from idealkit.idealcalc import COMPACT, Principal, ProductIdeal, member
-from idealkit.ratlinalg import SparseEchelon, nullspace, rank
+from idealkit.ratlinalg import SparseEchelon
 from idealkit.seqspace import (
     Ampliation,
     Exp,
@@ -26,7 +26,7 @@ from idealkit.seqspace import (
     support,
 )
 
-from conftest import exp_type_pairs, random_catalog
+from conftest import dense, exp_type_pairs, random_catalog, sparse
 
 sympy = pytest.importorskip("sympy")
 
@@ -58,10 +58,9 @@ def test_rank_and_kernel_match_sympy(m):
     ref = _sympy_matrix(m)
     ech = SparseEchelon(ncols)
     for row in m:
-        ech.insert({i: v for i, v in enumerate(row) if v})
-    kern = ech.kernel()
-    assert ech.rank == rank(m) == ref.rank()
-    assert len(kern) == len(nullspace(m, ncols)) == len(ref.nullspace())
+        ech.insert(sparse(row))
+    kern = [dense(v, ncols) for v in ech.sparse_kernel()]
+    assert ech.rank == ref.rank()
     # sympy's basis is the same canonical one: a unit at each free column
     assert kern == [_as_fractions(v) for v in ref.nullspace()]
 
@@ -72,11 +71,11 @@ def test_rref_matches_sympy(m):
     ref, ref_pivots = _sympy_matrix(m).rref()
     ech = SparseEchelon(len(m[0]))
     for row in m:
-        ech.insert(row)
+        ech.insert(sparse(row))
     red = ech.reduced()
-    pivots = [next(c for c, v in enumerate(row) if v) for row in red]
-    assert pivots == list(ref_pivots)
-    assert red == [_as_fractions(ref.row(i)) for i in range(len(pivots))]
+    assert [min(row) for row in red] == list(ref_pivots)
+    assert [dense(row, len(m[0])) for row in red] == [
+        _as_fractions(ref.row(i)) for i in range(len(red))]
 
 
 @given(m=matrices, data=st.data())
@@ -89,11 +88,11 @@ def test_reduce_empty_iff_rank_unchanged(m, data):
     other = data.draw(st.lists(st.integers(-3, 3).map(F), min_size=ncols, max_size=ncols))
     ech = SparseEchelon(ncols)
     for row in m:
-        ech.insert(row)
+        ech.insert(sparse(row))
     base = _sympy_matrix(m).rank()
     for v in (combo, other):
         unchanged = _sympy_matrix(m + [v]).rank() == base
-        assert (ech.reduce(v) == {}) == unchanged
+        assert (ech.reduce(sparse(v)) == {}) == unchanged
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,6 @@ CASES = [
      "flags=('x',))"),
     (wt.ShiftModel, lambda: dict(weights=ss.Pow(1), truncation=16),
      "ShiftModel(weights=Pow(p=Fraction(1, 1)), truncation=16)"),
-    (wt.ShiftBracket,
-     lambda: dict(w=ss.Pow(1), v=ss.Pow(2), first_nonzero=(1, F(-1, 2)), proven_zero=False,
-                  window=64),
-     "ShiftBracket(w=Pow(p=Fraction(1, 1)), v=Pow(p=Fraction(2, 1)), "
-     "first_nonzero=(1, Fraction(-1, 2)), proven_zero=False, window=64)"),
     (wt.Certificate,
      lambda: dict(schema_version="1", generator=_model(), softness=_verdict(), branch="commutator",
                   partner=_model(), pool=(_model(),), first_index=1, first_value=F(1, 2),
@@ -107,7 +102,7 @@ def test_every_value_class_is_covered():
         if isinstance(obj, type) and issubclass(obj, ss.Frozen) and "__init__" in vars(obj)
     }
     assert classes | {ic.FiniteRank, ic.Compact} == {case[0] for case in CASES}
-    assert len(CASES) == 26
+    assert len(CASES) == 25
 
 
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=[case[0].__name__ for case in CASES])

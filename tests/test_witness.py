@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealkit import witness
+from idealkit.base import write_json
 from idealkit.ratlinalg import RationalMatrix, bracket
 from idealkit.seqspace import (
     Exp,
@@ -20,6 +21,7 @@ from idealkit.seqspace import (
     Scale,
     _weight_bits,
     eval_at,
+    explicit,
 )
 from idealkit.witness import (
     Certificate,
@@ -37,7 +39,6 @@ from idealkit.witness import (
     certificate_from_json,
     certificate_to_json,
     load_certificate,
-    save_certificate,
     shift_bracket,
     verify_certificate,
 )
@@ -94,21 +95,23 @@ PINNED_CERTIFICATE = {
 }
 
 
+def commutator_weight(w, v, n):
+    """Weight n of [T_w, T_v] by the closed formula a_n = v_n w_{n+1} - w_n v_{n+1}."""
+    return eval_at(v, n) * eval_at(w, n + 1) - eval_at(w, n) * eval_at(v, n + 1)
+
+
 class TestShiftBracket:
     def test_self_commutator_vanishes(self):
-        br = shift_bracket(Pow(1), Pow(1))
-        assert br.all_zero and br.proven_zero
+        assert shift_bracket(Pow(1), Pow(1)) == "structural"
 
     def test_power_pair_closed_form(self):
-        br = shift_bracket(Pow(1), Pow(2))
-        assert br.first_nonzero == (1, F(1, 4))
+        assert shift_bracket(Pow(1), Pow(2)) == (1, F(1, 4))
         # closed form of the difference for these two weight sequences
         for n in range(1, 33):
-            assert br.weight_at(n) == F(1, n ** 2 * (n + 1) ** 2)
+            assert commutator_weight(Pow(1), Pow(2), n) == F(1, n ** 2 * (n + 1) ** 2)
 
     def test_proportional_shift_commutes(self):
-        br = shift_bracket(Scale(2, Pow(1)), Pow(1))
-        assert br.all_zero and br.proven_zero
+        assert shift_bracket(Scale(2, Pow(1)), Pow(1)) == "structural"
 
     def test_inexact_weights_rejected(self):
         from idealkit.seqspace import PowLog
@@ -117,8 +120,10 @@ class TestShiftBracket:
             shift_bracket(PowLog(1, 1), Pow(1))
 
     def test_window_scan_records_window(self):
-        br = shift_bracket(Pow(1), Pow(2), window=16)
-        assert br.window == 16
+        # agrees with pow:1 on its first ten weights, so a_1..a_9 vanish
+        v = explicit([F(1, n) for n in range(1, 11)], Exp(F(1, 2)))
+        assert shift_bracket(Pow(1), v, window=9) == "window"
+        assert shift_bracket(Pow(1), v, window=10) == (10, commutator_weight(Pow(1), v, 10))
 
 
 class TestBandedExactness:
@@ -129,7 +134,10 @@ class TestBandedExactness:
         weights = [w for w in EXACT_BATTERY if eval_at(w, 1) != 0][:6]
         for w in weights:
             for v in (Pow(2), Exp(F(1, 2))):
-                br = shift_bracket(w, v)
+                formula = [commutator_weight(w, v, i) for i in range(1, n - 1)]
+                first = next(((i, a) for i, a in enumerate(formula, 1) if a), None)
+                # every pair here that commutes is proportional
+                assert shift_bracket(w, v) == (first or "structural")
                 tm, sm = (_lower_shift(_exact_weights(ShiftModel(x, n))) for x in (w, v))
                 t, s = tm.nonzeros(), sm.nonzeros()
                 assert sorted(t) == [(i, i - 1) for i in range(1, n)]
@@ -138,10 +146,8 @@ class TestBandedExactness:
                 for k, val in st_.items():
                     entries[k] = entries.get(k, F(0)) - val
                 entries = {k: v2 for k, v2 in entries.items() if v2}
-                for i in range(1, n - 1):
-                    expected = br.weight_at(i)
-                    got = entries.get((i + 1, i - 1), F(0))
-                    assert got == expected
+                for i, expected in enumerate(formula, 1):
+                    assert entries.get((i + 1, i - 1), F(0)) == expected
                 assert all(r == c + 2 for (r, c) in entries)
                 assert bracket(tm, sm).nonzeros() == entries
 
@@ -270,14 +276,14 @@ class TestVerify:
     def test_file_round_trip(self, tmp_path):
         cert = build_certificate(ShiftModel(Pow(1), 64), [ShiftModel(Pow(2), 64)])
         path = tmp_path / "cert.json"
-        save_certificate(cert, str(path))
+        write_json(str(path), certificate_to_json(cert))
         assert verify_certificate(load_certificate(str(path))).holds
 
     def test_certificate_file_pinned(self, tmp_path):
         pool = [ShiftModel(Scale(3, Pow(1)), 8), ShiftModel(Scale(F(1, 2), Pow(2)), 16)]
         cert = build_certificate(ShiftModel(Pow(1), 8), pool)
         path = tmp_path / "cert.json"
-        save_certificate(cert, str(path))
+        write_json(str(path), certificate_to_json(cert))
         assert path.read_text() == json.dumps(PINNED_CERTIFICATE, indent=2, sort_keys=True) + "\n"
 
     def test_tampered_commutator_value_detected(self):
