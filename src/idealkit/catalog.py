@@ -92,13 +92,10 @@ def shift_truncation(weights: SequenceExpr, n: int) -> LieAlgebraPresentation:
     weight i on the superdiagonal.  Weights must evaluate exactly, within the
     weight-size limit a certificate's truncation meets, and each within the
     digit cap of an algebra file."""
-    # only this builder needs them
-    from .seqspace import check_weight_bits, ensure_valid, eval_at
+    # only this builder needs it
+    from .seqspace import exact_weights
     _require_size(n, 2)
-    ensure_valid(weights)
-    if not check_weight_bits(weights, n):
-        raise InputError("shift truncation needs exactly evaluable weights")
-    entries = {(i - 1, i): eval_at(weights, i) for i in range(1, n)}
+    entries = {(i - 1, i): w for i, w in enumerate(exact_weights(weights, n), 1)}
     if not any(entries.values()):  # the zero matrix spans no algebra
         raise InputError(f"the {n} x {n} shift truncation has no nonzero weight")
     for (_, i), w in entries.items():

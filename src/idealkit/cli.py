@@ -12,10 +12,10 @@ read from that table directly; anything else, including every help request
 and usage error, goes to the argparse parser built from the same table, so
 argparse is imported only when it has something to print.
 
-``main`` is the one dispatcher: it imports the called group's module,
-``cli_<group>``, whose ``handle`` returns the report's own fields and the
-text lines, and it stamps every report with ``schema_version`` and
-``command``.  No group module imports this one.
+``main`` is the one dispatcher and the one writer of ``-o``: it imports the
+called group's module, ``cli_<group>``, whose ``handle`` returns the report's
+own fields and the text lines, and it stamps every report with
+``schema_version`` and ``command``.  No group module imports this one.
 """
 
 from __future__ import annotations
@@ -247,10 +247,11 @@ def main(argv=None) -> int:
         fields, lines = import_module(f"{__package__}.cli_{args.group}").handle(args)
         report = {"schema_version": SCHEMA_VERSION, "command": f"{args.group} {args.cmd}",
                   **fields}
-        # For the two build commands -o names the artifact file, written by
-        # the handler; everywhere else it duplicates the JSON report.
-        if args.output and (args.group, args.cmd) not in {("lie", "build"), ("witness", "build")}:
-            write_json(args.output, report)
+        # -o names the artifact file of a build command and a copy of the report otherwise
+        artifact = {"lie build": "algebra", "witness build": "certificate"}.get(report["command"])
+        if args.output:
+            write_json(args.output, fields[artifact] if artifact else report)
+            lines += [f"wrote {args.output}"] if artifact else []
     except _USER_ERRORS as exc:
         print(f"error: {_bounded(str(exc))}", file=sys.stderr)
         return 2

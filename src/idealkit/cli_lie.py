@@ -4,7 +4,7 @@ rungs on algebra files.  Only ``lie build`` loads the catalog."""
 from __future__ import annotations
 
 from . import matlie
-from .base import TOO_MANY_DIGITS, InputError, fits_digit_cap, write_json
+from .base import TOO_MANY_DIGITS, InputError, fits_digit_cap
 from .matlie import _encode_rational
 
 # Most random-search work that ``simple --cross-check N`` accepts, counted
@@ -38,13 +38,8 @@ def _build(args):
     algebra = catalog.make_algebra(args.kind, args.n, weights)
     if args.name:
         algebra = matlie.LieAlgebraPresentation(algebra.ambient, algebra.basis, args.name)
-    payload = catalog.algebra_to_json(algebra)
-    rpt = dict(algebra=payload, dim=algebra.dim)
-    lines = [f"built {algebra.name}: ambient {algebra.ambient}, dim {algebra.dim}"]
-    if args.output:
-        write_json(args.output, payload)
-        lines.append(f"wrote {args.output}")
-    return rpt, lines
+    rpt = dict(algebra=catalog.algebra_to_json(algebra), dim=algebra.dim)
+    return rpt, [f"built {algebra.name}: ambient {algebra.ambient}, dim {algebra.dim}"]
 
 
 def handle(args):

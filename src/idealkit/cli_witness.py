@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from . import dsl, witness
-from .base import write_json
 
 
 def handle(args):
@@ -12,8 +11,7 @@ def handle(args):
         pool = [witness.ShiftModel(dsl.parse_seq(s), args.truncation) for s in args.partner]
         window = witness.DEFAULT_SCAN_WINDOW if args.window is None else args.window
         cert = witness.build_certificate(generator, pool, window)
-        payload = witness.certificate_to_json(cert)
-        rpt = dict(certificate=payload)
+        rpt = dict(certificate=witness.certificate_to_json(cert))
         lines = [
             f"certificate built ({cert.branch} branch)",
             f"  conclusion: {cert.conclusion}",
@@ -24,9 +22,6 @@ def handle(args):
                 f"  first nonzero commutator weight: index {cert.first_index}, "
                 f"value {cert.first_value}",
             )
-        if args.output:
-            write_json(args.output, payload)
-            lines.append(f"wrote {args.output}")
         return rpt, lines
     if args.cmd == "verify":
         cert = witness.load_certificate(args.file)

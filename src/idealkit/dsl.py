@@ -34,6 +34,7 @@ from .seqspace import (
     ensure_valid,
     explicit,
     subsample,
+    unscaled,
 )
 
 __all__ = ["DslError", "parse_seq", "format_seq", "parse_ideal", "format_ideal"]
@@ -156,12 +157,9 @@ def _seq(c: _Cursor, depth: int = 0) -> SequenceExpr:
 
 
 def _form(c: _Cursor, head: str, start: int, depth: int) -> SequenceExpr:
-    if head == "pow":
+    if head in ("pow", "exp"):
         c.expect(":")
-        return Pow(_number(c))
-    if head == "exp":
-        c.expect(":")
-        return Exp(_number(c))
+        return (Pow if head == "pow" else Exp)(_number(c))
     if head == "powlog":
         c.expect(":")
         p = _number(c)
@@ -177,20 +175,15 @@ def _form(c: _Cursor, head: str, start: int, depth: int) -> SequenceExpr:
         c.expect("tail")
         c.expect("=")
         return explicit(prefix, _seq(c, _nest(c, depth)))
-    if head == "amp":
+    if head in ("amp", "sub"):
         c.expect(":")
-        m = _integer(c)
+        index = _integer(c)
         c.expect(";")
-        if m < 1:
-            raise DslError(f"ampliation index must be >= 1, got {m}", start)
-        return _fused(ampliate(m, _seq(c, _nest(c, depth))), head, start)
-    if head == "sub":
-        c.expect(":")
-        k = _integer(c)
-        c.expect(";")
-        if k < 2:
-            raise DslError(f"subsample step must be >= 2, got {k}", start)
-        return _fused(subsample(k, _seq(c, _nest(c, depth))), head, start)
+        what, least, wrap = (("ampliation index", 1, ampliate) if head == "amp"
+                             else ("subsample step", 2, subsample))
+        if index < least:
+            raise DslError(f"{what} must be >= {least}, got {index}", start)
+        return _fused(wrap(index, _seq(c, _nest(c, depth))), head, start)
     if head == "prod":
         c.expect("(")
         depth = _nest(c, depth)
@@ -205,9 +198,7 @@ def _form(c: _Cursor, head: str, start: int, depth: int) -> SequenceExpr:
 def _fused(expr: SequenceExpr, head: str, start: int) -> SequenceExpr:
     """expr, unless it fused nested amp: or sub: (sub: also across a scale:)
     into an index with more than MAX_RATIONAL_DIGITS digits."""
-    inner = expr
-    while isinstance(inner, Scale):
-        inner = inner.inner
+    inner = unscaled(expr)
     index = inner.m if isinstance(inner, Ampliation) else getattr(inner, "k", 1)
     if index >= _DIGITS_BOUND:
         raise DslError(f"fused {head} index with more than {MAX_RATIONAL_DIGITS} digits", start)

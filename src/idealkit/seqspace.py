@@ -57,6 +57,8 @@ __all__ = [
     "subsample",
     "support",
     "ensure_valid",
+    "exact_weights",
+    "unscaled",
 ]
 
 # Numeric-probe policy constants: geometric grid of ratio 2, trend judged on
@@ -298,13 +300,11 @@ def _violation(expr: SequenceExpr, path: str) -> Optional[tuple]:
         if expr.c <= 0:
             return (path, f"scale factor must be positive, got {expr.c}")
         return _violation(expr.inner, f"{path}.inner")
-    if isinstance(expr, Ampliation):
-        if not isinstance(expr.m, int) or expr.m < 1:
-            return (path, f"ampliation index must be an integer >= 1, got {expr.m}")
-        return _violation(expr.inner, f"{path}.inner")
-    if isinstance(expr, Subsample):
-        if not isinstance(expr.k, int) or expr.k < 1:
-            return (path, f"subsample step must be an integer >= 1, got {expr.k}")
+    if isinstance(expr, (Ampliation, Subsample)):
+        what, index = (("ampliation index", expr.m) if isinstance(expr, Ampliation)
+                       else ("subsample step", expr.k))
+        if not isinstance(index, int) or index < 1:
+            return (path, f"{what} must be an integer >= 1, got {index}")
         return _violation(expr.inner, f"{path}.inner")
     if isinstance(expr, Product):
         return _violation(expr.left, f"{path}.left") or _violation(expr.right, f"{path}.right")
@@ -348,6 +348,12 @@ def support(expr: SequenceExpr) -> Optional[int]:
     raise TypeError(type(expr).__name__)
 
 
+def _inner_index(expr: SequenceExpr, n: int) -> int:
+    """The index of the inner entry that entry n of an ampliation or a
+    subsample reads: ceil(n/m) or n*k."""
+    return (n + expr.m - 1) // expr.m if isinstance(expr, Ampliation) else n * expr.k
+
+
 def eval_at(expr: SequenceExpr, n: int):
     """Entry n (1-based) as an exact Fraction where possible, else a float."""
     if n < 1:
@@ -369,10 +375,8 @@ def eval_at(expr: SequenceExpr, n: int):
         return v if v <= last else last
     if isinstance(expr, Scale):
         return expr.c * eval_at(expr.inner, n)
-    if isinstance(expr, Ampliation):
-        return eval_at(expr.inner, (n + expr.m - 1) // expr.m)
-    if isinstance(expr, Subsample):
-        return eval_at(expr.inner, n * expr.k)
+    if isinstance(expr, (Ampliation, Subsample)):
+        return eval_at(expr.inner, _inner_index(expr, n))
     if isinstance(expr, Product):
         return eval_at(expr.left, n) * eval_at(expr.right, n)
     raise TypeError(type(expr).__name__)
@@ -418,10 +422,8 @@ def _weight_bits(expr: SequenceExpr, n: int) -> Optional[int]:
     if isinstance(expr, Scale):
         inner = _weight_bits(expr.inner, n)
         return None if inner is None else _rational_bits(expr.c) + inner
-    if isinstance(expr, Ampliation):
-        return _weight_bits(expr.inner, (n + expr.m - 1) // expr.m)
-    if isinstance(expr, Subsample):
-        return _weight_bits(expr.inner, n * expr.k)
+    if isinstance(expr, (Ampliation, Subsample)):
+        return _weight_bits(expr.inner, _inner_index(expr, n))
     if isinstance(expr, Product):
         left, right = _weight_bits(expr.left, n), _weight_bits(expr.right, n)
         return None if left is None or right is None else left + right
@@ -444,6 +446,18 @@ def check_weight_bits(expr: SequenceExpr, n: int, error: type = InputError,
     # past the limit _power_bits may return a lower bound, so no count is printed
     raise error(f"{what} {n} times the bits of weight {n} exceeds the limit "
                 f"{MAX_WEIGHT_BITS}: weight {n} has more than {MAX_WEIGHT_BITS} bits")
+
+
+def exact_weights(expr: SequenceExpr, n: int, error: type = InputError,
+                  what: str = "shift truncation") -> list:
+    """Weights 1..n-1 of the n x n truncation of the weighted shift with
+    weights expr, as exact rationals, within the weight-size limit at n.
+    Weights that are not all exact raise error, "{what} needs exactly
+    evaluable weights"."""
+    ensure_valid(expr)
+    if not check_weight_bits(expr, n, error):
+        raise error(f"{what} needs exactly evaluable weights")
+    return [eval_at(expr, i) for i in range(1, n)]
 
 
 def eval_log(expr: SequenceExpr, n: int) -> float:
@@ -476,10 +490,8 @@ def eval_log(expr: SequenceExpr, n: int) -> float:
         return min(_log_fraction(expr.prefix[-1]), eval_log(expr.tail, n - k))
     if isinstance(expr, Scale):
         return _log_fraction(expr.c) + eval_log(expr.inner, n)
-    if isinstance(expr, Ampliation):
-        return eval_log(expr.inner, (n + expr.m - 1) // expr.m)
-    if isinstance(expr, Subsample):
-        return eval_log(expr.inner, n * expr.k)
+    if isinstance(expr, (Ampliation, Subsample)):
+        return eval_log(expr.inner, _inner_index(expr, n))
     if isinstance(expr, Product):
         # never +inf, so a -inf factor gives -inf
         return eval_log(expr.left, n) + eval_log(expr.right, n)
@@ -604,6 +616,13 @@ def _scale(expr: SequenceExpr) -> tuple:
 # ---------------------------------------------------------------------------
 # Structural operations
 # ---------------------------------------------------------------------------
+
+
+def unscaled(expr: SequenceExpr) -> SequenceExpr:
+    """expr with its outer scale factors stripped."""
+    while isinstance(expr, Scale):
+        expr = expr.inner
+    return expr
 
 
 def ampliate(m: int, expr: SequenceExpr) -> SequenceExpr:
@@ -766,7 +785,7 @@ def numeric_probe(
 
     eta_infinite = support(eta) is None
     notes = []
-    shrunk = False
+    requested = n_max
     zero_tail_division = False
     while True:
         ns = _probe_grid(n_max)
@@ -795,8 +814,7 @@ def numeric_probe(
                 notes.append("ratio overflow persists at the minimum grid")
             break
         n_max //= 2
-        shrunk = True
-    if shrunk:
+    if n_max < requested:
         notes.append(f"grid shrunk to n_max={n_max} to avoid overflow")
 
     window = ratios[len(ratios) // 2 :]

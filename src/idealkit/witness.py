@@ -29,15 +29,16 @@ from .idealcalc import Principal, is_soft
 from .ratlinalg import RationalMatrix, bracket
 from .seqspace import (
     Method,
-    Scale,
     SequenceExpr,
     Status,
     Verdict,
     check_weight_bits,
     ensure_valid,
     eval_at,
+    exact_weights,
     has_exact_eval,
     support,
+    unscaled,
 )
 
 __all__ = [
@@ -92,15 +93,6 @@ class ShiftModel(Frozen):
         vars(self).update(weights=weights, truncation=truncation)
 
 
-def _exact_weights(model: ShiftModel) -> list:
-    """Weights 1..N-1 of the N x N truncation, exactly, within the weight-size
-    limit at N."""
-    ensure_valid(model.weights)
-    if not check_weight_bits(model.weights, model.truncation, CertificateError):
-        raise CertificateError("shift model needs exactly evaluable weights")
-    return [eval_at(model.weights, i) for i in range(1, model.truncation)]
-
-
 def _lower_shift(weights: list) -> RationalMatrix:
     n = len(weights) + 1
     return RationalMatrix.from_nonzeros(n, n, {(i, i - 1): x for i, x in enumerate(weights, 1)})
@@ -110,12 +102,6 @@ def _commutator_weight(w_n, w_next, v_n, v_next):
     """Weight n of the two-step shift [T_w, T_v], from weights n and n + 1
     of w and v: a_n = v_n * w_{n+1} - w_n * v_{n+1}."""
     return v_n * w_next - w_n * v_next
-
-
-def _strip_scale(expr: SequenceExpr) -> SequenceExpr:
-    while isinstance(expr, Scale):
-        expr = expr.inner
-    return expr
 
 
 def shift_bracket(w: SequenceExpr, v: SequenceExpr, window: int = DEFAULT_SCAN_WINDOW):
@@ -132,7 +118,7 @@ def shift_bracket(w: SequenceExpr, v: SequenceExpr, window: int = DEFAULT_SCAN_W
     # exactness first: it is refused before the proportional shortcut and any size refusal
     if not (has_exact_eval(w) and has_exact_eval(v)):
         raise CertificateError("shift brackets need exactly evaluable weights")
-    if _strip_scale(w) == _strip_scale(v):
+    if unscaled(w) == unscaled(v):
         return "structural"
     for n in range(1, window + 1):
         if n & (n - 1) == 0:
@@ -171,8 +157,8 @@ def _truncation_window_agrees(t: ShiftModel, s: ShiftModel) -> bool:
     the positions (i+1, i-1) of an N x N matrix, so a product that is wrong
     anywhere fails the check.  Each weight is evaluated once, for both the
     matrices and the formula."""
-    w = _exact_weights(t)
-    v = _exact_weights(ShiftModel(s.weights, t.truncation))
+    w, v = (exact_weights(x.weights, t.truncation, CertificateError, "shift model")
+            for x in (t, s))
     a = bracket(_lower_shift(w), _lower_shift(v)).nonzeros()
     if any(r != c + 2 for r, c in a):
         return False

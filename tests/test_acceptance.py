@@ -40,12 +40,12 @@ from idealkit.seqspace import (
     compare,
     delta2_check,
     eval_log,
+    exact_weights,
     numeric_probe,
 )
 from idealkit.witness import (
     CertificateError,
     ShiftModel,
-    _exact_weights,
     _lower_shift,
     build_certificate,
     verify_certificate,
@@ -191,8 +191,8 @@ def test_10_certificate():
     ok = cert.first_index == 1 and cert.first_value == F(1, 4)
     ok = ok and verify_certificate(cert).holds
     # truncation window agreement at N = 64, checked here directly
-    t = _lower_shift(_exact_weights(ShiftModel(Pow(1), 64)))
-    s = _lower_shift(_exact_weights(ShiftModel(Pow(2), 64)))
+    t = _lower_shift(exact_weights(Pow(1), 64))
+    s = _lower_shift(exact_weights(Pow(2), 64))
     a = bracket(t, s)
     for i in range(1, 63):
         expected = F(1, i ** 2 * (i + 1) ** 2)

@@ -111,6 +111,8 @@ EXIT_TWO = [
                              "--partner", "pow:1", "--truncation", "2"]),
     Row("sl-size-zero", ["lie", "build", "sl", "--n", "0"]),
     Row("shift-no-weights", ["lie", "build", "shift", "--n", "4"]),
+    Row("shift-inexact-weights", ["lie", "build", "shift", "--n", "4", "--weights", "pow:1/2"],
+        expect="error: shift truncation needs exactly evaluable weights"),
     Row("weights-not-shift", ["lie", "build", "sl", "--n", "3", "--weights", "pow:1"]),
     Row("report-finite", ["ideal", "report", "finite:[1]"]),
     Row("eps-zero", ["seq", "compare", "--mode", "O", "pow:1", "pow:1", "--numeric", "--eps", "0"]),

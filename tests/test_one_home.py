@@ -6,8 +6,9 @@ so has the matrix format: only ``ratlinalg`` reads ``_data`` or calls
 ``_make``; so has the rate format: only ``rates`` reads exponent vectors; and so has
 the file format: only ``base`` opens files.  Imports between ``cli`` and its
 group modules run one way.  And every definition has a caller in the package
-or in the benchmark scripts that import it.  In the tests, every command-line
-call has one home too: ``conftest.run_main``, which runs it under a budget."""
+or in the benchmark scripts that import it, and no run of three lines is
+written twice.  In the tests, every command-line call has one home too:
+``conftest.run_main``, which runs it under a budget."""
 
 from __future__ import annotations
 
@@ -236,6 +237,24 @@ def test_every_definition_has_a_caller():
                and (module, name) not in CALLED_FROM_OUTSIDE
                and total[name] == _references(node)[name]]
     assert orphans == []
+
+
+def test_no_three_lines_repeat():
+    """No run of three consecutive stripped lines appears twice across the
+    package, counting only runs whose every line has at least 13 characters
+    and opens neither a comment nor a docstring: a rule written out twice
+    gets one home instead."""
+    first, repeats = {}, []
+    for module in MODULES:
+        lines = [line.strip() for line in
+                 (PKG / f"{module}.py").read_text(encoding="utf-8").splitlines()]
+        for i in range(len(lines) - 2):
+            run = tuple(lines[i:i + 3])
+            if all(len(line) >= 13 and not line.startswith(("#", '"""')) for line in run):
+                where = f"{module}.py:{i + 1}"
+                if first.setdefault(run, where) != where:
+                    repeats.append(f"{first[run]} {where}")
+    assert repeats == []
 
 
 def test_tests_call_the_cli_under_a_bound():

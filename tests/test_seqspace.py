@@ -913,8 +913,9 @@ class TestNumericProbe:
         assert v.fails and v.evidence["reason"] == "division by zero tail"
 
     # (xi, eta, mode, n_max, status, evidence): the grid's last point at an
-    # n_max that is no power of two, a 0/0 grid point read as ratio 0, and
-    # an all-zero ratio, whose sup has no growth to measure
+    # n_max that is no power of two, a 0/0 grid point read as ratio 0, an
+    # all-zero ratio, whose sup has no growth to measure, and a ratio that
+    # overflows until the grid shrinks, once past the minimum grid
     EDGES = [
         ("pow:2", "pow:1", Mode.BIG_O, 5000, Status.HOLDS,
          {"n_max": 5000, "grid_points": 14, "final_ratio": 1 / 5000, "sup_ratio": 1.0,
@@ -930,11 +931,23 @@ class TestNumericProbe:
         ("finite:[]", "pow:1", Mode.BIG_O, 2 ** 20, Status.HOLDS,
          {"n_max": 2 ** 20, "grid_points": 21, "final_ratio": 0.0, "sup_ratio": 0.0,
           "window_start_ratio": 0.0, "notes": [], "sup_at_window_start": 0.0}),
+        ("pow:1", "exp:9/10", Mode.BIG_O, 2 ** 20, Status.FAILS,
+         {"n_max": 4096, "grid_points": 13, "final_ratio": (10 / 9) ** 4096 / 4096,
+          "sup_ratio": (10 / 9) ** 4096 / 4096, "window_start_ratio": (10 / 9) ** 64 / 64,
+          "notes": ["grid shrunk to n_max=4096 to avoid overflow"],
+          "sup_at_window_start": (10 / 9) ** 64 / 64,
+          "sup_relative_growth": (10 / 9) ** 4032 / 64 - 1, "reason": "running sup diverges"}),
+        ("pow:1", "exp:1/2", Mode.LITTLE_O, 2 ** 20, Status.FAILS,
+         {"n_max": 1024, "grid_points": 11, "final_ratio": math.inf, "sup_ratio": math.inf,
+          "window_start_ratio": 2.0 ** 27,
+          "notes": ["ratio overflow persists at the minimum grid",
+                    "grid shrunk to n_max=1024 to avoid overflow"],
+          "monotone_window": False, "reason": "ratio does not tend to zero"}),
     ]
 
     @pytest.mark.parametrize("xi,eta,mode,n_max,status,evidence", EDGES,
                              ids=["grid-end-5000", "zero-over-zero-O", "zero-over-zero-o",
-                                  "all-zero-O"])
+                                  "all-zero-O", "overflow-shrunk-O", "overflow-persists-o"])
     def test_probe_edge_table(self, xi, eta, mode, n_max, status, evidence):
         v = numeric_probe(parse_seq(xi), parse_seq(eta), mode, n_max, 1e-3)
         assert v.status is status and v.method is Method.NUMERIC

@@ -21,6 +21,7 @@ from idealkit.seqspace import (
     Scale,
     _weight_bits,
     eval_at,
+    exact_weights,
     explicit,
 )
 from idealkit.witness import (
@@ -33,7 +34,6 @@ from idealkit.witness import (
     OBLIGATION_POOL_CENTRAL,
     OBLIGATION_TRUNCATION,
     ShiftModel,
-    _exact_weights,
     _lower_shift,
     build_certificate,
     certificate_from_json,
@@ -138,7 +138,7 @@ class TestBandedExactness:
                 first = next(((i, a) for i, a in enumerate(formula, 1) if a), None)
                 # every pair here that commutes is proportional
                 assert shift_bracket(w, v) == (first or "structural")
-                tm, sm = (_lower_shift(_exact_weights(ShiftModel(x, n))) for x in (w, v))
+                tm, sm = (_lower_shift(exact_weights(x, n)) for x in (w, v))
                 t, s = tm.nonzeros(), sm.nonzeros()
                 assert sorted(t) == [(i, i - 1) for i in range(1, n)]
                 ts, st_ = _sparse_mul(t, s), _sparse_mul(s, t)
