@@ -61,9 +61,8 @@ __all__ = [
     "unscaled",
 ]
 
-# Numeric-probe policy constants: geometric grid of ratio 2, trend judged on
-# the last half of the grid, divergence called at a 10x sup increase.
-GRID_RATIO = 2
+# Numeric-probe policy constants: trend judged on the last half of the grid,
+# divergence called at a 10x sup increase.
 DIVERGENCE_FACTOR = 10.0
 FLAT_FACTOR = 0.9
 _EXP_OVERFLOW = 700.0  # exp() overflows around e^709
@@ -460,23 +459,32 @@ def exact_weights(expr: SequenceExpr, n: int, error: type = InputError,
     return [eval_at(expr, i) for i in range(1, n)]
 
 
+def _log_power(p: Fraction, log_base: float) -> float:
+    """log(base ** -p) from log(base); an exponent past the float range
+    reads as +-inf, and base 1 gives 0, where inf * 0 would give nan."""
+    if not log_base:
+        return 0.0
+    try:
+        return -float(p) * log_base
+    except OverflowError:
+        return (-math.inf if p > 0 else math.inf) * log_base
+
+
 def eval_log(expr: SequenceExpr, n: int) -> float:
     """Natural log of entry n (-inf for zero); safe at indices where the
     exact value would overflow or underflow a float."""
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
     if isinstance(expr, Pow):
-        return -float(expr.p) * math.log(n)
+        return _log_power(expr.p, math.log(n))
     if isinstance(expr, Exp):
         try:
             return n * _log_fraction(expr.r)
         except OverflowError:  # n is past the float range
             return -math.inf
     if isinstance(expr, PowLog):
-        p, q = float(expr.p), float(expr.q)
-
         def raw_log(k: int) -> float:
-            return -p * math.log(k) - q * math.log(math.log(k + 1))
+            return _log_power(expr.p, math.log(k)) + _log_power(expr.q, math.log(math.log(k + 1)))
 
         return min(raw_log(1), raw_log(n))
     if isinstance(expr, FiniteSupport):
@@ -749,15 +757,6 @@ def _delta2(s: AsymSig) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _probe_grid(n_max: int) -> list:
-    ns = [1]
-    while ns[-1] * GRID_RATIO <= n_max:
-        ns.append(ns[-1] * GRID_RATIO)
-    if ns[-1] != n_max:
-        ns.append(n_max)
-    return ns
-
-
 def numeric_probe(
     xi: SequenceExpr,
     eta: SequenceExpr,
@@ -765,33 +764,35 @@ def numeric_probe(
     n_max: int = DEFAULT_NMAX,
     eps: float = DEFAULT_EPS,
 ) -> Verdict:
-    """Sample the ratio xi/eta on a geometric grid; corroboration only.
+    """Sample the ratio xi/eta at n = 1, 2, 4, ... and n_max; corroboration only.
 
     Little-o holds (indicated) when the ratio is monotone nonincreasing over
     the last half of the grid and the final ratio is below eps; it fails when
     the final ratio stays above eps without meaningful decrease.  Big-O holds
     when the running sup stabilizes (relative growth below eps over the last
     half); a tenfold sup increase is reported as failure.  Anything else is
-    Unknown.  Ratios are computed in log space; residual overflow shrinks the
-    grid and is noted in the evidence.  An eta of infinite support whose log
-    falls below the float range gives Unknown with a note.
+    Unknown.  Ratios are computed in log space; residual overflow halves
+    n_max (2**10 <= n_max <= 2**64), which evaluates only the new n_max, and
+    is noted in the evidence.  An eta of infinite support whose log falls
+    below the float range gives Unknown with a note.
     """
     ensure_valid(xi)
     ensure_valid(eta)
     if n_max < 2 ** 10:
         raise InputError(f"n_max must be at least 2**10, got {n_max}")
+    if n_max > 2 ** 64:
+        raise InputError(f"n_max must be at most 2**64, got {n_max}")
     if not 0 < eps < math.inf:
         raise InputError(f"eps must be finite and positive, got {eps}")
 
     eta_infinite = support(eta) is None
     notes = []
     requested = n_max
+    ratios = []  # at n = 1 << i for each i, then at n_max if that is no power of two
     zero_tail_division = False
     while True:
-        ns = _probe_grid(n_max)
-        ratios = []
-        overflow = False
-        for n in ns:
+        del ratios[n_max.bit_length():]  # a halving drops the top power and the old n_max
+        for n in sorted({1 << i for i in range(n_max.bit_length())} | {n_max})[len(ratios):]:
             lx, ly = eval_log(xi, n), eval_log(eta, n)
             if ly == -math.inf:
                 if eta_infinite:
@@ -804,11 +805,8 @@ def numeric_probe(
                     ratios.append(math.inf)
                 continue
             diff = lx - ly
-            if diff > _EXP_OVERFLOW:
-                overflow = True
-                ratios.append(math.inf)
-            else:
-                ratios.append(math.exp(diff))
+            ratios.append(math.inf if diff > _EXP_OVERFLOW else math.exp(diff))
+        overflow = math.inf in ratios  # a zero tail stops the loop where it first shows
         if zero_tail_division or not overflow or n_max // 2 < 2 ** 10:
             if overflow and not zero_tail_division:
                 notes.append("ratio overflow persists at the minimum grid")

@@ -1,9 +1,10 @@
 #!/bin/sh
 # CLI smoke test from the source tree, with nothing installed: one call per
 # group, three least ampliation indices (one past the digit cap), an algebra
-# and a certificate each written then read back, four bad inputs, which must
-# exit 2 with one short error line, a help request, which must exit 0, and a
-# usage error, which must exit 2 with an error line.
+# and a certificate each written then read back, a numeric probe whose grid
+# shrinks, five bad inputs, which must exit 2 with one short error line, a
+# help request, which must exit 0, and a usage error, which must exit 2 with
+# an error line.
 # Run from the repository root; PYTHON names the interpreter (default python3):
 #   PYTHON=python3.10 sh tests/cli_smoke.sh
 set -eu
@@ -43,8 +44,12 @@ expect "SIMPLE" "$(idealkit lie simple --file "$dir/sl3.json")"
 expect "certificate built" "$(idealkit witness build --generator pow:1 --partner pow:2 \
     -o "$dir/cert.json")"
 expect "VERIFIED" "$(idealkit witness verify --file "$dir/cert.json")"
+# a numeric probe whose ratio overflows shrinks its grid to the minimum
+has_line "  n_max: 1024" "$(idealkit seq compare --mode o --numeric pow:1 exp:1/2)"
 
 refused seq signature pow:0
+# the probe's grid limit is at most 2**64
+refused seq compare --mode O --numeric pow:1 pow:2 --nmax 18446744073709551617
 # a shift truncation whose weights are all zero spans no algebra
 refused lie build shift --n 2 --weights "finite:[0]"
 # a matrix size past the entry limit is refused before any message prints it

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import pytest
 
-from idealkit import cli_lie, matlie
+from idealkit import cli, cli_lie, matlie
 from idealkit.base import MAX_RATIONAL_DIGITS
 from idealkit.catalog import algebra_to_json, sl
 from idealkit.dsl import parse_seq
@@ -175,6 +175,34 @@ EXIT_TWO = [
       for option in ("truncation", "window")],
     Row("nmax-negative-4000-nines", ["seq", "compare", "--mode", "O", "pow:1", "pow:2",
                                      "--numeric", "--nmax", "-" + "9" * 4000]),
+    Row("nmax-4000-nines", ["seq", "compare", "--mode", "O", "--numeric", "pow:1", "pow:1000",
+                            "--nmax", "9" * 4000], expect="n_max must be at most 2**64, got 9"),
+    Row("eps-4000-nines", ["seq", "compare", "--mode", "O", "--numeric", "pow:1", "pow:2",
+                           "--eps", "9" * 4000],
+        expect="error: eps must be finite and positive, got inf"),
+]
+
+
+def _says(text: str):
+    """An ``expect`` that finds text in stdout."""
+    def expect(out, paths):
+        assert text in out, out[-400:]
+    return expect
+
+
+# valid calls with a value at the far end of its range, which answer (exit 0)
+_BIG = "1" + "0" * 400
+VALID_EXTREMES = [
+    Row("seed-4000-nines", ["lie", "simple", "--file", "{sl2}", "--cross-check", "1",
+                            "--seed", "9" * 4000], exit=0, expect=_says("no proper ideal found")),
+    # an exponent past the float range makes a log of -inf from n = 2 on
+    Row("soft-numeric-pow-401-digits", ["ideal", "soft", "--numeric", f"pow:{_BIG}"], exit=0,
+        expect=_says("numeric corroboration: Unknown")),
+    Row("compare-numeric-eta-pow-401-digits", ["seq", "compare", "--mode", "O", "--numeric",
+                                               "pow:1", f"pow:{_BIG}"], exit=0,
+        expect=_says("log of eta underflows the float range at n=2")),
+    Row("compare-numeric-powlog-401-digits", ["seq", "compare", "--mode", "o", "--numeric",
+                                              f"powlog:1,{_BIG}", "pow:1"], exit=0),
 ]
 
 _OVER = f"exceeds the limit {MAX_WEIGHT_BITS}"
@@ -374,6 +402,11 @@ PRODUCT_CHAINS = [_chain_row(*row) for row in [
     ("member-112kb-rate-one-chain", ["ideal", "member"], lambda: [rate_one_chain()] * 2),
     ("report-112kb-rate-one-chain", ["ideal", "report"], lambda: [rate_one_chain()]),
 ]]
+# the probe's widest grid, which overflows down to the minimum grid
+PRODUCT_CHAINS.append(Row(
+    "compare-numeric-112kb-chain-nmax-2-64",
+    lambda: _COMPARE + ["--numeric", "--nmax", str(2 ** 64), "pow:1", rate_one_chain()],
+    exit=0, expect=_says("grid shrunk to n_max=1024"), budget=4))
 
 # ambient_dim 1, so the entries are the basis size; the second matrix repeats
 # the first, which the closure scan reports once decoded
@@ -518,3 +551,18 @@ TIME_BOMBS = [
 ]
 
 test_time_bomb = table_test(TIME_BOMBS)
+
+
+def test_every_typed_option_meets_a_huge_value():
+    """Each option that the CLI converts with a ``type`` gets an unsigned
+    value of at least 2000 digits in some row of the table."""
+    sections = [value for value in list(globals().values()) if isinstance(value, (list, Row))]
+    rows = [getattr(row, "values", [row])[0] for section in sections
+            for row in (section if isinstance(section, list) else [section])]
+    argvs = [[part for arg in row.argv for part in arg.split("=", 1)]
+             for row in rows if isinstance(row, Row) and isinstance(row.argv, list)]
+    met = {option for argv in argvs for option, value in zip(argv, argv[1:])
+           if value.isdigit() and len(value) >= 2000}
+    typed = {flag for _, commands in cli._COMMANDS.values() for _, arguments in commands.values()
+             for flags, kwargs in arguments if "type" in kwargs for flag in flags}
+    assert typed - met == set()

@@ -29,7 +29,7 @@ from idealkit.witness import (
 
 from conftest import run_main, run_process
 from test_adversarial import (ALGEBRA_FIELDS, EXIT_TWO, FILE_CAP, FILE_TEMPLATES, FIRST_INDEX,
-                              HOSTILE_FILES, PRODUCT_CHAINS, SHIFT_WEIGHTS, SL2,
+                              HOSTILE_FILES, PRODUCT_CHAINS, SHIFT_WEIGHTS, SL2, VALID_EXTREMES,
                               WEIGHT_LIMIT_LINES, first_index_file, table_test)
 
 
@@ -81,6 +81,7 @@ def test_main_catches_no_broad_exception():
 
 
 test_bad_input_exits_two_with_one_error_line = table_test(EXIT_TWO)
+test_valid_extreme_answers = table_test(VALID_EXTREMES)
 
 
 def test_cross_check_limit_is_exact(monkeypatch, tmp_path):

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealkit import rates
+from idealkit import rates, seqspace
 from idealkit.base import MAX_RATIONAL_DIGITS
 from idealkit.dsl import parse_seq
 from idealkit.idealcalc import Principal, member
@@ -870,6 +870,67 @@ class TestDelta2:
             assert log_ratio > math.log(1e3)
 
 
+def _ones(count: int) -> str:
+    return "finite:[" + ",".join(["1"] * count) + "]"
+
+
+# n_max values of the reference test: powers of two and their neighbours, a
+# grid end that halves onto no power of two, and the widest grids
+PROBE_NMAX = [2 ** 10, 2 ** 10 + 1, 2100, 3000, 5000, 2 ** 20 - 1, 2 ** 20, 12345678,
+              2 ** 40 + 7]
+# etas whose ratio overflows (a steep power, tiny finite supports) or whose
+# log underflows at n = 1
+EXTREME_ETAS = [Pow(1000), Subsample(10 ** 400, Exp(F(1, 2))),
+                *[Scale(F(1, 10 ** 400), FiniteSupport([1] * count))
+                  for count in (1, 1024, 1100, 3000)]]
+
+
+def _json_float(value: float):
+    return value if math.isfinite(value) else str(value)
+
+
+def _halving_loop(xi, eta, n_max):
+    """The probe's grid as an earlier probe sampled it, kept as a reference:
+    each halving rebuilt the grid and evaluated every point of it again.
+    (final n_max, ratios, notes, zero-tail division), with ratios None at
+    the early Unknown of an eta whose log underflows."""
+    eta_infinite = support(eta) is None
+    notes, requested, zero_tail_division = [], n_max, False
+    while True:
+        ns = [1]
+        while ns[-1] * 2 <= n_max:
+            ns.append(ns[-1] * 2)
+        if ns[-1] != n_max:
+            ns.append(n_max)
+        ratios, overflow = [], False
+        for n in ns:
+            lx, ly = eval_log(xi, n), eval_log(eta, n)
+            if ly == -math.inf:
+                if eta_infinite:
+                    notes.append(f"log of eta underflows the float range at n={n}")
+                    return n_max, None, notes, False
+                if lx == -math.inf:
+                    ratios.append(0.0)
+                else:
+                    zero_tail_division = True
+                    ratios.append(math.inf)
+                continue
+            diff = lx - ly
+            if diff > 700.0:
+                overflow = True
+                ratios.append(math.inf)
+            else:
+                ratios.append(math.exp(diff))
+        if zero_tail_division or not overflow or n_max // 2 < 2 ** 10:
+            if overflow and not zero_tail_division:
+                notes.append("ratio overflow persists at the minimum grid")
+            break
+        n_max //= 2
+    if n_max < requested:
+        notes.append(f"grid shrunk to n_max={n_max} to avoid overflow")
+    return n_max, ratios, notes, zero_tail_division
+
+
 class TestNumericProbe:
     def test_exponential_over_power_indicated(self):
         v = numeric_probe(Exp(F(1, 2)), Pow(1), Mode.LITTLE_O, 2 ** 20, 1e-3)
@@ -912,6 +973,38 @@ class TestNumericProbe:
         v = numeric_probe(Pow(1), FiniteSupport([1]), Mode.BIG_O)
         assert v.fails and v.evidence["reason"] == "division by zero tail"
 
+    @pytest.mark.parametrize("n_max,calls", [(2 ** 20, 42), (3000, 28)])
+    def test_each_grid_point_is_evaluated_once(self, monkeypatch, n_max, calls):
+        """pow:1 over exp:1/2 overflows down to the minimum grid; 2**20 halves
+        onto powers of two, which are all evaluated already, and 3000 to 1500,
+        the one new point."""
+        counted = []
+
+        def counting(expr, n):
+            counted.append(n)
+            return eval_log(expr, n)
+
+        monkeypatch.setattr(seqspace, "eval_log", counting)
+        numeric_probe(Pow(1), Exp(F(1, 2)), Mode.LITTLE_O, n_max, 1e-3)
+        assert len(counted) == calls
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(catalog_exprs, st.one_of(catalog_exprs, st.sampled_from(EXTREME_ETAS)),
+           st.sampled_from(list(Mode)), st.sampled_from(PROBE_NMAX))
+    def test_probe_matches_the_halving_loop(self, xi, eta, mode, n_max):
+        probe = numeric_probe(xi, eta, mode, n_max, 1e-3).to_json()
+        shrunk, ratios, notes, zero_tail = _halving_loop(xi, eta, n_max)
+        ev = probe["evidence"]
+        assert (ev["n_max"], ev["notes"]) == (shrunk, notes)
+        if ratios is None:
+            assert probe["status"] == "Unknown" and "grid_points" not in ev
+            return
+        expected = {"grid_points": len(ratios), "final_ratio": _json_float(ratios[-1]),
+                    "sup_ratio": _json_float(max(ratios)),
+                    "window_start_ratio": _json_float(ratios[len(ratios) // 2])}
+        assert {key: ev[key] for key in expected} == expected
+        assert (ev.get("reason") == "division by zero tail") is zero_tail
+
     # (xi, eta, mode, n_max, status, evidence): the grid's last point at an
     # n_max that is no power of two, a 0/0 grid point read as ratio 0, an
     # all-zero ratio, whose sup has no growth to measure, and a ratio that
@@ -943,11 +1036,25 @@ class TestNumericProbe:
           "notes": ["ratio overflow persists at the minimum grid",
                     "grid shrunk to n_max=1024 to avoid overflow"],
           "monotone_window": False, "reason": "ratio does not tend to zero"}),
+        # overflow up to n = 1024, where eta's support ends, then 0/0; halving
+        # to 1050 brings in the one point where only eta is zero
+        (_ones(1100), "scale:1/1" + "0" * 400 + ";" + _ones(1024), Mode.BIG_O, 2100,
+         Status.FAILS,
+         {"n_max": 1050, "grid_points": 12, "final_ratio": math.inf, "sup_ratio": math.inf,
+          "window_start_ratio": math.inf, "notes": ["grid shrunk to n_max=1050 to avoid overflow"],
+          "reason": "division by zero tail"}),
+        ("pow:1", "exp:1/2", Mode.LITTLE_O, 3000, Status.FAILS,
+         {"n_max": 1500, "grid_points": 12, "final_ratio": math.inf, "sup_ratio": math.inf,
+          "window_start_ratio": 2.0 ** 58,
+          "notes": ["ratio overflow persists at the minimum grid",
+                    "grid shrunk to n_max=1500 to avoid overflow"],
+          "monotone_window": False, "reason": "ratio does not tend to zero"}),
     ]
 
     @pytest.mark.parametrize("xi,eta,mode,n_max,status,evidence", EDGES,
                              ids=["grid-end-5000", "zero-over-zero-O", "zero-over-zero-o",
-                                  "all-zero-O", "overflow-shrunk-O", "overflow-persists-o"])
+                                  "all-zero-O", "overflow-shrunk-O", "overflow-persists-o",
+                                  "zero-tail-after-halving", "overflow-persists-3000-o"])
     def test_probe_edge_table(self, xi, eta, mode, n_max, status, evidence):
         v = numeric_probe(parse_seq(xi), parse_seq(eta), mode, n_max, 1e-3)
         assert v.status is status and v.method is Method.NUMERIC
