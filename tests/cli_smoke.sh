@@ -1,10 +1,11 @@
 #!/bin/sh
 # CLI smoke test from the source tree, with nothing installed: one call per
-# group, three least ampliation indices (one past the digit cap), an algebra
+# group, four least ampliation indices (one past the digit cap), an algebra
 # and a certificate each written then read back, a numeric probe whose grid
-# shrinks, five bad inputs, which must exit 2 with one short error line, a
-# help request, which must exit 0, and a usage error, which must exit 2 with
-# an error line.
+# shrinks, six bad inputs, which must exit 2 with one short error line (one
+# of them an algebra size past the entry limit, with its count), a help
+# request, which must exit 0, and a usage error, which must exit 2 with an
+# error line.
 # Run from the repository root; PYTHON names the interpreter (default python3):
 #   PYTHON=python3.10 sh tests/cli_smoke.sh
 set -eu
@@ -35,6 +36,9 @@ expect "membership: Holds" "$(idealkit ideal member pow:2 pow:1)"
 # ceiling, and a tie that the comparison at m refutes
 has_line "  m: 4" "$(idealkit ideal member exp:1/2 exp:1/10)"
 has_line "  m: 3" "$(idealkit ideal member exp:1/4 "idealprod(exp:1/16,compact)")"
+# a ceiling of t = ln a / ln b where t lies 1e-20 above 10
+has_line "  m: 11" \
+    "$(idealkit ideal member exp:1/2 "exp:100000000000000000000/102400000000000000001024")"
 # an index past the digit cap is named, not computed
 nines=$("$PY" -c 'print("9" * 4300)')
 has_line "  m: more than 4300 digits; not computed" \
@@ -52,6 +56,9 @@ refused seq signature pow:0
 refused seq compare --mode O --numeric pow:1 pow:2 --nmax 18446744073709551617
 # a shift truncation whose weights are all zero spans no algebra
 refused lie build shift --n 2 --weights "finite:[0]"
+# an algebra past the entry limit is refused before it is built, with its size
+refused lie build sl --n 15
+has_line "error: 224 matrices of size 15 x 15 exceed the limit of 50000 entries" "$(cat "$dir/err")"
 # a matrix size past the entry limit is refused before any message prints it
 "$PY" -c 'print("{\"name\": \"h\", \"ambient_dim\": " + "9" * 2151 + ", \"basis\": [[1]]}")' \
     > "$dir/huge.json"

@@ -127,6 +127,14 @@ EXIT_TWO = [
                                  "--nmax", "4096"]),
     Row("sl-40-over-size-cap", ["lie", "build", "sl", "--n", "40"]),
     Row("sl-80-over-size-cap", ["lie", "build", "sl", "--n", "80"]),
+    Row("sl-15-over-size-cap", ["lie", "build", "sl", "--n", "15"],
+        expect=f"error: 224 matrices of size 15 x 15 exceed the limit of {MAX_ALGEBRA_ENTRIES} "
+               "entries"),
+    # a misuse of --weights is named before a size past the cap
+    Row("weights-before-size-cap", ["lie", "build", "sl", "--n", "15", "--weights", "pow:1"],
+        expect="error: weights apply to kind 'shift' only, not 'sl'"),
+    Row("no-weights-before-size-cap", ["lie", "build", "shift", "--n", "1000"],
+        expect="error: shift truncation needs a weight sequence"),
     Row("seeds-over-size-cap", _SEEDS, _file([[0, 0, 0, 0]] * (MAX_ALGEBRA_ENTRIES // 4 + 1))),
     Row("lie-no-subcommand", ["lie"]),
     Row("killing-empty-basis", ["lie", "killing", "--file", "{file}"], _file(_EMPTY)),
@@ -203,6 +211,11 @@ VALID_EXTREMES = [
         expect=_says("log of eta underflows the float range at n=2")),
     Row("compare-numeric-powlog-401-digits", ["seq", "compare", "--mode", "o", "--numeric",
                                               f"powlog:1,{_BIG}", "pow:1"], exit=0),
+    # the generator's rate is (1/2)^t with t 1e-20 above 10, so the least
+    # ampliation index is 11, not 10
+    Row("member-index-just-above-an-integer",
+        ["ideal", "member", "exp:1/2", "exp:100000000000000000000/102400000000000000001024"],
+        exit=0, expect=_says("\n  m: 11\n")),
 ]
 
 _OVER = f"exceeds the limit {MAX_WEIGHT_BITS}"
@@ -226,6 +239,9 @@ WEIGHT_LIMIT_LINES = [
                                "prod(pow:1000,pow:1000)", "--truncation", "3"],
         expect=f"error: scan index 512 times the 18002 bits of weight 512 {_OVER}"),
     Row("sl-entries-2200-nines", ["lie", "build", "sl", "--n", "9" * 2200], expect=_ENTRY_LIMIT),
+    # a shift truncation's size is checked before any of its weights is built
+    Row("shift-entries-before-weights", ["lie", "build", "shift", "--n", "100000",
+                                         "--weights", "exp:1/2"], expect=_ENTRY_LIMIT),
 ]
 
 

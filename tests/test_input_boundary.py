@@ -6,15 +6,18 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+from functools import partial
 
 import pytest
 
 from idealkit import cli, cli_lie, cli_seq, matlie
 from idealkit.base import MAX_RATIONAL_DIGITS, InputError
-from idealkit.catalog import _SHAPES, make_algebra
+from idealkit.catalog import (_KINDS, direct_sum, make_algebra, shift_truncation, sl,
+                              sp_skew_variant, sp_standard, strictly_upper, upper_triangular_sl)
 from idealkit.dsl import DslError, parse_seq
 from idealkit.idealcalc import ZeroIdealError
 from idealkit.matlie import MAX_ALGEBRA_ENTRIES, NotClosedError, matrices_from_json
+from idealkit.ratlinalg import RationalMatrix
 from idealkit.seqspace import InvalidSequenceError, Pow
 from idealkit.witness import (
     DEFAULT_SCAN_WINDOW,
@@ -146,12 +149,38 @@ def test_first_value_digit_cap(over):
         assert verify_certificate(restored).holds
 
 
+# every catalog builder, with its arguments (the summands built at import)
+_BUILDERS = {f.func.__name__: f for f in (
+    partial(sl, 3), partial(sp_standard, 3), partial(sp_skew_variant, 3),
+    partial(upper_triangular_sl, 3), partial(strictly_upper, 3),
+    partial(shift_truncation, Pow(1), 3), partial(direct_sum, sp_standard(2), sp_standard(1)))}
+
+
 class TestAlgebraSizeCap:
-    def test_shapes_match_the_built_algebras(self):
-        for kind, shape in _SHAPES.items():
+    def test_shapes_match_the_built_algebras(self, monkeypatch):
+        # one entry under its own size, each build is refused with that size
+        for kind in [*_KINDS, "shift"]:
+            weights = Pow(1) if kind == "shift" else None
             for n in (2, 3, 5):
-                algebra = make_algebra(kind, n, Pow(1) if kind == "shift" else None)
-                assert shape(n) == (algebra.dim, algebra.ambient), (kind, n)
+                algebra = make_algebra(kind, n, weights)
+                dim, a = algebra.dim, algebra.ambient
+                cap = dim * a * a - 1
+                monkeypatch.setattr(matlie, "MAX_ALGEBRA_ENTRIES", cap)
+                line = (f"{dim} matrices of size {a} x {a}" if a * a <= cap
+                        else "a single matrix of this size")
+                with pytest.raises(InputError, match=line):
+                    make_algebra(kind, n, weights)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", _BUILDERS)
+    def test_every_builder_refuses_before_building_a_matrix(self, name, monkeypatch):
+        build = _BUILDERS[name]
+        algebra = build()
+        monkeypatch.setattr(matlie, "MAX_ALGEBRA_ENTRIES", algebra.dim * algebra.ambient ** 2 - 1)
+        monkeypatch.setattr(RationalMatrix, "from_nonzeros",
+                            lambda *args: pytest.fail("a matrix was built before the size check"))
+        with pytest.raises(InputError, match="exceed"):
+            build()
 
     def test_catalog_build_below_and_above_the_cap(self):
         assert 14 * 14 * (14 * 14 - 1) <= MAX_ALGEBRA_ENTRIES < 15 * 15 * (15 * 15 - 1)

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from idealkit import rates, seqspace
 from idealkit.base import MAX_RATIONAL_DIGITS
@@ -605,6 +605,46 @@ class TestCertifiedLogRetry:
         assert max(log_digits) > 20
         v = member(xi, Principal(gen))
         assert v.holds and v.proven and v.evidence["m"] == m == _DEN + 1
+
+
+def _least_power_at_most(a: F, b: F) -> tuple:
+    """The exact oracle of log_ratio_ceiling for rationals a and b in (0, 1):
+    the least m with b**m <= a, which is ceil(ln a / ln b), and whether
+    b**m == a, which is when that quotient is the integer m."""
+    m = 0
+    while b ** m > a:
+        m += 1
+    return m, b ** m == a
+
+
+_HALF, _TENTHS = F(1, 2), F(3, 10)
+# t = ln a / ln b just above an integer (a a hair below b^m), just below one
+# (a a hair above b^m), and an exact integer, which takes the proportional path
+NEAR_INTEGER_LOGS = [
+    *[pytest.param(F(10 ** k, 1024 * (10 ** k + 1)), _HALF, (11, False), id=f"half-above-10-{k}")
+      for k in (20, 30, 40, 60)],
+    *[pytest.param(_TENTHS ** m * (1 - F(1, 10 ** 60)), _TENTHS, (m + 1, False),
+                   id=f"tenths-above-{m}-60") for m in (7, 10)],
+    *[pytest.param(b ** m * (1 + F(1, 10 ** k)), b, (m, False), id=f"{name}-below-{m}-{k}")
+      for name, b, m, k in (("half", _HALF, 10, 20), ("half", _HALF, 10, 60),
+                            ("tenths", _TENTHS, 7, 60))],
+    pytest.param(_HALF ** 10, _HALF, (10, True), id="half-exact-10"),
+]
+
+
+class TestNearIntegerLogRatio:
+    @pytest.mark.parametrize("a,b,expected", NEAR_INTEGER_LOGS)
+    def test_rows_match_the_exact_oracle(self, a, b, expected):
+        assert _least_power_at_most(a, b) == expected
+        assert log_ratio_ceiling(root_rational(a), root_rational(b)) == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(b=st.integers(2, 100).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: F(p, q))),
+           m=st.integers(1, 12), k=st.integers(1, 80), sign=st.sampled_from((1, -1)))
+    def test_perturbed_powers_match_the_exact_oracle(self, b, m, k, sign):
+        a = b ** m * (1 + sign * F(1, 10 ** k))
+        assume(a < 1)
+        assert log_ratio_ceiling(root_rational(a), root_rational(b)) == _least_power_at_most(a, b)
 
 
 class TestDigitLimit:

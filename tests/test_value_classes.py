@@ -8,7 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from idealkit import idealcalc as ic, matlie as ml, rates as rt, seqspace as ss, witness as wt
+from idealkit import (base, idealcalc as ic, matlie as ml, rates as rt, seqspace as ss,
+                      witness as wt)
 from idealkit.ratlinalg import RationalMatrix
 
 _M = "RationalMatrix([['0', '1'], ['0', '0']])"
@@ -155,6 +156,24 @@ def test_catalog_values_are_coerced_once():
     assert ss.Pow(2).p == F(2) and ss.Exp("1/2").r == F(1, 2)
     assert ss.FiniteSupport([1, "1/2"]).values == (F(1), F(1, 2))
     assert ss.Scale(3, ss.Pow(1)) == ss.Scale(F(3), ss.Pow(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: base.as_fraction(0.5),
+    lambda: ss.Pow(0.5),
+    lambda: ss.Exp(0.5),
+    lambda: ss.PowLog(1, 0.5),
+    lambda: ss.FiniteSupport([1, 0.5]),
+    lambda: ss.Scale(0.5, ss.Pow(1)),
+    lambda: ss.explicit([0.5], ss.Pow(1)),
+    lambda: RationalMatrix.from_nonzeros(1, 1, {(0, 0): 0.5}),
+    lambda: rt.root_rational(0.5),
+], ids=["as_fraction", "Pow", "Exp", "PowLog", "FiniteSupport", "Scale", "explicit",
+        "from_nonzeros", "root_rational"])
+def test_exact_constructors_refuse_floats(build):
+    # a float is refused, never rounded into an exact rational
+    with pytest.raises(TypeError, match="^expected int, str or Fraction, got float$"):
+        build()
 
 
 def test_root_rational_keeps_its_rate_equality():
